@@ -34,18 +34,16 @@
 //! `--json PATH` writes the sweep as a `BENCH_chaos.json` trajectory
 //! record (format documented in the README).
 
-use fdpcache_bench::{
-    json_destination, parse_count_flag, sweep_chaos, ChaosGateConfig, ChaosRunResult,
-    TrajectoryRecord,
-};
+use fdpcache_bench::{sweep_chaos, Args, ChaosGateConfig, ChaosRunResult, Flag, TrajectoryRecord};
 use fdpcache_metrics::Table;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let check = args.iter().any(|a| a == "--check");
-    let json_path = json_destination(&args, "chaos");
+    let args =
+        Args::from_env(&[Flag::Switch("--check"), Flag::Count("--ops"), Flag::Value("--json")]);
+    let check = args.has("--check");
+    let json_path = args.json_destination("chaos");
     let mut cfg = ChaosGateConfig::default();
-    parse_count_flag(&args, "--ops", &mut cfg.ops);
+    cfg.ops = args.count("--ops").unwrap_or(cfg.ops);
 
     eprintln!(
         "chaos sweep: device {} MiB, RU {} MiB, {} ops per stream, {} shards, every builtin \

@@ -28,17 +28,17 @@
 //! record (format documented in the README).
 
 use fdpcache_bench::{
-    json_destination, parse_count_flag, run_plain_baseline, sweep_faults, FaultGateConfig,
-    TrajectoryRecord,
+    run_plain_baseline, sweep_faults, Args, FaultGateConfig, Flag, TrajectoryRecord,
 };
 use fdpcache_metrics::Table;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let check = args.iter().any(|a| a == "--check");
-    let json_path = json_destination(&args, "faults");
+    let args =
+        Args::from_env(&[Flag::Switch("--check"), Flag::Count("--ops"), Flag::Value("--json")]);
+    let check = args.has("--check");
+    let json_path = args.json_destination("faults");
     let mut cfg = FaultGateConfig::default();
-    parse_count_flag(&args, "--ops", &mut cfg.ops);
+    cfg.ops = args.count("--ops").unwrap_or(cfg.ops);
 
     eprintln!(
         "fault sweep: device {} MiB, RU {} MiB, {} ops per run, every builtin scenario x2 \

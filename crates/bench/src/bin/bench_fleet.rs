@@ -32,17 +32,16 @@
 //! `--json PATH` writes the sweep as a `BENCH_fleet.json` trajectory
 //! record (format documented in the README).
 
-use fdpcache_bench::{
-    json_destination, parse_count_flag, sweep_fleet, FleetGateConfig, TrajectoryRecord,
-};
+use fdpcache_bench::{sweep_fleet, Args, Flag, FleetGateConfig, TrajectoryRecord};
 use fdpcache_metrics::Table;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let check = args.iter().any(|a| a == "--check");
-    let json_path = json_destination(&args, "fleet");
+    let args =
+        Args::from_env(&[Flag::Switch("--check"), Flag::Count("--ops"), Flag::Value("--json")]);
+    let check = args.has("--check");
+    let json_path = args.json_destination("fleet");
     let mut cfg = FleetGateConfig::default();
-    parse_count_flag(&args, "--ops", &mut cfg.failover_ops);
+    cfg.failover_ops = args.count("--ops").unwrap_or(cfg.failover_ops);
 
     eprintln!(
         "fleet sweep: device {} MiB, RU {} MiB, {} virtual ms horizon, burst x{} at \

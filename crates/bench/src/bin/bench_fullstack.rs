@@ -47,18 +47,17 @@
 //!   flash misses, not read-path synchronization).
 
 use fdpcache_bench::{
-    emit_trajectory, json_destination, parse_count_flag, sweep_fullstack, sweep_read,
-    FullstackConfig, ReadScalingConfig, TrajectoryRecord,
+    emit_trajectory, sweep_fullstack, sweep_read, Args, Flag, FullstackConfig, ReadScalingConfig,
+    TrajectoryRecord,
 };
 use fdpcache_metrics::Table;
 
 /// Contended-read scaling gate (`--read`): exits non-zero on failure
 /// when `check` is set.
-fn run_read_gate(args: &[String], check: bool, json_path: Option<String>) {
+fn run_read_gate(args: &Args, check: bool, json_path: Option<String>) {
     let mut cfg = ReadScalingConfig::default();
-    let mut trials = 3u64;
-    parse_count_flag(args, "--ops", &mut cfg.ops_per_worker);
-    parse_count_flag(args, "--trials", &mut trials);
+    cfg.ops_per_worker = args.count("--ops").unwrap_or(cfg.ops_per_worker);
+    let trials = args.count("--trials").unwrap_or(3);
 
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     eprintln!(
@@ -164,18 +163,23 @@ fn run_read_gate(args: &[String], check: bool, json_path: Option<String>) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let check = args.iter().any(|a| a == "--check");
-    let read_mode = args.iter().any(|a| a == "--read");
-    let json_path = json_destination(&args, if read_mode { "read" } else { "throughput" });
+    let args = Args::from_env(&[
+        Flag::Switch("--check"),
+        Flag::Switch("--read"),
+        Flag::Count("--ops"),
+        Flag::Count("--trials"),
+        Flag::Value("--json"),
+    ]);
+    let check = args.has("--check");
+    let read_mode = args.has("--read");
+    let json_path = args.json_destination(if read_mode { "read" } else { "throughput" });
     if read_mode {
         run_read_gate(&args, check, json_path);
         return;
     }
     let mut cfg = FullstackConfig::default();
-    let mut trials = 3u64;
-    parse_count_flag(&args, "--ops", &mut cfg.ops_per_worker);
-    parse_count_flag(&args, "--trials", &mut trials);
+    cfg.ops_per_worker = args.count("--ops").unwrap_or(cfg.ops_per_worker);
+    let trials = args.count("--trials").unwrap_or(3);
 
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     eprintln!(

@@ -34,9 +34,7 @@
 //! `--json PATH` writes the sweep as a `BENCH_recovery.json`
 //! trajectory record (format documented in the README).
 
-use fdpcache_bench::{
-    json_destination, parse_count_flag, sweep_recovery, RecoveryGateConfig, TrajectoryRecord,
-};
+use fdpcache_bench::{sweep_recovery, Args, Flag, RecoveryGateConfig, TrajectoryRecord};
 use fdpcache_metrics::Table;
 
 /// Maximum tolerated hit-ratio gap between the recovered continuation
@@ -44,11 +42,12 @@ use fdpcache_metrics::Table;
 const HIT_RATIO_TOLERANCE: f64 = 0.03;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let check = args.iter().any(|a| a == "--check");
-    let json_path = json_destination(&args, "recovery");
+    let args =
+        Args::from_env(&[Flag::Switch("--check"), Flag::Count("--ops"), Flag::Value("--json")]);
+    let check = args.has("--check");
+    let json_path = args.json_destination("recovery");
     let mut cfg = RecoveryGateConfig::default();
-    parse_count_flag(&args, "--ops", &mut cfg.ops);
+    cfg.ops = args.count("--ops").unwrap_or(cfg.ops);
 
     eprintln!(
         "recovery sweep: device {} MiB, RU {} MiB, {} ops per trace, checkpoint every {} ops, \

@@ -28,8 +28,7 @@
 //! depth-1 pipeline to the legacy synchronous model.
 
 use fdpcache_bench::{
-    emit_trajectory, json_destination, parse_count_flag, qd_sweep, run_qd_replay, sweep,
-    ThroughputConfig, TrajectoryRecord,
+    emit_trajectory, qd_sweep, run_qd_replay, sweep, Args, Flag, ThroughputConfig, TrajectoryRecord,
 };
 use fdpcache_metrics::Table;
 
@@ -99,16 +98,21 @@ fn run_qd_mode(cfg: &ThroughputConfig, check: bool, json_path: Option<String>) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let check = args.iter().any(|a| a == "--check");
-    let qd_mode = args.iter().any(|a| a == "--qd");
+    let args = Args::from_env(&[
+        Flag::Switch("--check"),
+        Flag::Switch("--qd"),
+        Flag::Count("--ops"),
+        Flag::Count("--trials"),
+        Flag::Value("--json"),
+    ]);
+    let check = args.has("--check");
+    let qd_mode = args.has("--qd");
     let mut cfg = ThroughputConfig::default();
-    let mut trials = 3u64;
-    parse_count_flag(&args, "--ops", &mut cfg.ops_per_worker);
-    parse_count_flag(&args, "--trials", &mut trials);
+    cfg.ops_per_worker = args.count("--ops").unwrap_or(cfg.ops_per_worker);
+    let trials = args.count("--trials").unwrap_or(3);
 
     let bench = if qd_mode { "throughput_qd" } else { "throughput_device" };
-    let json_path = json_destination(&args, bench);
+    let json_path = args.json_destination(bench);
     if qd_mode {
         run_qd_mode(&cfg, check, json_path);
         return;

@@ -47,8 +47,7 @@ use fdpcache_bench::wallclock::{
     REACTOR_SHARDS,
 };
 use fdpcache_bench::{
-    json_destination, parse_count_flag, sweep_wallclock, sweep_wallclock_reactor, TrajectoryRecord,
-    WallclockConfig,
+    sweep_wallclock, sweep_wallclock_reactor, Args, Flag, TrajectoryRecord, WallclockConfig,
 };
 use fdpcache_core::ServiceMode;
 use fdpcache_metrics::Table;
@@ -115,19 +114,25 @@ fn run_pool(args: &[String], i: usize) -> ! {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(i) = args.iter().position(|a| a == "--one") {
-        run_one(&args, i);
+    // The child protocols are positional and spawned only by this
+    // binary's own sweeps, always with the marker first.
+    let raw: Vec<String> = std::env::args().collect();
+    match raw.get(1).map(String::as_str) {
+        Some("--one") => run_one(&raw, 1),
+        Some("--pool") => run_pool(&raw, 1),
+        _ => {}
     }
-    if let Some(i) = args.iter().position(|a| a == "--pool") {
-        run_pool(&args, i);
-    }
-    let check = args.iter().any(|a| a == "--check");
-    let json_path = json_destination(&args, "wallclock");
+    let args = Args::from_env(&[
+        Flag::Switch("--check"),
+        Flag::Count("--ops"),
+        Flag::Count("--trials"),
+        Flag::Value("--json"),
+    ]);
+    let check = args.has("--check");
+    let json_path = args.json_destination("wallclock");
     let mut cfg = WallclockConfig::default();
-    let mut trials = 2u64;
-    parse_count_flag(&args, "--ops", &mut cfg.ops);
-    parse_count_flag(&args, "--trials", &mut trials);
+    cfg.ops = args.count("--ops").unwrap_or(cfg.ops);
+    let trials = args.count("--trials").unwrap_or(2);
 
     eprintln!(
         "wallclock sweep: device {} MiB, RU {} MiB, {} ops, slab vs hashmap reference, \

@@ -8,14 +8,20 @@
 //! `--gc-policy fifo` reruns the sweep with FIFO victim selection (the
 //! DESIGN.md ablation of greedy GC).
 
-use fdpcache_bench::{run_experiment, Cli, ExpConfig};
+use fdpcache_bench::{run_experiment, Cli, ExpConfig, Flag};
 use fdpcache_ftl::GcPolicy;
 use fdpcache_metrics::{csv, Table};
 
 fn main() {
-    let cli = Cli::parse();
-    let gc_policy =
-        if std::env::args().any(|a| a == "fifo") { GcPolicy::Fifo } else { GcPolicy::Greedy };
+    let (cli, args) = Cli::parse_with(&[Flag::Value("--gc-policy")]);
+    let gc_policy = match args.value("--gc-policy") {
+        None | Some("greedy") => GcPolicy::Greedy,
+        Some("fifo") => GcPolicy::Fifo,
+        Some(other) => {
+            eprintln!("error: --gc-policy takes greedy or fifo, got `{other}`");
+            std::process::exit(2);
+        }
+    };
     let mut base = ExpConfig::paper_default();
     base.utilization = 1.0;
     base.gc_policy = gc_policy;

@@ -15,6 +15,8 @@ use fdpcache_metrics::{csv, Table, TimeSeries};
 use fdpcache_nand::Geometry;
 use fdpcache_workloads::{ExperimentResult, ReplayConfig, Replayer, WorkloadProfile};
 
+use crate::cli::{Args, Flag};
+
 /// One experiment's full parameter set.
 #[derive(Debug, Clone)]
 pub struct ExpConfig {
@@ -559,55 +561,6 @@ pub fn run_multitenant_concurrent(
     })
 }
 
-/// Parses a `--flag N` positive-integer argument into `target`
-/// (shared by the benchmark binaries). Exits with status 2 and a
-/// message on a missing or non-positive value; leaves `target`
-/// untouched when the flag is absent.
-pub fn parse_count_flag(args: &[String], flag: &str, target: &mut u64) {
-    if let Some(i) = args.iter().position(|a| a == flag) {
-        match args.get(i + 1).map(|v| v.parse::<u64>()) {
-            Some(Ok(n)) if n > 0 => *target = n,
-            Some(Ok(_)) => {
-                eprintln!("error: {flag} must be at least 1");
-                std::process::exit(2);
-            }
-            Some(Err(_)) | None => {
-                eprintln!("error: {flag} requires a positive integer value");
-                std::process::exit(2);
-            }
-        }
-    }
-}
-
-/// Parses a `--flag PATH` argument (shared by the benchmark binaries).
-/// Returns `None` when the flag is absent; exits with status 2 when
-/// the flag is present without a path value.
-pub fn parse_path_flag(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).map(|i| match args.get(i + 1) {
-        Some(p) if !p.starts_with("--") => p.clone(),
-        _ => {
-            eprintln!("error: {flag} requires a path value");
-            std::process::exit(2);
-        }
-    })
-}
-
-/// Resolves where a bench binary writes its `BENCH_<name>.json`
-/// trajectory (shared by every bench bin so CI artifacts land in one
-/// place):
-///
-/// * `--json PATH` — write to `PATH` exactly;
-/// * `--json none` — suppress the JSON artifact;
-/// * flag absent — default to `results/BENCH_<name>.json` beside the
-///   CSV artifacts (the writer creates the directory).
-pub fn json_destination(args: &[String], bench: &str) -> Option<String> {
-    match parse_path_flag(args, "--json") {
-        Some(p) if p == "none" => None,
-        Some(p) => Some(p),
-        None => Some(format!("results/BENCH_{bench}.json")),
-    }
-}
-
 /// Common CLI handling: `--quick` shrinks runs; `--out <dir>` selects
 /// the CSV output directory (default `results/`); `--concurrent` asks
 /// experiments that support it (fig11) to drive the stack from real
@@ -623,26 +576,25 @@ pub struct Cli {
 }
 
 impl Cli {
-    /// Parses `std::env::args`.
+    /// Parses the process arguments; anything but the three flags above
+    /// exits with status 2.
     pub fn parse() -> Self {
-        let mut quick = false;
-        let mut concurrent = false;
-        let mut out_dir = "results".to_string();
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--quick" => quick = true,
-                "--concurrent" => concurrent = true,
-                "--out" if i + 1 < args.len() => {
-                    out_dir = args[i + 1].clone();
-                    i += 1;
-                }
-                other => eprintln!("note: ignoring unknown argument {other}"),
-            }
-            i += 1;
-        }
-        Cli { quick, out_dir, concurrent }
+        Self::parse_with(&[]).0
+    }
+
+    /// [`Cli::parse`] for a binary that understands `extra` arguments
+    /// too; they are read off the returned [`Args`].
+    pub fn parse_with(extra: &[Flag]) -> (Self, Args) {
+        let mut declared =
+            vec![Flag::Switch("--quick"), Flag::Switch("--concurrent"), Flag::Value("--out")];
+        declared.extend_from_slice(extra);
+        let args = Args::from_env(&declared);
+        let cli = Cli {
+            quick: args.has("--quick"),
+            out_dir: args.value("--out").unwrap_or("results").to_string(),
+            concurrent: args.has("--concurrent"),
+        };
+        (cli, args)
     }
 
     /// Writes a CSV artifact, creating the directory as needed.

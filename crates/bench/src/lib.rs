@@ -6,6 +6,7 @@
 
 #![warn(missing_docs)]
 pub mod chaos;
+pub mod cli;
 pub mod faults;
 pub mod fleet;
 pub mod fullstack;
@@ -18,6 +19,7 @@ pub use chaos::{
     run_chaos_storm, run_scrub_precedence, sweep_chaos, ChaosGateConfig, ChaosRunResult,
     ChaosSweep, ChaosSweepEntry, ScrubPrecedenceResult, ShardBreakerTrace, TOPOLOGY_WORKERS,
 };
+pub use cli::{Args, Flag};
 pub use faults::{
     run_fault_scenario, run_plain_baseline, sweep_faults, FaultGateConfig, FaultRunResult,
     FaultSweepEntry,

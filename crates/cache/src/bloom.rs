@@ -3,8 +3,10 @@
 //! CacheLib keeps a small bloom filter per SOC bucket so that lookups of
 //! absent keys skip the flash read entirely (the SOC has no in-DRAM
 //! index — that is its whole point). We use one 128-bit filter per
-//! bucket with `K` probe bits, rebuilt from the authoritative entry list
-//! on every bucket rewrite, which mirrors CacheLib's rebuild-on-write.
+//! bucket with `K` probe bits. A rewrite that drops keys from the bucket
+//! rebuilds the filter from the authoritative entry list (CacheLib's
+//! rebuild-on-write); one that only adds a key ORs that key's bits in,
+//! which yields the same filter.
 //! At a typical occupancy of ~20 small objects per bucket the false
 //! positive rate is ≈5%.
 
@@ -71,8 +73,16 @@ impl BloomArray {
         f.iter().zip(m.iter()).all(|(fw, mw)| fw & mw == *mw)
     }
 
-    /// Rebuilds bucket `bucket`'s filter from an entry iterator (done on
-    /// every bucket rewrite, since per-bucket blooms cannot delete).
+    /// Bucket `bucket`'s filter bits, to compare a live filter with a
+    /// fresh [`BloomArray::rebuild`].
+    pub fn filter(&self, bucket: usize) -> [u64; WORDS] {
+        self.filters[bucket]
+    }
+
+    /// Rebuilds bucket `bucket`'s filter from an entry iterator (done
+    /// whenever keys leave the bucket, since per-bucket blooms cannot
+    /// delete; a rewrite that only adds a key [`BloomArray::insert`]s
+    /// it, which sets the same bits).
     pub fn rebuild<I: IntoIterator<Item = Key>>(&mut self, bucket: usize, keys: I) {
         let mut f = [0u64; WORDS];
         for k in keys {
@@ -136,6 +146,17 @@ mod tests {
         let fp = (10_000..20_000u64).filter(|&k| b.may_contain(0, k)).count();
         // 20 keys × 4 bits in 128 bits ⇒ ~47% of bits set ⇒ fp ≈ 5%.
         assert!(fp < 1000, "fp = {fp}");
+    }
+
+    #[test]
+    fn inserting_one_more_key_equals_rebuilding_with_it() {
+        let mut grown = BloomArray::new(1);
+        for n in 0..40u64 {
+            grown.insert(0, n * 7919);
+            let mut rebuilt = BloomArray::new(1);
+            rebuilt.rebuild(0, (0..=n).map(|k| k * 7919));
+            assert_eq!(grown.filter(0), rebuilt.filter(0), "after {} keys", n + 1);
+        }
     }
 
     #[test]

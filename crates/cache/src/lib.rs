@@ -43,7 +43,7 @@ pub mod bloom;
 pub mod breaker;
 pub mod builder;
 pub mod cache;
-mod checksum;
+pub mod checksum;
 pub mod concurrent;
 pub mod config;
 pub mod engine;

@@ -45,8 +45,10 @@ const SEAL_CHUNK_BYTES: usize = 64 << 10;
 
 /// Footer block magic ("LOCM").
 const META_MAGIC: u32 = 0x4C4F_434D;
-/// Footer format version.
-const META_VERSION: u32 = 1;
+/// Footer format version. 2: the lane-parallel page checksum
+/// (DESIGN.md §6.5). No image outlives the process that wrote it, so
+/// older versions are rejected, not migrated.
+const META_VERSION: u32 = 2;
 /// Per-footer-block header: magic (4) + version (4) + seal sequence
 /// (8) + region (4) + block index (4) + entries in this block (4) +
 /// total entries in the footer (4).
@@ -190,6 +192,11 @@ pub struct Loc {
     /// Reusable block-aligned buffer for sealed-object device reads —
     /// lookups must not pay a heap allocation per hit (DESIGN.md §5.3).
     read_scratch: Vec<u8>,
+    /// Reusable buffer one whole footer is serialized into (seals,
+    /// rewrites and retirements alike — DESIGN.md §5.3). Arbitrary
+    /// bytes between uses: [`Loc::serialize_footer`] overwrites or
+    /// zeroes all of it.
+    meta_scratch: Vec<u8>,
     /// Objects rescued from a persistently failing seal, waiting for
     /// the engine to re-queue them ([`Loc::take_requeued`]).
     pending_requeue: Vec<(Key, Value)>,
@@ -242,9 +249,11 @@ impl Loc {
             next_seal_seq: 1,
             stats: LocStats::default(),
             read_scratch: Vec::new(),
+            meta_scratch: Vec::new(),
             pending_requeue: Vec::new(),
         };
         loc.active_buf = vec![0u8; loc.payload_bytes()];
+        loc.meta_scratch = vec![0u8; loc.meta_blocks() as usize * block_bytes as usize];
         loc
     }
 
@@ -291,9 +300,11 @@ impl Loc {
     }
 
     /// Serializes a region footer into `out` (one buffer covering all
-    /// footer blocks). Entries beyond each block's capacity spill into
-    /// the next block; every block carries the full header and its own
-    /// trailing checksum so recovery can reject any torn block alone.
+    /// footer blocks), whatever it held before. Entries beyond each
+    /// block's capacity spill into the next block; every block carries
+    /// the full header and its own trailing checksum so recovery can
+    /// reject any torn block alone. Header and entries are written in
+    /// place; only the gap up to each block's checksum is zeroed.
     fn serialize_footer(
         &self,
         region: u32,
@@ -304,7 +315,6 @@ impl Loc {
         let bb = self.block_bytes as usize;
         debug_assert_eq!(out.len(), self.meta_blocks() as usize * bb);
         debug_assert!(entries.len() <= self.entry_capacity());
-        out.fill(0);
         let per = self.entries_per_meta_block();
         for (bi, chunk) in out.chunks_exact_mut(bb).enumerate() {
             let lo = (bi * per).min(entries.len());
@@ -325,6 +335,7 @@ impl Loc {
                 off += META_ENTRY_BYTES;
             }
             let cut = bb - META_CHECKSUM_BYTES;
+            chunk[off..cut].fill(0);
             let sum = page_checksum(&chunk[..cut]);
             chunk[cut..].copy_from_slice(&sum.to_le_bytes());
         }
@@ -508,10 +519,10 @@ impl Loc {
         let seq = self.next_seal_seq;
         let entries: Vec<(Key, u32, u32)> =
             self.active_keys.iter().map(|(k, off, v)| (*k, *off, v.len() as u32)).collect();
-        let mut meta_buf = vec![0u8; self.meta_blocks() as usize * self.block_bytes as usize];
+        let mut meta_buf = std::mem::take(&mut self.meta_scratch);
         self.serialize_footer(region, seq, &entries, &mut meta_buf);
         let mut schedule = seal_retry().schedule(region as u64);
-        loop {
+        let landed = loop {
             let mut batch = IoBatch::with_capacity(
                 payload_bytes.div_ceil(SEAL_CHUNK_BYTES)
                     + meta_buf.len().div_ceil(SEAL_CHUNK_BYTES),
@@ -535,31 +546,34 @@ impl Loc {
                 moff += len;
             }
             match io.submit_batch(batch) {
-                Ok(_) => break,
-                Err(e) if e.is_injected_fault() => {
-                    if let Some(backoff_ns) = schedule.next_backoff_ns() {
+                Ok(_) => break Ok(true),
+                Err(e) if e.is_injected_fault() => match schedule.next_backoff_ns() {
+                    Some(backoff_ns) => {
                         if backoff_ns > 0 {
                             io.advance(backoff_ns);
                         }
                         self.stats.seal_retries += 1;
-                        continue;
                     }
-                    // Persistent failure: quarantine the region and hand
-                    // every buffered object back for requeueing.
-                    self.stats.seal_faults += 1;
-                    self.stats.quarantined_regions += 1;
-                    self.regions[region as usize].state = RegionState::Quarantined;
-                    self.regions[region as usize].keys.clear();
-                    let rescued: Vec<(Key, Value)> =
-                        self.active_keys.drain(..).map(|(k, _, v)| (k, v)).collect();
-                    self.stats.requeued_objects += rescued.len() as u64;
-                    self.pending_requeue.extend(rescued);
-                    self.active = None;
-                    self.active_fill = 0;
-                    return Ok(());
-                }
-                Err(e) => return Err(e.into()),
+                    None => break Ok(false),
+                },
+                Err(e) => break Err(CacheError::from(e)),
             }
+        };
+        self.meta_scratch = meta_buf;
+        if !landed? {
+            // Persistent failure: quarantine the region and hand every
+            // buffered object back for requeueing.
+            self.stats.seal_faults += 1;
+            self.stats.quarantined_regions += 1;
+            self.regions[region as usize].state = RegionState::Quarantined;
+            self.regions[region as usize].keys.clear();
+            let rescued: Vec<(Key, Value)> =
+                self.active_keys.drain(..).map(|(k, _, v)| (k, v)).collect();
+            self.stats.requeued_objects += rescued.len() as u64;
+            self.pending_requeue.extend(rescued);
+            self.active = None;
+            self.active_fill = 0;
+            return Ok(());
         }
         // Publish index entries.
         for (key, offset, value) in self.active_keys.drain(..) {
@@ -585,43 +599,27 @@ impl Loc {
         if self.meta_blocks() == 0 {
             return Ok(());
         }
-        let mut entries: Vec<(Key, u32, u32)> = self
-            .index
+        // Every index entry pointing into a sealed region got there with
+        // its key pushed onto the region's key list (seal, recovery), and
+        // keys only leave that list together with their index entry: the
+        // list is a superset of the region's live keys, so looking each
+        // one up finds them all without scanning the whole index.
+        let mut entries: Vec<(Key, u32, u32)> = self.regions[region as usize]
+            .keys
             .iter()
-            .filter(|(_, e)| e.region == region)
-            .map(|(k, e)| (*k, e.offset, e.value.len() as u32))
+            .filter_map(|k| {
+                let e = self.index.get(k).filter(|e| e.region == region)?;
+                Some((*k, e.offset, e.value.len() as u32))
+            })
             .collect();
-        entries.sort_unstable_by_key(|&(_, off, _)| off);
+        entries.sort_by_key(|&(_, off, _)| off);
         // The rebuilt footer lists exactly the region's live entries, so
         // mirror that in the in-memory key list: superseded copies are
         // gone from flash now, and leaving them listed would trigger a
         // redundant rewrite the next time one of them is evicted.
         self.regions[region as usize].keys = entries.iter().map(|&(k, _, _)| k).collect();
         let seq = self.regions[region as usize].seal_seq;
-        let mut buf = vec![0u8; self.meta_blocks() as usize * self.block_bytes as usize];
-        self.serialize_footer(region, seq, &entries, &mut buf);
-        let start = self.meta_block(region);
-        let mut schedule = meta_retry().schedule(start);
-        loop {
-            match io.write(start, &buf, self.meta_handle) {
-                Ok(_) => {
-                    self.stats.footer_rewrites += 1;
-                    return Ok(());
-                }
-                Err(e) if e.is_injected_fault() => match schedule.next_backoff_ns() {
-                    Some(backoff_ns) => {
-                        if backoff_ns > 0 {
-                            io.advance(backoff_ns);
-                        }
-                    }
-                    None => {
-                        self.stats.footer_faults += 1;
-                        return self.invalidate_footer(io, region);
-                    }
-                },
-                Err(e) => return Err(e.into()),
-            }
-        }
+        self.write_footer(io, region, seq, &entries)
     }
 
     /// Retires `region`'s persisted footer by overwriting it with an
@@ -639,29 +637,45 @@ impl Loc {
         }
         let seq = self.next_seal_seq;
         self.next_seal_seq += 1;
-        let mut buf = vec![0u8; self.meta_blocks() as usize * self.block_bytes as usize];
-        self.serialize_footer(region, seq, &[], &mut buf);
+        self.write_footer(io, region, seq, &[])
+    }
+
+    /// Serializes one footer into the reusable scratch and writes it
+    /// over `region`'s footer slot, retrying injected faults under
+    /// [`meta_retry`] and invalidating the slot when every attempt
+    /// fails.
+    fn write_footer(
+        &mut self,
+        io: &mut IoManager,
+        region: u32,
+        seal_seq: u64,
+        entries: &[(Key, u32, u32)],
+    ) -> Result<(), CacheError> {
+        let mut buf = std::mem::take(&mut self.meta_scratch);
+        self.serialize_footer(region, seal_seq, entries, &mut buf);
         let start = self.meta_block(region);
         let mut schedule = meta_retry().schedule(start);
-        loop {
+        let written = loop {
             match io.write(start, &buf, self.meta_handle) {
-                Ok(_) => {
-                    self.stats.footer_rewrites += 1;
-                    return Ok(());
-                }
+                Ok(_) => break Ok(true),
                 Err(e) if e.is_injected_fault() => match schedule.next_backoff_ns() {
                     Some(backoff_ns) => {
                         if backoff_ns > 0 {
                             io.advance(backoff_ns);
                         }
                     }
-                    None => {
-                        self.stats.footer_faults += 1;
-                        return self.invalidate_footer(io, region);
-                    }
+                    None => break Ok(false),
                 },
-                Err(e) => return Err(e.into()),
+                Err(e) => break Err(CacheError::from(e)),
             }
+        };
+        self.meta_scratch = buf;
+        if written? {
+            self.stats.footer_rewrites += 1;
+            Ok(())
+        } else {
+            self.stats.footer_faults += 1;
+            self.invalidate_footer(io, region)
         }
     }
 

@@ -105,10 +105,16 @@ pub struct Soc {
     /// Whether the bucket page has ever been written (skips the RMW read
     /// for virgin buckets, as CacheLib does via its bloom "not present").
     written: Vec<bool>,
+    /// Per-bucket filters; bucket `b`'s always equals a
+    /// [`BloomArray::rebuild`] over `buckets[b]`. Whoever changes an
+    /// entry list restores that before returning ([`Soc::insert_impl`],
+    /// [`Soc::remove`], [`Soc::recover`]); nothing else writes a filter.
     bloom: BloomArray,
     handle: PlacementHandle,
     stats: SocStats,
-    /// Reusable page buffer for RMW reads and serialization.
+    /// Reusable page buffer for RMW reads and serialization. Arbitrary
+    /// bytes between uses: every reader overwrites the whole page and
+    /// [`Soc::serialize_bucket`] zeroes what it does not write.
     scratch: Vec<u8>,
 }
 
@@ -198,7 +204,7 @@ impl Soc {
                 soc.buckets[bucket as usize].push(Entry { key, value: Value::real(bytes) });
             }
             soc.written[bucket as usize] = true;
-            soc.bloom.rebuild(bucket as usize, soc.buckets[bucket as usize].iter().map(|e| e.key));
+            soc.rebuild_bloom(bucket);
         }
         Ok(soc)
     }
@@ -263,22 +269,37 @@ impl Soc {
             + HEADER_BYTES
     }
 
-    /// Serializes a bucket's entries into the on-flash page format.
+    /// The authoritative `(key, size)` list of `bucket`, newest first:
+    /// what its on-flash page parses to ([`Soc::parse_bucket`]).
+    pub fn bucket_entries(&self, bucket: u64) -> Vec<(Key, u32)> {
+        self.buckets[bucket as usize].iter().map(|e| (e.key, e.value.len() as u32)).collect()
+    }
+
+    /// The per-bucket bloom filters (read-only; for tests and audits).
+    pub fn bloom(&self) -> &BloomArray {
+        &self.bloom
+    }
+
+    /// Serializes a bucket's entries into the on-flash page format in
+    /// one pass over `out`, whatever it held before (DESIGN.md §5.3):
+    /// header and entries are written in place, only the gap between
+    /// the last entry and the trailing checksum is zeroed.
     fn serialize_bucket(&self, bucket: u64, out: &mut [u8]) {
         debug_assert_eq!(out.len(), self.bucket_bytes as usize);
-        out.fill(0);
         let entries = &self.buckets[bucket as usize];
         out[0..4].copy_from_slice(&MAGIC.to_le_bytes());
         out[4..8].copy_from_slice(&(entries.len() as u32).to_le_bytes());
         let mut off = HEADER_BYTES;
         for e in entries {
+            let len = e.value.len();
             out[off..off + 8].copy_from_slice(&e.key.to_le_bytes());
-            out[off + 8..off + 12].copy_from_slice(&(e.value.len() as u32).to_le_bytes());
+            out[off + 8..off + 12].copy_from_slice(&(len as u32).to_le_bytes());
             off += ENTRY_META_BYTES;
-            e.value.materialize(e.key, &mut out[off..off + e.value.len()]);
-            off += e.value.len();
+            e.value.materialize(e.key, &mut out[off..off + len]);
+            off += len;
         }
         let cut = out.len() - CHECKSUM_BYTES;
+        out[off..cut].fill(0);
         let sum = page_checksum(&out[..cut]);
         out[cut..].copy_from_slice(&sum.to_le_bytes());
     }
@@ -329,7 +350,8 @@ impl Soc {
     /// policy (four attempts, zero backoff — the legacy schedule); a
     /// persistent failure propagates so the caller can roll back its
     /// in-memory mutation — the bucket is then still exactly its
-    /// pre-operation self, on flash and in memory.
+    /// pre-operation self, on flash and in memory. The bloom filter is
+    /// the caller's to update: a rewrite alone never changes the list.
     fn rewrite_bucket(&mut self, io: &mut IoManager, bucket: u64) -> Result<(), CacheError> {
         let block = self.bucket_block(bucket);
         let mut page = std::mem::take(&mut self.scratch);
@@ -386,9 +408,13 @@ impl Soc {
         }
         self.written[bucket as usize] = true;
         self.stats.page_writes += 1;
-        // Blooms cannot delete: rebuild from the authoritative list.
-        self.bloom.rebuild(bucket as usize, self.buckets[bucket as usize].iter().map(|e| e.key));
         Ok(())
+    }
+
+    /// Blooms cannot delete: after entries left `bucket`, rebuild its
+    /// filter from the authoritative list.
+    fn rebuild_bloom(&mut self, bucket: u64) {
+        self.bloom.rebuild(bucket as usize, self.buckets[bucket as usize].iter().map(|e| e.key));
     }
 
     /// Inserts an object. Colliding oldest entries are evicted to make
@@ -449,13 +475,20 @@ impl Soc {
         // Evict oldest entries until the new one fits (kept for
         // rollback, newest-evicted first).
         let mut evicted_entries = Vec::new();
-        while self.bucket_payload(bucket) + need > self.usable_bucket_bytes() {
+        let mut payload = self.bucket_payload(bucket);
+        while payload + need > self.usable_bucket_bytes() {
             match self.buckets[bucket as usize].pop() {
-                Some(e) => evicted_entries.push(e),
+                Some(e) => {
+                    payload -= ENTRY_META_BYTES + e.value.len();
+                    evicted_entries.push(e);
+                }
                 None => break,
             }
         }
         let evicted = evicted_entries.len() as u64;
+        // The only keys to leave the list; with none, the filter just
+        // gains the new key.
+        let pure_insert = replaced.is_none() && evicted_entries.is_empty();
         // The value moves into the bucket; the only bytes touched are
         // the serialization into the page scratch below.
         self.buckets[bucket as usize].insert(0, Entry { key, value });
@@ -471,6 +504,11 @@ impl Soc {
                 entries.insert(pos, old);
             }
             return Err(e);
+        }
+        if pure_insert {
+            self.bloom.insert(bucket as usize, key);
+        } else {
+            self.rebuild_bloom(bucket);
         }
         self.stats.collision_evictions += evicted;
         if count_app_bytes {
@@ -563,13 +601,12 @@ impl Soc {
             return Ok(false);
         };
         entries.remove(pos);
+        self.rebuild_bloom(bucket);
         match self.rewrite_bucket(io, bucket) {
             Ok(()) => {}
             Err(e) if e.is_injected_fault() => {
                 // The stale page must not be read again; invalidate it.
                 self.written[bucket as usize] = false;
-                self.bloom
-                    .rebuild(bucket as usize, self.buckets[bucket as usize].iter().map(|e| e.key));
             }
             Err(e) => return Err(e),
         }
@@ -592,9 +629,7 @@ impl Soc {
         let Some(parsed) = Self::parse_bucket(&page) else {
             return Ok(false);
         };
-        let shadow: Vec<(Key, u32)> =
-            self.buckets[bucket as usize].iter().map(|e| (e.key, e.value.len() as u32)).collect();
-        Ok(parsed == shadow)
+        Ok(parsed == self.bucket_entries(bucket))
     }
 
     /// Patrol-reads one bucket page (no-op for virgin buckets) and
@@ -677,10 +712,6 @@ impl Soc {
                 };
                 if !readable {
                     self.written[bucket as usize] = false;
-                    self.bloom.rebuild(
-                        bucket as usize,
-                        self.buckets[bucket as usize].iter().map(|e| e.key),
-                    );
                 }
                 self.stats.repair_writes += 1;
                 Ok((2, 1))
@@ -690,8 +721,6 @@ impl Soc {
                 // next insert rewrites it in full without the RMW read
                 // (lookups serve from the authoritative list meanwhile).
                 self.written[bucket as usize] = false;
-                self.bloom
-                    .rebuild(bucket as usize, self.buckets[bucket as usize].iter().map(|e| e.key));
                 Ok((1, 1))
             }
             Err(e) => Err(e),

@@ -1,5 +1,6 @@
 //! Property tests for the cache structures: LRU model equivalence,
-//! SOC bucket semantics, admission-rate bounds.
+//! SOC bucket semantics, admission-rate bounds, and the exact bytes of
+//! the flash pages built into reused scratch buffers.
 
 use fdpcache_cache::admission::{AdmissionConfig, AdmissionPolicy};
 use fdpcache_cache::ram::RamCache;
@@ -131,6 +132,211 @@ proptest! {
         let admitted = (0..n).filter(|&k| policy.admit(k, 100)).count() as f64;
         let rate = admitted / n as f64;
         prop_assert!((rate - p).abs() < 0.03, "rate {rate:.3} vs p {p:.3}");
+    }
+}
+
+/// Flash pages are serialized into long-lived scratch buffers that hold
+/// whatever the previous read or write left there (DESIGN.md §5.3).
+/// These properties rebuild every page from its logical content into a
+/// *zeroed* buffer with a serializer written from the documented format
+/// alone, and demand the bytes on flash be identical.
+mod page_bytes_props {
+    use std::collections::{BTreeSet, HashSet};
+    use std::sync::Arc;
+
+    use fdpcache_cache::bloom::BloomArray;
+    use fdpcache_cache::checksum::page_checksum;
+    use fdpcache_cache::loc::Loc;
+    use fdpcache_cache::soc::Soc;
+    use fdpcache_cache::value::Value;
+    use fdpcache_cache::LocEviction;
+    use fdpcache_core::{IoManager, PlacementHandle, SharedController};
+    use fdpcache_ftl::FtlConfig;
+    use fdpcache_nvme::{Controller, MemStore, NvmeError};
+    use proptest::prelude::*;
+
+    const PAGE: usize = 4096;
+
+    fn io(blocks: u64) -> IoManager {
+        let ctrl = Controller::new(FtlConfig::tiny_test(), Box::new(MemStore::new())).unwrap();
+        let nsid = ctrl.create_namespace(blocks, vec![0]).unwrap();
+        let shared: SharedController = Arc::new(ctrl);
+        IoManager::new(shared, nsid, 4).unwrap()
+    }
+
+    fn seal_checksum(page: &mut [u8]) {
+        let cut = page.len() - 8;
+        let sum = page_checksum(&page[..cut]);
+        page[cut..].copy_from_slice(&sum.to_le_bytes());
+    }
+
+    /// A SOC bucket page from scratch: magic "SOCB", entry count, then
+    /// `key, size, bytes` per entry; zeros; checksum.
+    fn reference_bucket_page(entries: &[(u64, u32)]) -> Vec<u8> {
+        let mut page = vec![0u8; PAGE];
+        page[0..4].copy_from_slice(&0x534F_4342u32.to_le_bytes());
+        page[4..8].copy_from_slice(&(entries.len() as u32).to_le_bytes());
+        let mut off = 8;
+        for &(key, size) in entries {
+            page[off..off + 8].copy_from_slice(&key.to_le_bytes());
+            page[off + 8..off + 12].copy_from_slice(&size.to_le_bytes());
+            off += 12;
+            page[off..off + size as usize].copy_from_slice(&Value::synthetic(size).to_bytes(key));
+            off += size as usize;
+        }
+        seal_checksum(&mut page);
+        page
+    }
+
+    /// The SOC's bucket policy, naively: newest first, replace in
+    /// place of the old copy's slot, evict from the tail until the new
+    /// entry fits under the checksum.
+    fn model_insert(list: &mut Vec<(u64, u32)>, key: u64, size: u32) {
+        list.retain(|&(k, _)| k != key);
+        let used = |l: &Vec<(u64, u32)>| 8 + l.iter().map(|&(_, s)| 12 + s as usize).sum::<usize>();
+        while used(list) + 12 + size as usize > PAGE - 8 && list.pop().is_some() {}
+        list.insert(0, (key, size));
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Insert { key: u64, size: u32 },
+        Remove { key: u64 },
+        Lookup { key: u64 },
+    }
+
+    /// Four inserts to each remove and lookup, so buckets and regions
+    /// fill, evict and wrap.
+    fn op(keys: u64, sizes: std::ops::Range<u32>) -> impl Strategy<Value = Op> {
+        (0..6u8, 0..keys, sizes).prop_map(|(kind, key, size)| match kind {
+            0..=3 => Op::Insert { key, size },
+            4 => Op::Remove { key },
+            _ => Op::Lookup { key },
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// After every insert, replace, remove and lookup — the page
+        /// scratch dirtied by each one's reads and writes, across
+        /// buckets — each written bucket page is byte-for-byte the
+        /// reference page of the authoritative list (so it parses to
+        /// that list and the gap before the checksum is zero), the list
+        /// is what the naive model holds, and the bucket's bloom filter
+        /// is what a from-scratch rebuild gives.
+        #[test]
+        fn soc_pages_and_blooms_are_exact(ops in prop::collection::vec(op(48, 1..1300), 1..120)) {
+            const BUCKETS: u64 = 4;
+            let mut io = io(64);
+            let mut soc = Soc::new(0, BUCKETS, PAGE as u32, PlacementHandle::DEFAULT);
+            let mut model: Vec<Vec<(u64, u32)>> = vec![Vec::new(); BUCKETS as usize];
+            let mut written = BTreeSet::new();
+            let mut page = vec![0u8; PAGE];
+            for op in ops {
+                match op {
+                    Op::Insert { key, size } => {
+                        soc.insert(&mut io, key, Value::synthetic(size)).unwrap();
+                        let b = soc.bucket_index(key);
+                        model_insert(&mut model[b as usize], key, size);
+                        written.insert(b);
+                    }
+                    Op::Remove { key } => {
+                        let b = soc.bucket_index(key);
+                        let held = model[b as usize].iter().any(|&(k, _)| k == key);
+                        prop_assert_eq!(soc.remove(&mut io, key).unwrap(), held);
+                        model[b as usize].retain(|&(k, _)| k != key);
+                    }
+                    Op::Lookup { key } => {
+                        let b = soc.bucket_index(key);
+                        let held = model[b as usize].iter().find(|&&(k, _)| k == key);
+                        let got = soc.lookup(&mut io, key).unwrap();
+                        prop_assert_eq!(got.map(|v| v.len() as u32), held.map(|&(_, s)| s));
+                    }
+                }
+                for &b in &written {
+                    let entries = soc.bucket_entries(b);
+                    prop_assert_eq!(&entries, &model[b as usize], "bucket {} list", b);
+                    io.read(soc.bucket_block(b), &mut page).unwrap();
+                    prop_assert_eq!(Soc::parse_bucket(&page), Some(entries.clone()));
+                    let end = 8 + entries.iter().map(|&(_, s)| 12 + s as usize).sum::<usize>();
+                    prop_assert!(page[end..PAGE - 8].iter().all(|&x| x == 0), "bucket {} gap", b);
+                    prop_assert!(page == reference_bucket_page(&entries), "bucket {} bytes", b);
+                    let mut fresh = BloomArray::new(1);
+                    fresh.rebuild(0, entries.iter().map(|&(k, _)| k));
+                    prop_assert_eq!(soc.bloom().filter(b as usize), fresh.filter(0), "bucket {} bloom", b);
+                }
+            }
+        }
+
+        /// Seals, delete-driven footer rewrites and eviction retirements
+        /// all serialize into one reused footer buffer, each footer
+        /// shorter or longer than the last. Every footer on flash must
+        /// equal its own content re-serialized into a zeroed buffer;
+        /// every persisted key must be listed by some footer and no
+        /// deleted key by any.
+        #[test]
+        fn loc_footers_equal_a_zeroed_reference(ops in prop::collection::vec(op(40, 100..3000), 1..150)) {
+            const REGIONS: u32 = 4;
+            const REGION_BLOCKS: u64 = 8;
+            let mut io = io(64);
+            let handle = PlacementHandle::DEFAULT;
+            let mut loc =
+                Loc::new(0, REGIONS, REGION_BLOCKS, PAGE as u32, LocEviction::Fifo, false, handle, handle);
+            prop_assert_eq!(loc.meta_blocks(), 1);
+            let mut deleted: HashSet<u64> = HashSet::new();
+            for op in ops {
+                match op {
+                    Op::Insert { key, size } => {
+                        loc.insert(&mut io, key, Value::synthetic(size)).unwrap();
+                        deleted.remove(&key);
+                    }
+                    Op::Remove { key } => {
+                        loc.remove(&mut io, key).unwrap();
+                        deleted.insert(key);
+                    }
+                    Op::Lookup { key } => {
+                        loc.lookup(&mut io, key).unwrap();
+                    }
+                }
+            }
+            let mut listed: HashSet<u64> = HashSet::new();
+            let mut block = vec![0u8; PAGE];
+            for region in 0..REGIONS {
+                match io.read(loc.meta_start_block(region), &mut block) {
+                    Ok(_) => {}
+                    Err(NvmeError::Unwritten(_)) => continue,
+                    Err(e) => panic!("footer read: {e}"),
+                }
+                let u32_at = |o: usize| u32::from_le_bytes(block[o..o + 4].try_into().unwrap());
+                let count = u32_at(24) as usize;
+                prop_assert!(32 + count * 16 <= PAGE - 8, "region {} count {}", region, count);
+                // Header as documented (DESIGN.md §6.4): magic "LOCM",
+                // version, seal sequence, region, block index, entries
+                // here, entries in the whole footer.
+                let mut reference = vec![0u8; PAGE];
+                reference[0..4].copy_from_slice(&0x4C4F_434Du32.to_le_bytes());
+                reference[4..8].copy_from_slice(&2u32.to_le_bytes());
+                reference[8..16].copy_from_slice(&block[8..16]);
+                reference[16..20].copy_from_slice(&region.to_le_bytes());
+                reference[20..24].copy_from_slice(&0u32.to_le_bytes());
+                reference[24..28].copy_from_slice(&(count as u32).to_le_bytes());
+                reference[28..32].copy_from_slice(&(count as u32).to_le_bytes());
+                reference[32..32 + count * 16].copy_from_slice(&block[32..32 + count * 16]);
+                seal_checksum(&mut reference);
+                prop_assert!(block == reference, "region {} footer differs from its zeroed rebuild", region);
+                for e in 0..count {
+                    let at = 32 + e * 16;
+                    listed.insert(u64::from_le_bytes(block[at..at + 8].try_into().unwrap()));
+                }
+            }
+            for key in loc.persisted_keys() {
+                prop_assert!(listed.contains(&key), "persisted key {} is in no footer", key);
+            }
+            for key in &deleted {
+                prop_assert!(!listed.contains(key), "deleted key {} is still in a footer", key);
+            }
+        }
     }
 }
 
