@@ -34,7 +34,9 @@
 //! `--json PATH` writes the sweep as a `BENCH_chaos.json` trajectory
 //! record (format documented in the README).
 
-use fdpcache_bench::{sweep_chaos, Args, ChaosGateConfig, ChaosRunResult, Flag, TrajectoryRecord};
+use fdpcache_bench::{
+    sweep_chaos, verdict, Args, ChaosGateConfig, ChaosRunResult, Flag, Gates, TrajectoryRecord,
+};
 use fdpcache_metrics::Table;
 
 fn main() {
@@ -110,24 +112,21 @@ fn main() {
     }
 
     if check {
-        let mut failed = false;
+        let mut fails: Vec<String> = Vec::new();
         for e in &sweep.storms {
             let r = &e.first;
             if !e.deterministic() {
-                eprintln!(
-                    "FAIL: storm {} diverged across same-seed reruns — the storm schedule, \
+                fails.push(format!(
+                    "storm {} diverged across same-seed reruns — the storm schedule, \
                      breaker and scrubber must be pure functions of their seeds",
                     r.storm
-                );
-                failed = true;
+                ));
             }
             if r.injected.total() == 0 {
-                eprintln!("FAIL: storm {} injected nothing (vacuous)", r.storm);
-                failed = true;
+                fails.push(format!("storm {} injected nothing (vacuous)", r.storm));
             }
             if r.stats.scrubbed_pages == 0 {
-                eprintln!("FAIL: storm {} never ran the patrol scrubber (vacuous)", r.storm);
-                failed = true;
+                fails.push(format!("storm {} never ran the patrol scrubber (vacuous)", r.storm));
             }
         }
         // Error/busy storms must trip the breaker and probe back to
@@ -139,100 +138,94 @@ fn main() {
                 Some(e) => {
                     let r = &e.first;
                     if r.total_opens() == 0 {
-                        eprintln!(
-                            "FAIL: storm {name} never opened the breaker — the storm is too \
+                        fails.push(format!(
+                            "storm {name} never opened the breaker — the storm is too \
                              weak to exercise degraded mode (vacuous)"
-                        );
-                        failed = true;
+                        ));
                     } else if !r.all_reclosed() {
-                        eprintln!(
-                            "FAIL: storm {name} ended with a breaker stuck open ({} opens, {} \
+                        fails.push(format!(
+                            "storm {name} ended with a breaker stuck open ({} opens, {} \
                              closes) — half-open probes must re-close once the storm clears",
                             r.total_opens(),
                             r.total_closes()
-                        );
-                        failed = true;
+                        ));
                     }
                 }
                 None => {
-                    eprintln!("FAIL: builtin storm {name} missing from the sweep");
-                    failed = true;
+                    fails.push(format!("builtin storm {name} missing from the sweep"));
                 }
             }
         }
         if let Some(e) = sweep.storms.iter().find(|e| e.first.storm == "latent_corruption") {
             if e.first.stats.scrub_repairs == 0 {
-                eprintln!(
-                    "FAIL: storm latent_corruption produced no scrubber repairs — patrol \
-                     reads must find and fix silent corruption"
+                fails.push(
+                    "storm latent_corruption produced no scrubber repairs — patrol reads must \
+                     find and fix silent corruption"
+                        .into(),
                 );
-                failed = true;
             }
         } else {
-            eprintln!("FAIL: builtin storm latent_corruption missing from the sweep");
-            failed = true;
+            fails.push("builtin storm latent_corruption missing from the sweep".into());
         }
         for r in sweep.storms.iter().map(|e| &e.first).chain(sweep.topology.iter()) {
             if r.lost > 0 {
-                eprintln!(
-                    "FAIL: {} ({}w/{}) lost {} acknowledged write(s) — degraded mode must \
+                fails.push(format!(
+                    "{} ({}w/{}) lost {} acknowledged write(s) — degraded mode must \
                      never serve torn data",
                     r.storm, r.workers, r.service, r.lost
-                );
-                failed = true;
+                ));
             }
         }
         if let Some(base) = sweep.topology.first() {
             for r in &sweep.topology[1..] {
                 if !base.matches(r) {
-                    eprintln!(
-                        "FAIL: topology {}w/{} diverged from {}w/{} — breaker transitions \
+                    fails.push(format!(
+                        "topology {}w/{} diverged from {}w/{} — breaker transitions \
                          must land at identical virtual times for every worker count and \
                          service mode",
                         r.workers, r.service, base.workers, base.service
-                    );
-                    failed = true;
+                    ));
                 }
             }
         }
         if p.bad_pages == 0 || p.acked == 0 {
-            eprintln!("FAIL: scrub-precedence scenario seeded nothing (vacuous)");
-            failed = true;
+            fails.push("scrub-precedence scenario seeded nothing (vacuous)".into());
         }
         if p.scrub_repairs == 0 {
-            eprintln!(
-                "FAIL: scrub precedence — the scrubber repaired nothing despite {} scripted \
+            fails.push(format!(
+                "scrub precedence — the scrubber repaired nothing despite {} scripted \
                  bad page(s)",
                 p.bad_pages
-            );
-            failed = true;
+            ));
         }
         if p.readback_injected > 0 {
-            eprintln!(
-                "FAIL: scrub precedence — {} client read(s) observed an injected fault; \
+            fails.push(format!(
+                "scrub precedence — {} client read(s) observed an injected fault; \
                  every bad page must be repaired or invalidated before clients touch it",
                 p.readback_injected
-            );
-            failed = true;
+            ));
         }
         if p.lost > 0 {
-            eprintln!(
-                "FAIL: scrub precedence — {} acknowledged write(s) torn after the \
+            fails.push(format!(
+                "scrub precedence — {} acknowledged write(s) torn after the \
                  repair cycle",
                 p.lost
-            );
-            failed = true;
+            ));
         }
-        if failed {
-            std::process::exit(1);
-        }
-        eprintln!(
-            "OK: {} storms bit-identical across reruns, {} topology runs invariant, breaker \
-             opened and re-closed under error storms, zero lost acknowledged writes, \
-             scrubber repaired all {} bad pages before any client read",
-            sweep.storms.len(),
-            sweep.topology.len(),
-            p.bad_pages
+        let mut gates = Gates::new();
+        gates.ran(
+            "chaos-soak",
+            verdict(fails, || {
+                format!(
+                    "{} storms bit-identical across reruns, {} topology runs invariant, breaker \
+                         opened and re-closed under error storms, zero lost acknowledged writes, \
+                         scrubber repaired all {} bad pages before any client read",
+                    sweep.storms.len(),
+                    sweep.topology.len(),
+                    p.bad_pages
+                )
+            }),
         );
+        gates.finish();
     }
 }

@@ -28,7 +28,7 @@
 //! record (format documented in the README).
 
 use fdpcache_bench::{
-    run_plain_baseline, sweep_faults, Args, FaultGateConfig, Flag, TrajectoryRecord,
+    run_plain_baseline, sweep_faults, verdict, Args, FaultGateConfig, Flag, Gates, TrajectoryRecord,
 };
 use fdpcache_metrics::Table;
 
@@ -82,53 +82,52 @@ fn main() {
     }
 
     if check {
-        let mut failed = false;
+        let mut fails: Vec<String> = Vec::new();
         for e in &entries {
             let r = &e.first;
             if !e.deterministic() {
-                eprintln!(
-                    "FAIL: scenario {} diverged across same-seed reruns \
+                fails.push(format!(
+                    "scenario {} diverged across same-seed reruns \
                      ({} ns vs {} ns) — the fault schedule must be a pure \
                      function of its seed",
                     r.scenario, r.now_ns, e.rerun.now_ns
-                );
-                failed = true;
+                ));
             }
             if r.lost > 0 {
-                eprintln!(
-                    "FAIL: scenario {} lost {} acknowledged write(s) — recovery \
+                fails.push(format!(
+                    "scenario {} lost {} acknowledged write(s) — recovery \
                      must never serve torn data",
                     r.scenario, r.lost
-                );
-                failed = true;
+                ));
             }
             if r.scenario != "none" {
                 if r.injected.total() == 0 {
-                    eprintln!("FAIL: scenario {} injected nothing (vacuous)", r.scenario);
-                    failed = true;
+                    fails.push(format!("scenario {} injected nothing (vacuous)", r.scenario));
                 }
                 if r.stats.retries + r.stats.repairs + r.stats.requeues == 0 {
-                    eprintln!("FAIL: scenario {} never engaged recovery (vacuous)", r.scenario);
-                    failed = true;
+                    fails.push(format!("scenario {} never engaged recovery (vacuous)", r.scenario));
                 }
             }
         }
         let none = &entries.first().expect("none scenario is first").first;
         if none.now_ns != plain.now_ns || none.stats != plain.stats {
-            eprintln!(
-                "FAIL: empty fault plan perturbed the stack ({} ns faulted-none vs {} ns \
+            fails.push(format!(
+                "empty fault plan perturbed the stack ({} ns faulted-none vs {} ns \
                  plain) — the decorator must be bit-transparent when idle",
                 none.now_ns, plain.now_ns
-            );
-            failed = true;
+            ));
         }
-        if failed {
-            std::process::exit(1);
-        }
-        eprintln!(
-            "OK: {} scenarios bit-identical across reruns, zero lost acknowledged writes, \
-             none-scenario transparent",
-            entries.len()
+        let mut gates = Gates::new();
+        gates.ran(
+            "fault-recovery",
+            verdict(fails, || {
+                format!(
+                    "{} scenarios bit-identical across reruns, zero lost acknowledged writes, \
+                     none-scenario transparent",
+                    entries.len()
+                )
+            }),
         );
+        gates.finish();
     }
 }

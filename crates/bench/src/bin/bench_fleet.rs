@@ -32,7 +32,7 @@
 //! `--json PATH` writes the sweep as a `BENCH_fleet.json` trajectory
 //! record (format documented in the README).
 
-use fdpcache_bench::{sweep_fleet, Args, Flag, FleetGateConfig, TrajectoryRecord};
+use fdpcache_bench::{sweep_fleet, verdict, Args, Flag, FleetGateConfig, Gates, TrajectoryRecord};
 use fdpcache_metrics::Table;
 
 fn main() {
@@ -128,22 +128,23 @@ fn main() {
 
     if check {
         let fails = sweep.gate_failures(&cfg);
-        for msg in &fails {
-            eprintln!("FAIL: {msg}");
-        }
-        if !fails.is_empty() {
-            std::process::exit(1);
-        }
-        eprintln!(
-            "OK: {} tenant runs bit-identical across workers {:?} + rerun, isolated p99 flat \
-             and SLOs met through a x{} burst, budgeted tenant shed only under the burst, \
-             DLWA {:.3} <= {}, victim device evicted via its health state machine with zero \
-             lost acknowledged writes",
-            sweep.tenant_runs.len(),
-            fdpcache_bench::FLEET_WORKERS,
-            cfg.burst.multiplier,
-            base.dlwa,
-            fdpcache_bench::FLEET_DLWA_CEILING
+        let mut gates = Gates::new();
+        gates.ran(
+            "fleet",
+            verdict(fails, || {
+                format!(
+                    "{} tenant runs bit-identical across workers {:?} + rerun, isolated p99 \
+                     flat and SLOs met through a x{} burst, budgeted tenant shed only under \
+                     the burst, DLWA {:.3} <= {}, victim device evicted via its health state \
+                     machine with zero lost acknowledged writes",
+                    sweep.tenant_runs.len(),
+                    fdpcache_bench::FLEET_WORKERS,
+                    cfg.burst.multiplier,
+                    base.dlwa,
+                    fdpcache_bench::FLEET_DLWA_CEILING
+                )
+            }),
         );
+        gates.finish();
     }
 }

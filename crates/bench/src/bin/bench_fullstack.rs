@@ -41,19 +41,20 @@
 //!   must not tax the uncontended path);
 //! * near-linear read scaling, core-adaptive: ≥ 8 cores — 8 readers ≥
 //!   6.0× the 1-reader lock-free point; 4–7 cores — ≥ 2.5×; 2–3 cores
-//!   — ≥ 1.3×; 1 core — scaling unobservable, the no-regression bound
-//!   above is the whole gate;
+//!   — ≥ 1.3×; 1 core — scaling unobservable: the gate is reported as
+//!   `SKIPPED`, never `OK`, and the no-regression bound above is all
+//!   that ran;
 //! * DRAM hit ratio ≥ 0.5 on every point (otherwise the run measured
 //!   flash misses, not read-path synchronization).
 
 use fdpcache_bench::{
-    emit_trajectory, sweep_fullstack, sweep_read, Args, Flag, FullstackConfig, ReadScalingConfig,
-    TrajectoryRecord,
+    emit_trajectory, sweep_fullstack, sweep_read, verdict, Args, Flag, FullstackConfig, Gates,
+    ReadScalingConfig, TrajectoryRecord,
 };
 use fdpcache_metrics::Table;
 
-/// Contended-read scaling gate (`--read`): exits non-zero on failure
-/// when `check` is set.
+/// Contended-read scaling gate (`--read`): with `check`, reports its
+/// three gates through one ledger and exits non-zero if any failed.
 fn run_read_gate(args: &Args, check: bool, json_path: Option<String>) {
     let mut cfg = ReadScalingConfig::default();
     cfg.ops_per_worker = args.count("--ops").unwrap_or(cfg.ops_per_worker);
@@ -112,54 +113,68 @@ fn run_read_gate(args: &Args, check: bool, json_path: Option<String>) {
     if !check {
         return;
     }
+    let mut gates = Gates::new();
     // Premise: the sweep must be measuring DRAM hits, not flash misses.
-    for r in &results {
-        if r.ram_hit_ratio < 0.5 {
-            eprintln!(
-                "FAIL: {} @ {} readers hit DRAM on only {:.1}% of GETs — the keyspace \
-                 no longer fits in the pool's RAM, so the gate is not measuring the \
-                 read path",
+    let cold: Vec<String> = results
+        .iter()
+        .filter(|r| r.ram_hit_ratio < 0.5)
+        .map(|r| {
+            format!(
+                "{} @ {} readers hit DRAM on only {:.1}% of GETs — the keyspace no longer \
+                 fits in the pool's RAM, so the gate is not measuring the read path",
                 if r.locked { "locked" } else { "lockfree" },
                 r.workers,
                 r.ram_hit_ratio * 100.0
-            );
-            std::process::exit(1);
-        }
-    }
+            )
+        })
+        .collect();
+    gates
+        .ran("dram-hit-premise", verdict(cold, || "every point hit DRAM on >= 50% of GETs".into()));
     // No-regression: the uncontended lock-free probe must not tax GETs.
     let ratio = lockfree_base / locked_base;
-    if ratio < 0.9 {
-        eprintln!(
-            "FAIL: 1-reader lock-free GETs run at {ratio:.2}x the locked baseline \
-             (needs >= 0.90x) — the index probe added overhead to the uncontended path"
-        );
-        std::process::exit(1);
-    }
-    eprintln!("OK: 1-reader lock-free vs locked baseline {ratio:.2}x >= 0.90x");
+    gates.ran(
+        "lockfree-vs-locked",
+        if ratio < 0.9 {
+            Err(vec![format!(
+                "1-reader lock-free GETs run at {ratio:.2}x the locked baseline (needs >= \
+                 0.90x) — the index probe added overhead to the uncontended path"
+            )])
+        } else {
+            Ok(format!("1-reader lock-free vs locked baseline {ratio:.2}x >= 0.90x"))
+        },
+    );
     // Scaling: near-linear where the host has the cores to show it.
     let eight = results.iter().find(|r| !r.locked && r.workers == 8).expect("8-reader point");
     let speedup = eight.kops / lockfree_base;
     let required = match cores {
-        0 | 1 => {
-            eprintln!(
-                "OK: single core — read scaling unobservable, no-regression bound \
-                 is the gate ({speedup:.2}x measured at 8 readers)"
-            );
-            return;
-        }
-        2 | 3 => 1.3,
-        4..=7 => 2.5,
-        _ => 6.0,
+        0 | 1 => None,
+        2 | 3 => Some(1.3),
+        4..=7 => Some(2.5),
+        _ => Some(6.0),
     };
-    if speedup < required {
-        eprintln!(
-            "FAIL: 8-reader lock-free throughput is {speedup:.2}x the 1-reader point \
-             (needs >= {required:.1}x on {cores} core(s)) — are DRAM hits serializing \
-             on the shard lock?"
-        );
-        std::process::exit(1);
+    match required {
+        None => gates.skipped(
+            "read-scaling",
+            &format!(
+                "single core — read scaling unobservable ({speedup:.2}x measured at 8 readers)"
+            ),
+        ),
+        Some(required) => gates.ran(
+            "read-scaling",
+            if speedup < required {
+                Err(vec![format!(
+                    "8-reader lock-free throughput is {speedup:.2}x the 1-reader point (needs \
+                     >= {required:.1}x on {cores} core(s)) — are DRAM hits serializing on the \
+                     shard lock?"
+                )])
+            } else {
+                Ok(format!(
+                    "8-reader read scaling {speedup:.2}x >= {required:.1}x ({cores} core(s))"
+                ))
+            },
+        ),
     }
-    eprintln!("OK: 8-reader read scaling {speedup:.2}x >= {required:.1}x ({cores} core(s))");
+    gates.finish();
 }
 
 fn main() {
@@ -215,16 +230,21 @@ fn main() {
         _ => 2.0,
     };
     if check {
-        if speedup < required {
-            eprintln!(
-                "FAIL: 4-worker full-stack throughput is {speedup:.2}x the 1-worker baseline \
-                 (needs >= {required:.1}x on {cores} core(s)) — is the cache tier behind a \
-                 pool-wide lock?"
-            );
-            std::process::exit(1);
-        }
-        eprintln!(
-            "OK: 4-worker full-stack speedup {speedup:.2}x >= {required:.1}x ({cores} core(s))"
+        let mut gates = Gates::new();
+        gates.ran(
+            "fullstack-scaling",
+            if speedup < required {
+                Err(vec![format!(
+                    "4-worker full-stack throughput is {speedup:.2}x the 1-worker baseline \
+                     (needs >= {required:.1}x on {cores} core(s)) — is the cache tier behind a \
+                     pool-wide lock?"
+                )])
+            } else {
+                Ok(format!(
+                    "4-worker full-stack speedup {speedup:.2}x >= {required:.1}x ({cores} core(s))"
+                ))
+            },
         );
+        gates.finish();
     }
 }

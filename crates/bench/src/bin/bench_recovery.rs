@@ -34,7 +34,9 @@
 //! `--json PATH` writes the sweep as a `BENCH_recovery.json`
 //! trajectory record (format documented in the README).
 
-use fdpcache_bench::{sweep_recovery, Args, Flag, RecoveryGateConfig, TrajectoryRecord};
+use fdpcache_bench::{
+    sweep_recovery, verdict, Args, Flag, Gates, RecoveryGateConfig, TrajectoryRecord,
+};
 use fdpcache_metrics::Table;
 
 /// Maximum tolerated hit-ratio gap between the recovered continuation
@@ -98,78 +100,74 @@ fn main() {
     }
 
     if check {
-        let mut failed = false;
+        let mut fails: Vec<String> = Vec::new();
         for e in &entries {
             let r = &e.first;
             if !r.crashed {
-                eprintln!("FAIL: crash point {} never fired its kill (vacuous)", r.label);
-                failed = true;
+                fails.push(format!("crash point {} never fired its kill (vacuous)", r.label));
             }
             if r.must_survive == 0 {
-                eprintln!(
-                    "FAIL: crash point {} had nothing persisted before the kill (vacuous)",
+                fails.push(format!(
+                    "crash point {} had nothing persisted before the kill (vacuous)",
                     r.label
-                );
-                failed = true;
+                ));
             }
             if r.lost > 0 {
-                eprintln!(
-                    "FAIL: crash point {} lost {} acknowledged-and-sealed write(s)",
+                fails.push(format!(
+                    "crash point {} lost {} acknowledged-and-sealed write(s)",
                     r.label, r.lost
-                );
-                failed = true;
+                ));
             }
             if r.resurrected > 0 {
-                eprintln!(
-                    "FAIL: crash point {} resurrected {} acknowledged delete(s)",
+                fails.push(format!(
+                    "crash point {} resurrected {} acknowledged delete(s)",
                     r.label, r.resurrected
-                );
-                failed = true;
+                ));
             }
             if !r.persisted_match {
-                eprintln!(
-                    "FAIL: crash point {}: recovered persisted-key set diverged from the \
+                fails.push(format!(
+                    "crash point {}: recovered persisted-key set diverged from the \
                      crashed instance's",
                     r.label
-                );
-                failed = true;
+                ));
             }
             if r.recovery_ns == 0 || r.recovery_ns > r.recovery_budget_ns {
-                eprintln!(
-                    "FAIL: crash point {}: recovery cost {} ns outside (0, {} ns] budget",
+                fails.push(format!(
+                    "crash point {}: recovery cost {} ns outside (0, {} ns] budget",
                     r.label, r.recovery_ns, r.recovery_budget_ns
-                );
-                failed = true;
+                ));
             }
             if e.hit_ratio_gap() > HIT_RATIO_TOLERANCE {
-                eprintln!(
-                    "FAIL: crash point {}: post-recovery hit ratio {:.4} vs no-crash {:.4} \
+                fails.push(format!(
+                    "crash point {}: post-recovery hit ratio {:.4} vs no-crash {:.4} \
                      (gap {:.4} > {HIT_RATIO_TOLERANCE})",
                     r.label,
                     r.post_hit_ratio,
                     e.baseline_post_hit_ratio,
                     e.hit_ratio_gap()
-                );
-                failed = true;
+                ));
             }
             if !e.deterministic() {
-                eprintln!(
-                    "FAIL: crash point {} diverged across same-seed reruns — crash + \
+                fails.push(format!(
+                    "crash point {} diverged across same-seed reruns — crash + \
                      recovery must be a pure function of its seeds",
                     r.label
-                );
-                failed = true;
+                ));
             }
         }
-        if failed {
-            std::process::exit(1);
-        }
-        eprintln!(
-            "OK: {} crash points bit-identical across reruns, zero lost \
-             acknowledged-and-sealed writes, zero resurrected deletes, recovery within \
-             budget, hit ratio within {} points of the no-crash replay",
-            entries.len(),
-            (HIT_RATIO_TOLERANCE * 100.0) as u32
+        let mut gates = Gates::new();
+        gates.ran(
+            "warm-restart",
+            verdict(fails, || {
+                format!(
+                    "{} crash points bit-identical across reruns, zero lost \
+                     acknowledged-and-sealed writes, zero resurrected deletes, recovery within \
+                     budget, hit ratio within {} points of the no-crash replay",
+                    entries.len(),
+                    (HIT_RATIO_TOLERANCE * 100.0) as u32
+                )
+            }),
         );
+        gates.finish();
     }
 }

@@ -28,7 +28,8 @@
 //! depth-1 pipeline to the legacy synchronous model.
 
 use fdpcache_bench::{
-    emit_trajectory, qd_sweep, run_qd_replay, sweep, Args, Flag, ThroughputConfig, TrajectoryRecord,
+    emit_trajectory, qd_sweep, run_qd_replay, sweep, Args, Flag, Gates, ThroughputConfig,
+    TrajectoryRecord,
 };
 use fdpcache_metrics::Table;
 
@@ -72,28 +73,35 @@ fn run_qd_mode(cfg: &ThroughputConfig, check: bool, json_path: Option<String>) {
     }
 
     if check {
+        let mut gates = Gates::new();
         let four = results.iter().find(|r| r.qd == 4).expect("QD-4 point");
         let speedup = four.vkops / base;
-        if speedup < QD_REQUIRED_SPEEDUP {
-            eprintln!(
-                "FAIL: QD-4 batched replay is {speedup:.2}x the QD-1 synchronous path \
-                 (needs >= {QD_REQUIRED_SPEEDUP:.1}x) — are region seals still submitting \
-                 one command at a time?"
-            );
-            std::process::exit(1);
-        }
-        let qd1_again = run_qd_replay(cfg, 1);
-        if qd1_again.now_ns != results[0].now_ns {
-            eprintln!(
-                "FAIL: two QD-1 replays diverged ({} ns vs {} ns) — the depth-1 pipeline \
-                 is no longer deterministic/bit-identical to the synchronous path",
-                results[0].now_ns, qd1_again.now_ns
-            );
-            std::process::exit(1);
-        }
-        eprintln!(
-            "OK: QD-4 speedup {speedup:.2}x >= {QD_REQUIRED_SPEEDUP:.1}x, QD-1 bit-identical"
+        gates.ran(
+            "qd4-speedup",
+            if speedup < QD_REQUIRED_SPEEDUP {
+                Err(vec![format!(
+                    "QD-4 batched replay is {speedup:.2}x the QD-1 synchronous path (needs >= \
+                     {QD_REQUIRED_SPEEDUP:.1}x) — are region seals still submitting one \
+                     command at a time?"
+                )])
+            } else {
+                Ok(format!("QD-4 speedup {speedup:.2}x >= {QD_REQUIRED_SPEEDUP:.1}x"))
+            },
         );
+        let qd1_again = run_qd_replay(cfg, 1);
+        gates.ran(
+            "qd1-bit-identical",
+            if qd1_again.now_ns != results[0].now_ns {
+                Err(vec![format!(
+                    "two QD-1 replays diverged ({} ns vs {} ns) — the depth-1 pipeline is no \
+                     longer deterministic/bit-identical to the synchronous path",
+                    results[0].now_ns, qd1_again.now_ns
+                )])
+            } else {
+                Ok(format!("two QD-1 replays both end at {} ns", qd1_again.now_ns))
+            },
+        );
+        gates.finish();
     }
 }
 
@@ -152,14 +160,19 @@ fn main() {
         _ => 2.0,
     };
     if check {
-        if speedup < required {
-            eprintln!(
-                "FAIL: 4-worker aggregate throughput is {speedup:.2}x the 1-worker baseline \
-                 (needs >= {required:.1}x on {cores} core(s)) — is the data path behind a \
-                 global lock again?"
-            );
-            std::process::exit(1);
-        }
-        eprintln!("OK: 4-worker speedup {speedup:.2}x >= {required:.1}x ({cores} core(s))");
+        let mut gates = Gates::new();
+        gates.ran(
+            "device-scaling",
+            if speedup < required {
+                Err(vec![format!(
+                    "4-worker aggregate throughput is {speedup:.2}x the 1-worker baseline \
+                     (needs >= {required:.1}x on {cores} core(s)) — is the data path behind a \
+                     global lock again?"
+                )])
+            } else {
+                Ok(format!("4-worker speedup {speedup:.2}x >= {required:.1}x ({cores} core(s))"))
+            },
+        );
+        gates.finish();
     }
 }

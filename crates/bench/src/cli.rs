@@ -4,6 +4,11 @@
 //! a misspelt flag above all — fails the parse, and the binary exits
 //! with status 2 before doing any work. A CI gate invoked as
 //! `bench_x --chekc` must not run as a report and exit 0.
+//!
+//! The same goes for what `--check` reports: every gate of a run goes
+//! through one [`Gates`] ledger, which says `OK` only of a gate that
+//! was measured and held, says `SKIPPED` of one this host cannot
+//! measure, and ends the run with one line counting all three kinds.
 
 /// One argument a binary understands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,6 +127,92 @@ impl Args {
     }
 }
 
+/// What a measured gate found: what held, or every violation.
+pub type Verdict = Result<String, Vec<String>>;
+
+/// The verdict of a gate that collected its violations: `held()` says
+/// what held when there are none.
+pub fn verdict(violations: Vec<String>, held: impl FnOnce() -> String) -> Verdict {
+    if violations.is_empty() {
+        Ok(held())
+    } else {
+        Err(violations)
+    }
+}
+
+/// The gate ledger of one `--check` run. Every gate is reported through
+/// it exactly once, as measured ([`Gates::ran`]) or as not measurable
+/// here ([`Gates::skipped`]); [`Gates::finish`] prints the closing
+/// `gates: N passed, M failed, K skipped` line and sets the exit
+/// status. A skipped gate is never reported as `OK`: a reader of the CI
+/// log must be able to tell a pass from a check that did not happen.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub struct Gates {
+    passed: Vec<&'static str>,
+    failed: Vec<&'static str>,
+    skipped: Vec<&'static str>,
+}
+
+fn verdict_lines(name: &str, verdict: &Verdict) -> Vec<String> {
+    match verdict {
+        Ok(held) => vec![format!("OK: {name}: {held}")],
+        Err(violations) => violations.iter().map(|v| format!("FAIL: {name}: {v}")).collect(),
+    }
+}
+
+fn skip_line(name: &str, why: &str) -> String {
+    format!("SKIPPED: {name}: {why}")
+}
+
+impl Gates {
+    /// An empty ledger.
+    pub fn new() -> Self {
+        Gates::default()
+    }
+
+    /// Reports a gate that was measured: one `OK:` line saying what
+    /// held, or one `FAIL:` line per violation.
+    pub fn ran(&mut self, name: &'static str, verdict: Verdict) {
+        for line in verdict_lines(name, &verdict) {
+            eprintln!("{line}");
+        }
+        match verdict {
+            Ok(_) => self.passed.push(name),
+            Err(_) => self.failed.push(name),
+        }
+    }
+
+    /// Reports a gate this host or run cannot measure, and why.
+    pub fn skipped(&mut self, name: &'static str, why: &str) {
+        eprintln!("{}", skip_line(name, why));
+        self.skipped.push(name);
+    }
+
+    /// The closing line, e.g. `gates: 2 passed (a, b), 0 failed, 1
+    /// skipped (c)`.
+    pub fn summary(&self) -> String {
+        let part = |names: &[&str], kind: &str| match names {
+            [] => format!("0 {kind}"),
+            _ => format!("{} {kind} ({})", names.len(), names.join(", ")),
+        };
+        format!(
+            "gates: {}, {}, {}",
+            part(&self.passed, "passed"),
+            part(&self.failed, "failed"),
+            part(&self.skipped, "skipped")
+        )
+    }
+
+    /// Prints the closing line and ends a run that had a failed gate
+    /// with status 1.
+    pub fn finish(self) {
+        eprintln!("{}", self.summary());
+        if !self.failed.is_empty() {
+            std::process::exit(1);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,6 +257,26 @@ mod tests {
             assert!(parse(bad).is_err(), "`{bad}` must be rejected");
         }
         assert!(parse("--chekc").unwrap_err().contains("--chekc"));
+    }
+
+    #[test]
+    fn the_ledger_counts_every_gate_and_never_calls_a_skip_ok() {
+        let mut gates = Gates::new();
+        assert_eq!(gates.summary(), "gates: 0 passed, 0 failed, 0 skipped");
+        gates.ran("premise", Ok("hit ratio 1.00".into()));
+        gates.ran("no-regression", Err(vec!["0.5x".into(), "again 0.6x".into()]));
+        gates.skipped("scaling", "single core");
+        assert_eq!(
+            gates.summary(),
+            "gates: 1 passed (premise), 1 failed (no-regression), 1 skipped (scaling)"
+        );
+        assert_eq!(verdict_lines("g", &Ok("held".into())), ["OK: g: held"]);
+        assert_eq!(
+            verdict_lines("g", &Err(vec!["a".into(), "b".into()])),
+            ["FAIL: g: a", "FAIL: g: b"]
+        );
+        let skip = skip_line("scaling", "single core");
+        assert!(skip.starts_with("SKIPPED: scaling") && !skip.contains("OK"), "{skip}");
     }
 
     #[test]

@@ -19,7 +19,7 @@ pub use chaos::{
     run_chaos_storm, run_scrub_precedence, sweep_chaos, ChaosGateConfig, ChaosRunResult,
     ChaosSweep, ChaosSweepEntry, ScrubPrecedenceResult, ShardBreakerTrace, TOPOLOGY_WORKERS,
 };
-pub use cli::{Args, Flag};
+pub use cli::{verdict, Args, Flag, Gates, Verdict};
 pub use faults::{
     run_fault_scenario, run_plain_baseline, sweep_faults, FaultGateConfig, FaultRunResult,
     FaultSweepEntry,

@@ -2,6 +2,10 @@
 //! `bench_x --chekc` used to run as a report and exit 0, turning the CI
 //! step into a no-op. Each binary is started for real; status 2 comes
 //! back from the argument parser, long before a sweep could finish.
+//!
+//! And a `--check` run must end by saying which gates ran: one `gates:`
+//! line whose counts match the `OK:`/`FAIL:`/`SKIPPED:` lines above it
+//! and the exit status, with no skipped gate reported as `OK`.
 
 use std::process::Command;
 
@@ -36,4 +40,54 @@ fn figure_binaries_reject_unknown_arguments_too() {
     rejected(env!("CARGO_BIN_EXE_fig5_dlwa_timeline"), &["--quikc"]);
     rejected(env!("CARGO_BIN_EXE_fig9_soc_sweep"), &["--quick", "fifo"]);
     rejected(env!("CARGO_BIN_EXE_fig9_soc_sweep"), &["--quick", "--gc-policy", "lifo"]);
+}
+
+/// Runs a gate binary and returns its exit status and stderr lines.
+fn checked(exe: &str, args: &[&str]) -> (i32, Vec<String>) {
+    let out = Command::new(exe).args(args).output().expect("bench binary starts");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    (out.status.code().expect("exits, not killed"), stderr.lines().map(String::from).collect())
+}
+
+#[test]
+fn a_virtual_time_gate_ends_with_the_summary_line() {
+    // Virtual time: the verdicts are the same on every host and build.
+    let (status, lines) = checked(
+        env!("CARGO_BIN_EXE_bench_throughput"),
+        &["--qd", "--check", "--ops", "300", "--json", "none"],
+    );
+    assert_eq!(status, 0, "{lines:#?}");
+    assert_eq!(
+        lines.last().map(String::as_str),
+        Some("gates: 2 passed (qd4-speedup, qd1-bit-identical), 0 failed, 0 skipped"),
+        "{lines:#?}"
+    );
+}
+
+#[test]
+fn a_wall_clock_gate_accounts_for_every_gate_whatever_the_host() {
+    // Which of the three gates pass depends on the host and the build;
+    // that each is reported once, and how the run ends, does not.
+    let (status, lines) = checked(
+        env!("CARGO_BIN_EXE_bench_fullstack"),
+        &["--read", "--check", "--ops", "2000", "--trials", "1", "--json", "none"],
+    );
+    let summary = lines.last().expect("a summary line");
+    assert!(summary.starts_with("gates: "), "{lines:#?}");
+    let count = |kind: &str| -> usize {
+        let before = summary.split(&format!(" {kind}")).next().expect("split yields one");
+        before.rsplit([' ', ',']).next().and_then(|n| n.parse().ok()).expect("a count")
+    };
+    let (passed, failed, skipped) = (count("passed"), count("failed"), count("skipped"));
+    assert_eq!(passed + failed + skipped, 3, "{summary}");
+    assert_eq!(status, i32::from(failed > 0), "{summary}");
+    for gate in ["dram-hit-premise", "lockfree-vs-locked", "read-scaling"] {
+        let reports =
+            |prefix: &str| lines.iter().any(|l| l.starts_with(&format!("{prefix}: {gate}:")));
+        let kinds = [reports("OK"), reports("FAIL"), reports("SKIPPED")];
+        assert_eq!(kinds.iter().filter(|&&k| k).count(), 1, "{gate} reported once: {lines:#?}");
+        assert!(summary.contains(gate), "{gate} missing from `{summary}`");
+    }
+    assert_eq!(lines.iter().filter(|l| l.starts_with("OK: ")).count(), passed, "{lines:#?}");
+    assert_eq!(lines.iter().filter(|l| l.starts_with("SKIPPED: ")).count(), skipped, "{lines:#?}");
 }

@@ -30,10 +30,10 @@ pub enum GetOutcome {
 
 /// Host CPU time charged per cache operation (ns) on the simulated
 /// clock; drives the throughput readout. The lock-free read path
-/// charges the same amount per DRAM hit (through
-/// [`ReadSideStats::record_ram_hit`]), so virtual-time accounting is
-/// unchanged by where a hit is served.
-pub(crate) const HOST_OP_NS: u64 = 2_000;
+/// charges the same amount per DRAM hit ([`ReadSideStats::host_ns`] is
+/// its hit count times this), so virtual-time accounting is unchanged
+/// by where a hit is served.
+pub const HOST_OP_NS: u64 = 2_000;
 
 /// A CacheLib-style hybrid cache instance.
 ///
@@ -184,8 +184,8 @@ impl HybridCache {
 
     /// Simulated time observed by this cache's I/O path (ns), including
     /// host time accrued by lock-free DRAM hits (which cannot advance
-    /// the `&mut` queue-pair clock and accumulate in an atomic side
-    /// counter instead). With a queue depth above 1, call
+    /// the `&mut` queue-pair clock; their count, kept in a striped
+    /// atomic side counter, stands for it). With a queue depth above 1, call
     /// [`HybridCache::drain_io`] first so in-flight completions are
     /// reflected.
     pub fn now_ns(&self) -> u64 {

@@ -35,11 +35,13 @@
 //! * **Lock-free DRAM hits** (DESIGN.md §5.1a): `get` first probes the
 //!   shard's epoch-protected [`ReadIndex`] — the publication surface
 //!   its `RamCache` maintains — entirely without the shard mutex. A hit
-//!   clones the `Arc`-backed value, bumps the shard's atomic
-//!   [`ReadSideStats`] (hit counters + virtual host time), and returns.
-//!   Only on an index miss does `get` fall back to the locked path for
-//!   the flash lookup. Readers on the head of a Zipf keyspace therefore
-//!   never serialize behind writers or each other.
+//!   clones the `Arc`-backed value, bumps the calling thread's stripe of
+//!   the shard's [`ReadSideStats`] (one counter: hits, and through them
+//!   virtual host time), and returns. Only on an index miss does `get`
+//!   fall back to the locked path for the flash lookup. Readers on the
+//!   head of a Zipf keyspace therefore never serialize behind writers or
+//!   each other, and what a hit reads of the shard sits on lines no
+//!   writer dirties.
 //!
 //! What is and is not linearizable: operations on the *same key* are
 //! linearizable. Writes serialize through the key's shard lock, and a
@@ -50,13 +52,14 @@
 //! Multi-key reads (`stats`, `alwa`) and operations on different keys
 //! have no cross-shard ordering guarantees.
 
+use std::mem::offset_of;
 use std::sync::Arc;
 
 use fdpcache_core::{IoStats, PlacementPolicy, ServiceMode, SharedController};
 use fdpcache_metrics::Histogram;
 use parking_lot::Mutex;
 
-use crate::cache::{GetOutcome, HybridCache, HOST_OP_NS};
+use crate::cache::{GetOutcome, HybridCache};
 use crate::config::CacheConfig;
 use crate::error::CacheError;
 use crate::index::ReadIndex;
@@ -65,21 +68,36 @@ use crate::stats::{CacheStats, ReadSideStats};
 use crate::value::Value;
 use crate::Key;
 
-/// One shard: the locked hybrid cache plus unlocked handles onto its
-/// read index and read-side counters (cloned out of the cache at
-/// construction so `get` can use them without touching the mutex).
+/// Unlocked handles onto a shard's read index and read-side counters
+/// (cloned out of the cache at construction so `get` can use them
+/// without touching the mutex). Never written afterwards, and aligned so
+/// that nothing else shares their 128-byte line.
 #[derive(Debug)]
-struct Shard {
-    cache: Mutex<HybridCache>,
+#[repr(align(128))]
+struct ReadHandles {
     index: Arc<ReadIndex>,
     read_stats: Arc<ReadSideStats>,
 }
 
+/// One shard: the read-only handles a DRAM hit goes through, then the
+/// locked hybrid cache, whose mutex word and contents every SET dirties.
+#[derive(Debug)]
+#[repr(C)]
+struct Shard {
+    read: ReadHandles,
+    cache: Mutex<HybridCache>,
+}
+
+const _: () = {
+    assert!(align_of::<Shard>() == 128 && size_of::<Shard>().is_multiple_of(128));
+    assert!(offset_of!(Shard, read) == 0 && size_of::<ReadHandles>() == 128);
+    assert!(offset_of!(Shard, cache) == 128);
+};
+
 impl Shard {
     fn new(cache: HybridCache) -> Self {
-        let index = cache.read_index();
-        let read_stats = cache.read_stats();
-        Shard { cache: Mutex::new(cache), index, read_stats }
+        let read = ReadHandles { index: cache.read_index(), read_stats: cache.read_stats() };
+        Shard { read, cache: Mutex::new(cache) }
     }
 }
 
@@ -167,17 +185,18 @@ impl ConcurrentPool {
     ///
     /// A DRAM hit is served **without the shard lock**: the probe walks
     /// the shard's epoch-protected read index, records the hit in the
-    /// shard's atomic counters (including the per-op virtual host
-    /// time), and returns an `Arc`-shared value. Flash lookups and
-    /// misses fall back to the locked path.
+    /// calling thread's stripe of the shard's hit counter (which also
+    /// carries the per-op virtual host time), and returns an
+    /// `Arc`-shared value. Flash lookups and misses fall back to the
+    /// locked path.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures.
     pub fn get(&self, key: Key) -> Result<(GetOutcome, Option<Value>), CacheError> {
         let shard = &self.shards[self.shard_of(key)];
-        if let Some(value) = shard.index.get(key) {
-            shard.read_stats.record_ram_hit(HOST_OP_NS);
+        if let Some(value) = shard.read.index.get(key) {
+            shard.read.read_stats.record_ram_hit();
             return Ok((GetOutcome::RamHit, Some(value)));
         }
         shard.cache.lock().get(key)
@@ -219,8 +238,8 @@ impl ConcurrentPool {
         self.shards
             .iter()
             .map(|s| {
-                s.index.collect();
-                s.index.garbage_len()
+                s.read.index.collect();
+                s.read.index.garbage_len()
             })
             .sum()
     }
@@ -450,7 +469,7 @@ mod tests {
         // Fresh read path: nothing published, no epoch garbage pending.
         for k in &survivors {
             let s = &r.shards[r.shard_of(*k)];
-            assert!(s.index.get(*k).is_none(), "recovered shard must start unpublished");
+            assert!(s.read.index.get(*k).is_none(), "recovered shard must start unpublished");
         }
         assert_eq!(r.collect_read_garbage(), 0);
         assert_eq!(r.stats().gets, 0, "recovered stats must start zeroed");

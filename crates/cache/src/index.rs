@@ -14,7 +14,8 @@
 //!   ([`crossbeam::epoch`]), traverse with `Acquire` loads, clone the
 //!   [`Value`] (an `Arc` refcount bump) and unpin. They never write
 //!   anything except the entry's `accessed` flag (used by the LRU's
-//!   second-chance eviction).
+//!   second-chance eviction), and that only when it reads `false`: a
+//!   hot entry's line stays shared-clean between evictions.
 //! - The single writer (enforced by the shard mutex above; checked with
 //!   a debug-only claim flag here) head-inserts with `Release` stores,
 //!   unlinks replaced/removed nodes, and retires them through its epoch
@@ -23,7 +24,13 @@
 //!   node pointer before the unlink can finish its traversal safely.
 //! - Per key the chain holds at most one node: insert unlinks any older
 //!   duplicate behind the fresh head, so readers take the first match.
+//!
+//! Layout: what a lookup reads of the index itself (`buckets`, `mask`)
+//! sits on a 128-byte line of its own, ahead of the collector, whose
+//! retire state the writer dirties on every replace and remove. `const`
+//! assertions pin that.
 
+use std::mem::offset_of;
 use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
 use std::sync::Arc;
 
@@ -51,10 +58,20 @@ impl IndexEntry {
         &self.value
     }
 
+    /// Flags the entry as touched by a lock-free reader. Tests before
+    /// it sets: readers of an already-flagged entry write nothing.
+    fn mark_accessed(&self) {
+        if !self.accessed.load(Ordering::Relaxed) {
+            self.accessed.store(true, Ordering::Relaxed);
+        }
+    }
+
     /// Consumes the access flag (used by eviction: a flagged tail entry
-    /// gets a second chance instead of eviction).
+    /// gets a second chance instead of eviction). Only the shard's
+    /// writer clears the flag, so an unflagged entry costs a load and no
+    /// write.
     pub fn take_accessed(&self) -> bool {
-        self.accessed.swap(false, Ordering::Relaxed)
+        self.accessed.load(Ordering::Relaxed) && self.accessed.swap(false, Ordering::Relaxed)
     }
 
     /// Whether a lock-free reader touched this entry since the flag was
@@ -70,26 +87,42 @@ struct Node {
     next: AtomicPtr<Node>,
 }
 
-/// The lock-free reader-side hash index of one shard's DRAM cache.
-pub struct ReadIndex {
+/// The bucket array handle: never written after construction.
+#[repr(align(128))]
+struct Table {
     buckets: Box<[AtomicPtr<Node>]>,
     mask: u64,
+}
+
+/// The lock-free reader-side hash index of one shard's DRAM cache.
+#[repr(C)]
+pub struct ReadIndex {
+    table: Table,
     collector: Collector,
     /// Debug-only single-writer claim: mutations CAS this and panic on
     /// contention, catching callers that bypass the shard mutex.
     writer_claim: AtomicBool,
 }
 
-// The raw pointers are only ever dereferenced under the epoch
-// discipline documented above; `Node` itself is `Send + Sync` (Arc +
-// atomics).
+const _: () = {
+    assert!(align_of::<ReadIndex>() == 128);
+    assert!(offset_of!(ReadIndex, table) == 0 && size_of::<Table>() == 128);
+    assert!(offset_of!(ReadIndex, collector) == 128 && align_of::<Collector>() == 128);
+    assert!(offset_of!(ReadIndex, writer_claim) == 128 + size_of::<Collector>());
+};
+
+// SAFETY: the raw `Node` pointers in `table.buckets` and in each node's
+// `next` are only ever dereferenced under the epoch discipline
+// documented above, and a `Node` is `Send + Sync` (a key, an `Arc` of
+// atomics and an `Arc`-backed value, an atomic pointer); `collector` and
+// `writer_claim` are `Send + Sync` themselves.
 unsafe impl Send for ReadIndex {}
 unsafe impl Sync for ReadIndex {}
 
 impl std::fmt::Debug for ReadIndex {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ReadIndex")
-            .field("buckets", &self.buckets.len())
+            .field("buckets", &self.table.buckets.len())
             .field("collector", &self.collector)
             .finish()
     }
@@ -110,15 +143,17 @@ impl ReadIndex {
     pub fn with_capacity_hint(items: usize) -> Self {
         let buckets = items.clamp(64, 65_536).next_power_of_two();
         ReadIndex {
-            buckets: (0..buckets).map(|_| AtomicPtr::new(std::ptr::null_mut())).collect(),
-            mask: (buckets - 1) as u64,
+            table: Table {
+                buckets: (0..buckets).map(|_| AtomicPtr::new(std::ptr::null_mut())).collect(),
+                mask: (buckets - 1) as u64,
+            },
             collector: Collector::new(),
             writer_claim: AtomicBool::new(false),
         }
     }
 
     fn bucket(&self, key: Key) -> &AtomicPtr<Node> {
-        &self.buckets[(hash(key) & self.mask) as usize]
+        &self.table.buckets[(hash(key) & self.table.mask) as usize]
     }
 
     /// Lock-free lookup. On a hit, marks the entry accessed (feeding
@@ -129,7 +164,7 @@ impl ReadIndex {
         let mut p = self.bucket(key).load(Ordering::Acquire);
         while let Some(node) = unsafe { p.as_ref() } {
             if node.key == key {
-                node.entry.accessed.store(true, Ordering::Relaxed);
+                node.entry.mark_accessed();
                 let value = node.entry.value.clone();
                 drop(guard);
                 return Some(value);
@@ -243,7 +278,7 @@ impl Drop for ReadIndex {
         // Exclusive access (`&mut self`): no readers remain, so the
         // live chains can be freed directly. Retired nodes are *not* in
         // the chains anymore; the collector frees them when it drops.
-        for bucket in self.buckets.iter() {
+        for bucket in self.table.buckets.iter() {
             let mut p = bucket.swap(std::ptr::null_mut(), Ordering::Relaxed);
             while !p.is_null() {
                 let boxed = unsafe { Box::from_raw(p) };
@@ -300,6 +335,24 @@ mod tests {
         assert!(entry.was_accessed());
         assert!(entry.take_accessed());
         assert!(!entry.was_accessed(), "take must consume the flag");
+    }
+
+    #[test]
+    fn the_access_flag_is_set_once_and_rearmed_by_take() {
+        let idx = ReadIndex::with_capacity_hint(64);
+        let entry = IndexEntry::new(Value::synthetic(10));
+        idx.insert(1, Arc::clone(&entry));
+        assert!(!entry.take_accessed(), "a never-read entry has nothing to take");
+        idx.get(1);
+        idx.get(1);
+        assert!(entry.was_accessed(), "a get on a flagged entry must leave it flagged");
+        idx.peek(1);
+        assert!(entry.take_accessed(), "any number of gets is one flag");
+        assert!(!entry.take_accessed(), "take must consume the flag");
+        idx.peek(1);
+        assert!(!entry.was_accessed(), "peek must not re-flag a consumed entry");
+        idx.get(1);
+        assert!(entry.was_accessed(), "a get after take must flag again");
     }
 
     #[test]

@@ -450,6 +450,61 @@ mod tests {
     }
 
     #[test]
+    fn repeated_reads_of_the_tail_buy_one_rotation_until_read_again() {
+        let mut c = RamCache::new(30, 0);
+        c.put(1, val(10));
+        c.put(2, val(10));
+        c.put(3, val(10));
+        // Many lock-free reads of the tail are still one flag.
+        for _ in 0..5 {
+            c.read_index().get(1);
+        }
+        assert_eq!(c.put(4, val(10))[0].key, 2, "flagged tail must rotate, not go");
+        // The rotation put 1 ahead of 4: 3 and 4 go first, and then 1,
+        // which nobody read since its flag was consumed.
+        assert_eq!(c.put(5, val(10))[0].key, 3);
+        assert_eq!(c.put(6, val(10))[0].key, 4);
+        assert_eq!(c.put(7, val(10))[0].key, 1, "one flag must buy exactly one rotation");
+        // A read after a consumed flag arms it again (5 is the tail).
+        assert!(!c.nodes[c.tail as usize].entry.was_accessed());
+        c.read_index().get(5);
+        assert_eq!(c.put(8, val(10))[0].key, 6, "re-flagged tail must rotate again");
+        assert!(c.peek(5).is_some());
+        c.check_invariants();
+    }
+
+    #[test]
+    fn without_lock_free_reads_eviction_is_exact_lru() {
+        // Reference: keys most-recent-first, each 10 bytes, three fit.
+        let mut lru: Vec<Key> = Vec::new();
+        let mut c = RamCache::new(30, 0);
+        let mut x = 7u64;
+        for _ in 0..2_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let k = x % 8;
+            let touch = |lru: &mut Vec<Key>| {
+                lru.retain(|&q| q != k);
+                lru.insert(0, k);
+            };
+            if x.is_multiple_of(3) {
+                // The index is only peeked, as invariant checks do.
+                assert_eq!(c.read_index().peek(k).is_some(), lru.contains(&k));
+                if c.get(k).is_some() {
+                    touch(&mut lru);
+                }
+            } else {
+                touch(&mut lru);
+                let expected: Vec<Key> = lru.drain(3.min(lru.len())..).rev().collect();
+                let evicted: Vec<Key> = c.put(k, val(10)).into_iter().map(|e| e.key).collect();
+                assert_eq!(evicted, expected, "eviction order drifted from exact LRU");
+            }
+        }
+        c.check_invariants();
+    }
+
+    #[test]
     fn stress_random_ops_keep_invariants() {
         let mut c = RamCache::new(500, 5);
         let mut x = 88u64;

@@ -4,13 +4,15 @@
 //! Two accounting domains exist since the lock-free read path landed
 //! (DESIGN.md §5.1a): the plain [`CacheStats`] struct is mutated under
 //! the shard lock as before, while hits served without the lock land in
-//! the shard's [`ReadSideStats`] atomics and are folded into every
-//! snapshot on read. Each atomic is only incremented (never reset), so
-//! any interleaving of concurrent readers produces monotonically
-//! non-decreasing merged snapshots — the mid-run coherence property the
-//! lock-free battery asserts.
+//! the shard's [`ReadSideStats`] — one hit counter striped by thread —
+//! and are folded into every snapshot on read. Each stripe is only
+//! incremented (never reset), so any interleaving of concurrent readers
+//! produces monotonically non-decreasing merged snapshots — the mid-run
+//! coherence property the lock-free battery asserts.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+
+use crate::cache::HOST_OP_NS;
 
 /// Monotonic hybrid-cache counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -147,53 +149,82 @@ impl CacheStats {
     }
 }
 
-/// Atomic counters for GETs served off the lock-free DRAM read path.
-///
-/// One instance per shard, shared between the shard's `HybridCache`
-/// (which folds it into [`CacheStats`] snapshots) and the pool's
-/// lock-free `get`. All counters use `Relaxed` ordering: they are
-/// statistics, not synchronization — exactness comes from
-/// `fetch_add`'s atomicity (no lost updates), and snapshot monotonicity
-/// from the counters never decreasing.
+/// One stripe: a hit counter alone on a 128-byte line (two 64-byte
+/// lines, which the adjacent-line prefetcher moves as a pair).
 #[derive(Debug, Default)]
-pub struct ReadSideStats {
-    gets: AtomicU64,
-    ram_hits: AtomicU64,
-    /// Virtual host-CPU nanoseconds accrued by lock-free hits; folded
-    /// into the shard clock by `HybridCache::now_ns`.
-    host_ns: AtomicU64,
+#[repr(align(128))]
+struct HitStripe {
+    hits: AtomicU64,
 }
 
+/// The stripe this thread bumps, in every [`ReadSideStats`].
+fn stripe_of_this_thread() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        static STRIPE: usize = NEXT.fetch_add(1, Ordering::Relaxed) % ReadSideStats::STRIPES;
+    }
+    STRIPE.with(|s| *s)
+}
+
+/// The count of GETs served off the lock-free DRAM read path.
+///
+/// One instance per shard, shared between the shard's `HybridCache`
+/// (which folds it into [`CacheStats`] snapshots and its clock) and the
+/// pool's lock-free `get`. A hit is the only thing that path completes
+/// on, and each costs [`HOST_OP_NS`] of virtual host time, so one
+/// counter carries `gets`, `ram_hits` and `host_ns`. It is striped by
+/// thread: a hit bumps the stripe of the calling thread, a line no other
+/// reader writes, and readers of the statistics sum the stripes.
+///
+/// `Relaxed` throughout: the counters are statistics and publish no
+/// other data. A sum is exact because `fetch_add` loses no update, and
+/// successive sums by one observer never decrease because no stripe
+/// does.
+#[derive(Debug, Default)]
+pub struct ReadSideStats {
+    stripes: [HitStripe; ReadSideStats::STRIPES],
+}
+
+const _: () = {
+    assert!(align_of::<HitStripe>() == 128 && size_of::<HitStripe>() == 128);
+    assert!(align_of::<ReadSideStats>() == 128);
+    assert!(size_of::<ReadSideStats>() == ReadSideStats::STRIPES * 128);
+};
+
 impl ReadSideStats {
-    /// Records one DRAM hit served without the shard lock, accruing
-    /// `host_ns` of virtual host time.
-    pub fn record_ram_hit(&self, host_ns: u64) {
-        self.gets.fetch_add(1, Ordering::Relaxed);
-        self.ram_hits.fetch_add(1, Ordering::Relaxed);
-        self.host_ns.fetch_add(host_ns, Ordering::Relaxed);
+    /// Stripes per instance. Threads take stripes round-robin in the
+    /// order they first record a hit, so up to this many concurrent
+    /// readers each own one; beyond that, stripes are shared and stay
+    /// exact (the bump is a `fetch_add`), only no longer private.
+    pub const STRIPES: usize = 16;
+
+    /// Records one DRAM hit served without the shard lock.
+    pub fn record_ram_hit(&self) {
+        self.stripes[stripe_of_this_thread()].hits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// GETs served on the lock-free path so far.
     pub fn gets(&self) -> u64 {
-        self.gets.load(Ordering::Relaxed)
+        self.stripes.iter().map(|s| s.hits.load(Ordering::Relaxed)).sum()
     }
 
-    /// DRAM hits served on the lock-free path so far (equals `gets` —
-    /// the path only completes on hits — but kept separate so the fold
-    /// stays field-accurate if that ever changes).
+    /// DRAM hits served on the lock-free path so far: every GET that
+    /// path completes is one.
     pub fn ram_hits(&self) -> u64 {
-        self.ram_hits.load(Ordering::Relaxed)
+        self.gets()
     }
 
-    /// Virtual host nanoseconds accrued by lock-free hits.
+    /// Virtual host nanoseconds accrued by lock-free hits; folded into
+    /// the shard clock by `HybridCache::now_ns`.
     pub fn host_ns(&self) -> u64 {
-        self.host_ns.load(Ordering::Relaxed)
+        self.gets() * HOST_OP_NS
     }
 
     /// Adds this side's counters into a locked-path snapshot.
     pub fn fold_into(&self, stats: &mut CacheStats) {
-        stats.gets += self.gets();
-        stats.ram_hits += self.ram_hits();
+        let hits = self.gets();
+        stats.gets += hits;
+        stats.ram_hits += hits;
     }
 }
 
@@ -280,28 +311,29 @@ mod tests {
     #[test]
     fn read_side_stats_fold_into_snapshots() {
         let r = ReadSideStats::default();
-        r.record_ram_hit(2_000);
-        r.record_ram_hit(2_000);
-        assert_eq!((r.gets(), r.ram_hits(), r.host_ns()), (2, 2, 4_000));
+        r.record_ram_hit();
+        r.record_ram_hit();
+        assert_eq!((r.gets(), r.ram_hits(), r.host_ns()), (2, 2, 2 * HOST_OP_NS));
         let mut s = CacheStats { gets: 10, ram_hits: 1, ..Default::default() };
         r.fold_into(&mut s);
         assert_eq!((s.gets, s.ram_hits), (12, 3));
     }
 
     #[test]
-    fn read_side_counts_are_exact_under_contention() {
+    fn read_side_counts_are_exact_when_threads_share_stripes() {
         let r = ReadSideStats::default();
-        const PER_THREAD: u64 = 20_000;
+        const THREADS: u64 = ReadSideStats::STRIPES as u64 + 5;
+        const PER_THREAD: u64 = 5_000;
         std::thread::scope(|s| {
-            for _ in 0..4 {
+            for _ in 0..THREADS {
                 s.spawn(|| {
                     for _ in 0..PER_THREAD {
-                        r.record_ram_hit(3);
+                        r.record_ram_hit();
                     }
                 });
             }
         });
-        assert_eq!(r.gets(), 4 * PER_THREAD, "lost increments");
-        assert_eq!(r.host_ns(), 4 * PER_THREAD * 3);
+        assert_eq!(r.gets(), THREADS * PER_THREAD, "lost increments");
+        assert_eq!(r.host_ns(), THREADS * PER_THREAD * HOST_OP_NS);
     }
 }

@@ -25,9 +25,10 @@ use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 use fdpcache_cache::builder::{build_device, StoreKind};
+use fdpcache_cache::cache::HOST_OP_NS;
 use fdpcache_cache::config::{CacheConfig, NvmConfig};
 use fdpcache_cache::value::Value;
-use fdpcache_cache::{ConcurrentPool, GetOutcome};
+use fdpcache_cache::{ConcurrentPool, GetOutcome, ReadSideStats};
 use fdpcache_core::RoundRobinPolicy;
 use fdpcache_ftl::FtlConfig;
 use proptest::prelude::*;
@@ -490,4 +491,56 @@ fn stats_snapshots_stay_coherent_mid_run() {
     let end = pool.stats();
     assert_eq!(end.gets, expected_gets, "merged gets lost or invented operations");
     assert_eq!(end.puts, expected_puts, "merged puts lost or invented operations");
+}
+
+/// Hit accounting is exact under contention: `threads` readers hammer
+/// a 2-shard pool with nothing but DRAM hits, all released together,
+/// and afterwards the merged `gets` and `ram_hits` equal the ops issued
+/// and each shard's clock moved by exactly its hits × `HOST_OP_NS` —
+/// whether every thread owns a stripe of the hit counter or several
+/// share one.
+fn hits_are_counted_exactly(threads: u64, hits_per_thread: u64) {
+    const KEYS: u64 = 64;
+    let pool = dram_pool(2);
+    for key in 0..KEYS {
+        pool.put(key, Value::synthetic(64)).unwrap();
+    }
+    let before = pool.stats();
+    let shard_state = |i| pool.with_shard(i, |c| (c.now_ns(), c.stats().ram_hits)).unwrap();
+    let shards_before = [shard_state(0), shard_state(1)];
+    let start = Barrier::new(threads as usize);
+    std::thread::scope(|scope| {
+        let (pool, start) = (&pool, &start);
+        for t in 0..threads {
+            scope.spawn(move || {
+                start.wait();
+                for i in 0..hits_per_thread {
+                    let (outcome, _) = pool.get((t + i) % KEYS).unwrap();
+                    assert_eq!(outcome, GetOutcome::RamHit);
+                }
+            });
+        }
+    });
+    let after = pool.stats();
+    let issued = threads * hits_per_thread;
+    assert_eq!(after.gets - before.gets, issued, "gets lost or invented");
+    assert_eq!(after.ram_hits - before.ram_hits, issued, "ram_hits lost or invented");
+    assert_eq!(after.gets, after.ram_hits, "every GET of this test is a DRAM hit");
+    let mut hits_seen = 0;
+    for (i, (clock_before, hits_before)) in shards_before.into_iter().enumerate() {
+        let (clock, hits) = shard_state(i);
+        assert_eq!(clock - clock_before, (hits - hits_before) * HOST_OP_NS, "shard {i} clock");
+        hits_seen += hits - hits_before;
+    }
+    assert_eq!(hits_seen, issued);
+}
+
+#[test]
+fn contended_hits_are_counted_exactly() {
+    hits_are_counted_exactly(8, 50_000);
+}
+
+#[test]
+fn hits_stay_exact_with_more_threads_than_stripes() {
+    hits_are_counted_exactly(ReadSideStats::STRIPES as u64 + 8, 20_000);
 }
