@@ -104,6 +104,33 @@ pub fn equal_share_fraction(index: usize, count: usize, total_utilization: f64) 
     (share / remaining).min(1.0)
 }
 
+/// The queue pair and placement allocator for cache `index` of the
+/// `count` that share one RUH list, on its namespace `nsid` (a lone
+/// cache is member 0 of 1). Construction and recovery both come through
+/// here, so a recovered cache cannot land on other handles than it
+/// wrote through. The allocator replays the policy in member order
+/// ([`PlacementHandleAllocator::discover_member`], two data picks —
+/// SOC, LOC — per cache): each cache's engines get identifiers of their
+/// own while the list has `2 × count` of them, and all caches send LOC
+/// footers to the one identifier after those, or each to its own LOC's
+/// when there is none.
+pub(crate) fn attach(
+    ctrl: &SharedController,
+    nsid: NamespaceId,
+    config: &CacheConfig,
+    policy: Box<dyn PlacementPolicy>,
+    index: usize,
+    count: usize,
+) -> Result<(IoManager, PlacementHandleAllocator), CacheError> {
+    let ns = ctrl
+        .namespace(nsid)
+        .ok_or(CacheError::Io(fdpcache_nvme::NvmeError::InvalidNamespace(nsid)))?;
+    let allocator =
+        PlacementHandleAllocator::discover_member(&ctrl.identify(), &ns, policy, index, count, 2);
+    let io = IoManager::new(ctrl.clone(), nsid, config.nvm.io_lanes).map_err(CacheError::Io)?;
+    Ok((io, allocator))
+}
+
 /// Builds a [`HybridCache`] on an existing namespace, discovering
 /// placement capability automatically.
 ///
@@ -116,12 +143,7 @@ pub fn build_cache(
     config: &CacheConfig,
     policy: Box<dyn PlacementPolicy>,
 ) -> Result<HybridCache, CacheError> {
-    let ns = ctrl
-        .namespace(nsid)
-        .ok_or(CacheError::Io(fdpcache_nvme::NvmeError::InvalidNamespace(nsid)))?;
-    let identity = ctrl.identify();
-    let mut allocator = PlacementHandleAllocator::discover(&identity, &ns, policy);
-    let io = IoManager::new(ctrl.clone(), nsid, config.nvm.io_lanes).map_err(CacheError::Io)?;
+    let (io, mut allocator) = attach(ctrl, nsid, config, policy, 0, 1)?;
     HybridCache::new(config, io, &mut allocator)
 }
 
@@ -142,12 +164,7 @@ pub fn recover_cache(
     config: &CacheConfig,
     policy: Box<dyn PlacementPolicy>,
 ) -> Result<HybridCache, CacheError> {
-    let ns = ctrl
-        .namespace(nsid)
-        .ok_or(CacheError::Io(fdpcache_nvme::NvmeError::InvalidNamespace(nsid)))?;
-    let identity = ctrl.identify();
-    let mut allocator = PlacementHandleAllocator::discover(&identity, &ns, policy);
-    let io = IoManager::new(ctrl.clone(), nsid, config.nvm.io_lanes).map_err(CacheError::Io)?;
+    let (io, mut allocator) = attach(ctrl, nsid, config, policy, 0, 1)?;
     HybridCache::recover(config, io, &mut allocator)
 }
 

@@ -37,10 +37,10 @@ pub const HOST_OP_NS: u64 = 2_000;
 
 /// A CacheLib-style hybrid cache instance.
 ///
-/// Construction allocates placement handles for the SOC and LOC from the
-/// [`PlacementHandleAllocator`] when `use_fdp` is set; otherwise both
-/// engines use the default handle and the device intermixes their data —
-/// the paper's Non-FDP baseline.
+/// Construction allocates placement handles for the SOC, the LOC and
+/// the LOC's footers from the [`PlacementHandleAllocator`] when
+/// `use_fdp` is set; otherwise everything uses the default handle and
+/// the device intermixes it — the paper's Non-FDP baseline.
 #[derive(Debug)]
 pub struct HybridCache {
     ram: RamCache,
@@ -57,6 +57,22 @@ pub struct HybridCache {
 }
 
 impl HybridCache {
+    /// The `[SOC, LOC, LOC-footer]` placement handles, in the one
+    /// allocation order construction and recovery share. The footer
+    /// handle is the namespace's metadata handle — the first identifier
+    /// the data engines sharing the allocator's list leave free, or the
+    /// LOC's own when they leave none. FDP off: all default.
+    fn allocate_handles(
+        config: &CacheConfig,
+        allocator: &mut PlacementHandleAllocator,
+    ) -> [PlacementHandle; 3] {
+        if !config.use_fdp {
+            return [PlacementHandle::DEFAULT; 3];
+        }
+        let (soc, loc) = (allocator.allocate("soc"), allocator.allocate("loc"));
+        [soc, loc, allocator.allocate_metadata(loc)]
+    }
+
     /// Builds a cache over `io` (one namespace of the shared device).
     ///
     /// # Errors
@@ -68,12 +84,8 @@ impl HybridCache {
         allocator: &mut PlacementHandleAllocator,
     ) -> Result<Self, CacheError> {
         config.validate(io.block_bytes()).map_err(CacheError::Config)?;
-        let (soc_handle, loc_handle) = if config.use_fdp {
-            (allocator.allocate("soc"), allocator.allocate("loc"))
-        } else {
-            (PlacementHandle::DEFAULT, PlacementHandle::DEFAULT)
-        };
-        let navy = NavyEngine::new(&config.nvm, io, soc_handle, loc_handle, 0x5EED)?;
+        let [soc, loc, meta] = Self::allocate_handles(config, allocator);
+        let navy = NavyEngine::new(&config.nvm, io, soc, loc, meta, 0x5EED)?;
         Ok(HybridCache {
             ram: RamCache::new(config.ram_bytes, config.ram_item_overhead),
             navy,
@@ -95,8 +107,8 @@ impl HybridCache {
     /// must not be double-counted into post-recovery ALWA/DLWA
     /// denominators).
     ///
-    /// Handle allocation intentionally mirrors [`HybridCache::new`]
-    /// ("soc" then "loc"), so a recovered cache writes through the same
+    /// Handle allocation is [`HybridCache::new`]'s (SOC, LOC, then the
+    /// metadata handle), so a recovered cache writes through the same
     /// placement handles as its previous life.
     ///
     /// # Errors
@@ -110,12 +122,8 @@ impl HybridCache {
         allocator: &mut PlacementHandleAllocator,
     ) -> Result<Self, CacheError> {
         config.validate(io.block_bytes()).map_err(CacheError::Config)?;
-        let (soc_handle, loc_handle) = if config.use_fdp {
-            (allocator.allocate("soc"), allocator.allocate("loc"))
-        } else {
-            (PlacementHandle::DEFAULT, PlacementHandle::DEFAULT)
-        };
-        let navy = NavyEngine::recover(&config.nvm, io, soc_handle, loc_handle, 0x5EED)?;
+        let [soc, loc, meta] = Self::allocate_handles(config, allocator);
+        let navy = NavyEngine::recover(&config.nvm, io, soc, loc, meta, 0x5EED)?;
         Ok(HybridCache {
             ram: RamCache::new(config.ram_bytes, config.ram_item_overhead),
             navy,

@@ -67,7 +67,10 @@ pub struct NavyEngine {
 
 impl NavyEngine {
     /// Builds the engine pair over `io`, writing SOC data through
-    /// `soc_handle` and LOC data through `loc_handle`.
+    /// `soc_handle`, LOC region payloads through `loc_handle` and LOC
+    /// region footers through `meta_handle` (DESIGN.md §6.4: footers
+    /// live for minutes, regions for hours, so they must not share
+    /// reclaim units when the device can keep them apart).
     ///
     /// # Errors
     ///
@@ -79,6 +82,7 @@ impl NavyEngine {
         io: IoManager,
         soc_handle: PlacementHandle,
         loc_handle: PlacementHandle,
+        meta_handle: PlacementHandle,
         seed: u64,
     ) -> Result<Self, CacheError> {
         let (soc_blocks, region_blocks, num_regions) = Self::geometry(cfg, &io)?;
@@ -91,7 +95,7 @@ impl NavyEngine {
             cfg.loc_eviction,
             cfg.trim_on_region_evict,
             loc_handle,
-            loc_handle,
+            meta_handle,
         );
         Ok(NavyEngine {
             io,
@@ -145,6 +149,7 @@ impl NavyEngine {
         mut io: IoManager,
         soc_handle: PlacementHandle,
         loc_handle: PlacementHandle,
+        meta_handle: PlacementHandle,
         seed: u64,
     ) -> Result<Self, CacheError> {
         let (soc_blocks, region_blocks, num_regions) = Self::geometry(cfg, &io)?;
@@ -157,7 +162,7 @@ impl NavyEngine {
             cfg.loc_eviction,
             cfg.trim_on_region_evict,
             loc_handle,
-            loc_handle,
+            meta_handle,
             &mut io,
         )?;
         Ok(NavyEngine {
@@ -181,9 +186,12 @@ impl NavyEngine {
         &self.loc
     }
 
-    /// Re-binds both engines' placement handles (dynamic-placement
-    /// experiments; paper §5.5 lesson 2). Subsequent SOC bucket writes
-    /// and LOC region seals carry the new handles.
+    /// Re-binds both engines' data placement handles
+    /// (dynamic-placement experiments; paper §5.5 lesson 2). Subsequent
+    /// SOC bucket writes and LOC region payload writes carry the new
+    /// handles. The LOC's metadata handle is left alone: footers keep
+    /// going where construction put them, whatever the data streams are
+    /// rebound to.
     pub fn set_handles(&mut self, soc: PlacementHandle, loc: PlacementHandle) {
         self.soc.set_handle(soc);
         self.loc.set_handle(loc);
@@ -482,8 +490,15 @@ mod tests {
             trim_on_region_evict: false,
             io_lanes: 4,
         };
-        NavyEngine::new(&cfg, io, PlacementHandle::with_dspec(0), PlacementHandle::with_dspec(1), 1)
-            .unwrap()
+        NavyEngine::new(
+            &cfg,
+            io,
+            PlacementHandle::with_dspec(0),
+            PlacementHandle::with_dspec(1),
+            PlacementHandle::with_dspec(1),
+            1,
+        )
+        .unwrap()
     }
 
     #[test]
@@ -535,9 +550,8 @@ mod tests {
             admission: crate::admission::AdmissionConfig::Probability(0.0),
             ..NvmConfig::default()
         };
-        let mut e =
-            NavyEngine::new(&cfg, io, PlacementHandle::DEFAULT, PlacementHandle::DEFAULT, 1)
-                .unwrap();
+        let dflt = PlacementHandle::DEFAULT;
+        let mut e = NavyEngine::new(&cfg, io, dflt, dflt, dflt, 1).unwrap();
         assert!(!e.insert(1, Value::synthetic(100)).unwrap());
         assert_eq!(e.io().stats().writes, 0);
         assert!(e.lookup(1).unwrap().is_none());
@@ -573,8 +587,9 @@ mod tests {
         let shared: SharedController = Arc::new(ctrl);
         let io = IoManager::new(shared, nsid, 4).unwrap();
         let cfg = NvmConfig { region_bytes: 16 * 4096, ..NvmConfig::default() };
+        let dflt = PlacementHandle::DEFAULT;
         assert!(matches!(
-            NavyEngine::new(&cfg, io, PlacementHandle::DEFAULT, PlacementHandle::DEFAULT, 1),
+            NavyEngine::new(&cfg, io, dflt, dflt, dflt, 1),
             Err(CacheError::Config(_))
         ));
     }

@@ -24,9 +24,13 @@
 //!   `region_bytes` of payload, so regions pack into reclaim units and
 //!   invalidate in region-sized chunks exactly as they did before
 //!   footers existed — which is what keeps segregated-stream GC cheap
-//!   (the paper's core FDP argument). Deletes rewrite the footer
-//!   *before* the in-memory removal is acknowledged, so a crash can
-//!   never resurrect a deleted key from a stale footer.
+//!   (the paper's core FDP argument). The same argument one level
+//!   down keeps footers out of the regions' *reclaim units*: a footer
+//!   is rewritten at every eviction, delete and scrub of its region,
+//!   so footers go through a placement handle of their own and are
+//!   written only as long as their entry table. Deletes rewrite the
+//!   footer *before* the in-memory removal is acknowledged, so a crash
+//!   can never resurrect a deleted key from a stale footer.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -124,6 +128,10 @@ pub struct LocStats {
     /// Region footers rewritten outside a seal (delete persistence and
     /// cross-region scrubs of superseded entries).
     pub footer_rewrites: u64,
+    /// Footer blocks that reached the device — seal, rewrite and retire
+    /// paths alike (failed attempts excluded). Times the block size,
+    /// the LOC's metadata share of device bytes.
+    pub footer_blocks_written: u64,
     /// Footer rewrites that failed persistently under injected faults
     /// and fell back to invalidating the footer wholesale (the region's
     /// remaining entries then survive only in DRAM — a crash treats the
@@ -180,10 +188,9 @@ pub struct Loc {
     eviction: LocEviction,
     trim_on_evict: bool,
     handle: PlacementHandle,
-    /// Placement handle for footer writes. The engine binds it to the
-    /// LOC's own handle (metadata stays within the tenant's streams);
-    /// it is separate so metadata placement can be varied without
-    /// touching the payload path.
+    /// Placement handle for footer writes: the namespace's metadata
+    /// handle, or `handle` itself when the data engines left no
+    /// identifier free (DESIGN.md §6.4).
     meta_handle: PlacementHandle,
     access_seq: u64,
     /// Next seal sequence number (resumes past the recovered maximum).
@@ -192,10 +199,10 @@ pub struct Loc {
     /// Reusable block-aligned buffer for sealed-object device reads —
     /// lookups must not pay a heap allocation per hit (DESIGN.md §5.3).
     read_scratch: Vec<u8>,
-    /// Reusable buffer one whole footer is serialized into (seals,
+    /// Reusable slot-sized buffer footers are serialized into (seals,
     /// rewrites and retirements alike — DESIGN.md §5.3). Arbitrary
     /// bytes between uses: [`Loc::serialize_footer`] overwrites or
-    /// zeroes all of it.
+    /// zeroes the prefix it is handed, and nothing past it is written.
     meta_scratch: Vec<u8>,
     /// Objects rescued from a persistently failing seal, waiting for
     /// the engine to re-queue them ([`Loc::take_requeued`]).
@@ -285,10 +292,18 @@ impl Loc {
         (self.block_bytes as usize - META_HEADER_BYTES - META_CHECKSUM_BYTES) / META_ENTRY_BYTES
     }
 
-    /// Entries the whole footer can hold; a region seals early when its
-    /// entry table reaches this.
+    /// Entries a footer filling its whole slot can hold; a region
+    /// seals early when its entry table reaches this.
     fn entry_capacity(&self) -> usize {
         self.meta_blocks() as usize * self.entries_per_meta_block()
+    }
+
+    /// Blocks a footer listing `entries` entries occupies: as long as
+    /// its entry table, at least one (an empty footer still carries
+    /// its seal sequence). The rest of the slot is neither written nor
+    /// read.
+    fn footer_blocks(&self, entries: usize) -> usize {
+        entries.div_ceil(self.entries_per_meta_block()).max(1)
     }
 
     /// First footer block of `region` (namespace-relative): its slot in
@@ -299,24 +314,25 @@ impl Loc {
             + region as u64 * self.meta_blocks()
     }
 
-    /// Serializes a region footer into `out` (one buffer covering all
-    /// footer blocks), whatever it held before. Entries beyond each
-    /// block's capacity spill into the next block; every block carries
-    /// the full header and its own trailing checksum so recovery can
-    /// reject any torn block alone. Header and entries are written in
-    /// place; only the gap up to each block's checksum is zeroed.
+    /// Serializes a region footer into the head of `slot` (a buffer of
+    /// at least its [`Loc::footer_blocks`]), whatever it held before,
+    /// and returns how many blocks that is. Entries beyond each block's
+    /// capacity spill into the next block; every block carries the full
+    /// header and its own trailing checksum so recovery can reject any
+    /// torn block alone. Header and entries are written in place; only
+    /// the gap up to each block's checksum is zeroed.
     fn serialize_footer(
         &self,
         region: u32,
         seal_seq: u64,
         entries: &[(Key, u32, u32)],
-        out: &mut [u8],
-    ) {
+        slot: &mut [u8],
+    ) -> usize {
         let bb = self.block_bytes as usize;
-        debug_assert_eq!(out.len(), self.meta_blocks() as usize * bb);
+        let blocks = self.footer_blocks(entries.len());
         debug_assert!(entries.len() <= self.entry_capacity());
         let per = self.entries_per_meta_block();
-        for (bi, chunk) in out.chunks_exact_mut(bb).enumerate() {
+        for (bi, chunk) in slot[..blocks * bb].chunks_exact_mut(bb).enumerate() {
             let lo = (bi * per).min(entries.len());
             let hi = ((bi + 1) * per).min(entries.len());
             let slice = &entries[lo..hi];
@@ -339,60 +355,114 @@ impl Loc {
             let sum = page_checksum(&chunk[..cut]);
             chunk[cut..].copy_from_slice(&sum.to_le_bytes());
         }
+        blocks
     }
 
-    /// Parses a region footer read back from flash. Returns the seal
-    /// sequence and entry table, or `None` if any block fails its
-    /// checksum, header validation, or internal consistency — recovery
-    /// then treats the region as unsealed.
-    fn parse_footer(&self, region: u32, buf: &[u8]) -> Option<(u64, FooterEntries)> {
-        let bb = self.block_bytes as usize;
-        let mut seal_seq: Option<u64> = None;
-        let mut total = 0usize;
-        let mut entries = Vec::new();
-        for (bi, chunk) in buf.chunks_exact(bb).enumerate() {
-            let cut = bb - META_CHECKSUM_BYTES;
-            let stored = u64::from_le_bytes(chunk[cut..].try_into().ok()?);
-            if stored != page_checksum(&chunk[..cut]) {
-                return None;
-            }
-            if u32::from_le_bytes(chunk[0..4].try_into().ok()?) != META_MAGIC
-                || u32::from_le_bytes(chunk[4..8].try_into().ok()?) != META_VERSION
-                || u32::from_le_bytes(chunk[16..20].try_into().ok()?) != region
-                || u32::from_le_bytes(chunk[20..24].try_into().ok()?) != bi as u32
-            {
-                return None;
-            }
-            let seq = u64::from_le_bytes(chunk[8..16].try_into().ok()?);
-            if *seal_seq.get_or_insert(seq) != seq {
-                return None; // torn footer: blocks from different seals
-            }
-            let count = u32::from_le_bytes(chunk[24..28].try_into().ok()?) as usize;
-            let t = u32::from_le_bytes(chunk[28..32].try_into().ok()?) as usize;
-            if bi == 0 {
-                total = t;
-            } else if t != total {
-                return None;
-            }
-            if count > self.entries_per_meta_block() {
-                return None;
-            }
-            let mut off = META_HEADER_BYTES;
-            for _ in 0..count {
-                let key = u64::from_le_bytes(chunk[off..off + 8].try_into().ok()?);
-                let o = u32::from_le_bytes(chunk[off + 8..off + 12].try_into().ok()?);
-                let l = u32::from_le_bytes(chunk[off + 12..off + 16].try_into().ok()?);
-                if o as u64 + l as u64 > self.payload_bytes() as u64 {
-                    return None;
-                }
-                entries.push((key, o, l));
-                off += META_ENTRY_BYTES;
-            }
-        }
-        if entries.len() != total {
+    /// Parses footer block `bi` of `region` read back from flash,
+    /// appending its entries to `entries`. Returns the block's seal
+    /// sequence and the footer's total entry count, or `None` if the
+    /// block fails its checksum, header validation, or internal
+    /// consistency — nothing in a block is trusted before its checksum
+    /// holds.
+    fn parse_footer_block(
+        &self,
+        region: u32,
+        bi: usize,
+        chunk: &[u8],
+        entries: &mut FooterEntries,
+    ) -> Option<(u64, usize)> {
+        let cut = self.block_bytes as usize - META_CHECKSUM_BYTES;
+        let stored = u64::from_le_bytes(chunk[cut..].try_into().ok()?);
+        if stored != page_checksum(&chunk[..cut]) {
             return None;
         }
-        seal_seq.map(|s| (s, entries))
+        if u32::from_le_bytes(chunk[0..4].try_into().ok()?) != META_MAGIC
+            || u32::from_le_bytes(chunk[4..8].try_into().ok()?) != META_VERSION
+            || u32::from_le_bytes(chunk[16..20].try_into().ok()?) != region
+            || u32::from_le_bytes(chunk[20..24].try_into().ok()?) != bi as u32
+        {
+            return None;
+        }
+        let seq = u64::from_le_bytes(chunk[8..16].try_into().ok()?);
+        let count = u32::from_le_bytes(chunk[24..28].try_into().ok()?) as usize;
+        let total = u32::from_le_bytes(chunk[28..32].try_into().ok()?) as usize;
+        if count > self.entries_per_meta_block() {
+            return None;
+        }
+        let mut off = META_HEADER_BYTES;
+        for _ in 0..count {
+            let key = u64::from_le_bytes(chunk[off..off + 8].try_into().ok()?);
+            let o = u32::from_le_bytes(chunk[off + 8..off + 12].try_into().ok()?);
+            let l = u32::from_le_bytes(chunk[off + 12..off + 16].try_into().ok()?);
+            if o as u64 + l as u64 > self.payload_bytes() as u64 {
+                return None;
+            }
+            entries.push((key, o, l));
+            off += META_ENTRY_BYTES;
+        }
+        Some((seq, total))
+    }
+
+    /// One recovery read of `buf.len()` bytes at `start`, retried once
+    /// on an injected fault. `Ok(false)` when the blocks stay
+    /// unreadable or were never written — the caller then treats the
+    /// region as unsealed.
+    fn recovery_read(
+        &mut self,
+        io: &mut IoManager,
+        start: u64,
+        buf: &mut [u8],
+    ) -> Result<bool, CacheError> {
+        let mut res = io.read(start, buf);
+        if res.as_ref().is_err_and(|e| e.is_injected_fault()) {
+            self.stats.read_faults += 1;
+            res = io.read(start, buf);
+        }
+        match res {
+            Ok(_) => Ok(true),
+            Err(NvmeError::Unwritten(_)) => Ok(false),
+            Err(e) if e.is_injected_fault() => Ok(false),
+            Err(e) => Err(e.into()),
+        }
+    }
+
+    /// Reads `region`'s footer back (`buf` is slot-sized scratch).
+    /// Block 0 is read and validated alone — checksum and header
+    /// *before* its `total` is believed — and then exactly the further
+    /// blocks `total` calls for, each of which must validate and carry
+    /// block 0's seal sequence and total. Whatever an older, longer
+    /// footer left further down the slot is never read. `None` is an
+    /// unsealed region: unreadable, never written, torn or corrupt.
+    fn read_footer(
+        &mut self,
+        io: &mut IoManager,
+        region: u32,
+        buf: &mut [u8],
+    ) -> Result<Option<(u64, FooterEntries)>, CacheError> {
+        let bb = self.block_bytes as usize;
+        let start = self.meta_block(region);
+        let mut entries = Vec::new();
+        if !self.recovery_read(io, start, &mut buf[..bb])? {
+            return Ok(None);
+        }
+        let Some((seq, total)) = self.parse_footer_block(region, 0, &buf[..bb], &mut entries)
+        else {
+            return Ok(None);
+        };
+        if total > self.entry_capacity() {
+            return Ok(None); // would read past the slot
+        }
+        let blocks = self.footer_blocks(total);
+        if blocks > 1 && !self.recovery_read(io, start + 1, &mut buf[bb..blocks * bb])? {
+            return Ok(None);
+        }
+        for (bi, chunk) in buf[..blocks * bb].chunks_exact(bb).enumerate().skip(1) {
+            // A block of another seal (torn or stale) ends the footer.
+            if self.parse_footer_block(region, bi, chunk, &mut entries) != Some((seq, total)) {
+                return Ok(None);
+            }
+        }
+        Ok((entries.len() == total).then_some((seq, entries)))
     }
 
     /// The covering-block read for an index entry: grows the reusable
@@ -453,15 +523,22 @@ impl Loc {
         self.payload_bytes()
     }
 
-    /// The placement handle this engine writes through.
+    /// The placement handle region payloads are written through.
     pub fn handle(&self) -> PlacementHandle {
         self.handle
     }
 
-    /// Re-binds the placement handle used for subsequent writes
-    /// (dynamic-placement experiments; paper §5.5 lesson 2). Takes
-    /// effect on the next device write; data already on flash keeps its
-    /// original placement.
+    /// The placement handle footers are written through.
+    pub fn meta_handle(&self) -> PlacementHandle {
+        self.meta_handle
+    }
+
+    /// Re-binds the placement handle used for subsequent payload
+    /// writes (dynamic-placement experiments; paper §5.5 lesson 2).
+    /// Takes effect on the next region seal; data already on flash
+    /// keeps its original placement. The metadata handle is left
+    /// alone: rebinding the data stream must not drag the short-lived
+    /// footers into it.
     pub fn set_handle(&mut self, handle: PlacementHandle) {
         self.handle = handle;
     }
@@ -519,8 +596,9 @@ impl Loc {
         let seq = self.next_seal_seq;
         let entries: Vec<(Key, u32, u32)> =
             self.active_keys.iter().map(|(k, off, v)| (*k, *off, v.len() as u32)).collect();
-        let mut meta_buf = std::mem::take(&mut self.meta_scratch);
-        self.serialize_footer(region, seq, &entries, &mut meta_buf);
+        let mut scratch = std::mem::take(&mut self.meta_scratch);
+        let footer_blocks = self.serialize_footer(region, seq, &entries, &mut scratch);
+        let meta_buf = &scratch[..footer_blocks * self.block_bytes as usize];
         let mut schedule = seal_retry().schedule(region as u64);
         let landed = loop {
             let mut batch = IoBatch::with_capacity(
@@ -559,7 +637,7 @@ impl Loc {
                 Err(e) => break Err(CacheError::from(e)),
             }
         };
-        self.meta_scratch = meta_buf;
+        self.meta_scratch = scratch;
         if !landed? {
             // Persistent failure: quarantine the region and hand every
             // buffered object back for requeueing.
@@ -587,6 +665,7 @@ impl Loc {
         self.active = None;
         self.active_fill = 0;
         self.stats.seals += 1;
+        self.stats.footer_blocks_written += footer_blocks as u64;
         Ok(())
     }
 
@@ -622,8 +701,9 @@ impl Loc {
         self.write_footer(io, region, seq, &entries)
     }
 
-    /// Retires `region`'s persisted footer by overwriting it with an
-    /// *empty* footer stamped with a fresh seal sequence. Unlike a
+    /// Retires `region`'s persisted footer by overwriting its first
+    /// block with an *empty* footer stamped with a fresh seal sequence
+    /// (the old footer's further blocks go stale behind it). Unlike a
     /// discard, this keeps the on-flash seal-sequence chain monotonic —
     /// recovery still sees the region's retirement seq and cannot hand
     /// out a sequence number that an older surviving footer outranks —
@@ -641,9 +721,10 @@ impl Loc {
     }
 
     /// Serializes one footer into the reusable scratch and writes it
-    /// over `region`'s footer slot, retrying injected faults under
-    /// [`meta_retry`] and invalidating the slot when every attempt
-    /// fails.
+    /// over the head of `region`'s footer slot — as many blocks as the
+    /// entry table needs, one for an empty footer — retrying injected
+    /// faults under [`meta_retry`] and invalidating the slot when every
+    /// attempt fails.
     fn write_footer(
         &mut self,
         io: &mut IoManager,
@@ -651,12 +732,13 @@ impl Loc {
         seal_seq: u64,
         entries: &[(Key, u32, u32)],
     ) -> Result<(), CacheError> {
-        let mut buf = std::mem::take(&mut self.meta_scratch);
-        self.serialize_footer(region, seal_seq, entries, &mut buf);
+        let mut scratch = std::mem::take(&mut self.meta_scratch);
+        let footer_blocks = self.serialize_footer(region, seal_seq, entries, &mut scratch);
+        let buf = &scratch[..footer_blocks * self.block_bytes as usize];
         let start = self.meta_block(region);
         let mut schedule = meta_retry().schedule(start);
         let written = loop {
-            match io.write(start, &buf, self.meta_handle) {
+            match io.write(start, buf, self.meta_handle) {
                 Ok(_) => break Ok(true),
                 Err(e) if e.is_injected_fault() => match schedule.next_backoff_ns() {
                     Some(backoff_ns) => {
@@ -669,9 +751,10 @@ impl Loc {
                 Err(e) => break Err(CacheError::from(e)),
             }
         };
-        self.meta_scratch = buf;
+        self.meta_scratch = scratch;
         if written? {
             self.stats.footer_rewrites += 1;
+            self.stats.footer_blocks_written += footer_blocks as u64;
             Ok(())
         } else {
             self.stats.footer_faults += 1;
@@ -679,8 +762,8 @@ impl Loc {
         }
     }
 
-    /// Invalidates `region`'s persisted footer by discarding its
-    /// blocks: recovery then reads the region as unsealed. A persistent
+    /// Invalidates `region`'s persisted footer by discarding its whole
+    /// slot: recovery then reads the region as unsealed. A persistent
     /// discard fault is counted and tolerated — the stale-footer window
     /// it leaves closes at the region's next seal, which overwrites the
     /// footer under a fresh sequence (DESIGN.md §6.4).
@@ -1126,9 +1209,11 @@ impl Loc {
     /// pre-crash instance (they are host-side configuration, not
     /// recovered state).
     ///
-    /// Each region's footer blocks are read back; a region is trusted
-    /// as sealed only if every footer block validates (checksum, magic,
-    /// version, region id, block order, consistent seal sequence).
+    /// Each region's footer is read back (block 0 first, then exactly
+    /// the blocks its entry count calls for); a
+    /// region is trusted as sealed only if every one of those blocks
+    /// validates (checksum, magic, version, region id, block order,
+    /// consistent seal sequence and total).
     /// Valid regions are processed in ascending seal-sequence order and
     /// their payload bytes re-read from the device, so a newer sealed
     /// copy of a key supersedes any older one. Everything else is
@@ -1143,7 +1228,6 @@ impl Loc {
     /// [`CacheError::Config`] without a data-retaining store; otherwise
     /// propagates non-injected I/O failures. Injected read faults are
     /// retried once, then the affected region is treated as unsealed.
-    #[allow(clippy::too_many_arguments)]
     #[allow(clippy::too_many_arguments)]
     pub fn recover(
         base_block: u64,
@@ -1174,26 +1258,14 @@ impl Loc {
         if loc.meta_blocks() == 0 {
             return Ok(loc); // degenerate geometry persists nothing
         }
-        let mut footer = vec![0u8; loc.meta_blocks() as usize * block_bytes as usize];
+        let mut footer = std::mem::take(&mut loc.meta_scratch);
         let mut sealed: Vec<(u64, u32, FooterEntries)> = Vec::new();
         for region in 0..num_regions {
-            let start = loc.meta_block(region);
-            let mut res = io.read(start, &mut footer);
-            if res.as_ref().is_err_and(|e| e.is_injected_fault()) {
-                loc.stats.read_faults += 1;
-                res = io.read(start, &mut footer);
+            if let Some((seq, entries)) = loc.read_footer(io, region, &mut footer)? {
+                sealed.push((seq, region, entries));
             }
-            match res {
-                Ok(_) => {}
-                Err(NvmeError::Unwritten(_)) => continue,
-                Err(e) if e.is_injected_fault() => continue,
-                Err(e) => return Err(e.into()),
-            }
-            let Some((seq, entries)) = loc.parse_footer(region, &footer) else {
-                continue;
-            };
-            sealed.push((seq, region, entries));
         }
+        loc.meta_scratch = footer;
         // Ascending seal order: later regions supersede earlier ones
         // for keys that were overwritten between seals.
         sealed.sort_unstable_by_key(|&(seq, region, _)| (seq, region));
@@ -1207,20 +1279,10 @@ impl Loc {
                 loc.next_seal_seq = loc.next_seal_seq.max(seq + 1);
                 continue;
             }
-            {
-                let mut res = io.read(loc.region_block(region), &mut payload);
-                if res.as_ref().is_err_and(|e| e.is_injected_fault()) {
-                    loc.stats.read_faults += 1;
-                    res = io.read(loc.region_block(region), &mut payload);
-                }
-                match res {
-                    Ok(_) => {}
-                    // Footer valid but payload unreadable: the region's
-                    // objects are lost as if evicted; leave it free.
-                    Err(NvmeError::Unwritten(_)) => continue,
-                    Err(e) if e.is_injected_fault() => continue,
-                    Err(e) => return Err(e.into()),
-                }
+            // Footer valid but payload unreadable: the region's objects
+            // are lost as if evicted; leave it free.
+            if !loc.recovery_read(io, loc.region_block(region), &mut payload)? {
+                continue;
             }
             loc.free.retain(|&r| r != region);
             let r = &mut loc.regions[region as usize];
@@ -1584,6 +1646,211 @@ mod tests {
         .unwrap();
         assert!(r.is_empty(), "a corrupt footer must not be trusted");
         assert!(r.lookup(&mut io, 1).unwrap().is_none());
+    }
+
+    /// 4 regions × 128 blocks (512 KiB): two-block footer slots, 253
+    /// entries to a block.
+    const WIDE_BLOCKS: u64 = 128;
+
+    fn wide_loc() -> (Loc, IoManager) {
+        let l = Loc::new(
+            0,
+            4,
+            WIDE_BLOCKS,
+            BLOCK,
+            LocEviction::Fifo,
+            false,
+            PlacementHandle::with_dspec(1),
+            PlacementHandle::DEFAULT,
+        );
+        assert_eq!((l.meta_blocks(), l.entries_per_meta_block()), (2, 253));
+        (l, io(4 * (WIDE_BLOCKS + 2)))
+    }
+
+    fn recover_wide(io: &mut IoManager) -> Loc {
+        Loc::recover(
+            0,
+            4,
+            WIDE_BLOCKS,
+            BLOCK,
+            LocEviction::Fifo,
+            false,
+            PlacementHandle::with_dspec(1),
+            PlacementHandle::DEFAULT,
+            io,
+        )
+        .unwrap()
+    }
+
+    /// Inserts `n` 1000-byte objects keyed `base..base + n`.
+    fn insert_small(l: &mut Loc, io: &mut IoManager, base: u64, n: u64) {
+        for k in base..base + n {
+            l.insert(io, k, Value::synthetic(1000)).unwrap();
+        }
+    }
+
+    /// An object no region can hold next to anything else of its kind:
+    /// inserting one seals whatever the active region held.
+    const BIG: u32 = 300_000;
+
+    fn sorted(mut keys: Vec<Key>) -> Vec<Key> {
+        keys.sort_unstable();
+        keys
+    }
+
+    /// Seal sequence stamped into the footer block at `block`.
+    fn seq_on_flash(io: &mut IoManager, block: u64) -> u64 {
+        let mut page = vec![0u8; BLOCK as usize];
+        io.read(block, &mut page).unwrap();
+        u64::from_le_bytes(page[8..16].try_into().unwrap())
+    }
+
+    #[test]
+    fn long_entry_table_seals_a_two_block_footer_that_recovers_whole() {
+        let (mut l, mut io) = wide_loc();
+        insert_small(&mut l, &mut io, 0, 300);
+        let written = io.stats().bytes_written;
+        l.insert(&mut io, 1_000, Value::synthetic(BIG)).unwrap(); // seals region 0
+        assert_eq!(l.stats().seals, 1);
+        assert_eq!(l.stats().footer_blocks_written, 2, "300 entries need two footer blocks");
+        assert_eq!(io.stats().bytes_written - written, (WIDE_BLOCKS + 2) * BLOCK as u64);
+        drop(l);
+        let mut r = recover_wide(&mut io);
+        assert_eq!(sorted(r.persisted_keys()), (0..300).collect::<Vec<_>>());
+        // Entries of both blocks point at the right payload bytes.
+        for k in [0, 252, 253, 299] {
+            let raw = r.read_raw(&mut io, k).unwrap().unwrap();
+            assert_eq!(raw, Value::synthetic(1000).to_bytes(k), "key {k}");
+        }
+    }
+
+    #[test]
+    fn short_reseal_leaves_a_stale_second_block_that_recovery_ignores() {
+        let (mut l, mut io) = wide_loc();
+        insert_small(&mut l, &mut io, 0, 300);
+        // Each big object seals the region before it; the fourth also
+        // evicts region 0 and the fifth re-seals it with one entry.
+        for k in 1_000..1_005u64 {
+            l.insert(&mut io, k, Value::synthetic(BIG)).unwrap();
+        }
+        assert_eq!(l.stats().seals, 5);
+        assert_eq!(l.index.get(&1_003).map(|e| e.region), Some(0), "region 0 must be re-sealed");
+        let slot = l.meta_block(0);
+        assert!(seq_on_flash(&mut io, slot) > 1, "block 0 carries the new seal");
+        assert_eq!(seq_on_flash(&mut io, slot + 1), 1, "block 1 is the first seal's leftover");
+        let survivors = sorted(l.persisted_keys());
+        drop(l);
+        let mut r = recover_wide(&mut io);
+        assert_eq!(sorted(r.persisted_keys()), survivors);
+        assert!(r.lookup(&mut io, 1_003).unwrap().is_some());
+        assert!(r.lookup(&mut io, 299).unwrap().is_none(), "stale block 1 resurrected a key");
+    }
+
+    /// Writes region 0's payload plus `footer` at the head of its slot.
+    fn plant_footer(l: &Loc, io: &mut IoManager, footer: &[u8]) {
+        let payload = vec![0x5Au8; l.payload_bytes()];
+        io.write(l.region_block(0), &payload, PlacementHandle::DEFAULT).unwrap();
+        io.write(l.meta_block(0), footer, PlacementHandle::DEFAULT).unwrap();
+    }
+
+    fn footer_bytes(l: &Loc, seq: u64, entries: &[(Key, u32, u32)]) -> Vec<u8> {
+        let mut buf = vec![0u8; l.meta_blocks() as usize * BLOCK as usize];
+        let blocks = l.serialize_footer(0, seq, entries, &mut buf);
+        buf.truncate(blocks * BLOCK as usize);
+        buf
+    }
+
+    #[test]
+    fn torn_stale_or_missing_second_block_recovers_as_unsealed() {
+        let bb = BLOCK as usize;
+        let entries: Vec<(Key, u32, u32)> =
+            (0..300u32).map(|i| (i as u64, i * 1000, 1000)).collect();
+        // Control: the planted two-block footer is one recovery accepts.
+        let (l, mut io) = wide_loc();
+        let new = footer_bytes(&l, 7, &entries);
+        plant_footer(&l, &mut io, &new);
+        assert_eq!(recover_wide(&mut io).len(), 300);
+        // Block 0 of the new seal over block 1 of an older one.
+        let (l, mut io) = wide_loc();
+        let old = footer_bytes(&l, 3, &entries);
+        plant_footer(&l, &mut io, &[&new[..bb], &old[bb..]].concat());
+        assert!(recover_wide(&mut io).is_empty(), "mixed-seal footer trusted");
+        // Block 1 never written.
+        let (l, mut io) = wide_loc();
+        plant_footer(&l, &mut io, &new[..bb]);
+        assert!(recover_wide(&mut io).is_empty(), "footer missing its second block trusted");
+    }
+
+    #[test]
+    fn corrupt_total_recovers_as_unsealed_without_reading_past_the_slot() {
+        let bb = BLOCK as usize;
+        let (l, mut io) = wide_loc();
+        let mut block0 = footer_bytes(&l, 7, &[(1, 0, 1000)]);
+        // A total no slot can hold, under a checksum that vouches for it.
+        block0[28..32].copy_from_slice(&10_000u32.to_le_bytes());
+        let cut = bb - META_CHECKSUM_BYTES;
+        let sum = page_checksum(&block0[..cut]);
+        block0[cut..].copy_from_slice(&sum.to_le_bytes());
+        plant_footer(&l, &mut io, &block0);
+        let read = io.stats().bytes_read;
+        assert!(recover_wide(&mut io).is_empty(), "footer with an impossible total trusted");
+        assert_eq!(
+            io.stats().bytes_read - read,
+            BLOCK as u64,
+            "recovery must stop at region 0's first footer block (the other slots are unwritten)"
+        );
+    }
+
+    #[test]
+    fn retire_footer_is_one_block_and_its_sequence_survives_recovery() {
+        let (mut l, mut io) = wide_loc();
+        insert_small(&mut l, &mut io, 0, 300);
+        l.insert(&mut io, 1_000, Value::synthetic(BIG)).unwrap(); // seals region 0, two blocks
+        let (blocks, bytes) = (l.stats().footer_blocks_written, io.stats().bytes_written);
+        let retire_seq = l.next_seal_seq;
+        l.retire_footer(&mut io, 0).unwrap();
+        assert_eq!(l.stats().footer_blocks_written - blocks, 1);
+        assert_eq!(io.stats().bytes_written - bytes, BLOCK as u64);
+        drop(l);
+        let r = recover_wide(&mut io);
+        assert!(r.is_empty(), "retired region's keys resurrected");
+        assert_eq!(r.next_seal_seq, retire_seq + 1, "retirement sequence lost across recovery");
+    }
+
+    #[test]
+    fn footer_rewrites_shrink_with_the_entry_table() {
+        let (mut l, mut io) = wide_loc();
+        insert_small(&mut l, &mut io, 0, 300);
+        l.insert(&mut io, 1_000, Value::synthetic(BIG)).unwrap(); // seals region 0
+        let mut blocks = l.stats().footer_blocks_written;
+        let mut rewrite_len = |l: &Loc| {
+            let len = l.stats().footer_blocks_written - blocks;
+            blocks += len;
+            len
+        };
+        // Delete persistence: 299 … 254 entries still need two blocks,
+        // 253 fit one.
+        for k in 0..46u64 {
+            assert!(l.remove(&mut io, k).unwrap());
+            assert_eq!(rewrite_len(&l), 2, "delete {k}");
+        }
+        assert!(l.remove(&mut io, 46).unwrap());
+        assert_eq!(rewrite_len(&l), 1, "a 253-entry table fits one block");
+        // Scrub of a superseded copy: key 47's overwrite seals alone
+        // into region 2, and region 0's footer still lists the old
+        // copy; deleting the key rewrites both, one block each.
+        l.insert(&mut io, 47, Value::synthetic(BIG)).unwrap(); // seals region 1
+        l.insert(&mut io, 1_001, Value::synthetic(BIG)).unwrap(); // seals region 2
+        let _ = rewrite_len(&l);
+        let rewrites = l.stats().footer_rewrites;
+        assert!(l.remove(&mut io, 47).unwrap());
+        assert_eq!(l.stats().footer_rewrites - rewrites, 2, "live and superseded copy");
+        assert_eq!(rewrite_len(&l), 2);
+        drop(l);
+        // The shrunk footer (stale second block behind it) recovers to
+        // exactly the surviving keys.
+        let r = recover_wide(&mut io);
+        assert_eq!(sorted(r.persisted_keys()), (48..300).chain([1_000]).collect::<Vec<_>>());
     }
 
     #[test]

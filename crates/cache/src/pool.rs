@@ -18,10 +18,10 @@
 //! mutexes and adds the lock-free DRAM-hit read path. The shard
 //! routing here ([`shard_index`]) is shared by both.
 
-use fdpcache_core::{IoManager, PlacementHandleAllocator, PlacementPolicy, SharedController};
+use fdpcache_core::{PlacementPolicy, SharedController};
 use fdpcache_nvme::NamespaceId;
 
-use crate::builder::create_namespace;
+use crate::builder::{attach, create_namespace};
 use crate::cache::{GetOutcome, HybridCache};
 use crate::config::CacheConfig;
 use crate::error::CacheError;
@@ -79,7 +79,8 @@ impl EnginePool {
     ///
     /// The policy decides handle assignment pair by pair; with the
     /// default round-robin policy and ≥ `2 × pairs` device RUHs every
-    /// engine gets a dedicated handle.
+    /// engine gets a dedicated handle, and with one more than that all
+    /// pairs' LOC footers share the next one.
     ///
     /// # Errors
     ///
@@ -105,21 +106,7 @@ impl EnginePool {
             let frac = crate::builder::equal_share_fraction(pair, pairs, total_utilization);
             let ruh_list = (0..num_ruhs).collect();
             let nsid = create_namespace(ctrl, frac, ruh_list)?;
-            let ns = ctrl
-                .namespace(nsid)
-                .ok_or(CacheError::Io(fdpcache_nvme::NvmeError::InvalidNamespace(nsid)))?;
-            let identity = ctrl.identify();
-            // One allocator per pair, but the policy must spread pairs
-            // across the device's handle space: offset the namespace
-            // handle list is identical per pair, so we pre-consume
-            // 2×pair picks to stagger assignments.
-            let mut allocator =
-                PlacementHandleAllocator::discover(&identity, &ns, policy_factory());
-            for _ in 0..(2 * pair) {
-                let _ = allocator.allocate("stagger");
-            }
-            let io =
-                IoManager::new(ctrl.clone(), nsid, config.nvm.io_lanes).map_err(CacheError::Io)?;
+            let (io, mut allocator) = attach(ctrl, nsid, config, policy_factory(), pair, pairs)?;
             shards.push(HybridCache::new(&per_shard_config, io, &mut allocator)?);
         }
         Ok(EnginePool { shards })
@@ -130,10 +117,10 @@ impl EnginePool {
     /// namespaces **in pair order** — namespaces survive in the
     /// controller and cannot be re-carved, so recovery reattaches them.
     /// Handle assignment replays the exact construction sequence of
-    /// `new` (per-pair allocator with `2 × pair` staggered pre-picks,
-    /// then SOC before LOC inside [`HybridCache::recover`]), so every
-    /// engine lands back on the reclaim unit handle it wrote through
-    /// before the crash.
+    /// `new` (the same per-pair allocator, then SOC, LOC and metadata
+    /// handle inside [`HybridCache::recover`]), so every engine lands
+    /// back on the reclaim unit handles it wrote through before the
+    /// crash.
     ///
     /// Each shard's flash-resident state (SOC buckets, sealed LOC
     /// regions) is rebuilt from on-device metadata; DRAM contents,
@@ -157,17 +144,7 @@ impl EnginePool {
         let per_shard_config =
             CacheConfig { ram_bytes: (config.ram_bytes / pairs as u64).max(1), ..config.clone() };
         for (pair, &nsid) in nsids.iter().enumerate() {
-            let ns = ctrl
-                .namespace(nsid)
-                .ok_or(CacheError::Io(fdpcache_nvme::NvmeError::InvalidNamespace(nsid)))?;
-            let identity = ctrl.identify();
-            let mut allocator =
-                PlacementHandleAllocator::discover(&identity, &ns, policy_factory());
-            for _ in 0..(2 * pair) {
-                let _ = allocator.allocate("stagger");
-            }
-            let io =
-                IoManager::new(ctrl.clone(), nsid, config.nvm.io_lanes).map_err(CacheError::Io)?;
+            let (io, mut allocator) = attach(ctrl, nsid, config, policy_factory(), pair, pairs)?;
             shards.push(HybridCache::recover(&per_shard_config, io, &mut allocator)?);
         }
         Ok(EnginePool { shards })
@@ -325,6 +302,24 @@ mod tests {
         for shard in &p.shards {
             assert!(shard.navy().soc().handle().is_default());
             assert!(shard.navy().loc().handle().is_default());
+            assert!(shard.navy().loc().meta_handle().is_default());
+        }
+    }
+
+    #[test]
+    fn footers_take_the_first_free_handle_or_stay_with_their_loc() {
+        // The tiny device has 4 RUHs. One pair leaves two free: footers
+        // get the first of them.
+        let (_ctrl, p) = pool(1, true);
+        let loc = p.shards[0].navy().loc();
+        assert_eq!(loc.meta_handle().dspec(), Some(2));
+        // Two pairs use all four: each LOC keeps its own footers, and
+        // none falls onto the default handle (pair 0's SOC stream).
+        let (_ctrl, p) = pool(2, true);
+        for shard in &p.shards {
+            let loc = shard.navy().loc();
+            assert_eq!(loc.meta_handle(), loc.handle());
+            assert!(!loc.meta_handle().is_default());
         }
     }
 
@@ -355,8 +350,11 @@ mod tests {
         p.delete(7).unwrap();
         let survivors: Vec<(usize, Vec<u64>)> =
             p.shards.iter().enumerate().map(|(i, s)| (i, s.persisted_keys())).collect();
-        let old_handles: Vec<_> =
-            p.shards.iter().map(|s| (s.navy().soc().handle(), s.navy().loc().handle())).collect();
+        let handles = |s: &HybridCache| {
+            let navy = s.navy();
+            (navy.soc().handle(), navy.loc().handle(), navy.loc().meta_handle())
+        };
+        let old_handles: Vec<_> = p.shards.iter().map(handles).collect();
         drop(p);
         // Namespaces 1 and 2 survive in the controller; reattach them.
         let r = EnginePool::recover(&ctrl, &config, &[1, 2], || Box::new(RoundRobinPolicy::new()))
@@ -376,7 +374,7 @@ mod tests {
         assert_eq!(outcome, GetOutcome::Miss, "deleted key resurrected by recovery");
         for (i, s) in r.shards.iter().enumerate() {
             assert_eq!(
-                (s.navy().soc().handle(), s.navy().loc().handle()),
+                handles(s),
                 old_handles[i],
                 "shard {i} must recover onto its pre-crash placement handles"
             );

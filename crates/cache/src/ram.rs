@@ -212,9 +212,15 @@ impl RamCache {
             debug_assert_ne!(victim, NIL, "over budget with empty list");
             let vkey = self.nodes[victim as usize].key;
             if vkey == key {
-                // Never evict the item we just inserted; budget check
-                // above guarantees it fits alone.
-                break;
+                // Never evict the item we just inserted (the budget
+                // check above guarantees it fits alone). It is at the
+                // tail only because every older entry was flagged and
+                // rotated ahead of it: put it back in front and evict
+                // from what is now behind it. Each return here costs
+                // the others at least one of their `chances`.
+                self.detach(victim);
+                self.attach_front(victim);
+                continue;
             }
             if chances > 0 && self.nodes[victim as usize].entry.take_accessed() {
                 self.detach(victim);
@@ -470,6 +476,22 @@ mod tests {
         c.read_index().get(5);
         assert_eq!(c.put(8, val(10))[0].key, 6, "re-flagged tail must rotate again");
         assert!(c.peek(5).is_some());
+        c.check_invariants();
+    }
+
+    #[test]
+    fn put_stays_within_budget_when_every_older_entry_is_flagged() {
+        let mut c = RamCache::new(100, 0);
+        c.put(1, val(10));
+        c.put(2, val(10));
+        // Lock-free readers flag both residents, so the sweep rotates
+        // each ahead of the new key and finds the new key at the tail.
+        c.read_index().get(1);
+        c.read_index().get(2);
+        let ev = c.put(3, val(90));
+        assert!(c.used_bytes() <= 100, "{} bytes resident in a 100-byte cache", c.used_bytes());
+        assert_eq!(ev.iter().map(|e| e.key).collect::<Vec<_>>(), vec![1]);
+        assert!(c.peek(3).is_some(), "the inserted key must never be the victim");
         c.check_invariants();
     }
 

@@ -27,6 +27,7 @@ use std::time::{Duration, Instant};
 use fdpcache_cache::builder::{build_device, StoreKind};
 use fdpcache_cache::cache::HOST_OP_NS;
 use fdpcache_cache::config::{CacheConfig, NvmConfig};
+use fdpcache_cache::ram::RamCache;
 use fdpcache_cache::value::Value;
 use fdpcache_cache::{ConcurrentPool, GetOutcome, ReadSideStats};
 use fdpcache_core::RoundRobinPolicy;
@@ -128,6 +129,28 @@ proptest! {
         for key in 0..=u8::MAX {
             let expected = model.get(&(key as u64)).copied();
             prop_assert_eq!(pool.get(key as u64).unwrap().1.map(|v| v.len()), expected);
+        }
+    }
+
+    /// The DRAM budget holds after every `put`, whichever residents
+    /// lock-free readers flagged in between: second chances reorder
+    /// eviction, they never excuse it.
+    #[test]
+    fn ram_budget_holds_with_interleaved_lock_free_gets(
+        ops in prop::collection::vec((any::<bool>(), 0..12u64, 1..100u32), 1..200),
+    ) {
+        let mut ram = RamCache::new(100, 0);
+        for (is_put, key, size) in ops {
+            if is_put {
+                ram.put(key, Value::synthetic(size));
+                prop_assert!(
+                    ram.used_bytes() <= ram.capacity_bytes(),
+                    "{} bytes resident after put({}, {})", ram.used_bytes(), key, size
+                );
+                ram.check_invariants();
+            } else {
+                ram.read_index().get(key);
+            }
         }
     }
 }

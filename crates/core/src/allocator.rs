@@ -16,6 +16,9 @@ pub struct PlacementHandleAllocator {
     available: Vec<u16>,
     policy: Box<dyn PlacementPolicy>,
     allocations: Vec<(String, PlacementHandle)>,
+    /// Picks the policy still owes the members after this one
+    /// ([`Self::discover_member`]); spent before the metadata pick.
+    later_picks: usize,
 }
 
 impl std::fmt::Debug for PlacementHandleAllocator {
@@ -45,7 +48,39 @@ impl PlacementHandleAllocator {
         } else {
             Vec::new()
         };
-        PlacementHandleAllocator { available, policy, allocations: Vec::new() }
+        PlacementHandleAllocator { available, policy, allocations: Vec::new(), later_picks: 0 }
+    }
+
+    /// Discovery for member `index` of `count` consumer groups that
+    /// were each handed the same placement-identifier list and each
+    /// make `picks` data allocations — the engine pairs of a pool, one
+    /// namespace per pair over one RUH list. The policy's picks are
+    /// replayed in member order: the earlier members' before this
+    /// member's own, the later members' before its metadata pick
+    /// ([`Self::allocate_metadata`]). With a stateful policy every
+    /// member's data consumers therefore get identifiers of their own
+    /// and all members agree on the metadata identifier — the first one
+    /// the data consumers leave free.
+    pub fn discover_member(
+        identity: &ControllerIdentity,
+        namespace: &Namespace,
+        policy: Box<dyn PlacementPolicy>,
+        index: usize,
+        count: usize,
+        picks: usize,
+    ) -> Self {
+        assert!(index < count, "member {index} of {count}");
+        let mut allocator = Self::discover(identity, namespace, policy);
+        allocator.skip(index * picks);
+        allocator.later_picks = (count - 1 - index) * picks;
+        allocator
+    }
+
+    /// Spends `picks` policy picks on consumers that live elsewhere.
+    fn skip(&mut self, picks: usize) {
+        for _ in 0..picks {
+            let _ = self.policy.pick("sibling", &self.available);
+        }
     }
 
     /// An allocator for devices without placement support; every
@@ -55,6 +90,7 @@ impl PlacementHandleAllocator {
             available: Vec::new(),
             policy: Box::new(crate::policy::RoundRobinPolicy::new()),
             allocations: Vec::new(),
+            later_picks: 0,
         }
     }
 
@@ -63,15 +99,33 @@ impl PlacementHandleAllocator {
         !self.available.is_empty()
     }
 
-    /// Allocates a handle for the named consumer (e.g. `"soc-0"`,
-    /// `"loc-0"`). Consumers that do not care (metadata writers) should
-    /// simply use [`PlacementHandle::DEFAULT`] without allocating, as the
-    /// paper's minor consumers do.
+    /// Allocates a handle for the named data consumer (e.g. `"soc-0"`,
+    /// `"loc-0"`); the default handle once the policy has none left.
     pub fn allocate(&mut self, consumer: &str) -> PlacementHandle {
-        let handle = match self.policy.pick(consumer, &self.available) {
-            Some(dspec) => PlacementHandle::with_dspec(dspec),
-            None => PlacementHandle::DEFAULT,
-        };
+        self.pick(consumer, PlacementHandle::DEFAULT)
+    }
+
+    /// Allocates the namespace's metadata handle, after its data
+    /// consumers took theirs: the policy's next pick once every member
+    /// sharing the identifier list has had its own, shared by whatever
+    /// writes short-lived metadata there. When the policy has none left
+    /// the metadata writer gets `fallback` — its owner's data handle —
+    /// and never the default handle: on an FDP device "no preference"
+    /// resolves to the namespace's first RUH, which is some data
+    /// stream's reclaim unit.
+    pub fn allocate_metadata(&mut self, fallback: PlacementHandle) -> PlacementHandle {
+        let later_picks = std::mem::take(&mut self.later_picks);
+        self.skip(later_picks);
+        self.pick("meta", fallback)
+    }
+
+    /// The policy's next pick for `consumer`, or `fallback` when it has
+    /// none; recorded either way.
+    fn pick(&mut self, consumer: &str, fallback: PlacementHandle) -> PlacementHandle {
+        let handle = self
+            .policy
+            .pick(consumer, &self.available)
+            .map_or(fallback, PlacementHandle::with_dspec);
         self.allocations.push((consumer.to_string(), handle));
         handle
     }
@@ -150,6 +204,61 @@ mod tests {
         let soc = a.allocate("soc-0");
         let loc = a.allocate("loc-0");
         assert_eq!(soc, loc, "single-handle policy must map all consumers together");
+    }
+
+    #[test]
+    fn metadata_takes_the_first_id_data_leaves_free_or_falls_back() {
+        let rr = || Box::new(RoundRobinPolicy::new());
+        let mut a = PlacementHandleAllocator::discover(&identity(true), &ns(3), rr());
+        let (_soc, loc) = (a.allocate("soc"), a.allocate("loc"));
+        assert_eq!(a.allocate_metadata(loc), PlacementHandle::with_dspec(2));
+        // Two ids, both taken by data: the fallback, never DEFAULT.
+        let mut a = PlacementHandleAllocator::discover(&identity(true), &ns(2), rr());
+        let (_soc, loc) = (a.allocate("soc"), a.allocate("loc"));
+        assert_eq!(a.allocate_metadata(loc), loc);
+        // A policy that intermixes everything intermixes metadata too.
+        let mut a = PlacementHandleAllocator::discover(
+            &identity(true),
+            &ns(4),
+            Box::new(SingleHandlePolicy),
+        );
+        let loc = a.allocate("loc");
+        assert_eq!(a.allocate_metadata(loc), loc);
+        // FDP off: everything is the default handle.
+        let mut a = PlacementHandleAllocator::discover(&identity(false), &ns(3), rr());
+        let loc = a.allocate("loc");
+        assert!(a.allocate_metadata(loc).is_default());
+    }
+
+    #[test]
+    fn members_get_their_own_data_ids_and_one_shared_metadata_id() {
+        let handles = |count: usize, ids: usize| -> Vec<[PlacementHandle; 3]> {
+            (0..count)
+                .map(|index| {
+                    let mut a = PlacementHandleAllocator::discover_member(
+                        &identity(true),
+                        &ns(ids),
+                        Box::new(RoundRobinPolicy::new()),
+                        index,
+                        count,
+                        2,
+                    );
+                    let (soc, loc) = (a.allocate("soc"), a.allocate("loc"));
+                    [soc, loc, a.allocate_metadata(loc)]
+                })
+                .collect()
+        };
+        // 3 pairs on 8 ids: data on 0..6, every footer on 6.
+        for (i, [soc, loc, meta]) in handles(3, 8).into_iter().enumerate() {
+            assert_eq!(soc, PlacementHandle::with_dspec(2 * i as u16));
+            assert_eq!(loc, PlacementHandle::with_dspec(2 * i as u16 + 1));
+            assert_eq!(meta, PlacementHandle::with_dspec(6));
+        }
+        // 4 pairs on 8 ids leave none free: each LOC keeps its footers.
+        for [_, loc, meta] in handles(4, 8) {
+            assert!(!loc.is_default());
+            assert_eq!(meta, loc);
+        }
     }
 
     #[test]

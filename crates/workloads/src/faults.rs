@@ -247,7 +247,12 @@ impl ChaosStorm {
     /// A pure availability brownout: heavy transient busy rejections
     /// with no data-affecting fault. Busys count as bad events in the
     /// health vote, so a deep brownout opens the breaker exactly like
-    /// media errors — and recloses without a single repair.
+    /// media errors — and recloses without a single repair. The clear
+    /// phase is the longest: an open shard's queue-pair clock advances
+    /// only by the host cost of its locked ops (lock-free DRAM hits
+    /// charge a side counter), so it must run long enough for the
+    /// capped probe backoff to expire on a shard whose last probe
+    /// failed as the brownout ended.
     pub fn busy_brownout() -> Self {
         ChaosStorm {
             name: "busy_brownout",
@@ -260,7 +265,7 @@ impl ChaosStorm {
                     weight: 3,
                     rates: FaultRates { busy_ppm: 600_000, ..Default::default() },
                 },
-                ChaosPhase { name: "clear", weight: 3, rates: FaultRates::default() },
+                ChaosPhase { name: "clear", weight: 5, rates: FaultRates::default() },
             ],
         }
     }

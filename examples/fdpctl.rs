@@ -1,7 +1,8 @@
 //! `fdpctl` — an `nvme-cli`-style diagnostic walk over the simulated
 //! device: identify the controller, read the FDP configuration and
-//! statistics log pages, attribute writes per reclaim unit handle, and
-//! drain the event log.
+//! statistics log pages, attribute writes per reclaim unit handle —
+//! for a cache's handles split by purpose, from the engines' own
+//! counters — and drain the event log.
 //!
 //! The paper's evaluation drives all of its measurements through
 //! exactly these interfaces ("We measure DLWA by using the nvme-cli tool
@@ -10,9 +11,13 @@
 //!
 //! Run with: `cargo run --release --example fdpctl`
 
-use fdpcache::cache::builder::{build_device, create_namespace, StoreKind};
+use fdpcache::cache::builder::{build_cache, build_device, create_namespace, StoreKind};
+use fdpcache::cache::value::Value;
+use fdpcache::cache::{CacheConfig, NvmConfig};
 use fdpcache::ftl::{FdpEvent, FtlConfig};
 use fdpcache::nand::Geometry;
+use fdpcache::placement::RoundRobinPolicy;
+use fdpcache::workloads::{Op, WorkloadProfile};
 
 fn main() {
     // A small FDP device: 1 GiB, 32 MiB reclaim units, 8 handles.
@@ -45,10 +50,10 @@ fn main() {
     }
 
     // -- generate some placed traffic ----------------------------------
-    // Namespace over 90% of the device with all 8 handles mapped; a hot
+    // Namespace over 80% of the device with all 8 handles mapped; a hot
     // random stream through handle 1 and a cold sequential stream
     // through handle 2 — CacheLib's SOC/LOC pattern in miniature.
-    let nsid = create_namespace(&ctrl, 0.9, (0..8).collect()).expect("namespace");
+    let nsid = create_namespace(&ctrl, 0.8, (0..8).collect()).expect("namespace");
     let blocks = ctrl.namespace(nsid).expect("ns exists").lba_count;
     let data = vec![0u8; 4096];
     let hot_span = blocks / 10;
@@ -66,6 +71,30 @@ fn main() {
             if cold >= blocks {
                 cold = hot_span;
             }
+        }
+    }
+
+    // -- a cache beside it ----------------------------------------------
+    // Half of what is left (the other half stays host overprovisioning).
+    // Handles 3, 4 and 5 become its SOC, LOC and LOC-footer streams; a
+    // KV-cache mix runs until the LOC has wrapped.
+    let cache_ns = create_namespace(&ctrl, 0.5, vec![3, 4, 5]).expect("cache namespace");
+    let cache_bytes = ctrl.namespace(cache_ns).expect("ns exists").capacity_bytes(4096);
+    let config = CacheConfig {
+        ram_bytes: cache_bytes / 20,
+        nvm: NvmConfig { region_bytes: 4 << 20, ..NvmConfig::default() },
+        ..CacheConfig::default()
+    };
+    let mut cache = build_cache(&ctrl, cache_ns, &config, Box::new(RoundRobinPolicy::new()))
+        .expect("cache fits the namespace");
+    let profile = WorkloadProfile::meta_kv_cache();
+    let mut gen = profile.generator(profile.keyspace_for(cache_bytes, 4.0), 42);
+    while cache.navy().io().stats().bytes_written < 3 * cache_bytes {
+        let req = gen.next_request();
+        match req.op {
+            Op::Get => drop(cache.get(req.key).expect("get")),
+            Op::Set => cache.put(req.key, Value::synthetic(req.size)).expect("put"),
+            Op::Delete => drop(cache.delete(req.key).expect("delete")),
         }
     }
 
@@ -94,6 +123,25 @@ fn main() {
                 d.ru_switches,
                 d.available_pages
             );
+        }
+    }
+
+    // -- who wrote what: the cache's handles by purpose ------------------
+    {
+        let usage = ctrl.ruh_usage_log();
+        let ns = ctrl.namespace(cache_ns).expect("ns exists");
+        let (soc, loc) = (cache.navy().soc(), cache.navy().loc());
+        let region_blocks = loc.region_bytes() as u64 / 4096;
+        let rows = [
+            ("soc buckets", soc.handle(), soc.stats().page_writes),
+            ("loc payload", loc.handle(), loc.stats().seals * region_blocks),
+            ("loc footers", loc.meta_handle(), loc.stats().footer_blocks_written),
+        ];
+        println!("\ncache on namespace {cache_ns} (engine counters vs the handle's host pages):");
+        for (purpose, handle, blocks) in rows {
+            let ruh = ns.resolve_pid(handle.dspec().expect("fdp handle")).expect("valid pid");
+            let pages = usage.descriptors[ruh as usize].host_pages_written;
+            println!("  ruh {ruh} : {purpose} {blocks:>8} blocks, {pages:>8} host pages");
         }
     }
 

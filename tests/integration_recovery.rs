@@ -4,10 +4,11 @@
 //! acknowledged-and-sealed writes, zero resurrected deletes, and
 //! bit-identical outcomes across same-seed reruns; the pool test adds
 //! invariance to the worker-thread count (per-shard fault schedules
-//! key on disjoint namespace LBA ranges).
+//! key on disjoint namespace LBA ranges); the sweep kills a short
+//! trace at *every* device command and once more after each recovery.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use fdpcache::cache::builder::{
     build_cache, build_device, build_device_faulted, create_namespace, recover_cache, StoreKind,
@@ -17,8 +18,11 @@ use fdpcache::cache::{
     CacheConfig, CacheStats, ConcurrentPool, GetOutcome, HybridCache, NvmConfig,
 };
 use fdpcache::ftl::FtlConfig;
-use fdpcache::nvme::{Controller, FaultConfig, FaultKind, NamespaceId, ScriptedFault};
-use fdpcache::placement::RoundRobinPolicy;
+use fdpcache::nvme::{
+    Controller, DataStore, FaultConfig, FaultKind, FaultOp, FaultStore, InjectedFault, MemStore,
+    NamespaceId, ScriptedFault,
+};
+use fdpcache::placement::{IoManager, RoundRobinPolicy};
 
 const BLOCK: u64 = 4096;
 
@@ -33,7 +37,7 @@ fn cache_config(ram_bytes: u64) -> CacheConfig {
 
 /// One deterministic scripted operation (no RNG: the trace is a pure
 /// function of the index, so reruns and worker partitions agree).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum ScriptOp {
     Put(u64, u32),
     Get(u64),
@@ -460,4 +464,328 @@ fn pool_crash_recovery_is_worker_count_invariant() {
     assert_eq!(single, rerun, "pool crash + recovery diverged across reruns");
     let two = run_pool_crash(2, ops, crash_lba);
     assert_eq!(single, two, "pool crash + recovery must not depend on the worker count");
+}
+
+// ---------------------------------------------------------------------
+// Exhaustive crash sweep: a kill at every device command of a short
+// trace, and a second kill during each post-recovery run.
+// ---------------------------------------------------------------------
+
+/// 512 KiB regions: two-block footer slots, 253 entries to a block.
+const SWEEP_REGION_BLOCKS: u64 = 128;
+
+/// Objects of 1 KiB and up go to the LOC, so one region can collect
+/// more entries than a footer block lists.
+fn sweep_config() -> CacheConfig {
+    CacheConfig {
+        ram_bytes: 1_000,
+        ram_item_overhead: 0,
+        nvm: NvmConfig {
+            soc_fraction: 0.1,
+            region_bytes: SWEEP_REGION_BLOCKS * BLOCK,
+            size_threshold: 1024,
+            ..NvmConfig::default()
+        },
+        use_fdp: true,
+    }
+}
+
+const SWEEP_OPS: u64 = 460;
+
+/// The sweep's trace: a small-object prelude (SOC pages persist before
+/// the first seal), 300 LOC objects of 1100 bytes that seal together
+/// under one two-block footer, then 120 KB objects that roll the LOC
+/// through every region and into eviction, interleaved with overwrites
+/// of sealed keys, deletes of sealed keys (from the long footer too),
+/// SOC traffic and reads of both engines.
+fn sweep_script(i: u64) -> ScriptOp {
+    const SMALL: u64 = 500_000;
+    match i {
+        0..=39 => ScriptOp::Put(SMALL + i % 24, 90),
+        40..=339 => ScriptOp::Put(1_000 + (i - 40), 1_100),
+        _ => {
+            let j = i - 340;
+            let big = 2_000 + j / 4;
+            match j % 12 {
+                0 | 4 | 8 => ScriptOp::Put(big, 120_000 + (j % 5) as u32 * 1_000),
+                // Overwrite a key sealed a couple of regions back.
+                1 => ScriptOp::Put(2_000 + (j / 4).saturating_sub(9), 130_000),
+                2 | 6 | 10 => ScriptOp::Put(SMALL + j % 24, 90),
+                // Delete out of the long footer, then out of a short one.
+                3 => ScriptOp::Delete(1_000 + j / 12),
+                7 => ScriptOp::Delete(2_000 + (j / 4).saturating_sub(5)),
+                5 => ScriptOp::Get(2_000 + (j / 4).saturating_sub(2)),
+                9 => ScriptOp::Get(1_150 + j / 12),
+                _ => ScriptOp::Get(SMALL + (j + 7) % 24),
+            }
+        }
+    }
+}
+
+/// The footer format through the whole stack: a region with more
+/// entries than one footer block lists seals under a two-block footer,
+/// deletes rewrite it shorter as its table shrinks, and recovery reads
+/// the one live block — not the stale second block behind it.
+#[test]
+fn long_footer_shrinks_with_deletes_and_recovers_whole() {
+    let ctrl = build_device(FtlConfig::tiny_test(), StoreKind::Mem, true).unwrap();
+    let nsid = create_namespace(&ctrl, 0.45, vec![0, 1, 2]).unwrap();
+    let config = sweep_config();
+    let mut cache = build_cache(&ctrl, nsid, &config, Box::new(RoundRobinPolicy::new())).unwrap();
+    for k in 1_000..1_300u64 {
+        cache.put(k, Value::synthetic(1_100)).unwrap();
+    }
+    cache.put(5_000, Value::synthetic(120_000)).unwrap();
+    cache.put(5_001, Value::synthetic(120_000)).unwrap(); // seals the region: 301 entries
+    let footer_blocks = |c: &HybridCache| c.navy().loc().stats().footer_blocks_written;
+    assert_eq!((cache.navy().loc().stats().seals, footer_blocks(&cache)), (1, 2));
+    // 301 → 253 entries: every rewrite but the last still needs two blocks.
+    for k in 1_000..1_048u64 {
+        let before = footer_blocks(&cache);
+        assert!(cache.delete(k).unwrap());
+        let expect = if k < 1_047 { 2 } else { 1 };
+        assert_eq!(footer_blocks(&cache) - before, expect, "delete {k}");
+    }
+    drop(cache); // the crash
+
+    ctrl.recover_ftl(None);
+    let mut cache = recover_retrying(&ctrl, nsid, &config);
+    let recovered: BTreeSet<u64> = cache.persisted_keys().into_iter().collect();
+    let expected: BTreeSet<u64> = (1_048..1_300).chain([5_000]).collect();
+    assert_eq!(recovered, expected);
+    for &k in &expected {
+        let (_, v) = cache.get(k).unwrap();
+        let v = v.unwrap_or_else(|| panic!("sealed key {k} lost"));
+        assert!(v.to_bytes(k) == Value::synthetic(v.len() as u32).to_bytes(k), "key {k} mangled");
+    }
+    for k in 1_000..1_048u64 {
+        assert_eq!(cache.get(k).unwrap().0, GetOutcome::Miss, "deleted key {k} resurrected");
+    }
+}
+
+fn key_of(op: ScriptOp) -> u64 {
+    match op {
+        ScriptOp::Put(k, _) | ScriptOp::Get(k) | ScriptOp::Delete(k) => k,
+    }
+}
+
+/// A [`FaultStore`] that also logs the start LBA of every command the
+/// controller gates — the coordinates scripted kills are keyed on.
+struct CommandLog {
+    inner: FaultStore,
+    starts: Arc<Mutex<Vec<u64>>>,
+}
+
+impl DataStore for CommandLog {
+    fn attach(&self, exported_lbas: u64, lba_bytes: u32) {
+        self.inner.attach(exported_lbas, lba_bytes);
+    }
+    fn write_block(&self, lba: u64, data: &[u8]) {
+        self.inner.write_block(lba, data);
+    }
+    fn read_block(&self, lba: u64, out: &mut [u8]) -> bool {
+        self.inner.read_block(lba, out)
+    }
+    fn discard(&self, lba: u64) {
+        self.inner.discard(lba);
+    }
+    fn retains_data(&self) -> bool {
+        self.inner.retains_data()
+    }
+    fn write_blocks(&self, lba: u64, data: &[u8], block_bytes: usize) {
+        self.inner.write_blocks(lba, data, block_bytes);
+    }
+    fn read_blocks(&self, lba: u64, out: &mut [u8], block_bytes: usize) {
+        self.inner.read_blocks(lba, out, block_bytes);
+    }
+    fn discard_blocks(&self, lba: u64, count: u64) {
+        self.inner.discard_blocks(lba, count);
+    }
+    fn fault(&self, op: FaultOp, lba: u64, nlb: u64) -> Option<InjectedFault> {
+        self.starts.lock().unwrap().push(lba);
+        self.inner.fault(op, lba, nlb)
+    }
+}
+
+/// The scripted kill that fires at command `index` of `log`: kills key
+/// on a command's start LBA and how many commands started there before.
+fn kill_at(log: &[u64], index: usize) -> ScriptedFault {
+    let lba = log[index];
+    let at_access = log[..index].iter().filter(|&&l| l == lba).count() as u64;
+    ScriptedFault { kind: FaultKind::Kill, lba, at_access, repeats: 1 }
+}
+
+/// Seal sequence in the first footer block of every region slot that
+/// holds a footer, read straight off the device.
+fn footer_seqs(ctrl: &Arc<Controller>, nsid: NamespaceId, cache: &HybridCache) -> Vec<(u32, u64)> {
+    let mut io = IoManager::new(ctrl.clone(), nsid, 1).unwrap();
+    let loc = cache.navy().loc();
+    let mut page = vec![0u8; BLOCK as usize];
+    (0..loc.num_regions())
+        .filter_map(|r| {
+            io.read(loc.meta_start_block(r), &mut page).ok()?;
+            (page[0..4] == 0x4C4F_434Du32.to_le_bytes())
+                .then(|| (r, u64::from_le_bytes(page[8..16].try_into().unwrap())))
+        })
+        .collect()
+}
+
+/// One crash of the sweep: everything after it is checked against the
+/// shadow of acknowledged operations.
+struct Crash {
+    /// Index of the op the kill interrupted.
+    op: u64,
+    /// Keys the engines held sealed when the kill fired.
+    persisted: BTreeSet<u64>,
+}
+
+/// Replays ops `from..` until the trace ends or a kill fires.
+fn replay(cache: &mut HybridCache, from: u64, shadow: &mut Shadow) -> Option<Crash> {
+    for i in from..SWEEP_OPS {
+        if !apply(cache, sweep_script(i), shadow) {
+            return Some(Crash { op: i, persisted: cache.persisted_keys().into_iter().collect() });
+        }
+    }
+    None
+}
+
+/// Recovers after `crash` and checks the sweep's invariants: nothing
+/// the engines held sealed is lost or mangled, no acknowledged delete
+/// comes back, and the device's own books balance. The interrupted
+/// op was never acknowledged, so its key may read either way.
+fn recover_and_check(
+    ctrl: &Arc<Controller>,
+    nsid: NamespaceId,
+    crash: &Crash,
+    shadow: &Shadow,
+    at: &str,
+) -> HybridCache {
+    ctrl.recover_ftl(None);
+    ctrl.with_ftl(|f| f.check_invariants());
+    let mut cache = recover_retrying(ctrl, nsid, &sweep_config());
+    cache.set_promote_on_nvm_hit(false);
+    let in_flight = sweep_script(crash.op);
+    for &k in &crash.persisted {
+        let (_, v) = cache.get(k).expect("verification read");
+        let v = v.unwrap_or_else(|| panic!("{at}: sealed key {k} lost"));
+        let len = v.len() as u32;
+        let acked = shadow.acked_sizes.get(&k).is_some_and(|s| s.contains(&len))
+            || in_flight == ScriptOp::Put(k, len);
+        assert!(acked, "{at}: key {k} recovered with a size ({len}) nobody wrote");
+        assert!(v.to_bytes(k) == Value::synthetic(len).to_bytes(k), "{at}: key {k} mangled");
+    }
+    for &k in shadow.deleted.iter().filter(|&&k| k != key_of(in_flight)) {
+        let (outcome, _) = cache.get(k).expect("resurrection probe");
+        assert_eq!(outcome, GetOutcome::Miss, "{at}: acknowledged delete of {k} resurrected");
+    }
+    cache.set_promote_on_nvm_hit(true);
+    cache
+}
+
+/// Footers written since `before` must carry sequences above everything
+/// that was on flash then, and no two slots may share one.
+fn assert_seal_chain_monotone(before: &[(u32, u64)], after: &[(u32, u64)], at: &str) {
+    let high_water = before.iter().map(|&(_, s)| s).max().unwrap_or(0);
+    for &(region, seq) in after {
+        if !before.contains(&(region, seq)) {
+            assert!(seq > high_water, "{at}: region {region} sealed under reissued sequence {seq}");
+        }
+    }
+    let distinct: BTreeSet<u64> = after.iter().map(|&(_, s)| s).collect();
+    assert_eq!(distinct.len(), after.len(), "{at}: two footers share a seal sequence");
+}
+
+/// What one armed run of the sweep's trace saw.
+struct SweepRun {
+    /// Start LBA of every device command, in issue order.
+    log: Vec<u64>,
+    /// How many kills fired.
+    crashes: usize,
+    /// Length of `log` when the trace resumed after the first recovery.
+    resumed_at: usize,
+}
+
+/// Builds the sweep's stack with `kills` armed and replays the whole
+/// trace, recovering and checking at every crash they cause.
+fn run_sweep(kills: Vec<ScriptedFault>, at: &str) -> SweepRun {
+    let starts = Arc::new(Mutex::new(Vec::new()));
+    let fault = FaultConfig { scripted: kills, ..Default::default() };
+    let store = CommandLog {
+        inner: FaultStore::new(Box::new(MemStore::new()), fault),
+        starts: Arc::clone(&starts),
+    };
+    let ctrl = Arc::new(Controller::new(FtlConfig::tiny_test(), Box::new(store)).unwrap());
+    ctrl.set_fdp_enabled(true);
+    // Four LOC regions, so the trace wraps the log; three handles:
+    // SOC, LOC and one left free for the footers.
+    let nsid = create_namespace(&ctrl, 0.45, vec![0, 1, 2]).unwrap();
+    let mut cache =
+        build_cache(&ctrl, nsid, &sweep_config(), Box::new(RoundRobinPolicy::new())).unwrap();
+    assert_ne!(cache.navy().loc().meta_handle(), cache.navy().loc().handle());
+
+    let mut shadow = Shadow::default();
+    let mut run = SweepRun { log: Vec::new(), crashes: 0, resumed_at: 0 };
+    let mut from = 0;
+    // Footers on flash when the last recovery finished.
+    let mut recovered_footers: Option<Vec<(u32, u64)>> = None;
+    loop {
+        let crash = replay(&mut cache, from, &mut shadow);
+        // Reads the checks themselves issue are no crash points.
+        run.log = starts.lock().unwrap().clone();
+        if let Some(before) = recovered_footers.take() {
+            assert_seal_chain_monotone(&before, &footer_seqs(&ctrl, nsid, &cache), at);
+        }
+        let Some(crash) = crash else { break };
+        run.crashes += 1;
+        let at =
+            format!("{at}: crash {} in op {} {:?}", run.crashes, crash.op, sweep_script(crash.op));
+        drop(cache);
+        cache = recover_and_check(&ctrl, nsid, &crash, &shadow, &at);
+        recovered_footers = Some(footer_seqs(&ctrl, nsid, &cache));
+        from = crash.op + 1;
+        if run.crashes == 1 {
+            run.resumed_at = starts.lock().unwrap().len();
+        }
+    }
+    cache.drain_io();
+    ctrl.with_ftl(|f| f.check_invariants());
+    if run.crashes == 0 {
+        // The trace does what the sweep is for: it wraps the LOC,
+        // deletes sealed keys and writes footers longer than a block.
+        let loc = cache.navy().loc().stats();
+        assert!(loc.seals >= 8 && loc.region_evictions >= 4 && loc.removes >= 8, "{loc:?}");
+        assert!(loc.footer_blocks_written > loc.seals + loc.footer_rewrites, "{loc:?}");
+    }
+    run
+}
+
+/// ROADMAP 1(c): a `Kill` at every device command index of the trace;
+/// recover; kill once more somewhere in the post-recovery run; recover
+/// again; finish the trace. At every crash: zero lost
+/// acknowledged-and-sealed writes, zero resurrected deletes, a monotone
+/// seal-sequence chain and `Ftl::check_invariants`.
+#[test]
+fn crash_sweep_at_every_device_command_loses_nothing() {
+    let twin = run_sweep(Vec::new(), "fault-free twin");
+    assert_eq!(twin.crashes, 0);
+    assert!(twin.log.len() >= 150, "{} commands is no sweep", twin.log.len());
+    let mut second_kills = 0;
+    for index in 0..twin.log.len() {
+        let first = kill_at(&twin.log, index);
+        let at = format!("kill at command {index}");
+        // Pass one arms the single kill; its log names the commands of
+        // the post-recovery run, one of which pass two kills as well.
+        let once = run_sweep(vec![first], &at);
+        assert_eq!(once.crashes, 1, "{at}: kill never fired");
+        let resumed = once.log.len() - once.resumed_at;
+        if resumed == 0 {
+            continue; // the trace's last command: nothing left to kill
+        }
+        let second = kill_at(&once.log, once.resumed_at + (index * 7) % resumed);
+        let at = format!("{at} and again at lba {} access {}", second.lba, second.at_access);
+        let twice = run_sweep(vec![first, second], &at);
+        assert_eq!(twice.crashes, 2, "{at}: second kill never fired");
+        second_kills += 1;
+    }
+    assert!(second_kills >= twin.log.len() - 2);
 }
