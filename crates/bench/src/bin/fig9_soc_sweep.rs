@@ -26,7 +26,7 @@ fn main() {
     base.utilization = 1.0;
     base.gc_policy = gc_policy;
     // Large-SOC points need a working set big enough to churn the whole
-    // bucket space, like the paper's 5-day traces (see EXPERIMENTS.md).
+    // bucket space, like the paper's 5-day traces.
     base.keyspace_multiple = 16.0;
     let base = if cli.quick { base.quick() } else { base };
     let socs: Vec<f64> = if cli.quick {

@@ -13,8 +13,7 @@
 //!    per-shard virtual clocks with identical cache counters, injection
 //!    totals and breaker transition traces.
 //! 2. **Topology invariance** — the same storm replayed across worker
-//!    counts 1/4/8 and both service modes (inline and completion
-//!    reactor) produces identical per-shard clocks, counters and
+//!    counts 1/4/8 produces identical per-shard clocks, counters and
 //!    breaker traces: the breaker opens and re-closes at the *same
 //!    virtual times* no matter how the work is scheduled. This is the
 //!    partitioned-pool invariant — shard `s` belongs to worker
@@ -38,12 +37,13 @@ use fdpcache_cache::{
     BreakerState, BreakerTransition, CacheConfig, CacheError, CacheStats, ConcurrentPool,
     FlashVerify, NvmConfig,
 };
-use fdpcache_core::{RoundRobinPolicy, ServiceMode};
+use fdpcache_core::RoundRobinPolicy;
 use fdpcache_nvme::{FaultConfig, FaultKind, FaultTotals, ScriptedFault};
 use fdpcache_workloads::trace::Op;
 use fdpcache_workloads::{ChaosStorm, TraceGen, WorkloadProfile};
 
 use crate::throughput::bench_ftl_config;
+use crate::turn_ring::TurnRing;
 
 /// Configuration of one chaos-gate replay.
 #[derive(Debug, Clone)]
@@ -127,12 +127,10 @@ pub struct ShardBreakerTrace {
 pub struct ChaosRunResult {
     /// Storm name.
     pub storm: String,
-    /// Service-mode label (`inline` / `reactor`).
-    pub service: String,
     /// Worker threads driving the partitioned streams.
     pub workers: usize,
     /// Final per-shard virtual clocks (ns), pre-verification —
-    /// bit-identical across reruns, worker counts and service modes.
+    /// bit-identical across reruns and worker counts.
     pub shard_now_ns: Vec<u64>,
     /// Pool-wide cache counters at the end of the replay
     /// (pre-verification).
@@ -201,50 +199,36 @@ impl ChaosRunResult {
 /// fixed for the whole replay, so each key's full history lives in
 /// exactly one worker's delta.
 ///
-/// Unlike the free-running wallclock drivers, execution follows a
-/// **deterministic turn ring**: each stream position is executed by
-/// its owning worker only once every earlier position has completed,
-/// so the shared device sees commands in exact stream order for *any*
-/// worker count. Free-running partitioned drivers keep per-shard
-/// *counters* invariant but not the per-shard clock frontier — the
-/// shared FTL charges GC and reclaim-unit switches to whichever
-/// shard's command trips them, which depends on thread interleaving
-/// (see `run_wallclock_pool`). The chaos gate pins breaker transitions
-/// to exact virtual times across reruns, worker counts and service
-/// modes, so it schedules deterministically and measures no wall-clock
-/// scaling.
+/// Unlike the free-running replay drivers, execution follows a
+/// **deterministic turn ring** ([`TurnRing`]): each stream position is
+/// executed by its owning worker only once every earlier position has
+/// completed, so the shared device sees commands in exact stream order
+/// for *any* worker count. Free-running partitioned drivers
+/// (`fdpcache_workloads::replay_pool`) keep per-shard *counters*
+/// invariant but not the per-shard clock frontier — the shared FTL
+/// charges GC and reclaim-unit switches to whichever shard's command
+/// trips them, which depends on thread interleaving. The chaos gate
+/// pins breaker transitions to exact virtual times across reruns and
+/// worker counts, so it schedules deterministically and measures no
+/// wall-clock scaling.
 fn chaos_round(
     pool: &ConcurrentPool,
     sources: &mut [TraceGen],
     ops_per_stream: u64,
 ) -> (Vec<BTreeMap<u64, Option<u32>>>, u64) {
-    /// Ring sentinel a panicking worker publishes so waiting owners
-    /// bail out instead of spinning forever on a turn that can never
-    /// come; the scope join then propagates the original panic.
-    const POISON: u64 = u64::MAX;
-    /// Publishes [`POISON`] if its worker unwinds mid-ring.
-    struct PoisonOnPanic<'a>(&'a std::sync::atomic::AtomicU64);
-    impl Drop for PoisonOnPanic<'_> {
-        fn drop(&mut self) {
-            if std::thread::panicking() {
-                self.0.store(POISON, std::sync::atomic::Ordering::Release);
-            }
-        }
-    }
-
     let workers = sources.len();
-    let turn = std::sync::atomic::AtomicU64::new(0);
+    let ring = TurnRing::new();
     std::thread::scope(|scope| {
         let handles: Vec<_> = sources
             .iter_mut()
             .enumerate()
             .map(|(widx, source)| {
-                let turn = &turn;
+                let ring = &ring;
                 scope.spawn(move || {
-                    let _poison = PoisonOnPanic(turn);
+                    let _poison = ring.poison_on_panic();
                     let mut delta: BTreeMap<u64, Option<u32>> = BTreeMap::new();
                     let mut surfaced = 0u64;
-                    'stream: for pos in 0..ops_per_stream {
+                    for pos in 0..ops_per_stream {
                         let req = source.next_request();
                         if pool.shard_of(req.key) % workers != widx {
                             continue;
@@ -252,20 +236,8 @@ fn chaos_round(
                         // Our position in the global order: wait for
                         // every earlier position (each owned by exactly
                         // one worker) to complete.
-                        let mut spins = 0u32;
-                        loop {
-                            match turn.load(std::sync::atomic::Ordering::Acquire) {
-                                t if t == pos => break,
-                                POISON => break 'stream,
-                                _ => {
-                                    spins += 1;
-                                    if spins > 1_000 {
-                                        std::thread::yield_now();
-                                    } else {
-                                        std::hint::spin_loop();
-                                    }
-                                }
-                            }
+                        if !ring.wait_for(pos) {
+                            break;
                         }
                         // `Unrecoverable` is a legal storm casualty, not a
                         // harness bug: under a sustained error storm a
@@ -309,7 +281,7 @@ fn chaos_round(
                                 Err(e) => panic!("delete({}) failed non-fault: {e}", req.key),
                             },
                         }
-                        turn.store(pos + 1, std::sync::atomic::Ordering::Release);
+                        ring.done(pos);
                     }
                     (delta, surfaced)
                 })
@@ -363,8 +335,8 @@ fn verify_pool(pool: &ConcurrentPool, shadow: &BTreeMap<u64, Option<u32>>, r: &m
 }
 
 /// Replays one storm against a fresh pool with `workers` partitioned
-/// streams under `service`, scrubbing on the configured cadence, and
-/// verifies every acknowledged write.
+/// streams, scrubbing on the configured cadence, and verifies every
+/// acknowledged write.
 ///
 /// # Panics
 ///
@@ -374,7 +346,6 @@ pub fn run_chaos_storm(
     cfg: &ChaosGateConfig,
     storm: &ChaosStorm,
     workers: usize,
-    service: ServiceMode,
 ) -> ChaosRunResult {
     let ctrl = build_device_faulted(
         bench_ftl_config(cfg.device_mib, cfg.ru_mib, cfg.seed),
@@ -387,7 +358,6 @@ pub fn run_chaos_storm(
         Box::new(RoundRobinPolicy::new())
     })
     .expect("pool");
-    pool.set_service_mode(service);
     pool.set_breaker_backoff(cfg.probe_backoff_ns, cfg.max_probe_backoff_ns);
 
     // Every worker gets an identical stream: same profile, same seed.
@@ -444,7 +414,6 @@ pub fn run_chaos_storm(
     let acked = shadow.values().filter(|e| e.is_some()).count() as u64;
     let mut r = ChaosRunResult {
         storm: storm.name.to_string(),
-        service: service.label().to_string(),
         workers: workers.max(1),
         shard_now_ns,
         stats: pool.stats(),
@@ -632,11 +601,11 @@ pub fn run_scrub_precedence(cfg: &ChaosGateConfig) -> ScrubPrecedenceResult {
 /// The full chaos sweep the gate evaluates.
 #[derive(Debug, Clone)]
 pub struct ChaosSweep {
-    /// Every built-in storm run twice (2 workers, inline) for the
-    /// determinism comparison.
+    /// Every built-in storm run twice (2 workers) for the determinism
+    /// comparison.
     pub storms: Vec<ChaosSweepEntry>,
-    /// `storm_recover` replayed across worker counts 1/4/8 × service
-    /// modes inline/reactor — all six must match bit-for-bit.
+    /// `storm_recover` replayed across worker counts 1/4/8 — all three
+    /// must match bit-for-bit.
     pub topology: Vec<ChaosRunResult>,
     /// The scrub-precedence scenario.
     pub precedence: ScrubPrecedenceResult,
@@ -651,17 +620,12 @@ pub fn sweep_chaos(cfg: &ChaosGateConfig) -> ChaosSweep {
     let storms = ChaosStorm::all_builtin()
         .iter()
         .map(|s| ChaosSweepEntry {
-            first: run_chaos_storm(cfg, s, 2, ServiceMode::Inline),
-            rerun: run_chaos_storm(cfg, s, 2, ServiceMode::Inline),
+            first: run_chaos_storm(cfg, s, 2),
+            rerun: run_chaos_storm(cfg, s, 2),
         })
         .collect();
     let storm = ChaosStorm::storm_recover();
-    let mut topology = Vec::new();
-    for &workers in &TOPOLOGY_WORKERS {
-        for mode in [ServiceMode::Inline, ServiceMode::Reactor { workers: 2 }] {
-            topology.push(run_chaos_storm(cfg, &storm, workers, mode));
-        }
-    }
+    let topology = TOPOLOGY_WORKERS.iter().map(|&w| run_chaos_storm(cfg, &storm, w)).collect();
     ChaosSweep { storms, topology, precedence: run_scrub_precedence(cfg) }
 }
 
@@ -677,26 +641,24 @@ mod tests {
     fn storm_replay_is_deterministic_and_loses_nothing() {
         let cfg = quick();
         let storm = ChaosStorm::storm_recover();
-        let a = run_chaos_storm(&cfg, &storm, 2, ServiceMode::Inline);
-        let b = run_chaos_storm(&cfg, &storm, 2, ServiceMode::Inline);
+        let a = run_chaos_storm(&cfg, &storm, 2);
+        let b = run_chaos_storm(&cfg, &storm, 2);
         assert!(a.matches(&b), "storm replay diverged:\n{a:?}\n{b:?}");
         assert!(a.injected.total() > 0, "storm injected nothing");
         assert_eq!(a.lost, 0, "lost acknowledged writes");
     }
 
     #[test]
-    fn breaker_traces_are_invariant_across_workers_and_modes() {
+    fn breaker_traces_are_invariant_across_workers() {
         let cfg = quick();
         let storm = ChaosStorm::storm_recover();
-        let base = run_chaos_storm(&cfg, &storm, 1, ServiceMode::Inline);
-        for (workers, mode) in [(4, ServiceMode::Inline), (1, ServiceMode::Reactor { workers: 2 })]
-        {
-            let other = run_chaos_storm(&cfg, &storm, workers, mode);
+        let base = run_chaos_storm(&cfg, &storm, 1);
+        for workers in [4, 8] {
+            let other = run_chaos_storm(&cfg, &storm, workers);
             assert!(
                 base.matches(&other),
-                "topology {}w/{} diverged from 1w/inline:\nbase {:?} {:?}\nother {:?} {:?}",
+                "topology {}w diverged from 1w:\nbase {:?} {:?}\nother {:?} {:?}",
                 workers,
-                mode.label(),
                 base.shard_now_ns,
                 base.breakers,
                 other.shard_now_ns,

@@ -52,6 +52,7 @@ use fdpcache_workloads::{
 };
 
 use crate::throughput::bench_ftl_config;
+use crate::turn_ring::TurnRing;
 
 /// Tenants in the open-loop scenario: two isolated, one aggressor, one
 /// admission-budgeted.
@@ -309,7 +310,7 @@ impl TenantTrack {
 }
 
 /// Executes one schedule segment on the chaos gate's deterministic
-/// turn ring: each position is executed by the worker owning its
+/// [`TurnRing`]: each position is executed by the worker owning its
 /// tenant (`tenant % workers`) only after every earlier position
 /// completed, so the shared device sees the merged arrival order
 /// exactly — for any worker count. Shed arrivals still take their
@@ -321,48 +322,26 @@ fn fleet_round(
     burst: &BurstWindow,
     tracks: &[Mutex<TenantTrack>],
 ) {
-    const POISON: u64 = u64::MAX;
-    struct PoisonOnPanic<'a>(&'a std::sync::atomic::AtomicU64);
-    impl Drop for PoisonOnPanic<'_> {
-        fn drop(&mut self) {
-            if std::thread::panicking() {
-                self.0.store(POISON, std::sync::atomic::Ordering::Release);
-            }
-        }
-    }
-
-    let turn = std::sync::atomic::AtomicU64::new(0);
+    let ring = TurnRing::new();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|widx| {
-                let turn = &turn;
+                let ring = &ring;
                 scope.spawn(move || {
-                    let _poison = PoisonOnPanic(turn);
-                    'stream: for (pos, e) in sched.iter().enumerate() {
+                    let _poison = ring.poison_on_panic();
+                    for (pos, e) in (0u64..).zip(sched) {
                         if e.tenant % workers != widx {
                             continue;
                         }
-                        let mut spins = 0u32;
-                        loop {
-                            match turn.load(std::sync::atomic::Ordering::Acquire) {
-                                t if t == pos as u64 => break,
-                                POISON => break 'stream,
-                                _ => {
-                                    spins += 1;
-                                    if spins > 1_000 {
-                                        std::thread::yield_now();
-                                    } else {
-                                        std::hint::spin_loop();
-                                    }
-                                }
-                            }
+                        if !ring.wait_for(pos) {
+                            break;
                         }
                         let phase = phase_of(burst, e.arrival_ns) as usize;
                         let mut track = tracks[e.tenant].lock().unwrap_or_else(|p| p.into_inner());
                         if !e.admitted {
                             track.tracker.record_shed();
                             track.sheds[phase] += 1;
-                            turn.store(pos as u64 + 1, std::sync::atomic::Ordering::Release);
+                            ring.done(pos);
                             continue;
                         }
                         // Service time = the tenant shard's virtual-clock
@@ -395,7 +374,7 @@ fn fleet_round(
                         let sojourn = track.tracker.observe(e.arrival_ns, service_ns);
                         track.hists[phase].record(sojourn.max(1));
                         drop(track);
-                        turn.store(pos as u64 + 1, std::sync::atomic::Ordering::Release);
+                        ring.done(pos);
                     }
                 })
             })

@@ -322,64 +322,6 @@ pub struct QdTrajectoryPoint {
     pub speedup: f64,
 }
 
-/// One `(profile, store) → real ops/s` point of a `bench_wallclock`
-/// trajectory.
-#[derive(Debug, Clone, Serialize)]
-pub struct WallclockTrajectoryPoint {
-    /// Workload profile label (`read_heavy`, `write_heavy`,
-    /// `loc_seal_heavy`).
-    pub profile: String,
-    /// Payload store label (`slab` or `hashmap`).
-    pub store: String,
-    /// Operations replayed.
-    pub ops: u64,
-    /// Wall-clock seconds for the run.
-    pub wall_secs: f64,
-    /// Thousands of ops per wall-clock second.
-    pub kops: f64,
-    /// Device payload bytes moved (written + read).
-    pub bytes_moved: u64,
-    /// Payload bandwidth in MiB per wall-clock second.
-    pub mib_per_sec: f64,
-    /// Wall-clock speedup vs the hash-map reference on the same
-    /// profile (1.0 on reference rows).
-    pub speedup_vs_ref: f64,
-}
-
-/// One point of a `bench_wallclock` reactor sweep: a `(service mode,
-/// queue depth, drivers, workers)` pool topology → real ops/s.
-#[derive(Debug, Clone, Serialize)]
-pub struct PoolWallclockTrajectoryPoint {
-    /// Workload profile label.
-    pub profile: String,
-    /// Service-mode label (`inline` / `reactor`).
-    pub service: String,
-    /// Device queue depth per shard.
-    pub queue_depth: usize,
-    /// Real driver threads partitioning the trace.
-    pub drivers: usize,
-    /// Reactor workers (0 on inline rows).
-    pub workers: usize,
-    /// Pool shards.
-    pub shards: usize,
-    /// Operations replayed.
-    pub ops: u64,
-    /// Wall-clock seconds for the run.
-    pub wall_secs: f64,
-    /// Thousands of ops per wall-clock second.
-    pub kops: f64,
-    /// Device payload bytes moved (written + read).
-    pub bytes_moved: u64,
-    /// Payload bandwidth in MiB per wall-clock second.
-    pub mib_per_sec: f64,
-    /// Final virtual clock frontier (ns) — identical across service
-    /// modes on single-driver rows.
-    pub now_ns: u64,
-    /// Wall-clock speedup vs the inline QD-1 single-driver row of the
-    /// same profile (1.0 on that baseline row).
-    pub speedup_vs_inline_qd1: f64,
-}
-
 /// One point of a `--read` contended-read trajectory.
 #[derive(Debug, Clone, Serialize)]
 pub struct ReadTrajectoryPoint {
@@ -466,19 +408,17 @@ pub struct RecoveryTrajectoryPoint {
 
 /// One chaos-storm row of a `bench_chaos` trajectory: storm-gate rows
 /// (first run of each determinism pair) followed by the
-/// topology-invariance rows (same storm across worker counts and
-/// service modes). Breaker transition traces are compared in-process;
-/// the record keeps the flattened evidence.
+/// topology-invariance rows (same storm across worker counts).
+/// Breaker transition traces are compared in-process; the record keeps
+/// the flattened evidence.
 #[derive(Debug, Clone, Serialize)]
 pub struct ChaosTrajectoryPoint {
     /// Storm name (`storm_recover`, `busy_brownout`, ...).
     pub storm: String,
-    /// Service-mode label (`inline` / `reactor`).
-    pub service: String,
     /// Worker threads driving the partitioned streams.
     pub workers: usize,
     /// Largest per-shard virtual clock frontier (ns) — bit-identical
-    /// across reruns, worker counts and service modes.
+    /// across reruns and worker counts.
     pub now_ns: u64,
     /// Faults injected by the device's plan.
     pub injected: u64,
@@ -567,15 +507,15 @@ pub struct FleetFailoverTrajectoryPoint {
     pub deterministic: bool,
 }
 
-/// The `BENCH_throughput.json` / `BENCH_wallclock.json` /
-/// `BENCH_faults.json` / `BENCH_recovery.json` / `BENCH_chaos.json`
+/// The `BENCH_throughput.json` / `BENCH_faults.json` /
+/// `BENCH_recovery.json` / `BENCH_chaos.json` / `BENCH_fleet.json`
 /// record the benchmark binaries emit with `--json <path>`: enough
 /// context to compare trajectories across PRs.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct TrajectoryRecord {
     /// Which benchmark produced the record (`device`, `fullstack`,
-    /// `device-qd` for the queue-depth sweep, `wallclock` for the
-    /// real-time data-path sweep, or `faults` for the fault gate).
+    /// `device-qd` for the queue-depth sweep, `fullstack-read`,
+    /// `faults`, `recovery`, `chaos` or `fleet`).
     pub bench: String,
     /// Device capacity in MiB.
     pub device_mib: u64,
@@ -585,18 +525,12 @@ pub struct TrajectoryRecord {
     pub trials: u64,
     /// Host cores visible to the run (scaling is bounded by these).
     pub host_cores: usize,
-    /// Worker sweep points in worker order (empty for `--qd` and
-    /// wallclock records).
+    /// Worker sweep points in worker order (empty unless produced by
+    /// a worker sweep).
     pub points: Vec<TrajectoryPoint>,
     /// Queue-depth sweep points in depth order (empty unless the run
     /// used `--qd`).
     pub qd_points: Vec<QdTrajectoryPoint>,
-    /// Wall-clock data-path points, slab and reference rows per
-    /// profile (empty unless produced by `bench_wallclock`).
-    pub wallclock_points: Vec<WallclockTrajectoryPoint>,
-    /// Reactor-sweep pool points, five service topologies per profile
-    /// (empty unless produced by `bench_wallclock`).
-    pub wallclock_pool_points: Vec<PoolWallclockTrajectoryPoint>,
     /// Fault-scenario points in gate order (empty unless produced by
     /// `bench_faults`).
     pub fault_points: Vec<FaultTrajectoryPoint>,
@@ -622,6 +556,19 @@ pub struct TrajectoryRecord {
 }
 
 impl TrajectoryRecord {
+    /// The scalar context every record carries; the point vectors are
+    /// left empty for the constructor to fill in.
+    fn header(bench: &str, device_mib: u64, ops_per_worker: u64, trials: u64) -> Self {
+        TrajectoryRecord {
+            bench: bench.to_string(),
+            device_mib,
+            ops_per_worker,
+            trials,
+            host_cores: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+            ..Default::default()
+        }
+    }
+
     /// Builds a record from a sweep's results (first point = baseline).
     pub fn new(
         bench: &str,
@@ -632,11 +579,6 @@ impl TrajectoryRecord {
     ) -> Self {
         let base = results.first().map(|r| r.kops).unwrap_or(1.0).max(1e-9);
         TrajectoryRecord {
-            bench: bench.to_string(),
-            device_mib,
-            ops_per_worker,
-            trials,
-            host_cores: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
             points: results
                 .iter()
                 .map(|r| TrajectoryPoint {
@@ -647,16 +589,7 @@ impl TrajectoryRecord {
                     speedup: r.kops / base,
                 })
                 .collect(),
-            qd_points: Vec::new(),
-            wallclock_points: Vec::new(),
-            wallclock_pool_points: Vec::new(),
-            fault_points: Vec::new(),
-            read_points: Vec::new(),
-            recovery_points: Vec::new(),
-            chaos_points: Vec::new(),
-            chaos_precedence: None,
-            fleet_tenant_points: Vec::new(),
-            fleet_failover_points: Vec::new(),
+            ..Self::header(bench, device_mib, ops_per_worker, trials)
         }
     }
 
@@ -669,12 +602,6 @@ impl TrajectoryRecord {
     ) -> Self {
         let base = results.first().map(|r| r.vkops).unwrap_or(1.0).max(1e-9);
         TrajectoryRecord {
-            bench: "device-qd".to_string(),
-            device_mib,
-            ops_per_worker,
-            trials: 1,
-            host_cores: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            points: Vec::new(),
             qd_points: results
                 .iter()
                 .map(|r| QdTrajectoryPoint {
@@ -686,81 +613,7 @@ impl TrajectoryRecord {
                     speedup: r.vkops / base,
                 })
                 .collect(),
-            wallclock_points: Vec::new(),
-            wallclock_pool_points: Vec::new(),
-            fault_points: Vec::new(),
-            read_points: Vec::new(),
-            recovery_points: Vec::new(),
-            chaos_points: Vec::new(),
-            chaos_precedence: None,
-            fleet_tenant_points: Vec::new(),
-            fleet_failover_points: Vec::new(),
-        }
-    }
-
-    /// Builds a `wallclock` record from the slab-vs-reference sweep
-    /// (two rows per profile, the slab row carrying its speedup over
-    /// the reference) and the reactor sweep (five service-topology
-    /// rows per profile, each carrying its speedup over the inline
-    /// QD-1 baseline).
-    pub fn new_wallclock(
-        device_mib: u64,
-        ops: u64,
-        trials: u64,
-        comparisons: &[crate::wallclock::WallclockComparison],
-        pool_sweeps: &[crate::wallclock::PoolProfileSweep],
-    ) -> Self {
-        let point =
-            |r: &crate::wallclock::WallclockResult, speedup: f64| WallclockTrajectoryPoint {
-                profile: r.profile.clone(),
-                store: r.store.clone(),
-                ops: r.ops,
-                wall_secs: r.wall_secs,
-                kops: r.kops,
-                bytes_moved: r.bytes_moved,
-                mib_per_sec: r.mib_per_sec,
-                speedup_vs_ref: speedup,
-            };
-        TrajectoryRecord {
-            bench: "wallclock".to_string(),
-            device_mib,
-            ops_per_worker: ops,
-            trials,
-            host_cores: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            points: Vec::new(),
-            qd_points: Vec::new(),
-            wallclock_points: comparisons
-                .iter()
-                .flat_map(|c| [point(&c.slab, c.speedup()), point(&c.hash_ref, 1.0)])
-                .collect(),
-            wallclock_pool_points: pool_sweeps
-                .iter()
-                .flat_map(|s| {
-                    let base = s.baseline().kops.max(1e-9);
-                    s.points.iter().map(move |p| PoolWallclockTrajectoryPoint {
-                        profile: p.profile.clone(),
-                        service: p.mode.clone(),
-                        queue_depth: p.queue_depth,
-                        drivers: p.drivers,
-                        workers: p.workers,
-                        shards: p.shards,
-                        ops: p.ops,
-                        wall_secs: p.wall_secs,
-                        kops: p.kops,
-                        bytes_moved: p.bytes_moved,
-                        mib_per_sec: p.mib_per_sec,
-                        now_ns: p.now_ns,
-                        speedup_vs_inline_qd1: p.kops / base,
-                    })
-                })
-                .collect(),
-            fault_points: Vec::new(),
-            read_points: Vec::new(),
-            recovery_points: Vec::new(),
-            chaos_points: Vec::new(),
-            chaos_precedence: None,
-            fleet_tenant_points: Vec::new(),
-            fleet_failover_points: Vec::new(),
+            ..Self::header("device-qd", device_mib, ops_per_worker, 1)
         }
     }
 
@@ -772,15 +625,6 @@ impl TrajectoryRecord {
         entries: &[crate::faults::FaultSweepEntry],
     ) -> Self {
         TrajectoryRecord {
-            bench: "faults".to_string(),
-            device_mib,
-            ops_per_worker: ops,
-            trials: 2,
-            host_cores: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            points: Vec::new(),
-            qd_points: Vec::new(),
-            wallclock_points: Vec::new(),
-            wallclock_pool_points: Vec::new(),
             fault_points: entries
                 .iter()
                 .map(|e| FaultTrajectoryPoint {
@@ -798,12 +642,7 @@ impl TrajectoryRecord {
                     deterministic: e.deterministic(),
                 })
                 .collect(),
-            read_points: Vec::new(),
-            recovery_points: Vec::new(),
-            chaos_points: Vec::new(),
-            chaos_precedence: None,
-            fleet_tenant_points: Vec::new(),
-            fleet_failover_points: Vec::new(),
+            ..Self::header("faults", device_mib, ops, 2)
         }
     }
 
@@ -824,16 +663,6 @@ impl TrajectoryRecord {
             .unwrap_or(1.0)
             .max(1e-9);
         TrajectoryRecord {
-            bench: "fullstack-read".to_string(),
-            device_mib,
-            ops_per_worker,
-            trials,
-            host_cores: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            points: Vec::new(),
-            qd_points: Vec::new(),
-            wallclock_points: Vec::new(),
-            wallclock_pool_points: Vec::new(),
-            fault_points: Vec::new(),
             read_points: results
                 .iter()
                 .map(|r| ReadTrajectoryPoint {
@@ -846,11 +675,7 @@ impl TrajectoryRecord {
                     speedup: r.kops / base,
                 })
                 .collect(),
-            recovery_points: Vec::new(),
-            chaos_points: Vec::new(),
-            chaos_precedence: None,
-            fleet_tenant_points: Vec::new(),
-            fleet_failover_points: Vec::new(),
+            ..Self::header("fullstack-read", device_mib, ops_per_worker, trials)
         }
     }
 
@@ -862,17 +687,6 @@ impl TrajectoryRecord {
         entries: &[crate::recovery::RecoverySweepEntry],
     ) -> Self {
         TrajectoryRecord {
-            bench: "recovery".to_string(),
-            device_mib,
-            ops_per_worker: ops,
-            trials: 2,
-            host_cores: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            points: Vec::new(),
-            qd_points: Vec::new(),
-            wallclock_points: Vec::new(),
-            wallclock_pool_points: Vec::new(),
-            fault_points: Vec::new(),
-            read_points: Vec::new(),
             recovery_points: entries
                 .iter()
                 .map(|e| RecoveryTrajectoryPoint {
@@ -892,10 +706,7 @@ impl TrajectoryRecord {
                     deterministic: e.deterministic(),
                 })
                 .collect(),
-            chaos_points: Vec::new(),
-            chaos_precedence: None,
-            fleet_tenant_points: Vec::new(),
-            fleet_failover_points: Vec::new(),
+            ..Self::header("recovery", device_mib, ops, 2)
         }
     }
 
@@ -905,7 +716,6 @@ impl TrajectoryRecord {
     pub fn new_chaos(device_mib: u64, ops: u64, sweep: &crate::chaos::ChaosSweep) -> Self {
         let point = |r: &crate::chaos::ChaosRunResult, deterministic: bool| ChaosTrajectoryPoint {
             storm: r.storm.clone(),
-            service: r.service.clone(),
             workers: r.workers,
             now_ns: r.shard_now_ns.iter().copied().max().unwrap_or(0),
             injected: r.injected.total(),
@@ -932,22 +742,9 @@ impl TrajectoryRecord {
                 .map(|r| point(r, baseline.map(|b| b.matches(r)).unwrap_or(false))),
         );
         TrajectoryRecord {
-            bench: "chaos".to_string(),
-            device_mib,
-            ops_per_worker: ops,
-            trials: 2,
-            host_cores: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            points: Vec::new(),
-            qd_points: Vec::new(),
-            wallclock_points: Vec::new(),
-            wallclock_pool_points: Vec::new(),
-            fault_points: Vec::new(),
-            read_points: Vec::new(),
-            recovery_points: Vec::new(),
             chaos_points,
             chaos_precedence: Some(sweep.precedence.clone()),
-            fleet_tenant_points: Vec::new(),
-            fleet_failover_points: Vec::new(),
+            ..Self::header("chaos", device_mib, ops, 2)
         }
     }
 
@@ -990,22 +787,14 @@ impl TrajectoryRecord {
             deterministic: f.matches(&sweep.failover_rerun),
         }];
         TrajectoryRecord {
-            bench: "fleet".to_string(),
-            device_mib,
-            ops_per_worker: base.summaries.iter().map(|s| s.admitted + s.shed).sum(),
-            trials: 2,
-            host_cores: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            points: Vec::new(),
-            qd_points: Vec::new(),
-            wallclock_points: Vec::new(),
-            wallclock_pool_points: Vec::new(),
-            fault_points: Vec::new(),
-            read_points: Vec::new(),
-            recovery_points: Vec::new(),
-            chaos_points: Vec::new(),
-            chaos_precedence: None,
             fleet_tenant_points,
             fleet_failover_points,
+            ..Self::header(
+                "fleet",
+                device_mib,
+                base.summaries.iter().map(|s| s.admitted + s.shed).sum(),
+                2,
+            )
         }
     }
 

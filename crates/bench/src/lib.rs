@@ -4,6 +4,7 @@
 //! figure/table (see DESIGN.md §4 for the index). The binaries print the
 //! same rows/series the paper reports and emit CSV for re-plotting.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 pub mod chaos;
 pub mod cli;
@@ -13,7 +14,7 @@ pub mod fullstack;
 pub mod harness;
 pub mod recovery;
 pub mod throughput;
-pub mod wallclock;
+mod turn_ring;
 
 pub use chaos::{
     run_chaos_storm, run_scrub_precedence, sweep_chaos, ChaosGateConfig, ChaosRunResult,
@@ -32,9 +33,9 @@ pub use fleet::{
 pub use fullstack::{
     emit_trajectory, run_fullstack, run_read_contended, sweep_fullstack, sweep_read,
     ChaosTrajectoryPoint, FaultTrajectoryPoint, FleetFailoverTrajectoryPoint,
-    FleetTenantTrajectoryPoint, FullstackConfig, PoolWallclockTrajectoryPoint, QdTrajectoryPoint,
-    ReadScalingConfig, ReadScalingResult, ReadTrajectoryPoint, RecoveryTrajectoryPoint,
-    TrajectoryPoint, TrajectoryRecord, WallclockTrajectoryPoint,
+    FleetTenantTrajectoryPoint, FullstackConfig, QdTrajectoryPoint, ReadScalingConfig,
+    ReadScalingResult, ReadTrajectoryPoint, RecoveryTrajectoryPoint, TrajectoryPoint,
+    TrajectoryRecord,
 };
 pub use harness::*;
 pub use recovery::{
@@ -43,9 +44,4 @@ pub use recovery::{
 };
 pub use throughput::{
     qd_sweep, run_qd_replay, run_throughput, sweep, QdResult, ThroughputConfig, ThroughputResult,
-};
-pub use wallclock::{
-    run_wallclock, run_wallclock_pool, sweep_wallclock, sweep_wallclock_reactor, PoolPointSpec,
-    PoolProfileSweep, PoolWallclockResult, WallclockComparison, WallclockConfig, WallclockProfile,
-    WallclockResult, WallclockStore, REACTOR_SHARDS,
 };

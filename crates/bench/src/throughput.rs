@@ -29,9 +29,8 @@ use fdpcache_workloads::concurrent::{run_workers, Worker};
 use fdpcache_workloads::trace::Op;
 use fdpcache_workloads::{TraceGen, WorkloadProfile};
 
-/// The bench-device FTL configuration shared by every gate binary
-/// (`bench_throughput`, `bench_fullstack`, `bench_wallclock`), so the
-/// sweeps always measure the same device shape: 4 KiB LBAs, 8 RUHs,
+/// The bench-device FTL configuration shared by every gate binary, so
+/// the sweeps always measure the same device shape: 4 KiB LBAs, 8 RUHs,
 /// scaled defaults otherwise.
 pub fn bench_ftl_config(device_mib: u64, ru_mib: u64, seed: u64) -> FtlConfig {
     let geometry = Geometry::with_capacity(device_mib << 20, ru_mib << 20, 4096)

@@ -9,14 +9,13 @@
 
 use std::process::Command;
 
-const GATES: [&str; 7] = [
+const GATES: [&str; 6] = [
     env!("CARGO_BIN_EXE_bench_chaos"),
     env!("CARGO_BIN_EXE_bench_faults"),
     env!("CARGO_BIN_EXE_bench_fleet"),
     env!("CARGO_BIN_EXE_bench_fullstack"),
     env!("CARGO_BIN_EXE_bench_recovery"),
     env!("CARGO_BIN_EXE_bench_throughput"),
-    env!("CARGO_BIN_EXE_bench_wallclock"),
 ];
 
 fn rejected(exe: &str, args: &[&str]) {

@@ -16,8 +16,8 @@
 //!
 //! Everything here is driven by the shard's **virtual** clock and
 //! deterministic health classification, so breaker traces replay
-//! bit-identically across reruns, service modes and reactor worker
-//! counts — the property `bench_chaos --check` gates on.
+//! bit-identically across reruns and worker counts — the property
+//! `bench_chaos --check` gates on.
 
 use fdpcache_core::HealthState;
 
@@ -58,7 +58,7 @@ impl BreakerState {
 }
 
 /// One breaker transition, virtual-time stamped. Chaos gates compare
-/// these traces across service modes, worker counts and reruns.
+/// these traces across worker counts and reruns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BreakerTransition {
     /// Shard virtual time of the transition (ns).

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use fdpcache_core::{IoManager, IoStats, PlacementHandle, PlacementHandleAllocator, ServiceMode};
+use fdpcache_core::{IoManager, IoStats, PlacementHandle, PlacementHandleAllocator};
 
 use crate::breaker::{BreakerState, FlashBreaker};
 use crate::config::CacheConfig;
@@ -204,14 +204,6 @@ impl HybridCache {
     /// (commands kept in flight; 1 = synchronous per-command model).
     pub fn set_queue_depth(&mut self, depth: usize) {
         self.navy.io_mut().set_queue_depth(depth);
-    }
-
-    /// Reconfigures where this cache's device service executes
-    /// ([`ServiceMode::Inline`] on the calling thread — the default —
-    /// or [`ServiceMode::Reactor`] on the device's completion-reactor
-    /// workers, with identical virtual-time replay either way).
-    pub fn set_service_mode(&mut self, mode: ServiceMode) {
-        self.navy.io_mut().set_service_mode(mode);
     }
 
     /// Reaps every in-flight device completion, advancing the virtual

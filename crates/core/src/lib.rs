@@ -25,6 +25,7 @@
 //! abstractions; swapping FDP on/off is a configuration flag, exactly as
 //! upstreamed to CacheLib.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 pub mod allocator;
 pub mod dynamic;
@@ -40,7 +41,7 @@ pub use dynamic::{
 pub use handle::{PlacementHandle, PlacementId};
 pub use io::{
     HealthConfig, HealthIoStats, HealthState, HealthTransition, IoBatch, IoManager, IoStats,
-    ReactorIoStats, ServiceMode, SharedController, DISCARD_BASE_SERVICE_NS, DISCARD_PER_BLOCK_NS,
-    GC_READ_INTERFERENCE_CAP, GC_WRITE_INTERFERENCE_CAP,
+    SharedController, DISCARD_BASE_SERVICE_NS, DISCARD_PER_BLOCK_NS, GC_READ_INTERFERENCE_CAP,
+    GC_WRITE_INTERFERENCE_CAP,
 };
 pub use policy::{PlacementPolicy, RoundRobinPolicy, SingleHandlePolicy};

@@ -38,6 +38,7 @@
 //! no wear-aware data placement or real power-loss-protection
 //! hardware model.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 pub mod config;
 pub mod error;

@@ -20,6 +20,7 @@
 //! Everything here is deliberately simple and allocation-light; the
 //! simulator hot paths only touch fixed-size arrays and integer math.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 pub mod counter;
 pub mod csv;

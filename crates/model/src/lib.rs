@@ -16,6 +16,7 @@
 //! the `fig12_model_validation` bench binary reproduces that comparison
 //! against our simulator.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 pub mod carbon;
 pub mod cost;

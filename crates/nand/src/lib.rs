@@ -29,6 +29,7 @@
 //! latency and energy, which is what device-level write amplification
 //! (DLWA), the paper's primary metric, is made of.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 pub mod block;
 pub mod device;

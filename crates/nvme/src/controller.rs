@@ -31,7 +31,7 @@
 //! commands — payload copies included — through one global lock.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use fdpcache_ftl::{FdpEvent, Ftl, FtlConfig, FtlRecoveryReport, FtlSnapshot, RuhId, DEFAULT_RUH};
 use parking_lot::{Mutex, RwLock};
@@ -43,7 +43,6 @@ use crate::health::{HealthConfig, HealthReport, HealthState};
 use crate::identify::{ControllerIdentity, FdpConfigDescriptor};
 use crate::logpage::{FdpConfigLog, RuhUsageDescriptor, RuhUsageLog};
 use crate::namespace::{Namespace, NamespaceId};
-use crate::reactor::{IoReactor, ReactorConfig, ReactorIoStats};
 
 /// Completion information for a write command.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -219,9 +218,6 @@ pub struct Controller {
     config: FtlConfig,
     lba_bytes: u32,
     exported_lbas: u64,
-    /// Per-device completion reactor, created lazily by the first I/O
-    /// manager that switches into `ServiceMode::Reactor`.
-    reactor: OnceLock<Arc<IoReactor>>,
 }
 
 impl std::fmt::Debug for Controller {
@@ -262,32 +258,7 @@ impl Controller {
             config,
             lba_bytes,
             exported_lbas,
-            reactor: OnceLock::new(),
         })
-    }
-
-    /// The device's completion reactor, created on first use with
-    /// `workers` poller threads. Later callers share the same
-    /// reactor; their worker-count request is ignored (one reactor
-    /// per device, like one media array per device). A mismatched
-    /// request bumps [`ReactorIoStats::config_mismatches`] so bench
-    /// sweeps can assert topology mistakes don't pass silently.
-    pub fn reactor(&self, workers: usize) -> Arc<IoReactor> {
-        let reactor = Arc::clone(self.reactor.get_or_init(|| {
-            Arc::new(IoReactor::new(ReactorConfig {
-                workers: workers.max(1),
-                ..ReactorConfig::default()
-            }))
-        }));
-        if reactor.worker_count() != workers.max(1) {
-            reactor.note_config_mismatch();
-        }
-        reactor
-    }
-
-    /// Device-wide reactor counters, if a reactor has been created.
-    pub fn reactor_stats(&self) -> Option<ReactorIoStats> {
-        self.reactor.get().map(|r| r.stats())
     }
 
     /// Controller identity (capacity, LBA size, FDP capability).

@@ -28,10 +28,6 @@
 //! * [`NullStore`] — discards payloads; DLWA/carbon experiments that
 //!   replay billions of accesses only need placement metadata, and
 //!   skipping payload copies keeps them fast.
-//! * [`HashStore`] (feature `hashmap-store`) — the seed's
-//!   `HashMap<u64, Box<[u8]>>` implementation, kept as the reference
-//!   the `bench_wallclock` gate compares the slab against and as the
-//!   model for the slab property tests.
 
 use parking_lot::{Mutex, RwLock};
 
@@ -495,85 +491,6 @@ impl DataStore for NullStore {
     fn discard_blocks(&self, _lba: u64, _count: u64) {}
 }
 
-/// The seed's sparse hash-map store: `HashMap<u64, Box<[u8]>>` behind
-/// LBA-interleaved lock shards. Kept (feature `hashmap-store`) as the
-/// reference implementation the `bench_wallclock --check` gate measures
-/// the slab against; every write costs a hash probe plus a fresh boxed
-/// allocation, which is exactly the overhead [`MemStore`] removes.
-#[cfg(feature = "hashmap-store")]
-#[derive(Debug)]
-pub struct HashStore {
-    shards: Vec<Mutex<std::collections::HashMap<u64, Box<[u8]>>>>,
-}
-
-#[cfg(feature = "hashmap-store")]
-const HASH_SHARDS: usize = 64;
-
-#[cfg(feature = "hashmap-store")]
-impl Default for HashStore {
-    fn default() -> Self {
-        HashStore {
-            shards: (0..HASH_SHARDS)
-                .map(|_| Mutex::new(std::collections::HashMap::new()))
-                .collect(),
-        }
-    }
-}
-
-#[cfg(feature = "hashmap-store")]
-impl HashStore {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn shard(&self, lba: u64) -> &Mutex<std::collections::HashMap<u64, Box<[u8]>>> {
-        &self.shards[(lba % HASH_SHARDS as u64) as usize]
-    }
-
-    /// Number of LBAs currently holding payloads.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
-    }
-
-    /// Whether the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.lock().is_empty())
-    }
-}
-
-#[cfg(feature = "hashmap-store")]
-impl DataStore for HashStore {
-    fn write_block(&self, lba: u64, data: &[u8]) {
-        self.shard(lba).lock().insert(lba, data.into());
-    }
-
-    fn read_block(&self, lba: u64, out: &mut [u8]) -> bool {
-        match self.shard(lba).lock().get(&lba) {
-            Some(p) => {
-                let n = p.len().min(out.len());
-                out[..n].copy_from_slice(&p[..n]);
-                // Zero any tail beyond the stored payload so the
-                // default vectored `read_blocks` honours its zero-fill
-                // contract and this reference store stays byte-for-byte
-                // equivalent to the slab (which zero-pads short writes
-                // at write time).
-                out[n..].fill(0);
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn discard(&self, lba: u64) {
-        self.shard(lba).lock().remove(&lba);
-    }
-
-    fn retains_data(&self) -> bool {
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -741,23 +658,5 @@ mod tests {
         let mut vec_out = [7u8; 8];
         s.read_blocks(0, &mut vec_out, 4);
         assert_eq!(vec_out, [0; 8]);
-    }
-
-    #[cfg(feature = "hashmap-store")]
-    #[test]
-    fn hashstore_reference_round_trips() {
-        let s = HashStore::new();
-        s.write_block(7, &[1, 2, 3, 4]);
-        let mut out = [0u8; 4];
-        assert!(s.read_block(7, &mut out));
-        assert_eq!(out, [1, 2, 3, 4]);
-        assert_eq!(s.len(), 1);
-        s.discard(7);
-        assert!(s.is_empty());
-        // Default vectored paths compose the per-block entry points.
-        s.write_blocks(0, &[9u8; 12], 4);
-        let mut v = [1u8; 16];
-        s.read_blocks(0, &mut v, 4);
-        assert_eq!(v, [9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 0, 0, 0, 0]);
     }
 }

@@ -23,10 +23,10 @@
 //!
 //! Because every input is virtual-time and per-observer, a monitor
 //! embedded in a shard's I/O manager transitions at bit-identical
-//! virtual times across reactor worker counts and service modes — the
-//! property the cache tier's circuit breaker (and the `bench_chaos`
-//! gate) relies on. Transitions are recorded with their virtual
-//! timestamps for exactly that comparison.
+//! virtual times across worker counts and reruns — the property the
+//! cache tier's circuit breaker (and the `bench_chaos` gate) relies
+//! on. Transitions are recorded with their virtual timestamps for
+//! exactly that comparison.
 //!
 //! [`Controller::health`](crate::Controller::health) offers a coarser
 //! device-wide view computed from cumulative injection totals via

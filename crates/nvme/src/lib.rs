@@ -47,6 +47,7 @@
 //!   [`RetryPolicy`] unifies every retry loop in the stack
 //!   (DESIGN.md §6.7).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 pub mod command;
 pub mod controller;
@@ -58,15 +59,12 @@ pub mod identify;
 pub mod logpage;
 pub mod namespace;
 pub mod queue;
-pub mod reactor;
 pub mod retry;
 
 pub use command::{DeallocRange, IoCommand};
 pub use controller::{
     BatchWrite, Controller, FdpStatsLog, NamespaceState, NamespaceStats, WriteCompletion,
 };
-#[cfg(feature = "hashmap-store")]
-pub use datastore::HashStore;
 pub use datastore::{DataStore, MemStore, NullStore};
 pub use error::NvmeError;
 pub use fault::{
@@ -80,5 +78,4 @@ pub use identify::{ControllerIdentity, FdpConfigDescriptor};
 pub use logpage::{FdpConfigLog, RuhUsageDescriptor, RuhUsageLog};
 pub use namespace::{Namespace, NamespaceId};
 pub use queue::{CommandId, Completion, QueuePair};
-pub use reactor::{IoReactor, ReactorConfig, ReactorIoStats, ServiceMode, SubmitTelemetry};
 pub use retry::{RetryPolicy, RetrySchedule};

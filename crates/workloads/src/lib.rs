@@ -16,14 +16,15 @@
 //! We cannot ship those traces, so [`profiles`] provides generators
 //! matched to their published characteristics: op mix, Zipfian popularity
 //! (small hot working set with churn), and small-object-dominant size
-//! mixtures. DESIGN.md records the substitution; EXPERIMENTS.md records
-//! the parameters used per figure.
+//! mixtures. Each `crates/bench/src/bin/fig*.rs` header records the
+//! parameters its figure uses.
 //!
 //! [`replay::Replayer`] plays a generator against a
 //! [`fdpcache_cache::HybridCache`], sampling the device's FDP statistics
 //! log at fixed host-byte intervals to produce the interval-DLWA series
 //! of Figures 5, 7, 8 and 11, plus throughput/hit-ratio/latency rollups.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 pub mod arrivals;
 pub mod concurrent;

@@ -60,7 +60,8 @@ impl WorkloadProfile {
                 // at 100%; FDP ≈ 1.03 throughout): intermixing amplifies
                 // at 50% utilization exactly when the LOC's death horizon
                 // (LOC span / LOC byte share) slightly exceeds the
-                // physical slack. See DESIGN.md §8 and EXPERIMENTS.md.
+                // physical slack. `tests/integration_fidelity.rs` pins the
+                // 100% anchors (DESIGN.md §8).
                 SizeBand { lo: 4001, hi: 400_000, weight: 0.005 },
             ]),
         }

@@ -4,6 +4,7 @@
 //! tests can use a single dependency. See the README for an architecture
 //! overview and DESIGN.md for the per-experiment index.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 pub use fdpcache_cache as cache;
 pub use fdpcache_core as placement;

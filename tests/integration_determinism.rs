@@ -14,7 +14,7 @@ use fdpcache::cache::builder::{build_device, build_device_faulted, StoreKind};
 use fdpcache::cache::{CacheConfig, CacheStats, ConcurrentPool, NvmConfig};
 use fdpcache::ftl::FtlConfig;
 use fdpcache::nvme::{FaultConfig, FaultKind, ScriptedFault};
-use fdpcache::placement::{RoundRobinPolicy, ServiceMode, SharedController};
+use fdpcache::placement::{RoundRobinPolicy, SharedController};
 use fdpcache::workloads::{
     replay_pool, run_pool_round, FaultScenario, PoolMode, PoolReplayConfig, WorkloadProfile,
 };
@@ -36,11 +36,10 @@ fn stack(shards: usize) -> (SharedController, ConcurrentPool) {
     stack_on(StoreKind::Null, shards)
 }
 
-fn replay_on_service(
+fn replay_on(
     store: StoreKind,
     workers: usize,
     queue_depth: usize,
-    service: ServiceMode,
 ) -> fdpcache::workloads::ExperimentResult {
     let (ctrl, pool) = stack_on(store, 4);
     let profile = WorkloadProfile::meta_kv_cache();
@@ -52,18 +51,9 @@ fn replay_on_service(
         mode: PoolMode::Partitioned,
         queue_depth,
         fault: None,
-        service,
     };
     replay_pool("FDP", profile.name, &pool, &ctrl, &cfg, |seed| profile.generator(5_000, seed))
         .unwrap()
-}
-
-fn replay_on(
-    store: StoreKind,
-    workers: usize,
-    queue_depth: usize,
-) -> fdpcache::workloads::ExperimentResult {
-    replay_on_service(store, workers, queue_depth, ServiceMode::Inline)
 }
 
 fn replay_once(workers: usize) -> fdpcache::workloads::ExperimentResult {
@@ -99,16 +89,7 @@ fn assert_bit_identical(
 /// bit-identical — hit rate, DLWA, byte counters, op counts.
 #[test]
 fn same_seed_is_bit_identical_at_one_worker() {
-    let a = replay_once(1);
-    let b = replay_once(1);
-    assert_eq!(a.ops, b.ops);
-    assert_eq!(a.host_bytes, b.host_bytes);
-    assert_eq!(a.media_bytes, b.media_bytes);
-    assert_eq!(a.gc_events, b.gc_events);
-    assert_eq!(a.hit_ratio.to_bits(), b.hit_ratio.to_bits(), "hit ratio not bit-identical");
-    assert_eq!(a.nvm_hit_ratio.to_bits(), b.nvm_hit_ratio.to_bits());
-    assert_eq!(a.dlwa.to_bits(), b.dlwa.to_bits(), "DLWA not bit-identical");
-    assert_eq!(a.alwa.to_bits(), b.alwa.to_bits());
+    assert_bit_identical(&replay_once(1), &replay_once(1), "one-worker rerun");
 }
 
 /// 1 worker vs 4 workers, partitioned: aggregate cache counters (ops,
@@ -150,13 +131,16 @@ fn pool_replay_metrics_are_thread_count_invariant() {
 
 /// QD-1 and QD-4 replays are each a pure function of the seed: two
 /// fresh stacks at the same depth report bit-identical virtual-time
-/// results — the pipeline depth must never introduce nondeterminism.
+/// results on either payload store — the pipeline depth must never
+/// introduce nondeterminism.
 #[test]
 fn qd_replays_are_bit_identical_per_depth() {
-    for qd in [1usize, 4] {
-        let a = replay_on(StoreKind::Null, 1, qd);
-        let b = replay_on(StoreKind::Null, 1, qd);
-        assert_bit_identical(&a, &b, &format!("QD-{qd} rerun"));
+    for store in [StoreKind::Null, StoreKind::Mem] {
+        for qd in [1usize, 4] {
+            let a = replay_on(store, 1, qd);
+            let b = replay_on(store, 1, qd);
+            assert_bit_identical(&a, &b, &format!("{store:?} QD-{qd} rerun"));
+        }
     }
 }
 
@@ -179,7 +163,7 @@ fn faulted_qd_pool_replays_are_bit_identical_and_thread_invariant() {
             ..Default::default()
         },
     };
-    let replay = |workers: usize, qd: usize, service: ServiceMode| {
+    let replay = |workers: usize, qd: usize| {
         let ctrl = build_device_faulted(
             FtlConfig::tiny_test(),
             StoreKind::Null,
@@ -205,7 +189,6 @@ fn faulted_qd_pool_replays_are_bit_identical_and_thread_invariant() {
             mode: PoolMode::Partitioned,
             queue_depth: qd,
             fault: Some(scenario.clone()),
-            service,
         };
         let r = replay_pool("FDP", profile.name, &pool, &ctrl, &cfg, |seed| {
             profile.generator(5_000, seed)
@@ -215,22 +198,14 @@ fn faulted_qd_pool_replays_are_bit_identical_and_thread_invariant() {
         r
     };
     for qd in [1usize, 4] {
-        let a = replay(1, qd, ServiceMode::Inline);
-        let b = replay(1, qd, ServiceMode::Inline);
+        let a = replay(1, qd);
+        let b = replay(1, qd);
         assert_bit_identical(&a, &b, &format!("faulted QD-{qd} rerun"));
         assert!(a.faults > 0, "QD-{qd}: the schedule must actually inject");
         assert_eq!(a.label, "FDP+determinism_mix", "scenario must tag the label");
-        // Reactor mode under the same fault schedule: fault decisions
-        // key on per-LBA access history, which the reactor preserves
-        // (one parked submission per shard at a time), so the faulted
-        // replay is bit-identical to inline at every worker count.
-        for workers in [1usize, 4, 8] {
-            let r = replay(1, qd, ServiceMode::Reactor { workers });
-            assert_bit_identical(&a, &r, &format!("faulted QD-{qd} reactor w{workers} vs inline"));
-        }
         // Real worker threads: aggregate counters — including the
         // fault/recovery set — are invariant to the thread count.
-        let four = replay(4, qd, ServiceMode::Inline);
+        let four = replay(4, qd);
         assert_eq!(a.ops, four.ops, "QD-{qd}: ops changed with workers under faults");
         assert_eq!(a.host_bytes, four.host_bytes, "QD-{qd}: host bytes changed");
         assert_eq!(a.hit_ratio.to_bits(), four.hit_ratio.to_bits(), "QD-{qd}: hit ratio");
@@ -274,7 +249,6 @@ fn replay_read_mostly(
         mode: PoolMode::Partitioned,
         queue_depth: 1,
         fault,
-        service: ServiceMode::Inline,
     };
     let r =
         replay_pool("FDP", profile.name, &pool, &ctrl, &cfg, |seed| profile.generator(5_000, seed))
@@ -343,54 +317,14 @@ fn faulted_read_mostly_replays_stay_deterministic() {
     );
 }
 
-/// The payload store is invisible to virtual time: swapping the
-/// slab-backed `MemStore` for the payload-free `NullStore` leaves
-/// every virtual-time field of the QD-1 **and** QD-4 replays
-/// bit-identical. This is the regression guard for the slab swap — the
-/// seed's virtual-time gates must keep reporting the exact numbers
-/// they did on the hash-map store (whose own equivalence is asserted
-/// by `bench_wallclock --check` and the wallclock unit tests, which
-/// compare slab vs hash-map directly).
-/// The completion reactor must be invisible to virtual time: a
-/// reactor-mode pool replay on the slab store reports bit-identical
-/// virtual clocks and stats vs. inline mode — across reruns and
-/// across 1/4/8 reactor worker counts — at QD 1 and QD 4. Only
-/// wall-clock placement of the memcpy/slab work changes; every
-/// submission's caller parks until its completion, so per-shard
-/// service order (and hence every clock) is preserved exactly.
-#[test]
-fn reactor_replays_match_inline_bit_identically() {
-    for qd in [1usize, 4] {
-        let inline = replay_on(StoreKind::Mem, 1, qd);
-        for workers in [1usize, 4, 8] {
-            let reactor = ServiceMode::Reactor { workers };
-            let r = replay_on_service(StoreKind::Mem, 1, qd, reactor);
-            assert_bit_identical(&inline, &r, &format!("QD-{qd} reactor w{workers} vs inline"));
-            let rerun = replay_on_service(StoreKind::Mem, 1, qd, reactor);
-            assert_bit_identical(&r, &rerun, &format!("QD-{qd} reactor w{workers} rerun"));
-        }
-        // With real driver threads on top of the reactor, aggregate
-        // counters stay thread-count invariant exactly as inline.
-        let r4 = replay_on_service(StoreKind::Mem, 4, qd, ServiceMode::Reactor { workers: 4 });
-        assert_eq!(inline.ops, r4.ops, "QD-{qd}: ops changed with reactor drivers");
-        assert_eq!(inline.host_bytes, r4.host_bytes, "QD-{qd}: host bytes changed");
-        assert_eq!(
-            inline.hit_ratio.to_bits(),
-            r4.hit_ratio.to_bits(),
-            "QD-{qd}: hit ratio changed with reactor drivers"
-        );
-    }
-}
-
 /// Recovery crash-point variant: a scripted `FaultKind::Kill` fires
 /// mid-replay, the pool is recovered from flash, and the run
 /// continues. The whole crash → recover → continue trajectory must be
-/// identical between inline and reactor modes (1 and 4 workers):
-/// same crash point, same recovered state, same post-recovery clocks
-/// and virtual I/O stats.
+/// a pure function of the seeds: same crash point, same recovered
+/// state, same post-recovery clocks and I/O stats on a rerun.
 #[test]
-fn reactor_recovery_crash_point_matches_inline() {
-    let run = |service: ServiceMode| {
+fn pool_crash_recover_continue_is_deterministic() {
+    let run = || {
         let fault = FaultConfig {
             scripted: vec![ScriptedFault {
                 kind: FaultKind::Kill,
@@ -411,7 +345,6 @@ fn reactor_recovery_crash_point_matches_inline() {
         let pool =
             ConcurrentPool::new(&ctrl, &config, 2, 0.9, || Box::new(RoundRobinPolicy::new()))
                 .unwrap();
-        pool.set_service_mode(service);
         let profile = WorkloadProfile::meta_kv_cache();
         let mut sources = vec![profile.generator(5_000, 99)];
         let reports = run_pool_round(&pool, &mut sources, PoolMode::Partitioned, 6_000);
@@ -426,7 +359,6 @@ fn reactor_recovery_crash_point_matches_inline() {
         let recovered =
             ConcurrentPool::recover(&ctrl, &config, &[1, 2], || Box::new(RoundRobinPolicy::new()))
                 .unwrap();
-        recovered.set_service_mode(service);
         let mut sources = vec![profile.generator(5_000, 100)];
         let reports = run_pool_round(&recovered, &mut sources, PoolMode::Partitioned, 6_000);
         for r in &reports {
@@ -434,18 +366,21 @@ fn reactor_recovery_crash_point_matches_inline() {
         }
         recovered.drain_io();
         ctrl.with_ftl(|f| f.check_invariants());
-        (pre_executed, recovered.stats(), recovered.now_ns(), recovered.io_stats().virtual_view())
+        (pre_executed, recovered.stats(), recovered.now_ns(), recovered.io_stats())
     };
-    let inline = run(ServiceMode::Inline);
-    for workers in [1usize, 4] {
-        let reactor = run(ServiceMode::Reactor { workers });
-        assert_eq!(inline.0, reactor.0, "w{workers}: ops executed before the crash point diverged");
-        assert_eq!(inline.1, reactor.1, "w{workers}: recovered cache stats diverged");
-        assert_eq!(inline.2, reactor.2, "w{workers}: post-recovery virtual clock diverged");
-        assert_eq!(inline.3, reactor.3, "w{workers}: post-recovery virtual I/O stats diverged");
-    }
+    let (first, rerun) = (run(), run());
+    assert_eq!(first.0, rerun.0, "ops executed before the crash point diverged");
+    assert_eq!(first.1, rerun.1, "recovered cache stats diverged");
+    assert_eq!(first.2, rerun.2, "post-recovery virtual clock diverged");
+    assert_eq!(first.3, rerun.3, "post-recovery I/O stats diverged");
 }
 
+/// The payload store is invisible to virtual time: swapping the
+/// slab-backed `MemStore` for the payload-free `NullStore` leaves
+/// every virtual-time field of the QD-1 **and** QD-4 replays
+/// bit-identical. This is the regression guard for the slab swap — the
+/// seed's virtual-time gates must keep reporting the exact numbers
+/// they did on the hash-map store.
 #[test]
 fn slab_store_never_perturbs_virtual_time_at_any_depth() {
     for qd in [1usize, 4] {
