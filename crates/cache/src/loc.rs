@@ -163,6 +163,17 @@ struct Region {
     seal_seq: u64,
 }
 
+/// An object buffered in the active region.
+#[derive(Debug)]
+struct ActiveEntry {
+    /// Insertion ordinal: seals list and publish the buffer's objects
+    /// in this order, so the footer's entry table is laid out as the
+    /// buffer was filled.
+    seq: u64,
+    offset: u32,
+    value: Value,
+}
+
 #[derive(Debug, Clone)]
 struct IndexEntry {
     region: u32,
@@ -183,7 +194,12 @@ pub struct Loc {
     active: Option<u32>,
     active_buf: Vec<u8>,
     active_fill: usize,
-    active_keys: Vec<(Key, u32, Value)>,
+    /// The active buffer's live objects by key (a key's newer copy
+    /// replaces its older one): every insert, lookup and remove of
+    /// either engine asks "is it in the active buffer?" first.
+    active_keys: HashMap<Key, ActiveEntry>,
+    /// Next [`ActiveEntry::seq`].
+    active_seq: u64,
     index: HashMap<Key, IndexEntry>,
     eviction: LocEviction,
     trim_on_evict: bool,
@@ -246,7 +262,8 @@ impl Loc {
             active: None,
             active_buf: Vec::new(),
             active_fill: 0,
-            active_keys: Vec::new(),
+            active_keys: HashMap::new(),
+            active_seq: 0,
             index: HashMap::new(),
             eviction,
             trim_on_evict,
@@ -594,8 +611,13 @@ impl Loc {
         // the region as unsealed (its objects were buffered, i.e.
         // acknowledged-but-not-sealed — the documented volatile class).
         let seq = self.next_seal_seq;
-        let entries: Vec<(Key, u32, u32)> =
-            self.active_keys.iter().map(|(k, off, v)| (*k, *off, v.len() as u32)).collect();
+        let mut order: Vec<(u64, (Key, u32, u32))> = self
+            .active_keys
+            .iter()
+            .map(|(k, e)| (e.seq, (*k, e.offset, e.value.len() as u32)))
+            .collect();
+        order.sort_unstable_by_key(|&(seq, _)| seq);
+        let entries: Vec<(Key, u32, u32)> = order.into_iter().map(|(_, entry)| entry).collect();
         let mut scratch = std::mem::take(&mut self.meta_scratch);
         let footer_blocks = self.serialize_footer(region, seq, &entries, &mut scratch);
         let meta_buf = &scratch[..footer_blocks * self.block_bytes as usize];
@@ -638,23 +660,27 @@ impl Loc {
             }
         };
         self.meta_scratch = scratch;
-        if !landed? {
+        let landed = landed?;
+        // Either way the buffer empties, in the order it was filled.
+        let buffered = entries.iter().map(|&(key, offset, _)| {
+            let e = self.active_keys.remove(&key).expect("listed from the active buffer");
+            (key, offset, e.value)
+        });
+        if !landed {
             // Persistent failure: quarantine the region and hand every
             // buffered object back for requeueing.
             self.stats.seal_faults += 1;
             self.stats.quarantined_regions += 1;
             self.regions[region as usize].state = RegionState::Quarantined;
             self.regions[region as usize].keys.clear();
-            let rescued: Vec<(Key, Value)> =
-                self.active_keys.drain(..).map(|(k, _, v)| (k, v)).collect();
-            self.stats.requeued_objects += rescued.len() as u64;
-            self.pending_requeue.extend(rescued);
+            self.stats.requeued_objects += entries.len() as u64;
+            self.pending_requeue.extend(buffered.map(|(key, _, value)| (key, value)));
             self.active = None;
             self.active_fill = 0;
             return Ok(());
         }
         // Publish index entries.
-        for (key, offset, value) in self.active_keys.drain(..) {
+        for (key, offset, value) in buffered {
             self.regions[region as usize].keys.push(key);
             self.index.insert(key, IndexEntry { region, offset, value });
         }
@@ -978,8 +1004,8 @@ impl Loc {
         // location until seal publishes the new one; remove so lookups
         // do not serve stale data after an overwrite).
         self.index.remove(&key);
-        self.active_keys.retain(|(k, _, _)| *k != key);
-        self.active_keys.push((key, offset, value));
+        self.active_keys.insert(key, ActiveEntry { seq: self.active_seq, offset, value });
+        self.active_seq += 1;
         if count_app_bytes {
             self.stats.inserts += 1;
             self.stats.app_bytes_written += len as u64;
@@ -1004,9 +1030,9 @@ impl Loc {
     pub fn lookup(&mut self, io: &mut IoManager, key: Key) -> Result<Option<Value>, CacheError> {
         self.stats.lookups += 1;
         // Active-buffer hit.
-        if let Some((_, _, v)) = self.active_keys.iter().find(|(k, _, _)| *k == key) {
+        if let Some(e) = self.active_keys.get(&key) {
             self.stats.hits += 1;
-            return Ok(Some(v.clone()));
+            return Ok(Some(e.value.clone()));
         }
         let Some(entry) = self.index.get(&key).cloned() else {
             return Ok(None);
@@ -1076,7 +1102,7 @@ impl Loc {
     /// Whether the LOC currently holds `key` (active buffer or index;
     /// no device I/O).
     pub fn contains(&self, key: Key) -> bool {
-        self.active_keys.iter().any(|(k, _, _)| *k == key) || self.index.contains_key(&key)
+        self.active_keys.contains_key(&key) || self.index.contains_key(&key)
     }
 
     /// Verifies that the on-flash bytes of `key` match its indexed
@@ -1094,9 +1120,8 @@ impl Loc {
         io: &mut IoManager,
         key: Key,
     ) -> Result<Option<bool>, CacheError> {
-        if let Some((_, _, v)) = self.active_keys.iter().find(|(k, _, _)| *k == key) {
+        if self.active_keys.contains_key(&key) {
             // Still buffered in DRAM; nothing on flash to verify yet.
-            let _ = v;
             return Ok(Some(true));
         }
         let Some(entry) = self.index.get(&key).cloned() else {
@@ -1178,11 +1203,7 @@ impl Loc {
     /// Propagates non-injected I/O failures (including a scripted kill,
     /// in which case the removal was never acknowledged).
     pub fn remove(&mut self, io: &mut IoManager, key: Key) -> Result<bool, CacheError> {
-        let in_active = {
-            let before = self.active_keys.len();
-            self.active_keys.retain(|(k, _, _)| *k != key);
-            self.active_keys.len() != before
-        };
+        let in_active = self.active_keys.remove(&key).is_some();
         let in_index = self.index.remove(&key).is_some();
         if in_active || in_index {
             let mut keys = HashSet::with_capacity(1);
@@ -1428,6 +1449,29 @@ mod tests {
         l.insert(&mut io, 5, Value::synthetic(20_000)).unwrap();
         assert_eq!(l.lookup(&mut io, 5).unwrap().unwrap().len(), 20_000);
         assert_eq!(l.len() + l.active_keys.len(), 1);
+    }
+
+    #[test]
+    fn seal_lists_the_buffer_in_fill_order_whatever_the_map_order() {
+        let (mut l, mut io) = wide_loc();
+        // Scattered keys, one overwritten and one removed on the way:
+        // the footer must list the survivors as the buffer was filled,
+        // the overwrite at its second position.
+        let keys: Vec<Key> = (0..300u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect();
+        for &k in &keys {
+            l.insert(&mut io, k, Value::synthetic(1000)).unwrap();
+        }
+        l.insert(&mut io, keys[3], Value::synthetic(900)).unwrap();
+        assert!(l.remove(&mut io, keys[7]).unwrap());
+        l.insert(&mut io, 1, Value::synthetic(BIG)).unwrap(); // seals region 0
+        let mut expected: Vec<(Key, u32, u32)> =
+            keys.iter().enumerate().map(|(i, &k)| (k, i as u32 * 1000, 1000)).collect();
+        expected.retain(|&(k, ..)| k != keys[3] && k != keys[7]);
+        expected.push((keys[3], 300_000, 900));
+        let mut buf = vec![0u8; l.meta_blocks() as usize * BLOCK as usize];
+        let (_, listed) = l.read_footer(&mut io, 0, &mut buf).unwrap().expect("sealed footer");
+        assert_eq!(listed, expected);
+        assert_eq!(l.regions[0].keys, expected.iter().map(|&(k, ..)| k).collect::<Vec<_>>());
     }
 
     #[test]

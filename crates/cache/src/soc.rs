@@ -16,6 +16,20 @@
 //! docs' simulator concession); serialization to the on-flash format is
 //! exact and tested for round-trip fidelity.
 //!
+//! A rewrite costs what changed (DESIGN.md §5.3). On a data-retaining
+//! store an insert or remove *consumes* its read-modify-write read: the
+//! page that came back is checked against the pre-edit list's skeleton
+//! (magic, count, every entry's key and length at its running offset)
+//! and then edited in step with the list — surviving entries' bytes
+//! move with `copy_within`, only the new entry is materialised, only
+//! the vacated gap is zeroed. The trailer (§6.5) folds one cached digest
+//! per entry, taken when the SOC itself materialised that entry, so it
+//! is rebuilt without re-reading the carried bytes and never vouches for
+//! what the device handed back. Whenever there is no trustworthy old
+//! page — virgin bucket, RMW read fault absorbed, skeleton mismatch,
+//! repair and scrub rewrites — the page is built from scratch by
+//! `Soc::serialize_bucket`, the one full-build path.
+//!
 //! Concurrency note: the SOC is single-threaded state owned by its
 //! shard — lookups mutate bloom/bucket bookkeeping and charge device
 //! time on the shard's `&mut` queue pair, so every SOC call happens
@@ -26,7 +40,7 @@ use fdpcache_core::{IoManager, PlacementHandle};
 use fdpcache_nvme::{NvmeError, RetryPolicy};
 
 use crate::bloom::BloomArray;
-use crate::checksum::page_checksum;
+use crate::checksum::{bucket_trailer, page_checksum};
 use crate::error::CacheError;
 use crate::value::Value;
 use crate::Key;
@@ -36,8 +50,9 @@ const HEADER_BYTES: usize = 8;
 const MAGIC: u32 = 0x534F_4342; // "SOCB"
 /// Per-entry metadata: key (8) + size (4).
 const ENTRY_META_BYTES: usize = 12;
-/// Trailing page checksum (DESIGN.md §6.5): recovery trusts a bucket
-/// page only when the last 8 bytes checksum the rest of it.
+/// Bucket trailer (DESIGN.md §6.5): recovery trusts a bucket page only
+/// when its last 8 bytes equal the ordered fold of the page's entry
+/// count, every entry's digest and the used byte length.
 const CHECKSUM_BYTES: usize = 8;
 
 /// Bucket-page writes run under this unified [`RetryPolicy`] before an
@@ -92,6 +107,67 @@ pub struct SocStats {
 struct Entry {
     key: Key,
     value: Value,
+    /// [`page_checksum`] of the entry's on-flash bytes (12-byte header
+    /// plus payload), taken from the page where the SOC materialised
+    /// them ([`Entry::write`]) or from a page recovery verified — never
+    /// from bytes a read-modify-write read carried forward. Unset on
+    /// stores that retain no data, where nothing is serialized.
+    digest: u64,
+}
+
+impl Entry {
+    /// Bytes the entry occupies in a bucket page.
+    #[inline]
+    fn flash_len(&self) -> usize {
+        ENTRY_META_BYTES + self.value.len()
+    }
+
+    /// Materialises the entry into `at` (exactly [`Entry::flash_len`]
+    /// bytes of a page) and takes its digest from what it wrote.
+    fn write(&mut self, at: &mut [u8]) {
+        at[0..8].copy_from_slice(&self.key.to_le_bytes());
+        at[8..12].copy_from_slice(&(self.value.len() as u32).to_le_bytes());
+        self.value.materialize(self.key, &mut at[ENTRY_META_BYTES..]);
+        self.digest = page_checksum(at);
+    }
+}
+
+/// What one pass over a bucket's entry list finds ([`walk`]).
+struct Walk {
+    /// Header plus every entry: the page offset where the zero padding
+    /// starts.
+    used: usize,
+    /// List position and page offset of the entry holding the key.
+    hit: Option<(usize, usize)>,
+    /// Whether the page handed in carries this list's skeleton: magic,
+    /// entry count, and each entry's key and length at its running
+    /// offset. Payload bytes are not looked at — the trailer is folded
+    /// from the SOC's own digests, so a payload that rotted on the
+    /// device yields a page that fails [`Soc::parse_bucket`].
+    spliceable: bool,
+}
+
+/// Walks `entries` once for everything a rewrite needs to know about
+/// the pre-edit bucket: where `key` sits, how many bytes are in use,
+/// and — when the read-modify-write read produced an old `page` —
+/// whether that page may be edited in place of a full rebuild.
+fn walk(entries: &[Entry], key: Key, page: Option<&[u8]>) -> Walk {
+    let mut spliceable = page.is_some_and(|p| {
+        p[0..4] == MAGIC.to_le_bytes() && p[4..8] == (entries.len() as u32).to_le_bytes()
+    });
+    let mut hit = None;
+    let mut off = HEADER_BYTES;
+    for (pos, e) in entries.iter().enumerate() {
+        if e.key == key {
+            hit = Some((pos, off));
+        }
+        if let Some(p) = page.filter(|_| spliceable) {
+            spliceable = p[off..off + 8] == e.key.to_le_bytes()
+                && p[off + 8..off + 12] == (e.value.len() as u32).to_le_bytes();
+        }
+        off += e.flash_len();
+    }
+    Walk { used: off, hit, spliceable }
 }
 
 /// The Small Object Cache engine.
@@ -113,9 +189,13 @@ pub struct Soc {
     handle: PlacementHandle,
     stats: SocStats,
     /// Reusable page buffer for RMW reads and serialization. Arbitrary
-    /// bytes between uses: every reader overwrites the whole page and
-    /// [`Soc::serialize_bucket`] zeroes what it does not write.
+    /// bytes between uses: every reader overwrites the whole page,
+    /// [`Soc::serialize_bucket`] zeroes what it does not write, and
+    /// [`Soc::splice`] only ever edits a page the RMW read just filled.
     scratch: Vec<u8>,
+    /// Reusable rollback buffer: the entries the insert in flight
+    /// evicted, oldest first. Empty between inserts.
+    evicted: Vec<Entry>,
 }
 
 /// Uniform hash: splitmix64 finalizer (the paper's model assumes a
@@ -147,6 +227,7 @@ impl Soc {
             handle,
             stats: SocStats::default(),
             scratch: vec![0u8; bucket_bytes as usize],
+            evicted: Vec::new(),
         }
     }
 
@@ -191,17 +272,17 @@ impl Soc {
                 Err(e) if e.is_injected_fault() => continue,
                 Err(e) => return Err(e.into()),
             }
-            let Some(parsed) = Self::parse_bucket(&page) else {
+            let Some(parsed) = Self::parse_entries(&page) else {
                 // Readable but not a valid bucket (torn or foreign
                 // page): recovery must not trust it.
                 continue;
             };
             let mut off = HEADER_BYTES;
-            for (key, size) in parsed {
+            for (key, size, digest) in parsed {
                 off += ENTRY_META_BYTES;
                 let bytes = page[off..off + size as usize].to_vec();
                 off += size as usize;
-                soc.buckets[bucket as usize].push(Entry { key, value: Value::real(bytes) });
+                soc.buckets[bucket as usize].push(Entry { key, value: Value::real(bytes), digest });
             }
             soc.written[bucket as usize] = true;
             soc.rebuild_bloom(bucket);
@@ -261,14 +342,6 @@ impl Soc {
         self.base_block + bucket
     }
 
-    fn bucket_payload(&self, bucket: u64) -> usize {
-        self.buckets[bucket as usize]
-            .iter()
-            .map(|e| ENTRY_META_BYTES + e.value.len())
-            .sum::<usize>()
-            + HEADER_BYTES
-    }
-
     /// The authoritative `(key, size)` list of `bucket`, newest first:
     /// what its on-flash page parses to ([`Soc::parse_bucket`]).
     pub fn bucket_entries(&self, bucket: u64) -> Vec<(Key, u32)> {
@@ -280,48 +353,106 @@ impl Soc {
         &self.bloom
     }
 
-    /// Serializes a bucket's entries into the on-flash page format in
-    /// one pass over `out`, whatever it held before (DESIGN.md §5.3):
-    /// header and entries are written in place, only the gap between
-    /// the last entry and the trailing checksum is zeroed.
-    fn serialize_bucket(&self, bucket: u64, out: &mut [u8]) {
-        debug_assert_eq!(out.len(), self.bucket_bytes as usize);
-        let entries = &self.buckets[bucket as usize];
+    /// Builds a bucket page from scratch — the single full-build path
+    /// (DESIGN.md §5.3) — in one pass over `out`, whatever it held
+    /// before: header and entries are written in place, every entry's
+    /// digest is retaken from the bytes just materialised, and only the
+    /// gap between the last entry and the trailer is zeroed.
+    fn serialize_bucket(entries: &mut [Entry], out: &mut [u8]) {
         out[0..4].copy_from_slice(&MAGIC.to_le_bytes());
-        out[4..8].copy_from_slice(&(entries.len() as u32).to_le_bytes());
         let mut off = HEADER_BYTES;
-        for e in entries {
-            let len = e.value.len();
-            out[off..off + 8].copy_from_slice(&e.key.to_le_bytes());
-            out[off + 8..off + 12].copy_from_slice(&(len as u32).to_le_bytes());
-            off += ENTRY_META_BYTES;
-            e.value.materialize(e.key, &mut out[off..off + len]);
-            off += len;
+        for e in entries.iter_mut() {
+            let end = off + e.flash_len();
+            e.write(&mut out[off..end]);
+            off = end;
         }
         let cut = out.len() - CHECKSUM_BYTES;
         out[off..cut].fill(0);
-        let sum = page_checksum(&out[..cut]);
-        out[cut..].copy_from_slice(&sum.to_le_bytes());
+        Self::seal(entries, out, off);
+    }
+
+    /// Stamps the entry count and the trailer (DESIGN.md §6.5) of
+    /// `entries` — `used` bytes of header and entries — onto `page`,
+    /// from the entries' cached digests alone.
+    fn seal(entries: &[Entry], page: &mut [u8], used: usize) {
+        page[4..8].copy_from_slice(&(entries.len() as u32).to_le_bytes());
+        let cut = page.len() - CHECKSUM_BYTES;
+        let sum = bucket_trailer(entries.iter().map(|e| e.digest), used);
+        page[cut..].copy_from_slice(&sum.to_le_bytes());
+    }
+
+    /// Edits `page` — the old page of a list [`walk`] found spliceable,
+    /// `old_used` bytes in use — into the page of `entries`, the list
+    /// after the edit. The edit took out the `hole` (page offset,
+    /// length) of a replaced or removed entry and whatever followed the
+    /// first `kept` bytes of the rest (evictions from the tail); with
+    /// `inserted`, `entries[0]` is new and still to be materialised.
+    /// Surviving entries' bytes move, they are not rebuilt or re-read;
+    /// only the gap the edit vacated is zeroed (the old padding beyond
+    /// it is carried: the trailer does not cover padding).
+    fn splice(
+        entries: &mut [Entry],
+        page: &mut [u8],
+        old_used: usize,
+        hole: (usize, usize),
+        kept: usize,
+        inserted: bool,
+    ) {
+        let fresh = if inserted { entries[0].flash_len() } else { 0 };
+        // Survivors ahead of the hole shift right by the new entry;
+        // those behind it close the hole as well. Rightmost first, so
+        // no move lands on bytes still to be moved.
+        let ahead = hole.0.min(kept);
+        let behind = hole.0 + hole.1;
+        page.copy_within(behind..behind + (kept - ahead), ahead + fresh);
+        page.copy_within(HEADER_BYTES..ahead, HEADER_BYTES + fresh);
+        if inserted {
+            entries[0].write(&mut page[HEADER_BYTES..HEADER_BYTES + fresh]);
+        }
+        let used = kept + fresh;
+        if used < old_used {
+            page[used..old_used].fill(0);
+        }
+        Self::seal(entries, page, used);
+    }
+
+    /// The from-scratch page of `bucket`'s current list, for the debug
+    /// cross-check of [`Soc::splice`] (and tests); cached digests are
+    /// left alone.
+    fn reference_page(&self, bucket: u64) -> Vec<u8> {
+        let mut page = vec![0u8; self.bucket_bytes as usize];
+        Self::serialize_bucket(&mut self.buckets[bucket as usize].clone(), &mut page);
+        page
     }
 
     /// Parses an on-flash bucket page into `(key, size)` pairs. Returns
     /// `None` when the page is not a serialized bucket (wrong magic,
-    /// inconsistent lengths, or a trailing checksum mismatch — recovery
-    /// treats such a page as never written).
+    /// inconsistent lengths, or a trailer mismatch — recovery treats
+    /// such a page as never written). Every entry's digest is
+    /// recomputed from the page's own bytes, so the trailer vouches for
+    /// the count, every header and payload byte, their order and the
+    /// used length; nothing is returned before it holds.
     pub fn parse_bucket(page: &[u8]) -> Option<Vec<(Key, u32)>> {
+        let parsed = Self::parse_entries(page)?;
+        Some(parsed.into_iter().map(|(key, size, _)| (key, size)).collect())
+    }
+
+    /// [`Soc::parse_bucket`] with each entry's digest, which recovery
+    /// keeps so later rewrites can fold it.
+    fn parse_entries(page: &[u8]) -> Option<Vec<(Key, u32, u64)>> {
         if page.len() < HEADER_BYTES + CHECKSUM_BYTES {
             return None;
         }
         let cut = page.len() - CHECKSUM_BYTES;
-        let stored = u64::from_le_bytes(page[cut..].try_into().ok()?);
-        if stored != page_checksum(&page[..cut]) {
-            return None;
-        }
         let magic = u32::from_le_bytes(page[0..4].try_into().ok()?);
         if magic != MAGIC {
             return None;
         }
+        // Untrusted until the trailer holds: bound it before allocating.
         let count = u32::from_le_bytes(page[4..8].try_into().ok()?) as usize;
+        if count > (cut - HEADER_BYTES) / ENTRY_META_BYTES {
+            return None;
+        }
         let mut out = Vec::with_capacity(count);
         let mut off = HEADER_BYTES;
         for _ in 0..count {
@@ -330,60 +461,72 @@ impl Soc {
             }
             let key = u64::from_le_bytes(page[off..off + 8].try_into().ok()?);
             let size = u32::from_le_bytes(page[off + 8..off + 12].try_into().ok()?);
-            off += ENTRY_META_BYTES;
-            if off + size as usize > cut {
+            let end = off + ENTRY_META_BYTES + size as usize;
+            if end > cut {
                 return None;
             }
-            off += size as usize;
-            out.push((key, size));
+            out.push((key, size, page_checksum(&page[off..end])));
+            off = end;
         }
-        Some(out)
+        let stored = u64::from_le_bytes(page[cut..].try_into().ok()?);
+        (stored == bucket_trailer(out.iter().map(|&(_, _, digest)| digest), off)).then_some(out)
     }
 
-    /// Writes the bucket page through the placement handle, performing
-    /// the read-modify-write read first when the page already exists.
+    /// The read-modify-write read: a real SOC must fetch the page
+    /// before modifying it, so every rewrite of an existing page issues
+    /// it. Returns whether `page` now holds what the device returned.
     ///
-    /// Recovery (DESIGN.md §6): an injected fault on the RMW read is
-    /// absorbed after one retry (the authoritative entry list lives in
-    /// memory; the read models device cost only). An injected fault on
-    /// the page write is retried under the unified [`write_retry`]
-    /// policy (four attempts, zero backoff — the legacy schedule); a
-    /// persistent failure propagates so the caller can roll back its
-    /// in-memory mutation — the bucket is then still exactly its
-    /// pre-operation self, on flash and in memory. The bloom filter is
-    /// the caller's to update: a rewrite alone never changes the list.
-    fn rewrite_bucket(&mut self, io: &mut IoManager, bucket: u64) -> Result<(), CacheError> {
+    /// Recovery (DESIGN.md §6): an injected fault is absorbed after one
+    /// retry — the authoritative entry list lives in memory, so a
+    /// persistently unreadable old page does not block the rewrite, it
+    /// only forces the from-scratch build.
+    fn rmw_read(
+        &mut self,
+        io: &mut IoManager,
+        bucket: u64,
+        page: &mut [u8],
+    ) -> Result<bool, CacheError> {
+        if !self.written[bucket as usize] {
+            return Ok(false);
+        }
         let block = self.bucket_block(bucket);
-        let mut page = std::mem::take(&mut self.scratch);
-        if self.written[bucket as usize] {
-            // RMW read: real SOC must fetch the page before modifying.
-            let mut schedule = transient_retry().schedule(block);
-            let mut read = io.read(block, &mut page);
-            while read.as_ref().is_err_and(|e| e.is_injected_fault())
-                && schedule.next_backoff_ns().is_some()
-            {
-                self.stats.read_faults += 1;
-                read = io.read(block, &mut page);
-            }
-            match read {
-                Ok(_) => self.stats.rmw_reads += 1,
-                // The page is about to be fully rewritten from the
-                // authoritative list; a persistently unreadable old
-                // page does not block the rewrite.
-                Err(e) if e.is_injected_fault() => {}
-                Err(e) => {
-                    self.scratch = page;
-                    return Err(e.into());
-                }
-            }
+        let mut schedule = transient_retry().schedule(block);
+        let mut read = io.read(block, page);
+        while read.as_ref().is_err_and(|e| e.is_injected_fault())
+            && schedule.next_backoff_ns().is_some()
+        {
+            self.stats.read_faults += 1;
+            read = io.read(block, page);
         }
-        if io.retains_data() {
-            self.serialize_bucket(bucket, &mut page);
+        match read {
+            Ok(_) => {
+                self.stats.rmw_reads += 1;
+                Ok(true)
+            }
+            Err(e) if e.is_injected_fault() => Ok(false),
+            Err(e) => Err(e.into()),
         }
+    }
+
+    /// Writes `page` over the bucket through the placement handle.
+    ///
+    /// Recovery (DESIGN.md §6): an injected fault is retried under the
+    /// unified [`write_retry`] policy (four attempts, zero backoff —
+    /// the legacy schedule); a persistent failure propagates so the
+    /// caller can roll back its in-memory mutation — the bucket is
+    /// then still exactly its pre-operation self, on flash and in
+    /// memory.
+    fn write_page(
+        &mut self,
+        io: &mut IoManager,
+        bucket: u64,
+        page: &[u8],
+    ) -> Result<(), CacheError> {
+        let block = self.bucket_block(bucket);
         let mut schedule = write_retry().schedule(block);
-        let res = loop {
-            match io.write(block, &page, self.handle) {
-                Ok(_) => break Ok(()),
+        loop {
+            match io.write(block, page, self.handle) {
+                Ok(_) => break,
                 Err(e) if e.is_injected_fault() => match schedule.next_backoff_ns() {
                     Some(backoff_ns) => {
                         if backoff_ns > 0 {
@@ -391,24 +534,38 @@ impl Soc {
                         }
                         self.stats.write_retries += 1;
                     }
-                    None => break Err(e),
+                    None => {
+                        self.stats.write_faults += 1;
+                        return Err(e.into());
+                    }
                 },
-                Err(e) => break Err(e),
-            }
-        };
-        self.scratch = page;
-        match res {
-            Ok(()) => {}
-            Err(e) => {
-                if e.is_injected_fault() {
-                    self.stats.write_faults += 1;
-                }
-                return Err(e.into());
+                Err(e) => return Err(e.into()),
             }
         }
         self.written[bucket as usize] = true;
         self.stats.page_writes += 1;
         Ok(())
+    }
+
+    /// Rewrites the bucket page from the authoritative list alone —
+    /// the repair and scrub path, where the page on flash is the thing
+    /// in doubt: the read-modify-write read is issued for its device
+    /// cost ([`Soc::rmw_read`]) and its bytes are not used; the page is
+    /// built from scratch ([`Soc::serialize_bucket`]) and written
+    /// ([`Soc::write_page`]). Inserts and removes, which change the
+    /// list, edit the page they read instead ([`Soc::splice`]). The
+    /// bloom filter is untouched: a rewrite alone never changes the
+    /// list.
+    fn rewrite_bucket(&mut self, io: &mut IoManager, bucket: u64) -> Result<(), CacheError> {
+        let mut page = std::mem::take(&mut self.scratch);
+        let res = self.rmw_read(io, bucket, &mut page).and_then(|_| {
+            if io.retains_data() {
+                Self::serialize_bucket(&mut self.buckets[bucket as usize], &mut page);
+            }
+            self.write_page(io, bucket, &page)
+        });
+        self.scratch = page;
+        res
     }
 
     /// Blooms cannot delete: after entries left `bucket`, rebuild its
@@ -463,57 +620,86 @@ impl Soc {
         count_app_bytes: bool,
     ) -> Result<u64, CacheError> {
         let len = value.len();
-        let need = ENTRY_META_BYTES + len;
-        if HEADER_BYTES + need > self.usable_bucket_bytes() {
+        if HEADER_BYTES + ENTRY_META_BYTES + len > self.usable_bucket_bytes() {
             return Err(CacheError::ObjectTooLarge { size: len, max: self.max_object_bytes() });
         }
         let bucket = self.bucket_of(key);
-        let entries = &mut self.buckets[bucket as usize];
-        // Replace any existing entry for the key (kept for rollback).
-        let replaced =
-            entries.iter().position(|e| e.key == key).map(|pos| (pos, entries.remove(pos)));
-        // Evict oldest entries until the new one fits (kept for
-        // rollback, newest-evicted first).
-        let mut evicted_entries = Vec::new();
-        let mut payload = self.bucket_payload(bucket);
-        while payload + need > self.usable_bucket_bytes() {
-            match self.buckets[bucket as usize].pop() {
-                Some(e) => {
-                    payload -= ENTRY_META_BYTES + e.value.len();
-                    evicted_entries.push(e);
-                }
-                None => break,
-            }
-        }
-        let evicted = evicted_entries.len() as u64;
-        // The only keys to leave the list; with none, the filter just
-        // gains the new key.
-        let pure_insert = replaced.is_none() && evicted_entries.is_empty();
-        // The value moves into the bucket; the only bytes touched are
-        // the serialization into the page scratch below.
-        self.buckets[bucket as usize].insert(0, Entry { key, value });
-        if let Err(e) = self.rewrite_bucket(io, bucket) {
-            // Roll back to the exact pre-insert bucket.
-            let entries = &mut self.buckets[bucket as usize];
-            entries.remove(0);
-            for old in evicted_entries.into_iter().rev() {
-                entries.push(old);
-            }
-            if let Some((pos, old)) = replaced {
-                let pos = pos.min(entries.len());
-                entries.insert(pos, old);
-            }
-            return Err(e);
-        }
-        if pure_insert {
-            self.bloom.insert(bucket as usize, key);
-        } else {
-            self.rebuild_bloom(bucket);
-        }
+        let mut page = std::mem::take(&mut self.scratch);
+        let res = self.insert_paged(io, bucket, Entry { key, value, digest: 0 }, &mut page);
+        self.scratch = page;
+        let evicted = res?;
         self.stats.collision_evictions += evicted;
         if count_app_bytes {
             self.stats.inserts += 1;
             self.stats.app_bytes_written += len as u64;
+        }
+        Ok(evicted)
+    }
+
+    /// [`Soc::insert_impl`] over the page scratch: RMW read, one walk
+    /// of the pre-insert list, list and page edited together, write,
+    /// rollback of the list if the write is abandoned.
+    fn insert_paged(
+        &mut self,
+        io: &mut IoManager,
+        bucket: u64,
+        new: Entry,
+        page: &mut [u8],
+    ) -> Result<u64, CacheError> {
+        let retains = io.retains_data();
+        let old_page = self.rmw_read(io, bucket, page)? && retains;
+        let usable = self.usable_bucket_bytes();
+        let Walk { used, hit, spliceable } =
+            walk(&self.buckets[bucket as usize], new.key, old_page.then_some(&*page));
+        // Debug builds cross-check every splice of an exact old page.
+        let exact =
+            cfg!(debug_assertions) && spliceable && page[..] == self.reference_page(bucket)[..];
+        let entries = &mut self.buckets[bucket as usize];
+        // Replace any existing entry for the key (kept for rollback).
+        let replaced = hit.map(|(pos, off)| (pos, off, entries.remove(pos)));
+        let hole = replaced.as_ref().map_or((used, 0), |(_, off, old)| (*off, old.flash_len()));
+        // Evict oldest entries until the new one fits (kept for
+        // rollback, oldest first).
+        let need = new.flash_len();
+        let mut kept = used - hole.1;
+        while kept + need > usable {
+            let Some(old) = entries.pop() else { break };
+            kept -= old.flash_len();
+            self.evicted.push(old);
+        }
+        let evicted = self.evicted.len() as u64;
+        // The only keys to leave the list; with none, the filter just
+        // gains the new key.
+        let pure_insert = replaced.is_none() && evicted == 0;
+        let key = new.key;
+        // The value moves into the bucket; the only bytes touched are
+        // its materialization into the page below.
+        entries.insert(0, new);
+        if spliceable {
+            Self::splice(entries, page, used, hole, kept, true);
+        } else if retains {
+            Self::serialize_bucket(entries, page);
+        }
+        debug_assert!(
+            !exact || page[..] == self.reference_page(bucket)[..],
+            "spliced page of bucket {bucket} differs from its from-scratch build"
+        );
+        if let Err(e) = self.write_page(io, bucket, page) {
+            // Roll back to the exact pre-insert bucket, cached digests
+            // included.
+            let entries = &mut self.buckets[bucket as usize];
+            entries.remove(0);
+            entries.extend(self.evicted.drain(..).rev());
+            if let Some((pos, _, old)) = replaced {
+                entries.insert(pos, old);
+            }
+            return Err(e);
+        }
+        self.evicted.clear();
+        if pure_insert {
+            self.bloom.insert(bucket as usize, key);
+        } else {
+            self.rebuild_bloom(bucket);
         }
         Ok(evicted)
     }
@@ -596,13 +782,13 @@ impl Soc {
     /// Propagates non-injected I/O failures only.
     pub fn remove(&mut self, io: &mut IoManager, key: Key) -> Result<bool, CacheError> {
         let bucket = self.bucket_of(key);
-        let entries = &mut self.buckets[bucket as usize];
-        let Some(pos) = entries.iter().position(|e| e.key == key) else {
+        if !self.buckets[bucket as usize].iter().any(|e| e.key == key) {
             return Ok(false);
-        };
-        entries.remove(pos);
-        self.rebuild_bloom(bucket);
-        match self.rewrite_bucket(io, bucket) {
+        }
+        let mut page = std::mem::take(&mut self.scratch);
+        let res = self.remove_paged(io, bucket, key, &mut page);
+        self.scratch = page;
+        match res {
             Ok(()) => {}
             Err(e) if e.is_injected_fault() => {
                 // The stale page must not be read again; invalidate it.
@@ -612,6 +798,38 @@ impl Soc {
         }
         self.stats.removes += 1;
         Ok(true)
+    }
+
+    /// [`Soc::remove`] of a key its bucket holds, over the page
+    /// scratch: RMW read, list and page edited together, write.
+    fn remove_paged(
+        &mut self,
+        io: &mut IoManager,
+        bucket: u64,
+        key: Key,
+        page: &mut [u8],
+    ) -> Result<(), CacheError> {
+        let retains = io.retains_data();
+        let old_page = self.rmw_read(io, bucket, page)? && retains;
+        let Walk { used, hit, spliceable } =
+            walk(&self.buckets[bucket as usize], key, old_page.then_some(&*page));
+        // Debug builds cross-check every splice of an exact old page.
+        let exact =
+            cfg!(debug_assertions) && spliceable && page[..] == self.reference_page(bucket)[..];
+        let entries = &mut self.buckets[bucket as usize];
+        let (pos, off) = hit.expect("the caller found the key in this bucket");
+        let hole = (off, entries.remove(pos).flash_len());
+        if spliceable {
+            Self::splice(entries, page, used, hole, used - hole.1, false);
+        } else if retains {
+            Self::serialize_bucket(entries, page);
+        }
+        debug_assert!(
+            !exact || page[..] == self.reference_page(bucket)[..],
+            "spliced page of bucket {bucket} differs from its from-scratch build"
+        );
+        self.rebuild_bloom(bucket);
+        self.write_page(io, bucket, page)
     }
 
     /// Verifies that the on-flash serialization of `bucket` matches the
@@ -949,6 +1167,175 @@ mod tests {
         let mut r = Soc::recover(0, 4, 4096, PlacementHandle::with_dspec(0), &mut io).unwrap();
         assert!(r.lookup(&mut io, 1).unwrap().is_none(), "corrupt bucket must not be trusted");
         assert!(r.persisted_keys().is_empty());
+    }
+
+    /// One bucket holding keys 1..=5, newest first, sizes all
+    /// different; returns it with its page as read from flash and the
+    /// page offset each entry starts at (plus the end of the last).
+    fn five_entry_bucket() -> (Soc, IoManager, Vec<u8>, Vec<usize>) {
+        let (mut s, mut io) = soc(1);
+        for k in 1..=5u64 {
+            s.insert(&mut io, k, Value::synthetic(90 + 17 * k as u32)).unwrap();
+        }
+        let page = page_on_flash(&s, &mut io, 0);
+        let mut bounds = vec![HEADER_BYTES];
+        for e in &s.buckets[0] {
+            bounds.push(bounds.last().unwrap() + e.flash_len());
+        }
+        (s, io, page, bounds)
+    }
+
+    fn page_on_flash(s: &Soc, io: &mut IoManager, bucket: u64) -> Vec<u8> {
+        let mut page = vec![0u8; 4096];
+        io.read(s.bucket_block(bucket), &mut page).unwrap();
+        page
+    }
+
+    #[test]
+    fn every_covered_bit_fails_the_trailer_when_flipped() {
+        let (s, _io, page, bounds) = five_entry_bucket();
+        assert_eq!(Soc::parse_bucket(&page), Some(s.bucket_entries(0)));
+        // The count; then key, length and whole payload of the first,
+        // the middle and the last entry.
+        let mut positions: Vec<usize> = (4..8).collect();
+        for e in [0, 2, 4] {
+            positions.extend(bounds[e]..bounds[e + 1]);
+        }
+        for pos in positions {
+            for bit in 0..8 {
+                let mut flipped = page.clone();
+                flipped[pos] ^= 1 << bit;
+                assert_eq!(Soc::parse_bucket(&flipped), None, "flip of byte {pos} bit {bit}");
+            }
+        }
+    }
+
+    #[test]
+    fn padding_is_not_covered_and_does_not_change_the_list() {
+        // Documented in DESIGN.md §6.5: nothing reads the padding, so a
+        // flip there is harmless and the trailer does not spend a word
+        // on it.
+        let (s, _io, page, bounds) = five_entry_bucket();
+        for pos in [bounds[5], 2000, 4096 - CHECKSUM_BYTES - 1] {
+            let mut flipped = page.clone();
+            flipped[pos] ^= 0x10;
+            assert_eq!(Soc::parse_bucket(&flipped), Some(s.bucket_entries(0)), "byte {pos}");
+        }
+    }
+
+    #[test]
+    fn entries_trading_places_fail_the_trailer() {
+        let (_s, _io, page, bounds) = five_entry_bucket();
+        // Neighbours, and first against last: rebuild the entry area
+        // with two whole entries swapped, skeleton still well-formed.
+        for (a, b) in [(0, 1), (2, 3), (0, 4)] {
+            let mut order: Vec<usize> = (0..5).collect();
+            order.swap(a, b);
+            let mut swapped = page.clone();
+            let mut off = HEADER_BYTES;
+            for e in order {
+                let bytes = &page[bounds[e]..bounds[e + 1]];
+                swapped[off..off + bytes.len()].copy_from_slice(bytes);
+                off += bytes.len();
+            }
+            assert_eq!(off, bounds[5]);
+            assert_eq!(Soc::parse_bucket(&swapped), None, "entries {a} and {b} swapped");
+        }
+    }
+
+    #[test]
+    fn truncation_at_every_entry_boundary_fails_the_trailer() {
+        let (_s, _io, page, bounds) = five_entry_bucket();
+        for keep in 0..5 {
+            // A well-formed page of the first `keep` entries under the
+            // five-entry trailer.
+            let mut cut = page.clone();
+            cut[4..8].copy_from_slice(&(keep as u32).to_le_bytes());
+            cut[bounds[keep]..4096 - CHECKSUM_BYTES].fill(0);
+            assert_eq!(Soc::parse_bucket(&cut), None, "truncated to {keep} entries");
+        }
+    }
+
+    #[test]
+    fn torn_pages_fail_the_trailer() {
+        // Old page: five entries. New pages: a sixth inserted (a pure
+        // splice), key 3 replaced by a shorter value, key 3 removed.
+        let edits: [fn(&mut Soc, &mut IoManager); 3] = [
+            |s, io| assert_eq!(s.insert(io, 6, Value::synthetic(300)).unwrap(), 0),
+            |s, io| assert_eq!(s.insert(io, 3, Value::synthetic(40)).unwrap(), 0),
+            |s, io| assert!(s.remove(io, 3).unwrap()),
+        ];
+        for (i, edit) in edits.into_iter().enumerate() {
+            let (mut s, mut io, old, _) = five_entry_bucket();
+            edit(&mut s, &mut io);
+            let new = page_on_flash(&s, &mut io, 0);
+            assert_eq!(Soc::parse_bucket(&new), Some(s.bucket_entries(0)));
+            // Cut after the header, at every entry boundary of the new
+            // page, inside every entry, in the padding, and right
+            // before the trailer.
+            let mut cuts = vec![HEADER_BYTES, 3000, 4096 - CHECKSUM_BYTES];
+            let mut off = HEADER_BYTES;
+            for e in &s.buckets[0] {
+                cuts.extend([off + 5, off + ENTRY_META_BYTES, off + e.flash_len() / 2]);
+                off += e.flash_len();
+                cuts.push(off);
+            }
+            let mut torn_pages = 0;
+            for cut in cuts {
+                for (head, tail) in [(&new, &old), (&old, &new)] {
+                    let torn = [&head[..cut], &tail[cut..]].concat();
+                    // A cut the two pages agree up to (the replace
+                    // keeps the count) tears nothing.
+                    if torn != old && torn != new {
+                        assert_eq!(Soc::parse_bucket(&torn), None, "edit {i}: cut at {cut}");
+                        torn_pages += 1;
+                    }
+                }
+            }
+            assert!(torn_pages >= 2 * 16, "edit {i}: only {torn_pages} torn pages tried");
+        }
+    }
+
+    /// The case the trailer's definition exists for: a payload byte
+    /// rots on the device, the next insert carries it forward — and the
+    /// page it writes must not validate, because the trailer is folded
+    /// from digests of what the SOC wrote, not of what it read back.
+    #[test]
+    fn rot_carried_through_a_splice_is_caught_not_laundered() {
+        let (mut s, mut io, mut page, bounds) = five_entry_bucket();
+        // One payload byte of the middle entry, skeleton intact.
+        page[bounds[2] + ENTRY_META_BYTES + 7] ^= 0x04;
+        io.write(s.bucket_block(0), &page, s.handle()).unwrap();
+        let (writes, rmw_reads) = (s.stats().page_writes, s.stats().rmw_reads);
+        s.insert(&mut io, 6, Value::synthetic(200)).unwrap();
+        assert_eq!((s.stats().page_writes, s.stats().rmw_reads), (writes + 1, rmw_reads + 1));
+        let spliced = page_on_flash(&s, &mut io, 0);
+        let rotten = bounds[2] + ENTRY_META_BYTES + 7;
+        assert_eq!(spliced[rotten + ENTRY_META_BYTES + 200], page[rotten], "the splice carries it");
+        assert_eq!(Soc::parse_bucket(&spliced), None, "a whole-page re-hash would vouch for it");
+        assert!(!s.verify_bucket(&mut io, 0).unwrap());
+        // Recovery treats the bucket as virgin…
+        let mut r = Soc::recover(0, 1, 4096, PlacementHandle::with_dspec(0), &mut io).unwrap();
+        assert!(r.persisted_keys().is_empty());
+        assert!(r.lookup(&mut io, 6).unwrap().is_none());
+        // …and the patrol scrub of the live engine repairs it to the
+        // from-scratch page of the authoritative list.
+        assert_eq!(s.scrub_bucket(&mut io, 0).unwrap(), (2, 1));
+        let repaired = page_on_flash(&s, &mut io, 0);
+        assert_eq!(repaired, s.reference_page(0));
+        assert_eq!(Soc::parse_bucket(&repaired), Some(s.bucket_entries(0)));
+    }
+
+    #[test]
+    fn skeleton_mismatch_falls_back_to_the_full_build() {
+        let (mut s, mut io, mut page, bounds) = five_entry_bucket();
+        // A foreign key in the second entry's header: the page is not
+        // this list's, so nothing of it may be carried.
+        page[bounds[1]] ^= 0x01;
+        io.write(s.bucket_block(0), &page, s.handle()).unwrap();
+        s.insert(&mut io, 6, Value::synthetic(200)).unwrap();
+        assert_eq!(page_on_flash(&s, &mut io, 0), s.reference_page(0));
+        assert!(s.verify_bucket(&mut io, 0).unwrap());
     }
 
     #[test]

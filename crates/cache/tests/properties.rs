@@ -145,6 +145,7 @@ mod page_bytes_props {
     use std::sync::Arc;
 
     use fdpcache_cache::bloom::BloomArray;
+    use fdpcache_cache::builder::{build_device_faulted, StoreKind};
     use fdpcache_cache::checksum::page_checksum;
     use fdpcache_cache::loc::Loc;
     use fdpcache_cache::soc::Soc;
@@ -152,7 +153,7 @@ mod page_bytes_props {
     use fdpcache_cache::LocEviction;
     use fdpcache_core::{IoManager, PlacementHandle, SharedController};
     use fdpcache_ftl::FtlConfig;
-    use fdpcache_nvme::{Controller, MemStore, NvmeError};
+    use fdpcache_nvme::{Controller, FaultConfig, FaultRates, MemStore, NvmeError};
     use proptest::prelude::*;
 
     const PAGE: usize = 4096;
@@ -170,32 +171,46 @@ mod page_bytes_props {
         page[cut..].copy_from_slice(&sum.to_le_bytes());
     }
 
+    /// One splitmix64 finalizer step, as DESIGN.md §6.5 spells it.
+    fn mix64(x: u64) -> u64 {
+        let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
     /// A SOC bucket page from scratch: magic "SOCB", entry count, then
-    /// `key, size, bytes` per entry; zeros; checksum.
-    fn reference_bucket_page(entries: &[(u64, u32)]) -> Vec<u8> {
+    /// `key, size, bytes` per entry; zeros; and the bucket trailer of
+    /// DESIGN.md §6.5 — seeded with the count, each entry's digest
+    /// (`page_checksum` of its 12-byte header plus payload) folded in
+    /// list order, closed with the used byte length.
+    fn reference_bucket_page(entries: &[(u64, Vec<u8>)]) -> Vec<u8> {
         let mut page = vec![0u8; PAGE];
         page[0..4].copy_from_slice(&0x534F_4342u32.to_le_bytes());
         page[4..8].copy_from_slice(&(entries.len() as u32).to_le_bytes());
+        let mut h = mix64(0xC0FF_EE00_5EED_1234 ^ entries.len() as u64);
         let mut off = 8;
-        for &(key, size) in entries {
+        for (key, bytes) in entries {
+            let end = off + 12 + bytes.len();
             page[off..off + 8].copy_from_slice(&key.to_le_bytes());
-            page[off + 8..off + 12].copy_from_slice(&size.to_le_bytes());
-            off += 12;
-            page[off..off + size as usize].copy_from_slice(&Value::synthetic(size).to_bytes(key));
-            off += size as usize;
+            page[off + 8..off + 12].copy_from_slice(&(bytes.len() as u32).to_le_bytes());
+            page[off + 12..end].copy_from_slice(bytes);
+            h = mix64(h ^ page_checksum(&page[off..end]));
+            off = end;
         }
-        seal_checksum(&mut page);
+        let trailer = mix64(h ^ off as u64);
+        page[PAGE - 8..].copy_from_slice(&trailer.to_le_bytes());
         page
     }
 
     /// The SOC's bucket policy, naively: newest first, replace in
     /// place of the old copy's slot, evict from the tail until the new
-    /// entry fits under the checksum.
-    fn model_insert(list: &mut Vec<(u64, u32)>, key: u64, size: u32) {
-        list.retain(|&(k, _)| k != key);
-        let used = |l: &Vec<(u64, u32)>| 8 + l.iter().map(|&(_, s)| 12 + s as usize).sum::<usize>();
-        while used(list) + 12 + size as usize > PAGE - 8 && list.pop().is_some() {}
-        list.insert(0, (key, size));
+    /// entry fits under the trailer.
+    fn model_insert(list: &mut Vec<(u64, Vec<u8>)>, key: u64, bytes: Vec<u8>) {
+        list.retain(|(k, _)| *k != key);
+        let used = |l: &Vec<(u64, Vec<u8>)>| 8 + l.iter().map(|(_, b)| 12 + b.len()).sum::<usize>();
+        while used(list) + 12 + bytes.len() > PAGE - 8 && list.pop().is_some() {}
+        list.insert(0, (key, bytes));
     }
 
     #[derive(Debug, Clone)]
@@ -215,56 +230,128 @@ mod page_bytes_props {
         })
     }
 
+    /// What the device does to the commands of one SOC op.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Fault {
+        None,
+        /// Every read fails: the read-modify-write read is absorbed
+        /// after its retry and the page is rebuilt whole.
+        Reads,
+        /// Every write fails: the page write exhausts its retries.
+        Writes,
+    }
+
+    /// [`op`] for the SOC: a third of the values carry real bytes, and
+    /// one op in six runs under a device that fails its reads or its
+    /// writes.
+    fn soc_op() -> impl Strategy<Value = (Op, Option<u8>, Fault)> {
+        (op(48, 1..1300), 0..3u8, any::<u8>(), 0..12u8).prop_map(|(op, real, fill, fault)| {
+            let fault = match fault {
+                0 => Fault::Reads,
+                1 => Fault::Writes,
+                _ => Fault::None,
+            };
+            (op, (real == 0).then_some(fill), fault)
+        })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// After every insert, replace, remove and lookup — the page
-        /// scratch dirtied by each one's reads and writes, across
-        /// buckets — each written bucket page is byte-for-byte the
-        /// reference page of the authoritative list (so it parses to
-        /// that list and the gap before the checksum is zero), the list
-        /// is what the naive model holds, and the bucket's bloom filter
-        /// is what a from-scratch rebuild gives.
+        /// After every insert, replace, evict, remove and lookup — the
+        /// page scratch dirtied by each one's reads and writes, across
+        /// buckets, synthetic and real payloads alike — each bucket
+        /// page on flash is byte-for-byte the reference page of the
+        /// authoritative list (so it parses to that list and the gap
+        /// before the trailer is zero), the list is what the naive
+        /// model holds, and the bucket's bloom filter is what a
+        /// from-scratch rebuild gives. That holds whether the page was
+        /// spliced from the one the op read or, its read having
+        /// faulted, rebuilt whole; an insert whose write exhausted its
+        /// retries leaves list and flash exactly as they were, and a
+        /// remove whose write did drops the key and disowns the page.
         #[test]
-        fn soc_pages_and_blooms_are_exact(ops in prop::collection::vec(op(48, 1..1300), 1..120)) {
+        fn soc_pages_and_blooms_are_exact(ops in prop::collection::vec(soc_op(), 1..120)) {
             const BUCKETS: u64 = 4;
-            let mut io = io(64);
+            let ctrl = build_device_faulted(
+                FtlConfig::tiny_test(),
+                StoreKind::Mem,
+                false,
+                FaultConfig::default(),
+            )
+            .unwrap();
+            let nsid = ctrl.create_namespace(64, vec![0]).unwrap();
+            let mut io = IoManager::new(ctrl.clone(), nsid, 4).unwrap();
             let mut soc = Soc::new(0, BUCKETS, PAGE as u32, PlacementHandle::DEFAULT);
-            let mut model: Vec<Vec<(u64, u32)>> = vec![Vec::new(); BUCKETS as usize];
+            let mut model: Vec<Vec<(u64, Vec<u8>)>> = vec![Vec::new(); BUCKETS as usize];
             let mut written = BTreeSet::new();
             let mut page = vec![0u8; PAGE];
-            for op in ops {
+            for (op, real, fault) in ops {
+                ctrl.set_fault_rates(match fault {
+                    Fault::None => FaultRates::default(),
+                    Fault::Reads => FaultRates { read_err_ppm: 1_000_000, ..FaultRates::default() },
+                    Fault::Writes => FaultRates { write_err_ppm: 1_000_000, ..FaultRates::default() },
+                });
                 match op {
                     Op::Insert { key, size } => {
-                        soc.insert(&mut io, key, Value::synthetic(size)).unwrap();
+                        let value = match real {
+                            Some(fill) => Value::real(
+                                (0..size).map(|i| fill.wrapping_add(i as u8)).collect::<Vec<u8>>(),
+                            ),
+                            None => Value::synthetic(size),
+                        };
+                        let bytes = value.to_bytes(key);
                         let b = soc.bucket_index(key);
-                        model_insert(&mut model[b as usize], key, size);
-                        written.insert(b);
+                        match soc.insert(&mut io, key, value) {
+                            Ok(_) => {
+                                prop_assert!(fault != Fault::Writes, "insert acknowledged unwritten");
+                                model_insert(&mut model[b as usize], key, bytes);
+                                written.insert(b);
+                            }
+                            Err(e) => {
+                                prop_assert!(fault == Fault::Writes && e.is_injected_fault(), "{}", e);
+                            }
+                        }
                     }
                     Op::Remove { key } => {
                         let b = soc.bucket_index(key);
-                        let held = model[b as usize].iter().any(|&(k, _)| k == key);
+                        let held = model[b as usize].iter().any(|(k, _)| *k == key);
                         prop_assert_eq!(soc.remove(&mut io, key).unwrap(), held);
-                        model[b as usize].retain(|&(k, _)| k != key);
+                        model[b as usize].retain(|(k, _)| *k != key);
+                        if held && fault == Fault::Writes {
+                            // The key is gone from the list; the page
+                            // that still lists it is never read again.
+                            written.remove(&b);
+                        }
+                        prop_assert_eq!(soc.bucket_on_flash(key), written.contains(&b));
                     }
-                    Op::Lookup { key } => {
+                    Op::Lookup { key } if fault == Fault::None => {
                         let b = soc.bucket_index(key);
-                        let held = model[b as usize].iter().find(|&&(k, _)| k == key);
+                        let held = model[b as usize].iter().find(|(k, _)| *k == key);
                         let got = soc.lookup(&mut io, key).unwrap();
-                        prop_assert_eq!(got.map(|v| v.len() as u32), held.map(|&(_, s)| s));
+                        prop_assert_eq!(got.map(|v| v.to_bytes(key)), held.map(|(_, bytes)| bytes.clone()));
                     }
+                    // Lookups under faults (demote, repair) are the
+                    // degraded-mode properties' subject.
+                    Op::Lookup { .. } => {}
                 }
-                for &b in &written {
+                ctrl.set_fault_rates(FaultRates::default());
+                for b in 0..BUCKETS {
                     let entries = soc.bucket_entries(b);
-                    prop_assert_eq!(&entries, &model[b as usize], "bucket {} list", b);
+                    let sizes: Vec<(u64, u32)> =
+                        model[b as usize].iter().map(|(k, bytes)| (*k, bytes.len() as u32)).collect();
+                    prop_assert_eq!(&entries, &sizes, "bucket {} list", b);
+                    let mut fresh = BloomArray::new(1);
+                    fresh.rebuild(0, entries.iter().map(|&(k, _)| k));
+                    prop_assert_eq!(soc.bloom().filter(b as usize), fresh.filter(0), "bucket {} bloom", b);
+                    if !written.contains(&b) {
+                        continue;
+                    }
                     io.read(soc.bucket_block(b), &mut page).unwrap();
                     prop_assert_eq!(Soc::parse_bucket(&page), Some(entries.clone()));
                     let end = 8 + entries.iter().map(|&(_, s)| 12 + s as usize).sum::<usize>();
                     prop_assert!(page[end..PAGE - 8].iter().all(|&x| x == 0), "bucket {} gap", b);
-                    prop_assert!(page == reference_bucket_page(&entries), "bucket {} bytes", b);
-                    let mut fresh = BloomArray::new(1);
-                    fresh.rebuild(0, entries.iter().map(|&(k, _)| k));
-                    prop_assert_eq!(soc.bloom().filter(b as usize), fresh.filter(0), "bucket {} bloom", b);
+                    prop_assert!(page == reference_bucket_page(&model[b as usize]), "bucket {} bytes", b);
                 }
             }
         }
