@@ -98,14 +98,7 @@ fn main() {
     );
 
     if let Some(path) = json_path {
-        let record = TrajectoryRecord::new_chaos(cfg.device_mib, cfg.ops, &sweep);
-        match record.write(&path) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => {
-                eprintln!("error: cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
+        TrajectoryRecord::new_chaos(cfg.device_mib, cfg.ops, &sweep).emit(&path);
     }
 
     if check {

@@ -71,14 +71,7 @@ fn main() {
     println!("{}", table.render());
 
     if let Some(path) = json_path {
-        let record = TrajectoryRecord::new_faults(cfg.device_mib, cfg.ops, &entries);
-        match record.write(&path) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => {
-                eprintln!("error: cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
+        TrajectoryRecord::new_faults(cfg.device_mib, cfg.ops, &entries).emit(&path);
     }
 
     if check {

@@ -116,14 +116,7 @@ fn main() {
     );
 
     if let Some(path) = json_path {
-        let record = TrajectoryRecord::new_fleet(cfg.device_mib, &sweep);
-        match record.write(&path) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => {
-                eprintln!("error: cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
+        TrajectoryRecord::new_fleet(cfg.device_mib, &sweep).emit(&path);
     }
 
     if check {

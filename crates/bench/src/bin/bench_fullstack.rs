@@ -48,8 +48,8 @@
 //!   flash misses, not read-path synchronization).
 
 use fdpcache_bench::{
-    emit_trajectory, sweep_fullstack, sweep_read, verdict, Args, Flag, FullstackConfig, Gates,
-    ReadScalingConfig, TrajectoryRecord,
+    sweep_fullstack, sweep_read, verdict, Args, Flag, FullstackConfig, Gates, ReadScalingConfig,
+    TrajectoryRecord,
 };
 use fdpcache_metrics::Table;
 
@@ -99,15 +99,8 @@ fn run_read_gate(args: &Args, check: bool, json_path: Option<String>) {
     println!("{}", table.render());
 
     if let Some(path) = json_path {
-        let record =
-            TrajectoryRecord::new_read(cfg.device_mib, cfg.ops_per_worker, trials, &results);
-        match record.write(&path) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => {
-                eprintln!("error: cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
+        TrajectoryRecord::new_read(cfg.device_mib, cfg.ops_per_worker, trials, &results)
+            .emit(&path);
     }
 
     if !check {
@@ -219,7 +212,8 @@ fn main() {
     println!("{}", table.render());
 
     if let Some(path) = json_path {
-        emit_trajectory("fullstack", cfg.device_mib, cfg.ops_per_worker, trials, &results, &path);
+        TrajectoryRecord::new("fullstack", cfg.device_mib, cfg.ops_per_worker, trials, &results)
+            .emit(&path);
     }
 
     let four = results.iter().find(|r| r.workers == 4).expect("4-worker point");

@@ -28,8 +28,7 @@
 //! depth-1 pipeline to the legacy synchronous model.
 
 use fdpcache_bench::{
-    emit_trajectory, qd_sweep, run_qd_replay, sweep, Args, Flag, Gates, ThroughputConfig,
-    TrajectoryRecord,
+    qd_sweep, run_qd_replay, sweep, Args, Flag, Gates, ThroughputConfig, TrajectoryRecord,
 };
 use fdpcache_metrics::Table;
 
@@ -62,14 +61,7 @@ fn run_qd_mode(cfg: &ThroughputConfig, check: bool, json_path: Option<String>) {
     println!("{}", table.render());
 
     if let Some(path) = json_path {
-        let record = TrajectoryRecord::new_qd(cfg.device_mib, cfg.ops_per_worker, &results);
-        match record.write(&path) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => {
-                eprintln!("error: cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
+        TrajectoryRecord::new_qd(cfg.device_mib, cfg.ops_per_worker, &results).emit(&path);
     }
 
     if check {
@@ -149,7 +141,8 @@ fn main() {
     println!("{}", table.render());
 
     if let Some(path) = json_path {
-        emit_trajectory("device", cfg.device_mib, cfg.ops_per_worker, trials, &results, &path);
+        TrajectoryRecord::new("device", cfg.device_mib, cfg.ops_per_worker, trials, &results)
+            .emit(&path);
     }
 
     let four = results.iter().find(|r| r.workers == 4).expect("4-worker point");

@@ -814,26 +814,17 @@ impl TrajectoryRecord {
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
         std::fs::write(path, json)
     }
-}
 
-/// Builds a trajectory record from a sweep and writes it to `path`,
-/// printing the destination; exits with status 1 on filesystem errors.
-/// Shared by both gate binaries so their `--json` behavior cannot
-/// drift apart.
-pub fn emit_trajectory(
-    bench: &str,
-    device_mib: u64,
-    ops_per_worker: u64,
-    trials: u64,
-    results: &[ThroughputResult],
-    path: &str,
-) {
-    let record = TrajectoryRecord::new(bench, device_mib, ops_per_worker, trials, results);
-    match record.write(path) {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(e) => {
-            eprintln!("error: cannot write {path}: {e}");
-            std::process::exit(1);
+    /// Writes the record to `path` and says so; a filesystem error ends
+    /// the run with status 1. Every gate binary's `--json` goes through
+    /// here, so their behavior cannot drift apart.
+    pub fn emit(&self, path: &str) {
+        match self.write(path) {
+            Ok(()) => eprintln!("wrote {path}"),
+            Err(e) => {
+                eprintln!("error: cannot write {path}: {e}");
+                std::process::exit(1);
+            }
         }
     }
 }

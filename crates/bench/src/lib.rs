@@ -1,14 +1,17 @@
 //! # fdpcache-bench
 //!
-//! Experiment harness: shared runner utilities plus one binary per paper
-//! figure/table (see DESIGN.md §4 for the index). The binaries print the
-//! same rows/series the paper reports and emit CSV for re-plotting.
+//! Experiment harness: every paper figure, table, ablation and extension
+//! as one row of the [`figures`] table, run by the one `repro` binary
+//! (DESIGN.md §4), plus the engineering gates behind the `bench_*`
+//! binaries. Rows print the paper's rows/series and emit CSV for
+//! re-plotting.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 pub mod chaos;
 pub mod cli;
 pub mod faults;
+pub mod figures;
 pub mod fleet;
 pub mod fullstack;
 pub mod harness;
@@ -31,11 +34,10 @@ pub use fleet::{
     FLEET_TENANTS, FLEET_WORKERS, ISOLATION_P99_FACTOR, OVERLOAD_P99_FACTOR,
 };
 pub use fullstack::{
-    emit_trajectory, run_fullstack, run_read_contended, sweep_fullstack, sweep_read,
-    ChaosTrajectoryPoint, FaultTrajectoryPoint, FleetFailoverTrajectoryPoint,
-    FleetTenantTrajectoryPoint, FullstackConfig, QdTrajectoryPoint, ReadScalingConfig,
-    ReadScalingResult, ReadTrajectoryPoint, RecoveryTrajectoryPoint, TrajectoryPoint,
-    TrajectoryRecord,
+    run_fullstack, run_read_contended, sweep_fullstack, sweep_read, ChaosTrajectoryPoint,
+    FaultTrajectoryPoint, FleetFailoverTrajectoryPoint, FleetTenantTrajectoryPoint,
+    FullstackConfig, QdTrajectoryPoint, ReadScalingConfig, ReadScalingResult, ReadTrajectoryPoint,
+    RecoveryTrajectoryPoint, TrajectoryPoint, TrajectoryRecord,
 };
 pub use harness::*;
 pub use recovery::{

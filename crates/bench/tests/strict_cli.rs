@@ -2,6 +2,7 @@
 //! `bench_x --chekc` used to run as a report and exit 0, turning the CI
 //! step into a no-op. Each binary is started for real; status 2 comes
 //! back from the argument parser, long before a sweep could finish.
+//! `repro` likewise refuses a flag or a figure id it does not know.
 //!
 //! And a `--check` run must end by saying which gates ran: one `gates:`
 //! line whose counts match the `OK:`/`FAIL:`/`SKIPPED:` lines above it
@@ -18,11 +19,12 @@ const GATES: [&str; 6] = [
     env!("CARGO_BIN_EXE_bench_throughput"),
 ];
 
-fn rejected(exe: &str, args: &[&str]) {
+fn rejected(exe: &str, args: &[&str]) -> String {
     let out = Command::new(exe).args(args).output().expect("bench binary starts");
-    let stderr = String::from_utf8_lossy(&out.stderr);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
     assert_eq!(out.status.code(), Some(2), "{exe} {args:?} must exit 2; stderr: {stderr}");
     assert!(stderr.contains("error:"), "{exe} {args:?} must say why; stderr: {stderr}");
+    stderr
 }
 
 #[test]
@@ -35,10 +37,21 @@ fn every_gate_rejects_a_misspelt_check() {
 }
 
 #[test]
-fn figure_binaries_reject_unknown_arguments_too() {
-    rejected(env!("CARGO_BIN_EXE_fig5_dlwa_timeline"), &["--quikc"]);
-    rejected(env!("CARGO_BIN_EXE_fig9_soc_sweep"), &["--quick", "fifo"]);
-    rejected(env!("CARGO_BIN_EXE_fig9_soc_sweep"), &["--quick", "--gc-policy", "lifo"]);
+fn repro_rejects_unknown_arguments_and_figures_and_bare_lists_every_row() {
+    const REPRO: &str = env!("CARGO_BIN_EXE_repro");
+    rejected(REPRO, &["--quikc"]);
+    rejected(REPRO, &["--fig", "9", "--gc-policy", "fifo"]);
+    let stderr = rejected(REPRO, &["--fig", "99"]);
+    assert!(stderr.contains("`99`") && stderr.contains("9-fifo"), "names the known ids: {stderr}");
+    let out = Command::new(REPRO).output().expect("repro starts");
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let listed: Vec<&str> = stdout.lines().filter_map(|l| l.split_whitespace().next()).collect();
+    assert_eq!(
+        listed.join(" "),
+        "5 6 7 8 9 10 11 12 13 t2 9-fifo isolation loc-trim dynamic lifetime pairs rgroups",
+        "one line per row, id first"
+    );
 }
 
 /// Runs a gate binary and returns its exit status and stderr lines.

@@ -172,14 +172,20 @@ impl EnginePool {
         self.shards.get(idx)
     }
 
+    /// The shard `key` routes to, for a caller that serves the request
+    /// itself.
+    pub fn shard_for(&mut self, key: Key) -> &mut HybridCache {
+        let idx = self.shard_of(key);
+        &mut self.shards[idx]
+    }
+
     /// Looks up `key` in its shard.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures.
     pub fn get(&mut self, key: Key) -> Result<(GetOutcome, Option<Value>), CacheError> {
-        let idx = self.shard_of(key);
-        self.shards[idx].get(key)
+        self.shard_for(key).get(key)
     }
 
     /// Inserts `key` into its shard.
@@ -188,8 +194,7 @@ impl EnginePool {
     ///
     /// Propagates I/O failures and size rejections.
     pub fn put(&mut self, key: Key, value: Value) -> Result<(), CacheError> {
-        let idx = self.shard_of(key);
-        self.shards[idx].put(key, value)
+        self.shard_for(key).put(key, value)
     }
 
     /// Deletes `key` from its shard.
@@ -198,8 +203,7 @@ impl EnginePool {
     ///
     /// Propagates I/O failures.
     pub fn delete(&mut self, key: Key) -> Result<bool, CacheError> {
-        let idx = self.shard_of(key);
-        self.shards[idx].delete(key)
+        self.shard_for(key).delete(key)
     }
 
     /// Aggregated statistics across all shards.

@@ -8,7 +8,7 @@
 //! solutions" for CacheLib's small-object dominant hybrid workloads.
 //!
 //! This module implements that shelved machinery so the claim can be
-//! reproduced as an ablation (`ablation_dynamic` in the bench crate):
+//! reproduced as an ablation (`repro --fig dynamic` in the bench crate):
 //!
 //! * [`EpochFeedback`] — a per-epoch digest of device behaviour built
 //!   from drained FDP events plus per-handle host-write attribution.
@@ -127,14 +127,15 @@ impl DynamicPlacement for LoadBalancer {
         if available.len() < 2 {
             return next;
         }
-        // Heaviest writer among the streams.
+        // Heaviest writer among the streams; of equals (two streams on one
+        // handle), the first by name — `current` iterates in random order.
         let heaviest = current
             .iter()
             .filter_map(|(stream, handle)| {
                 let d = handle.dspec()?;
                 Some((stream.clone(), feedback.host_pages.get(&d).copied().unwrap_or(0)))
             })
-            .max_by_key(|&(_, pages)| pages);
+            .max_by(|a, b| a.1.cmp(&b.1).then_with(|| b.0 .0.cmp(&a.0 .0)));
         let Some((stream, pages)) = heaviest else {
             return next;
         };
@@ -183,7 +184,8 @@ impl DynamicPlacement for TemperatureBalancer {
         if available.len() < 2 || current.is_empty() {
             return current.clone();
         }
-        // Order streams by relocation pressure, hottest first.
+        // Order streams by relocation pressure, hottest first, equals by
+        // name (`current` iterates in random order).
         let mut ranked: Vec<(StreamId, f64)> = current
             .iter()
             .map(|(stream, handle)| {
@@ -191,7 +193,11 @@ impl DynamicPlacement for TemperatureBalancer {
                 (stream.clone(), p)
             })
             .collect();
-        ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+        ranked.sort_by(|a, b| {
+            b.1.partial_cmp(&a.1)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then_with(|| a.0 .0.cmp(&b.0 .0))
+        });
         // Hot streams get dedicated handles while they last; the rest
         // cluster on the final handle.
         let mut next = Assignment::new();
@@ -280,6 +286,18 @@ mod tests {
         assert!(dspecs.iter().all(|d| d.is_some()));
         assert!(dspecs.contains(&Some(0)));
         assert!(dspecs.contains(&Some(1)));
+    }
+
+    #[test]
+    fn ties_break_by_stream_name_whatever_the_map_order() {
+        // Equal pressure, equal pages; each fresh map iterates in its own order.
+        let f = feedback(&[(0, 100)], &[(Some(0), 80)]);
+        for _ in 0..32 {
+            let cur = assignment(&[("soc-0", 0), ("loc-0", 0)]);
+            let loc = |next: Assignment| next[&StreamId("loc-0".into())].dspec();
+            assert_eq!(loc(TemperatureBalancer::default().rebalance(&cur, &[0, 1], &f)), Some(0));
+            assert_eq!(loc(LoadBalancer::default().rebalance(&cur, &[0, 1], &f)), Some(1));
+        }
     }
 
     #[test]

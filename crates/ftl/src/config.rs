@@ -25,21 +25,6 @@ pub enum GcPolicy {
     /// Pick the oldest full RU regardless of valid count. Kept as an
     /// ablation to show how victim selection changes DLWA.
     Fifo,
-    /// Pick the min-valid RU among `d` uniformly sampled candidates
-    /// (the *d-choices* approximation of greedy).
-    ///
-    /// Real controllers do not maintain a perfect global min-valid
-    /// ordering over every superblock; they bound the victim search to a
-    /// sampled or windowed candidate set. The bounded search is what
-    /// lets a mixed SOC+LOC stream amplify even at 50% utilization on
-    /// the paper's device (DLWA ≈ 1.3, Figure 5): an idealized global
-    /// greedy always finds a fully dead RU there, a bounded one
-    /// sometimes cannot. `d ≥ candidate count` degenerates to `Greedy`;
-    /// `d = 1` is a uniformly random victim.
-    SampledGreedy {
-        /// Candidate sample size per victim selection.
-        d: u16,
-    },
     /// Cost-benefit selection: maximize `(1 - u) / (1 + u) × age` where
     /// `u` is the victim's valid fraction (Rosenblum & Ousterhout's LFS
     /// cleaning heuristic). Kept as an ablation; it reclaims colder RUs

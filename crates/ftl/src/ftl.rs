@@ -8,7 +8,7 @@ use fdpcache_nand::{NandDevice, PageState, Ppa};
 use crate::config::{FtlConfig, RuhType};
 use crate::error::FtlError;
 use crate::events::{EventLog, FdpEvent};
-use crate::gc::{select_victim, GcRng};
+use crate::gc::select_victim;
 use crate::ru::{RuInfo, RuOwner, RuPhase};
 use crate::stats::FtlStats;
 use crate::{Lba, RuhId};
@@ -187,8 +187,6 @@ pub struct Ftl {
     events: EventLog,
     /// Accumulated media busy time in nanoseconds.
     busy_ns: u64,
-    /// Deterministic RNG for sampled victim selection.
-    gc_rng: GcRng,
 }
 
 impl Ftl {
@@ -227,7 +225,6 @@ impl Ftl {
             ruh_switches: vec![0; num_ruhs],
             events: EventLog::new(config.event_log_capacity),
             busy_ns: 0,
-            gc_rng: GcRng::new(config.seed ^ 0xA5A5_5A5A_F0F0_0F0F),
             nand,
             config,
         })
@@ -684,7 +681,6 @@ impl Ftl {
             self.config.gc_policy,
             &self.rus[lo as usize..hi as usize],
             &self.nand,
-            &mut self.gc_rng,
             lo,
         ) else {
             return Ok(None);

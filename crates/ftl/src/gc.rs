@@ -3,58 +3,20 @@
 //! Selection is separated from the relocation machinery in
 //! [`crate::ftl`] so policies can be swapped for ablation studies. The
 //! paper's theoretical model (Appendix A.2) assumes greedy selection —
-//! "the erase block with least valid pages will be picked first". Real
-//! controllers bound the victim search (see
-//! [`GcPolicy::SampledGreedy`]), which the experiment harness uses as
-//! its default; `Greedy`, `Fifo` and `CostBenefit` are kept for
-//! ablations and the theory-validation experiments.
+//! "the erase block with least valid pages will be picked first" — and
+//! `Greedy` is what every experiment runs; `Fifo` and `CostBenefit` are
+//! kept for ablations.
 
 use fdpcache_nand::NandDevice;
 
 use crate::config::GcPolicy;
 use crate::ru::RuInfo;
 
-/// Deterministic xorshift64* generator for sampled victim selection.
-///
-/// The FTL owns one, seeded from [`crate::FtlConfig::seed`], so victim
-/// choices are reproducible run to run. A tiny inline generator avoids
-/// pulling a crate dependency into the simulator's hottest loop.
-#[derive(Debug, Clone)]
-pub struct GcRng(u64);
-
-impl GcRng {
-    /// Creates a generator. A zero seed is remapped (xorshift's only
-    /// fixed point is zero).
-    pub fn new(seed: u64) -> Self {
-        GcRng(if seed == 0 { 0x9E37_79B9_7F4A_7C15 } else { seed })
-    }
-
-    /// Next raw 64-bit value.
-    fn next_u64(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// Uniform value in `[0, n)`. `n` must be non-zero.
-    fn below(&mut self, n: u64) -> u64 {
-        debug_assert!(n > 0);
-        // Modulo bias is negligible at the candidate counts involved
-        // (hundreds of RUs vs a 64-bit range).
-        self.next_u64() % n
-    }
-}
-
 /// Picks a GC victim among closed RUs, or `None` if there is none.
 ///
 /// * `Greedy` — minimum valid pages over all candidates; ties broken by
 ///   older `opened_seq` (stable, deterministic).
 /// * `Fifo` — smallest `opened_seq`, i.e. the RU closed least recently.
-/// * `SampledGreedy { d }` — minimum valid pages among `d` uniformly
-///   sampled candidates.
 /// * `CostBenefit` — maximum `(1 - u) / (1 + u) × age` over all
 ///   candidates, where `u` is the valid fraction and `age` is measured
 ///   in open-sequence distance.
@@ -69,7 +31,6 @@ pub fn select_victim(
     policy: GcPolicy,
     rus: &[RuInfo],
     nand: &NandDevice,
-    rng: &mut GcRng,
     base: u32,
 ) -> Option<u32> {
     match policy {
@@ -79,7 +40,6 @@ pub fn select_victim(
         GcPolicy::Fifo => {
             select_scan(rus, nand, base, |_valid, seq, best: &(u64, u64)| seq < best.1)
         }
-        GcPolicy::SampledGreedy { d } => select_sampled(rus, nand, rng, d.max(1), base),
         GcPolicy::CostBenefit => select_cost_benefit(rus, nand, base),
     }
 }
@@ -109,49 +69,6 @@ fn select_scan(
         }
     }
     best.map(|(ru, _)| ru)
-}
-
-/// d-choices: collect candidates, sample `d` of them, take the min-valid
-/// (ties by age). Falls back to a full greedy scan when the candidate
-/// set is no larger than `d`.
-fn select_sampled(
-    rus: &[RuInfo],
-    nand: &NandDevice,
-    rng: &mut GcRng,
-    d: u16,
-    base: u32,
-) -> Option<u32> {
-    // Candidate collection is O(RUs); the sample bounds only how many
-    // valid-count comparisons a real controller would pay, which is the
-    // behaviour (not the cost) we are modelling.
-    let candidates: Vec<u32> = rus
-        .iter()
-        .enumerate()
-        .filter(|(_, info)| info.is_gc_candidate())
-        .map(|(idx, _)| base + idx as u32)
-        .collect();
-    if candidates.is_empty() {
-        return None;
-    }
-    if candidates.len() <= d as usize {
-        return select_scan(rus, nand, base, |valid, seq, best| {
-            valid < best.0 || (valid == best.0 && seq < best.1)
-        });
-    }
-    let mut best: Option<(u32, u64, u64)> = None;
-    for _ in 0..d {
-        let ru = candidates[rng.below(candidates.len() as u64) as usize];
-        let valid = nand.valid_pages(ru);
-        let seq = rus[(ru - base) as usize].opened_seq;
-        let take = match &best {
-            None => true,
-            Some((_, bv, bs)) => valid < *bv || (valid == *bv && seq < *bs),
-        };
-        if take {
-            best = Some((ru, valid, seq));
-        }
-    }
-    best.map(|(ru, _, _)| ru)
 }
 
 /// Cost-benefit: maximize `benefit/cost = (1 - u) / (1 + u) × age`.
@@ -184,11 +101,11 @@ mod tests {
     use crate::ru::RuPhase;
     use fdpcache_nand::{Geometry, LatencyModel, Ppa};
 
-    fn setup() -> (NandDevice, Vec<RuInfo>, GcRng) {
+    fn setup() -> (NandDevice, Vec<RuInfo>) {
         let g = Geometry::tiny_test();
         let nand = NandDevice::new(g, 1000, LatencyModel::zero(), 1);
         let rus = vec![RuInfo::free(); g.superblocks() as usize];
-        (nand, rus, GcRng::new(42))
+        (nand, rus)
     }
 
     fn close(rus: &mut [RuInfo], ru: u32, seq: u64) {
@@ -208,147 +125,67 @@ mod tests {
 
     #[test]
     fn no_candidates_returns_none() {
-        let (nand, rus, mut rng) = setup();
-        for policy in [
-            GcPolicy::Greedy,
-            GcPolicy::Fifo,
-            GcPolicy::SampledGreedy { d: 4 },
-            GcPolicy::CostBenefit,
-        ] {
-            assert_eq!(select_victim(policy, &rus, &nand, &mut rng, 0), None);
+        let (nand, rus) = setup();
+        for policy in [GcPolicy::Greedy, GcPolicy::Fifo, GcPolicy::CostBenefit] {
+            assert_eq!(select_victim(policy, &rus, &nand, 0), None);
         }
     }
 
     #[test]
     fn greedy_picks_min_valid() {
-        let (mut nand, mut rus, mut rng) = setup();
+        let (mut nand, mut rus) = setup();
         fill(&mut nand, 0, 10);
         fill(&mut nand, 1, 2);
         fill(&mut nand, 2, 5);
         close(&mut rus, 0, 1);
         close(&mut rus, 1, 2);
         close(&mut rus, 2, 3);
-        assert_eq!(select_victim(GcPolicy::Greedy, &rus, &nand, &mut rng, 0), Some(1));
+        assert_eq!(select_victim(GcPolicy::Greedy, &rus, &nand, 0), Some(1));
     }
 
     #[test]
     fn greedy_prefers_fully_invalid() {
-        let (mut nand, mut rus, mut rng) = setup();
+        let (mut nand, mut rus) = setup();
         fill(&mut nand, 0, 1);
         fill(&mut nand, 1, 0);
         close(&mut rus, 0, 1);
         close(&mut rus, 1, 2);
-        assert_eq!(select_victim(GcPolicy::Greedy, &rus, &nand, &mut rng, 0), Some(1));
+        assert_eq!(select_victim(GcPolicy::Greedy, &rus, &nand, 0), Some(1));
     }
 
     #[test]
     fn greedy_ties_break_by_age() {
-        let (mut nand, mut rus, mut rng) = setup();
+        let (mut nand, mut rus) = setup();
         fill(&mut nand, 0, 3);
         fill(&mut nand, 1, 3);
         close(&mut rus, 0, 10);
         close(&mut rus, 1, 4);
-        assert_eq!(select_victim(GcPolicy::Greedy, &rus, &nand, &mut rng, 0), Some(1));
+        assert_eq!(select_victim(GcPolicy::Greedy, &rus, &nand, 0), Some(1));
     }
 
     #[test]
     fn fifo_ignores_valid_count() {
-        let (mut nand, mut rus, mut rng) = setup();
+        let (mut nand, mut rus) = setup();
         fill(&mut nand, 0, 0);
         fill(&mut nand, 1, 10);
         close(&mut rus, 0, 9);
         close(&mut rus, 1, 1);
-        assert_eq!(select_victim(GcPolicy::Fifo, &rus, &nand, &mut rng, 0), Some(1));
+        assert_eq!(select_victim(GcPolicy::Fifo, &rus, &nand, 0), Some(1));
     }
 
     #[test]
     fn active_and_free_rus_are_excluded() {
-        let (mut nand, mut rus, mut rng) = setup();
+        let (mut nand, mut rus) = setup();
         fill(&mut nand, 0, 0);
         rus[0].phase = RuPhase::Active;
-        for policy in [
-            GcPolicy::Greedy,
-            GcPolicy::Fifo,
-            GcPolicy::SampledGreedy { d: 4 },
-            GcPolicy::CostBenefit,
-        ] {
-            assert_eq!(select_victim(policy, &rus, &nand, &mut rng, 0), None);
+        for policy in [GcPolicy::Greedy, GcPolicy::Fifo, GcPolicy::CostBenefit] {
+            assert_eq!(select_victim(policy, &rus, &nand, 0), None);
         }
-    }
-
-    #[test]
-    fn sampled_greedy_with_large_d_matches_greedy() {
-        let (mut nand, mut rus, mut rng) = setup();
-        fill(&mut nand, 0, 10);
-        fill(&mut nand, 1, 2);
-        fill(&mut nand, 2, 5);
-        close(&mut rus, 0, 1);
-        close(&mut rus, 1, 2);
-        close(&mut rus, 2, 3);
-        // d >= candidate count → exact greedy.
-        assert_eq!(
-            select_victim(GcPolicy::SampledGreedy { d: 16 }, &rus, &nand, &mut rng, 0),
-            Some(1)
-        );
-    }
-
-    #[test]
-    fn sampled_greedy_picks_only_candidates() {
-        let (mut nand, mut rus, mut rng) = setup();
-        for ru in 0..8u32 {
-            fill(&mut nand, ru, ru as u64);
-            close(&mut rus, ru, ru as u64 + 1);
-        }
-        // Whatever the sample, the victim must be a closed RU.
-        for _ in 0..100 {
-            let v = select_victim(GcPolicy::SampledGreedy { d: 2 }, &rus, &nand, &mut rng, 0)
-                .expect("candidates exist");
-            assert!(rus[v as usize].is_gc_candidate());
-        }
-    }
-
-    #[test]
-    fn sampled_greedy_is_deterministic_per_seed() {
-        let (mut nand, mut rus, _) = setup();
-        for ru in 0..8u32 {
-            fill(&mut nand, ru, ru as u64);
-            close(&mut rus, ru, ru as u64 + 1);
-        }
-        let picks = |seed: u64| {
-            let mut rng = GcRng::new(seed);
-            (0..32)
-                .map(|_| {
-                    select_victim(GcPolicy::SampledGreedy { d: 2 }, &rus, &nand, &mut rng, 0)
-                        .unwrap()
-                })
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(picks(7), picks(7));
-        // Not a proof of randomness, but different seeds should not
-        // collapse onto the identical pick sequence.
-        assert_ne!(picks(7), picks(8));
-    }
-
-    #[test]
-    fn sampled_greedy_sometimes_misses_global_min() {
-        // One fully dead RU among many mostly-valid ones: with d = 1 the
-        // victim is uniform, so across many draws some pick is not the
-        // global minimum — the behaviour that separates the bounded
-        // search from ideal greedy.
-        let (mut nand, mut rus, mut rng) = setup();
-        for ru in 0..12u32 {
-            fill(&mut nand, ru, if ru == 0 { 0 } else { 30 });
-            close(&mut rus, ru, ru as u64 + 1);
-        }
-        let missed = (0..64).any(|_| {
-            select_victim(GcPolicy::SampledGreedy { d: 1 }, &rus, &nand, &mut rng, 0) != Some(0)
-        });
-        assert!(missed, "d=1 sampling never missed the global minimum in 64 draws");
     }
 
     #[test]
     fn cost_benefit_prefers_old_and_empty() {
-        let (mut nand, mut rus, mut rng) = setup();
+        let (mut nand, mut rus) = setup();
         // RU 0: old but full of valid data. RU 1: young and empty.
         // RU 2: old and mostly empty — the clear cost-benefit winner.
         fill(&mut nand, 0, 30);
@@ -357,14 +194,6 @@ mod tests {
         close(&mut rus, 0, 1);
         close(&mut rus, 1, 100);
         close(&mut rus, 2, 2);
-        assert_eq!(select_victim(GcPolicy::CostBenefit, &rus, &nand, &mut rng, 0), Some(2));
-    }
-
-    #[test]
-    fn gc_rng_zero_seed_is_remapped() {
-        let mut a = GcRng::new(0);
-        let mut b = GcRng::new(0);
-        assert_eq!(a.next_u64(), b.next_u64());
-        assert_ne!(GcRng::new(0).next_u64(), 0);
+        assert_eq!(select_victim(GcPolicy::CostBenefit, &rus, &nand, 0), Some(2));
     }
 }

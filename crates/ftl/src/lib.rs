@@ -52,7 +52,6 @@ pub use config::{FtlConfig, GcPolicy, RuhType};
 pub use error::FtlError;
 pub use events::{EventLog, FdpEvent};
 pub use ftl::{Ftl, FtlRecoveryReport, FtlSnapshot, RecoveryPath};
-pub use gc::GcRng;
 pub use ru::{RuInfo, RuOwner};
 pub use stats::FtlStats;
 

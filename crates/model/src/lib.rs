@@ -13,8 +13,8 @@
 //!   greenhouse-equivalence conversion the paper cites (its reference 9).
 //!
 //! Figure 12 (Appendix A.3) validates Theorem 1 against measurement;
-//! the `fig12_model_validation` bench binary reproduces that comparison
-//! against our simulator.
+//! `repro --fig 12` (the bench crate's figure table) reproduces that
+//! comparison against our simulator.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -41,10 +41,6 @@ pub struct ReplayConfig {
     /// Safety cap on total operations (guards against workloads that
     /// produce no flash writes, e.g. all-RAM-hit traces).
     pub max_ops: u64,
-    /// Worker-thread count to scale the throughput readout by (the
-    /// paper's CacheBench runs tens of threads; the simulator is
-    /// single-threaded with one virtual clock).
-    pub report_workers: u32,
     /// Device queue depth during the replay: how many commands the
     /// cache's I/O path keeps in flight. 1 (the default) is the
     /// synchronous per-command model and is bit-identical to the
@@ -66,7 +62,6 @@ impl Default for ReplayConfig {
             measure_host_bytes: 4 << 30,
             interval_host_bytes: 256 << 20,
             max_ops: u64::MAX,
-            report_workers: 32,
             queue_depth: 1,
             fault: None,
         }
@@ -74,7 +69,7 @@ impl Default for ReplayConfig {
 }
 
 /// Everything an experiment binary needs to print its figure/table.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct ExperimentResult {
     /// Workload name.
     pub workload: String,
@@ -92,10 +87,9 @@ pub struct ExperimentResult {
     pub nvm_hit_ratio: f64,
     /// Application-level write amplification.
     pub alwa: f64,
-    /// Throughput in thousands of operations per simulated second,
-    /// scaled by `report_workers`.
+    /// Throughput in thousands of operations per simulated second.
     pub kops: f64,
-    /// GET throughput (KGET/s), same scaling.
+    /// GET throughput (KGET/s).
     pub kgets: f64,
     /// p50 device read latency (µs).
     pub p50_read_us: f64,
@@ -203,8 +197,6 @@ impl Replayer {
         let stats0 = cache.stats();
         let log0 = ctrl.fdp_stats_log();
         let t0 = cache.now_ns();
-        let read0 = cache.navy().read_latency().clone();
-        let write0 = cache.navy().write_latency().clone();
 
         let mut dlwa_series = Vec::new();
         let mut last_log = log0;
@@ -238,15 +230,11 @@ impl Replayer {
         let dlog = log.delta(&log0);
         let elapsed_ns = cache.now_ns().saturating_sub(t0).max(1);
         let secs = elapsed_ns as f64 * 1e-9;
-        let workers = self.config.report_workers.max(1) as f64;
 
-        // Latency histograms accumulate from construction; subtracting
-        // isn't possible, so report the post-warmup view when warmup was
-        // requested by comparing counts (approximation: percentiles
-        // over the whole run).
+        // Latency histograms accumulate from construction: percentiles
+        // cover the whole run, warm-up included.
         let read_hist = cache.navy().read_latency();
         let write_hist = cache.navy().write_latency();
-        let _ = (read0, write0);
 
         let tail = dlwa_series.len().max(4) / 4;
         let dlwa_steady = if dlwa_series.is_empty() {
@@ -269,8 +257,8 @@ impl Replayer {
             hit_ratio: stats.hit_ratio(),
             nvm_hit_ratio: stats.nvm_hit_ratio(),
             alwa: cache.alwa(),
-            kops: (stats.gets + stats.puts + stats.deletes) as f64 / secs / 1e3 * workers,
-            kgets: stats.gets as f64 / secs / 1e3 * workers,
+            kops: (stats.gets + stats.puts + stats.deletes) as f64 / secs / 1e3,
+            kgets: stats.gets as f64 / secs / 1e3,
             p50_read_us: read_hist.p50() as f64 / 1e3,
             p99_read_us: read_hist.p99() as f64 / 1e3,
             p50_write_us: write_hist.p50() as f64 / 1e3,
@@ -464,7 +452,6 @@ mod tests {
             measure_host_bytes: 24 << 20,
             interval_host_bytes: 4 << 20,
             max_ops: 200_000,
-            report_workers: 1,
             queue_depth: 1,
             fault: None,
         });
@@ -488,7 +475,6 @@ mod tests {
             measure_host_bytes: 16 << 20,
             interval_host_bytes: 8 << 20,
             max_ops: 100_000,
-            report_workers: 1,
             queue_depth: 1,
             fault: None,
         });
@@ -507,7 +493,6 @@ mod tests {
             measure_host_bytes: 4 << 20,
             interval_host_bytes: 1 << 30,
             max_ops: 20_000,
-            report_workers: 1,
             queue_depth: 1,
             fault: None,
         });

@@ -37,7 +37,6 @@ fn run(fdp: bool) {
         measure_host_bytes: device_bytes * 2,
         interval_host_bytes: device_bytes / 8,
         max_ops: u64::MAX,
-        report_workers: 32,
         queue_depth: 1,
         fault: None,
     });

@@ -51,7 +51,6 @@ fn main() {
         measure_host_bytes: 1 << 30,
         interval_host_bytes: 128 << 20,
         max_ops: u64::MAX,
-        report_workers: 1,
         queue_depth: 1,
         fault: None,
     });

@@ -33,7 +33,6 @@ fn replay(queue_depth: usize) -> ExperimentResult {
         measure_host_bytes: 12 << 20,
         interval_host_bytes: 4 << 20,
         max_ops: 100_000,
-        report_workers: 1,
         queue_depth,
         fault: None,
     });
