@@ -1,7 +1,7 @@
 //! Chaos-soak gate: deterministic fault storms against the sharded
 //! pool, end to end through health classification, the per-shard flash
 //! circuit breaker, degraded DRAM-only serving, half-open probing and
-//! the background scrubber (`bench_chaos`).
+//! the background scrubber (`chaos::tests::gate`).
 //!
 //! Each built-in [`ChaosStorm`] replays a phased fault schedule (rates
 //! retuned at deterministic op boundaries) against a `MemStore`-backed
@@ -29,7 +29,6 @@
 //!    ([`run_scrub_precedence`]).
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::time::Instant;
 
 use fdpcache_cache::builder::{build_cache, build_device_faulted, create_namespace, StoreKind};
 use fdpcache_cache::value::Value;
@@ -42,7 +41,7 @@ use fdpcache_nvme::{FaultConfig, FaultKind, FaultTotals, ScriptedFault};
 use fdpcache_workloads::trace::Op;
 use fdpcache_workloads::{ChaosStorm, TraceGen, WorkloadProfile};
 
-use crate::throughput::bench_ftl_config;
+use crate::harness::bench_ftl_config;
 use crate::turn_ring::TurnRing;
 
 /// Configuration of one chaos-gate replay.
@@ -90,7 +89,7 @@ impl Default for ChaosGateConfig {
 
 impl ChaosGateConfig {
     /// The cache geometry under test — identical to the fault gate's
-    /// (`bench_faults`) so the two gates stress the same stack shape.
+    /// ([`crate::faults`]) so the two gates stress the same stack shape.
     pub fn cache_config(&self) -> CacheConfig {
         CacheConfig {
             ram_bytes: 256 << 10,
@@ -154,8 +153,6 @@ pub struct ChaosRunResult {
     pub absent: u64,
     /// Acknowledged keys whose verification read itself faulted.
     pub unverifiable: u64,
-    /// Wall-clock seconds for the run (informational).
-    pub wall_secs: f64,
 }
 
 impl ChaosRunResult {
@@ -379,7 +376,6 @@ pub fn run_chaos_storm(
 
     let mut shadow: BTreeMap<u64, Option<u32>> = BTreeMap::new();
     let mut surfaced = 0u64;
-    let start = Instant::now();
     for w in cuts.windows(2) {
         let (from, to) = (w[0], w[1]);
         if let Some((_, phase)) = bounds.iter().find(|(s, _)| *s == from) {
@@ -425,7 +421,6 @@ pub fn run_chaos_storm(
         lost: 0,
         absent: 0,
         unverifiable: 0,
-        wall_secs: start.elapsed().as_secs_f64(),
     };
     verify_pool(&pool, &shadow, &mut r);
     ctrl.with_ftl(|f| f.check_invariants());
@@ -449,9 +444,8 @@ impl ChaosSweepEntry {
 }
 
 /// Outcome of the scrub-precedence scenario
-/// ([`run_scrub_precedence`]). Serialized verbatim into the
-/// `BENCH_chaos.json` trajectory record.
-#[derive(Debug, Clone, serde::Serialize)]
+/// ([`run_scrub_precedence`]).
+#[derive(Debug, Clone)]
 pub struct ScrubPrecedenceResult {
     /// Scripted permanently-unreadable SOC pages seeded.
     pub bad_pages: u64,
@@ -633,47 +627,114 @@ pub fn sweep_chaos(cfg: &ChaosGateConfig) -> ChaosSweep {
 mod tests {
     use super::*;
 
-    fn quick() -> ChaosGateConfig {
-        ChaosGateConfig { ops: 8_000, ..ChaosGateConfig::default() }
-    }
-
+    /// Every built-in storm at full length twice, `storm_recover`
+    /// across the topology matrix, and the scrub-precedence scenario.
     #[test]
-    fn storm_replay_is_deterministic_and_loses_nothing() {
-        let cfg = quick();
-        let storm = ChaosStorm::storm_recover();
-        let a = run_chaos_storm(&cfg, &storm, 2);
-        let b = run_chaos_storm(&cfg, &storm, 2);
-        assert!(a.matches(&b), "storm replay diverged:\n{a:?}\n{b:?}");
-        assert!(a.injected.total() > 0, "storm injected nothing");
-        assert_eq!(a.lost, 0, "lost acknowledged writes");
-    }
-
-    #[test]
-    fn breaker_traces_are_invariant_across_workers() {
-        let cfg = quick();
-        let storm = ChaosStorm::storm_recover();
-        let base = run_chaos_storm(&cfg, &storm, 1);
-        for workers in [4, 8] {
-            let other = run_chaos_storm(&cfg, &storm, workers);
-            assert!(
-                base.matches(&other),
-                "topology {}w diverged from 1w:\nbase {:?} {:?}\nother {:?} {:?}",
-                workers,
-                base.shard_now_ns,
-                base.breakers,
-                other.shard_now_ns,
-                other.breakers,
-            );
+    fn gate() {
+        let sweep = sweep_chaos(&ChaosGateConfig::default());
+        let mut fails: Vec<String> = Vec::new();
+        for e in &sweep.storms {
+            let r = &e.first;
+            if !e.deterministic() {
+                fails.push(format!(
+                    "storm {} diverged across same-seed reruns — the storm schedule, breaker and \
+                     scrubber must be pure functions of their seeds:\nfirst: {:?}\nrerun: {:?}",
+                    r.storm, r, e.rerun
+                ));
+            }
+            if r.injected.total() == 0 {
+                fails.push(format!("storm {} injected nothing (vacuous)", r.storm));
+            }
+            if r.stats.scrubbed_pages == 0 {
+                fails.push(format!("storm {} never ran the patrol scrubber (vacuous)", r.storm));
+            }
         }
-    }
-
-    #[test]
-    fn scrub_repairs_bad_pages_before_any_client_read() {
-        let r = run_scrub_precedence(&quick());
-        assert!(r.acked > 0, "seeding acknowledged nothing");
-        assert!(r.scrub_repairs >= 1, "scrubber never repaired: {r:?}");
-        assert_eq!(r.readback_injected, 0, "a client read observed a bad page: {r:?}");
-        assert_eq!(r.lost, 0, "lost acknowledged writes: {r:?}");
-        assert!(r.readback_hits > 0, "read-back served nothing");
+        // Error/busy storms must trip the breaker and probe back to
+        // Closed; the latent-corruption storm must instead exercise the
+        // scrubber (silent corruption never fails a command, so health
+        // stays clean by design).
+        let storm = |name: &str| sweep.storms.iter().map(|e| &e.first).find(|r| r.storm == name);
+        for name in ["storm_recover", "busy_brownout"] {
+            match storm(name) {
+                None => fails.push(format!("builtin storm {name} missing from the sweep")),
+                Some(r) if r.total_opens() == 0 => fails.push(format!(
+                    "storm {name} never opened the breaker — the storm is too weak to exercise \
+                     degraded mode (vacuous)"
+                )),
+                Some(r) if !r.all_reclosed() => fails.push(format!(
+                    "storm {name} ended with a breaker stuck open ({} opens, {} closes) — \
+                     half-open probes must re-close once the storm clears",
+                    r.total_opens(),
+                    r.total_closes()
+                )),
+                Some(_) => {}
+            }
+        }
+        match storm("latent_corruption") {
+            None => fails.push("builtin storm latent_corruption missing from the sweep".into()),
+            Some(r) if r.stats.scrub_repairs == 0 => fails.push(
+                "storm latent_corruption produced no scrubber repairs — patrol reads must find \
+                 and fix silent corruption"
+                    .into(),
+            ),
+            Some(_) => {}
+        }
+        for r in sweep.storms.iter().map(|e| &e.first).chain(&sweep.topology) {
+            if r.lost > 0 {
+                fails.push(format!(
+                    "{} ({}w) lost {} acknowledged write(s) — degraded mode must never serve torn \
+                     data",
+                    r.storm, r.workers, r.lost
+                ));
+            }
+        }
+        let base = &sweep.topology[0];
+        for r in &sweep.topology[1..] {
+            if !base.matches(r) {
+                fails.push(format!(
+                    "topology {}w diverged from {}w — breaker transitions must land at identical \
+                     virtual times for every worker count:\nbase {:?} {:?}\nother {:?} {:?}",
+                    r.workers,
+                    base.workers,
+                    base.shard_now_ns,
+                    base.breakers,
+                    r.shard_now_ns,
+                    r.breakers
+                ));
+            }
+        }
+        let p = &sweep.precedence;
+        if p.bad_pages == 0 || p.acked == 0 {
+            fails.push(format!("scrub-precedence scenario seeded nothing (vacuous): {p:?}"));
+        }
+        if p.scrub_repairs == 0 {
+            fails.push(format!(
+                "scrub precedence — the scrubber repaired nothing despite {} scripted bad \
+                 page(s)",
+                p.bad_pages
+            ));
+        }
+        if p.readback_injected > 0 {
+            fails.push(format!(
+                "scrub precedence — {} client read(s) observed an injected fault; every bad page \
+                 must be repaired or invalidated before clients touch it",
+                p.readback_injected
+            ));
+        }
+        if p.readback_hits == 0 {
+            fails.push(format!("scrub precedence — read-back served nothing: {p:?}"));
+        }
+        if p.lost > 0 {
+            fails.push(format!(
+                "scrub precedence — {} acknowledged write(s) torn after the repair cycle",
+                p.lost
+            ));
+        }
+        assert!(
+            fails.is_empty(),
+            "chaos gate: {} violation(s):\n{}",
+            fails.len(),
+            fails.join("\n")
+        );
     }
 }

@@ -1,5 +1,5 @@
 //! Fault-injection gate: deterministic, crash-consistent recovery
-//! across the full cache stack (`bench_faults`).
+//! across the full cache stack (`faults::tests::gate`).
 //!
 //! Each built-in [`FaultScenario`] replays the same deterministic
 //! mixed trace against a `MemStore`-backed stack whose payload store is
@@ -23,7 +23,6 @@
 //! exercised recovery (no vacuous pass).
 
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 use fdpcache_cache::builder::{build_cache, build_device, build_device_faulted, StoreKind};
 use fdpcache_cache::value::Value;
@@ -33,7 +32,7 @@ use fdpcache_nvme::FaultTotals;
 use fdpcache_workloads::trace::Op;
 use fdpcache_workloads::{FaultScenario, WorkloadProfile};
 
-use crate::throughput::bench_ftl_config;
+use crate::harness::bench_ftl_config;
 
 /// Configuration of one fault-gate replay.
 #[derive(Debug, Clone)]
@@ -100,8 +99,6 @@ pub struct FaultRunResult {
     pub absent: u64,
     /// Acknowledged keys whose verification read itself faulted.
     pub unverifiable: u64,
-    /// Wall-clock seconds for the run (informational).
-    pub wall_secs: f64,
 }
 
 fn drive(
@@ -176,7 +173,6 @@ fn run_on(ctrl: &SharedController, cfg: &FaultGateConfig, scenario_name: &str) -
         .expect("cache");
     let mut shadow = BTreeMap::new();
     let mut surfaced = 0u64;
-    let start = Instant::now();
     drive(&mut cache, cfg, &mut shadow, &mut surfaced);
     cache.drain_io();
     let mut r = FaultRunResult {
@@ -190,7 +186,6 @@ fn run_on(ctrl: &SharedController, cfg: &FaultGateConfig, scenario_name: &str) -
         lost: 0,
         absent: 0,
         unverifiable: 0,
-        wall_secs: start.elapsed().as_secs_f64(),
     };
     verify(&mut cache, &shadow, &mut r);
     ctrl.with_ftl(|f| f.check_invariants());
@@ -263,49 +258,60 @@ pub fn sweep_faults(cfg: &FaultGateConfig) -> Vec<FaultSweepEntry> {
 mod tests {
     use super::*;
 
-    fn quick() -> FaultGateConfig {
-        FaultGateConfig { ops: 6_000, ..FaultGateConfig::default() }
-    }
-
+    /// Every built-in scenario at full length: bit-identical reruns,
+    /// zero lost acknowledged writes, non-vacuous injection and
+    /// recovery, and an empty plan that is bit-transparent.
     #[test]
-    fn none_scenario_matches_plain_device_bit_for_bit() {
-        let cfg = quick();
-        let none = run_fault_scenario(&cfg, &FaultScenario::none());
+    fn gate() {
+        let cfg = FaultGateConfig::default();
+        let entries = sweep_faults(&cfg);
         let plain = run_plain_baseline(&cfg);
-        assert_eq!(none.now_ns, plain.now_ns, "fault layer must be free when idle");
-        assert_eq!(none.stats, plain.stats);
-        assert_eq!(none.injected.total(), 0);
-        assert_eq!((none.lost, plain.lost), (0, 0));
-    }
-
-    #[test]
-    fn faulted_runs_are_deterministic_and_lose_nothing() {
-        // Hotter than the built-in scenarios so even the shortened
-        // unit-test replay sees a meaningful schedule (the full-length
-        // built-ins are exercised by `bench_faults --check` in CI).
-        let scenario = FaultScenario {
-            name: "unit_mix",
-            config: fdpcache_nvme::FaultConfig {
-                seed: 0x0717,
-                read_err_ppm: 2_500,
-                write_err_ppm: 2_000,
-                busy_ppm: 6_000,
-                busy_penalty_ns: 500_000,
-                ..Default::default()
-            },
-        };
-        let cfg = quick();
-        let a = run_fault_scenario(&cfg, &scenario);
-        let b = run_fault_scenario(&cfg, &scenario);
-        assert_eq!(a.now_ns, b.now_ns, "clock diverged");
-        assert_eq!(a.stats, b.stats, "counters diverged");
-        assert_eq!(a.injected, b.injected, "schedule diverged");
-        assert!(a.injected.total() > 0, "nothing injected");
-        assert_eq!(a.lost, 0, "lost acknowledged writes");
+        let mut fails: Vec<String> = Vec::new();
+        for e in &entries {
+            let r = &e.first;
+            if !e.deterministic() {
+                fails.push(format!(
+                    "scenario {} diverged across same-seed reruns ({} ns vs {} ns) — the fault \
+                     schedule must be a pure function of its seed",
+                    r.scenario, r.now_ns, e.rerun.now_ns
+                ));
+            }
+            if r.lost > 0 {
+                fails.push(format!(
+                    "scenario {} lost {} acknowledged write(s) — recovery must never serve torn \
+                     data",
+                    r.scenario, r.lost
+                ));
+            }
+            if r.scenario != "none" {
+                if r.injected.total() == 0 {
+                    fails.push(format!("scenario {} injected nothing (vacuous)", r.scenario));
+                }
+                if r.stats.retries + r.stats.repairs + r.stats.requeues == 0 {
+                    fails.push(format!("scenario {} never engaged recovery (vacuous)", r.scenario));
+                }
+            }
+        }
+        let none =
+            &entries.iter().find(|e| e.first.scenario == "none").expect("none scenario").first;
+        if none.now_ns != plain.now_ns || none.stats != plain.stats {
+            fails.push(format!(
+                "empty fault plan perturbed the stack ({} ns faulted-none vs {} ns plain) — the \
+                 decorator must be bit-transparent when idle",
+                none.now_ns, plain.now_ns
+            ));
+        }
+        if none.injected.total() > 0 {
+            fails.push(format!("empty fault plan injected {} fault(s)", none.injected.total()));
+        }
+        if plain.lost > 0 {
+            fails.push(format!("plain device lost {} acknowledged write(s)", plain.lost));
+        }
         assert!(
-            a.stats.retries + a.stats.repairs + a.stats.requeues > 0,
-            "recovery never engaged: {:?}",
-            a.stats
+            fails.is_empty(),
+            "fault gate: {} violation(s):\n{}",
+            fails.len(),
+            fails.join("\n")
         );
     }
 }

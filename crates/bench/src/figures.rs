@@ -14,6 +14,7 @@
 //! `paper_default` and the workload profiles (DESIGN.md §4).
 
 use std::collections::HashMap;
+use std::io;
 use std::path::Path;
 
 use fdpcache_cache::builder::{
@@ -510,13 +511,18 @@ impl Figure {
     /// Runs every cell; prints the table, the verdict and the paper's
     /// value; writes `repro-<id>.csv` (and the timeline figures'
     /// `repro-<id>-series.csv`) into `out_dir`.
-    pub fn run(&self, quick: bool, out_dir: &str) {
+    ///
+    /// # Errors
+    ///
+    /// The first CSV that could not be written; everything is printed
+    /// regardless.
+    pub fn run(&self, quick: bool, out_dir: &str) -> io::Result<()> {
         println!("== {}: {} ==\n", self.id, self.title);
         let cells = (self.cells)(quick);
         let outcomes: Vec<Outcome> = cells.iter().map(Cell::run).collect();
         let (table, body) = render(self.columns, &cells, &outcomes);
         println!("{table}");
-        write_csv(out_dir, &format!("repro-{}.csv", self.id), &body);
+        let mut written = write_csv(out_dir, &format!("repro-{}.csv", self.id), &body);
         if self.series {
             let mut series = Vec::new();
             for (c, o) in cells.iter().zip(&outcomes) {
@@ -526,12 +532,14 @@ impl Figure {
                 series.push(s);
             }
             let body = csv::render_series(&series.iter().collect::<Vec<_>>());
-            write_csv(out_dir, &format!("repro-{}-series.csv", self.id), &body);
+            written =
+                written.and(write_csv(out_dir, &format!("repro-{}-series.csv", self.id), &body));
         }
         if let Some(verdict) = self.verdict {
             println!("{}", verdict(&outcomes));
         }
         println!("(paper: {})\n", self.paper);
+        written
     }
 }
 
@@ -554,14 +562,14 @@ fn render(columns: &[Column], cells: &[Cell], outcomes: &[Outcome]) -> (String, 
     (table.render(), csv::render(&head, &rows))
 }
 
-/// Writes one CSV into `dir`, creating it as needed. A failure is a
-/// warning: the table is already printed.
-fn write_csv(dir: &str, name: &str, body: &str) {
+/// Writes one CSV into `dir`, creating it as needed.
+fn write_csv(dir: &str, name: &str, body: &str) -> io::Result<()> {
     let path = Path::new(dir).join(name);
-    match std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, body)) {
-        Ok(()) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-    }
+    std::fs::create_dir_all(dir)
+        .and_then(|()| std::fs::write(&path, body))
+        .map_err(|e| io::Error::new(e.kind(), format!("cannot write {}: {e}", path.display())))?;
+    eprintln!("wrote {}", path.display());
+    Ok(())
 }
 
 impl Cell {
@@ -898,14 +906,18 @@ mod tests {
                 assert!(!cells.is_empty() && f.verdict.is_none_or(|v| !v(&outcomes).is_empty()));
             }
         }
-        // The table rounds; the CSV keeps every digit and reaches the disk.
+        // The table rounds; the CSV keeps every digit and reaches the
+        // disk, or the write says why not.
         let (table, body) = render(SUMMARY, &(FIGURES[0].cells)(true), &[sample(), sample()]);
         assert!(table.contains("Non-FDP") && table.contains("1.23") && !table.contains("1.2345"));
         assert!(body.lines().nth(1).expect("FDP row").starts_with("FDP,1.25,1.2345,"));
         assert!(body.lines().nth(2).expect("Non-FDP row").starts_with("Non-FDP,1.25,1.2345,"));
         let dir = std::env::temp_dir().join("fdpcache_figures_test");
-        write_csv(&dir.to_string_lossy(), "x.csv", &body);
-        assert_eq!(std::fs::read_to_string(dir.join("x.csv")).expect("csv written"), body);
+        write_csv(&dir.to_string_lossy(), "x.csv", &body).expect("csv written");
+        assert_eq!(std::fs::read_to_string(dir.join("x.csv")).expect("csv read back"), body);
+        let under_a_file = dir.join("x.csv").join("sub");
+        let err = write_csv(&under_a_file.to_string_lossy(), "y.csv", &body).expect_err("a file");
+        assert!(err.to_string().contains("y.csv"), "names the path: {err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,4 +1,4 @@
-//! Fleet-scale open-loop serving gate (`bench_fleet`): multi-tenant
+//! Fleet-scale open-loop serving gate (`fleet::tests::gate`): multi-tenant
 //! SLOs on one device, plus health-routed failover across a
 //! multi-device tier.
 //!
@@ -31,12 +31,11 @@
 //!    for a cache; `Mismatch` is not).
 //!
 //! [`sweep_fleet`] runs scenario 1 at workers ∈ {1, 2, 4} plus a
-//! rerun, scenario 2 twice, and [`FleetSweep::gate_failures`] turns
-//! the lot into CI pass/fail.
+//! rerun, scenario 2 twice, and [`FleetSweep::gate_failures`] lists
+//! every violation of the gate.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
-use std::time::Instant;
 
 use fdpcache_cache::builder::{build_device, build_device_faulted, StoreKind};
 use fdpcache_cache::fleet::{FleetDevice, FleetRouter, DEFAULT_VNODES};
@@ -47,16 +46,12 @@ use fdpcache_metrics::Histogram;
 use fdpcache_nvme::{FaultRates, HealthConfig};
 use fdpcache_workloads::trace::Op;
 use fdpcache_workloads::{
-    ArrivalProcess, BurstWindow, ExperimentResult, RateShape, TenantCatalog, TenantSloSummary,
-    TenantSloTracker, TenantSpec, TokenBucket, WorkloadProfile,
+    ArrivalProcess, BurstWindow, RateShape, TenantCatalog, TenantSloSummary, TenantSloTracker,
+    TenantSpec, TokenBucket, WorkloadProfile,
 };
 
-use crate::throughput::bench_ftl_config;
+use crate::harness::bench_ftl_config;
 use crate::turn_ring::TurnRing;
-
-/// Tenants in the open-loop scenario: two isolated, one aggressor, one
-/// admission-budgeted.
-pub const FLEET_TENANTS: usize = 4;
 
 /// Isolated tenants' burst-phase p99 may inflate at most this factor
 /// over their calm-phase p99 while the aggressor saturates.
@@ -309,13 +304,13 @@ impl TenantTrack {
     }
 }
 
-/// Executes one schedule segment on the chaos gate's deterministic
+/// Executes the schedule on the chaos gate's deterministic
 /// [`TurnRing`]: each position is executed by the worker owning its
 /// tenant (`tenant % workers`) only after every earlier position
 /// completed, so the shared device sees the merged arrival order
 /// exactly — for any worker count. Shed arrivals still take their
 /// turn (they consume schedule order, not device time).
-fn fleet_round(
+fn run_schedule(
     pool: &ConcurrentPool,
     sched: &[SchedEntry],
     workers: usize,
@@ -386,7 +381,7 @@ fn fleet_round(
 }
 
 /// One tenant's per-phase latency evidence.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantPhaseStats {
     /// Tenant name.
     pub tenant: String,
@@ -405,9 +400,8 @@ pub struct TenantPhaseStats {
     pub post_p99_us: Option<f64>,
 }
 
-/// Everything one open-loop tenant run reports. Every field except
-/// `wall_secs` is deterministic — bit-identical across reruns and
-/// worker counts.
+/// Everything one open-loop tenant run reports. Every field is
+/// deterministic — bit-identical across reruns and worker counts.
 #[derive(Debug, Clone)]
 pub struct FleetTenantsResult {
     /// Worker threads that drove the turn ring.
@@ -427,12 +421,6 @@ pub struct FleetTenantsResult {
     pub host_bytes: u64,
     /// Device capacity in bytes.
     pub device_bytes: u64,
-    /// The standard experiment rollup (summaries duplicated into
-    /// [`ExperimentResult::tenants`] so downstream tables/CSV see the
-    /// per-tenant SLOs).
-    pub experiment: ExperimentResult,
-    /// Wall-clock seconds (informational, excluded from `matches`).
-    pub wall_secs: f64,
 }
 
 impl FleetTenantsResult {
@@ -469,41 +457,9 @@ pub fn run_fleet_tenants(cfg: &FleetGateConfig, workers: usize) -> FleetTenantsR
     let sched = build_schedule(cfg, &catalog);
     let tracks: Vec<Mutex<TenantTrack>> =
         (0..tenants).map(|_| Mutex::new(TenantTrack::new())).collect();
-
-    // Cut the schedule at the burst boundaries plus even intervals so
-    // the DLWA series samples on deterministic positions.
-    let mut cuts: Vec<usize> = vec![0];
-    let interval = (sched.len() / 16).max(1);
-    let mut pos = interval;
-    while pos < sched.len() {
-        cuts.push(pos);
-        pos += interval;
-    }
-    for boundary in [cfg.burst.start_ns, cfg.burst.end_ns] {
-        let idx = sched.partition_point(|e| e.arrival_ns < boundary);
-        if idx < sched.len() {
-            cuts.push(idx);
-        }
-    }
-    cuts.push(sched.len());
-    cuts.sort_unstable();
-    cuts.dedup();
-
     let workers = workers.max(1);
-    let start = Instant::now();
-    let mut dlwa_series: Vec<(f64, f64)> = Vec::new();
-    let mut prev_log = ctrl.fdp_stats_log();
-    for w in cuts.windows(2) {
-        fleet_round(&pool, &sched[w[0]..w[1]], workers, &cfg.burst, &tracks);
-        let log = ctrl.fdp_stats_log();
-        let d = log.delta(&prev_log);
-        if d.host_bytes_written > 0 {
-            dlwa_series.push((log.host_bytes_written as f64 / (1u64 << 30) as f64, d.dlwa()));
-        }
-        prev_log = log;
-    }
+    run_schedule(&pool, &sched, workers, &cfg.burst, &tracks);
     pool.drain_io();
-    let wall_secs = start.elapsed().as_secs_f64();
 
     let log = ctrl.fdp_stats_log();
     let stats = pool.stats();
@@ -529,44 +485,6 @@ pub fn run_fleet_tenants(cfg: &FleetGateConfig, workers: usize) -> FleetTenantsR
         })
         .collect();
 
-    let read = pool.read_latency();
-    let write = pool.write_latency();
-    let us = |h: &Histogram, p: f64| h.try_percentile(p).map_or(0.0, |v| v as f64 / 1_000.0);
-    let ops: u64 = summaries.iter().map(|s| s.admitted).sum();
-    let sim_secs = shard_now_ns.iter().max().copied().unwrap_or(0) as f64 / 1e9;
-    let steady_from = dlwa_series.len().saturating_sub(dlwa_series.len() / 4);
-    let steady = &dlwa_series[steady_from..];
-    let dlwa = log.dlwa();
-    let experiment = ExperimentResult {
-        workload: "fleet-tenants".to_string(),
-        label: "FDP".to_string(),
-        dlwa_series: dlwa_series.clone(),
-        dlwa,
-        dlwa_steady: if steady.is_empty() {
-            dlwa
-        } else {
-            steady.iter().map(|&(_, y)| y).sum::<f64>() / steady.len() as f64
-        },
-        hit_ratio: stats.hit_ratio(),
-        nvm_hit_ratio: stats.nvm_hit_ratio(),
-        alwa: pool.alwa(),
-        kops: if sim_secs > 0.0 { ops as f64 / sim_secs / 1_000.0 } else { 0.0 },
-        kgets: if sim_secs > 0.0 { stats.gets as f64 / sim_secs / 1_000.0 } else { 0.0 },
-        p50_read_us: us(&read, 50.0),
-        p99_read_us: us(&read, 99.0),
-        p50_write_us: us(&write, 50.0),
-        p99_write_us: us(&write, 99.0),
-        gc_events: log.media_relocated_events,
-        host_bytes: log.host_bytes_written,
-        media_bytes: log.media_bytes_written,
-        ops,
-        faults: stats.faults,
-        retries: stats.retries,
-        repairs: stats.repairs,
-        requeues: stats.requeues,
-        tenants: summaries.clone(),
-    };
-
     ctrl.with_ftl(|f| f.check_invariants());
     FleetTenantsResult {
         workers,
@@ -574,16 +492,14 @@ pub fn run_fleet_tenants(cfg: &FleetGateConfig, workers: usize) -> FleetTenantsR
         phases,
         shard_now_ns,
         stats,
-        dlwa,
+        dlwa: log.dlwa(),
         host_bytes: log.host_bytes_written,
         device_bytes: cfg.device_mib << 20,
-        experiment,
-        wall_secs,
     }
 }
 
 /// One fleet device's end-of-run evidence in the failover scenario.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetDeviceReport {
     /// Device name.
     pub device: String,
@@ -623,8 +539,6 @@ pub struct FleetFailoverResult {
     pub unverifiable: u64,
     /// Per-device final virtual clocks.
     pub device_now_ns: Vec<u64>,
-    /// Wall-clock seconds (informational, excluded from `matches`).
-    pub wall_secs: f64,
 }
 
 impl FleetFailoverResult {
@@ -679,7 +593,6 @@ pub fn run_fleet_failover(cfg: &FleetGateConfig) -> FleetFailoverResult {
     // for a delete or an indeterminate casualty).
     let mut shadow: BTreeMap<u64, (usize, Option<u32>)> = BTreeMap::new();
     let mut surfaced = 0u64;
-    let start = Instant::now();
     for pos in 0..cfg.failover_ops {
         if pos == cfg.fail_at {
             assert!(
@@ -781,7 +694,6 @@ pub fn run_fleet_failover(cfg: &FleetGateConfig) -> FleetFailoverResult {
         absent,
         unverifiable,
         device_now_ns,
-        wall_secs: start.elapsed().as_secs_f64(),
     }
 }
 
@@ -830,6 +742,10 @@ impl FleetSweep {
         }
         if !self.failover.matches(&self.failover_rerun) {
             fails.push("failover rerun diverged from the first run".to_string());
+        }
+
+        for p in base.phases.iter().filter(|p| p.admitted == 0) {
+            fails.push(format!("{}: admitted nothing (vacuous)", p.tenant));
         }
 
         // SLO isolation: isolated tenants stay flat and meet their SLO
@@ -959,29 +875,17 @@ mod tests {
         assert!(in_burst > 5 * pre, "burst {in_burst} vs pre {pre}");
     }
 
+    /// Both scenarios at full length: the tenant run at every worker
+    /// count plus a rerun, the failover run twice.
     #[test]
-    fn tenant_run_is_worker_invariant() {
-        let cfg = quick_cfg();
-        let one = run_fleet_tenants(&cfg, 1);
-        let four = run_fleet_tenants(&cfg, 4);
-        assert!(one.matches(&four), "1-worker and 4-worker runs diverged");
-        assert!(one.summaries.iter().all(|s| s.admitted > 0));
-    }
-
-    #[test]
-    fn failover_reroutes_and_loses_nothing() {
-        let cfg = quick_cfg();
-        let r = run_fleet_failover(&cfg);
-        assert_eq!(r.lost, 0, "lost acknowledged writes: {:?}", r.devices);
-        assert!(r.acked > 0 && r.verified > 0);
+    fn gate() {
+        let cfg = FleetGateConfig::default();
+        let fails = sweep_fleet(&cfg).gate_failures(&cfg);
         assert!(
-            r.devices[1].failed_over > 0,
-            "no failover (surfaced {}): {:?}",
-            r.surfaced,
-            r.devices
+            fails.is_empty(),
+            "fleet gate: {} violation(s):\n{}",
+            fails.len(),
+            fails.join("\n")
         );
-        assert_eq!(r.devices[1].health, "Failing", "victim health: {:?}", r.devices);
-        let rerun = run_fleet_failover(&cfg);
-        assert!(r.matches(&rerun));
     }
 }

@@ -1,4 +1,5 @@
-//! The experiment configuration every [`crate::figures`] cell varies.
+//! The experiment configuration every [`crate::figures`] cell varies,
+//! and the device shape every gate scenario runs on.
 //!
 //! Every experiment instantiates the same scaled stack (DESIGN.md §1):
 //! a 4–8 GiB simulated FDP SSD with 64 MiB reclaim units standing in
@@ -10,6 +11,15 @@ use fdpcache_cache::config::{CacheConfig, LocEviction, NvmConfig};
 use fdpcache_ftl::{FtlConfig, GcPolicy, RuhType};
 use fdpcache_nand::Geometry;
 use fdpcache_workloads::WorkloadProfile;
+
+/// The bench-device FTL configuration shared by every gate scenario, so
+/// they always measure the same device shape: 4 KiB LBAs, 8 RUHs,
+/// scaled defaults otherwise.
+pub fn bench_ftl_config(device_mib: u64, ru_mib: u64, seed: u64) -> FtlConfig {
+    let geometry = Geometry::with_capacity(device_mib << 20, ru_mib << 20, 4096)
+        .expect("bench geometry must be constructible");
+    FtlConfig { geometry, num_ruhs: 8, seed, ..FtlConfig::scaled_default() }
+}
 
 /// One experiment's full parameter set.
 #[derive(Debug, Clone)]

@@ -1,5 +1,5 @@
 //! Warm-restart gate: deterministic crash plus crash-consistent
-//! recovery of flash-resident cache state (`bench_recovery`).
+//! recovery of flash-resident cache state (`recovery::tests::gate`).
 //!
 //! Each crash point replays the fault-gate trace against a
 //! `MemStore`-backed stack whose fault plan carries exactly one
@@ -34,7 +34,6 @@
 //! from exactly the cold-DRAM state a real warm restart would see.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::time::Instant;
 
 use fdpcache_cache::builder::{
     build_cache, build_device, build_device_faulted, create_namespace, recover_cache, StoreKind,
@@ -47,7 +46,11 @@ use fdpcache_ftl::FtlSnapshot;
 use fdpcache_workloads::trace::{Op, Request};
 use fdpcache_workloads::{FaultScenario, WorkloadProfile};
 
-use crate::throughput::bench_ftl_config;
+use crate::harness::bench_ftl_config;
+
+/// Maximum tolerated hit-ratio gap between the recovered continuation
+/// and the no-crash baseline (3 points).
+pub const HIT_RATIO_TOLERANCE: f64 = 0.03;
 
 /// Configuration of one warm-restart gate run.
 #[derive(Debug, Clone)]
@@ -250,8 +253,6 @@ pub struct RecoveryRunResult {
     pub post_hit_ratio: f64,
     /// Cache counters over the measured post-recovery segment.
     pub post_stats: CacheStats,
-    /// Wall-clock seconds for the whole run (informational).
-    pub wall_secs: f64,
 }
 
 /// Reattaches the cache, retrying when a still-armed kill fires during
@@ -292,7 +293,6 @@ pub fn run_crash_recovery(cfg: &RecoveryGateConfig, spec: &CrashSpec) -> Recover
         build_cache(&ctrl, nsid, &cfg.cache_config(), Box::new(RoundRobinPolicy::new()))
             .expect("cache");
     let ns_lbas = ctrl.namespace(nsid).expect("ns").lba_count;
-    let start = Instant::now();
 
     let profile = WorkloadProfile::meta_kv_cache();
     let mut gen = profile.generator(20_000, cfg.seed);
@@ -400,7 +400,6 @@ pub fn run_crash_recovery(cfg: &RecoveryGateConfig, spec: &CrashSpec) -> Recover
         measured_from,
         post_hit_ratio: post_stats.hit_ratio(),
         post_stats,
-        wall_secs: start.elapsed().as_secs_f64(),
     }
 }
 
@@ -493,13 +492,9 @@ pub fn sweep_recovery(cfg: &RecoveryGateConfig) -> Vec<RecoverySweepEntry> {
 mod tests {
     use super::*;
 
-    fn quick() -> RecoveryGateConfig {
-        RecoveryGateConfig { ops: 8_000, checkpoint_every: 2_000, ..RecoveryGateConfig::default() }
-    }
-
     #[test]
     fn crash_points_are_distinct_and_probed_from_geometry() {
-        let cfg = quick();
+        let cfg = RecoveryGateConfig::default();
         let specs = builtin_crash_points(&cfg);
         let mut lbas: Vec<u64> = specs.iter().map(|s| s.lba).collect();
         lbas.sort_unstable();
@@ -513,38 +508,79 @@ mod tests {
         );
     }
 
+    /// Every built-in crash point at full length, twice, against the
+    /// no-crash baseline.
     #[test]
-    fn first_seal_crash_recovers_losing_nothing() {
-        let cfg = quick();
-        let specs = builtin_crash_points(&cfg);
-        let seal = specs.iter().find(|s| s.label == "loc_first_seal").unwrap();
-        let r = run_crash_recovery(&cfg, seal);
-        assert!(r.crashed, "kill never fired — vacuous run");
-        assert!(r.ops_before_crash < cfg.ops);
-        assert_eq!(r.lost, 0, "lost acknowledged-and-sealed writes");
-        assert_eq!(r.resurrected, 0, "deleted keys resurrected");
-        assert!(r.persisted_match, "recovered persisted set diverged");
-        assert!(r.must_survive > 0, "nothing persisted before the crash — vacuous");
-        assert!(r.recovery_ns > 0 && r.recovery_ns <= r.recovery_budget_ns);
-        assert_eq!(r.ops_before_crash + r.post_ops, cfg.ops, "trace must complete");
-    }
-
-    #[test]
-    fn crash_recovery_is_deterministic() {
-        let cfg = quick();
-        let specs = builtin_crash_points(&cfg);
-        let spec = specs.iter().find(|s| s.label == "soc_bucket_rmw").unwrap();
-        let entry = RecoverySweepEntry {
-            first: run_crash_recovery(&cfg, spec),
-            rerun: run_crash_recovery(&cfg, spec),
-            baseline_post_hit_ratio: 0.0,
-        };
-        assert!(entry.first.crashed);
+    fn gate() {
+        let cfg = RecoveryGateConfig::default();
+        let entries = sweep_recovery(&cfg);
+        let mut fails: Vec<String> = Vec::new();
+        for e in &entries {
+            let r = &e.first;
+            if !r.crashed {
+                fails.push(format!("crash point {} never fired its kill (vacuous)", r.label));
+            }
+            if r.must_survive == 0 {
+                fails.push(format!(
+                    "crash point {} had nothing persisted before the kill (vacuous)",
+                    r.label
+                ));
+            }
+            if r.lost > 0 {
+                fails.push(format!(
+                    "crash point {} lost {} acknowledged-and-sealed write(s)",
+                    r.label, r.lost
+                ));
+            }
+            if r.resurrected > 0 {
+                fails.push(format!(
+                    "crash point {} resurrected {} acknowledged delete(s)",
+                    r.label, r.resurrected
+                ));
+            }
+            if !r.persisted_match {
+                fails.push(format!(
+                    "crash point {}: recovered persisted-key set diverged from the crashed \
+                     instance's",
+                    r.label
+                ));
+            }
+            if r.recovery_ns == 0 || r.recovery_ns > r.recovery_budget_ns {
+                fails.push(format!(
+                    "crash point {}: recovery cost {} ns outside (0, {} ns] budget",
+                    r.label, r.recovery_ns, r.recovery_budget_ns
+                ));
+            }
+            if r.ops_before_crash + r.post_ops != cfg.ops {
+                fails.push(format!(
+                    "crash point {}: {} ops before the crash + {} after != {} — the trace must \
+                     complete on the recovered instance",
+                    r.label, r.ops_before_crash, r.post_ops, cfg.ops
+                ));
+            }
+            if e.hit_ratio_gap() > HIT_RATIO_TOLERANCE {
+                fails.push(format!(
+                    "crash point {}: post-recovery hit ratio {:.4} vs no-crash {:.4} (gap {:.4} \
+                     > {HIT_RATIO_TOLERANCE})",
+                    r.label,
+                    r.post_hit_ratio,
+                    e.baseline_post_hit_ratio,
+                    e.hit_ratio_gap()
+                ));
+            }
+            if !e.deterministic() {
+                fails.push(format!(
+                    "crash point {} diverged across same-seed reruns — crash + recovery must be \
+                     a pure function of its seeds:\nfirst: {:?}\nrerun: {:?}",
+                    r.label, e.first, e.rerun
+                ));
+            }
+        }
         assert!(
-            entry.deterministic(),
-            "crash + recovery diverged across reruns:\nfirst: {:?}\nrerun: {:?}",
-            entry.first,
-            entry.rerun
+            fails.is_empty(),
+            "warm-restart gate: {} violation(s):\n{}",
+            fails.len(),
+            fails.join("\n")
         );
     }
 }

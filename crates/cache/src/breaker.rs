@@ -17,7 +17,7 @@
 //! Everything here is driven by the shard's **virtual** clock and
 //! deterministic health classification, so breaker traces replay
 //! bit-identically across reruns and worker counts — the property
-//! `bench_chaos --check` gates on.
+//! the bench crate's chaos gate checks.
 
 use fdpcache_core::HealthState;
 

@@ -220,7 +220,7 @@ impl HybridCache {
 
     /// Verifies one key's on-flash bytes against the acknowledged
     /// object (see [`NavyEngine::verify_key`]); the probe behind the
-    /// `bench_faults --check` zero-lost-writes gate.
+    /// bench crate's zero-lost-writes gates.
     ///
     /// # Errors
     ///

@@ -203,8 +203,8 @@ impl ConcurrentPool {
     }
 
     /// Looks up `key` through the shard lock unconditionally — the
-    /// pre-lock-free read path, kept callable as the baseline the
-    /// `bench_fullstack --read` no-regression gate compares against.
+    /// pre-lock-free read path, kept callable as the reference the
+    /// lock-free property tests compare against.
     ///
     /// # Errors
     ///

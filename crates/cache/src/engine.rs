@@ -425,8 +425,8 @@ impl NavyEngine {
     }
 
     /// Verifies `key`'s on-flash bytes against the acknowledged object
-    /// (the "zero lost acknowledged writes" probe behind
-    /// `bench_faults --check`). SOC keys verify their whole bucket's
+    /// (the "zero lost acknowledged writes" probe behind the bench
+    /// crate's fault gate). SOC keys verify their whole bucket's
     /// serialization; LOC keys compare the covering-block read against
     /// the indexed value.
     ///

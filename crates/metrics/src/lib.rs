@@ -8,12 +8,10 @@
 //! * [`Histogram`] — a log-linear bucketed latency histogram with
 //!   percentile queries (p50/p90/p99/p999), used to reproduce the p99
 //!   read/write latency series of Figures 6 and 13.
-//! * [`CounterSet`] — named monotonic counters with snapshot/delta
-//!   support, used for host/NAND byte accounting (DLWA) and GC events.
 //! * [`TimeSeries`] — an append-only `(x, y)` series with interval-delta
 //!   helpers, used for the interval-DLWA timelines of Figures 5, 7, 8
 //!   and 11.
-//! * [`Table`] — an ASCII table renderer so each bench binary can print
+//! * [`Table`] — an ASCII table renderer so each figure row can print
 //!   the same rows the paper reports.
 //! * [`csv`] — CSV emission for machine-readable experiment outputs.
 //!
@@ -22,13 +20,11 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-pub mod counter;
 pub mod csv;
 pub mod histogram;
 pub mod table;
 pub mod timeseries;
 
-pub use counter::{CounterSet, CounterSnapshot};
 pub use histogram::Histogram;
 pub use table::Table;
 pub use timeseries::TimeSeries;

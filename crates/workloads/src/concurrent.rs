@@ -13,9 +13,8 @@
 //! `fdpcache_nvme::controller` and DESIGN.md §"Locking model").
 //!
 //! Because the data path no longer funnels through a controller-wide
-//! mutex, this module is both a correctness/stress harness *and* the
-//! engine behind the throughput benchmark (`bench_throughput`): N
-//! workers on N namespaces scale aggregate ops/sec on real OS threads.
+//! mutex, this module is a correctness/stress harness on real OS
+//! threads: N workers on N namespaces share only the device.
 //! Per-worker results aggregate over a bounded channel.
 //!
 //! Two driver shapes live here:
@@ -25,8 +24,8 @@
 //! * [`run_pool_round`] — one shared [`ConcurrentPool`] for **all**
 //!   workers, who either partition its shards deterministically or
 //!   contend on them ([`PoolMode`]); this drives the full cache tier
-//!   from real threads and backs `bench_fullstack` and the pool
-//!   replayer ([`crate::replay::replay_pool`]).
+//!   from real threads and backs the pool replayer
+//!   ([`crate::replay::replay_pool`]).
 
 use crossbeam::channel;
 

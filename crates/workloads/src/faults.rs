@@ -7,9 +7,9 @@
 //! build the device with
 //! [`fdpcache_cache::builder::build_device_faulted`], set the scenario
 //! in [`crate::ReplayConfig`]/[`crate::PoolReplayConfig`] (which tags
-//! the result label), and drive the same generator. `bench_faults`
-//! sweeps every built-in scenario and gates determinism plus
-//! zero-lost-acknowledged-writes on each.
+//! the result label), and drive the same generator. The bench crate's
+//! fault gate sweeps every built-in scenario and checks determinism
+//! plus zero-lost-acknowledged-writes on each.
 //!
 //! Probabilities are deliberately small: fault decisions roll **per
 //! block access**, so a 256-block region seal at 200 ppm already faults

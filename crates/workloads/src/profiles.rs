@@ -96,9 +96,9 @@ impl WorkloadProfile {
     /// Read-mostly contended profile: 95/5 GET/SET on a hard Zipf head
     /// of small objects, no churn. Paired with a keyspace small enough
     /// to sit in DRAM, nearly every GET is a DRAM hit on a handful of
-    /// head keys — the workload behind the `bench_fullstack --read`
-    /// contended-read scaling gate, where lock-free index hits must
-    /// scale with reader threads instead of serializing on shard locks.
+    /// head keys — the workload behind the benchmark's `dram_hot_reads`,
+    /// where lock-free index hits should scale with reader threads
+    /// instead of serializing on shard locks.
     pub fn read_mostly_hot() -> Self {
         WorkloadProfile {
             name: "read-mostly-hot",
@@ -115,7 +115,7 @@ impl WorkloadProfile {
 
     /// Large-object write stream: every SET is LOC-bound (≥ 8 KiB), so
     /// device traffic is dominated by region seals — the workload
-    /// behind the `bench_throughput --qd` queue-depth scaling gate,
+    /// behind the queue-depth scaling test (`tests/integration_qd.rs`),
     /// where batched seal submissions must beat the per-command path.
     pub fn loc_seal_heavy() -> Self {
         WorkloadProfile {

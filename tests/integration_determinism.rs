@@ -218,7 +218,7 @@ fn faulted_qd_pool_replays_are_bit_identical_and_thread_invariant() {
 }
 
 /// Replays the read-mostly-hot contended profile (the workload behind
-/// the `bench_fullstack --read` gate) through the pool — the lock-free
+/// the benchmark's `dram_hot_reads`) through the pool — the lock-free
 /// DRAM-hit path is live on every GET — optionally under a fault
 /// schedule.
 fn replay_read_mostly(
