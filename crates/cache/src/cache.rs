@@ -213,6 +213,12 @@ impl HybridCache {
         self.navy.io_mut().flush();
     }
 
+    /// Empties the device latency histograms (see
+    /// [`IoManager::reset_latency`](fdpcache_core::IoManager::reset_latency)).
+    pub fn reset_latency(&mut self) {
+        self.navy.io_mut().reset_latency();
+    }
+
     /// Application-level write amplification of the flash layer.
     pub fn alwa(&self) -> f64 {
         self.navy.alwa()

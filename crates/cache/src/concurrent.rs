@@ -269,6 +269,14 @@ impl ConcurrentPool {
         }
     }
 
+    /// Empties every shard's device latency histograms (see
+    /// [`HybridCache::reset_latency`]).
+    pub fn reset_latency(&self) {
+        for s in &self.shards {
+            s.cache.lock().reset_latency();
+        }
+    }
+
     /// Retunes every shard's breaker probe-backoff schedule (see
     /// [`HybridCache::set_breaker_backoff`]).
     pub fn set_breaker_backoff(&self, initial_ns: u64, max_ns: u64) {

@@ -139,9 +139,11 @@ fn hash(key: Key) -> u64 {
 
 impl ReadIndex {
     /// Creates an index sized for roughly `items` resident entries
-    /// (buckets = next power of two ≥ items, clamped to [64, 65536]).
+    /// (buckets = next power of two ≥ items, clamped to [64, 2^22]).
+    /// The ceiling keeps chains short at figure-scale DRAM sizes (2^22
+    /// buckets are 32 MiB of pointers).
     pub fn with_capacity_hint(items: usize) -> Self {
-        let buckets = items.clamp(64, 65_536).next_power_of_two();
+        let buckets = items.clamp(64, 1 << 22).next_power_of_two();
         ReadIndex {
             table: Table {
                 buckets: (0..buckets).map(|_| AtomicPtr::new(std::ptr::null_mut())).collect(),

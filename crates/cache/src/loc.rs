@@ -4,9 +4,10 @@
 //!
 //! * the flash space is divided into *regions* (16 MiB default, aligned
 //!   with erase-block/reclaim-unit sizes);
-//! * objects append into an in-memory active-region buffer; a full
-//!   region is *sealed* — written to flash sequentially in large chunks —
-//!   and a fresh region opens;
+//! * objects append into an in-memory active region; a full region is
+//!   *sealed* — written to flash sequentially in large chunks, each
+//!   object materialised once, straight into the payload store — and a
+//!   fresh region opens;
 //! * when no free region remains, one sealed region is evicted (FIFO or
 //!   LRU) and its index entries dropped; the region's blocks are simply
 //!   overwritten by the next seal (no TRIM), exactly like CacheLib —
@@ -32,6 +33,7 @@
 //!   footer *before* the in-memory removal is acknowledged, so a crash
 //!   can never resurrect a deleted key from a stale footer.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use fdpcache_core::{IoBatch, IoManager, PlacementHandle};
@@ -154,6 +156,8 @@ struct Region {
     state: RegionState,
     /// Keys written into this region (for index cleanup at eviction
     /// and for locating footers that may still list a deleted key).
+    /// [`Loc::key_regions`] inverts these lists; every change to one
+    /// goes through a `Loc` method that updates both.
     keys: Vec<Key>,
     /// Last read sequence (LRU eviction).
     last_access: u64,
@@ -174,6 +178,62 @@ struct ActiveEntry {
     value: Value,
 }
 
+/// Writes bytes `[at, at + out.len())` of a sealing region into `out`:
+/// the overlapping parts of `objects` (ordered by offset), and zeros
+/// in the gaps superseded or removed objects left and in the tail
+/// padding.
+fn fill_region(objects: &[(Key, &ActiveEntry)], at: usize, out: &mut [u8]) {
+    let end = at + out.len();
+    let first = objects.partition_point(|(_, e)| e.offset as usize + e.value.len() <= at);
+    let mut pos = at;
+    for &(key, e) in &objects[first..] {
+        let off = e.offset as usize;
+        if off >= end {
+            break;
+        }
+        let from = off.max(pos);
+        let to = (off + e.value.len()).min(end);
+        out[pos - at..from - at].fill(0);
+        e.value.materialize_at(key, from - off, &mut out[from - at..to - at]);
+        pos = to;
+    }
+    out[pos - at..].fill(0);
+}
+
+/// The inverse of every region's key list: for each key, the regions
+/// whose [`Region::keys`] hold it. A key is listed by at most one
+/// region per copy it has on flash, so the lists stay short.
+#[derive(Debug, Default)]
+struct KeyRegions(HashMap<Key, Vec<u32>>);
+
+impl KeyRegions {
+    fn list(&mut self, key: Key, region: u32) {
+        self.0.entry(key).or_default().push(region);
+    }
+
+    fn unlist(&mut self, key: Key, region: u32) {
+        if let Entry::Occupied(mut e) = self.0.entry(key) {
+            let regions = e.get_mut();
+            if let Some(i) = regions.iter().position(|&r| r == region) {
+                regions.swap_remove(i);
+            }
+            if regions.is_empty() {
+                e.remove();
+            }
+        }
+    }
+
+    /// Empties `region`'s (number `r`) key list, unlisting each key,
+    /// and returns the keys.
+    fn take(&mut self, region: &mut Region, r: u32) -> Vec<Key> {
+        let keys = std::mem::take(&mut region.keys);
+        for &k in &keys {
+            self.unlist(k, r);
+        }
+        keys
+    }
+}
+
 #[derive(Debug, Clone)]
 struct IndexEntry {
     region: u32,
@@ -192,7 +252,8 @@ pub struct Loc {
     free: VecDeque<u32>,
     sealed_fifo: VecDeque<u32>,
     active: Option<u32>,
-    active_buf: Vec<u8>,
+    /// Bytes of the active region its objects occupy; nothing is
+    /// materialised until the seal writes them.
     active_fill: usize,
     /// The active buffer's live objects by key (a key's newer copy
     /// replaces its older one): every insert, lookup and remove of
@@ -201,6 +262,8 @@ pub struct Loc {
     /// Next [`ActiveEntry::seq`].
     active_seq: u64,
     index: HashMap<Key, IndexEntry>,
+    /// Which regions list each key (the inverse of `Region::keys`).
+    key_regions: KeyRegions,
     eviction: LocEviction,
     trim_on_evict: bool,
     handle: PlacementHandle,
@@ -260,11 +323,11 @@ impl Loc {
             free: (0..num_regions).collect(),
             sealed_fifo: VecDeque::new(),
             active: None,
-            active_buf: Vec::new(),
             active_fill: 0,
             active_keys: HashMap::new(),
             active_seq: 0,
             index: HashMap::new(),
+            key_regions: KeyRegions::default(),
             eviction,
             trim_on_evict,
             handle,
@@ -276,7 +339,6 @@ impl Loc {
             meta_scratch: Vec::new(),
             pending_requeue: Vec::new(),
         };
-        loc.active_buf = vec![0u8; loc.payload_bytes()];
         loc.meta_scratch = vec![0u8; loc.meta_blocks() as usize * block_bytes as usize];
         loc
     }
@@ -579,13 +641,19 @@ impl Loc {
         self.base_block + region as u64 * self.region_blocks
     }
 
-    /// Flushes the active region buffer to flash as **one** batched
+    /// Flushes the active region to flash as **one** batched
     /// submission: every 64 KiB chunk of the region becomes one queued
     /// write and the whole region validates and maps under a single
     /// media-lock acquisition ([`IoManager::submit_batch`]), instead of
     /// N sequential synchronous writes. At queue depths above 1 the
     /// chunks pipeline across device lanes; at depth 1 the timing is
     /// bit-identical to the old sequential loop.
+    ///
+    /// No region buffer exists: each chunk's write carries a fill
+    /// source ([`IoBatch::write_with`]) over the offset-ordered object
+    /// list, so the payload store materialises the objects straight
+    /// into its pages — one pass over the region's bytes — with the
+    /// gaps and tail padding zeroed. The footer is serialized bytes.
     ///
     /// Recovery (DESIGN.md §6): an injected device fault fails the
     /// batch all-or-nothing (the controller's fault gate plus FTL
@@ -611,28 +679,30 @@ impl Loc {
         // the region as unsealed (its objects were buffered, i.e.
         // acknowledged-but-not-sealed — the documented volatile class).
         let seq = self.next_seal_seq;
-        let mut order: Vec<(u64, (Key, u32, u32))> = self
-            .active_keys
-            .iter()
-            .map(|(k, e)| (e.seq, (*k, e.offset, e.value.len() as u32)))
+        // Fill order is offset order: offsets grow with every insert.
+        let mut objects: Vec<(Key, &ActiveEntry)> =
+            self.active_keys.iter().map(|(k, e)| (*k, e)).collect();
+        objects.sort_unstable_by_key(|&(_, e)| e.seq);
+        let entries: Vec<(Key, u32, u32)> =
+            objects.iter().map(|&(k, e)| (k, e.offset, e.value.len() as u32)).collect();
+        let objects = &objects;
+        let chunk_bytes = chunk_blocks * self.block_bytes as usize;
+        let fills: Vec<_> = (0..payload_bytes.div_ceil(chunk_bytes))
+            .map(|c| {
+                move |at: usize, out: &mut [u8]| fill_region(objects, c * chunk_bytes + at, out)
+            })
             .collect();
-        order.sort_unstable_by_key(|&(seq, _)| seq);
-        let entries: Vec<(Key, u32, u32)> = order.into_iter().map(|(_, entry)| entry).collect();
         let mut scratch = std::mem::take(&mut self.meta_scratch);
         let footer_blocks = self.serialize_footer(region, seq, &entries, &mut scratch);
         let meta_buf = &scratch[..footer_blocks * self.block_bytes as usize];
         let mut schedule = seal_retry().schedule(region as u64);
         let landed = loop {
-            let mut batch = IoBatch::with_capacity(
-                payload_bytes.div_ceil(SEAL_CHUNK_BYTES)
-                    + meta_buf.len().div_ceil(SEAL_CHUNK_BYTES),
-            );
-            let mut block = 0u64;
-            while (block as usize) * (self.block_bytes as usize) < payload_bytes {
-                let off = block as usize * self.block_bytes as usize;
-                let len = (chunk_blocks * self.block_bytes as usize).min(payload_bytes - off);
-                batch.write(start_block + block, &self.active_buf[off..off + len], self.handle);
-                block += (len / self.block_bytes as usize) as u64;
+            let mut batch =
+                IoBatch::with_capacity(fills.len() + meta_buf.len().div_ceil(SEAL_CHUNK_BYTES));
+            for (c, fill) in fills.iter().enumerate() {
+                let block = (c * chunk_blocks) as u64;
+                let nlb = (chunk_blocks as u64).min(self.region_blocks - block);
+                batch.write_with(start_block + block, nlb, fill, self.handle);
             }
             let meta_start = self.meta_block(region);
             let mut moff = 0usize;
@@ -672,7 +742,7 @@ impl Loc {
             self.stats.seal_faults += 1;
             self.stats.quarantined_regions += 1;
             self.regions[region as usize].state = RegionState::Quarantined;
-            self.regions[region as usize].keys.clear();
+            self.key_regions.take(&mut self.regions[region as usize], region);
             self.stats.requeued_objects += entries.len() as u64;
             self.pending_requeue.extend(buffered.map(|(key, _, value)| (key, value)));
             self.active = None;
@@ -682,6 +752,7 @@ impl Loc {
         // Publish index entries.
         for (key, offset, value) in buffered {
             self.regions[region as usize].keys.push(key);
+            self.key_regions.list(key, region);
             self.index.insert(key, IndexEntry { region, offset, value });
         }
         self.regions[region as usize].state = RegionState::Sealed;
@@ -709,14 +780,13 @@ impl Loc {
         // keys only leave that list together with their index entry: the
         // list is a superset of the region's live keys, so looking each
         // one up finds them all without scanning the whole index.
-        let mut entries: Vec<(Key, u32, u32)> = self.regions[region as usize]
-            .keys
-            .iter()
-            .filter_map(|k| {
-                let e = self.index.get(k).filter(|e| e.region == region)?;
-                Some((*k, e.offset, e.value.len() as u32))
-            })
-            .collect();
+        let mut entries: Vec<(Key, u32, u32)> = Vec::new();
+        for k in std::mem::take(&mut self.regions[region as usize].keys) {
+            match self.index.get(&k).filter(|e| e.region == region) {
+                Some(e) => entries.push((k, e.offset, e.value.len() as u32)),
+                None => self.key_regions.unlist(k, region),
+            }
+        }
         entries.sort_by_key(|&(_, off, _)| off);
         // The rebuilt footer lists exactly the region's live entries, so
         // mirror that in the in-memory key list: superseded copies are
@@ -817,27 +887,44 @@ impl Loc {
     /// list them (superseded older copies included), so a crash cannot
     /// resurrect them. `skip` excludes a region already handled by the
     /// caller (e.g. one being invalidated wholesale).
+    ///
+    /// The footers to rewrite come from [`Loc::key_regions`], so a
+    /// scrub costs the keys it drops, not every key the LOC holds. They
+    /// are visited in ascending region order: `keys` iterates in no
+    /// fixed order, and the device command sequence must not depend on
+    /// it.
     fn scrub_footers_for_keys(
         &mut self,
         io: &mut IoManager,
         keys: &HashSet<Key>,
         skip: Option<u32>,
     ) -> Result<(), CacheError> {
-        if keys.is_empty() {
-            return Ok(());
-        }
-        let candidates: Vec<u32> = (0..self.num_regions)
-            .filter(|&r| {
-                Some(r) != skip
-                    && self.regions[r as usize].state == RegionState::Sealed
-                    && self.regions[r as usize].keys.iter().any(|k| keys.contains(k))
-            })
-            .collect();
-        for r in candidates {
-            self.regions[r as usize].keys.retain(|k| !keys.contains(k));
+        for r in self.scrub_candidates(keys, skip) {
+            let listed = std::mem::take(&mut self.regions[r as usize].keys);
+            let (dropped, kept): (Vec<Key>, Vec<Key>) =
+                listed.into_iter().partition(|k| keys.contains(k));
+            for k in dropped {
+                self.key_regions.unlist(k, r);
+            }
+            self.regions[r as usize].keys = kept;
             self.rewrite_footer(io, r)?;
         }
         Ok(())
+    }
+
+    /// Sealed regions other than `skip` whose key lists hold any of
+    /// `keys`, ascending.
+    fn scrub_candidates(&self, keys: &HashSet<Key>, skip: Option<u32>) -> Vec<u32> {
+        let mut candidates: Vec<u32> = keys
+            .iter()
+            .filter_map(|k| self.key_regions.0.get(k))
+            .flatten()
+            .copied()
+            .filter(|&r| Some(r) != skip && self.regions[r as usize].state == RegionState::Sealed)
+            .collect();
+        candidates.sort_unstable();
+        candidates.dedup();
+        candidates
     }
 
     /// Drains the objects rescued from failed seals. The engine calls
@@ -872,7 +959,7 @@ impl Loc {
             return Ok(());
         };
         self.sealed_fifo.retain(|&r| r != region);
-        let keys = std::mem::take(&mut self.regions[region as usize].keys);
+        let keys = self.key_regions.take(&mut self.regions[region as usize], region);
         let mut dropped: HashSet<Key> = HashSet::new();
         for key in keys {
             // Only drop entries that still point into this region (the
@@ -939,7 +1026,7 @@ impl Loc {
             }
         })?;
         self.regions[region as usize].state = RegionState::Active;
-        self.regions[region as usize].keys.clear();
+        self.key_regions.take(&mut self.regions[region as usize], region);
         self.active = Some(region);
         self.active_fill = 0;
         Ok(())
@@ -996,9 +1083,6 @@ impl Loc {
             self.open_region(io)?;
         }
         let offset = self.active_fill as u32;
-        if io.retains_data() {
-            value.materialize(key, &mut self.active_buf[self.active_fill..self.active_fill + len]);
-        }
         self.active_fill += len;
         // Supersede any older copy immediately (index points to the old
         // location until seal publishes the new one; remove so lookups
@@ -1310,6 +1394,9 @@ impl Loc {
             r.state = RegionState::Sealed;
             r.seal_seq = seq;
             r.keys = entries.iter().map(|&(k, _, _)| k).collect();
+            for &(k, _, _) in &entries {
+                loc.key_regions.list(k, region);
+            }
             loc.sealed_fifo.push_back(region);
             loc.next_seal_seq = loc.next_seal_seq.max(seq + 1);
             for (key, off, len) in entries {
@@ -1895,6 +1982,180 @@ mod tests {
         // exactly the surviving keys.
         let r = recover_wide(&mut io);
         assert_eq!(sorted(r.persisted_keys()), (48..300).chain([1_000]).collect::<Vec<_>>());
+    }
+
+    /// Every region the LOC seals, read straight back off the device:
+    /// its live objects' bytes, zeros everywhere else (the gaps
+    /// superseded and removed objects left, and the tail padding).
+    fn assert_sealed_image(l: &Loc, io: &mut IoManager, region: u32) {
+        let mut image = vec![0u8; l.payload_bytes()];
+        io.read(l.region_block(region), &mut image).unwrap();
+        let mut expect = vec![0u8; l.payload_bytes()];
+        for k in &l.regions[region as usize].keys {
+            let e = &l.index[k];
+            assert_eq!(e.region, region, "a just-sealed region lists only live keys");
+            let off = e.offset as usize;
+            e.value.materialize(*k, &mut expect[off..off + e.value.len()]);
+        }
+        assert!(image == expect, "region {region} does not read back as its objects and zeros");
+    }
+
+    #[test]
+    fn seals_write_each_object_and_zero_the_rest_across_wraps() {
+        let (mut l, mut io) = wide_loc();
+        let mut rng = 7u64;
+        let mut draw = |n: u64| {
+            rng = crate::checksum::mix64(rng);
+            rng % n
+        };
+        for i in 0..400u64 {
+            let key = draw(60);
+            // Sizes straddle blocks and 64 KiB commands; some real, some
+            // synthetic, some removed or overwritten while still buffered.
+            let len = 1 + draw(70_000) as usize;
+            let value = if i % 3 == 0 {
+                Value::real((0..len).map(|b| (b as u64 ^ key) as u8).collect::<Vec<u8>>())
+            } else {
+                Value::synthetic(len as u32)
+            };
+            l.insert(&mut io, key, value).unwrap();
+            if draw(5) == 0 {
+                l.remove(&mut io, draw(60)).unwrap();
+            }
+            // Inserts seal full regions too, but the next insert may
+            // supersede a copy at once; check the image of explicit seals.
+            if draw(6) == 0 {
+                if let Some(region) = l.active {
+                    l.seal_active(&mut io).unwrap();
+                    assert_sealed_image(&l, &mut io, region);
+                }
+            }
+        }
+        assert!(l.stats().region_evictions >= 8, "the LOC must wrap more than twice");
+        let keys: Vec<Key> = l.index.keys().copied().collect();
+        assert!(!keys.is_empty());
+        for k in keys {
+            assert_eq!(l.verify_object(&mut io, k).unwrap(), Some(true), "key {k}");
+        }
+    }
+
+    mod inverted_listing {
+        use super::*;
+        use fdpcache_nvme::{FaultConfig, FaultRates, FaultStore};
+        use proptest::prelude::*;
+
+        const REGIONS: u32 = 6;
+
+        #[derive(Debug, Clone)]
+        enum Op {
+            Insert(Key, u32),
+            Remove(Key),
+            Evict,
+            /// Fail the active region's seal persistently (quarantine)
+            /// and requeue its objects.
+            FailSeal,
+            Recover,
+        }
+
+        /// Inserts six times as likely as each of evict, failed seal
+        /// and recover; removes twice.
+        fn op() -> impl Strategy<Value = Op> {
+            const SIZES: [u32; 4] = [2_000, 9_000, 15_000, 30_000];
+            (0..11u8, 0..16u64, 0..SIZES.len()).prop_map(|(pick, k, size)| match pick {
+                0..=5 => Op::Insert(k, SIZES[size]),
+                6 | 7 => Op::Remove(k),
+                8 => Op::Evict,
+                9 => Op::FailSeal,
+                _ => Op::Recover,
+            })
+        }
+
+        fn setup() -> (Arc<Controller>, IoManager) {
+            let store = FaultStore::new(Box::new(MemStore::new()), FaultConfig::default());
+            let ctrl = Arc::new(Controller::new(FtlConfig::tiny_test(), Box::new(store)).unwrap());
+            let nsid = ctrl.create_namespace(REGIONS as u64 * 9, vec![0, 1]).unwrap();
+            let io = IoManager::new(ctrl.clone(), nsid, 4).unwrap();
+            (ctrl, io)
+        }
+
+        fn fresh(io: Option<&mut IoManager>) -> Loc {
+            let args = (0, REGIONS, 8, BLOCK, LocEviction::Fifo, false);
+            let (h, m) = (PlacementHandle::with_dspec(1), PlacementHandle::DEFAULT);
+            match io {
+                None => Loc::new(args.0, args.1, args.2, args.3, args.4, args.5, h, m),
+                Some(io) => {
+                    Loc::recover(args.0, args.1, args.2, args.3, args.4, args.5, h, m, io).unwrap()
+                }
+            }
+        }
+
+        /// The scan the inverted listing replaced, kept as its oracle.
+        fn scan_candidates(l: &Loc, keys: &HashSet<Key>, skip: Option<u32>) -> Vec<u32> {
+            (0..l.num_regions)
+                .filter(|&r| {
+                    Some(r) != skip
+                        && l.regions[r as usize].state == RegionState::Sealed
+                        && l.regions[r as usize].keys.iter().any(|k| keys.contains(k))
+                })
+                .collect()
+        }
+
+        fn check(l: &Loc) {
+            let mut inverted: HashMap<Key, Vec<u32>> = HashMap::new();
+            for (r, region) in l.regions.iter().enumerate() {
+                for &k in &region.keys {
+                    inverted.entry(k).or_default().push(r as u32);
+                }
+            }
+            let mut listed = l.key_regions.0.clone();
+            listed.values_mut().for_each(|v| v.sort_unstable());
+            assert_eq!(listed, inverted, "the map is not the inversion of the key lists");
+            let all: HashSet<Key> = (0..16).collect();
+            let sets = (0..16).map(|k| HashSet::from([k])).chain([all]);
+            for keys in sets {
+                for skip in [None, Some(0), Some(3)] {
+                    assert_eq!(
+                        l.scrub_candidates(&keys, skip),
+                        scan_candidates(l, &keys, skip),
+                        "keys {keys:?}, skip {skip:?}"
+                    );
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            #[test]
+            fn key_regions_inverts_the_key_lists_and_matches_the_scan(
+                ops in proptest::collection::vec(op(), 1..60)
+            ) {
+                let (ctrl, mut io) = setup();
+                let mut l = fresh(None);
+                for op in ops {
+                    match op {
+                        Op::Insert(k, n) => l.insert(&mut io, k, Value::synthetic(n)).unwrap(),
+                        Op::Remove(k) => {
+                            l.remove(&mut io, k).unwrap();
+                        }
+                        Op::Evict => l.evict_region(&mut io).unwrap(),
+                        Op::FailSeal => {
+                            if l.active.is_some() && l.stats().quarantined_regions < 2 {
+                                let storm = FaultRates { write_err_ppm: 1_000_000, ..Default::default() };
+                                ctrl.set_fault_rates(storm);
+                                l.seal_active(&mut io).unwrap();
+                                ctrl.set_fault_rates(FaultRates::default());
+                                for (k, v) in l.take_requeued() {
+                                    l.reinsert(&mut io, k, v).unwrap();
+                                }
+                            }
+                        }
+                        Op::Recover => l = fresh(Some(&mut io)),
+                    }
+                    check(&l);
+                }
+            }
+        }
     }
 
     #[test]

@@ -63,19 +63,37 @@ impl Value {
     /// synthetic values when the backing store retains data.
     pub fn materialize(&self, key: Key, out: &mut [u8]) {
         debug_assert_eq!(out.len(), self.len());
+        self.materialize_at(key, 0, out);
+    }
+
+    /// Writes the value's bytes `[start, start + out.len())` into `out`
+    /// — the slice of [`Value::to_bytes`] starting at `start`, which is
+    /// how a region seal materialises an object that a command boundary
+    /// cuts.
+    pub fn materialize_at(&self, key: Key, start: usize, out: &mut [u8]) {
+        debug_assert!(start + out.len() <= self.len());
         match self {
-            Value::Real(b) => out.copy_from_slice(b),
+            Value::Real(b) => out.copy_from_slice(&b[start..start + out.len()]),
             Value::Synthetic(_) => {
                 // One splitmix64 output per 8 bytes. The counter is the
-                // only state carried between words, so whole words are
+                // only state carried between words, so the generator
+                // seeks to any word in one multiply, and whole words are
                 // written by a fixed-width loop the compiler unrolls;
-                // the variable-length copy happens once, on the tail.
-                let mut x = key ^ 0x9E37_79B9_7F4A_7C15;
+                // the variable-length copies happen only at the ends.
+                const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+                let mut x = (key ^ GAMMA).wrapping_add(GAMMA.wrapping_mul((start / 8) as u64));
                 let mut next = || {
                     let z = mix64(x);
-                    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                    x = x.wrapping_add(GAMMA);
                     z.to_le_bytes()
                 };
+                let skip = start % 8;
+                let mut out = out;
+                if skip != 0 {
+                    let head = out.len().min(8 - skip);
+                    out[..head].copy_from_slice(&next()[skip..skip + head]);
+                    out = &mut out[head..];
+                }
                 let mut words = out.chunks_exact_mut(8);
                 for word in words.by_ref() {
                     word.copy_from_slice(&next());
@@ -146,6 +164,37 @@ mod tests {
         let mut shifted = [0u8; 16];
         Value::synthetic(13).materialize(KEY, &mut shifted[3..]);
         assert_eq!(shifted[3..], HEAD);
+    }
+
+    /// Any window of an object, aligned or not, reads as the matching
+    /// slice of the whole object's bytes.
+    #[test]
+    fn materialize_at_equals_the_slice_of_to_bytes() {
+        let real: Vec<u8> = (0..1_000u32).map(|i| (i * 7 % 253) as u8).collect();
+        let mut rng = 0x5EED_u64;
+        let mut draw = |n: usize| {
+            rng = mix64(rng);
+            (rng % n as u64) as usize
+        };
+        for case in 0..2_000 {
+            let key = case as Key * 0x1234_5678_9ABC;
+            let value = if case % 4 == 0 {
+                Value::real(real[..draw(real.len() + 1)].to_vec())
+            } else {
+                Value::synthetic(draw(5_000) as u32)
+            };
+            let whole = value.to_bytes(key);
+            let start = draw(whole.len() + 1);
+            let len = draw(whole.len() - start + 1);
+            let mut out = vec![0xAAu8; len];
+            value.materialize_at(key, start, &mut out);
+            assert_eq!(
+                out,
+                whole[start..start + len],
+                "case {case}: {start}+{len} of {}",
+                whole.len()
+            );
+        }
     }
 
     #[test]

@@ -19,10 +19,12 @@
 //!   DSM command, commands stripe across device lanes through the
 //!   queue pair, and statistics update in bulk. The LOC seals each
 //!   region this way instead of issuing N sequential chunk writes.
-//!   Payloads stay vectored all the way down: each queued buffer
-//!   reaches the payload store through `DataStore::write_blocks`/
-//!   `read_blocks`, so a sealed region is a handful of slab `memcpy`s
-//!   rather than one hash insert per 4 KiB block (DESIGN.md §5.3).
+//!   Payloads stay vectored all the way down: each queued write reaches
+//!   the payload store through `DataStore::write_blocks` (borrowed
+//!   bytes) or `DataStore::fill_blocks` (bytes the store asks the
+//!   caller to produce in place), so a sealed region is materialised
+//!   straight into the slab rather than staged, copied, or inserted
+//!   one 4 KiB block at a time (DESIGN.md §5.3).
 //!
 //! Commands inside one batch have **no ordering guarantees relative to
 //! each other** (NVMe gives none within a queue): the flush phases run
@@ -46,7 +48,7 @@ use std::sync::Arc;
 use fdpcache_metrics::Histogram;
 use fdpcache_nvme::{
     BatchWrite, Controller, DeallocRange, HealthMonitor, NamespaceId, NamespaceState, NvmeError,
-    QueuePair, WriteCompletion,
+    QueuePair, WriteCompletion, WritePayload,
 };
 pub use fdpcache_nvme::{HealthConfig, HealthIoStats, HealthState, HealthTransition};
 
@@ -134,15 +136,17 @@ impl IoStats {
 /// One queued operation of an [`IoBatch`].
 #[derive(Debug)]
 enum BatchOp<'a> {
-    Write { block: u64, data: &'a [u8], handle: PlacementHandle },
+    Write { block: u64, data: WritePayload<'a>, handle: PlacementHandle },
     Read { block: u64, out: &'a mut [u8] },
     Discard { block: u64, count: u64 },
 }
 
 /// A builder of vectored submissions: queue writes, reads and discards
 /// against one [`IoManager`], then flush them all with
-/// [`IoManager::submit_batch`]. Payloads are borrowed, so batch
-/// assembly is copy-free (the LOC passes slices of its region buffer).
+/// [`IoManager::submit_batch`]. Batch assembly is copy-free: a write
+/// either borrows its bytes ([`IoBatch::write`]) or hands the payload
+/// store a fill source that produces them in place
+/// ([`IoBatch::write_with`]; the LOC seals regions this way).
 #[derive(Debug, Default)]
 pub struct IoBatch<'a> {
     ops: Vec<BatchOp<'a>>,
@@ -162,7 +166,21 @@ impl<'a> IoBatch<'a> {
     /// Queues a write of `data` (whole blocks) at `block` with the
     /// consumer's placement handle.
     pub fn write(&mut self, block: u64, data: &'a [u8], handle: PlacementHandle) -> &mut Self {
-        self.ops.push(BatchOp::Write { block, data, handle });
+        self.ops.push(BatchOp::Write { block, data: WritePayload::Bytes(data), handle });
+        self
+    }
+
+    /// Queues a write of `nlb` blocks at `block` whose bytes `fill`
+    /// produces inside the payload store: `fill(offset, out)` writes
+    /// every byte of `out`, the command's bytes from `offset` on.
+    pub fn write_with(
+        &mut self,
+        block: u64,
+        nlb: u64,
+        fill: &'a dyn Fn(usize, &mut [u8]),
+        handle: PlacementHandle,
+    ) -> &mut Self {
+        self.ops.push(BatchOp::Write { block, data: WritePayload::Fill { nlb, fill }, handle });
         self
     }
 
@@ -406,6 +424,15 @@ impl IoManager {
         &self.discard_hist
     }
 
+    /// Empties the read, write and discard latency histograms, so
+    /// percentiles cover only the commands that follow (a replay's
+    /// measurement window, not its warm-up).
+    pub fn reset_latency(&mut self) {
+        self.read_hist.reset();
+        self.write_hist.reset();
+        self.discard_hist.reset();
+    }
+
     /// Virtual time elapsed on this worker's queue pair (ns). Call
     /// [`IoManager::flush`] first when commands may still be in flight
     /// (queue depth > 1) — in-flight completions have not advanced the
@@ -531,7 +558,7 @@ impl IoManager {
                 .iter()
                 .filter_map(|op| match op {
                     BatchOp::Write { block, data, handle } => {
-                        Some(BatchWrite { slba: *block, data, dspec: handle.dspec() })
+                        Some(BatchWrite { slba: *block, data: *data, dspec: handle.dspec() })
                     }
                     _ => None,
                 })
@@ -614,7 +641,8 @@ impl IoManager {
                 BatchOp::Write { data, .. } => {
                     let completion = write_completions[wi];
                     wi += 1;
-                    let nlb = (data.len() as u64 / self.block_bytes as u64).max(1);
+                    let bytes = data.byte_len(self.block_bytes as usize) as u64;
+                    let nlb = (bytes / self.block_bytes as u64).max(1);
                     let parallelism = nlb.min(self.lanes as u64).max(1);
                     let service = completion.service_ns / parallelism;
                     self.gc_backlog_ns += completion.gc_ns;
@@ -623,7 +651,7 @@ impl IoManager {
                     self.health.record_ok(self.qp.now_ns());
                     self.write_hist.record(lat);
                     bulk.writes += 1;
-                    bulk.bytes_written += data.len() as u64;
+                    bulk.bytes_written += bytes;
                     latencies.push(lat);
                 }
                 BatchOp::Read { out, .. } => {
@@ -688,6 +716,20 @@ mod tests {
         assert_eq!(io.stats().reads, 1);
         assert_eq!(io.read_latency().count(), 1);
         assert_eq!(io.write_latency().count(), 1);
+    }
+
+    #[test]
+    fn reset_latency_empties_the_histograms_only() {
+        let (ctrl, nsid) = setup();
+        let mut io = IoManager::new(ctrl, nsid, 4).unwrap();
+        io.write(0, &vec![1u8; 4096], PlacementHandle::DEFAULT).unwrap();
+        io.read(0, &mut vec![0u8; 4096]).unwrap();
+        io.discard(0, 1).unwrap();
+        io.reset_latency();
+        assert_eq!(io.write_latency().count(), 0);
+        assert_eq!(io.read_latency().count(), 0);
+        assert_eq!(io.discard_latency().count(), 0);
+        assert_eq!((io.stats().writes, io.stats().reads, io.stats().discards), (1, 1, 1));
     }
 
     #[test]

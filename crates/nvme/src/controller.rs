@@ -56,16 +56,50 @@ pub struct WriteCompletion {
     pub relocated_pages: u64,
 }
 
+/// The bytes of one batched write command.
+#[derive(Clone, Copy)]
+pub enum WritePayload<'a> {
+    /// Borrowed bytes: a whole number of logical blocks.
+    Bytes(&'a [u8]),
+    /// `nlb` blocks the payload store asks `fill` to produce in place
+    /// ([`DataStore::fill_blocks`]): the LOC materialises a sealed
+    /// region's objects straight into the store this way.
+    Fill {
+        /// Logical blocks the command covers.
+        nlb: u64,
+        /// Writes the command's bytes from a byte offset on.
+        fill: &'a dyn Fn(usize, &mut [u8]),
+    },
+}
+
+impl WritePayload<'_> {
+    /// Payload length in bytes at `block_bytes`-byte blocks.
+    pub fn byte_len(&self, block_bytes: usize) -> usize {
+        match self {
+            WritePayload::Bytes(data) => data.len(),
+            WritePayload::Fill { nlb, .. } => *nlb as usize * block_bytes,
+        }
+    }
+}
+
+impl std::fmt::Debug for WritePayload<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            WritePayload::Bytes(data) => write!(f, "Bytes({} bytes)", data.len()),
+            WritePayload::Fill { nlb, .. } => write!(f, "Fill({nlb} blocks)"),
+        }
+    }
+}
+
 /// One write of a vectored batch submission: a whole number of blocks
-/// at `slba` carrying its own placement directive. Borrowed payloads
-/// keep batch assembly copy-free (the LOC hands out slices of its
-/// region buffer).
+/// at `slba` carrying its own placement directive. Payloads are
+/// borrowed or filled by the store, so batch assembly is copy-free.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchWrite<'a> {
     /// Namespace-relative start LBA.
     pub slba: u64,
     /// Payload: a whole number of logical blocks.
-    pub data: &'a [u8],
+    pub data: WritePayload<'a>,
     /// Placement directive (`None` = namespace default handle).
     pub dspec: Option<u16>,
 }
@@ -462,7 +496,7 @@ impl Controller {
     ) -> Result<WriteCompletion, NvmeError> {
         let ns = &state.ns;
         let lba_bytes = self.lba_bytes as usize;
-        let (dev_start, nlb) = self.validate_write(ns, slba, data)?;
+        let (dev_start, nlb) = self.validate_write(ns, slba, data.len())?;
         let (rg, ruh) = self.resolve_placement(ns, dspec, self.fdp_enabled())?;
         // Fault-plan gate: an injected failure completes the command
         // with an error status before ANY side effect — the mapping and
@@ -497,22 +531,22 @@ impl Controller {
         Ok(completion)
     }
 
-    /// Validates one write's buffer shape and range, returning the
-    /// device start LBA and block count.
+    /// Validates one write's payload length (`len` bytes) and range,
+    /// returning the device start LBA and block count.
     fn validate_write(
         &self,
         ns: &Namespace,
         slba: u64,
-        data: &[u8],
+        len: usize,
     ) -> Result<(u64, u64), NvmeError> {
         let lba_bytes = self.lba_bytes as usize;
-        if data.is_empty() || !data.len().is_multiple_of(lba_bytes) {
+        if len == 0 || !len.is_multiple_of(lba_bytes) {
             return Err(NvmeError::BufferSizeMismatch {
-                expected: data.len().next_multiple_of(lba_bytes).max(lba_bytes),
-                got: data.len(),
+                expected: len.next_multiple_of(lba_bytes).max(lba_bytes),
+                got: len,
             });
         }
-        let nlb = (data.len() / lba_bytes) as u64;
+        let nlb = (len / lba_bytes) as u64;
         let (dev_start, _) = ns
             .translate_range(slba, nlb)
             .ok_or(NvmeError::LbaOutOfRange { nsid: ns.nsid, lba: slba })?;
@@ -591,10 +625,11 @@ impl Controller {
         let mut plan = Vec::with_capacity(writes.len());
         let mut total_bytes = 0u64;
         for w in writes {
-            let (dev_start, nlb) = self.validate_write(ns, w.slba, w.data)?;
+            let len = w.data.byte_len(lba_bytes);
+            let (dev_start, nlb) = self.validate_write(ns, w.slba, len)?;
             let (rg, ruh) = self.resolve_placement(ns, w.dspec, fdp)?;
             plan.push((dev_start, nlb, rg, ruh));
-            total_bytes += w.data.len() as u64;
+            total_bytes += len as u64;
         }
         // Fault-plan gate, still before any side effect: a mid-batch
         // injected fault (command k > 0) fails the WHOLE batch here, so
@@ -605,8 +640,13 @@ impl Controller {
                 return Err(f.into());
             }
         }
-        for (w, &(dev_start, ..)) in writes.iter().zip(&plan) {
-            self.store.write_blocks(dev_start, w.data, lba_bytes);
+        for (w, &(dev_start, nlb, ..)) in writes.iter().zip(&plan) {
+            match w.data {
+                WritePayload::Bytes(data) => self.store.write_blocks(dev_start, data, lba_bytes),
+                WritePayload::Fill { fill, .. } => {
+                    self.store.fill_blocks(dev_start, nlb, lba_bytes, fill)
+                }
+            }
         }
         let mut completions = Vec::with_capacity(writes.len());
         {
@@ -1130,11 +1170,18 @@ mod tests {
         let writes: Vec<BatchWrite<'_>> = bufs
             .iter()
             .enumerate()
-            .map(|(i, d)| BatchWrite { slba: i as u64 * 2, data: d, dspec: Some(1) })
+            .map(|(i, d)| BatchWrite {
+                slba: i as u64 * 2,
+                data: WritePayload::Bytes(d),
+                dspec: Some(1),
+            })
             .collect();
         let batched = a.write_batch_ns(&sa, &writes).unwrap();
-        let sequential: Vec<WriteCompletion> =
-            writes.iter().map(|w| b.write_ns(&sb, w.slba, w.data, w.dspec).unwrap()).collect();
+        let sequential: Vec<WriteCompletion> = bufs
+            .iter()
+            .enumerate()
+            .map(|(i, d)| b.write_ns(&sb, i as u64 * 2, d, Some(1)).unwrap())
+            .collect();
         assert_eq!(batched, sequential);
         assert_eq!(sa.stats().writes, 8);
         assert_eq!(sa.stats().bytes_written, 8 * 2 * 4096);
@@ -1152,8 +1199,8 @@ mod tests {
         let s = c.open_namespace(ns).unwrap();
         let good = page(1);
         let writes = [
-            BatchWrite { slba: 0, data: &good, dspec: None },
-            BatchWrite { slba: 15, data: &good[..100], dspec: None }, // misaligned
+            BatchWrite { slba: 0, data: WritePayload::Bytes(&good), dspec: None },
+            BatchWrite { slba: 15, data: WritePayload::Bytes(&good[..100]), dspec: None }, // misaligned
         ];
         assert!(matches!(c.write_batch_ns(&s, &writes), Err(NvmeError::BufferSizeMismatch { .. })));
         assert_eq!(s.stats().writes, 0, "failed batch must not count");

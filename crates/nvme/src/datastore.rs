@@ -11,11 +11,13 @@
 //! payload memcpy traffic from N workers proceed in parallel.
 //!
 //! The trait is **vectored**: [`DataStore::write_blocks`],
-//! [`DataStore::read_blocks`] and [`DataStore::discard_blocks`] move N
-//! contiguous blocks per call, so a sealed 4 MiB cache region is a
-//! handful of slab `memcpy`s rather than a thousand per-block
-//! operations. Per-block entry points remain for direct use and as the
-//! building blocks of the default vectored implementations.
+//! [`DataStore::fill_blocks`], [`DataStore::read_blocks`] and
+//! [`DataStore::discard_blocks`] move N contiguous blocks per call.
+//! A sealed 4 MiB cache region is a few dozen `fill_blocks` commands,
+//! each materialising its objects straight into the slab, rather than
+//! a thousand per-block operations. Per-block entry points remain for
+//! direct use and as the building blocks of the default vectored
+//! implementations.
 //!
 //! Implementations:
 //!
@@ -69,6 +71,20 @@ pub trait DataStore: Send + Sync {
         for (i, chunk) in data.chunks(block_bytes).enumerate() {
             self.write_block(lba + i as u64, chunk);
         }
+    }
+
+    /// Stores `nlb` contiguous blocks starting at `lba` whose bytes the
+    /// caller produces on demand: `fill(offset, out)` must write every
+    /// byte of `out`, which holds the command's bytes from `offset` on.
+    /// A store may call it several times with disjoint ranges. The
+    /// default fills one temporary buffer and calls
+    /// [`DataStore::write_blocks`]; [`MemStore`] fills its slab pages in
+    /// place, so a sealed region is materialised once, not staged and
+    /// copied.
+    fn fill_blocks(&self, lba: u64, nlb: u64, block_bytes: usize, fill: &dyn Fn(usize, &mut [u8])) {
+        let mut buf = vec![0u8; nlb as usize * block_bytes];
+        fill(0, &mut buf);
+        self.write_blocks(lba, &buf, block_bytes);
     }
 
     /// Loads `out.len() / block_bytes` contiguous blocks starting at
@@ -375,6 +391,12 @@ impl DataStore for MemStore {
     fn write_blocks(&self, lba: u64, data: &[u8], block_bytes: usize) {
         debug_assert_eq!(data.len() % block_bytes, 0, "vectored write must be whole blocks");
         let nlb = (data.len() / block_bytes) as u64;
+        self.fill_blocks(lba, nlb, block_bytes, &|at, out| {
+            out.copy_from_slice(&data[at..at + out.len()]);
+        });
+    }
+
+    fn fill_blocks(&self, lba: u64, nlb: u64, block_bytes: usize, fill: &dyn Fn(usize, &mut [u8])) {
         if nlb == 0 {
             return;
         }
@@ -390,7 +412,7 @@ impl DataStore for MemStore {
             s.ensure_allocated(block_bytes);
             let off = slot as usize * block_bytes;
             let bytes = span as usize * block_bytes;
-            s.pages[off..off + bytes].copy_from_slice(&data[data_off..data_off + bytes]);
+            fill(data_off, &mut s.pages[off..off + bytes]);
             for i in slot..slot + span {
                 s.mark_written(i);
             }
@@ -481,6 +503,15 @@ impl DataStore for NullStore {
     }
 
     fn write_blocks(&self, _lba: u64, _data: &[u8], _block_bytes: usize) {}
+
+    fn fill_blocks(
+        &self,
+        _lba: u64,
+        _nlb: u64,
+        _block_bytes: usize,
+        _fill: &dyn Fn(usize, &mut [u8]),
+    ) {
+    }
 
     fn read_blocks(&self, _lba: u64, out: &mut [u8], _block_bytes: usize) {
         // Vectored reads promise zero-filled misses (the controller no

@@ -577,6 +577,10 @@ impl DataStore for FaultStore {
         self.inner.write_blocks(lba, data, block_bytes);
     }
 
+    fn fill_blocks(&self, lba: u64, nlb: u64, block_bytes: usize, fill: &dyn Fn(usize, &mut [u8])) {
+        self.inner.fill_blocks(lba, nlb, block_bytes, fill);
+    }
+
     fn read_blocks(&self, lba: u64, out: &mut [u8], block_bytes: usize) {
         self.inner.read_blocks(lba, out, block_bytes);
     }

@@ -64,6 +64,7 @@ pub mod retry;
 pub use command::{DeallocRange, IoCommand};
 pub use controller::{
     BatchWrite, Controller, FdpStatsLog, NamespaceState, NamespaceStats, WriteCompletion,
+    WritePayload,
 };
 pub use datastore::{DataStore, MemStore, NullStore};
 pub use error::NvmeError;

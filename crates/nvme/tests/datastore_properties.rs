@@ -8,6 +8,11 @@
 //!
 //! The LBA range spans several slab segments, so vectored operations
 //! regularly cross segment boundaries (the multi-lock-pass path).
+//!
+//! Filled writes ([`DataStore::fill_blocks`]) are checked twice over:
+//! through `MemStore`'s in-place override and through the trait's
+//! default (one temporary buffer, then `write_blocks`), which
+//! [`DefaultFill`] keeps by forwarding everything else.
 
 use std::collections::HashMap;
 
@@ -50,6 +55,9 @@ enum StoreOp {
     Write(u64, u8),
     /// Vectored write `(lba, nlb, fill)`.
     WriteBlocks(u64, u8, u8),
+    /// Filled write `(lba, nlb, fill)`: the same bytes as `WriteBlocks`,
+    /// produced by the store's fill callback.
+    FillBlocks(u64, u8, u8),
     /// Vectored read-and-compare `(lba, nlb)`.
     ReadBlocks(u64, u8),
     /// Vectored discard `(lba, nlb)`.
@@ -60,6 +68,7 @@ fn store_op() -> impl Strategy<Value = StoreOp> {
     prop_oneof![
         (0..LBAS, any::<u8>()).prop_map(|(l, f)| StoreOp::Write(l, f)),
         (0..LBAS - 16, 1..16u8, any::<u8>()).prop_map(|(l, n, f)| StoreOp::WriteBlocks(l, n, f)),
+        (0..LBAS - 16, 1..16u8, any::<u8>()).prop_map(|(l, n, f)| StoreOp::FillBlocks(l, n, f)),
         (0..LBAS - 16, 1..16u8).prop_map(|(l, n)| StoreOp::ReadBlocks(l, n)),
         (0..LBAS - 16, 1..16u8).prop_map(|(l, n)| StoreOp::Discard(l, n)),
     ]
@@ -71,8 +80,35 @@ fn block_payload(fill: u8, i: u64) -> Vec<u8> {
     b
 }
 
+/// A [`MemStore`] behind the trait's default `fill_blocks`.
+struct DefaultFill(MemStore);
+
+impl DataStore for DefaultFill {
+    fn write_block(&self, lba: u64, data: &[u8]) {
+        self.0.write_block(lba, data);
+    }
+    fn read_block(&self, lba: u64, out: &mut [u8]) -> bool {
+        self.0.read_block(lba, out)
+    }
+    fn discard(&self, lba: u64) {
+        self.0.discard(lba);
+    }
+    fn retains_data(&self) -> bool {
+        true
+    }
+    fn write_blocks(&self, lba: u64, data: &[u8], block_bytes: usize) {
+        self.0.write_blocks(lba, data, block_bytes);
+    }
+    fn read_blocks(&self, lba: u64, out: &mut [u8], block_bytes: usize) {
+        self.0.read_blocks(lba, out, block_bytes);
+    }
+    fn discard_blocks(&self, lba: u64, count: u64) {
+        self.0.discard_blocks(lba, count);
+    }
+}
+
 /// Applies one op to both store and model, comparing reads on the way.
-fn apply(store: &MemStore, model: &mut Model, op: &StoreOp) {
+fn apply(store: &impl DataStore, model: &mut Model, op: &StoreOp) {
     match *op {
         StoreOp::Write(lba, fill) => {
             let b = block_payload(fill, lba);
@@ -87,6 +123,19 @@ fn apply(store: &MemStore, model: &mut Model, op: &StoreOp) {
             store.write_blocks(lba, &data, BLOCK);
             for i in 0..nlb as u64 {
                 model.write(lba + i, &data[i as usize * BLOCK..(i as usize + 1) * BLOCK]);
+            }
+        }
+        StoreOp::FillBlocks(lba, nlb, fill) => {
+            // Byte `p` of the command is byte `p % BLOCK` of its block.
+            let produce = |at: usize, out: &mut [u8]| {
+                for (i, b) in out.iter_mut().enumerate() {
+                    let p = at + i;
+                    *b = block_payload(fill, lba + (p / BLOCK) as u64)[p % BLOCK];
+                }
+            };
+            store.fill_blocks(lba, nlb as u64, BLOCK, &produce);
+            for i in 0..nlb as u64 {
+                model.write(lba + i, &block_payload(fill, lba + i));
             }
         }
         StoreOp::ReadBlocks(lba, nlb) => {
@@ -108,7 +157,7 @@ fn apply(store: &MemStore, model: &mut Model, op: &StoreOp) {
 }
 
 /// Verifies every LBA of the range agrees between store and model,
-/// through both the per-block and the vectored read paths.
+/// through the per-block read path.
 fn assert_full_equivalence(store: &MemStore, model: &Model) {
     for lba in 0..LBAS {
         let mut out = vec![0xEEu8; BLOCK];
@@ -135,6 +184,18 @@ proptest! {
             apply(&store, &mut model, op);
         }
         assert_full_equivalence(&store, &model);
+    }
+
+    /// The same, with every filled write going through the trait's
+    /// default `fill_blocks` instead of the slab's in-place override.
+    #[test]
+    fn default_fill_equals_hashmap_model(ops in proptest::collection::vec(store_op(), 1..120)) {
+        let store = DefaultFill(MemStore::with_capacity(LBAS, BLOCK as u32));
+        let mut model = Model::default();
+        for op in &ops {
+            apply(&store, &mut model, op);
+        }
+        assert_full_equivalence(&store.0, &model);
     }
 
     /// Multi-threaded: four threads run independent op streams over
@@ -166,6 +227,10 @@ proptest! {
                 StoreOp::WriteBlocks(l, n, f) => {
                     let (b, n) = place(l, n);
                     StoreOp::WriteBlocks(b, n, f)
+                }
+                StoreOp::FillBlocks(l, n, f) => {
+                    let (b, n) = place(l, n);
+                    StoreOp::FillBlocks(b, n, f)
                 }
                 StoreOp::ReadBlocks(l, n) => {
                     let (b, n) = place(l, n);
@@ -207,7 +272,7 @@ proptest! {
                 match op {
                     StoreOp::ReadBlocks(..) => {}
                     StoreOp::Write(lba, fill) => model.write(*lba, &block_payload(*fill, *lba)),
-                    StoreOp::WriteBlocks(lba, nlb, fill) => {
+                    StoreOp::WriteBlocks(lba, nlb, fill) | StoreOp::FillBlocks(lba, nlb, fill) => {
                         for i in 0..*nlb as u64 {
                             model.write(lba + i, &block_payload(*fill, lba + i));
                         }

@@ -7,7 +7,7 @@
 use fdpcache_ftl::{Ftl, FtlConfig, FtlError};
 use fdpcache_nvme::{
     BatchWrite, Controller, DeallocRange, FaultConfig, FaultKind, FaultStore, MemStore, NvmeError,
-    ScriptedFault,
+    ScriptedFault, WritePayload,
 };
 
 fn ctrl() -> Controller {
@@ -49,8 +49,8 @@ fn lba_out_of_range_on_every_data_path() {
     // no side effect.
     let good = page(2);
     let writes = [
-        BatchWrite { slba: 0, data: &good, dspec: None },
-        BatchWrite { slba: 9, data: &good, dspec: None },
+        BatchWrite { slba: 0, data: WritePayload::Bytes(&good), dspec: None },
+        BatchWrite { slba: 9, data: WritePayload::Bytes(&good), dspec: None },
     ];
     assert!(matches!(c.write_batch_ns(&s, &writes), Err(NvmeError::LbaOutOfRange { .. })));
     assert!(matches!(c.read_ns(&s, 0, &mut out), Err(NvmeError::Unwritten(_))));
@@ -81,7 +81,7 @@ fn invalid_placement_id_everywhere() {
     );
     // Batch path rejects before any side effect.
     let good = page(1);
-    let writes = [BatchWrite { slba: 0, data: &good, dspec: Some(5) }];
+    let writes = [BatchWrite { slba: 0, data: WritePayload::Bytes(&good), dspec: Some(5) }];
     assert!(matches!(c.write_batch_ns(&s, &writes), Err(NvmeError::InvalidPlacementId(5))));
     assert_eq!(s.stats().writes, 0);
 }
@@ -105,8 +105,8 @@ fn buffer_size_mismatch_on_reads_writes_and_batches() {
     // Batch: one misaligned command fails all of it.
     let good = page(1);
     let writes = [
-        BatchWrite { slba: 0, data: &good, dspec: None },
-        BatchWrite { slba: 1, data: &good[..10], dspec: None },
+        BatchWrite { slba: 0, data: WritePayload::Bytes(&good), dspec: None },
+        BatchWrite { slba: 1, data: WritePayload::Bytes(&good[..10]), dspec: None },
     ];
     assert!(matches!(c.write_batch_ns(&s, &writes), Err(NvmeError::BufferSizeMismatch { .. })));
     let mut out = page(0);

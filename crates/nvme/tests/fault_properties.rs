@@ -20,6 +20,7 @@ use proptest::prelude::*;
 use fdpcache_ftl::FtlConfig;
 use fdpcache_nvme::{
     BatchWrite, Controller, DeallocRange, FaultConfig, FaultStore, MemStore, NvmeError,
+    WritePayload,
 };
 
 const NS_BLOCKS: u64 = 64;
@@ -100,8 +101,10 @@ fn apply(c: &Controller, op: &DevOp, model: &mut BTreeMap<u64, u8>) {
         }
         DevOp::Batch { slbas, fill } => {
             let data = page(*fill);
-            let writes: Vec<BatchWrite<'_>> =
-                slbas.iter().map(|&slba| BatchWrite { slba, data: &data, dspec: None }).collect();
+            let writes: Vec<BatchWrite<'_>> = slbas
+                .iter()
+                .map(|&slba| BatchWrite { slba, data: WritePayload::Bytes(&data), dspec: None })
+                .collect();
             let state = c.open_namespace(1).expect("ns 1");
             match c.write_batch_ns(&state, &writes) {
                 Ok(completions) => {

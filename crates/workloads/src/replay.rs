@@ -192,8 +192,10 @@ impl Replayer {
         }
 
         // Reap in-flight completions so the measurement origin reflects
-        // all warm-up work (no-op at queue depth 1).
+        // all warm-up work (no-op at queue depth 1); percentiles then
+        // cover the measurement window only.
         cache.drain_io();
+        cache.reset_latency();
         let stats0 = cache.stats();
         let log0 = ctrl.fdp_stats_log();
         let t0 = cache.now_ns();
@@ -231,8 +233,6 @@ impl Replayer {
         let elapsed_ns = cache.now_ns().saturating_sub(t0).max(1);
         let secs = elapsed_ns as f64 * 1e-9;
 
-        // Latency histograms accumulate from construction: percentiles
-        // cover the whole run, warm-up included.
         let read_hist = cache.navy().read_latency();
         let write_hist = cache.navy().write_latency();
 
@@ -374,6 +374,7 @@ pub fn replay_pool<S: RequestSource + Send>(
     }
 
     pool.drain_io();
+    pool.reset_latency();
     let stats0 = pool.stats();
     let log0 = ctrl.fdp_stats_log();
     let t0 = pool.now_ns();
@@ -385,9 +386,6 @@ pub fn replay_pool<S: RequestSource + Send>(
     let dlog = ctrl.fdp_stats_log().delta(&log0);
     let elapsed_ns = pool.now_ns().saturating_sub(t0).max(1);
     let secs = elapsed_ns as f64 * 1e-9;
-    // Histograms accumulate from construction (same concession as
-    // Replayer::run): percentiles cover the whole run, warm-up
-    // included.
     let read_hist = pool.read_latency();
     let write_hist = pool.write_latency();
     let dlwa = dlog.dlwa();
@@ -463,6 +461,26 @@ mod tests {
         assert!(r.host_bytes > 0);
         assert!(r.media_bytes >= r.host_bytes);
         assert!(!r.dlwa_series.is_empty(), "expected interval samples");
+    }
+
+    #[test]
+    fn latency_percentiles_exclude_the_warm_up() {
+        let (ctrl, mut cache) = stack(true);
+        let profile = WorkloadProfile::wo_kv_cache();
+        let mut gen = profile.generator(20_000, 3);
+        let replayer = Replayer::new(ReplayConfig {
+            warmup_host_bytes: 4 << 20,
+            measure_host_bytes: 4 << 20,
+            interval_host_bytes: 1 << 20,
+            max_ops: 200_000,
+            queue_depth: 1,
+            fault: None,
+        });
+        replayer.run("FDP", profile.name, &mut cache, &ctrl, &mut gen).unwrap();
+        let recorded = cache.navy().write_latency().count();
+        let writes = cache.navy().io().stats().writes;
+        assert!(recorded > 0, "the measurement window wrote nothing");
+        assert!(recorded < writes, "{recorded} of {writes} writes recorded: warm-up included");
     }
 
     #[test]
