@@ -7,7 +7,7 @@
 //! expressed as *fractions* so the ratios that drive DLWA match the
 //! paper's configurations exactly.
 
-use fdpcache_cache::config::{CacheConfig, LocEviction, NvmConfig};
+use fdpcache_cache::config::{CacheConfig, NvmConfig};
 use fdpcache_ftl::{FtlConfig, GcPolicy, RuhType};
 use fdpcache_nand::Geometry;
 use fdpcache_workloads::WorkloadProfile;
@@ -122,12 +122,9 @@ impl ExpConfig {
             ram_item_overhead: 31,
             nvm: NvmConfig {
                 soc_fraction: self.soc_fraction,
-                bucket_bytes: 4096,
-                // 16 MiB LOC regions, evicted FIFO, in every experiment.
+                // 16 MiB LOC regions in every experiment.
                 region_bytes: 16 << 20,
                 size_threshold: 2048,
-                loc_eviction: LocEviction::Fifo,
-                admission: fdpcache_cache::admission::AdmissionConfig::AdmitAll,
                 trim_on_region_evict: self.trim_on_evict,
                 io_lanes: 8,
             },

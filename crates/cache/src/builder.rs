@@ -254,6 +254,23 @@ mod tests {
     }
 
     #[test]
+    fn soc_fraction_at_either_end_builds_no_cache() {
+        // At 0 the SOC and LOC region 0 would share block 0; at 1 the
+        // LOC would start past the end of the namespace.
+        for soc_fraction in [0.0, 1.0] {
+            let mut cfg = small_cache_config();
+            cfg.nvm.soc_fraction = soc_fraction;
+            let ctrl = build_device(FtlConfig::tiny_test(), StoreKind::Mem, true).unwrap();
+            let nsid = create_namespace(&ctrl, 0.9, vec![0, 1]).unwrap();
+            let built = build_cache(&ctrl, nsid, &cfg, Box::new(RoundRobinPolicy::new()));
+            assert!(
+                matches!(built, Err(CacheError::Config(_))),
+                "soc_fraction {soc_fraction} must be a config error"
+            );
+        }
+    }
+
+    #[test]
     fn utilization_controls_namespace_size() {
         let ctrl = build_device(FtlConfig::tiny_test(), StoreKind::Null, true).unwrap();
         let before = ctrl.unallocated_lbas();

@@ -85,7 +85,7 @@ impl HybridCache {
     ) -> Result<Self, CacheError> {
         config.validate(io.block_bytes()).map_err(CacheError::Config)?;
         let [soc, loc, meta] = Self::allocate_handles(config, allocator);
-        let navy = NavyEngine::new(&config.nvm, io, soc, loc, meta, 0x5EED)?;
+        let navy = NavyEngine::new(&config.nvm, io, soc, loc, meta)?;
         Ok(HybridCache {
             ram: RamCache::new(config.ram_bytes, config.ram_item_overhead),
             navy,
@@ -123,7 +123,7 @@ impl HybridCache {
     ) -> Result<Self, CacheError> {
         config.validate(io.block_bytes()).map_err(CacheError::Config)?;
         let [soc, loc, meta] = Self::allocate_handles(config, allocator);
-        let navy = NavyEngine::recover(&config.nvm, io, soc, loc, meta, 0x5EED)?;
+        let navy = NavyEngine::recover(&config.nvm, io, soc, loc, meta)?;
         Ok(HybridCache {
             ram: RamCache::new(config.ram_bytes, config.ram_item_overhead),
             navy,
@@ -154,7 +154,10 @@ impl HybridCache {
         Arc::clone(&self.read_stats)
     }
 
-    /// Disables promotion of flash hits into DRAM (ablation knob).
+    /// Disables promotion of flash hits into DRAM, so a later read of
+    /// the same key goes back to flash. No figure row turns this off:
+    /// it is the read-back seam of the fault, recovery and chaos
+    /// checks, which read every key from the device.
     pub fn set_promote_on_nvm_hit(&mut self, promote: bool) {
         self.promote_on_nvm_hit = promote;
     }
@@ -280,7 +283,8 @@ impl HybridCache {
     }
 
     /// Judges a half-open probe from the device command delta it
-    /// produced. Zero commands (e.g. an admission reject) is
+    /// produced. Zero commands (e.g. a LOC insert into the active
+    /// buffer) is
     /// inconclusive and leaves the breaker half-open; a fault-free
     /// delta closes the breaker, credits the health monitor one
     /// recovery step, and drains the requeues parked while degraded.
@@ -399,8 +403,8 @@ impl HybridCache {
         }
     }
 
-    /// Inserts `key`. RAM evictions flow to flash through the admission
-    /// policy.
+    /// Inserts `key`. Every RAM eviction is offered to flash (shed only
+    /// while the breaker is open).
     ///
     /// # Errors
     ///

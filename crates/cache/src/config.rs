@@ -1,34 +1,18 @@
 //! Cache configuration.
 
-use crate::admission::AdmissionConfig;
-
-/// LOC region eviction policy (CacheLib supports FIFO and LRU, §2.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LocEviction {
-    /// Evict the oldest sealed region (the paper's default; its theory
-    /// model also assumes FIFO).
-    Fifo,
-    /// Evict the least-recently-read sealed region.
-    Lru,
-}
-
-/// Flash (Navy) engine configuration.
+/// Flash (Navy) engine configuration. The engines follow the paper's
+/// Navy set-up throughout: SOC buckets are one device block, LOC
+/// regions are evicted FIFO (the theory model assumes FIFO too), and
+/// every DRAM eviction is offered to flash.
 #[derive(Debug, Clone)]
 pub struct NvmConfig {
     /// Fraction of the namespace given to the SOC (the paper's "SOC
     /// size", default 4%). The remainder goes to the LOC.
     pub soc_fraction: f64,
-    /// SOC bucket size in bytes; must equal the device block size in
-    /// this implementation (4 KiB, the paper's default).
-    pub bucket_bytes: u32,
     /// LOC region size in bytes (16 MiB default, erase-block aligned).
     pub region_bytes: u64,
     /// Objects strictly smaller than this go to the SOC.
     pub size_threshold: u32,
-    /// LOC region eviction policy.
-    pub loc_eviction: LocEviction,
-    /// Admission policy applied to RAM evictions before flash insertion.
-    pub admission: AdmissionConfig,
     /// Whether to TRIM a LOC region's blocks when the region is evicted
     /// (the paper's shelved "FDP specialized LOC eviction policy", §5.5
     /// lesson 1 — kept as an ablation flag, default off like CacheLib).
@@ -45,11 +29,8 @@ impl Default for NvmConfig {
     fn default() -> Self {
         NvmConfig {
             soc_fraction: 0.04,
-            bucket_bytes: 4096,
             region_bytes: 16 << 20,
             size_threshold: 2048,
-            loc_eviction: LocEviction::Fifo,
-            admission: AdmissionConfig::AdmitAll,
             trim_on_region_evict: false,
             io_lanes: 8,
         }
@@ -91,14 +72,11 @@ impl CacheConfig {
     ///
     /// Returns a description of the first inconsistency found.
     pub fn validate(&self, block_bytes: u32) -> Result<(), String> {
-        if self.nvm.bucket_bytes != block_bytes {
-            return Err(format!(
-                "bucket_bytes {} must equal device block size {block_bytes}",
-                self.nvm.bucket_bytes
-            ));
-        }
-        if !(0.0..=1.0).contains(&self.nvm.soc_fraction) {
-            return Err(format!("soc_fraction {} outside [0,1]", self.nvm.soc_fraction));
+        // Both engines need blocks of their own: the engine pair has no
+        // SOC-only or LOC-only layout.
+        let f = self.nvm.soc_fraction;
+        if !(f > 0.0 && f < 1.0) {
+            return Err(format!("soc_fraction {f} outside (0,1)"));
         }
         if self.nvm.region_bytes == 0 || !self.nvm.region_bytes.is_multiple_of(block_bytes as u64) {
             return Err(format!(
@@ -126,12 +104,6 @@ mod tests {
     }
 
     #[test]
-    fn bucket_must_match_block() {
-        let c = CacheConfig::default();
-        assert!(c.validate(512).is_err());
-    }
-
-    #[test]
     fn bad_region_size_rejected() {
         let mut c = CacheConfig::default();
         c.nvm.region_bytes = 5000;
@@ -143,9 +115,11 @@ mod tests {
     #[test]
     fn soc_fraction_bounds() {
         let mut c = CacheConfig::default();
-        c.nvm.soc_fraction = 1.5;
-        assert!(c.validate(4096).is_err());
-        c.nvm.soc_fraction = 1.0;
+        for bad in [-0.1, 0.0, 1.0, 1.5, f64::NAN] {
+            c.nvm.soc_fraction = bad;
+            assert!(c.validate(4096).is_err(), "soc_fraction {bad} must be rejected");
+        }
+        c.nvm.soc_fraction = 0.96;
         assert!(c.validate(4096).is_ok());
     }
 

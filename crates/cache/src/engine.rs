@@ -1,5 +1,6 @@
 //! The Navy engine pair: SOC + LOC behind one namespace, with
-//! size-threshold routing and admission control.
+//! size-threshold routing. Every object offered is written (the
+//! paper's Navy admits every DRAM eviction).
 //!
 //! Concurrency note: everything here runs **under the shard mutex**.
 //! Flash lookups drive the shard's `&mut` queue pair and advance its
@@ -10,7 +11,6 @@
 use fdpcache_core::{IoManager, PlacementHandle};
 use fdpcache_metrics::Histogram;
 
-use crate::admission::AdmissionPolicy;
 use crate::config::NvmConfig;
 use crate::error::CacheError;
 use crate::loc::Loc;
@@ -54,7 +54,6 @@ pub struct NavyEngine {
     soc: Soc,
     loc: Loc,
     size_threshold: u32,
-    admission: AdmissionPolicy,
     /// While set (degraded-mode serving, flash breaker open), objects
     /// rescued from failed seals stay parked in the LOC's requeue
     /// channel instead of being re-driven into a failing device; they
@@ -75,24 +74,21 @@ impl NavyEngine {
     /// # Errors
     ///
     /// [`CacheError::Config`] when the namespace cannot fit at least one
-    /// SOC bucket and one LOC region (unless the respective fraction is
-    /// zero).
+    /// SOC bucket and two LOC regions.
     pub fn new(
         cfg: &NvmConfig,
         io: IoManager,
         soc_handle: PlacementHandle,
         loc_handle: PlacementHandle,
         meta_handle: PlacementHandle,
-        seed: u64,
     ) -> Result<Self, CacheError> {
         let (soc_blocks, region_blocks, num_regions) = Self::geometry(cfg, &io)?;
-        let soc = Soc::new(0, soc_blocks.max(1), cfg.bucket_bytes, soc_handle);
+        let soc = Soc::new(0, soc_blocks, io.block_bytes(), soc_handle);
         let loc = Loc::new(
             soc_blocks,
-            num_regions.max(1),
+            num_regions,
             region_blocks,
             io.block_bytes(),
-            cfg.loc_eviction,
             cfg.trim_on_region_evict,
             loc_handle,
             meta_handle,
@@ -102,7 +98,6 @@ impl NavyEngine {
             soc,
             loc,
             size_threshold: cfg.size_threshold,
-            admission: AdmissionPolicy::new(cfg.admission.clone(), seed),
             park_requeues: false,
             scrub_cursor: 0,
         })
@@ -121,10 +116,10 @@ impl NavyEngine {
         // slot in the trailing metadata area.
         let num_regions =
             (loc_space / (region_blocks + Loc::meta_blocks_for(region_blocks))) as u32;
-        if cfg.soc_fraction > 0.0 && soc_blocks == 0 {
+        if soc_blocks == 0 {
             return Err(CacheError::Config("namespace too small for any SOC bucket".into()));
         }
-        if cfg.soc_fraction < 1.0 && num_regions < 2 {
+        if num_regions < 2 {
             return Err(CacheError::Config(format!(
                 "LOC needs at least 2 regions, got {num_regions} \
                  ({loc_space} blocks / {region_blocks} blocks-per-region)"
@@ -150,16 +145,14 @@ impl NavyEngine {
         soc_handle: PlacementHandle,
         loc_handle: PlacementHandle,
         meta_handle: PlacementHandle,
-        seed: u64,
     ) -> Result<Self, CacheError> {
         let (soc_blocks, region_blocks, num_regions) = Self::geometry(cfg, &io)?;
-        let soc = Soc::recover(0, soc_blocks.max(1), cfg.bucket_bytes, soc_handle, &mut io)?;
+        let soc = Soc::recover(0, soc_blocks, io.block_bytes(), soc_handle, &mut io)?;
         let loc = Loc::recover(
             soc_blocks,
-            num_regions.max(1),
+            num_regions,
             region_blocks,
             io.block_bytes(),
-            cfg.loc_eviction,
             cfg.trim_on_region_evict,
             loc_handle,
             meta_handle,
@@ -170,7 +163,6 @@ impl NavyEngine {
             soc,
             loc,
             size_threshold: cfg.size_threshold,
-            admission: AdmissionPolicy::new(cfg.admission.clone(), seed),
             park_requeues: false,
             scrub_cursor: 0,
         })
@@ -207,11 +199,6 @@ impl NavyEngine {
         &mut self.io
     }
 
-    /// The admission policy state.
-    pub fn admission(&self) -> &AdmissionPolicy {
-        &self.admission
-    }
-
     /// Application-level write amplification (paper Equation 2): device
     /// bytes submitted over application object bytes admitted.
     pub fn alwa(&self) -> f64 {
@@ -238,23 +225,19 @@ impl NavyEngine {
         len < self.size_threshold as usize
     }
 
-    /// Offers an object for flash insertion (post-RAM-eviction path).
-    /// Returns whether it was admitted and written.
+    /// Writes an object to flash (post-RAM-eviction path). Returns
+    /// whether it is now on flash.
     ///
     /// Recovery: a SOC insert that fails persistently under injected
-    /// faults was rolled back by the SOC and is reported as *not
-    /// admitted* (the object was never acknowledged as on flash — the
-    /// same observable outcome as an admission reject). LOC seal
-    /// failures are recovered inside the LOC (retry, then quarantine +
-    /// requeue); the requeued objects are re-inserted here.
+    /// faults was rolled back by the SOC and returns `false` (the
+    /// object was never acknowledged as on flash). LOC seal failures
+    /// are recovered inside the LOC (retry, then quarantine + requeue);
+    /// the requeued objects are re-inserted here.
     ///
     /// # Errors
     ///
     /// Object-size errors and non-injected I/O errors.
     pub fn insert(&mut self, key: Key, value: Value) -> Result<bool, CacheError> {
-        if !self.admission.admit(key, value.len()) {
-            return Ok(false);
-        }
         // A key may change size class between inserts; the copy in the
         // other engine (if any) would be stale and must be dropped.
         let admitted = if self.is_small(value.len()) {
@@ -467,7 +450,6 @@ impl NavyEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::LocEviction;
     use fdpcache_core::SharedController;
     use fdpcache_ftl::FtlConfig;
     use fdpcache_nvme::{Controller, MemStore};
@@ -482,11 +464,8 @@ mod tests {
         let io = IoManager::new(shared, nsid, 4).unwrap();
         let cfg = NvmConfig {
             soc_fraction: 0.1,
-            bucket_bytes: 4096,
             region_bytes: 16 * 4096, // 16-block regions for the tiny device
             size_threshold: 2048,
-            loc_eviction: LocEviction::Fifo,
-            admission: crate::admission::AdmissionConfig::AdmitAll,
             trim_on_region_evict: false,
             io_lanes: 4,
         };
@@ -496,7 +475,6 @@ mod tests {
             PlacementHandle::with_dspec(0),
             PlacementHandle::with_dspec(1),
             PlacementHandle::with_dspec(1),
-            1,
         )
         .unwrap()
     }
@@ -538,26 +516,6 @@ mod tests {
     }
 
     #[test]
-    fn rejected_by_admission_is_not_written() {
-        let ctrl = Controller::new(FtlConfig::tiny_test(), Box::new(MemStore::new())).unwrap();
-        let blocks = ctrl.unallocated_lbas();
-        let nsid = ctrl.create_namespace(blocks, vec![0]).unwrap();
-        let shared: SharedController = Arc::new(ctrl);
-        let io = IoManager::new(shared, nsid, 4).unwrap();
-        let cfg = NvmConfig {
-            soc_fraction: 0.1,
-            region_bytes: 16 * 4096,
-            admission: crate::admission::AdmissionConfig::Probability(0.0),
-            ..NvmConfig::default()
-        };
-        let dflt = PlacementHandle::DEFAULT;
-        let mut e = NavyEngine::new(&cfg, io, dflt, dflt, dflt, 1).unwrap();
-        assert!(!e.insert(1, Value::synthetic(100)).unwrap());
-        assert_eq!(e.io().stats().writes, 0);
-        assert!(e.lookup(1).unwrap().is_none());
-    }
-
-    #[test]
     fn alwa_reflects_soc_page_amplification() {
         let mut e = engine();
         // 100-byte objects each cost a 4096-byte page write: ALWA ≈ 41.
@@ -588,9 +546,6 @@ mod tests {
         let io = IoManager::new(shared, nsid, 4).unwrap();
         let cfg = NvmConfig { region_bytes: 16 * 4096, ..NvmConfig::default() };
         let dflt = PlacementHandle::DEFAULT;
-        assert!(matches!(
-            NavyEngine::new(&cfg, io, dflt, dflt, dflt, 1),
-            Err(CacheError::Config(_))
-        ));
+        assert!(matches!(NavyEngine::new(&cfg, io, dflt, dflt, dflt), Err(CacheError::Config(_))));
     }
 }

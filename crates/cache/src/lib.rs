@@ -11,7 +11,7 @@
 //!         │               buckets, uniform hashing, per-bucket bloom
 //!         │               filters, in-place random writes
 //!         └── Loc       — Large Object Cache: log-structured 16 MiB
-//!               regions, FIFO/LRU region eviction, DRAM index,
+//!               regions, FIFO region eviction, DRAM index,
 //!               sequential writes
 //! ```
 //!
@@ -37,7 +37,6 @@
 //! buckets round-trip bit-exactly (tested).
 
 #![warn(missing_docs)]
-pub mod admission;
 pub mod bloom;
 pub mod breaker;
 pub mod builder;
@@ -55,11 +54,10 @@ pub mod soc;
 pub mod stats;
 pub mod value;
 
-pub use admission::AdmissionPolicy;
 pub use breaker::{BreakerState, BreakerTransition, FlashBreaker};
 pub use cache::{GetOutcome, HybridCache};
 pub use concurrent::{shard_index, ConcurrentPool};
-pub use config::{CacheConfig, LocEviction, NvmConfig};
+pub use config::{CacheConfig, NvmConfig};
 pub use engine::FlashVerify;
 pub use error::CacheError;
 pub use fleet::{DeviceRouteStats, FleetDevice, FleetRouter, HashRing, DEFAULT_VNODES};

@@ -8,8 +8,8 @@
 //!   *sealed* — written to flash sequentially in large chunks, each
 //!   object materialised once, straight into the payload store — and a
 //!   fresh region opens;
-//! * when no free region remains, one sealed region is evicted (FIFO or
-//!   LRU) and its index entries dropped; the region's blocks are simply
+//! * when no free region remains, the oldest sealed region is evicted
+//!   (FIFO) and its index entries dropped; the region's blocks are simply
 //!   overwritten by the next seal (no TRIM), exactly like CacheLib —
 //!   the optional `trim_on_region_evict` flag reproduces the paper's
 //!   shelved FDP-specialized eviction policy (§5.5);
@@ -37,10 +37,9 @@ use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use fdpcache_core::{IoBatch, IoManager, PlacementHandle};
-use fdpcache_nvme::{NvmeError, RetryPolicy};
+use fdpcache_nvme::NvmeError;
 
 use crate::checksum::page_checksum;
-use crate::config::LocEviction;
 use crate::error::CacheError;
 use crate::value::Value;
 use crate::Key;
@@ -67,27 +66,16 @@ const META_CHECKSUM_BYTES: usize = 8;
 /// surviving object, in on-flash order.
 type FooterEntries = Vec<(Key, u32, u32)>;
 
-/// Footer rewrites (delete persistence, invalidation) run under this
-/// unified [`RetryPolicy`] before falling back to discarding the
-/// footer blocks. Immediate (zero-backoff) so the schedule reproduces
-/// the legacy 4-attempt loop bit-identically.
-fn meta_retry() -> RetryPolicy {
-    RetryPolicy::immediate(4)
-}
+/// Attempts a region seal gets before the region is declared bad: the
+/// first submit plus three immediate retries. Injected faults are
+/// transient by default (the schedule re-rolls per access), so retries
+/// recover everything but scripted permanent bad blocks.
+const SEAL_ATTEMPTS: u32 = 4;
 
-/// Region seals run under this [`RetryPolicy`] before the region is
-/// declared bad: the first submit plus up to three retries. Injected
-/// faults are transient by default (the schedule re-rolls per access),
-/// so retries recover everything but scripted permanent bad blocks.
-fn seal_retry() -> RetryPolicy {
-    RetryPolicy::immediate(4)
-}
-
-/// One extra attempt for advisory/transient failures (busy lookup
-/// spikes, advisory TRIMs): the legacy single-retry sites.
-fn transient_retry() -> RetryPolicy {
-    RetryPolicy::immediate(2)
-}
+/// Attempts a footer write outside a seal (delete persistence,
+/// scrubs, retirement) gets before the footer slot is discarded
+/// instead. Advisory commands (TRIMs, busy lookup reads) retry once.
+const FOOTER_WRITE_ATTEMPTS: u32 = 4;
 
 /// LOC statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -159,8 +147,6 @@ struct Region {
     /// [`Loc::key_regions`] inverts these lists; every change to one
     /// goes through a `Loc` method that updates both.
     keys: Vec<Key>,
-    /// Last read sequence (LRU eviction).
-    last_access: u64,
     /// Monotonic sequence stamped into the footer at seal time;
     /// recovery orders regions by it so newer copies of a key
     /// supersede older ones.
@@ -264,14 +250,12 @@ pub struct Loc {
     index: HashMap<Key, IndexEntry>,
     /// Which regions list each key (the inverse of `Region::keys`).
     key_regions: KeyRegions,
-    eviction: LocEviction,
     trim_on_evict: bool,
     handle: PlacementHandle,
     /// Placement handle for footer writes: the namespace's metadata
     /// handle, or `handle` itself when the data engines left no
     /// identifier free (DESIGN.md §6.4).
     meta_handle: PlacementHandle,
-    access_seq: u64,
     /// Next seal sequence number (resumes past the recovered maximum).
     next_seal_seq: u64,
     stats: LocStats,
@@ -296,13 +280,11 @@ impl Loc {
     /// total footprint is `num_regions * (region_blocks +
     /// meta_blocks)`. Payload writes go through `handle`, footer writes
     /// through `meta_handle`.
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         base_block: u64,
         num_regions: u32,
         region_blocks: u64,
         block_bytes: u32,
-        eviction: LocEviction,
         trim_on_evict: bool,
         handle: PlacementHandle,
         meta_handle: PlacementHandle,
@@ -313,12 +295,7 @@ impl Loc {
             block_bytes,
             num_regions,
             regions: (0..num_regions)
-                .map(|_| Region {
-                    state: RegionState::Free,
-                    keys: Vec::new(),
-                    last_access: 0,
-                    seal_seq: 0,
-                })
+                .map(|_| Region { state: RegionState::Free, keys: Vec::new(), seal_seq: 0 })
                 .collect(),
             free: (0..num_regions).collect(),
             sealed_fifo: VecDeque::new(),
@@ -328,11 +305,9 @@ impl Loc {
             active_seq: 0,
             index: HashMap::new(),
             key_regions: KeyRegions::default(),
-            eviction,
             trim_on_evict,
             handle,
             meta_handle,
-            access_seq: 0,
             next_seal_seq: 1,
             stats: LocStats::default(),
             read_scratch: Vec::new(),
@@ -658,9 +633,8 @@ impl Loc {
     /// Recovery (DESIGN.md §6): an injected device fault fails the
     /// batch all-or-nothing (the controller's fault gate plus FTL
     /// rollback guarantee none of the region landed), so the seal is
-    /// simply re-submitted under the unified [`seal_retry`] policy
-    /// (four attempts, zero backoff — the legacy schedule). If every
-    /// attempt fails the region is **quarantined** (withdrawn from
+    /// simply re-submitted, up to [`SEAL_ATTEMPTS`] attempts in all. If
+    /// every attempt fails the region is **quarantined** (withdrawn from
     /// rotation like a grown-bad erase block) and its objects are
     /// parked in [`Loc::take_requeued`] for the engine to re-queue —
     /// acknowledged inserts are never silently dropped. Only
@@ -695,7 +669,7 @@ impl Loc {
         let mut scratch = std::mem::take(&mut self.meta_scratch);
         let footer_blocks = self.serialize_footer(region, seq, &entries, &mut scratch);
         let meta_buf = &scratch[..footer_blocks * self.block_bytes as usize];
-        let mut schedule = seal_retry().schedule(region as u64);
+        let mut attempt = 1;
         let landed = loop {
             let mut batch =
                 IoBatch::with_capacity(fills.len() + meta_buf.len().div_ceil(SEAL_CHUNK_BYTES));
@@ -717,15 +691,13 @@ impl Loc {
             }
             match io.submit_batch(batch) {
                 Ok(_) => break Ok(true),
-                Err(e) if e.is_injected_fault() => match schedule.next_backoff_ns() {
-                    Some(backoff_ns) => {
-                        if backoff_ns > 0 {
-                            io.advance(backoff_ns);
-                        }
-                        self.stats.seal_retries += 1;
+                Err(e) if e.is_injected_fault() => {
+                    if attempt == SEAL_ATTEMPTS {
+                        break Ok(false);
                     }
-                    None => break Ok(false),
-                },
+                    attempt += 1;
+                    self.stats.seal_retries += 1;
+                }
                 Err(e) => break Err(CacheError::from(e)),
             }
         };
@@ -768,9 +740,9 @@ impl Loc {
 
     /// Rewrites `region`'s persisted footer from the live index
     /// (delete persistence, superseded-entry scrubs). Retries injected
-    /// faults under the unified [`meta_retry`] policy, then falls back
-    /// to invalidating the footer wholesale — either way no stale entry
-    /// survives on flash. Only non-injected errors propagate.
+    /// faults ([`Loc::write_footer`]), then falls back to invalidating
+    /// the footer wholesale — either way no stale entry survives on
+    /// flash. Only non-injected errors propagate.
     fn rewrite_footer(&mut self, io: &mut IoManager, region: u32) -> Result<(), CacheError> {
         if self.meta_blocks() == 0 {
             return Ok(());
@@ -819,8 +791,8 @@ impl Loc {
     /// Serializes one footer into the reusable scratch and writes it
     /// over the head of `region`'s footer slot — as many blocks as the
     /// entry table needs, one for an empty footer — retrying injected
-    /// faults under [`meta_retry`] and invalidating the slot when every
-    /// attempt fails.
+    /// faults up to [`FOOTER_WRITE_ATTEMPTS`] attempts in all and
+    /// invalidating the slot when every attempt fails.
     fn write_footer(
         &mut self,
         io: &mut IoManager,
@@ -832,18 +804,16 @@ impl Loc {
         let footer_blocks = self.serialize_footer(region, seal_seq, entries, &mut scratch);
         let buf = &scratch[..footer_blocks * self.block_bytes as usize];
         let start = self.meta_block(region);
-        let mut schedule = meta_retry().schedule(start);
+        let mut attempt = 1;
         let written = loop {
             match io.write(start, buf, self.meta_handle) {
                 Ok(_) => break Ok(true),
-                Err(e) if e.is_injected_fault() => match schedule.next_backoff_ns() {
-                    Some(backoff_ns) => {
-                        if backoff_ns > 0 {
-                            io.advance(backoff_ns);
-                        }
+                Err(e) if e.is_injected_fault() => {
+                    if attempt == FOOTER_WRITE_ATTEMPTS {
+                        break Ok(false);
                     }
-                    None => break Ok(false),
-                },
+                    attempt += 1;
+                }
                 Err(e) => break Err(CacheError::from(e)),
             }
         };
@@ -867,19 +837,24 @@ impl Loc {
         if self.meta_blocks() == 0 {
             return Ok(());
         }
-        let start = self.meta_block(region);
-        let mut schedule = transient_retry().schedule(start);
-        loop {
-            match io.discard(start, self.meta_blocks()) {
-                Ok(_) => return Ok(()),
-                Err(e) if e.is_injected_fault() => {
-                    if schedule.next_backoff_ns().is_none() {
-                        self.stats.discard_faults += 1;
-                        return Ok(());
-                    }
-                }
-                Err(e) => return Err(e.into()),
+        self.discard(io, self.meta_block(region), self.meta_blocks())
+    }
+
+    /// One advisory TRIM command: an injected fault is retried once,
+    /// then counted in [`LocStats::discard_faults`] and skipped. Only
+    /// non-injected errors propagate.
+    fn discard(&mut self, io: &mut IoManager, start: u64, blocks: u64) -> Result<(), CacheError> {
+        let mut res = io.discard(start, blocks);
+        if res.as_ref().is_err_and(|e| e.is_injected_fault()) {
+            res = io.discard(start, blocks);
+        }
+        match res {
+            Ok(_) => Ok(()),
+            Err(e) if e.is_injected_fault() => {
+                self.stats.discard_faults += 1;
+                Ok(())
             }
+            Err(e) => Err(e.into()),
         }
     }
 
@@ -941,24 +916,12 @@ impl Loc {
         self.pending_requeue.len()
     }
 
-    /// Picks a sealed region to evict according to the policy.
-    fn pick_eviction(&self) -> Option<u32> {
-        match self.eviction {
-            LocEviction::Fifo => self.sealed_fifo.front().copied(),
-            LocEviction::Lru => self
-                .sealed_fifo
-                .iter()
-                .copied()
-                .min_by_key(|&r| self.regions[r as usize].last_access),
-        }
-    }
-
-    /// Evicts one sealed region, dropping its live index entries.
+    /// Evicts the oldest sealed region (FIFO, as CacheLib's default and
+    /// the paper's DLWA model assume), dropping its live index entries.
     fn evict_region(&mut self, io: &mut IoManager) -> Result<(), CacheError> {
-        let Some(region) = self.pick_eviction() else {
+        let Some(region) = self.sealed_fifo.pop_front() else {
             return Ok(());
         };
-        self.sealed_fifo.retain(|&r| r != region);
         let keys = self.key_regions.take(&mut self.regions[region as usize], region);
         let mut dropped: HashSet<Key> = HashSet::new();
         for key in keys {
@@ -975,22 +938,10 @@ impl Loc {
         if self.trim_on_evict {
             // One DSM deallocate covering the whole region (a single
             // command; identical through the batch or direct path).
-            // The TRIM is advisory — on an injected fault, retry once,
-            // then skip it: the region's blocks are simply overwritten
-            // by the next seal, exactly like the non-TRIM policy.
-            let mut schedule = transient_retry().schedule(self.region_block(region));
-            loop {
-                match io.discard(self.region_block(region), self.region_blocks) {
-                    Ok(_) => break,
-                    Err(e) if e.is_injected_fault() => {
-                        if schedule.next_backoff_ns().is_none() {
-                            self.stats.discard_faults += 1;
-                            break;
-                        }
-                    }
-                    Err(e) => return Err(e.into()),
-                }
-            }
+            // The TRIM is advisory — a skipped one leaves the region's
+            // blocks to be overwritten by the next seal, exactly like
+            // the non-TRIM policy.
+            self.discard(io, self.region_block(region), self.region_blocks)?;
         }
         // The region's persisted footer must not outlive its index
         // entries: a crash after this point would otherwise resurrect
@@ -1003,7 +954,6 @@ impl Loc {
         // cannot serve a stale value for a key the cache just dropped.
         self.scrub_footers_for_keys(io, &dropped, Some(region))?;
         self.regions[region as usize].state = RegionState::Free;
-        self.regions[region as usize].last_access = 0;
         self.free.push_back(region);
         self.stats.region_evictions += 1;
         Ok(())
@@ -1129,20 +1079,14 @@ impl Loc {
         match self.read_covering_blocks(io, &entry) {
             Ok(_) => {}
             Err(e) if e.is_injected_fault() => {
-                let mut recovered = false;
-                if e.is_busy() {
-                    let mut schedule = transient_retry().schedule(key);
-                    while !recovered && schedule.next_backoff_ns().is_some() {
-                        match self.read_covering_blocks(io, &entry) {
-                            Ok(_) => recovered = true,
-                            Err(e2) if e2.is_injected_fault() => {}
-                            // Non-injected retry errors are caller bugs
-                            // and must surface, never be masked as a
-                            // miss.
-                            Err(e2) => return Err(e2),
-                        }
-                    }
-                }
+                let recovered = e.is_busy()
+                    && match self.read_covering_blocks(io, &entry) {
+                        Ok(_) => true,
+                        Err(e2) if e2.is_injected_fault() => false,
+                        // Non-injected retry errors are caller bugs and
+                        // must surface, never be masked as a miss.
+                        Err(e2) => return Err(e2),
+                    };
                 if !recovered {
                     self.stats.read_faults += 1;
                     // Demote to miss: drop the unreadable copy, then
@@ -1156,8 +1100,6 @@ impl Loc {
             }
             Err(e) => return Err(e),
         }
-        self.access_seq += 1;
-        self.regions[entry.region as usize].last_access = self.access_seq;
         self.stats.hits += 1;
         // With a data-retaining store the scratch bytes equal the
         // materialized value (verified in tests); the authoritative value
@@ -1323,8 +1265,7 @@ impl Loc {
     /// their payload bytes re-read from the device, so a newer sealed
     /// copy of a key supersedes any older one. Everything else is
     /// deliberately volatile and comes back empty: the active buffer
-    /// (acknowledged-but-unsealed objects), LRU access recency, and all
-    /// statistics including `app_bytes_written` — recovered objects
+    /// (acknowledged-but-unsealed objects) and all statistics including `app_bytes_written` — recovered objects
     /// were already counted as application bytes in their first life,
     /// and recounting them would bias ALWA.
     ///
@@ -1339,7 +1280,6 @@ impl Loc {
         num_regions: u32,
         region_blocks: u64,
         block_bytes: u32,
-        eviction: LocEviction,
         trim_on_evict: bool,
         handle: PlacementHandle,
         meta_handle: PlacementHandle,
@@ -1355,7 +1295,6 @@ impl Loc {
             num_regions,
             region_blocks,
             block_bytes,
-            eviction,
             trim_on_evict,
             handle,
             meta_handle,
@@ -1428,25 +1367,20 @@ mod tests {
     }
 
     /// 4 regions × 8 blocks (32 KiB regions).
-    fn loc(eviction: LocEviction) -> (Loc, IoManager) {
-        (
-            Loc::new(
-                0,
-                4,
-                8,
-                BLOCK,
-                eviction,
-                false,
-                PlacementHandle::with_dspec(1),
-                PlacementHandle::DEFAULT,
-            ),
-            io(64),
-        )
+    fn loc() -> (Loc, IoManager) {
+        let h = PlacementHandle::with_dspec(1);
+        (Loc::new(0, 4, 8, BLOCK, false, h, PlacementHandle::DEFAULT), io(64))
+    }
+
+    /// Recovers the [`loc`] geometry from `io`.
+    fn recover(io: &mut IoManager) -> Loc {
+        let h = PlacementHandle::with_dspec(1);
+        Loc::recover(0, 4, 8, BLOCK, false, h, PlacementHandle::DEFAULT, io).unwrap()
     }
 
     #[test]
     fn insert_then_lookup_from_active_buffer() {
-        let (mut l, mut io) = loc(LocEviction::Fifo);
+        let (mut l, mut io) = loc();
         l.insert(&mut io, 1, Value::synthetic(5000)).unwrap();
         let v = l.lookup(&mut io, 1).unwrap().unwrap();
         assert_eq!(v.len(), 5000);
@@ -1456,7 +1390,7 @@ mod tests {
 
     #[test]
     fn seal_happens_when_region_fills() {
-        let (mut l, mut io) = loc(LocEviction::Fifo);
+        let (mut l, mut io) = loc();
         // Region is 32 KiB; three 12 KiB objects overflow it.
         l.insert(&mut io, 1, Value::synthetic(12_000)).unwrap();
         l.insert(&mut io, 2, Value::synthetic(12_000)).unwrap();
@@ -1469,7 +1403,7 @@ mod tests {
 
     #[test]
     fn sealed_bytes_round_trip() {
-        let (mut l, mut io) = loc(LocEviction::Fifo);
+        let (mut l, mut io) = loc();
         let payload: Vec<u8> = (0..10_000u32).map(|i| (i % 251) as u8).collect();
         l.insert(&mut io, 7, Value::real(payload.clone())).unwrap();
         // Force a seal by overfilling (payload area is 28 KiB: one
@@ -1482,7 +1416,7 @@ mod tests {
 
     #[test]
     fn fifo_eviction_drops_oldest_region() {
-        let (mut l, mut io) = loc(LocEviction::Fifo);
+        let (mut l, mut io) = loc();
         // Fill all 4 regions plus one: first region's objects must vanish.
         for k in 0..10u64 {
             l.insert(&mut io, k, Value::synthetic(16_000)).unwrap();
@@ -1493,29 +1427,8 @@ mod tests {
     }
 
     #[test]
-    fn lru_eviction_prefers_unread_regions() {
-        let (mut l, mut io) = loc(LocEviction::Lru);
-        // 2 objects/region: keys 0,1 in region A; 2,3 in region B; etc.
-        for k in 0..6u64 {
-            l.insert(&mut io, k, Value::synthetic(16_000)).unwrap();
-        }
-        // Regions holding 0..=1 and 2..=3 are sealed. Touch 0 and 1's
-        // region so the other sealed region is LRU.
-        l.lookup(&mut io, 0).unwrap();
-        l.lookup(&mut io, 1).unwrap();
-        // Force evictions by filling remaining space.
-        for k in 10..16u64 {
-            l.insert(&mut io, k, Value::synthetic(16_000)).unwrap();
-        }
-        // Key 0's region was recently used; keys 2/3's region should go
-        // first. (Both may eventually be evicted; check relative order via
-        // which is still present right after the first eviction burst.)
-        assert!(l.stats().region_evictions >= 1);
-    }
-
-    #[test]
     fn lookups_hand_back_the_inserted_arc_without_copying() {
-        let (mut l, mut io) = loc(LocEviction::Fifo);
+        let (mut l, mut io) = loc();
         let value = Value::real(vec![0xEF; 10_000]);
         let arc = value.as_real().unwrap().clone();
         l.insert(&mut io, 4, value).unwrap();
@@ -1531,7 +1444,7 @@ mod tests {
 
     #[test]
     fn overwrite_supersedes_old_copy() {
-        let (mut l, mut io) = loc(LocEviction::Fifo);
+        let (mut l, mut io) = loc();
         l.insert(&mut io, 5, Value::synthetic(10_000)).unwrap();
         l.insert(&mut io, 5, Value::synthetic(20_000)).unwrap();
         assert_eq!(l.lookup(&mut io, 5).unwrap().unwrap().len(), 20_000);
@@ -1563,7 +1476,7 @@ mod tests {
 
     #[test]
     fn remove_hides_object() {
-        let (mut l, mut io) = loc(LocEviction::Fifo);
+        let (mut l, mut io) = loc();
         l.insert(&mut io, 5, Value::synthetic(10_000)).unwrap();
         assert!(l.remove(&mut io, 5).unwrap());
         assert!(l.lookup(&mut io, 5).unwrap().is_none());
@@ -1572,7 +1485,7 @@ mod tests {
 
     #[test]
     fn oversized_object_rejected() {
-        let (mut l, mut io) = loc(LocEviction::Fifo);
+        let (mut l, mut io) = loc();
         let too_big = l.max_object_bytes() + 1;
         assert!(matches!(
             l.insert(&mut io, 1, Value::synthetic(too_big as u32)),
@@ -1582,7 +1495,7 @@ mod tests {
 
     #[test]
     fn object_spanning_blocks_reads_correctly() {
-        let (mut l, mut io) = loc(LocEviction::Fifo);
+        let (mut l, mut io) = loc();
         // Offset the second object so it straddles block boundaries.
         l.insert(&mut io, 1, Value::synthetic(3000)).unwrap();
         let payload: Vec<u8> = (0..6000u32).map(|i| (i % 241) as u8).collect();
@@ -1594,16 +1507,8 @@ mod tests {
     #[test]
     fn trim_on_evict_issues_discards() {
         let mut io_mgr = io(64);
-        let mut l = Loc::new(
-            0,
-            4,
-            8,
-            BLOCK,
-            LocEviction::Fifo,
-            true,
-            PlacementHandle::DEFAULT,
-            PlacementHandle::DEFAULT,
-        );
+        let mut l =
+            Loc::new(0, 4, 8, BLOCK, true, PlacementHandle::DEFAULT, PlacementHandle::DEFAULT);
         for k in 0..12u64 {
             l.insert(&mut io_mgr, k, Value::synthetic(16_000)).unwrap();
         }
@@ -1613,7 +1518,7 @@ mod tests {
 
     #[test]
     fn recover_rebuilds_sealed_regions_from_footers() {
-        let (mut l, mut io) = loc(LocEviction::Fifo);
+        let (mut l, mut io) = loc();
         let payload: Vec<u8> = (0..10_000u32).map(|i| (i % 239) as u8).collect();
         l.insert(&mut io, 1, Value::real(payload.clone())).unwrap();
         l.insert(&mut io, 2, Value::synthetic(12_000)).unwrap();
@@ -1630,18 +1535,7 @@ mod tests {
             vec![1, 2]
         );
         drop(l);
-        let mut r = Loc::recover(
-            0,
-            4,
-            8,
-            BLOCK,
-            LocEviction::Fifo,
-            false,
-            PlacementHandle::with_dspec(1),
-            PlacementHandle::DEFAULT,
-            &mut io,
-        )
-        .unwrap();
+        let mut r = recover(&mut io);
         let mut recovered = r.persisted_keys();
         recovered.sort_unstable();
         assert_eq!(recovered, vec![1, 2]);
@@ -1660,7 +1554,7 @@ mod tests {
 
     #[test]
     fn deleted_key_stays_dead_across_recovery() {
-        let (mut l, mut io) = loc(LocEviction::Fifo);
+        let (mut l, mut io) = loc();
         // Key 5's first copy seals into region 0; its overwrite seals
         // into region 1 — region 0's footer still lists the stale copy.
         l.insert(&mut io, 5, Value::synthetic(12_000)).unwrap();
@@ -1673,18 +1567,7 @@ mod tests {
         assert!(l.remove(&mut io, 5).unwrap());
         assert!(l.stats().footer_rewrites >= 2, "both footers must be rewritten");
         drop(l);
-        let mut r = Loc::recover(
-            0,
-            4,
-            8,
-            BLOCK,
-            LocEviction::Fifo,
-            false,
-            PlacementHandle::with_dspec(1),
-            PlacementHandle::DEFAULT,
-            &mut io,
-        )
-        .unwrap();
+        let mut r = recover(&mut io);
         assert!(r.lookup(&mut io, 5).unwrap().is_none(), "deleted key resurrected by recovery");
         assert!(r.lookup(&mut io, 6).unwrap().is_some(), "unrelated key lost by the scrub");
         assert!(r.lookup(&mut io, 7).unwrap().is_some());
@@ -1692,7 +1575,7 @@ mod tests {
 
     #[test]
     fn overwrites_recover_to_the_newest_sealed_copy() {
-        let (mut l, mut io) = loc(LocEviction::Fifo);
+        let (mut l, mut io) = loc();
         let old: Vec<u8> = vec![0x0D; 12_000];
         let new: Vec<u8> = vec![0x0E; 13_000];
         l.insert(&mut io, 5, Value::real(old)).unwrap();
@@ -1701,18 +1584,7 @@ mod tests {
         l.insert(&mut io, 5, Value::real(new.clone())).unwrap();
         l.insert(&mut io, 8, Value::synthetic(25_000)).unwrap(); // seals region 1
         drop(l);
-        let mut r = Loc::recover(
-            0,
-            4,
-            8,
-            BLOCK,
-            LocEviction::Fifo,
-            false,
-            PlacementHandle::with_dspec(1),
-            PlacementHandle::DEFAULT,
-            &mut io,
-        )
-        .unwrap();
+        let mut r = recover(&mut io);
         assert_eq!(
             r.read_raw(&mut io, 5).unwrap().unwrap(),
             new,
@@ -1722,7 +1594,7 @@ mod tests {
 
     #[test]
     fn evicted_region_footer_is_invalidated() {
-        let (mut l, mut io) = loc(LocEviction::Fifo);
+        let (mut l, mut io) = loc();
         // Fill all 4 regions plus one to force an eviction.
         for k in 0..10u64 {
             l.insert(&mut io, k, Value::synthetic(16_000)).unwrap();
@@ -1730,18 +1602,7 @@ mod tests {
         assert!(l.stats().region_evictions >= 1);
         let survivors = l.persisted_keys();
         drop(l);
-        let mut r = Loc::recover(
-            0,
-            4,
-            8,
-            BLOCK,
-            LocEviction::Fifo,
-            false,
-            PlacementHandle::with_dspec(1),
-            PlacementHandle::DEFAULT,
-            &mut io,
-        )
-        .unwrap();
+        let mut r = recover(&mut io);
         assert!(r.lookup(&mut io, 0).unwrap().is_none(), "evicted key resurrected by recovery");
         let mut recovered = r.persisted_keys();
         let mut expected = survivors;
@@ -1752,7 +1613,7 @@ mod tests {
 
     #[test]
     fn corrupt_footer_demotes_region_to_unsealed() {
-        let (mut l, mut io) = loc(LocEviction::Fifo);
+        let (mut l, mut io) = loc();
         l.insert(&mut io, 1, Value::synthetic(12_000)).unwrap();
         l.insert(&mut io, 2, Value::synthetic(12_000)).unwrap();
         l.insert(&mut io, 3, Value::synthetic(12_000)).unwrap(); // seals region 0
@@ -1763,18 +1624,7 @@ mod tests {
         io.read(meta_block, &mut page).unwrap();
         page[40] ^= 0xFF;
         io.write(meta_block, &page, PlacementHandle::with_dspec(1)).unwrap();
-        let mut r = Loc::recover(
-            0,
-            4,
-            8,
-            BLOCK,
-            LocEviction::Fifo,
-            false,
-            PlacementHandle::with_dspec(1),
-            PlacementHandle::DEFAULT,
-            &mut io,
-        )
-        .unwrap();
+        let mut r = recover(&mut io);
         assert!(r.is_empty(), "a corrupt footer must not be trusted");
         assert!(r.lookup(&mut io, 1).unwrap().is_none());
     }
@@ -1789,7 +1639,6 @@ mod tests {
             4,
             WIDE_BLOCKS,
             BLOCK,
-            LocEviction::Fifo,
             false,
             PlacementHandle::with_dspec(1),
             PlacementHandle::DEFAULT,
@@ -1804,7 +1653,6 @@ mod tests {
             4,
             WIDE_BLOCKS,
             BLOCK,
-            LocEviction::Fifo,
             false,
             PlacementHandle::with_dspec(1),
             PlacementHandle::DEFAULT,
@@ -2079,13 +1927,10 @@ mod tests {
         }
 
         fn fresh(io: Option<&mut IoManager>) -> Loc {
-            let args = (0, REGIONS, 8, BLOCK, LocEviction::Fifo, false);
             let (h, m) = (PlacementHandle::with_dspec(1), PlacementHandle::DEFAULT);
             match io {
-                None => Loc::new(args.0, args.1, args.2, args.3, args.4, args.5, h, m),
-                Some(io) => {
-                    Loc::recover(args.0, args.1, args.2, args.3, args.4, args.5, h, m, io).unwrap()
-                }
+                None => Loc::new(0, REGIONS, 8, BLOCK, false, h, m),
+                Some(io) => Loc::recover(0, REGIONS, 8, BLOCK, false, h, m, io).unwrap(),
             }
         }
 
@@ -2160,7 +2005,7 @@ mod tests {
 
     #[test]
     fn region_reuse_after_eviction_keeps_serving() {
-        let (mut l, mut io) = loc(LocEviction::Fifo);
+        let (mut l, mut io) = loc();
         for round in 0..5u64 {
             for k in 0..4u64 {
                 l.insert(&mut io, round * 100 + k, Value::synthetic(16_000)).unwrap();

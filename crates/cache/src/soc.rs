@@ -37,7 +37,7 @@
 //! lock-free read index (DESIGN.md §5.1a).
 
 use fdpcache_core::{IoManager, PlacementHandle};
-use fdpcache_nvme::{NvmeError, RetryPolicy};
+use fdpcache_nvme::NvmeError;
 
 use crate::bloom::BloomArray;
 use crate::checksum::{bucket_trailer, page_checksum};
@@ -55,20 +55,11 @@ const ENTRY_META_BYTES: usize = 12;
 /// count, every entry's digest and the used byte length.
 const CHECKSUM_BYTES: usize = 8;
 
-/// Bucket-page writes run under this unified [`RetryPolicy`] before an
-/// operation gives up on the device (first submit plus three retries);
-/// injected faults are transient by default, so retries recover
-/// everything but scripted bad blocks. Immediate (zero-backoff) so the
-/// schedule reproduces the legacy 4-attempt loop bit-identically.
-fn write_retry() -> RetryPolicy {
-    RetryPolicy::immediate(4)
-}
-
-/// One extra attempt for transient failures (busy lookup spikes, RMW /
-/// recovery reads): the legacy single-retry sites.
-fn transient_retry() -> RetryPolicy {
-    RetryPolicy::immediate(2)
-}
+/// Attempts a bucket-page write gets before the operation gives up on
+/// the device: the first submit plus three immediate retries. Injected
+/// faults are transient by default, so retries recover everything but
+/// scripted bad blocks. Reads (RMW, lookup, recovery) retry once.
+const SOC_WRITE_ATTEMPTS: u32 = 4;
 
 /// SOC statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -258,11 +249,8 @@ impl Soc {
         let mut page = vec![0u8; bucket_bytes as usize];
         for bucket in 0..num_buckets {
             let block = soc.bucket_block(bucket);
-            let mut schedule = transient_retry().schedule(block);
             let mut res = io.read(block, &mut page);
-            while res.as_ref().is_err_and(|e| e.is_injected_fault())
-                && schedule.next_backoff_ns().is_some()
-            {
+            if res.as_ref().is_err_and(|e| e.is_injected_fault()) {
                 soc.stats.read_faults += 1;
                 res = io.read(block, &mut page);
             }
@@ -490,11 +478,8 @@ impl Soc {
             return Ok(false);
         }
         let block = self.bucket_block(bucket);
-        let mut schedule = transient_retry().schedule(block);
         let mut read = io.read(block, page);
-        while read.as_ref().is_err_and(|e| e.is_injected_fault())
-            && schedule.next_backoff_ns().is_some()
-        {
+        if read.as_ref().is_err_and(|e| e.is_injected_fault()) {
             self.stats.read_faults += 1;
             read = io.read(block, page);
         }
@@ -510,12 +495,11 @@ impl Soc {
 
     /// Writes `page` over the bucket through the placement handle.
     ///
-    /// Recovery (DESIGN.md §6): an injected fault is retried under the
-    /// unified [`write_retry`] policy (four attempts, zero backoff —
-    /// the legacy schedule); a persistent failure propagates so the
-    /// caller can roll back its in-memory mutation — the bucket is
-    /// then still exactly its pre-operation self, on flash and in
-    /// memory.
+    /// Recovery (DESIGN.md §6): an injected fault is retried, up to
+    /// [`SOC_WRITE_ATTEMPTS`] attempts in all; a persistent failure
+    /// propagates so the caller can roll back its in-memory mutation —
+    /// the bucket is then still exactly its pre-operation self, on
+    /// flash and in memory.
     fn write_page(
         &mut self,
         io: &mut IoManager,
@@ -523,24 +507,17 @@ impl Soc {
         page: &[u8],
     ) -> Result<(), CacheError> {
         let block = self.bucket_block(bucket);
-        let mut schedule = write_retry().schedule(block);
-        loop {
-            match io.write(block, page, self.handle) {
-                Ok(_) => break,
-                Err(e) if e.is_injected_fault() => match schedule.next_backoff_ns() {
-                    Some(backoff_ns) => {
-                        if backoff_ns > 0 {
-                            io.advance(backoff_ns);
-                        }
-                        self.stats.write_retries += 1;
-                    }
-                    None => {
-                        self.stats.write_faults += 1;
-                        return Err(e.into());
-                    }
-                },
-                Err(e) => return Err(e.into()),
+        let mut attempt = 1;
+        while let Err(e) = io.write(block, page, self.handle) {
+            if !e.is_injected_fault() {
+                return Err(e.into());
             }
+            if attempt == SOC_WRITE_ATTEMPTS {
+                self.stats.write_faults += 1;
+                return Err(e.into());
+            }
+            attempt += 1;
+            self.stats.write_retries += 1;
         }
         self.written[bucket as usize] = true;
         self.stats.page_writes += 1;
@@ -727,9 +704,8 @@ impl Soc {
         if self.written[bucket as usize] {
             let block = self.bucket_block(bucket);
             let mut page = std::mem::take(&mut self.scratch);
-            let mut schedule = transient_retry().schedule(block);
             let mut res = io.read(block, &mut page);
-            while res.as_ref().is_err_and(|e| e.is_busy()) && schedule.next_backoff_ns().is_some() {
+            if res.as_ref().is_err_and(|e| e.is_busy()) {
                 // Transient busy: one immediate retry.
                 res = io.read(block, &mut page);
             }

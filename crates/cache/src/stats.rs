@@ -33,7 +33,8 @@ pub struct CacheStats {
     pub deletes: u64,
     /// RAM evictions offered to flash.
     pub nvm_insert_attempts: u64,
-    /// RAM evictions actually written to flash (post-admission).
+    /// RAM evictions actually written to flash (a SOC insert rolled
+    /// back under persistent write faults is not).
     pub nvm_inserts: u64,
     /// Application bytes handed to the flash engines.
     pub nvm_app_bytes: u64,

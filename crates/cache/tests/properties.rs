@@ -1,8 +1,7 @@
 //! Property tests for the cache structures: LRU model equivalence,
-//! SOC bucket semantics, admission-rate bounds, and the exact bytes of
-//! the flash pages built into reused scratch buffers.
+//! SOC bucket semantics, and the exact bytes of the flash pages built
+//! into reused scratch buffers.
 
-use fdpcache_cache::admission::{AdmissionConfig, AdmissionPolicy};
 use fdpcache_cache::ram::RamCache;
 use fdpcache_cache::soc::Soc;
 use fdpcache_cache::value::Value;
@@ -123,16 +122,6 @@ proptest! {
             }
         }
     }
-
-    /// Fixed-probability admission stays within statistical bounds.
-    #[test]
-    fn admission_rate_tracks_probability(p in 0.05f64..0.95, seed in 1u64..1000) {
-        let mut policy = AdmissionPolicy::new(AdmissionConfig::Probability(p), seed);
-        let n = 20_000u64;
-        let admitted = (0..n).filter(|&k| policy.admit(k, 100)).count() as f64;
-        let rate = admitted / n as f64;
-        prop_assert!((rate - p).abs() < 0.03, "rate {rate:.3} vs p {p:.3}");
-    }
 }
 
 /// Flash pages are serialized into long-lived scratch buffers that hold
@@ -150,7 +139,6 @@ mod page_bytes_props {
     use fdpcache_cache::loc::Loc;
     use fdpcache_cache::soc::Soc;
     use fdpcache_cache::value::Value;
-    use fdpcache_cache::LocEviction;
     use fdpcache_core::{IoManager, PlacementHandle, SharedController};
     use fdpcache_ftl::FtlConfig;
     use fdpcache_nvme::{Controller, FaultConfig, FaultRates, MemStore, NvmeError};
@@ -368,8 +356,7 @@ mod page_bytes_props {
             const REGION_BLOCKS: u64 = 8;
             let mut io = io(64);
             let handle = PlacementHandle::DEFAULT;
-            let mut loc =
-                Loc::new(0, REGIONS, REGION_BLOCKS, PAGE as u32, LocEviction::Fifo, false, handle, handle);
+            let mut loc = Loc::new(0, REGIONS, REGION_BLOCKS, PAGE as u32, false, handle, handle);
             prop_assert_eq!(loc.meta_blocks(), 1);
             let mut deleted: HashSet<u64> = HashSet::new();
             for op in ops {

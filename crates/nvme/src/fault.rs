@@ -284,11 +284,9 @@ impl AtomicTotals {
 /// so two namespaces — disjoint LBA ranges — never contend).
 const COUNTER_SHARDS: u64 = 64;
 
-/// splitmix64 finalizer over the decision coordinates. Shared with the
-/// retry layer's jitter hash so every deterministic roll in the crate
-/// uses one mixing function.
+/// splitmix64 finalizer over the decision coordinates.
 #[inline]
-pub(crate) fn decision_hash(seed: u64, kind: u64, id: u64, n: u64) -> u64 {
+fn decision_hash(seed: u64, kind: u64, id: u64, n: u64) -> u64 {
     let mut z = seed
         ^ kind.wrapping_mul(0x9E37_79B9_7F4A_7C15)
         ^ id.wrapping_mul(0xBF58_476D_1CE4_E5B9)

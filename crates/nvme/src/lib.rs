@@ -43,9 +43,9 @@
 //!   (DESIGN.md §6).
 //! * **Device health** — a windowed, virtual-time
 //!   [`HealthMonitor`] classifies error/busy rates
-//!   `Healthy → Degraded → Failing`, and a seed-deterministic
-//!   [`RetryPolicy`] unifies every retry loop in the stack
-//!   (DESIGN.md §6.7).
+//!   `Healthy → Degraded → Failing`. Failed commands are retried by
+//!   the cache engines, each site with a fixed attempt budget and no
+//!   backoff (DESIGN.md §6.7).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -59,7 +59,6 @@ pub mod identify;
 pub mod logpage;
 pub mod namespace;
 pub mod queue;
-pub mod retry;
 
 pub use command::{DeallocRange, IoCommand};
 pub use controller::{
@@ -79,4 +78,3 @@ pub use identify::{ControllerIdentity, FdpConfigDescriptor};
 pub use logpage::{FdpConfigLog, RuhUsageDescriptor, RuhUsageLog};
 pub use namespace::{Namespace, NamespaceId};
 pub use queue::{CommandId, Completion, QueuePair};
-pub use retry::{RetryPolicy, RetrySchedule};

@@ -1,5 +1,4 @@
-//! Property tests for the device-health state machine and the unified
-//! retry/backoff policy:
+//! Property tests for the device-health state machine:
 //!
 //! * **Monotone one-level transitions** — under arbitrary observation
 //!   schedules (ok / error / busy / recovery-credit at arbitrary
@@ -11,19 +10,13 @@
 //!   sees successful completions never leaves `Healthy`, so the cache
 //!   tier's circuit breaker (which opens on `Failing` only) can never
 //!   open on a fault-free plan.
-//! * **Backoff-schedule determinism** — a [`RetryPolicy`] drains the
-//!   identical backoff sequence for the same `(seed, token)` across
-//!   replays, respects its attempt budget, step cap and deadline, and
-//!   keeps jitter inside its configured fraction.
 //! * **`classify_totals` monotonicity** — more cumulative errors at the
 //!   same traffic never classify as healthier.
 
 use proptest::prelude::*;
 
 use fdpcache_nvme::health::rate_ppm;
-use fdpcache_nvme::{
-    FaultTotals, HealthConfig, HealthMonitor, HealthReport, HealthState, RetryPolicy,
-};
+use fdpcache_nvme::{FaultTotals, HealthConfig, HealthMonitor, HealthReport, HealthState};
 
 /// One health observation: what happened and how much virtual time
 /// passed since the previous observation.
@@ -165,46 +158,6 @@ proptest! {
         prop_assert!(m.transitions().is_empty(), "clean traffic must record no transitions");
         let stats = m.io_stats();
         prop_assert_eq!((stats.errors, stats.busys, stats.degradations), (0, 0, 0));
-    }
-
-    /// Backoff schedules are pure functions of `(policy, token)`:
-    /// replays drain identical sequences, the attempt budget bounds the
-    /// retry count, each step respects the cap plus the jitter
-    /// fraction, and the deadline bounds cumulative backoff.
-    #[test]
-    fn backoff_schedules_are_seed_deterministic(
-        seed in any::<u64>(),
-        token in any::<u64>(),
-        max_attempts in 0..12u32,
-        base in 0..100_000u64,
-        jitter_ppm in 0..500_000u32,
-        deadline in 0..1_000_000u64,
-    ) {
-        let policy = RetryPolicy::exponential(seed, max_attempts, base)
-            .with_jitter(jitter_ppm)
-            .with_deadline(deadline);
-        let drain = |p: &RetryPolicy| {
-            let mut s = p.schedule(token);
-            let mut out = Vec::new();
-            while let Some(b) = s.next_backoff_ns() {
-                out.push(b);
-            }
-            (out, s.retries(), s.spent_ns())
-        };
-        let (steps_a, retries_a, spent_a) = drain(&policy);
-        let (steps_b, _, _) = drain(&policy);
-        prop_assert_eq!(&steps_a, &steps_b, "same coordinates must replay the same schedule");
-        prop_assert!(steps_a.len() < policy.max_attempts.max(1) as usize);
-        prop_assert_eq!(retries_a as usize, steps_a.len());
-        prop_assert_eq!(spent_a, steps_a.iter().sum::<u64>());
-        if deadline > 0 {
-            prop_assert!(spent_a <= deadline, "cumulative backoff exceeded the deadline");
-        }
-        for step in &steps_a {
-            let cap = policy.max_backoff_ns;
-            let bound = cap + cap.saturating_mul(jitter_ppm as u64) / 1_000_000;
-            prop_assert!(cap == 0 || *step <= bound, "step {step} above cap-plus-jitter {bound}");
-        }
     }
 
     /// More cumulative errors at the same successful-command count

@@ -136,22 +136,6 @@ impl FaultScenario {
         }
     }
 
-    /// This scenario with a one-shot kill point layered on top — crash
-    /// recovery under live media faults. The base schedule (seed,
-    /// probabilistic rates, scripted faults) is untouched, so the
-    /// pre-crash replay stays bit-identical to the uncrashed run of the
-    /// base scenario.
-    #[must_use]
-    pub fn with_kill(mut self, lba: u64, at_access: u64) -> Self {
-        self.config.scripted.push(ScriptedFault {
-            kind: FaultKind::Kill,
-            lba,
-            at_access,
-            repeats: 1,
-        });
-        self
-    }
-
     /// Every built-in scenario, `none` first (the transparency
     /// baseline), in stable gate order.
     pub fn all_builtin() -> Vec<FaultScenario> {
@@ -163,11 +147,6 @@ impl FaultScenario {
             FaultScenario::busy_bursts(),
             FaultScenario::bad_blocks(),
         ]
-    }
-
-    /// Looks a built-in scenario up by name.
-    pub fn by_name(name: &str) -> Option<FaultScenario> {
-        FaultScenario::all_builtin().into_iter().find(|s| s.name == name)
     }
 }
 
@@ -301,11 +280,6 @@ impl ChaosStorm {
         ]
     }
 
-    /// Looks a built-in storm up by name.
-    pub fn by_name(name: &str) -> Option<ChaosStorm> {
-        ChaosStorm::all_builtin().into_iter().find(|s| s.name == name)
-    }
-
     /// The op-count boundaries at which each phase's rates take effect
     /// for a `total_ops` replay: `(start_op, phase)` pairs in order.
     /// Weights are normalized; the final phase absorbs rounding.
@@ -334,9 +308,7 @@ mod tests {
                 assert!(w[0].0 < w[1].0, "{}: phases must not collapse", storm.name);
             }
             assert!(storm.base_config().rates() == FaultRates::default());
-            assert_eq!(ChaosStorm::by_name(storm.name).as_ref(), Some(&storm));
         }
-        assert!(ChaosStorm::by_name("nope").is_none());
     }
 
     #[test]
@@ -352,31 +324,20 @@ mod tests {
     }
 
     #[test]
-    fn builtin_names_are_unique_and_resolvable() {
+    fn builtin_names_are_unique() {
         let all = FaultScenario::all_builtin();
         let mut names: Vec<&str> = all.iter().map(|s| s.name).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), all.len(), "duplicate scenario names");
-        for s in &all {
-            assert_eq!(FaultScenario::by_name(s.name).as_ref(), Some(s));
-        }
-        assert!(FaultScenario::by_name("nope").is_none());
     }
 
     #[test]
-    fn crash_points_are_one_shot_and_stack_on_any_base() {
+    fn crash_points_are_one_shot() {
         let c = FaultScenario::crash_at(42, 3);
         assert_eq!(c.config.scripted.len(), 1);
         assert_eq!(c.config.scripted[0].kind, FaultKind::Kill);
         assert_eq!(c.config.scripted[0].repeats, 1, "kill must not re-fire after recovery");
-        assert!(FaultScenario::by_name("crash").is_none(), "crash is not a sweep scenario");
-
-        let base = FaultScenario::write_flaky();
-        let killed = base.clone().with_kill(42, 0);
-        assert_eq!(killed.config.seed, base.config.seed, "base schedule must be untouched");
-        assert_eq!(killed.config.write_err_ppm, base.config.write_err_ppm);
-        assert_eq!(killed.config.scripted.len(), base.config.scripted.len() + 1);
     }
 
     #[test]

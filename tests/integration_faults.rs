@@ -91,6 +91,90 @@ fn persistent_seal_fault_quarantines_and_requeues_without_losing_objects() {
     ctrl.with_ftl(|f| f.check_invariants());
 }
 
+/// A write-retry site of the flash engines, as
+/// [`write_retry_budgets_hold_exactly`] drives it.
+#[derive(Debug, Clone, Copy)]
+enum RetrySite {
+    SocBucketWrite,
+    LocSeal,
+    LocFooterRewrite,
+}
+
+#[test]
+fn write_retry_budgets_hold_exactly() {
+    // Each site's attempt budget, written out so that changing one
+    // fails here: a write fault repeated `budget - 1` times is absorbed
+    // by the last attempt, one repeated `budget` times exhausts the
+    // site and takes its fallback.
+    const KEY: u64 = 5;
+    let table =
+        [(RetrySite::SocBucketWrite, 4), (RetrySite::LocSeal, 4), (RetrySite::LocFooterRewrite, 4)];
+    for (site, budget) in table {
+        // Aim the fault from an identical fault-free build.
+        let (lba, at_access) = {
+            let (_, probe, _) = faulted_stack(FaultConfig::default(), 1_000);
+            let (soc, loc) = (probe.navy().soc(), probe.navy().loc());
+            match site {
+                RetrySite::SocBucketWrite => (soc.bucket_block(soc.bucket_index(KEY)), 0),
+                RetrySite::LocSeal => (loc.region_start_block(0), 0),
+                // Access 0 is the seal writing the footer in the first place.
+                RetrySite::LocFooterRewrite => (loc.meta_start_block(0), 1),
+            }
+        };
+        for repeats in [budget - 1, budget] {
+            let exhausted = repeats == budget;
+            let fault = FaultConfig {
+                scripted: vec![ScriptedFault {
+                    kind: FaultKind::WriteError,
+                    lba,
+                    at_access,
+                    repeats,
+                }],
+                ..Default::default()
+            };
+            let (ctrl, mut cache, _) = faulted_stack(fault, 1_000);
+            let case = format!("{site:?} with {repeats} failing attempts");
+            match site {
+                RetrySite::SocBucketWrite => {
+                    // The filler evicts KEY, alone, into its SOC bucket.
+                    cache.put(KEY, Value::synthetic(90)).unwrap();
+                    cache.put(KEY + 1, Value::synthetic(950)).unwrap();
+                    let soc = cache.navy().soc().stats();
+                    assert_eq!(soc.write_retries, budget - 1, "{case}");
+                    assert_eq!(soc.write_faults, exhausted as u64, "{case}");
+                    let expect =
+                        if exhausted { FlashVerify::Absent } else { FlashVerify::Verified };
+                    assert_eq!(cache.verify_flash_key(KEY).unwrap(), expect, "{case}: rollback");
+                }
+                RetrySite::LocSeal | RetrySite::LocFooterRewrite => {
+                    // Three 20 KB objects fill LOC region 0; the fourth
+                    // seals it.
+                    for k in 0..4u64 {
+                        cache.put(k, Value::synthetic(20_000)).unwrap();
+                    }
+                    let loc = cache.navy().loc().stats();
+                    if let RetrySite::LocSeal = site {
+                        assert_eq!(loc.seal_retries, budget - 1, "{case}");
+                        assert_eq!(loc.seal_faults, exhausted as u64, "{case}");
+                        assert_eq!(loc.quarantined_regions, exhausted as u64, "{case}");
+                        assert_eq!(loc.requeued_objects, if exhausted { 3 } else { 0 }, "{case}");
+                    } else {
+                        assert_eq!(loc.seals, 1, "{case}");
+                        // Deleting a sealed key rewrites region 0's footer.
+                        assert!(cache.delete(0).unwrap());
+                        let loc = cache.navy().loc().stats();
+                        assert_eq!(loc.footer_rewrites, !exhausted as u64, "{case}");
+                        assert_eq!(loc.footer_faults, exhausted as u64, "{case}");
+                        let discards = cache.navy().io().stats().discards;
+                        assert_eq!(discards, exhausted as u64, "{case}: slot discarded");
+                    }
+                }
+            }
+            ctrl.with_ftl(|f| f.check_invariants());
+        }
+    }
+}
+
 #[test]
 fn loc_read_fault_demotes_to_miss_and_repairs() {
     // Permanently unreadable block under the first sealed object: the
