@@ -312,11 +312,6 @@ impl NavyEngine {
         self.park_requeues
     }
 
-    /// Objects currently parked in the LOC requeue channel.
-    pub fn parked_requeues(&self) -> usize {
-        self.loc.pending_requeues()
-    }
-
     /// Drains every parked requeue back into the engines (breaker
     /// re-close path).
     ///

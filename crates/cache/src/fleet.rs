@@ -221,13 +221,6 @@ impl FleetRouter {
         }
     }
 
-    /// Returns a retired device to rotation.
-    pub fn unretire(&self, idx: usize) {
-        if let Some(r) = self.retired.get(idx) {
-            r.store(false, Ordering::Release);
-        }
-    }
-
     /// The device's cumulative health under the router's thresholds.
     pub fn health_of(&self, idx: usize) -> HealthReport {
         self.devices[idx].ctrl.health_report_with(&self.health)
@@ -252,11 +245,6 @@ impl FleetRouter {
             self.counters[preferred].failed_over.fetch_add(1, Ordering::Relaxed);
         }
         Some(chosen)
-    }
-
-    /// Where `key` would route right now, without counting it.
-    pub fn peek_route(&self, key: Key) -> Option<usize> {
-        self.ring.route(key, |d| self.serving(d))
     }
 
     /// Snapshot of one device's routing counters.

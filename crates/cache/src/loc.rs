@@ -909,13 +909,6 @@ impl Loc {
         std::mem::take(&mut self.pending_requeue)
     }
 
-    /// Objects currently parked in the requeue channel (rescued from
-    /// failed seals, not yet re-homed). Degraded-mode serving leaves
-    /// them parked here until the breaker closes.
-    pub fn pending_requeues(&self) -> usize {
-        self.pending_requeue.len()
-    }
-
     /// Evicts the oldest sealed region (FIFO, as CacheLib's default and
     /// the paper's DLWA model assume), dropping its live index entries.
     fn evict_region(&mut self, io: &mut IoManager) -> Result<(), CacheError> {
@@ -1113,6 +1106,7 @@ impl Loc {
     /// # Errors
     ///
     /// Propagates I/O failures.
+    #[cfg(test)]
     pub fn read_raw(
         &mut self,
         io: &mut IoManager,

@@ -395,8 +395,8 @@ impl IoManager {
         self.health.state()
     }
 
-    /// Health-state transition trace (virtual-time stamped), for
-    /// breaker logic and deterministic chaos gates.
+    /// Health-state transition trace (virtual-time stamped).
+    #[cfg(test)]
     pub fn health_transitions(&self) -> &[HealthTransition] {
         self.health.transitions()
     }

@@ -25,11 +25,6 @@ pub enum GcPolicy {
     /// Pick the oldest full RU regardless of valid count. Kept as an
     /// ablation to show how victim selection changes DLWA.
     Fifo,
-    /// Cost-benefit selection: maximize `(1 - u) / (1 + u) × age` where
-    /// `u` is the victim's valid fraction (Rosenblum & Ousterhout's LFS
-    /// cleaning heuristic). Kept as an ablation; it reclaims colder RUs
-    /// earlier at the price of some extra relocation on hot data.
-    CostBenefit,
 }
 
 /// Configuration for [`crate::Ftl`].

@@ -3,7 +3,7 @@
 
 use std::collections::VecDeque;
 
-use fdpcache_nand::{NandDevice, PageState, Ppa};
+use fdpcache_nand::{NandDevice, NandError, Ppa};
 
 use crate::config::{FtlConfig, RuhType};
 use crate::error::FtlError;
@@ -125,11 +125,6 @@ impl FtlSnapshot {
         mix64(mapping_digest ^ mix64(events_total ^ mix64(events_dropped ^ SNAPSHOT_SALT)))
     }
 
-    /// Digest of the mapping table this snapshot captured.
-    pub fn mapping_digest(&self) -> u64 {
-        self.mapping_digest
-    }
-
     /// Event-log watermark (`EventLog::total()`) at capture time.
     pub fn events_total(&self) -> u64 {
         self.events_total
@@ -185,8 +180,6 @@ pub struct Ftl {
     /// RU switches per RUH (how often each handle moved to a fresh RU).
     ruh_switches: Vec<u64>,
     events: EventLog,
-    /// Accumulated media busy time in nanoseconds.
-    busy_ns: u64,
 }
 
 impl Ftl {
@@ -224,7 +217,6 @@ impl Ftl {
             ruh_host_pages: vec![0; num_ruhs],
             ruh_switches: vec![0; num_ruhs],
             events: EventLog::new(config.event_log_capacity),
-            busy_ns: 0,
             nand,
             config,
         })
@@ -270,11 +262,6 @@ impl Ftl {
         &self.ruh_switches
     }
 
-    /// Accumulated media busy time (ns), for the energy model.
-    pub fn busy_ns(&self) -> u64 {
-        self.busy_ns
-    }
-
     /// The FDP event log.
     pub fn events(&self) -> &EventLog {
         &self.events
@@ -283,11 +270,6 @@ impl Ftl {
     /// Mutable access to the event log (for host-side draining).
     pub fn events_mut(&mut self) -> &mut EventLog {
         &mut self.events
-    }
-
-    /// Free reclaim units currently pooled across all reclaim groups.
-    pub fn free_ru_count(&self) -> usize {
-        self.free_rus.iter().map(|p| p.len()).sum()
     }
 
     /// Number of reclaim groups.
@@ -342,26 +324,27 @@ impl Ftl {
         if entry == NONE64 {
             return Err(FtlError::Unmapped(lba));
         }
-        let (_state, ns) = self.nand.read(Ppa::unpack(entry))?;
+        let ns = self.nand.read(Ppa::unpack(entry))?;
         self.stats.host_reads += 1;
-        self.busy_ns += ns;
         Ok(ns)
     }
 
     /// Reads `nlb` contiguous LBAs starting at `start` under one call,
     /// returning the summed media latency — the batch receipt behind
     /// the controller's vectored read path. Per-LBA semantics (stats,
-    /// busy time, error on the first unmapped block) are identical to
+    /// error on the first unmapped block) are identical to
     /// `nlb` sequential [`Ftl::read`] calls; only the call count
     /// changes.
     ///
     /// # Errors
     ///
     /// As [`Ftl::read`]; blocks before the failing one keep their read
-    /// accounting, matching the sequential loop this replaces.
+    /// accounting, matching the sequential loop this replaces. A range
+    /// whose end overflows is [`FtlError::LbaOutOfRange`].
     pub fn read_contig(&mut self, start: Lba, nlb: u64) -> Result<u64, FtlError> {
+        let end = start.checked_add(nlb).ok_or(FtlError::LbaOutOfRange(start))?;
         let mut total_ns = 0u64;
-        for lba in start..start + nlb {
+        for lba in start..end {
             total_ns += self.read(lba)?;
         }
         Ok(total_ns)
@@ -487,9 +470,7 @@ impl Ftl {
             if entry == NONE64 {
                 continue;
             }
-            let ppa = Ppa::unpack(entry);
-            self.nand.invalidate(ppa)?;
-            self.p2l[ppa.superblock as usize][ppa.page as usize] = NONE32;
+            self.invalidate_page(Ppa::unpack(entry), l as u32)?;
             self.l2p[l as usize] = NONE64;
             self.stats.rolled_back_lbas += 1;
         }
@@ -532,9 +513,7 @@ impl Ftl {
         // the old page, so the mapping is re-read after it ran.
         let old = self.l2p[lba as usize];
         if old != NONE64 {
-            let old_ppa = Ppa::unpack(old);
-            self.nand.invalidate(old_ppa)?;
-            self.p2l[old_ppa.superblock as usize][old_ppa.page as usize] = NONE32;
+            self.invalidate_page(Ppa::unpack(old), lba as u32)?;
             self.stats.overwrites += 1;
         }
 
@@ -544,8 +523,26 @@ impl Ftl {
         self.stats.nand_pages_written += 1;
         self.ruh_host_pages[ruh as usize] += 1;
         receipt.program_ns = ns;
-        self.busy_ns += ns + receipt.gc_ns;
         Ok(receipt)
+    }
+
+    /// Clears the reverse-map slot of `ppa`, which must hold `lba`, and
+    /// invalidates the page on the media. The reverse map is the only
+    /// per-page state, so this is where an invalidate of a page that is
+    /// no longer (or never was) `lba`'s copy is caught.
+    ///
+    /// # Errors
+    ///
+    /// [`NandError::InvalidateNonValidPage`] if the slot is empty or holds
+    /// another LBA, or whatever the media refuses.
+    fn invalidate_page(&mut self, ppa: Ppa, lba: u32) -> Result<(), FtlError> {
+        let slot = &mut self.p2l[ppa.superblock as usize][ppa.page as usize];
+        if *slot != lba {
+            return Err(NandError::InvalidateNonValidPage(ppa).into());
+        }
+        self.nand.invalidate(ppa)?;
+        *slot = NONE32;
+        Ok(())
     }
 
     /// Deallocates (trims) `count` LBAs starting at `lba`. Unmapped LBAs
@@ -564,9 +561,7 @@ impl Ftl {
             if entry == NONE64 {
                 continue;
             }
-            let ppa = Ppa::unpack(entry);
-            self.nand.invalidate(ppa)?;
-            self.p2l[ppa.superblock as usize][ppa.page as usize] = NONE32;
+            self.invalidate_page(Ppa::unpack(entry), l as u32)?;
             self.l2p[l as usize] = NONE64;
             self.stats.trimmed_lbas += 1;
         }
@@ -618,11 +613,10 @@ impl Ftl {
         let ru = loop {
             let ru = self.free_rus[rg as usize].pop_front().ok_or(FtlError::OutOfSpace)?;
             debug_assert!(self.rus[ru as usize].phase == RuPhase::Free);
-            let worn = self.nand.superblock(ru).is_some_and(|sb| sb.has_bad_block());
-            if !worn {
+            if !self.nand.is_bad(ru) {
                 break ru;
             }
-            let pe = self.nand.superblock(ru).map(|sb| sb.pe_cycles()).unwrap_or(0);
+            let pe = self.nand.pe_cycles(ru);
             self.rus[ru as usize] =
                 RuInfo { phase: RuPhase::Retired, owner: None, opened_seq: self.seq };
             self.stats.retired_rus += 1;
@@ -693,14 +687,13 @@ impl Ftl {
         // Relocate valid pages.
         if self.nand.valid_pages(victim) > 0 {
             for page in 0..pages {
-                let src = Ppa::new(victim, page as u32);
-                if self.nand.page_state(src) != Some(PageState::Valid) {
+                let lba = self.p2l[victim as usize][page as usize];
+                if lba == NONE32 {
                     continue;
                 }
-                let lba = self.p2l[victim as usize][page as usize];
-                debug_assert_ne!(lba, NONE32, "valid page without reverse mapping");
+                let src = Ppa::new(victim, page as u32);
                 // Read the victim page (costs media time).
-                let (_, read_ns) = self.nand.read(src)?;
+                let read_ns = self.nand.read(src)?;
                 gc_ns += read_ns;
                 // Pick/extend the GC destination (same reclaim group).
                 let dest_ru = self.gc_destination(rg, victim_owner)?;
@@ -709,8 +702,7 @@ impl Ftl {
                 let prog_ns = self.nand.program(dst)?;
                 gc_ns += prog_ns;
                 // Move the mapping.
-                self.nand.invalidate(src)?;
-                self.p2l[victim as usize][page as usize] = NONE32;
+                self.invalidate_page(src, lba)?;
                 self.l2p[lba as usize] = dst.pack();
                 self.p2l[dest_ru as usize][dest_page as usize] = lba;
                 self.stats.nand_pages_written += 1;
@@ -735,7 +727,6 @@ impl Ftl {
             relocated_pages: relocated,
         });
         self.events.push(FdpEvent::RuErased { ru: victim });
-        self.busy_ns += gc_ns;
         Ok(Some((gc_ns, relocated)))
     }
 
@@ -841,9 +832,9 @@ impl Ftl {
     }
 
     /// Drops the forward map and re-derives it from the per-RU reverse
-    /// maps plus media page states — the simulator's stand-in for the
-    /// out-of-band LBA stamps a real FTL scans after power loss. Returns
-    /// the number of pages visited.
+    /// maps — the simulator's stand-in for the out-of-band LBA stamps a
+    /// real FTL scans after power loss (a set slot is a valid page).
+    /// Returns the number of pages visited.
     fn rebuild_l2p_from_media(&mut self) -> u64 {
         for e in self.l2p.iter_mut() {
             *e = NONE64;
@@ -854,12 +845,8 @@ impl Ftl {
             for page in 0..pages {
                 scanned += 1;
                 let lba = self.p2l[ru as usize][page as usize];
-                if lba == NONE32 {
-                    continue;
-                }
-                let ppa = Ppa::new(ru, page as u32);
-                if self.nand.page_state(ppa) == Some(PageState::Valid) {
-                    self.l2p[lba as usize] = ppa.pack();
+                if lba != NONE32 {
+                    self.l2p[lba as usize] = Ppa::new(ru, page as u32).pack();
                 }
             }
         }
@@ -883,7 +870,7 @@ impl Ftl {
     /// The rebuilt mapping is always derived from media ground truth
     /// (the reverse maps stand in for per-page OOB stamps), so every
     /// path produces the same tables; they differ only in the simulated
-    /// time charged. The cost is added to [`Ftl::busy_ns`].
+    /// time charged.
     pub fn recover_mapping(&mut self, checkpoint: Option<&FtlSnapshot>) -> FtlRecoveryReport {
         let pages_per_ru = self.config.geometry.pages_per_superblock();
         // Out-of-band metadata reads touch a fraction of a page.
@@ -920,7 +907,6 @@ impl Ftl {
             }
             RecoveryPath::FullScan => (scanned, scanned * oob_ns),
         };
-        self.busy_ns += recovery_ns;
         FtlRecoveryReport {
             path,
             events_replayed,
@@ -932,17 +918,17 @@ impl Ftl {
 
     /// Exhaustive consistency check, used by tests and property tests.
     ///
-    /// Verifies the invariants listed in DESIGN.md §8:
-    /// mapping bijectivity, valid-page accounting, free-pool sanity and
-    /// the write-amplification identity.
+    /// Verifies the invariants listed in DESIGN.md §8: L2P ↔ P2L
+    /// bijectivity, per-RU valid-page accounting against the reverse
+    /// map, free-pool sanity and the write-amplification identity.
     ///
     /// # Panics
     ///
     /// Panics (with a description) on any violated invariant. Never call
     /// on hot paths.
     pub fn check_invariants(&self) {
-        // 1. Every mapped LBA points at a Valid page whose reverse map
-        //    points back.
+        // 1. Every mapped LBA points below its RU's write pointer at a
+        //    reverse-map slot that points back.
         let mut mapped = 0u64;
         for (lba, &entry) in self.l2p.iter().enumerate() {
             if entry == NONE64 {
@@ -950,20 +936,30 @@ impl Ftl {
             }
             mapped += 1;
             let ppa = Ppa::unpack(entry);
-            assert_eq!(
-                self.nand.page_state(ppa),
-                Some(PageState::Valid),
-                "lba {lba} maps to non-valid page {ppa:?}"
+            assert!(
+                (ppa.page as u64) < self.nand.write_ptr(ppa.superblock),
+                "lba {lba} maps to unprogrammed page {ppa:?}"
             );
             assert_eq!(
                 self.p2l[ppa.superblock as usize][ppa.page as usize], lba as u32,
                 "reverse map mismatch at {ppa:?}"
             );
         }
-        // 2. Valid page count equals mapped LBA count.
+        // 2. Each RU's set reverse-map slots number exactly its valid
+        //    pages, and all of them together number the mapped LBAs, so
+        //    the slots check 1 reached are the only set ones.
+        for (ru, slots) in self.p2l.iter().enumerate() {
+            let set = slots.iter().filter(|&&lba| lba != NONE32).count() as u64;
+            assert_eq!(
+                set,
+                self.nand.valid_pages(ru as u32),
+                "RU {ru}: reverse-map entries != valid pages"
+            );
+        }
         assert_eq!(self.nand.total_valid_pages(), mapped, "valid pages != mapped LBAs");
         // 3. Free pools hold erased, Free-phase RUs of their own group,
-        //    no duplicates.
+        //    no duplicates. An erased RU counts no valid pages, so check
+        //    2 has already found its reverse map empty.
         let mut seen = vec![false; self.rus.len()];
         for (rg, pool) in self.free_rus.iter().enumerate() {
             for &ru in pool {
@@ -1196,12 +1192,8 @@ mod tests {
         // Every RU's pages must belong to LBAs of a single handle's range.
         for ru in 0..f.config().geometry.superblocks() {
             let mut sides = [false, false];
-            for page in 0..f.config().geometry.pages_per_superblock() {
-                let lba = f.p2l[ru as usize][page as usize];
+            for &lba in &f.p2l[ru as usize] {
                 if lba == NONE32 {
-                    continue;
-                }
-                if f.nand.page_state(Ppa::new(ru, page as u32)) != Some(PageState::Valid) {
                     continue;
                 }
                 sides[if (lba as u64) < half { 0 } else { 1 }] = true;
@@ -1423,7 +1415,7 @@ mod tests {
     #[test]
     fn batch_mapping_is_bit_identical_to_sequential() {
         // Drive both FTLs well past GC onset with interleaved batch
-        // sizes; every observable (stats, busy time, full L2P) must
+        // sizes; every observable (receipts, stats, full L2P) must
         // match the per-command path exactly.
         let mut batched = ftl();
         let mut sequential = ftl();
@@ -1447,7 +1439,6 @@ mod tests {
             assert_eq!(b, s, "receipt diverged at round {round}");
         }
         assert_eq!(batched.stats(), sequential.stats());
-        assert_eq!(batched.busy_ns(), sequential.busy_ns());
         assert_eq!(batched.l2p, sequential.l2p);
         batched.check_invariants();
     }
@@ -1663,6 +1654,32 @@ mod tests {
         let report = f.recover_mapping(Some(&snap));
         assert_eq!(report.path, RecoveryPath::FullScan);
         f.check_invariants();
+    }
+
+    #[test]
+    #[should_panic(expected = "reverse-map entries != valid pages")]
+    fn check_invariants_counts_reverse_map_per_ru() {
+        let mut f = ftl();
+        f.write(0, 0).unwrap();
+        f.write(0, 0).unwrap(); // page 0 is now stale, its slot cleared
+        let ru = Ppa::unpack(f.l2p[0]).superblock;
+        f.p2l[ru as usize][0] = 5; // a stale page claims an LBA again
+        f.check_invariants();
+    }
+
+    #[test]
+    fn invalidate_rejects_a_cleared_or_foreign_slot() {
+        let mut f = ftl();
+        f.write(0, 0).unwrap();
+        f.write(1, 0).unwrap();
+        let ppa = Ppa::unpack(f.l2p[0]);
+        let refused = Err(FtlError::Nand(NandError::InvalidateNonValidPage(ppa)));
+        assert_eq!(f.invalidate_page(ppa, 1), refused, "slot holds LBA 0, not 1");
+        f.invalidate_page(ppa, 0).unwrap();
+        // The media still counts LBA 1's page, so only the cleared slot
+        // can tell this second invalidate from a legal one.
+        assert_eq!(f.invalidate_page(ppa, 0), refused);
+        assert_eq!(f.nand.valid_pages(ppa.superblock), 1);
     }
 
     #[test]

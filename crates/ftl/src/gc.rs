@@ -1,11 +1,11 @@
 //! Garbage-collection victim selection.
 //!
 //! Selection is separated from the relocation machinery in
-//! [`crate::ftl`] so policies can be swapped for ablation studies. The
-//! paper's theoretical model (Appendix A.2) assumes greedy selection —
-//! "the erase block with least valid pages will be picked first" — and
-//! `Greedy` is what every experiment runs; `Fifo` and `CostBenefit` are
-//! kept for ablations.
+//! [`crate::ftl`] and reads only each RU's valid-page count from the
+//! media. The paper's theoretical model (Appendix A.2) assumes greedy
+//! selection — "the erase block with least valid pages will be picked
+//! first" — and `Greedy` is what every experiment runs; `Fifo` is the
+//! one GC ablation (figure row `9-fifo`).
 
 use fdpcache_nand::NandDevice;
 
@@ -17,9 +17,6 @@ use crate::ru::RuInfo;
 /// * `Greedy` — minimum valid pages over all candidates; ties broken by
 ///   older `opened_seq` (stable, deterministic).
 /// * `Fifo` — smallest `opened_seq`, i.e. the RU closed least recently.
-/// * `CostBenefit` — maximum `(1 - u) / (1 + u) × age` over all
-///   candidates, where `u` is the valid fraction and `age` is measured
-///   in open-sequence distance.
 ///
 /// Fully-invalid RUs are always the best greedy victims (relocation cost
 /// zero), which is what lets sequential LOC overwrites reclaim their RUs
@@ -40,7 +37,6 @@ pub fn select_victim(
         GcPolicy::Fifo => {
             select_scan(rus, nand, base, |_valid, seq, best: &(u64, u64)| seq < best.1)
         }
-        GcPolicy::CostBenefit => select_cost_benefit(rus, nand, base),
     }
 }
 
@@ -66,30 +62,6 @@ fn select_scan(
         };
         if take {
             best = Some((ru, (valid, seq)));
-        }
-    }
-    best.map(|(ru, _)| ru)
-}
-
-/// Cost-benefit: maximize `benefit/cost = (1 - u) / (1 + u) × age`.
-fn select_cost_benefit(rus: &[RuInfo], nand: &NandDevice, base: u32) -> Option<u32> {
-    let pages = nand.geometry().pages_per_superblock().max(1) as f64;
-    let newest = rus.iter().map(|i| i.opened_seq).max().unwrap_or(0);
-    let mut best: Option<(u32, f64)> = None;
-    for (idx, info) in rus.iter().enumerate() {
-        if !info.is_gc_candidate() {
-            continue;
-        }
-        let ru = base + idx as u32;
-        let u = nand.valid_pages(ru) as f64 / pages;
-        let age = (newest - info.opened_seq + 1) as f64;
-        let score = (1.0 - u) / (1.0 + u) * age;
-        let take = match &best {
-            None => true,
-            Some((_, b)) => score > *b,
-        };
-        if take {
-            best = Some((ru, score));
         }
     }
     best.map(|(ru, _)| ru)
@@ -126,7 +98,7 @@ mod tests {
     #[test]
     fn no_candidates_returns_none() {
         let (nand, rus) = setup();
-        for policy in [GcPolicy::Greedy, GcPolicy::Fifo, GcPolicy::CostBenefit] {
+        for policy in [GcPolicy::Greedy, GcPolicy::Fifo] {
             assert_eq!(select_victim(policy, &rus, &nand, 0), None);
         }
     }
@@ -178,22 +150,8 @@ mod tests {
         let (mut nand, mut rus) = setup();
         fill(&mut nand, 0, 0);
         rus[0].phase = RuPhase::Active;
-        for policy in [GcPolicy::Greedy, GcPolicy::Fifo, GcPolicy::CostBenefit] {
+        for policy in [GcPolicy::Greedy, GcPolicy::Fifo] {
             assert_eq!(select_victim(policy, &rus, &nand, 0), None);
         }
-    }
-
-    #[test]
-    fn cost_benefit_prefers_old_and_empty() {
-        let (mut nand, mut rus) = setup();
-        // RU 0: old but full of valid data. RU 1: young and empty.
-        // RU 2: old and mostly empty — the clear cost-benefit winner.
-        fill(&mut nand, 0, 30);
-        fill(&mut nand, 1, 1);
-        fill(&mut nand, 2, 1);
-        close(&mut rus, 0, 1);
-        close(&mut rus, 1, 100);
-        close(&mut rus, 2, 2);
-        assert_eq!(select_victim(GcPolicy::CostBenefit, &rus, &nand, 0), Some(2));
     }
 }

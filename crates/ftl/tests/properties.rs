@@ -5,7 +5,7 @@ use fdpcache_ftl::{Ftl, FtlConfig, FtlError, GcPolicy, RuhType};
 use proptest::prelude::*;
 
 fn gc_policy() -> impl Strategy<Value = GcPolicy> {
-    prop_oneof![Just(GcPolicy::Greedy), Just(GcPolicy::Fifo), Just(GcPolicy::CostBenefit),]
+    prop_oneof![Just(GcPolicy::Greedy), Just(GcPolicy::Fifo)]
 }
 
 #[derive(Debug, Clone)]

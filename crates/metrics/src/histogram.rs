@@ -88,18 +88,6 @@ impl Histogram {
         self.max = self.max.max(value);
     }
 
-    /// Records `n` occurrences of `value`.
-    pub fn record_n(&mut self, value: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.buckets[Self::bucket_index(value)] += n;
-        self.count += n;
-        self.sum += value as u128 * n as u128;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
     /// Total number of recorded values.
     pub fn count(&self) -> u64 {
         self.count
@@ -305,19 +293,6 @@ mod tests {
             let err = (got as f64 - exact as f64).abs() / exact as f64;
             assert!(err < 0.04, "p{p}: got {got}, exact {exact}, err {err}");
         }
-    }
-
-    #[test]
-    fn record_n_matches_repeated_record() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        for _ in 0..100 {
-            a.record(777);
-        }
-        b.record_n(777, 100);
-        assert_eq!(a.count(), b.count());
-        assert_eq!(a.sum(), b.sum());
-        assert_eq!(a.p99(), b.p99());
     }
 
     #[test]

@@ -56,17 +56,6 @@ impl TimeSeries {
         self.points.iter().map(|&(_, y)| y).fold(0.0, f64::max)
     }
 
-    /// Mean of the `y` values over the trailing `n` points (steady-state
-    /// readout). Uses all points if fewer than `n` exist.
-    pub fn tail_mean_y(&self, n: usize) -> f64 {
-        if self.points.is_empty() {
-            return 0.0;
-        }
-        let start = self.points.len().saturating_sub(n.max(1));
-        let tail = &self.points[start..];
-        tail.iter().map(|(_, y)| y).sum::<f64>() / tail.len() as f64
-    }
-
     /// Renders the series as a compact sparkline-style text plot, used by
     /// bench binaries to visualise interval-DLWA timelines in a terminal.
     pub fn render_ascii(&self, width: usize) -> String {
@@ -102,7 +91,6 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.mean_y(), 0.0);
         assert_eq!(s.max_y(), 0.0);
-        assert_eq!(s.tail_mean_y(10), 0.0);
         assert!(s.render_ascii(10).contains("empty"));
     }
 
@@ -114,17 +102,6 @@ mod tests {
         assert_eq!(s.mean_y(), 2.0);
         assert_eq!(s.max_y(), 3.0);
         assert_eq!(s.len(), 2);
-    }
-
-    #[test]
-    fn tail_mean_uses_last_n() {
-        let mut s = TimeSeries::new("x");
-        for i in 0..10 {
-            s.push(i as f64, if i < 5 { 100.0 } else { 1.0 });
-        }
-        assert!((s.tail_mean_y(5) - 1.0).abs() < 1e-12);
-        // n larger than len falls back to the whole series.
-        assert!((s.tail_mean_y(100) - 50.5).abs() < 1e-12);
     }
 
     #[test]

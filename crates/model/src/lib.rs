@@ -19,11 +19,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 pub mod carbon;
-pub mod cost;
 pub mod dlwa;
 pub mod lambertw;
 
 pub use carbon::{co2e_from_energy_kg, embodied_co2e_kg, operational_energy_joules, CarbonParams};
-pub use cost::{reference_deployments, Deployment, DeploymentParams};
 pub use dlwa::{dlwa_theorem1, soc_delta};
 pub use lambertw::lambert_w0;

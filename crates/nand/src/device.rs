@@ -1,12 +1,11 @@
-//! The whole-device NAND model: all superblocks plus counters, latency
-//! and wear tracking.
+//! The whole-device NAND model: one record per superblock plus counters,
+//! latency and wear tracking.
 
 use crate::error::NandError;
 use crate::geometry::Geometry;
 use crate::latency::{LatencyModel, LatencySampler};
-use crate::page::{PageState, Ppa};
+use crate::page::Ppa;
 use crate::stats::NandStats;
-use crate::superblock::Superblock;
 
 /// Summary of wear across the device.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -17,8 +16,21 @@ pub struct WearSummary {
     pub max_pe: u32,
     /// Mean P/E cycles across superblocks.
     pub mean_pe: f64,
-    /// Superblocks containing at least one bad block.
+    /// Superblocks worn past their rated endurance.
     pub bad_superblocks: u32,
+}
+
+/// Media state of one superblock. Its erase blocks program in order and
+/// erase together, so one write pointer, one valid count and one P/E
+/// count describe every lane.
+#[derive(Debug, Clone, Copy, Default)]
+struct SuperblockState {
+    /// Pages programmed since the last erase; pages at or past it are free.
+    write_ptr: u64,
+    /// Programmed pages not yet invalidated.
+    valid: u64,
+    pe_cycles: u32,
+    bad: bool,
 }
 
 /// The full NAND device: geometry plus every superblock's state.
@@ -27,10 +39,15 @@ pub struct WearSummary {
 /// so the [`NandStats`] counters are always consistent with media state.
 /// Each operation also returns its sampled latency in nanoseconds, which
 /// the NVMe layer accumulates onto its virtual clock.
+///
+/// The device knows *how many* pages of a superblock are valid, not
+/// *which*: the FTL's reverse map is the per-page truth, and it names the
+/// page it invalidates.
 #[derive(Debug, Clone)]
 pub struct NandDevice {
     geometry: Geometry,
-    superblocks: Vec<Superblock>,
+    pe_limit: u32,
+    superblocks: Vec<SuperblockState>,
     stats: NandStats,
     sampler: LatencySampler,
 }
@@ -39,19 +56,13 @@ impl NandDevice {
     /// Creates a device with the given geometry, endurance limit and
     /// latency model. `seed` drives latency jitter deterministically.
     pub fn new(geometry: Geometry, pe_limit: u32, latency: LatencyModel, seed: u64) -> Self {
-        let superblocks =
-            (0..geometry.superblocks()).map(|i| Superblock::new(i, &geometry, pe_limit)).collect();
         NandDevice {
             geometry,
-            superblocks,
+            pe_limit,
+            superblocks: vec![SuperblockState::default(); geometry.superblocks() as usize],
             stats: NandStats::default(),
             sampler: LatencySampler::new(latency, seed),
         }
-    }
-
-    /// Convenience constructor with default endurance and latency.
-    pub fn with_geometry(geometry: Geometry) -> Self {
-        NandDevice::new(geometry, crate::block::DEFAULT_PE_LIMIT, LatencyModel::default(), 1)
     }
 
     /// The device geometry.
@@ -64,86 +75,122 @@ impl NandDevice {
         self.stats
     }
 
-    /// Immutable view of superblock `sb`.
-    pub fn superblock(&self, sb: u32) -> Option<&Superblock> {
-        self.superblocks.get(sb as usize)
-    }
-
-    fn superblock_mut(&mut self, sb: u32) -> Result<&mut Superblock, NandError> {
-        let idx = sb as usize;
-        if idx >= self.superblocks.len() {
-            return Err(NandError::SuperblockOutOfRange(sb));
+    /// The superblock holding `ppa`, after checking both coordinates.
+    fn superblock_at(&mut self, ppa: Ppa) -> Result<&mut SuperblockState, NandError> {
+        let pages = self.geometry.pages_per_superblock();
+        let sb = self
+            .superblocks
+            .get_mut(ppa.superblock as usize)
+            .ok_or(NandError::SuperblockOutOfRange(ppa.superblock))?;
+        if ppa.page as u64 >= pages {
+            return Err(NandError::OutOfRange(ppa));
         }
-        Ok(&mut self.superblocks[idx])
+        Ok(sb)
     }
 
     /// Programs the page at `ppa` (must be the next in-order page of its
     /// superblock). Returns the program latency in nanoseconds.
     pub fn program(&mut self, ppa: Ppa) -> Result<u64, NandError> {
-        let sb = self.superblock_mut(ppa.superblock)?;
-        sb.program(ppa.page as u64)?;
+        let sb = self.superblock_at(ppa)?;
+        if ppa.page as u64 != sb.write_ptr {
+            return Err(NandError::ProgramOutOfOrder {
+                requested: ppa,
+                expected_page: sb.write_ptr as u32,
+            });
+        }
+        if sb.bad {
+            return Err(NandError::BlockWornOut {
+                superblock: ppa.superblock,
+                pe_cycles: sb.pe_cycles,
+            });
+        }
+        sb.write_ptr += 1;
+        sb.valid += 1;
         self.stats.pages_programmed += 1;
         Ok(self.sampler.program())
     }
 
     /// Invalidates the page at `ppa`. Invalidation is a metadata update in
     /// real devices; it costs no media latency.
+    ///
+    /// The page must lie below the write pointer of a superblock that
+    /// still counts valid pages; telling a valid page from an already
+    /// invalidated one is the caller's reverse map's job.
     pub fn invalidate(&mut self, ppa: Ppa) -> Result<(), NandError> {
-        let sb = self.superblock_mut(ppa.superblock)?;
-        sb.invalidate(ppa.page as u64)?;
-        self.stats.pages_invalidated += 1;
+        let sb = self.superblock_at(ppa)?;
+        if ppa.page as u64 >= sb.write_ptr || sb.valid == 0 {
+            return Err(NandError::InvalidateNonValidPage(ppa));
+        }
+        sb.valid -= 1;
         Ok(())
     }
 
-    /// Reads the page at `ppa`, returning `(state, latency_ns)`.
-    pub fn read(&mut self, ppa: Ppa) -> Result<(PageState, u64), NandError> {
-        let idx = ppa.superblock as usize;
-        if idx >= self.superblocks.len() {
-            return Err(NandError::SuperblockOutOfRange(ppa.superblock));
+    /// Reads the page at `ppa`, returning the read latency. Any page below
+    /// the write pointer reads, valid or not (GC relocation reads pages
+    /// that may be concurrently invalidated in real devices).
+    pub fn read(&mut self, ppa: Ppa) -> Result<u64, NandError> {
+        let sb = self.superblock_at(ppa)?;
+        if ppa.page as u64 >= sb.write_ptr {
+            return Err(NandError::ReadFreePage(ppa));
         }
-        let state = self.superblocks[idx].read(ppa.page as u64)?;
         self.stats.pages_read += 1;
-        Ok((state, self.sampler.read()))
+        Ok(self.sampler.read())
     }
 
     /// Erases superblock `sb`, returning the erase latency in nanoseconds.
     ///
     /// Lanes erase in parallel on real hardware, so latency is one erase
-    /// time rather than `lanes ×` it; energy accounting still counts every
-    /// block erase.
+    /// time rather than `lanes ×` it. Fails without `force` if valid pages
+    /// remain. On reaching the endurance limit the superblock is marked
+    /// bad *after* this erase completes (the final cycle still succeeds,
+    /// matching how endurance ratings are specified).
     pub fn erase_superblock(&mut self, sb: u32, force: bool) -> Result<u64, NandError> {
-        let block_erases = {
-            let sblk = self.superblock_mut(sb)?;
-            sblk.erase(force)?
-        };
+        let pe_limit = self.pe_limit;
+        let s = self.superblocks.get_mut(sb as usize).ok_or(NandError::SuperblockOutOfRange(sb))?;
+        if s.valid > 0 && !force {
+            return Err(NandError::EraseWithValidPages { superblock: sb, valid_pages: s.valid });
+        }
+        if s.bad {
+            return Err(NandError::BlockWornOut { superblock: sb, pe_cycles: s.pe_cycles });
+        }
+        s.write_ptr = 0;
+        s.valid = 0;
+        s.pe_cycles += 1;
+        s.bad = s.pe_cycles >= pe_limit;
         self.stats.superblock_erases += 1;
-        self.stats.block_erases += block_erases as u64;
         Ok(self.sampler.erase())
-    }
-
-    /// State of the page at `ppa` without touching counters.
-    pub fn page_state(&self, ppa: Ppa) -> Option<PageState> {
-        self.superblocks.get(ppa.superblock as usize)?.page_state(ppa.page as u64)
     }
 
     /// Valid-page count of superblock `sb` (0 if out of range).
     pub fn valid_pages(&self, sb: u32) -> u64 {
-        self.superblocks.get(sb as usize).map(|s| s.valid_pages()).unwrap_or(0)
+        self.superblocks.get(sb as usize).map_or(0, |s| s.valid)
     }
 
     /// Write pointer (pages programmed) of superblock `sb`.
     pub fn write_ptr(&self, sb: u32) -> u64 {
-        self.superblocks.get(sb as usize).map(|s| s.write_ptr()).unwrap_or(0)
+        self.superblocks.get(sb as usize).map_or(0, |s| s.write_ptr)
     }
 
     /// Whether superblock `sb` is fully programmed.
     pub fn is_full(&self, sb: u32) -> bool {
-        self.superblocks.get(sb as usize).map(|s| s.is_full()).unwrap_or(false)
+        self.superblocks
+            .get(sb as usize)
+            .is_some_and(|s| s.write_ptr == self.geometry.pages_per_superblock())
+    }
+
+    /// Whether superblock `sb` is worn past its rated endurance.
+    pub fn is_bad(&self, sb: u32) -> bool {
+        self.superblocks.get(sb as usize).is_some_and(|s| s.bad)
+    }
+
+    /// P/E cycles superblock `sb` has consumed (0 if out of range).
+    pub fn pe_cycles(&self, sb: u32) -> u32 {
+        self.superblocks.get(sb as usize).map_or(0, |s| s.pe_cycles)
     }
 
     /// Total valid pages across the device.
     pub fn total_valid_pages(&self) -> u64 {
-        self.superblocks.iter().map(|s| s.valid_pages()).sum()
+        self.superblocks.iter().map(|s| s.valid).sum()
     }
 
     /// Wear summary across all superblocks.
@@ -153,11 +200,10 @@ impl NandDevice {
         let mut sum = 0u64;
         let mut bad = 0u32;
         for s in &self.superblocks {
-            let pe = s.pe_cycles();
-            min_pe = min_pe.min(pe);
-            max_pe = max_pe.max(pe);
-            sum += pe as u64;
-            if s.has_bad_block() {
+            min_pe = min_pe.min(s.pe_cycles);
+            max_pe = max_pe.max(s.pe_cycles);
+            sum += s.pe_cycles as u64;
+            if s.bad {
                 bad += 1;
             }
         }
@@ -185,7 +231,13 @@ mod tests {
         d.program(Ppa::new(0, 0)).unwrap();
         d.program(Ppa::new(0, 1)).unwrap();
         assert_eq!(d.stats().pages_programmed, 2);
-        assert!(matches!(d.program(Ppa::new(0, 5)), Err(NandError::ProgramOutOfOrder { .. })));
+        assert!(matches!(
+            d.program(Ppa::new(0, 5)),
+            Err(NandError::ProgramOutOfOrder { expected_page: 2, .. })
+        ));
+        // Re-programming a written page is out of order too.
+        assert!(matches!(d.program(Ppa::new(0, 0)), Err(NandError::ProgramOutOfOrder { .. })));
+        assert_eq!(d.write_ptr(0), 2);
     }
 
     #[test]
@@ -200,6 +252,8 @@ mod tests {
             d.erase_superblock(sb_count, false),
             Err(NandError::SuperblockOutOfRange(_))
         ));
+        let pages = d.geometry().pages_per_superblock() as u32;
+        assert!(matches!(d.read(Ppa::new(0, pages)), Err(NandError::OutOfRange(_))));
     }
 
     #[test]
@@ -217,9 +271,37 @@ mod tests {
         assert_eq!(d.valid_pages(1), 0);
         d.erase_superblock(1, false).unwrap();
         assert_eq!(d.stats().superblock_erases, 1);
-        assert_eq!(d.stats().block_erases, d.geometry().blocks_per_superblock() as u64);
-        // Reusable after erase.
+        assert_eq!(d.write_ptr(1), 0, "erase resets the write pointer");
+        assert_eq!(d.pe_cycles(1), 1);
+        // Reusable after erase, from page 0 again.
         d.program(Ppa::new(1, 0)).unwrap();
+        assert_eq!(d.valid_pages(1), 1);
+    }
+
+    #[test]
+    fn erase_with_valid_pages_requires_force() {
+        let mut d = dev();
+        d.program(Ppa::new(0, 0)).unwrap();
+        assert!(matches!(
+            d.erase_superblock(0, false),
+            Err(NandError::EraseWithValidPages { valid_pages: 1, .. })
+        ));
+        assert_eq!(d.write_ptr(0), 1, "a refused erase changes nothing");
+        d.erase_superblock(0, true).unwrap();
+        assert_eq!((d.write_ptr(0), d.valid_pages(0), d.pe_cycles(0)), (0, 0, 1));
+    }
+
+    #[test]
+    fn superblock_goes_bad_at_pe_limit() {
+        let mut d = NandDevice::new(Geometry::tiny_test(), 3, LatencyModel::zero(), 1);
+        for _ in 0..3 {
+            assert!(!d.is_bad(0));
+            d.erase_superblock(0, false).unwrap();
+        }
+        assert!(d.is_bad(0));
+        assert_eq!(d.pe_cycles(0), 3);
+        assert!(matches!(d.erase_superblock(0, false), Err(NandError::BlockWornOut { .. })));
+        assert!(matches!(d.program(Ppa::new(0, 0)), Err(NandError::BlockWornOut { .. })));
     }
 
     #[test]
@@ -230,6 +312,8 @@ mod tests {
         assert_eq!(d.total_valid_pages(), 2);
         d.invalidate(Ppa::new(3, 0)).unwrap();
         assert_eq!(d.total_valid_pages(), 1);
+        // Superblock 3 counts no valid page any more.
+        assert!(matches!(d.invalidate(Ppa::new(3, 0)), Err(NandError::InvalidateNonValidPage(_))));
     }
 
     #[test]
@@ -246,12 +330,17 @@ mod tests {
     }
 
     #[test]
-    fn read_returns_state_and_counts() {
+    fn read_and_invalidate_stop_at_the_write_pointer() {
         let mut d = dev();
+        assert!(matches!(d.invalidate(Ppa::new(0, 0)), Err(NandError::InvalidateNonValidPage(_))));
         d.program(Ppa::new(0, 0)).unwrap();
-        let (s, _lat) = d.read(Ppa::new(0, 0)).unwrap();
-        assert_eq!(s, PageState::Valid);
+        d.read(Ppa::new(0, 0)).unwrap();
         assert_eq!(d.stats().pages_read, 1);
         assert!(matches!(d.read(Ppa::new(0, 1)), Err(NandError::ReadFreePage(_))));
+        assert!(matches!(d.invalidate(Ppa::new(0, 1)), Err(NandError::InvalidateNonValidPage(_))));
+        // An invalidated page still reads.
+        d.invalidate(Ppa::new(0, 0)).unwrap();
+        d.read(Ppa::new(0, 0)).unwrap();
+        assert_eq!(d.stats().pages_read, 2);
     }
 }

@@ -15,21 +15,21 @@ pub enum NandError {
     OutOfRange(Ppa),
     /// A superblock index does not exist in this geometry.
     SuperblockOutOfRange(u32),
-    /// Attempted to program a page that is not `Free`.
-    ProgramNonFreePage(Ppa),
-    /// Attempted to program pages out of order within an erase block.
-    /// NAND requires strictly sequential page programming.
+    /// Attempted to program a page other than the superblock's write
+    /// pointer. NAND requires strictly sequential page programming.
     ProgramOutOfOrder {
         /// The page that was requested.
         requested: Ppa,
-        /// The next in-order page the block expected.
+        /// The next in-order page the superblock expected.
         expected_page: u32,
     },
-    /// Attempted to invalidate a page that is not `Valid`.
+    /// Attempted to invalidate a page that holds no valid data: one at or
+    /// past the write pointer, in a superblock with no valid pages, or
+    /// (detected by the FTL's reverse map) one already invalidated.
     InvalidateNonValidPage(Ppa),
-    /// Attempted to read a `Free` (never-programmed) page.
+    /// Attempted to read a free page (at or past the write pointer).
     ReadFreePage(Ppa),
-    /// The block exceeded its rated P/E cycles and is now bad.
+    /// The superblock exceeded its rated P/E cycles and is now bad.
     BlockWornOut {
         /// Superblock containing the worn block.
         superblock: u32,
@@ -52,12 +52,9 @@ impl std::fmt::Display for NandError {
         match self {
             NandError::OutOfRange(ppa) => write!(f, "physical page {ppa:?} out of range"),
             NandError::SuperblockOutOfRange(sb) => write!(f, "superblock {sb} out of range"),
-            NandError::ProgramNonFreePage(ppa) => {
-                write!(f, "program issued to non-free page {ppa:?}")
-            }
             NandError::ProgramOutOfOrder { requested, expected_page } => write!(
                 f,
-                "out-of-order program to {requested:?}; block expects page {expected_page}"
+                "out-of-order program to {requested:?}; superblock expects page {expected_page}"
             ),
             NandError::InvalidateNonValidPage(ppa) => {
                 write!(f, "invalidate issued to non-valid page {ppa:?}")

@@ -11,8 +11,8 @@
 /// composed of block slot `i` of every plane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Geometry {
-    /// Independent NAND channels (used by the latency model for
-    /// parallelism; state is tracked per block regardless).
+    /// Independent NAND channels. Only the superblock size depends on
+    /// the topology; media state is tracked per superblock.
     pub channels: u32,
     /// Dies per channel.
     pub dies_per_channel: u32,

@@ -1,31 +1,10 @@
-//! Page state machine and physical page addressing.
-
-/// Lifecycle state of a single NAND page.
-///
-/// The only legal transitions are:
-///
-/// ```text
-/// Free --program--> Valid --invalidate--> Invalid --erase--> Free
-///                     \------------------erase-------------/ (forbidden
-///                      unless the erase is forced: data loss)
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(u8)]
-pub enum PageState {
-    /// Erased, ready to program.
-    Free = 0,
-    /// Programmed and holding live data.
-    Valid = 1,
-    /// Programmed but superseded; space is reclaimable by GC.
-    Invalid = 2,
-}
+//! Physical page addressing.
 
 /// A physical page address: a superblock index plus the page offset
 /// inside that superblock.
 ///
-/// The FTL addresses media exclusively through `Ppa`s; the translation to
-/// (die, plane, block, page-in-block) happens inside the superblock layer
-/// (see [`crate::superblock`]).
+/// The FTL addresses media exclusively through `Ppa`s; a superblock's
+/// pages are programmed in offset order (see [`crate::device`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Ppa {
     /// Superblock (reclaim-unit) index.
@@ -69,10 +48,5 @@ mod tests {
         let a = Ppa::new(1, 999).pack();
         let b = Ppa::new(2, 0).pack();
         assert!(a < b);
-    }
-
-    #[test]
-    fn page_state_is_one_byte() {
-        assert_eq!(std::mem::size_of::<PageState>(), 1);
     }
 }

@@ -12,28 +12,17 @@ pub struct NandStats {
     pub pages_programmed: u64,
     /// Pages read (host + relocation reads).
     pub pages_read: u64,
-    /// Pages invalidated (overwrite or trim).
-    pub pages_invalidated: u64,
     /// Superblock erase operations.
     pub superblock_erases: u64,
-    /// Individual erase-block erases (superblock erases × lanes).
-    pub block_erases: u64,
 }
 
 impl NandStats {
-    /// Bytes programmed, given the page size.
-    pub fn bytes_programmed(&self, page_size: u32) -> u64 {
-        self.pages_programmed * page_size as u64
-    }
-
     /// Per-field difference `self - earlier`, saturating at zero.
     pub fn delta(&self, earlier: &NandStats) -> NandStats {
         NandStats {
             pages_programmed: self.pages_programmed.saturating_sub(earlier.pages_programmed),
             pages_read: self.pages_read.saturating_sub(earlier.pages_read),
-            pages_invalidated: self.pages_invalidated.saturating_sub(earlier.pages_invalidated),
             superblock_erases: self.superblock_erases.saturating_sub(earlier.superblock_erases),
-            block_erases: self.block_erases.saturating_sub(earlier.block_erases),
         }
     }
 }
@@ -41,12 +30,6 @@ impl NandStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bytes_programmed_uses_page_size() {
-        let s = NandStats { pages_programmed: 10, ..Default::default() };
-        assert_eq!(s.bytes_programmed(4096), 40_960);
-    }
 
     #[test]
     fn delta_saturates() {

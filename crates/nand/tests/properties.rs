@@ -1,11 +1,12 @@
 //! Property tests for the NAND media state machine.
 
-use fdpcache_nand::{Geometry, LatencyModel, NandDevice, NandError, PageState, Ppa};
+use fdpcache_nand::{Geometry, LatencyModel, NandDevice, NandError, Ppa};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
 enum MediaOp {
     ProgramNext { sb: u8 },
+    Program { sb: u8, page: u8 },
     Invalidate { sb: u8, page: u8 },
     Erase { sb: u8, force: bool },
     Read { sb: u8, page: u8 },
@@ -14,6 +15,7 @@ enum MediaOp {
 fn media_op() -> impl Strategy<Value = MediaOp> {
     prop_oneof![
         (0..8u8).prop_map(|sb| MediaOp::ProgramNext { sb }),
+        (0..8u8, 0..128u8).prop_map(|(sb, page)| MediaOp::Program { sb, page }),
         (0..8u8, 0..128u8).prop_map(|(sb, page)| MediaOp::Invalidate { sb, page }),
         (0..8u8, any::<bool>()).prop_map(|(sb, force)| MediaOp::Erase { sb, force }),
         (0..8u8, 0..128u8).prop_map(|(sb, page)| MediaOp::Read { sb, page }),
@@ -23,39 +25,72 @@ fn media_op() -> impl Strategy<Value = MediaOp> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// No operation sequence can corrupt the media's internal
-    /// accounting: valid counts always match per-page states, write
-    /// pointers never regress past programmed pages, and every error is
-    /// one of the defined legal rejections.
+    /// No operation sequence can corrupt the media's accounting. The test
+    /// keeps its own per-page reference (programmed pages and which of
+    /// them are still valid); the device must agree with it on every
+    /// write pointer and valid count, reject program, read and
+    /// invalidate at or past the write pointer, and return only the
+    /// defined legal rejections.
     #[test]
     fn media_state_machine_is_total(ops in prop::collection::vec(media_op(), 1..300)) {
         let g = Geometry::tiny_test();
         let mut dev = NandDevice::new(g, 1_000, LatencyModel::zero(), 1);
         let pages = g.pages_per_superblock();
+        let sbs = g.superblocks();
+        // Per superblock: one `valid` flag per programmed page, so the
+        // vector's length is the reference write pointer.
+        let mut reference: Vec<Vec<bool>> = vec![Vec::new(); sbs as usize];
         for op in ops {
             match op {
                 MediaOp::ProgramNext { sb } => {
-                    let sb = sb as u32 % g.superblocks();
-                    let next = dev.write_ptr(sb);
-                    if next < pages {
-                        dev.program(Ppa::new(sb, next as u32)).unwrap();
+                    let sb = sb as u32 % sbs;
+                    let written = &mut reference[sb as usize];
+                    let next = written.len() as u32;
+                    if (next as u64) < pages {
+                        dev.program(Ppa::new(sb, next)).unwrap();
+                        written.push(true);
                     } else {
                         prop_assert!(dev.is_full(sb));
+                        let past_end = dev.program(Ppa::new(sb, next));
+                        prop_assert!(matches!(past_end, Err(NandError::OutOfRange(_))));
+                    }
+                }
+                MediaOp::Program { sb, page } => {
+                    let sb = sb as u32 % sbs;
+                    let page = page as u32 % pages as u32;
+                    let written = &mut reference[sb as usize];
+                    if page as usize == written.len() {
+                        dev.program(Ppa::new(sb, page)).unwrap();
+                        written.push(true);
+                    } else {
+                        let res = dev.program(Ppa::new(sb, page));
+                        prop_assert!(matches!(res, Err(NandError::ProgramOutOfOrder { .. })));
                     }
                 }
                 MediaOp::Invalidate { sb, page } => {
-                    let sb = sb as u32 % g.superblocks();
+                    let sb = sb as u32 % sbs;
                     let ppa = Ppa::new(sb, page as u32 % pages as u32);
-                    match dev.page_state(ppa) {
-                        Some(PageState::Valid) => dev.invalidate(ppa).unwrap(),
-                        _ => prop_assert!(dev.invalidate(ppa).is_err()),
+                    match reference[sb as usize].get_mut(ppa.page as usize) {
+                        Some(valid) if *valid => {
+                            dev.invalidate(ppa).unwrap();
+                            *valid = false;
+                        }
+                        // Already invalid: telling it apart is the FTL's job.
+                        Some(_) => {}
+                        None => {
+                            let res = dev.invalidate(ppa);
+                            prop_assert!(matches!(res, Err(NandError::InvalidateNonValidPage(_))));
+                        }
                     }
                 }
                 MediaOp::Erase { sb, force } => {
-                    let sb = sb as u32 % g.superblocks();
-                    let valid = dev.valid_pages(sb);
+                    let sb = sb as u32 % sbs;
+                    let valid = reference[sb as usize].iter().filter(|&&v| v).count();
                     match dev.erase_superblock(sb, force) {
-                        Ok(_) => prop_assert!(force || valid == 0),
+                        Ok(_) => {
+                            prop_assert!(force || valid == 0);
+                            reference[sb as usize].clear();
+                        }
                         Err(NandError::EraseWithValidPages { .. }) => {
                             prop_assert!(valid > 0 && !force)
                         }
@@ -63,27 +98,25 @@ proptest! {
                     }
                 }
                 MediaOp::Read { sb, page } => {
-                    let sb = sb as u32 % g.superblocks();
+                    let sb = sb as u32 % sbs;
                     let ppa = Ppa::new(sb, page as u32 % pages as u32);
-                    match dev.page_state(ppa) {
-                        Some(PageState::Free) => prop_assert!(dev.read(ppa).is_err()),
-                        Some(_) => { dev.read(ppa).unwrap(); }
-                        None => prop_assert!(false, "page_state None in range"),
+                    if (ppa.page as usize) < reference[sb as usize].len() {
+                        dev.read(ppa).unwrap();
+                    } else {
+                        prop_assert!(matches!(dev.read(ppa), Err(NandError::ReadFreePage(_))));
                     }
                 }
             }
         }
-        // Global accounting: total valid equals the sum of per-sb counts
-        // derived from page states.
-        let mut recount = 0u64;
-        for sb in 0..g.superblocks() {
-            for p in 0..pages {
-                if dev.page_state(Ppa::new(sb, p as u32)) == Some(PageState::Valid) {
-                    recount += 1;
-                }
-            }
+        let mut total = 0u64;
+        for sb in 0..sbs {
+            let written = &reference[sb as usize];
+            let valid = written.iter().filter(|&&v| v).count() as u64;
+            prop_assert_eq!(dev.write_ptr(sb), written.len() as u64);
+            prop_assert_eq!(dev.valid_pages(sb), valid);
+            total += valid;
         }
-        prop_assert_eq!(recount, dev.total_valid_pages());
+        prop_assert_eq!(dev.total_valid_pages(), total);
     }
 
     /// Programming a full superblock in order always succeeds from the
@@ -127,7 +160,7 @@ proptest! {
             dev.erase_superblock(0, false).unwrap();
             let worn_now = cycle + 1 >= pe_limit;
             prop_assert_eq!(
-                dev.superblock(0).unwrap().has_bad_block(),
+                dev.is_bad(0),
                 worn_now,
                 "bad-block flag wrong after {} cycles", cycle + 1
             );

@@ -246,20 +246,6 @@ impl QueuePair {
             *lane = start + ns;
         }
     }
-
-    /// Submits background-only work (e.g. asynchronous flush) that
-    /// occupies a lane without blocking the submitter.
-    pub fn submit_background(&mut self, busy_ns: u64) {
-        let lane = self
-            .lanes
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &busy)| busy)
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        let start = self.now_ns.max(self.lanes[lane]);
-        self.lanes[lane] = start + busy_ns;
-    }
 }
 
 #[cfg(test)]
@@ -316,15 +302,6 @@ mod tests {
         let mut q = QueuePair::new(2);
         q.occupy_all(0);
         assert_eq!(q.submit(100, 0), 100);
-    }
-
-    #[test]
-    fn background_work_does_not_advance_clock() {
-        let mut q = QueuePair::new(1);
-        q.submit_background(1_000);
-        assert_eq!(q.now_ns(), 0);
-        // But it delays the next submission.
-        assert_eq!(q.submit(100, 0), 1_100);
     }
 
     #[test]

@@ -255,6 +255,8 @@ fn ftl_unmapped_variant() {
     f.trim(5, 1).unwrap();
     assert!(matches!(f.read(5), Err(FtlError::Unmapped(5))));
     assert!(matches!(f.read_contig(4, 3), Err(FtlError::Unmapped(_))));
+    // An overflowing range is rejected, not wrapped into an empty read.
+    assert!(matches!(f.read_contig(u64::MAX, 2), Err(FtlError::LbaOutOfRange(_))));
 }
 
 #[test]
