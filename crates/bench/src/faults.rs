@@ -3,18 +3,19 @@
 //!
 //! Each built-in [`FaultScenario`] replays the same deterministic
 //! mixed trace against a `MemStore`-backed stack whose payload store is
-//! wrapped in a fault-injecting decorator, while the driver keeps a
-//! shadow map of every *acknowledged* write (successful `put`). The
-//! gate then asserts the fault-model contract end to end:
+//! wrapped in a fault-injecting decorator, while an [`Oracle`] records
+//! every *acknowledged* write. The gate then asserts the fault-model
+//! contract end to end:
 //!
 //! 1. **Determinism** — two runs of the same scenario finish at
 //!    bit-identical virtual clocks with identical cache counters
-//!    (including fault/retry/repair/requeue) and identical injection
-//!    totals.
-//! 2. **Zero lost acknowledged writes** — a post-run verification pass
+//!    (including fault/retry/repair/requeue), identical injection
+//!    totals and an identical flash tally.
+//! 2. **Zero lost acknowledged writes** — the oracle's flash tally
 //!    reads every acknowledged key's on-flash bytes back
 //!    ([`fdpcache_cache::HybridCache::verify_flash_key`]); a cache miss
-//!    is legal (eviction), a *torn or wrong* hit is not.
+//!    is legal (eviction), a *torn or wrong* hit is not, and a tally
+//!    that verified nothing fails.
 //! 3. **Transparency** — the `none` scenario is bit-identical to an
 //!    undecorated device: the fault layer costs nothing when idle.
 //!
@@ -24,263 +25,157 @@
 
 use std::collections::BTreeMap;
 
-use fdpcache_cache::builder::{build_cache, build_device, build_device_faulted, StoreKind};
-use fdpcache_cache::value::Value;
-use fdpcache_cache::{CacheConfig, CacheError, CacheStats, FlashVerify, HybridCache, NvmConfig};
+use fdpcache_cache::builder::{
+    build_cache, build_device, build_device_faulted, create_namespace, StoreKind,
+};
+use fdpcache_cache::{CacheConfig, CacheError, CacheStats, NvmConfig};
 use fdpcache_core::{RoundRobinPolicy, SharedController};
+use fdpcache_ftl::FtlConfig;
 use fdpcache_nvme::FaultTotals;
-use fdpcache_workloads::trace::Op;
-use fdpcache_workloads::{FaultScenario, WorkloadProfile};
+use fdpcache_workloads::oracle::{verify_by_bucket, FlashTally};
+use fdpcache_workloads::{FaultScenario, Oracle, TraceGen, WorkloadProfile};
 
 use crate::harness::bench_ftl_config;
 
-/// Configuration of one fault-gate replay.
-#[derive(Debug, Clone)]
-pub struct FaultGateConfig {
-    /// Device capacity in MiB.
-    pub device_mib: u64,
-    /// Reclaim-unit size in MiB.
-    pub ru_mib: u64,
-    /// Operations to replay per scenario run.
-    pub ops: u64,
-    /// Trace RNG seed (the fault seed lives in the scenario).
-    pub seed: u64,
+/// Seed of every gate scenario's trace and device.
+pub(crate) const GATE_SEED: u64 = 42;
+
+/// Requests in the trace the fault, warm-restart and chaos gates replay.
+pub(crate) const GATE_OPS: u64 = 30_000;
+
+/// The device those three gates run on: 64 MiB, 2 MiB reclaim units.
+pub(crate) fn gate_ftl_config() -> FtlConfig {
+    bench_ftl_config(64, 2, GATE_SEED)
 }
 
-impl Default for FaultGateConfig {
-    fn default() -> Self {
-        FaultGateConfig { device_mib: 64, ru_mib: 2, ops: 30_000, seed: 42 }
+/// The cache those three gates run: 256 KiB of DRAM, 10 % SOC and
+/// 1 MiB LOC regions whose evictions issue DSM discards, so discard
+/// faults are exercised too.
+pub(crate) fn gate_cache_config() -> CacheConfig {
+    CacheConfig {
+        ram_bytes: 256 << 10,
+        ram_item_overhead: 0,
+        nvm: NvmConfig {
+            soc_fraction: 0.1,
+            region_bytes: 1 << 20,
+            trim_on_region_evict: true,
+            ..NvmConfig::default()
+        },
+        use_fdp: true,
     }
 }
 
-impl FaultGateConfig {
-    fn cache_config(&self) -> CacheConfig {
-        CacheConfig {
-            ram_bytes: 256 << 10,
-            ram_item_overhead: 0,
-            nvm: NvmConfig {
-                soc_fraction: 0.1,
-                region_bytes: 1 << 20,
-                // Region evictions issue DSM discards, so discard-fault
-                // recovery (retry, then skip the advisory TRIM) is
-                // exercised too.
-                trim_on_region_evict: true,
-                ..NvmConfig::default()
-            },
-            use_fdp: true,
-        }
-    }
+/// The trace those three gates replay: Meta KV over 20,000 keys.
+pub(crate) fn gate_trace() -> TraceGen {
+    WorkloadProfile::meta_kv_cache().generator(20_000, GATE_SEED)
 }
 
 /// Everything one scenario run reports.
-#[derive(Debug, Clone)]
-pub struct FaultRunResult {
+#[derive(Debug, Clone, PartialEq)]
+struct FaultRunResult {
     /// Scenario name.
-    pub scenario: String,
+    scenario: String,
     /// Final virtual clock (ns), pre-verification — bit-identical
     /// across reruns of the same scenario.
-    pub now_ns: u64,
+    now_ns: u64,
     /// Cache counters at the end of the replay (pre-verification).
-    pub stats: CacheStats,
+    stats: CacheStats,
     /// Store-level injection totals (pre-verification).
-    pub injected: FaultTotals,
+    injected: FaultTotals,
     /// Injected-fault errors that surfaced to the driver (persistently
     /// faulting deletes); the op is skipped, state is rolled back.
-    pub surfaced: u64,
-    /// Acknowledged writes tracked by the shadow map at the end.
-    pub acked: u64,
-    /// Acknowledged keys whose on-flash bytes verified exactly.
-    pub verified: u64,
-    /// Acknowledged keys with torn/wrong on-flash bytes — **lost
-    /// acknowledged writes**; the gate requires zero.
-    pub lost: u64,
-    /// Acknowledged keys absent from flash (evicted or RAM-only) —
-    /// legal for a cache.
-    pub absent: u64,
-    /// Acknowledged keys whose verification read itself faulted.
-    pub unverifiable: u64,
+    surfaced: u64,
+    /// Every acknowledged key's on-flash verdict.
+    flash: FlashTally,
 }
 
-fn drive(
-    cache: &mut HybridCache,
-    cfg: &FaultGateConfig,
-    shadow: &mut BTreeMap<u64, u32>,
-    surfaced: &mut u64,
-) {
-    let profile = WorkloadProfile::meta_kv_cache();
-    let mut gen = profile.generator(20_000, cfg.seed);
-    for _ in 0..cfg.ops {
-        let req = gen.next_request();
-        match req.op {
-            Op::Get => match cache.get(req.key) {
-                Ok(_) => {}
-                Err(e) if e.is_injected_fault() => *surfaced += 1,
-                Err(e) => panic!("get({}) failed non-fault: {e}", req.key),
-            },
-            Op::Set => match cache.put(req.key, Value::synthetic(req.size)) {
-                Ok(()) => {
-                    shadow.insert(req.key, req.size);
-                }
-                Err(CacheError::ObjectTooLarge { .. }) => {}
-                // Not acknowledged: the shadow map is not updated.
-                Err(e) if e.is_injected_fault() => *surfaced += 1,
-                Err(e) => panic!("put({}) failed non-fault: {e}", req.key),
-            },
-            Op::Delete => match cache.delete(req.key) {
-                Ok(_) => {
-                    shadow.remove(&req.key);
-                }
-                // Rolled back: the key (if present) is still intact.
-                Err(e) if e.is_injected_fault() => *surfaced += 1,
-                Err(e) => panic!("delete({}) failed non-fault: {e}", req.key),
-            },
-        }
-    }
-}
-
-fn verify(cache: &mut HybridCache, shadow: &BTreeMap<u64, u32>, r: &mut FaultRunResult) {
-    // SOC verification checks the whole bucket's serialization, so one
-    // device read per *bucket* covers every acknowledged key in it —
-    // cache the per-bucket verdict instead of re-reading per key.
-    let mut bucket_verdicts: BTreeMap<u64, FlashVerify> = BTreeMap::new();
-    for &key in shadow.keys() {
-        let verdict = if cache.navy().soc().contains(key) {
-            let bucket = cache.navy().soc().bucket_index(key);
-            match bucket_verdicts.get(&bucket) {
-                Some(&v) => v,
-                None => {
-                    let v = cache.verify_flash_key(key).expect("verification must not error");
-                    bucket_verdicts.insert(bucket, v);
-                    v
-                }
-            }
-        } else {
-            cache.verify_flash_key(key).expect("verification must not error")
-        };
-        match verdict {
-            FlashVerify::Verified => r.verified += 1,
-            FlashVerify::Mismatch => r.lost += 1,
-            FlashVerify::Absent => r.absent += 1,
-            FlashVerify::Unverifiable => r.unverifiable += 1,
-        }
-    }
-}
-
-fn run_on(ctrl: &SharedController, cfg: &FaultGateConfig, scenario_name: &str) -> FaultRunResult {
-    let nsid =
-        fdpcache_cache::builder::create_namespace(ctrl, 0.9, (0..8).collect()).expect("namespace");
-    let mut cache = build_cache(ctrl, nsid, &cfg.cache_config(), Box::new(RoundRobinPolicy::new()))
-        .expect("cache");
-    let mut shadow = BTreeMap::new();
-    let mut surfaced = 0u64;
-    drive(&mut cache, cfg, &mut shadow, &mut surfaced);
-    cache.drain_io();
-    let mut r = FaultRunResult {
-        scenario: scenario_name.to_string(),
-        now_ns: cache.now_ns(),
-        stats: cache.stats(),
-        injected: ctrl.fault_totals(),
-        surfaced,
-        acked: shadow.len() as u64,
-        verified: 0,
-        lost: 0,
-        absent: 0,
-        unverifiable: 0,
-    };
-    verify(&mut cache, &shadow, &mut r);
-    ctrl.with_ftl(|f| f.check_invariants());
-    r
-}
-
-/// Replays the gate trace under one scenario and verifies every
-/// acknowledged write.
+/// Replays the gate trace on `ctrl` and verifies every acknowledged
+/// write.
 ///
 /// # Panics
 ///
 /// Panics on non-injected errors (driver bugs), never on injected
 /// faults — those must be recovered by the stack.
-pub fn run_fault_scenario(cfg: &FaultGateConfig, scenario: &FaultScenario) -> FaultRunResult {
-    let ctrl = build_device_faulted(
-        bench_ftl_config(cfg.device_mib, cfg.ru_mib, cfg.seed),
-        StoreKind::Mem,
-        true,
-        scenario.config.clone(),
-    )
-    .expect("faulted device");
-    run_on(&ctrl, cfg, scenario.name)
+fn run_on(ctrl: &SharedController, scenario: &str) -> FaultRunResult {
+    let nsid = create_namespace(ctrl, 0.9, (0..8).collect()).expect("namespace");
+    let mut cache =
+        build_cache(ctrl, nsid, &gate_cache_config(), Box::new(RoundRobinPolicy::new()))
+            .expect("cache");
+    let mut oracle = Oracle::new();
+    let mut surfaced = 0u64;
+    let mut gen = gate_trace();
+    for _ in 0..GATE_OPS {
+        let req = gen.next_request();
+        match oracle.step(&mut cache, req) {
+            Ok(()) | Err(CacheError::ObjectTooLarge { .. }) => {}
+            // Not acknowledged, or rolled back: the key (if present) is
+            // still intact.
+            Err(e) if e.is_injected_fault() => surfaced += 1,
+            Err(e) => panic!("{req:?} failed non-fault: {e}"),
+        }
+    }
+    cache.drain_io();
+    let (now_ns, stats, injected) = (cache.now_ns(), cache.stats(), ctrl.fault_totals());
+    let mut buckets = BTreeMap::new();
+    let flash = oracle.tally_flash(|key| verify_by_bucket(&mut cache, 0, key, &mut buckets));
+    ctrl.with_ftl(|f| f.check_invariants());
+    FaultRunResult { scenario: scenario.to_string(), now_ns, stats, injected, surfaced, flash }
+}
+
+/// Replays the gate trace under one scenario.
+fn run_fault_scenario(scenario: &FaultScenario) -> FaultRunResult {
+    let ctrl =
+        build_device_faulted(gate_ftl_config(), StoreKind::Mem, true, scenario.config.clone())
+            .expect("faulted device");
+    run_on(&ctrl, scenario.name)
 }
 
 /// Replays the gate trace on a plain, undecorated device — the
 /// baseline the `none` scenario must match bit-for-bit.
-pub fn run_plain_baseline(cfg: &FaultGateConfig) -> FaultRunResult {
-    let ctrl =
-        build_device(bench_ftl_config(cfg.device_mib, cfg.ru_mib, cfg.seed), StoreKind::Mem, true)
-            .expect("plain device");
-    run_on(&ctrl, cfg, "plain")
-}
-
-/// One scenario's gate evidence: two reruns (for the determinism
-/// comparison).
-#[derive(Debug, Clone)]
-pub struct FaultSweepEntry {
-    /// First run.
-    pub first: FaultRunResult,
-    /// Rerun with identical seeds.
-    pub rerun: FaultRunResult,
-}
-
-impl FaultSweepEntry {
-    /// Whether both runs are bit-identical in every deterministic
-    /// observable (virtual clock, cache counters, injection totals,
-    /// verification tally).
-    pub fn deterministic(&self) -> bool {
-        self.first.now_ns == self.rerun.now_ns
-            && self.first.stats == self.rerun.stats
-            && self.first.injected == self.rerun.injected
-            && self.first.surfaced == self.rerun.surfaced
-            && (self.first.acked, self.first.verified, self.first.lost)
-                == (self.rerun.acked, self.rerun.verified, self.rerun.lost)
-    }
-}
-
-/// Runs every built-in scenario twice, in stable order.
-pub fn sweep_faults(cfg: &FaultGateConfig) -> Vec<FaultSweepEntry> {
-    FaultScenario::all_builtin()
-        .iter()
-        .map(|s| FaultSweepEntry {
-            first: run_fault_scenario(cfg, s),
-            rerun: run_fault_scenario(cfg, s),
-        })
-        .collect()
+fn run_plain_baseline() -> FaultRunResult {
+    let ctrl = build_device(gate_ftl_config(), StoreKind::Mem, true).expect("plain device");
+    run_on(&ctrl, "plain")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::first_divergence;
 
-    /// Every built-in scenario at full length: bit-identical reruns,
-    /// zero lost acknowledged writes, non-vacuous injection and
-    /// recovery, and an empty plan that is bit-transparent.
+    /// Every built-in scenario at full length, twice: bit-identical
+    /// reruns, zero lost acknowledged writes, non-vacuous injection,
+    /// recovery and verification, and an empty plan that is
+    /// bit-transparent.
     #[test]
     fn gate() {
-        let cfg = FaultGateConfig::default();
-        let entries = sweep_faults(&cfg);
-        let plain = run_plain_baseline(&cfg);
+        let runs: Vec<(FaultRunResult, FaultRunResult)> = FaultScenario::all_builtin()
+            .iter()
+            .map(|s| (run_fault_scenario(s), run_fault_scenario(s)))
+            .collect();
+        let plain = run_plain_baseline();
         let mut fails: Vec<String> = Vec::new();
-        for e in &entries {
-            let r = &e.first;
-            if !e.deterministic() {
+        for (r, rerun) in &runs {
+            if r != rerun {
                 fails.push(format!(
-                    "scenario {} diverged across same-seed reruns ({} ns vs {} ns) — the fault \
-                     schedule must be a pure function of its seed",
-                    r.scenario, r.now_ns, e.rerun.now_ns
+                    "scenario {} diverged across same-seed reruns ({}) — the fault schedule \
+                     must be a pure function of its seed",
+                    r.scenario,
+                    first_divergence(r, rerun)
                 ));
             }
-            if r.lost > 0 {
+            if !r.flash.lost.is_empty() {
                 fails.push(format!(
                     "scenario {} lost {} acknowledged write(s) — recovery must never serve torn \
                      data",
-                    r.scenario, r.lost
+                    r.scenario,
+                    r.flash.lost.len()
+                ));
+            }
+            if r.flash.checked == 0 {
+                fails.push(format!(
+                    "scenario {} verified none of its {} acknowledged write(s) (vacuous)",
+                    r.scenario,
+                    r.flash.acked()
                 ));
             }
             if r.scenario != "none" {
@@ -292,8 +187,7 @@ mod tests {
                 }
             }
         }
-        let none =
-            &entries.iter().find(|e| e.first.scenario == "none").expect("none scenario").first;
+        let none = &runs.iter().find(|(r, _)| r.scenario == "none").expect("none scenario").0;
         if none.now_ns != plain.now_ns || none.stats != plain.stats {
             fails.push(format!(
                 "empty fault plan perturbed the stack ({} ns faulted-none vs {} ns plain) — the \
@@ -304,8 +198,17 @@ mod tests {
         if none.injected.total() > 0 {
             fails.push(format!("empty fault plan injected {} fault(s)", none.injected.total()));
         }
-        if plain.lost > 0 {
-            fails.push(format!("plain device lost {} acknowledged write(s)", plain.lost));
+        if !plain.flash.lost.is_empty() {
+            fails.push(format!(
+                "plain device lost {} acknowledged write(s)",
+                plain.flash.lost.len()
+            ));
+        }
+        if plain.flash.checked == 0 {
+            fails.push(format!(
+                "plain device verified none of its {} acknowledged write(s) (vacuous)",
+                plain.flash.acked()
+            ));
         }
         assert!(
             fails.is_empty(),

@@ -1,11 +1,14 @@
 //! The experiment configuration every [`crate::figures`] cell varies,
-//! and the device shape every gate scenario runs on.
+//! the device shape every gate scenario runs on, and
+//! [`first_divergence`], which names where two runs stop agreeing.
 //!
 //! Every experiment instantiates the same scaled stack (DESIGN.md §1):
 //! a 4–8 GiB simulated FDP SSD with 64 MiB reclaim units standing in
 //! for the paper's 1.88 TB PM9D3 with ~6 GB RUs, and DRAM/SOC/utilization
 //! expressed as *fractions* so the ratios that drive DLWA match the
 //! paper's configurations exactly.
+
+use std::fmt::Debug;
 
 use fdpcache_cache::config::{CacheConfig, NvmConfig};
 use fdpcache_ftl::{FtlConfig, GcPolicy, RuhType};
@@ -19,6 +22,29 @@ pub fn bench_ftl_config(device_mib: u64, ru_mib: u64, seed: u64) -> FtlConfig {
     let geometry = Geometry::with_capacity(device_mib << 20, ru_mib << 20, 4096)
         .expect("bench geometry must be constructible");
     FtlConfig { geometry, num_ruhs: 8, seed, ..FtlConfig::scaled_default() }
+}
+
+/// The first line where the `{:#?}` renderings of two runs differ, as
+/// `line N: <a's line> vs <b's line>`: what a determinism check prints
+/// instead of both runs.
+pub fn first_divergence(a: &impl Debug, b: &impl Debug) -> String {
+    let (a, b) = (format!("{a:#?}"), format!("{b:#?}"));
+    let (mut la, mut lb) = (a.lines(), b.lines());
+    for n in 1.. {
+        match (la.next(), lb.next()) {
+            (None, None) => break,
+            (x, y) if x == y => {}
+            (x, y) => {
+                let end = "<end>";
+                return format!(
+                    "line {n}: {} vs {}",
+                    x.unwrap_or(end).trim(),
+                    y.unwrap_or(end).trim()
+                );
+            }
+        }
+    }
+    "no line of their {:#?} differs".to_string()
 }
 
 /// One experiment's full parameter set.
@@ -165,6 +191,15 @@ impl ExpConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn first_divergence_names_the_first_differing_line() {
+        let a = (7, vec![1, 2, 3]);
+        let b = (7, vec![1, 5, 3, 4]);
+        assert_eq!(first_divergence(&a, &b), "line 5: 2, vs 5,");
+        assert_eq!(first_divergence(&a, &(7, vec![1, 2])), "line 6: 3, vs ],");
+        assert_eq!(first_divergence(&b, &b), "no line of their {:#?} differs");
+    }
 
     #[test]
     fn quick_mode_shrinks_run_length() {

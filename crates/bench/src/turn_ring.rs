@@ -2,6 +2,14 @@
 //! stream position `p` executes only after every earlier position has
 //! completed, whichever worker owns it, so a shared device sees
 //! commands in exact stream order at any worker count.
+//!
+//! Free-running partitioned drivers (`fdpcache_workloads::replay_pool`)
+//! keep per-shard *counters* invariant but not the per-shard clock
+//! frontier: the shared FTL charges GC and reclaim-unit switches to
+//! whichever shard's command trips them, which depends on thread
+//! interleaving. The gates pin breaker transitions and sojourn times to
+//! exact virtual times across reruns and worker counts, so they
+//! schedule deterministically and measure no wall-clock scaling.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -10,14 +18,47 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// scope join then propagates the original panic.
 const POISON: u64 = u64::MAX;
 
+/// Runs `items` on `workers` threads in slice order: item `p` runs on
+/// worker `owner(item) % workers`, and only once items `0..p` have run.
+///
+/// # Panics
+///
+/// Propagates a worker's panic.
+pub(crate) fn run_in_order<T: Sync>(
+    items: &[T],
+    workers: usize,
+    owner: impl Fn(&T) -> usize + Sync,
+    step: impl Fn(&T) + Sync,
+) {
+    let ring = TurnRing::new();
+    std::thread::scope(|scope| {
+        for widx in 0..workers {
+            let (ring, owner, step) = (&ring, &owner, &step);
+            scope.spawn(move || {
+                let _poison = ring.poison_on_panic();
+                for (pos, item) in (0u64..).zip(items) {
+                    if owner(item) % workers != widx {
+                        continue;
+                    }
+                    if !ring.wait_for(pos) {
+                        break;
+                    }
+                    step(item);
+                    ring.done(pos);
+                }
+            });
+        }
+    });
+}
+
 /// The next stream position allowed to execute.
 #[derive(Debug)]
-pub(crate) struct TurnRing {
+struct TurnRing {
     turn: AtomicU64,
 }
 
 /// Publishes [`POISON`] if its worker unwinds mid-ring.
-pub(crate) struct PoisonOnPanic<'a>(&'a TurnRing);
+struct PoisonOnPanic<'a>(&'a TurnRing);
 
 impl Drop for PoisonOnPanic<'_> {
     fn drop(&mut self) {
@@ -29,18 +70,18 @@ impl Drop for PoisonOnPanic<'_> {
 
 impl TurnRing {
     /// A ring whose first turn is position 0.
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         TurnRing { turn: AtomicU64::new(0) }
     }
 
     /// Guard every worker holds for as long as it takes turns.
-    pub(crate) fn poison_on_panic(&self) -> PoisonOnPanic<'_> {
+    fn poison_on_panic(&self) -> PoisonOnPanic<'_> {
         PoisonOnPanic(self)
     }
 
     /// Waits until every position before `pos` has completed. Returns
     /// `false` if another worker panicked: the caller must stop.
-    pub(crate) fn wait_for(&self, pos: u64) -> bool {
+    fn wait_for(&self, pos: u64) -> bool {
         let mut spins = 0u32;
         loop {
             match self.turn.load(Ordering::Acquire) {
@@ -59,7 +100,7 @@ impl TurnRing {
     }
 
     /// Hands the turn to position `pos + 1`.
-    pub(crate) fn done(&self, pos: u64) {
+    fn done(&self, pos: u64) {
         self.turn.store(pos + 1, Ordering::Release);
     }
 }
@@ -71,25 +112,11 @@ mod tests {
 
     #[test]
     fn workers_taking_turns_observe_exact_stream_order() {
-        const WORKERS: u64 = 4;
-        const POSITIONS: u64 = 2_000;
-        let ring = TurnRing::new();
+        let positions: Vec<u64> = (0..2_000).collect();
         let seen = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for widx in 0..WORKERS {
-                let (ring, seen) = (&ring, &seen);
-                scope.spawn(move || {
-                    let _poison = ring.poison_on_panic();
-                    // Uneven ownership: runs of positions per worker.
-                    for pos in (0..POSITIONS).filter(|p| (p / 3) % WORKERS == widx) {
-                        assert!(ring.wait_for(pos));
-                        seen.lock().unwrap().push(pos);
-                        ring.done(pos);
-                    }
-                });
-            }
-        });
-        assert_eq!(seen.into_inner().unwrap(), (0..POSITIONS).collect::<Vec<_>>());
+        // Uneven ownership: runs of positions per worker.
+        run_in_order(&positions, 4, |&p| (p / 3) as usize, |&p| seen.lock().unwrap().push(p));
+        assert_eq!(seen.into_inner().unwrap(), positions);
     }
 
     #[test]

@@ -21,10 +21,9 @@
 //! topology; the same round backs the pool replayer
 //! ([`crate::replay::replay_pool`]).
 
-use fdpcache_cache::value::Value;
 use fdpcache_cache::ConcurrentPool;
 
-use crate::trace::Op;
+use crate::replay::serve;
 use crate::tracefile::RequestSource;
 
 /// How a round of pool workers divides a trace over a
@@ -79,6 +78,7 @@ pub fn run_pool_round<S: RequestSource + Send>(
             .enumerate()
             .map(|(widx, source)| {
                 scope.spawn(move || {
+                    let mut pool = pool;
                     let mut generated = 0u64;
                     let mut executed = 0u64;
                     let mut error = None;
@@ -92,15 +92,7 @@ pub fn run_pool_round<S: RequestSource + Send>(
                         if !owned {
                             continue;
                         }
-                        let result = match req.op {
-                            Op::Get => pool.get(req.key).map(|_| ()),
-                            Op::Set => match pool.put(req.key, Value::synthetic(req.size)) {
-                                Err(fdpcache_cache::CacheError::ObjectTooLarge { .. }) => Ok(()),
-                                r => r,
-                            },
-                            Op::Delete => pool.delete(req.key).map(|_| ()),
-                        };
-                        match result {
+                        match serve(&mut pool, req) {
                             Ok(()) => executed += 1,
                             Err(e) => {
                                 error = Some(e.to_string());

@@ -29,6 +29,7 @@
 pub mod arrivals;
 pub mod concurrent;
 pub mod faults;
+pub mod oracle;
 pub mod profiles;
 pub mod replay;
 pub mod sizes;
@@ -40,6 +41,7 @@ pub mod zipf;
 pub use arrivals::{ArrivalProcess, BurstWindow, RateShape};
 pub use concurrent::{run_pool_round, PoolMode, PoolWorkerReport};
 pub use faults::{ChaosPhase, ChaosStorm, FaultScenario};
+pub use oracle::Oracle;
 pub use profiles::WorkloadProfile;
 pub use replay::{replay_pool, serve, ExperimentResult, PoolReplayConfig, ReplayConfig, Replayer};
 pub use sizes::SizeDist;

@@ -12,30 +12,27 @@
 //! trace, [`crate::concurrent::PoolMode`]) and the same metrics are
 //! aggregated mergeably across shards.
 
-use fdpcache_cache::value::Value;
 use fdpcache_cache::{CacheError, ConcurrentPool, HybridCache};
 use fdpcache_core::SharedController;
 use serde::Serialize;
 
 use crate::concurrent::{run_pool_round, PoolMode, PoolWorkerReport};
-use crate::trace::{Op, Request};
+use crate::oracle::{apply, Cache};
+use crate::trace::Request;
 use crate::tracefile::RequestSource;
 
-/// Serves one request on `cache`: GET, SET or DELETE. A SET too large
-/// for any engine is not cacheable and counts as served — CacheBench
-/// records it as a failed SET and continues.
+/// Serves one request on `cache` — one [`HybridCache`], or a
+/// [`ConcurrentPool`] through its lock-free read path: GET, SET or
+/// DELETE. A SET too large for any engine is not cacheable and counts
+/// as served — CacheBench records it as a failed SET and continues.
 ///
 /// # Errors
 ///
 /// Propagates every other cache/device error.
-pub fn serve(cache: &mut HybridCache, req: Request) -> Result<(), CacheError> {
-    match req.op {
-        Op::Get => cache.get(req.key).map(drop),
-        Op::Set => match cache.put(req.key, Value::synthetic(req.size)) {
-            Err(CacheError::ObjectTooLarge { .. }) => Ok(()),
-            r => r,
-        },
-        Op::Delete => cache.delete(req.key).map(drop),
+pub fn serve<C: Cache + ?Sized>(cache: &mut C, req: Request) -> Result<(), CacheError> {
+    match apply(cache, req) {
+        Err(CacheError::ObjectTooLarge { .. }) => Ok(()),
+        r => r,
     }
 }
 

@@ -12,12 +12,11 @@
 //! Run with: `cargo run --release --example fdpctl`
 
 use fdpcache::cache::builder::{build_cache, build_device, create_namespace, StoreKind};
-use fdpcache::cache::value::Value;
 use fdpcache::cache::{CacheConfig, NvmConfig};
 use fdpcache::ftl::{FdpEvent, FtlConfig};
 use fdpcache::nand::Geometry;
 use fdpcache::placement::RoundRobinPolicy;
-use fdpcache::workloads::{Op, WorkloadProfile};
+use fdpcache::workloads::{serve, WorkloadProfile};
 
 fn main() {
     // A small FDP device: 1 GiB, 32 MiB reclaim units, 8 handles.
@@ -91,11 +90,7 @@ fn main() {
     let mut gen = profile.generator(profile.keyspace_for(cache_bytes, 4.0), 42);
     while cache.navy().io().stats().bytes_written < 3 * cache_bytes {
         let req = gen.next_request();
-        match req.op {
-            Op::Get => drop(cache.get(req.key).expect("get")),
-            Op::Set => cache.put(req.key, Value::synthetic(req.size)).expect("put"),
-            Op::Delete => drop(cache.delete(req.key).expect("delete")),
-        }
+        serve(&mut cache, req).unwrap_or_else(|e| panic!("{req:?}: {e}"));
     }
 
     // -- FDP statistics log (nvme get-log: HBMW / MBMW) ----------------

@@ -8,6 +8,7 @@ use fdpcache::cache::builder::{build_stack, StoreKind};
 use fdpcache::cache::value::Value;
 use fdpcache::cache::{CacheConfig, GetOutcome, NvmConfig};
 use fdpcache::ftl::FtlConfig;
+use fdpcache::workloads::{Op, Oracle, Request};
 
 fn config(ram_bytes: u64, use_fdp: bool) -> CacheConfig {
     CacheConfig {
@@ -49,38 +50,27 @@ fn values_survive_the_full_stack_bit_exactly() {
 #[test]
 fn cache_model_equivalence_under_churn() {
     // Reference-model check: every non-miss GET must return the last
-    // PUT value; deletes must stick (until the key is re-PUT).
+    // PUT's bytes; deletes must stick (until the key is re-PUT).
     let (_ctrl, mut cache) =
         build_stack(FtlConfig::tiny_test(), StoreKind::Mem, true, 0.9, &config(4_000, true))
             .unwrap();
-    let mut model: HashMap<u64, u32> = HashMap::new();
+    let mut oracle = Oracle::new();
     let mut x = 0x1234_5678u64;
     for _ in 0..20_000 {
         x ^= x << 13;
         x ^= x >> 7;
         x ^= x << 17;
         let key = x % 500;
-        match x % 10 {
-            0 => {
-                cache.delete(key).unwrap();
-                model.remove(&key);
-            }
-            1..=4 => {
-                let size = 50 + (x % 3000) as u32;
-                cache.put(key, Value::synthetic(size)).unwrap();
-                model.insert(key, size);
-            }
+        let req = match x % 10 {
+            0 => Request { op: Op::Delete, key, size: 0 },
+            1..=4 => Request { op: Op::Set, key, size: 50 + (x % 3000) as u32 },
             _ => {
-                let (outcome, v) = cache.get(key).unwrap();
-                if outcome != GetOutcome::Miss {
-                    let got = v.unwrap().len() as u32;
-                    match model.get(&key) {
-                        Some(&expect) => assert_eq!(got, expect, "stale value for {key}"),
-                        None => panic!("key {key} was deleted but still served"),
-                    }
-                }
+                let report = oracle.check_served(&mut cache, [key]).unwrap();
+                assert_eq!(report.violations, [], "stale or deleted value served");
+                continue;
             }
-        }
+        };
+        oracle.step(&mut cache, req).unwrap();
     }
 }
 

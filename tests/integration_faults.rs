@@ -15,6 +15,7 @@ use fdpcache::cache::{
 use fdpcache::ftl::FtlConfig;
 use fdpcache::nvme::{FaultConfig, FaultKind, ScriptedFault};
 use fdpcache::placement::{RoundRobinPolicy, SharedController};
+use fdpcache::workloads::{Op, Oracle, Request};
 
 const BLOCK: u64 = 4096;
 
@@ -68,9 +69,9 @@ fn persistent_seal_fault_quarantines_and_requeues_without_losing_objects() {
     };
     let (ctrl, mut cache, _) = faulted_stack(fault, 1_000);
     // 16-block regions = 64 KiB; 20 KiB objects force seals quickly.
-    let keys: Vec<u64> = (0..12u64).collect();
-    for &k in &keys {
-        cache.put(k, Value::synthetic(20_000)).unwrap();
+    let mut oracle = Oracle::new();
+    for key in 0..12u64 {
+        oracle.step(&mut cache, Request { op: Op::Set, key, size: 20_000 }).unwrap();
     }
     let loc = cache.navy().loc().stats();
     assert!(loc.seal_faults >= 1, "region 0's seal must fail persistently");
@@ -79,15 +80,9 @@ fn persistent_seal_fault_quarantines_and_requeues_without_losing_objects() {
     assert!(cache.stats().requeues > 0, "requeues must surface in CacheStats");
     // Every acknowledged object is either served correctly or was
     // legitimately evicted — and nothing on flash is torn.
-    let mut hits = 0;
-    for &k in &keys {
-        match cache.verify_flash_key(k).unwrap() {
-            FlashVerify::Verified => hits += 1,
-            FlashVerify::Mismatch => panic!("torn object {k} after seal recovery"),
-            FlashVerify::Absent | FlashVerify::Unverifiable => {}
-        }
-    }
-    assert!(hits > 0, "requeued objects must land somewhere readable");
+    let tally = oracle.tally_flash(|k| cache.verify_flash_key(k).unwrap());
+    assert_eq!(tally.lost, [], "torn objects after seal recovery");
+    assert!(tally.verified() > 0, "requeued objects must land somewhere readable");
     ctrl.with_ftl(|f| f.check_invariants());
 }
 

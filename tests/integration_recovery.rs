@@ -7,11 +7,11 @@
 //! key on disjoint namespace LBA ranges); the sweep kills a short
 //! trace at *every* device command and once more after each recovery.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
 use fdpcache::cache::builder::{
-    build_cache, build_device, build_device_faulted, create_namespace, recover_cache, StoreKind,
+    build_cache, build_device, build_device_faulted, create_namespace, StoreKind,
 };
 use fdpcache::cache::value::Value;
 use fdpcache::cache::{
@@ -23,6 +23,8 @@ use fdpcache::nvme::{
     NamespaceId, ScriptedFault,
 };
 use fdpcache::placement::{IoManager, RoundRobinPolicy};
+use fdpcache::workloads::oracle::{reattach, Cache, CrashReport};
+use fdpcache::workloads::{Op, Oracle, Request};
 
 const BLOCK: u64 = 4096;
 
@@ -35,81 +37,45 @@ fn cache_config(ram_bytes: u64) -> CacheConfig {
     }
 }
 
-/// One deterministic scripted operation (no RNG: the trace is a pure
-/// function of the index, so reruns and worker partitions agree).
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum ScriptOp {
-    Put(u64, u32),
-    Get(u64),
-    Delete(u64),
+fn put(key: u64, size: u32) -> Request {
+    Request { op: Op::Set, key, size }
 }
 
-/// Seal-heavy script: a small-object prelude (so SOC buckets persist
-/// entries before the first LOC seal — no crash point is vacuous),
-/// then large LOC-bound puts every third op, a rotating small
+fn get(key: u64) -> Request {
+    Request { op: Op::Get, key, size: 0 }
+}
+
+fn delete(key: u64) -> Request {
+    Request { op: Op::Delete, key, size: 0 }
+}
+
+/// Seal-heavy script, a pure function of the index (no RNG, so reruns
+/// and worker partitions agree): a small-object prelude (so SOC buckets
+/// persist entries before the first LOC seal — no crash point is
+/// vacuous), then large LOC-bound puts every third op, a rotating small
 /// SOC-bound working set, periodic deletes of older large keys, and
 /// gets over both populations.
-fn script(i: u64) -> ScriptOp {
+fn script(i: u64) -> Request {
     if i < 30 {
-        return ScriptOp::Put(500_000 + i % 64, 90);
+        return put(500_000 + i % 64, 90);
     }
     match i % 9 {
-        0 | 3 | 6 => ScriptOp::Put(i, 12_000 + (i % 5) as u32 * 2_000),
-        1 | 4 => ScriptOp::Put(500_000 + i % 64, 90),
-        7 => ScriptOp::Delete((i / 9) * 3),
-        2 | 5 => ScriptOp::Get((i / 3) * 3),
-        _ => ScriptOp::Get(500_000 + i % 64),
+        0 | 3 | 6 => put(i, 12_000 + (i % 5) as u32 * 2_000),
+        1 | 4 => put(500_000 + i % 64, 90),
+        7 => delete((i / 9) * 3),
+        2 | 5 => get((i / 3) * 3),
+        _ => get(500_000 + i % 64),
     }
 }
 
-/// Shadow of acknowledged operations: every size acked for a key since
-/// its last acked delete, plus the acked-deleted key set.
-#[derive(Debug, Default, Clone)]
-struct Shadow {
-    acked_sizes: BTreeMap<u64, BTreeSet<u32>>,
-    deleted: BTreeSet<u64>,
-}
-
-/// Applies one scripted op; returns `false` when the scripted kill
-/// fired (the op is unacknowledged). Panics on any other error — a
-/// kill-only plan injects nothing recoverable.
-fn apply(cache: &mut HybridCache, op: ScriptOp, shadow: &mut Shadow) -> bool {
-    let r = match op {
-        ScriptOp::Put(k, size) => match cache.put(k, Value::synthetic(size)) {
-            Ok(()) => {
-                shadow.deleted.remove(&k);
-                shadow.acked_sizes.entry(k).or_default().insert(size);
-                Ok(())
-            }
-            Err(e) => Err(e),
-        },
-        ScriptOp::Get(k) => cache.get(k).map(|_| ()),
-        ScriptOp::Delete(k) => match cache.delete(k) {
-            Ok(_) => {
-                shadow.acked_sizes.remove(&k);
-                shadow.deleted.insert(k);
-                Ok(())
-            }
-            Err(e) => Err(e),
-        },
-    };
-    match r {
+/// Serves one scripted request through the oracle; returns `false`
+/// when the scripted kill fired (the op is unacknowledged). Panics on
+/// any other error — a kill-only plan injects nothing recoverable.
+fn apply<C: Cache + ?Sized>(cache: &mut C, req: Request, oracle: &mut Oracle) -> bool {
+    match oracle.step(cache, req) {
         Ok(()) => true,
         Err(e) if e.is_kill() => false,
-        Err(e) => panic!("non-kill error on {op:?}: {e}"),
-    }
-}
-
-/// Reattaches the cache, retrying when a still-armed kill fires during
-/// the recovery reads (recovery never writes, so the retry reboots
-/// from identical flash state).
-fn recover_retrying(ctrl: &Arc<Controller>, nsid: NamespaceId, cfg: &CacheConfig) -> HybridCache {
-    loop {
-        match recover_cache(ctrl, nsid, cfg, Box::new(RoundRobinPolicy::new())) {
-            Ok(c) => return c,
-            Err(e) if e.is_kill() => continue,
-            Err(e) => panic!("recovery: {e}"),
-        }
+        Err(e) => panic!("non-kill error on {req:?}: {e}"),
     }
 }
 
@@ -123,8 +89,7 @@ struct MatrixOutcome {
     ftl_path: String,
     ftl_events_dropped: u64,
     persisted: BTreeSet<u64>,
-    lost: u64,
-    resurrected: u64,
+    check: CrashReport,
     final_stats: CacheStats,
 }
 
@@ -141,11 +106,11 @@ fn run_matrix_point(lba: u64, at_access: u64, ops: u64) -> MatrixOutcome {
     let config = cache_config(1_000);
     let mut cache = build_cache(&ctrl, nsid, &config, Box::new(RoundRobinPolicy::new())).unwrap();
 
-    let mut shadow = Shadow::default();
+    let mut oracle = Oracle::new();
     let mut ops_done = 0u64;
     let mut crashed = false;
     for i in 0..ops {
-        if apply(&mut cache, script(i), &mut shadow) {
+        if apply(&mut cache, script(i), &mut oracle) {
             ops_done += 1;
         } else {
             crashed = true;
@@ -157,32 +122,16 @@ fn run_matrix_point(lba: u64, at_access: u64, ops: u64) -> MatrixOutcome {
     drop(cache);
 
     let report = ctrl.recover_ftl(None);
-    let mut cache = recover_retrying(&ctrl, nsid, &config);
+    let mut cache = reattach(&ctrl, nsid, &config);
     cache.set_promote_on_nvm_hit(false);
     let recovered: BTreeSet<u64> = cache.persisted_keys().into_iter().collect();
     assert_eq!(recovered, persisted, "recovery must rebuild exactly the persisted set");
-    let mut lost = 0u64;
-    for &k in &persisted {
-        let (_, v) = cache.get(k).expect("verification read");
-        let ok = v.is_some_and(|v| {
-            let len = v.len() as u32;
-            shadow.acked_sizes.get(&k).is_some_and(|s| s.contains(&len))
-                && v.to_bytes(k) == Value::synthetic(len).to_bytes(k)
-        });
-        if !ok {
-            lost += 1;
-        }
-    }
-    let mut resurrected = 0u64;
-    for &k in &shadow.deleted {
-        let (outcome, _) = cache.get(k).expect("resurrection probe");
-        if outcome != GetOutcome::Miss {
-            resurrected += 1;
-        }
-    }
+    // The interrupted op is checked like an unwritten one: no in-flight
+    // allowance.
+    let check = oracle.check_crash(&mut cache, &persisted).expect("verification read");
     cache.set_promote_on_nvm_hit(true);
     for i in (ops_done + u64::from(crashed))..ops {
-        assert!(apply(&mut cache, script(i), &mut shadow), "kill is one-shot");
+        assert!(apply(&mut cache, script(i), &mut oracle), "kill is one-shot");
     }
     cache.drain_io();
     ctrl.with_ftl(|f| f.check_invariants());
@@ -193,8 +142,7 @@ fn run_matrix_point(lba: u64, at_access: u64, ops: u64) -> MatrixOutcome {
         ftl_path: report.path.to_string(),
         ftl_events_dropped: report.events_dropped,
         persisted,
-        lost,
-        resurrected,
+        check,
         final_stats: cache.stats(),
     }
 }
@@ -229,8 +177,10 @@ fn crash_matrix_loses_nothing_and_replays_bit_identically() {
         assert!(first.crashed, "{label}: kill never fired — vacuous crash point");
         assert!(first.ops_before_crash < ops, "{label}: crash must interrupt the replay");
         assert!(!first.persisted.is_empty(), "{label}: nothing persisted before the kill");
-        assert_eq!(first.lost, 0, "{label}: lost acknowledged-and-sealed writes");
-        assert_eq!(first.resurrected, 0, "{label}: acknowledged deletes resurrected");
+        let c = &first.check;
+        assert_eq!(c.persisted.checked, first.persisted.len() as u64, "{label}: unchecked keys");
+        assert_eq!(c.persisted.violations, [], "{label}: lost acknowledged-and-sealed writes");
+        assert_eq!(c.deleted.violations, [], "{label}: acknowledged deletes resurrected");
         if first.ftl_events_dropped > 0 {
             assert_eq!(
                 first.ftl_path, "full-scan",
@@ -255,9 +205,9 @@ fn recovered_engines_report_zero_app_bytes_and_wa_identities_hold() {
     let nsid = create_namespace(&ctrl, 0.9, vec![0, 1]).unwrap();
     let config = cache_config(1_000);
     let mut cache = build_cache(&ctrl, nsid, &config, Box::new(RoundRobinPolicy::new())).unwrap();
-    let mut shadow = Shadow::default();
+    let mut oracle = Oracle::new();
     for i in 0..300 {
-        assert!(apply(&mut cache, script(i), &mut shadow));
+        assert!(apply(&mut cache, script(i), &mut oracle));
     }
     cache.drain_io();
     let (dev_before, app_before) = cache.amp_bytes();
@@ -269,7 +219,7 @@ fn recovered_engines_report_zero_app_bytes_and_wa_identities_hold() {
     // device's own bookkeeping); the identity must hold right after
     // mapping reconstruction.
     ctrl.with_ftl(|f| f.check_invariants());
-    let mut cache = recover_retrying(&ctrl, nsid, &config);
+    let mut cache = reattach(&ctrl, nsid, &config);
     // Host-side counters do NOT survive: the recovered engines start
     // from zero and every ratio sits at its identity value.
     let (dev, app) = cache.amp_bytes();
@@ -283,7 +233,7 @@ fn recovered_engines_report_zero_app_bytes_and_wa_identities_hold() {
     // Post-recovery traffic rebuilds the ratios from clean denominators
     // and the device identity keeps holding.
     for i in 300..600 {
-        assert!(apply(&mut cache, script(i), &mut shadow));
+        assert!(apply(&mut cache, script(i), &mut oracle));
     }
     cache.drain_io();
     let (dev, app) = cache.amp_bytes();
@@ -308,8 +258,7 @@ struct ShardOutcome {
     ops_done: u64,
     crashed: bool,
     persisted: BTreeSet<u64>,
-    lost: u64,
-    resurrected: u64,
+    check: CrashReport,
 }
 
 /// Partitions the script by owning shard, replays each shard's
@@ -333,59 +282,41 @@ fn run_pool_crash(workers: usize, ops: u64, crash_lba: u64) -> Vec<ShardOutcome>
         ConcurrentPool::new(&ctrl, &config, 2, 0.9, || Box::new(RoundRobinPolicy::new())).unwrap();
     let shards = pool.shards();
     // Shard-owned sub-traces, in trace order.
-    let mut subtraces: Vec<Vec<ScriptOp>> = vec![Vec::new(); shards];
+    let mut subtraces: Vec<Vec<Request>> = vec![Vec::new(); shards];
     for i in 0..ops {
-        let op = script(i);
-        let key = match op {
-            ScriptOp::Put(k, _) | ScriptOp::Get(k) | ScriptOp::Delete(k) => k,
-        };
-        subtraces[pool.shard_of(key)].push(op);
+        let req = script(i);
+        subtraces[pool.shard_of(req.key)].push(req);
     }
 
     // Each worker replays the shards it owns; a kill stops only the
     // owning shard's stream (the simulated blast radius of the crash —
     // every shard's flash state is a pure function of its sub-trace).
-    let results: Vec<(u64, bool, Shadow)> = std::thread::scope(|scope| {
+    let results: Vec<(u64, bool, Oracle)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
-                let pool = &pool;
+                let mut pool = &pool;
                 let subtraces = &subtraces;
                 scope.spawn(move || {
                     let mut out = Vec::new();
                     for s in (0..shards).filter(|s| s % workers == w) {
-                        let mut shadow = Shadow::default();
+                        let mut oracle = Oracle::new();
                         let mut done = 0u64;
                         let mut crashed = false;
-                        for &op in &subtraces[s] {
-                            let r = match op {
-                                ScriptOp::Put(k, size) => {
-                                    pool.put(k, Value::synthetic(size)).map(|()| {
-                                        shadow.deleted.remove(&k);
-                                        shadow.acked_sizes.entry(k).or_default().insert(size);
-                                    })
-                                }
-                                ScriptOp::Get(k) => pool.get(k).map(|_| ()),
-                                ScriptOp::Delete(k) => pool.delete(k).map(|_| {
-                                    shadow.acked_sizes.remove(&k);
-                                    shadow.deleted.insert(k);
-                                }),
-                            };
-                            match r {
-                                Ok(()) => done += 1,
-                                Err(e) if e.is_kill() => {
-                                    crashed = true;
-                                    break;
-                                }
-                                Err(e) => panic!("shard {s}: non-kill error: {e}"),
+                        for &req in &subtraces[s] {
+                            if apply(&mut pool, req, &mut oracle) {
+                                done += 1;
+                            } else {
+                                crashed = true;
+                                break;
                             }
                         }
-                        out.push((s, (done, crashed, shadow)));
+                        out.push((s, (done, crashed, oracle)));
                     }
                     out
                 })
             })
             .collect();
-        let mut merged: Vec<Option<(u64, bool, Shadow)>> = (0..shards).map(|_| None).collect();
+        let mut merged: Vec<Option<(u64, bool, Oracle)>> = (0..shards).map(|_| None).collect();
         for h in handles {
             for (s, r) in h.join().unwrap() {
                 merged[s] = Some(r);
@@ -406,34 +337,17 @@ fn run_pool_crash(workers: usize, ops: u64, crash_lba: u64) -> Vec<ShardOutcome>
     recovered.set_promote_on_nvm_hit(false);
     (0..shards)
         .map(|s| {
-            let (done, crashed, shadow) = &results[s];
+            let (done, crashed, oracle) = &results[s];
             let got: BTreeSet<u64> =
                 recovered.with_shard(s, |c| c.persisted_keys().into_iter().collect()).unwrap();
             assert_eq!(got, persisted[s], "shard {s}: recovered persisted set diverged");
-            let mut lost = 0u64;
-            for &k in &persisted[s] {
-                let (_, v) = recovered.get(k).expect("verification read");
-                let ok = v.is_some_and(|v| {
-                    let len = v.len() as u32;
-                    shadow.acked_sizes.get(&k).is_some_and(|sz| sz.contains(&len))
-                        && v.to_bytes(k) == Value::synthetic(len).to_bytes(k)
-                });
-                if !ok {
-                    lost += 1;
-                }
-            }
-            let mut resurrected = 0u64;
-            for &k in &shadow.deleted {
-                if recovered.get(k).expect("resurrection probe").0 != GetOutcome::Miss {
-                    resurrected += 1;
-                }
-            }
+            let check =
+                oracle.check_crash(&mut &recovered, &persisted[s]).expect("verification read");
             ShardOutcome {
                 ops_done: *done,
                 crashed: *crashed,
                 persisted: persisted[s].clone(),
-                lost,
-                resurrected,
+                check,
             }
         })
         .collect()
@@ -456,8 +370,13 @@ fn pool_crash_recovery_is_worker_count_invariant() {
     assert!(single[0].crashed, "shard 0's kill never fired — vacuous crash point");
     for (s, o) in single.iter().enumerate() {
         assert!(!o.persisted.is_empty(), "shard {s}: nothing persisted");
-        assert_eq!(o.lost, 0, "shard {s}: lost acknowledged-and-sealed writes");
-        assert_eq!(o.resurrected, 0, "shard {s}: resurrected deletes");
+        assert_eq!(o.check.persisted.checked, o.persisted.len() as u64, "shard {s}: unchecked");
+        assert_eq!(
+            o.check.persisted.violations,
+            [],
+            "shard {s}: lost acknowledged-and-sealed writes"
+        );
+        assert_eq!(o.check.deleted.violations, [], "shard {s}: resurrected deletes");
     }
     assert!(!single[1].crashed, "the crash must be confined to shard 0's stream");
     let rerun = run_pool_crash(1, ops, crash_lba);
@@ -498,25 +417,25 @@ const SWEEP_OPS: u64 = 460;
 /// through every region and into eviction, interleaved with overwrites
 /// of sealed keys, deletes of sealed keys (from the long footer too),
 /// SOC traffic and reads of both engines.
-fn sweep_script(i: u64) -> ScriptOp {
+fn sweep_script(i: u64) -> Request {
     const SMALL: u64 = 500_000;
     match i {
-        0..=39 => ScriptOp::Put(SMALL + i % 24, 90),
-        40..=339 => ScriptOp::Put(1_000 + (i - 40), 1_100),
+        0..=39 => put(SMALL + i % 24, 90),
+        40..=339 => put(1_000 + (i - 40), 1_100),
         _ => {
             let j = i - 340;
             let big = 2_000 + j / 4;
             match j % 12 {
-                0 | 4 | 8 => ScriptOp::Put(big, 120_000 + (j % 5) as u32 * 1_000),
+                0 | 4 | 8 => put(big, 120_000 + (j % 5) as u32 * 1_000),
                 // Overwrite a key sealed a couple of regions back.
-                1 => ScriptOp::Put(2_000 + (j / 4).saturating_sub(9), 130_000),
-                2 | 6 | 10 => ScriptOp::Put(SMALL + j % 24, 90),
+                1 => put(2_000 + (j / 4).saturating_sub(9), 130_000),
+                2 | 6 | 10 => put(SMALL + j % 24, 90),
                 // Delete out of the long footer, then out of a short one.
-                3 => ScriptOp::Delete(1_000 + j / 12),
-                7 => ScriptOp::Delete(2_000 + (j / 4).saturating_sub(5)),
-                5 => ScriptOp::Get(2_000 + (j / 4).saturating_sub(2)),
-                9 => ScriptOp::Get(1_150 + j / 12),
-                _ => ScriptOp::Get(SMALL + (j + 7) % 24),
+                3 => delete(1_000 + j / 12),
+                7 => delete(2_000 + (j / 4).saturating_sub(5)),
+                5 => get(2_000 + (j / 4).saturating_sub(2)),
+                9 => get(1_150 + j / 12),
+                _ => get(SMALL + (j + 7) % 24),
             }
         }
     }
@@ -549,7 +468,7 @@ fn long_footer_shrinks_with_deletes_and_recovers_whole() {
     drop(cache); // the crash
 
     ctrl.recover_ftl(None);
-    let mut cache = recover_retrying(&ctrl, nsid, &config);
+    let mut cache = reattach(&ctrl, nsid, &config);
     let recovered: BTreeSet<u64> = cache.persisted_keys().into_iter().collect();
     let expected: BTreeSet<u64> = (1_048..1_300).chain([5_000]).collect();
     assert_eq!(recovered, expected);
@@ -560,12 +479,6 @@ fn long_footer_shrinks_with_deletes_and_recovers_whole() {
     }
     for k in 1_000..1_048u64 {
         assert_eq!(cache.get(k).unwrap().0, GetOutcome::Miss, "deleted key {k} resurrected");
-    }
-}
-
-fn key_of(op: ScriptOp) -> u64 {
-    match op {
-        ScriptOp::Put(k, _) | ScriptOp::Get(k) | ScriptOp::Delete(k) => k,
     }
 }
 
@@ -631,7 +544,7 @@ fn footer_seqs(ctrl: &Arc<Controller>, nsid: NamespaceId, cache: &HybridCache) -
 }
 
 /// One crash of the sweep: everything after it is checked against the
-/// shadow of acknowledged operations.
+/// oracle.
 struct Crash {
     /// Index of the op the kill interrupted.
     op: u64,
@@ -640,44 +553,42 @@ struct Crash {
 }
 
 /// Replays ops `from..` until the trace ends or a kill fires.
-fn replay(cache: &mut HybridCache, from: u64, shadow: &mut Shadow) -> Option<Crash> {
+fn replay(cache: &mut HybridCache, from: u64, oracle: &mut Oracle) -> Option<Crash> {
     for i in from..SWEEP_OPS {
-        if !apply(cache, sweep_script(i), shadow) {
+        if !apply(cache, sweep_script(i), oracle) {
             return Some(Crash { op: i, persisted: cache.persisted_keys().into_iter().collect() });
         }
     }
     None
 }
 
-/// Recovers after `crash` and checks the sweep's invariants: nothing
-/// the engines held sealed is lost or mangled, no acknowledged delete
-/// comes back, and the device's own books balance. The interrupted
-/// op was never acknowledged, so its key may read either way.
+/// Recovers after `crash` and checks the oracle's crash contract:
+/// nothing the engines held sealed is lost or mangled, and no
+/// acknowledged delete comes back. The interrupted op was never
+/// acknowledged, so its key may read either way. The device's own books
+/// must balance too.
 fn recover_and_check(
     ctrl: &Arc<Controller>,
     nsid: NamespaceId,
     crash: &Crash,
-    shadow: &Shadow,
+    oracle: &mut Oracle,
     at: &str,
 ) -> HybridCache {
     ctrl.recover_ftl(None);
     ctrl.with_ftl(|f| f.check_invariants());
-    let mut cache = recover_retrying(ctrl, nsid, &sweep_config());
+    let mut cache = reattach(ctrl, nsid, &sweep_config());
     cache.set_promote_on_nvm_hit(false);
-    let in_flight = sweep_script(crash.op);
-    for &k in &crash.persisted {
-        let (_, v) = cache.get(k).expect("verification read");
-        let v = v.unwrap_or_else(|| panic!("{at}: sealed key {k} lost"));
-        let len = v.len() as u32;
-        let acked = shadow.acked_sizes.get(&k).is_some_and(|s| s.contains(&len))
-            || in_flight == ScriptOp::Put(k, len);
-        assert!(acked, "{at}: key {k} recovered with a size ({len}) nobody wrote");
-        assert!(v.to_bytes(k) == Value::synthetic(len).to_bytes(k), "{at}: key {k} mangled");
-    }
-    for &k in shadow.deleted.iter().filter(|&&k| k != key_of(in_flight)) {
-        let (outcome, _) = cache.get(k).expect("resurrection probe");
-        assert_eq!(outcome, GetOutcome::Miss, "{at}: acknowledged delete of {k} resurrected");
-    }
+    oracle.crash(Some(sweep_script(crash.op)));
+    let check = oracle.check_crash(&mut cache, &crash.persisted).expect("verification read");
+    assert_eq!(check.persisted.checked, crash.persisted.len() as u64, "{at}: unchecked keys");
+    let broken: Vec<String> = check
+        .persisted
+        .violations
+        .iter()
+        .chain(&check.deleted.violations)
+        .map(|v| v.to_string())
+        .collect();
+    assert!(broken.is_empty(), "{at}: crash contract broken: {}", broken.join("; "));
     cache.set_promote_on_nvm_hit(true);
     cache
 }
@@ -723,13 +634,13 @@ fn run_sweep(kills: Vec<ScriptedFault>, at: &str) -> SweepRun {
         build_cache(&ctrl, nsid, &sweep_config(), Box::new(RoundRobinPolicy::new())).unwrap();
     assert_ne!(cache.navy().loc().meta_handle(), cache.navy().loc().handle());
 
-    let mut shadow = Shadow::default();
+    let mut oracle = Oracle::new();
     let mut run = SweepRun { log: Vec::new(), crashes: 0, resumed_at: 0 };
     let mut from = 0;
     // Footers on flash when the last recovery finished.
     let mut recovered_footers: Option<Vec<(u32, u64)>> = None;
     loop {
-        let crash = replay(&mut cache, from, &mut shadow);
+        let crash = replay(&mut cache, from, &mut oracle);
         // Reads the checks themselves issue are no crash points.
         run.log = starts.lock().unwrap().clone();
         if let Some(before) = recovered_footers.take() {
@@ -740,7 +651,7 @@ fn run_sweep(kills: Vec<ScriptedFault>, at: &str) -> SweepRun {
         let at =
             format!("{at}: crash {} in op {} {:?}", run.crashes, crash.op, sweep_script(crash.op));
         drop(cache);
-        cache = recover_and_check(&ctrl, nsid, &crash, &shadow, &at);
+        cache = recover_and_check(&ctrl, nsid, &crash, &mut oracle, &at);
         recovered_footers = Some(footer_seqs(&ctrl, nsid, &cache));
         from = crash.op + 1;
         if run.crashes == 1 {

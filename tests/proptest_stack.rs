@@ -4,9 +4,9 @@
 use proptest::prelude::*;
 
 use fdpcache::cache::builder::{build_stack, StoreKind};
-use fdpcache::cache::value::Value;
 use fdpcache::cache::{CacheConfig, NvmConfig};
 use fdpcache::ftl::{Ftl, FtlConfig};
+use fdpcache::workloads::{Op, Oracle, Request};
 
 #[derive(Debug, Clone)]
 enum FtlOp {
@@ -82,18 +82,11 @@ proptest! {
     }
 }
 
-#[derive(Debug, Clone)]
-enum CacheOp {
-    Put { key: u16, size: u16 },
-    Get { key: u16 },
-    Delete { key: u16 },
-}
-
-fn cache_op() -> impl Strategy<Value = CacheOp> {
+fn cache_op() -> impl Strategy<Value = Request> {
     prop_oneof![
-        (0..400u16, 1..8000u16).prop_map(|(key, size)| CacheOp::Put { key, size }),
-        (0..400u16).prop_map(|key| CacheOp::Get { key }),
-        (0..400u16).prop_map(|key| CacheOp::Delete { key }),
+        (0..400u64, 1..8000u32).prop_map(|(key, size)| Request { op: Op::Set, key, size }),
+        (0..400u64).prop_map(|key| Request { op: Op::Get, key, size: 0 }),
+        (0..400u64).prop_map(|key| Request { op: Op::Delete, key, size: 0 }),
     ]
 }
 
@@ -101,7 +94,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The hybrid cache never serves a stale or deleted value, under any
-    /// interleaving of puts/gets/deletes (linearized single-thread).
+    /// interleaving of puts/gets/deletes (linearized single-thread): the
+    /// oracle's served-value check compares every hit's bytes.
     #[test]
     fn cache_never_serves_stale_data(ops in prop::collection::vec(cache_op(), 1..300)) {
         let cfg = CacheConfig {
@@ -111,28 +105,14 @@ proptest! {
             use_fdp: true,
         };
         let (_ctrl, mut cache) =
-            build_stack(FtlConfig::tiny_test(), StoreKind::Null, true, 0.9, &cfg).unwrap();
-        let mut model = std::collections::HashMap::new();
-        for op in ops {
-            match op {
-                CacheOp::Put { key, size } => {
-                    cache.put(key as u64, Value::synthetic(size as u32)).unwrap();
-                    model.insert(key, size as u32);
-                }
-                CacheOp::Get { key } => {
-                    let (outcome, v) = cache.get(key as u64).unwrap();
-                    if outcome != fdpcache::cache::GetOutcome::Miss {
-                        let got = v.unwrap().len() as u32;
-                        match model.get(&key) {
-                            Some(&expected) => prop_assert_eq!(got, expected),
-                            None => prop_assert!(false, "deleted key {} served", key),
-                        }
-                    }
-                }
-                CacheOp::Delete { key } => {
-                    cache.delete(key as u64).unwrap();
-                    model.remove(&key);
-                }
+            build_stack(FtlConfig::tiny_test(), StoreKind::Mem, true, 0.9, &cfg).unwrap();
+        let mut oracle = Oracle::new();
+        for req in ops {
+            if req.op == Op::Get {
+                let report = oracle.check_served(&mut cache, [req.key]).unwrap();
+                prop_assert_eq!(report.violations, []);
+            } else {
+                oracle.step(&mut cache, req).unwrap();
             }
         }
     }
