@@ -4,34 +4,30 @@
 //! submits commands through a per-worker [`QueuePair`], recording
 //! latency histograms.
 //!
-//! Two submission shapes:
+//! Every device command takes one route. [`IoManager::write`] is a
+//! one-command write batch and [`IoManager::submit_batch`] flushes an
+//! [`IoBatch`] of writes; both map through
+//! [`Controller::write_batch_ns`], which validates and maps every
+//! command of the batch under **one** media-lock acquisition.
+//! [`IoManager::read`] and [`IoManager::discard`] issue one command
+//! each. Whatever the command, one private per-command step then
+//! charges its slice of the GC backlog, submits it through the queue
+//! pair, feeds the health monitor and records its latency and
+//! [`IoStats`]. A batch therefore times each of its commands exactly
+//! as the same writes issued one by one would be timed.
 //!
-//! * **Per-command** — [`IoManager::write`] / [`IoManager::read`] /
-//!   [`IoManager::discard`] submit one command each. With the default
-//!   queue depth of 1 they are synchronous (the clock advances to each
-//!   completion); at higher depths ([`IoManager::set_queue_depth`]) up
-//!   to QD commands stay in flight and the clock only advances when
-//!   the queue fills or [`IoManager::flush`] reaps it.
-//! * **Batched** — an [`IoBatch`] queues writes, reads and discards and
-//!   [`IoManager::submit_batch`] flushes them as one submission: all
-//!   writes validate and map under **one** media-lock acquisition
-//!   ([`Controller::write_batch_ns`]), all discards form one vectored
-//!   DSM command, commands stripe across device lanes through the
-//!   queue pair, and statistics update in bulk. The LOC seals each
-//!   region this way instead of issuing N sequential chunk writes.
-//!   Payloads stay vectored all the way down: each queued write reaches
-//!   the payload store through `DataStore::write_blocks` (borrowed
-//!   bytes) or `DataStore::fill_blocks` (bytes the store asks the
-//!   caller to produce in place), so a sealed region is materialised
-//!   straight into the slab rather than staged, copied, or inserted
-//!   one 4 KiB block at a time (DESIGN.md §5.3).
+//! With the default queue depth of 1 each command is synchronous (the
+//! clock advances to its completion); at higher depths
+//! ([`IoManager::set_queue_depth`]) up to QD commands stay in flight
+//! and the clock only advances when the queue fills or
+//! [`IoManager::flush`] reaps it.
 //!
-//! Commands inside one batch have **no ordering guarantees relative to
-//! each other** (NVMe gives none within a queue): the flush phases run
-//! writes' mapping first, then reads, then discards. Do not batch
-//! commands that depend on each other's effects on the same blocks —
-//! no cache client does (each engine owns its blocks and batches
-//! homogeneous region work).
+//! Payloads stay vectored all the way down: each write reaches the
+//! payload store through `DataStore::write_blocks` (borrowed bytes) or
+//! `DataStore::fill_blocks` (bytes the store asks the caller to produce
+//! in place), so a sealed LOC region is materialised straight into the
+//! slab rather than staged, copied, or inserted one 4 KiB block at a
+//! time (DESIGN.md §5.3).
 //!
 //! Concurrency topology: the controller is a plain `Arc` —
 //! [`SharedController`] — with interior fine-grained locking (media
@@ -133,40 +129,36 @@ impl IoStats {
     }
 }
 
-/// One queued operation of an [`IoBatch`].
-#[derive(Debug)]
-enum BatchOp<'a> {
-    Write { block: u64, data: WritePayload<'a>, handle: PlacementHandle },
-    Read { block: u64, out: &'a mut [u8] },
-    Discard { block: u64, count: u64 },
-}
-
-/// A builder of vectored submissions: queue writes, reads and discards
-/// against one [`IoManager`], then flush them all with
-/// [`IoManager::submit_batch`]. Batch assembly is copy-free: a write
-/// either borrows its bytes ([`IoBatch::write`]) or hands the payload
-/// store a fill source that produces them in place
-/// ([`IoBatch::write_with`]; the LOC seals regions this way).
+/// A builder of vectored write submissions: queue writes against one
+/// [`IoManager`], then flush them all with [`IoManager::submit_batch`].
+/// Batch assembly is copy-free: a write either borrows its bytes
+/// ([`IoBatch::write`]) or hands the payload store a fill source that
+/// produces them in place ([`IoBatch::write_with`]; the LOC seals
+/// regions this way).
 #[derive(Debug, Default)]
 pub struct IoBatch<'a> {
-    ops: Vec<BatchOp<'a>>,
+    writes: Vec<BatchWrite<'a>>,
 }
 
 impl<'a> IoBatch<'a> {
     /// Creates an empty batch.
     pub fn new() -> Self {
-        IoBatch { ops: Vec::new() }
+        IoBatch { writes: Vec::new() }
     }
 
-    /// Creates an empty batch with room for `n` operations.
+    /// Creates an empty batch with room for `n` writes.
     pub fn with_capacity(n: usize) -> Self {
-        IoBatch { ops: Vec::with_capacity(n) }
+        IoBatch { writes: Vec::with_capacity(n) }
     }
 
     /// Queues a write of `data` (whole blocks) at `block` with the
     /// consumer's placement handle.
     pub fn write(&mut self, block: u64, data: &'a [u8], handle: PlacementHandle) -> &mut Self {
-        self.ops.push(BatchOp::Write { block, data: WritePayload::Bytes(data), handle });
+        self.writes.push(BatchWrite {
+            slba: block,
+            data: WritePayload::Bytes(data),
+            dspec: handle.dspec(),
+        });
         self
     }
 
@@ -180,31 +172,22 @@ impl<'a> IoBatch<'a> {
         fill: &'a dyn Fn(usize, &mut [u8]),
         handle: PlacementHandle,
     ) -> &mut Self {
-        self.ops.push(BatchOp::Write { block, data: WritePayload::Fill { nlb, fill }, handle });
+        self.writes.push(BatchWrite {
+            slba: block,
+            data: WritePayload::Fill { nlb, fill },
+            dspec: handle.dspec(),
+        });
         self
     }
+}
 
-    /// Queues a read into `out` (whole blocks) from `block`.
-    pub fn read(&mut self, block: u64, out: &'a mut [u8]) -> &mut Self {
-        self.ops.push(BatchOp::Read { block, out });
-        self
-    }
-
-    /// Queues a deallocate of `count` blocks starting at `block`.
-    pub fn discard(&mut self, block: u64, count: u64) -> &mut Self {
-        self.ops.push(BatchOp::Discard { block, count });
-        self
-    }
-
-    /// Queued operation count.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Whether the batch holds no operations.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
+/// The kind of a completed command: selects its GC-charge cap, its
+/// latency histogram and its [`IoStats`] counters.
+#[derive(Debug, Clone, Copy)]
+enum Command {
+    Write,
+    Read,
+    Discard,
 }
 
 /// Per-worker FDP-aware I/O path.
@@ -222,7 +205,6 @@ pub struct IoManager {
     blocks: u64,
     retains_data: bool,
     lanes: usize,
-    queue_depth: usize,
     /// Outstanding GC media work (ns) not yet charged to the lanes.
     /// Real controllers interleave relocation with host commands; we
     /// drain this backlog a slice at a time alongside each submission,
@@ -239,7 +221,7 @@ impl std::fmt::Debug for IoManager {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("IoManager")
             .field("nsid", &self.ns.nsid())
-            .field("queue_depth", &self.queue_depth)
+            .field("queue_depth", &self.qp.depth())
             .field("stats", &self.stats)
             .finish()
     }
@@ -265,7 +247,6 @@ impl IoManager {
             ns,
             qp: QueuePair::new(lanes),
             lanes,
-            queue_depth: 1,
             read_hist: Histogram::new(),
             write_hist: Histogram::new(),
             discard_hist: Histogram::new(),
@@ -299,34 +280,54 @@ impl IoManager {
         }
     }
 
-    /// Submits one command of the given service time through the queue
-    /// pair, honouring the configured queue depth, and returns its
-    /// latency. At depth 1 this is the synchronous completion-polled
-    /// loop (clock advances to the completion); at higher depths the
-    /// command is left in flight and the clock only advances when the
-    /// queue is full.
-    fn submit_command(&mut self, service_ns: u64) -> u64 {
-        self.submit_command_status(service_ns, false)
+    /// The per-command step every successful command takes: charges
+    /// its slice of the GC backlog (writes and reads), submits it
+    /// through the queue pair at the configured depth, feeds the health
+    /// monitor and records its latency and `bytes` in the histograms
+    /// and [`IoStats`]. Returns the command's latency.
+    fn finish_command(&mut self, command: Command, service_ns: u64, bytes: u64) -> u64 {
+        match command {
+            Command::Write => self.charge_gc_interference(service_ns, GC_WRITE_INTERFERENCE_CAP),
+            Command::Read => self.charge_gc_interference(service_ns, GC_READ_INTERFERENCE_CAP),
+            Command::Discard => {}
+        }
+        let lat = self.qp.submit(service_ns);
+        self.health.record_ok(self.qp.now_ns());
+        let s = &mut self.stats;
+        let (hist, count, total) = match command {
+            Command::Write => (&mut self.write_hist, &mut s.writes, &mut s.bytes_written),
+            Command::Read => (&mut self.read_hist, &mut s.reads, &mut s.bytes_read),
+            Command::Discard => (&mut self.discard_hist, &mut s.discards, &mut s.bytes_discarded),
+        };
+        hist.record(lat);
+        *count += 1;
+        *total += bytes;
+        lat
     }
 
-    /// [`IoManager::submit_command`] with an explicit completion status
-    /// (failed completions replay injected faults deterministically).
-    fn submit_command_status(&mut self, service_ns: u64, failed: bool) -> u64 {
-        if self.queue_depth <= 1 {
-            let id = self.qp.submit_async_status(service_ns, 0, failed);
-            loop {
-                match self.qp.complete() {
-                    Some(c) if c.id == id => return c.latency_ns,
-                    Some(_) => continue,
-                    // Unreachable by construction (the command was just
-                    // submitted), but never panic on the I/O path.
-                    None => return service_ns,
-                }
-            }
-        } else {
-            let id = self.qp.submit_async_status(service_ns, 0, failed);
-            self.qp.scheduled(id).map(|c| c.latency_ns).unwrap_or(service_ns)
+    /// The one write route: maps `writes` through
+    /// [`Controller::write_batch_ns`] into the `done` slots, then
+    /// completes each command in order through the per-command step,
+    /// storing its latency in `latencies`. A controller error maps
+    /// nothing and charges one failed completion.
+    fn write_batch(
+        &mut self,
+        writes: &[BatchWrite<'_>],
+        done: &mut [WriteCompletion],
+        latencies: &mut [u64],
+    ) -> Result<(), NvmeError> {
+        if let Err(e) = self.ctrl.write_batch_ns(&self.ns, writes, done) {
+            return Err(self.fail_command(e));
         }
+        for ((w, c), lat) in writes.iter().zip(done.iter()).zip(latencies) {
+            let bytes = w.data.byte_len(self.block_bytes as usize) as u64;
+            // Multi-block writes stripe across device lanes: effective
+            // service time divides by the parallelism actually usable.
+            let parallelism = (bytes / self.block_bytes as u64).clamp(1, self.lanes as u64);
+            self.gc_backlog_ns += c.gc_ns;
+            *lat = self.finish_command(Command::Write, c.service_ns / parallelism, bytes);
+        }
+        Ok(())
     }
 
     /// Completes an injected device fault deterministically: charges
@@ -341,7 +342,7 @@ impl IoManager {
             NvmeError::Busy { penalty_ns } => *penalty_ns,
             _ => return e,
         };
-        self.submit_command_status(service, true);
+        self.qp.submit(service);
         self.stats.faults += 1;
         let now = self.qp.now_ns();
         match &e {
@@ -448,7 +449,7 @@ impl IoManager {
 
     /// The configured queue depth (commands kept in flight).
     pub fn queue_depth(&self) -> usize {
-        self.queue_depth
+        self.qp.depth()
     }
 
     /// Reconfigures the queue depth. Depth 1 (the default) is the
@@ -457,8 +458,7 @@ impl IoManager {
     /// time, like an io_uring loop keeping QD submissions outstanding.
     /// Shrinking reaps excess completions (advancing the clock).
     pub fn set_queue_depth(&mut self, depth: usize) {
-        self.queue_depth = depth.max(1);
-        self.qp.set_depth(self.queue_depth);
+        self.qp.set_depth(depth);
     }
 
     /// Reaps every outstanding completion, advancing the virtual clock
@@ -473,7 +473,8 @@ impl IoManager {
     }
 
     /// Writes `data` at `block` with the consumer's placement handle,
-    /// returning observed command latency (ns).
+    /// returning observed command latency (ns): a one-command write
+    /// batch.
     ///
     /// # Errors
     ///
@@ -484,23 +485,15 @@ impl IoManager {
         data: &[u8],
         handle: PlacementHandle,
     ) -> Result<u64, NvmeError> {
-        let completion = match self.ctrl.write_ns(&self.ns, block, data, handle.dspec()) {
-            Ok(c) => c,
-            Err(e) => return Err(self.fail_command(e)),
-        };
-        // Multi-block writes stripe across device lanes: effective
-        // service time divides by the parallelism actually usable.
-        let nlb = (data.len() as u64 / self.block_bytes as u64).max(1);
-        let parallelism = nlb.min(self.lanes as u64).max(1);
-        let service = completion.service_ns / parallelism;
-        self.gc_backlog_ns += completion.gc_ns;
-        self.charge_gc_interference(service, GC_WRITE_INTERFERENCE_CAP);
-        let lat = self.submit_command(service);
-        self.health.record_ok(self.qp.now_ns());
-        self.write_hist.record(lat);
-        self.stats.writes += 1;
-        self.stats.bytes_written += data.len() as u64;
-        Ok(lat)
+        let write =
+            BatchWrite { slba: block, data: WritePayload::Bytes(data), dspec: handle.dspec() };
+        let mut latency = [0];
+        self.write_batch(
+            std::slice::from_ref(&write),
+            &mut [WriteCompletion::default()],
+            &mut latency,
+        )?;
+        Ok(latency[0])
     }
 
     /// Reads into `out` from `block`, returning observed latency (ns).
@@ -509,17 +502,10 @@ impl IoManager {
     ///
     /// Propagates controller validation/FTL errors.
     pub fn read(&mut self, block: u64, out: &mut [u8]) -> Result<u64, NvmeError> {
-        let service_ns = match self.ctrl.read_ns(&self.ns, block, out) {
-            Ok(ns) => ns,
-            Err(e) => return Err(self.fail_command(e)),
-        };
-        self.charge_gc_interference(service_ns, GC_READ_INTERFERENCE_CAP);
-        let lat = self.submit_command(service_ns);
-        self.health.record_ok(self.qp.now_ns());
-        self.read_hist.record(lat);
-        self.stats.reads += 1;
-        self.stats.bytes_read += out.len() as u64;
-        Ok(lat)
+        match self.ctrl.read_ns(&self.ns, block, out) {
+            Ok(service_ns) => Ok(self.finish_command(Command::Read, service_ns, out.len() as u64)),
+            Err(e) => Err(self.fail_command(e)),
+        }
     }
 
     /// Deallocates `count` blocks starting at `block`, submitting the
@@ -536,79 +522,19 @@ impl IoManager {
             return Err(self.fail_command(e));
         }
         let service = DISCARD_BASE_SERVICE_NS + count * DISCARD_PER_BLOCK_NS;
-        let lat = self.submit_command(service);
-        self.health.record_ok(self.qp.now_ns());
-        self.discard_hist.record(lat);
-        self.stats.discards += 1;
-        self.stats.bytes_discarded += count * self.block_bytes as u64;
-        Ok(lat)
+        Ok(self.finish_command(Command::Discard, service, count * self.block_bytes as u64))
     }
 
-    /// Phases 1-3 of [`IoManager::submit_batch`]: the device-service
-    /// section. Returns the write completions and read service times
-    /// in queue order; touches no timing state, so an error leaves the
-    /// caller free to charge exactly one failed completion.
-    fn service_batch(
-        &self,
-        ops: &mut [BatchOp<'_>],
-    ) -> Result<(Vec<WriteCompletion>, Vec<u64>), NvmeError> {
-        // Phase 1: vectored write mapping under one media-lock hold.
-        let write_completions = {
-            let writes: Vec<BatchWrite<'_>> = ops
-                .iter()
-                .filter_map(|op| match op {
-                    BatchOp::Write { block, data, handle } => {
-                        Some(BatchWrite { slba: *block, data: *data, dspec: handle.dspec() })
-                    }
-                    _ => None,
-                })
-                .collect();
-            if writes.is_empty() {
-                Vec::new()
-            } else {
-                self.ctrl.write_batch_ns(&self.ns, &writes)?
-            }
-        };
-        // Phase 2: reads (mapping check under the media lock per
-        // command, payload loads outside it).
-        let mut read_services = Vec::new();
-        for op in ops.iter_mut() {
-            if let BatchOp::Read { block, out } = op {
-                read_services.push(self.ctrl.read_ns(&self.ns, *block, out)?);
-            }
-        }
-        // Phase 3: one vectored DSM deallocate for every discard.
-        let ranges: Vec<DeallocRange> = ops
-            .iter()
-            .filter_map(|op| match op {
-                BatchOp::Discard { block, count } => {
-                    Some(DeallocRange { slba: *block, nlb: *count })
-                }
-                _ => None,
-            })
-            .collect();
-        if !ranges.is_empty() {
-            self.ctrl.deallocate_ns(&self.ns, &ranges)?;
-        }
-        Ok((write_completions, read_services))
-    }
-
-    /// Flushes a batch as one vectored submission, returning each
-    /// operation's observed latency in queue order.
+    /// Flushes a batch of writes as one vectored submission, returning
+    /// each write's observed latency in queue order.
     ///
-    /// Phases:
-    ///
-    /// 1. every queued write validates and maps through
-    ///    [`Controller::write_batch_ns`] — **one** media-lock
-    ///    acquisition for the whole batch;
-    /// 2. reads execute (mapping check + payload load per command);
-    /// 3. discards coalesce into one vectored DSM deallocate;
-    /// 4. commands replay through the queue pair in queue order — GC
-    ///    interference charging, lane striping and latency recording
-    ///    are identical per command to the per-command path, so a
-    ///    depth-1 batch is bit-identical to sequential
-    ///    [`IoManager::write`]/[`IoManager::read`]/[`IoManager::discard`]
-    ///    calls — while statistics update in bulk.
+    /// Every queued write validates and maps through
+    /// [`Controller::write_batch_ns`] — **one** media-lock acquisition
+    /// for the whole batch — and then completes through the same
+    /// per-command step as [`IoManager::write`]: GC interference
+    /// charging, lane striping, latency recording and statistics are
+    /// per command, so a batch is bit-identical to the same writes
+    /// issued one by one at any queue depth.
     ///
     /// # Errors
     ///
@@ -619,64 +545,14 @@ impl IoManager {
     /// controller's fault gate and FTL rollback guarantee no mapping of
     /// the batch survives) and this manager charges one deterministic
     /// failed completion of [`FAULT_SERVICE_NS`] (or the busy penalty)
-    /// while counting it in [`IoStats::faults`], so fault
-    /// replays stay bit-reproducible while the cache tier retries or
-    /// requeues. For *mixed* batches a read/discard fault in phase 2/3
-    /// still leaves phase 1's writes applied (NVMe gives no cross-
-    /// command ordering inside a queue); the only batch client, the
-    /// LOC region seal, is write-only, so its recovery treats any
-    /// batch error as "nothing of this region landed".
-    pub fn submit_batch(&mut self, mut batch: IoBatch<'_>) -> Result<Vec<u64>, NvmeError> {
-        let (write_completions, read_services) = match self.service_batch(&mut batch.ops) {
-            Ok(v) => v,
-            Err(e) => return Err(self.fail_command(e)),
-        };
-
-        // Phase 4: timing replay in queue order; stats in bulk.
-        let mut latencies = Vec::with_capacity(batch.ops.len());
-        let (mut wi, mut ri) = (0usize, 0usize);
-        let mut bulk = IoStats::default();
-        for op in &batch.ops {
-            match op {
-                BatchOp::Write { data, .. } => {
-                    let completion = write_completions[wi];
-                    wi += 1;
-                    let bytes = data.byte_len(self.block_bytes as usize) as u64;
-                    let nlb = (bytes / self.block_bytes as u64).max(1);
-                    let parallelism = nlb.min(self.lanes as u64).max(1);
-                    let service = completion.service_ns / parallelism;
-                    self.gc_backlog_ns += completion.gc_ns;
-                    self.charge_gc_interference(service, GC_WRITE_INTERFERENCE_CAP);
-                    let lat = self.submit_command(service);
-                    self.health.record_ok(self.qp.now_ns());
-                    self.write_hist.record(lat);
-                    bulk.writes += 1;
-                    bulk.bytes_written += bytes;
-                    latencies.push(lat);
-                }
-                BatchOp::Read { out, .. } => {
-                    let service = read_services[ri];
-                    ri += 1;
-                    self.charge_gc_interference(service, GC_READ_INTERFERENCE_CAP);
-                    let lat = self.submit_command(service);
-                    self.health.record_ok(self.qp.now_ns());
-                    self.read_hist.record(lat);
-                    bulk.reads += 1;
-                    bulk.bytes_read += out.len() as u64;
-                    latencies.push(lat);
-                }
-                BatchOp::Discard { count, .. } => {
-                    let service = DISCARD_BASE_SERVICE_NS + count * DISCARD_PER_BLOCK_NS;
-                    let lat = self.submit_command(service);
-                    self.health.record_ok(self.qp.now_ns());
-                    self.discard_hist.record(lat);
-                    bulk.discards += 1;
-                    bulk.bytes_discarded += count * self.block_bytes as u64;
-                    latencies.push(lat);
-                }
-            }
-        }
-        self.stats = self.stats.merge(&bulk);
+    /// while counting it in [`IoStats::faults`], so fault replays stay
+    /// bit-reproducible while the cache tier retries or requeues. The
+    /// LOC region seal treats any batch error as "nothing of this
+    /// region landed".
+    pub fn submit_batch(&mut self, batch: IoBatch<'_>) -> Result<Vec<u64>, NvmeError> {
+        let n = batch.writes.len();
+        let mut latencies = vec![0; n];
+        self.write_batch(&batch.writes, &mut vec![WriteCompletion::default(); n], &mut latencies)?;
         Ok(latencies)
     }
 }
@@ -686,6 +562,7 @@ mod tests {
     use super::*;
     use fdpcache_ftl::FtlConfig;
     use fdpcache_nvme::MemStore;
+    use proptest::prelude::*;
 
     fn setup() -> (SharedController, NamespaceId) {
         let ctrl = Controller::new(FtlConfig::tiny_test(), Box::new(MemStore::new())).unwrap();
@@ -855,14 +732,12 @@ mod tests {
         for (i, d) in bufs.iter().enumerate() {
             seq_lat.push(sequential.write(i as u64 * 4, d, handle).unwrap());
         }
-        seq_lat.push(sequential.discard(0, 4).unwrap());
 
         // One batch, same commands in the same order.
-        let mut batch = IoBatch::with_capacity(bufs.len() + 1);
+        let mut batch = IoBatch::with_capacity(bufs.len());
         for (i, d) in bufs.iter().enumerate() {
             batch.write(i as u64 * 4, d, handle);
         }
-        batch.discard(0, 4);
         let lat = batched.submit_batch(batch).unwrap();
 
         assert_eq!(lat, seq_lat, "per-command latencies must match");
@@ -871,25 +746,98 @@ mod tests {
         assert_eq!(batched.write_latency().p99(), sequential.write_latency().p99());
     }
 
-    #[test]
-    fn batch_reads_return_payloads_and_latencies() {
-        let (ctrl, nsid) = timed_setup();
-        let mut io = IoManager::new(ctrl, nsid, 4).unwrap();
-        let a = vec![0xA1; 4096];
-        let b = vec![0xB2; 4096];
-        let mut batch = IoBatch::new();
-        batch.write(0, &a, PlacementHandle::DEFAULT).write(1, &b, PlacementHandle::DEFAULT);
-        io.submit_batch(batch).unwrap();
-        let mut out_a = vec![0u8; 4096];
-        let mut out_b = vec![0u8; 4096];
-        let mut rd = IoBatch::new();
-        rd.read(0, &mut out_a).read(1, &mut out_b);
-        let lat = io.submit_batch(rd).unwrap();
-        assert_eq!(lat.len(), 2);
-        assert!(lat.iter().all(|&l| l > 0));
-        assert_eq!(out_a, a);
-        assert_eq!(out_b, b);
-        assert_eq!(io.stats().reads, 2);
+    /// One generated I/O manager command; blocks stay inside the
+    /// 64-block namespace of [`generated_traffic_keeps_counters_in_step`].
+    #[derive(Debug, Clone)]
+    enum GenOp {
+        Write { block: u64, nlb: u64 },
+        Read { block: u64, nlb: u64 },
+        Discard { block: u64, count: u64 },
+        Batch(Vec<(u64, u64)>),
+    }
+
+    fn gen_op() -> impl Strategy<Value = GenOp> {
+        let extent = || (0..61u64, 1..4u64);
+        prop_oneof![
+            extent().prop_map(|(block, nlb)| GenOp::Write { block, nlb }),
+            extent().prop_map(|(block, nlb)| GenOp::Read { block, nlb }),
+            extent().prop_map(|(block, count)| GenOp::Discard { block, count }),
+            prop::collection::vec(extent(), 2..6).prop_map(GenOp::Batch),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The manager's success counters equal the namespace's and its
+        /// fault count equals the fault plan's, under a generated mix
+        /// of single commands and multi-write batches at QD 1-4 over a
+        /// faulty store; the clock never runs backwards.
+        #[test]
+        fn generated_traffic_keeps_counters_in_step(
+            depth in 1usize..=4,
+            seed in any::<u64>(),
+            ops in prop::collection::vec(gen_op(), 1..60),
+        ) {
+            use fdpcache_nvme::{FaultConfig, FaultStore};
+            let fault_cfg = FaultConfig {
+                seed,
+                read_err_ppm: 20_000,
+                write_err_ppm: 20_000,
+                discard_err_ppm: 20_000,
+                corruption_ppm: 20_000,
+                busy_ppm: 20_000,
+                ..Default::default()
+            };
+            let cfg = FtlConfig {
+                latency: fdpcache_nand::LatencyModel::default(),
+                ..FtlConfig::tiny_test()
+            };
+            let store = FaultStore::new(Box::new(MemStore::new()), fault_cfg);
+            let ctrl = Arc::new(Controller::new(cfg, Box::new(store)).unwrap());
+            let nsid = ctrl.create_namespace(64, vec![0, 1]).unwrap();
+            let mut io = IoManager::new(ctrl.clone(), nsid, 2).unwrap();
+            io.set_queue_depth(depth);
+            let bb = io.block_bytes() as usize;
+            let page = vec![0x5Au8; 4 * bb];
+            let mut out = vec![0u8; 4 * bb];
+            let mut last = io.now_ns();
+            for op in &ops {
+                let result = match op {
+                    GenOp::Write { block, nlb } => {
+                        io.write(*block, &page[..*nlb as usize * bb], PlacementHandle::DEFAULT)
+                            .map(drop)
+                    }
+                    GenOp::Read { block, nlb } => {
+                        io.read(*block, &mut out[..*nlb as usize * bb]).map(drop)
+                    }
+                    GenOp::Discard { block, count } => io.discard(*block, *count).map(drop),
+                    GenOp::Batch(extents) => {
+                        let mut batch = IoBatch::with_capacity(extents.len());
+                        for &(block, nlb) in extents {
+                            batch.write(block, &page[..nlb as usize * bb], PlacementHandle::DEFAULT);
+                        }
+                        io.submit_batch(batch).map(drop)
+                    }
+                };
+                if let Err(e) = result {
+                    prop_assert!(
+                        e.is_injected_fault() || matches!(e, NvmeError::Unwritten(_)),
+                        "unexpected error {e}"
+                    );
+                }
+                prop_assert!(io.now_ns() >= last, "clock ran backwards");
+                last = io.now_ns();
+            }
+            io.flush();
+            prop_assert!(io.now_ns() >= last, "clock ran backwards");
+            let (mine, device) = (io.stats(), io.namespace().stats());
+            prop_assert_eq!(
+                (mine.writes, mine.reads, mine.discards, mine.bytes_written, mine.bytes_read),
+                (device.writes, device.reads, device.discards, device.bytes_written, device.bytes_read)
+            );
+            prop_assert_eq!(mine.faults, ctrl.fault_totals().total());
+        }
     }
 
     #[test]

@@ -30,8 +30,6 @@ pub struct WriteReceipt {
     pub gc_ns: u64,
     /// Pages relocated by that GC work.
     pub relocated_pages: u64,
-    /// Whether the RUH moved to a fresh RU during this write.
-    pub ru_switched: bool,
 }
 
 /// One splitmix64 mixing step, used for snapshot digests. Matches the
@@ -338,13 +336,12 @@ impl Ftl {
     ///
     /// # Errors
     ///
-    /// As [`Ftl::read`]; blocks before the failing one keep their read
-    /// accounting, matching the sequential loop this replaces. A range
-    /// whose end overflows is [`FtlError::LbaOutOfRange`].
+    /// [`FtlError::LbaOutOfRange`] before any block is read if the range
+    /// leaves exported capacity; otherwise as [`Ftl::read`], with the
+    /// blocks before the failing one keeping their read accounting.
     pub fn read_contig(&mut self, start: Lba, nlb: u64) -> Result<u64, FtlError> {
-        let end = start.checked_add(nlb).ok_or(FtlError::LbaOutOfRange(start))?;
         let mut total_ns = 0u64;
-        for lba in start..end {
+        for lba in self.lba_range(start, nlb)? {
             total_ns += self.read(lba)?;
         }
         Ok(total_ns)
@@ -367,7 +364,7 @@ impl Ftl {
     /// Writes `lba` through reclaim unit handle `ruh` of reclaim group
     /// `rg` — the full `<RG, RUH>` placement identifier of the FDP
     /// proposal. The handle's active RU and any GC this write triggers
-    /// are confined to that group.
+    /// are confined to that group. A one-LBA [`Ftl::write_placed_batch`].
     ///
     /// # Errors
     ///
@@ -379,16 +376,7 @@ impl Ftl {
         rg: u16,
         ruh: RuhId,
     ) -> Result<WriteReceipt, FtlError> {
-        if lba as usize >= self.l2p.len() {
-            return Err(FtlError::LbaOutOfRange(lba));
-        }
-        if ruh >= self.config.num_ruhs {
-            return Err(FtlError::InvalidRuh(ruh));
-        }
-        if rg >= self.config.num_rgs {
-            return Err(FtlError::InvalidRg(rg));
-        }
-        self.map_one(lba, rg, ruh)
+        self.write_placed_batch(lba, 1, rg, ruh)
     }
 
     /// Maps `count` contiguous LBAs starting at `slba` through
@@ -420,10 +408,7 @@ impl Ftl {
         rg: u16,
         ruh: RuhId,
     ) -> Result<WriteReceipt, FtlError> {
-        let end = slba.checked_add(count).ok_or(FtlError::LbaOutOfRange(slba))?;
-        if end > self.l2p.len() as u64 {
-            return Err(FtlError::LbaOutOfRange(end));
-        }
+        let lbas = self.lba_range(slba, count)?;
         if ruh >= self.config.num_ruhs {
             return Err(FtlError::InvalidRuh(ruh));
         }
@@ -431,7 +416,7 @@ impl Ftl {
             return Err(FtlError::InvalidRg(rg));
         }
         let mut total = WriteReceipt::default();
-        for lba in slba..end {
+        for lba in lbas {
             let r = match self.map_one(lba, rg, ruh) {
                 Ok(r) => r,
                 Err(e) => {
@@ -442,9 +427,19 @@ impl Ftl {
             total.program_ns += r.program_ns;
             total.gc_ns += r.gc_ns;
             total.relocated_pages += r.relocated_pages;
-            total.ru_switched |= r.ru_switched;
         }
         Ok(total)
+    }
+
+    /// The LBAs `lba..lba + count`, or [`FtlError::LbaOutOfRange`]
+    /// naming the first of them past exported capacity: the one range
+    /// check of every multi-LBA entry point.
+    fn lba_range(&self, lba: Lba, count: u64) -> Result<std::ops::Range<Lba>, FtlError> {
+        let exported = self.l2p.len() as u64;
+        match lba.checked_add(count) {
+            Some(end) if end <= exported => Ok(lba..end),
+            _ => Err(FtlError::LbaOutOfRange(lba.max(exported))),
+        }
     }
 
     /// Unmaps `count` LBAs starting at `lba` as rollback of a
@@ -461,24 +456,33 @@ impl Ftl {
     /// (callers pass pre-validated batch ranges, so this indicates a
     /// caller bug, never a device state).
     pub fn rollback_range(&mut self, lba: Lba, count: u64) -> Result<(), FtlError> {
-        let end = lba.checked_add(count).ok_or(FtlError::LbaOutOfRange(lba))?;
-        if end > self.l2p.len() as u64 {
-            return Err(FtlError::LbaOutOfRange(end));
-        }
-        for l in lba..end {
+        self.unmap(lba, count, |s| &mut s.rolled_back_lbas)
+    }
+
+    /// Drops the mapping of every mapped LBA in `lba..lba + count`,
+    /// skipping unmapped ones, and bumps the `counter` stat once per
+    /// LBA dropped: the shared body of [`Ftl::trim`] and
+    /// [`Ftl::rollback_range`].
+    fn unmap(
+        &mut self,
+        lba: Lba,
+        count: u64,
+        counter: fn(&mut FtlStats) -> &mut u64,
+    ) -> Result<(), FtlError> {
+        for l in self.lba_range(lba, count)? {
             let entry = self.l2p[l as usize];
             if entry == NONE64 {
                 continue;
             }
             self.invalidate_page(Ppa::unpack(entry), l as u32)?;
             self.l2p[l as usize] = NONE64;
-            self.stats.rolled_back_lbas += 1;
+            *counter(&mut self.stats) += 1;
         }
         Ok(())
     }
 
-    /// Maps one already-validated LBA through `<rg, ruh>`: the shared
-    /// body of [`Ftl::write_placed`] and [`Ftl::write_placed_batch`].
+    /// Maps one already-validated LBA through `<rg, ruh>`: the loop body
+    /// of [`Ftl::write_placed_batch`].
     fn map_one(&mut self, lba: Lba, rg: u16, ruh: RuhId) -> Result<WriteReceipt, FtlError> {
         let mut receipt = WriteReceipt::default();
 
@@ -494,7 +498,6 @@ impl Ftl {
                 let (new_ru, gc) = self.open_ru(rg, RuOwner::Host(ruh))?;
                 receipt.gc_ns += gc.0;
                 receipt.relocated_pages += gc.1;
-                receipt.ru_switched = true;
                 self.events.push(FdpEvent::RuSwitched { ruh, old_ru: current, new_ru });
                 self.ruh_switches[ruh as usize] += 1;
                 self.ruh_active[slot] = Some(new_ru);
@@ -552,20 +555,7 @@ impl Ftl {
     ///
     /// [`FtlError::LbaOutOfRange`] if the range exceeds exported capacity.
     pub fn trim(&mut self, lba: Lba, count: u64) -> Result<(), FtlError> {
-        let end = lba.checked_add(count).ok_or(FtlError::LbaOutOfRange(lba))?;
-        if end > self.l2p.len() as u64 {
-            return Err(FtlError::LbaOutOfRange(end));
-        }
-        for l in lba..end {
-            let entry = self.l2p[l as usize];
-            if entry == NONE64 {
-                continue;
-            }
-            self.invalidate_page(Ppa::unpack(entry), l as u32)?;
-            self.l2p[l as usize] = NONE64;
-            self.stats.trimmed_lbas += 1;
-        }
-        Ok(())
+        self.unmap(lba, count, |s| &mut s.trimmed_lbas)
     }
 
     /// Deallocates a batch of `(lba, count)` ranges in one call — the
@@ -577,13 +567,11 @@ impl Ftl {
     ///
     /// # Errors
     ///
-    /// [`FtlError::LbaOutOfRange`] naming the first offending range end.
+    /// [`FtlError::LbaOutOfRange`] naming the first LBA past exported
+    /// capacity in the first offending range.
     pub fn trim_batch(&mut self, ranges: &[(Lba, u64)]) -> Result<(), FtlError> {
         for &(lba, count) in ranges {
-            let end = lba.checked_add(count).ok_or(FtlError::LbaOutOfRange(lba))?;
-            if end > self.l2p.len() as u64 {
-                return Err(FtlError::LbaOutOfRange(end));
-            }
+            self.lba_range(lba, count)?;
         }
         for &(lba, count) in ranges {
             self.trim(lba, count)?;
@@ -1434,7 +1422,6 @@ mod tests {
                 s.program_ns += r.program_ns;
                 s.gc_ns += r.gc_ns;
                 s.relocated_pages += r.relocated_pages;
-                s.ru_switched |= r.ru_switched;
             }
             assert_eq!(b, s, "receipt diverged at round {round}");
         }

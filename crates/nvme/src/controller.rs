@@ -52,8 +52,6 @@ pub struct WriteCompletion {
     /// GC time this command triggered synchronously (ns). Queue models
     /// treat this as lane-occupying background work.
     pub gc_ns: u64,
-    /// Pages GC relocated on behalf of this command.
-    pub relocated_pages: u64,
 }
 
 /// The bytes of one batched write command.
@@ -480,9 +478,8 @@ impl Controller {
         self.write_ns(&*self.open_checked(nsid)?, slba, data, dspec)
     }
 
-    /// Writes through an opened namespace. The media lock is held only
-    /// for the FTL mapping work; payload bytes land in the (sharded)
-    /// store after it is released.
+    /// Writes through an opened namespace: a one-command
+    /// [`Controller::write_batch_ns`].
     ///
     /// # Errors
     ///
@@ -494,51 +491,15 @@ impl Controller {
         data: &[u8],
         dspec: Option<u16>,
     ) -> Result<WriteCompletion, NvmeError> {
-        let ns = &state.ns;
-        let lba_bytes = self.lba_bytes as usize;
-        let (dev_start, nlb) = self.validate_write(ns, slba, data.len())?;
-        let (rg, ruh) = self.resolve_placement(ns, dspec, self.fdp_enabled())?;
-        // Fault-plan gate: an injected failure completes the command
-        // with an error status before ANY side effect — the mapping and
-        // any previously acknowledged payload at these LBAs survive.
-        if let Some(f) = self.store.fault(FaultOp::Write, dev_start, nlb) {
-            return Err(f.into());
-        }
-        // Payload copies proceed outside the media lock, in parallel
-        // with other workers' FTL work and store traffic. They land
-        // BEFORE the mapping is published so that (a) every mapped LBA
-        // has its payload even if the FTL errors mid-command (the
-        // mapped prefix below is then fully stored), and (b) a reader
-        // racing a first write sees `Unwritten` until the mapping
-        // exists, never a mapped-but-empty zero-fill. Blocks stored
-        // here that never get mapped (FTL error on a later block) are
-        // invisible: reads check the mapping first. For an *overwrite*
-        // that then fails in the FTL, the store already holds the new
-        // bytes — NVMe leaves content indeterminate after a failed
-        // write, so that is within contract. One non-goal (DESIGN.md
-        // §5): a write racing a *deallocate of the same LBA* is not
-        // linearizable — no client issues that pattern (trim traffic
-        // comes from each namespace's own single-threaded engine).
-        self.store.write_blocks(dev_start, data, lba_bytes);
-        let receipt = self.ftl.lock().write_placed_batch(dev_start, nlb, rg, ruh)?;
-        let completion = WriteCompletion {
-            service_ns: receipt.program_ns,
-            gc_ns: receipt.gc_ns,
-            relocated_pages: receipt.relocated_pages,
-        };
-        state.counters.writes.fetch_add(1, Ordering::Relaxed);
-        state.counters.bytes_written.fetch_add(data.len() as u64, Ordering::Relaxed);
-        Ok(completion)
+        let write = BatchWrite { slba, data: WritePayload::Bytes(data), dspec };
+        let mut done = [WriteCompletion::default()];
+        self.write_batch_ns(state, std::slice::from_ref(&write), &mut done)?;
+        Ok(done[0])
     }
 
-    /// Validates one write's payload length (`len` bytes) and range,
-    /// returning the device start LBA and block count.
-    fn validate_write(
-        &self,
-        ns: &Namespace,
-        slba: u64,
-        len: usize,
-    ) -> Result<(u64, u64), NvmeError> {
+    /// Validates one read's or write's buffer length (`len` bytes) and
+    /// range, returning the device start LBA and block count.
+    fn validate_io(&self, ns: &Namespace, slba: u64, len: usize) -> Result<(u64, u64), NvmeError> {
         let lba_bytes = self.lba_bytes as usize;
         if len == 0 || !len.is_multiple_of(lba_bytes) {
             return Err(NvmeError::BufferSizeMismatch {
@@ -583,28 +544,58 @@ impl Controller {
         }
     }
 
-    /// Writes a whole batch of commands through an opened namespace
-    /// under **one** media-lock acquisition — the vectored entry point
-    /// behind [`IoManager::submit_batch`](../fdpcache_core)'s region
-    /// seals.
+    /// Validates one batched write and resolves its placement under the
+    /// FDP setting `fdp`: its device start LBA, block count and
+    /// `<RG, RUH>` pair.
+    fn plan_write(
+        &self,
+        ns: &Namespace,
+        w: &BatchWrite<'_>,
+        fdp: bool,
+    ) -> Result<(u64, u64, u16, RuhId), NvmeError> {
+        let (dev_start, nlb) =
+            self.validate_io(ns, w.slba, w.data.byte_len(self.lba_bytes as usize))?;
+        let (rg, ruh) = self.resolve_placement(ns, w.dspec, fdp)?;
+        Ok((dev_start, nlb, rg, ruh))
+    }
+
+    /// Writes a batch of commands through an opened namespace under
+    /// **one** media-lock acquisition, storing command `i`'s completion
+    /// in `completions[i]`. Every write takes this route: a single
+    /// write ([`Controller::write_ns`], `IoManager::write`) is a
+    /// one-command batch, and the LOC seals whole regions as one batch
+    /// through `IoManager::submit_batch`. The caller owns the
+    /// completion slots, so a one-command batch allocates nothing.
     ///
     /// Pipeline (batch-wide phases, same per-command order within
     /// each):
     ///
     /// 1. every command is validated and its placement resolved (one
     ///    observation of the FDP toggle covers the batch) — an invalid
-    ///    command fails the whole batch before any side effect, unlike
-    ///    N sequential [`Controller::write_ns`] calls;
-    /// 2. all payloads land in the (sharded) store outside the media
+    ///    command fails the whole batch before any side effect;
+    /// 2. the fault plan is consulted per command, still before any
+    ///    side effect;
+    /// 3. all payloads land in the (sharded) store outside the media
     ///    lock;
-    /// 3. one `Mutex<Ftl>` acquisition maps every command via
-    ///    [`fdpcache_ftl::Ftl::write_placed_batch`], producing one
-    ///    [`WriteCompletion`] per command in submission order.
+    /// 4. one `Mutex<Ftl>` acquisition maps every command via
+    ///    [`fdpcache_ftl::Ftl::write_placed_batch`].
     ///
-    /// The FTL mapping sequence is identical to sequential `write_ns`
-    /// calls, so device state and the returned per-command timings are
-    /// bit-identical to the per-command path — only the lock
-    /// acquisition count changes (1 instead of N).
+    /// Payloads land BEFORE the mapping is published so that (a) every
+    /// mapped LBA has its payload even if the FTL errors mid-command,
+    /// and (b) a reader racing a first write sees `Unwritten` until the
+    /// mapping exists, never a mapped-but-empty zero-fill. Blocks
+    /// stored that never get mapped (FTL error) are invisible: reads
+    /// check the mapping first. For an *overwrite* that then fails in
+    /// the FTL, the store already holds the new bytes — NVMe leaves
+    /// content indeterminate after a failed write, so that is within
+    /// contract. One non-goal (DESIGN.md §5): a write racing a
+    /// *deallocate of the same LBA* is not linearizable — no client
+    /// issues that pattern (trim traffic comes from each namespace's
+    /// own single-threaded engine).
+    ///
+    /// # Panics
+    ///
+    /// If `completions` and `writes` differ in length.
     ///
     /// # Errors
     ///
@@ -613,34 +604,39 @@ impl Controller {
     /// batch already applied ([`fdpcache_ftl::Ftl::rollback_range`]), so
     /// a failed batch is all-or-nothing: no command of it is mapped or
     /// counted (the rolled-back LBAs read as unwritten afterwards —
-    /// NVMe's indeterminate-on-error contract).
+    /// NVMe's indeterminate-on-error contract), and `completions`
+    /// holds nothing meaningful.
     pub fn write_batch_ns(
         &self,
         state: &NamespaceState,
         writes: &[BatchWrite<'_>],
-    ) -> Result<Vec<WriteCompletion>, NvmeError> {
+        completions: &mut [WriteCompletion],
+    ) -> Result<(), NvmeError> {
+        assert_eq!(writes.len(), completions.len(), "one completion slot per write");
         let ns = &state.ns;
         let lba_bytes = self.lba_bytes as usize;
         let fdp = self.fdp_enabled();
-        let mut plan = Vec::with_capacity(writes.len());
         let mut total_bytes = 0u64;
         for w in writes {
-            let len = w.data.byte_len(lba_bytes);
-            let (dev_start, nlb) = self.validate_write(ns, w.slba, len)?;
-            let (rg, ruh) = self.resolve_placement(ns, w.dspec, fdp)?;
-            plan.push((dev_start, nlb, rg, ruh));
-            total_bytes += len as u64;
+            self.plan_write(ns, w, fdp)?;
+            total_bytes += w.data.byte_len(lba_bytes) as u64;
         }
+        // The passes below re-derive each command's plan, which the
+        // validation pass above proved infallible, rather than keep it
+        // in a per-batch allocation.
+        //
         // Fault-plan gate, still before any side effect: a mid-batch
         // injected fault (command k > 0) fails the WHOLE batch here, so
         // previously acknowledged data at every LBA of the batch —
         // including commands before k — survives untouched.
-        for &(dev_start, nlb, ..) in &plan {
+        for w in writes {
+            let (dev_start, nlb, ..) = self.plan_write(ns, w, fdp)?;
             if let Some(f) = self.store.fault(FaultOp::Write, dev_start, nlb) {
                 return Err(f.into());
             }
         }
-        for (w, &(dev_start, nlb, ..)) in writes.iter().zip(&plan) {
+        for w in writes {
+            let (dev_start, nlb, ..) = self.plan_write(ns, w, fdp)?;
             match w.data {
                 WritePayload::Bytes(data) => self.store.write_blocks(dev_start, data, lba_bytes),
                 WritePayload::Fill { fill, .. } => {
@@ -648,32 +644,30 @@ impl Controller {
                 }
             }
         }
-        let mut completions = Vec::with_capacity(writes.len());
         {
             let mut ftl = self.ftl.lock();
-            for (i, &(dev_start, nlb, rg, ruh)) in plan.iter().enumerate() {
+            for (i, w) in writes.iter().enumerate() {
+                let (dev_start, nlb, rg, ruh) = self.plan_write(ns, w, fdp)?;
                 let receipt = match ftl.write_placed_batch(dev_start, nlb, rg, ruh) {
                     Ok(r) => r,
                     Err(e) => {
                         // Command i's own prefix was rolled back by the
                         // FTL; unmap the commands this batch already
                         // applied so the error leaves no partial batch.
-                        for &(done_start, done_nlb, ..) in &plan[..i] {
+                        for done in &writes[..i] {
+                            let (done_start, done_nlb, ..) = self.plan_write(ns, done, fdp)?;
                             ftl.rollback_range(done_start, done_nlb)?;
                         }
                         return Err(e.into());
                     }
                 };
-                completions.push(WriteCompletion {
-                    service_ns: receipt.program_ns,
-                    gc_ns: receipt.gc_ns,
-                    relocated_pages: receipt.relocated_pages,
-                });
+                completions[i] =
+                    WriteCompletion { service_ns: receipt.program_ns, gc_ns: receipt.gc_ns };
             }
         }
         state.counters.writes.fetch_add(writes.len() as u64, Ordering::Relaxed);
         state.counters.bytes_written.fetch_add(total_bytes, Ordering::Relaxed);
-        Ok(completions)
+        Ok(())
     }
 
     /// Reads whole blocks into `out` starting at `slba`. Returns media
@@ -702,18 +696,7 @@ impl Controller {
         slba: u64,
         out: &mut [u8],
     ) -> Result<u64, NvmeError> {
-        let ns = &state.ns;
-        let lba_bytes = self.lba_bytes as usize;
-        if out.is_empty() || !out.len().is_multiple_of(lba_bytes) {
-            return Err(NvmeError::BufferSizeMismatch {
-                expected: out.len().next_multiple_of(lba_bytes).max(lba_bytes),
-                got: out.len(),
-            });
-        }
-        let nlb = (out.len() / lba_bytes) as u64;
-        let (dev_start, _) = ns
-            .translate_range(slba, nlb)
-            .ok_or(NvmeError::LbaOutOfRange { nsid: ns.nsid, lba: slba })?;
+        let (dev_start, nlb) = self.validate_io(&state.ns, slba, out.len())?;
         // Fault-plan gate: an injected read failure (media error,
         // segment corruption, busy spike) completes with an error
         // status before any media accounting or payload load.
@@ -730,7 +713,7 @@ impl Controller {
         // (DESIGN.md §5): a read racing a deallocate of the same LBA may
         // zero-fill — no client issues that pattern (trim traffic comes
         // from each namespace's own single-threaded engine).
-        self.store.read_blocks(dev_start, out, lba_bytes);
+        self.store.read_blocks(dev_start, out, self.lba_bytes as usize);
         state.counters.reads.fetch_add(1, Ordering::Relaxed);
         state.counters.bytes_read.fetch_add(out.len() as u64, Ordering::Relaxed);
         Ok(total_ns)
@@ -1176,7 +1159,8 @@ mod tests {
                 dspec: Some(1),
             })
             .collect();
-        let batched = a.write_batch_ns(&sa, &writes).unwrap();
+        let mut batched = vec![WriteCompletion::default(); writes.len()];
+        a.write_batch_ns(&sa, &writes, &mut batched).unwrap();
         let sequential: Vec<WriteCompletion> = bufs
             .iter()
             .enumerate()
@@ -1202,7 +1186,11 @@ mod tests {
             BatchWrite { slba: 0, data: WritePayload::Bytes(&good), dspec: None },
             BatchWrite { slba: 15, data: WritePayload::Bytes(&good[..100]), dspec: None }, // misaligned
         ];
-        assert!(matches!(c.write_batch_ns(&s, &writes), Err(NvmeError::BufferSizeMismatch { .. })));
+        let mut done = [WriteCompletion::default(); 2];
+        assert!(matches!(
+            c.write_batch_ns(&s, &writes, &mut done),
+            Err(NvmeError::BufferSizeMismatch { .. })
+        ));
         assert_eq!(s.stats().writes, 0, "failed batch must not count");
         let mut out = page(0);
         assert!(matches!(c.read_ns(&s, 0, &mut out), Err(NvmeError::Unwritten(_))));

@@ -23,13 +23,14 @@
 //!   Figure 10b).
 //! * **Queue pairs** — per-worker submission/completion queues with a
 //!   virtual-time latency model over parallel device lanes and a
-//!   configurable queue depth: commands submit asynchronously and
-//!   complete in deterministic completion order, like the paper's
-//!   io_uring pairs. GC work performed by the FTL occupies lanes,
-//!   which is what turns write amplification into p99 latency
-//!   inflation (Figures 6 and 13).
+//!   configurable queue depth: up to that many commands stay in
+//!   flight and complete in deterministic completion order, like the
+//!   paper's io_uring pairs. GC work performed by the FTL occupies
+//!   every lane ([`QueuePair::occupy_all`]), which is what turns write
+//!   amplification into p99 latency inflation (Figures 6 and 13).
 //! * **Vectored batch commands** — [`Controller::write_batch_ns`] maps
-//!   a whole batch of writes under one media-lock acquisition and
+//!   a whole batch of writes under one media-lock acquisition (every
+//!   write takes it; a single write is a one-command batch) and
 //!   deallocate validates entire range vectors before dropping
 //!   anything, the entry points behind the cache's batched region
 //!   seals.

@@ -9,29 +9,29 @@
 //! parallelism is modelled as `lanes` independent servers (think NAND
 //! channels); a command picks the least-busy lane at submission.
 //!
-//! Two submission modes:
+//! [`QueuePair::submit`] schedules one command and returns its latency,
+//! which the deterministic model fixes at submission. At depth 1 it
+//! also reaps the command, so the clock advances to its completion (a
+//! completion-polled loop); at higher depths the command stays in
+//! flight. Either way, submitting into a full queue first reaps the
+//! oldest completion — the submitter blocks on CQ space, exactly like
+//! a polled io_uring loop at full depth. [`QueuePair::submit_async`]
+//! schedules the same way, leaves the command in flight at any depth
+//! and returns its whole [`Completion`] entry; [`QueuePair::complete`]
+//! and [`QueuePair::drain`] reap completions in completion order.
 //!
-//! * [`QueuePair::submit`] — the synchronous, depth-1-style wrapper:
-//!   submit one command and advance the clock to its completion. Every
-//!   pre-existing caller uses this and observes bit-identical timing to
-//!   the old one-command-at-a-time model.
-//! * [`QueuePair::submit_async`] — enqueue and return a [`CommandId`]
-//!   without waiting. Up to [`QueuePair::depth`] commands stay in
-//!   flight; submitting into a full queue first reaps the oldest
-//!   completion (the submitter blocks on CQ space, exactly like a
-//!   polled io_uring loop at full depth). [`QueuePair::complete`] and
-//!   [`QueuePair::drain`] reap completions in completion order.
-//!
-//! Garbage-collection work reported by the controller occupies the lane
-//! *after* the triggering command completes, delaying subsequent
-//! commands — that is how DLWA becomes visible as p99 read/write
-//! latency inflation in Figures 6 and 13, and why FDP improves tails at
-//! high utilization without changing the cache logic at all.
+//! The queue pair charges no garbage collection of its own. The I/O
+//! manager (`fdpcache_core::IoManager`) keeps the GC time the
+//! controller reports as a backlog and, before each host write or
+//! read, drains a slice of it through [`QueuePair::occupy_all`], which holds
+//! every lane. That is how DLWA becomes visible as p99 read/write
+//! latency inflation in Figures 6 and 13, and why FDP improves tails
+//! at high utilization without changing the cache logic at all.
 
 /// Identifier of a submitted command, unique within its queue pair.
 pub type CommandId = u64;
 
-/// A reaped completion queue entry.
+/// A completion queue entry, fixed when its command is scheduled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Completion {
     /// The command this entry completes.
@@ -40,10 +40,6 @@ pub struct Completion {
     pub latency_ns: u64,
     /// Absolute virtual completion time, ns.
     pub completion_ns: u64,
-    /// Whether the command completed with an error status (injected
-    /// fault). Failed completions keep their deterministic place in
-    /// completion order — the CQ reports them exactly like successes.
-    pub failed: bool,
 }
 
 /// A per-worker queue pair with simulated timing.
@@ -132,28 +128,13 @@ impl QueuePair {
             .map(|(i, _)| i)
     }
 
-    /// Enqueues a command with the given media service time and trailing
-    /// background (GC) occupancy and returns immediately with its id.
-    /// The command's latency is fixed at scheduling time (the model is
-    /// deterministic); the clock does **not** advance unless the queue
-    /// is full, in which case the oldest completion is reaped first —
-    /// the submitter stalls on a full SQ like a real queue-pair loop.
-    pub fn submit_async(&mut self, service_ns: u64, background_ns: u64) -> CommandId {
-        self.submit_async_status(service_ns, background_ns, false)
-    }
-
-    /// [`QueuePair::submit_async`] with an explicit completion status:
-    /// `failed` marks the scheduled completion as an error completion
-    /// (injected media fault / busy rejection). Timing is identical to
-    /// a successful command of the same service time — the failure
-    /// still occupied the device for that long — so fault schedules
-    /// stay bit-reproducible.
-    pub fn submit_async_status(
-        &mut self,
-        service_ns: u64,
-        background_ns: u64,
-        failed: bool,
-    ) -> CommandId {
+    /// Schedules a command of the given media service time and returns
+    /// its completion entry, leaving it in flight at any depth. The
+    /// latency is fixed here (the model is deterministic); the clock
+    /// does **not** advance unless the queue is full, in which case the
+    /// oldest completion is reaped first — the submitter stalls on a
+    /// full SQ like a real queue-pair loop.
+    pub fn submit_async(&mut self, service_ns: u64) -> Completion {
         while self.inflight.len() >= self.depth {
             self.complete();
         }
@@ -167,27 +148,16 @@ impl QueuePair {
             .unwrap_or(0);
         let start = self.now_ns.max(self.lanes[lane]);
         let completion = start + service_ns;
-        // GC occupies the lane after the command completes.
-        self.lanes[lane] = completion + background_ns;
-        let id = self.next_id;
-        self.next_id += 1;
-        self.submitted += 1;
-        self.inflight.push(Completion {
-            id,
+        self.lanes[lane] = completion;
+        let entry = Completion {
+            id: self.next_id,
             latency_ns: completion - self.now_ns,
             completion_ns: completion,
-            failed,
-        });
-        id
-    }
-
-    /// The scheduled completion entry of an in-flight command. The
-    /// model is deterministic, so a command's latency and completion
-    /// time are fixed at submission; this lets callers record latency
-    /// without waiting for the reap. `None` once the command completed
-    /// (or never existed).
-    pub fn scheduled(&self, id: CommandId) -> Option<&Completion> {
-        self.inflight.iter().find(|c| c.id == id)
+        };
+        self.next_id += 1;
+        self.submitted += 1;
+        self.inflight.push(entry);
+        entry
     }
 
     /// Reaps the next completion in completion order, advancing the
@@ -211,24 +181,20 @@ impl QueuePair {
         out
     }
 
-    /// Submits a command with the given media service time and trailing
-    /// background (GC) occupancy, waits for its completion, and returns
-    /// the observed command latency (queueing + service).
+    /// Submits a command with the given media service time and returns
+    /// its latency (queueing + service), honouring the queue depth.
     ///
-    /// This is the synchronous depth-1 wrapper over the SQ/CQ pair: the
-    /// submitter's clock advances to the completion time, modelling a
-    /// completion-polled submission loop like CacheBench's worker
-    /// threads. On an empty queue it is bit-identical to the original
-    /// one-command-at-a-time model; with commands already in flight it
-    /// reaps everything completing no later than this command.
-    pub fn submit(&mut self, service_ns: u64, background_ns: u64) -> u64 {
-        let id = self.submit_async(service_ns, background_ns);
-        loop {
-            let c = self.complete().expect("submitted command must complete");
-            if c.id == id {
-                return c.latency_ns;
-            }
+    /// At depth 1 the submitter's clock advances to the command's
+    /// completion, modelling a completion-polled submission loop like
+    /// CacheBench's worker threads. At higher depths the command stays
+    /// in flight and the clock advances only when the queue is full or
+    /// the caller reaps ([`QueuePair::complete`], [`QueuePair::drain`]).
+    pub fn submit(&mut self, service_ns: u64) -> u64 {
+        let entry = self.submit_async(service_ns);
+        if self.depth == 1 {
+            while self.complete().is_some_and(|c| c.id != entry.id) {}
         }
+        entry.latency_ns
     }
 
     /// Occupies **every** lane for `ns` starting no earlier than now.
@@ -255,38 +221,23 @@ mod tests {
     #[test]
     fn uncontended_latency_equals_service_time() {
         let mut q = QueuePair::new(4);
-        assert_eq!(q.submit(100, 0), 100);
+        assert_eq!(q.submit(100), 100);
         assert_eq!(q.now_ns(), 100);
-    }
-
-    #[test]
-    fn gc_occupancy_delays_later_commands() {
-        let mut q = QueuePair::new(1);
-        q.submit(100, 1_000); // GC holds the only lane until t=1100.
-        let lat = q.submit(100, 0); // starts at 1100, completes 1200; now=100.
-        assert_eq!(lat, 1_100 + 100 - 100);
-    }
-
-    #[test]
-    fn multiple_lanes_absorb_gc() {
-        let mut q = QueuePair::new(2);
-        q.submit(100, 10_000); // lane 0 busy until 10100.
-        let lat = q.submit(100, 0); // lane 1 free at t=100.
-        assert_eq!(lat, 100);
     }
 
     #[test]
     fn advance_moves_clock_past_busy_lanes() {
         let mut q = QueuePair::new(1);
-        q.submit(100, 500);
+        q.submit(100);
+        q.occupy_all(500);
         q.advance(10_000); // host idles past the GC busy window.
-        assert_eq!(q.submit(100, 0), 100);
+        assert_eq!(q.submit(100), 100);
     }
 
     #[test]
     fn zero_lane_request_is_clamped() {
         let mut q = QueuePair::new(0);
-        assert_eq!(q.submit(10, 0), 10);
+        assert_eq!(q.submit(10), 10);
     }
 
     #[test]
@@ -294,21 +245,21 @@ mod tests {
         let mut q = QueuePair::new(4);
         q.occupy_all(1_000);
         // Any subsequent command queues behind the burst.
-        assert_eq!(q.submit(100, 0), 1_100);
+        assert_eq!(q.submit(100), 1_100);
     }
 
     #[test]
     fn occupy_all_zero_is_noop() {
         let mut q = QueuePair::new(2);
         q.occupy_all(0);
-        assert_eq!(q.submit(100, 0), 100);
+        assert_eq!(q.submit(100), 100);
     }
 
     #[test]
     fn async_submission_does_not_advance_clock_until_reaped() {
         let mut q = QueuePair::with_depth(4, 4);
-        let a = q.submit_async(100, 0);
-        let b = q.submit_async(200, 0);
+        let a = q.submit_async(100).id;
+        let b = q.submit_async(200).id;
         assert_eq!(q.now_ns(), 0);
         assert_eq!(q.in_flight(), 2);
         let first = q.complete().unwrap();
@@ -323,11 +274,11 @@ mod tests {
     #[test]
     fn full_queue_reaps_oldest_before_submitting() {
         let mut q = QueuePair::with_depth(1, 2);
-        q.submit_async(100, 0); // lane busy until 100
-        q.submit_async(100, 0); // queued behind: completes at 200
+        q.submit_async(100); // lane busy until 100
+        q.submit_async(100); // queued behind: completes at 200
         assert_eq!(q.in_flight(), 2);
         // Depth reached: the third submission reaps the oldest first.
-        q.submit_async(100, 0);
+        q.submit_async(100);
         assert_eq!(q.in_flight(), 2);
         assert_eq!(q.now_ns(), 100);
     }
@@ -337,7 +288,7 @@ mod tests {
         // 4 lanes, depth 4: four 100ns commands complete together at 100.
         let mut q = QueuePair::with_depth(4, 4);
         for _ in 0..4 {
-            q.submit_async(100, 0);
+            q.submit_async(100);
         }
         let done = q.drain();
         assert_eq!(done.len(), 4);
@@ -349,9 +300,9 @@ mod tests {
     fn drain_reaps_in_completion_order() {
         let mut q = QueuePair::with_depth(2, 8);
         // Lane A: 300, lane B: 100, lane A(queued): 300+50.
-        let slow = q.submit_async(300, 0);
-        let fast = q.submit_async(100, 0);
-        let queued = q.submit_async(50, 0); // least-busy lane is B (free at 100): completes 150.
+        let slow = q.submit_async(300).id;
+        let fast = q.submit_async(100).id;
+        let queued = q.submit_async(50).id; // least-busy lane is B (free at 100): completes 150.
         let done = q.drain();
         let ids: Vec<CommandId> = done.iter().map(|c| c.id).collect();
         assert_eq!(ids, vec![fast, queued, slow]);
@@ -360,31 +311,44 @@ mod tests {
     }
 
     #[test]
-    fn depth_one_wrapper_matches_legacy_model() {
+    fn depth_one_submit_matches_legacy_model() {
         // The legacy model: start = max(now, lane); completion = start +
-        // service; lane = completion + background; latency = completion -
-        // now; now = completion. Replay a mixed sequence both ways.
-        let cmds = [(100u64, 0u64), (250, 1_000), (10, 0), (0, 0), (999, 50)];
+        // service; lane = completion; latency = completion - now; now =
+        // completion. Replay a sequence both ways.
+        let cmds = [100u64, 250, 10, 0, 999];
         let mut q = QueuePair::new(2);
         let mut lanes = [0u64; 2];
         let mut now = 0u64;
-        for &(service, background) in &cmds {
+        for &service in &cmds {
             let lane = if lanes[0] <= lanes[1] { 0 } else { 1 };
             let start = now.max(lanes[lane]);
             let completion = start + service;
-            lanes[lane] = completion + background;
+            lanes[lane] = completion;
             let expect = completion - now;
             now = completion;
-            assert_eq!(q.submit(service, background), expect);
+            assert_eq!(q.submit(service), expect);
             assert_eq!(q.now_ns(), now);
         }
+    }
+
+    #[test]
+    fn deeper_submit_leaves_the_command_in_flight() {
+        let mut q = QueuePair::with_depth(1, 2);
+        assert_eq!(q.submit(100), 100);
+        assert_eq!(q.submit(100), 200, "queued behind the first on the one lane");
+        assert_eq!((q.now_ns(), q.in_flight()), (0, 2));
+        // Full queue: the third submission reaps the oldest first.
+        assert_eq!(q.submit(100), 200);
+        assert_eq!((q.now_ns(), q.in_flight()), (100, 2));
+        q.drain();
+        assert_eq!(q.now_ns(), 300);
     }
 
     #[test]
     fn set_depth_shrink_reaps_excess() {
         let mut q = QueuePair::with_depth(1, 4);
         for _ in 0..4 {
-            q.submit_async(100, 0);
+            q.submit_async(100);
         }
         q.set_depth(1);
         assert_eq!(q.in_flight(), 1);
@@ -393,27 +357,10 @@ mod tests {
     }
 
     #[test]
-    fn failed_completions_keep_deterministic_order_and_timing() {
-        let mut q = QueuePair::with_depth(2, 8);
-        let ok = q.submit_async(300, 0);
-        let bad = q.submit_async_status(100, 0, true);
-        // The failed command is scheduled like any other...
-        assert!(q.scheduled(bad).unwrap().failed);
-        assert!(!q.scheduled(ok).unwrap().failed);
-        // ...and reaps in completion order, status intact.
-        let done = q.drain();
-        assert_eq!(
-            done.iter().map(|c| (c.id, c.failed)).collect::<Vec<_>>(),
-            vec![(bad, true), (ok, false)]
-        );
-        assert_eq!(q.now_ns(), 300);
-    }
-
-    #[test]
     fn conservation_counters_track_lifecycle() {
         let mut q = QueuePair::with_depth(2, 3);
         for _ in 0..10 {
-            q.submit_async(10, 0);
+            q.submit_async(10);
         }
         q.drain();
         assert_eq!(q.submitted(), 10);

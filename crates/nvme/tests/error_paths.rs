@@ -7,7 +7,7 @@
 use fdpcache_ftl::{Ftl, FtlConfig, FtlError};
 use fdpcache_nvme::{
     BatchWrite, Controller, DeallocRange, FaultConfig, FaultKind, FaultStore, MemStore, NvmeError,
-    ScriptedFault, WritePayload,
+    ScriptedFault, WriteCompletion, WritePayload,
 };
 
 fn ctrl() -> Controller {
@@ -52,7 +52,10 @@ fn lba_out_of_range_on_every_data_path() {
         BatchWrite { slba: 0, data: WritePayload::Bytes(&good), dspec: None },
         BatchWrite { slba: 9, data: WritePayload::Bytes(&good), dspec: None },
     ];
-    assert!(matches!(c.write_batch_ns(&s, &writes), Err(NvmeError::LbaOutOfRange { .. })));
+    assert!(matches!(
+        c.write_batch_ns(&s, &writes, &mut [WriteCompletion::default(); 2]),
+        Err(NvmeError::LbaOutOfRange { .. })
+    ));
     assert!(matches!(c.read_ns(&s, 0, &mut out), Err(NvmeError::Unwritten(_))));
     // deallocate_ns: same all-or-nothing rejection.
     assert!(matches!(
@@ -82,7 +85,10 @@ fn invalid_placement_id_everywhere() {
     // Batch path rejects before any side effect.
     let good = page(1);
     let writes = [BatchWrite { slba: 0, data: WritePayload::Bytes(&good), dspec: Some(5) }];
-    assert!(matches!(c.write_batch_ns(&s, &writes), Err(NvmeError::InvalidPlacementId(5))));
+    assert!(matches!(
+        c.write_batch_ns(&s, &writes, &mut [WriteCompletion::default()]),
+        Err(NvmeError::InvalidPlacementId(5))
+    ));
     assert_eq!(s.stats().writes, 0);
 }
 
@@ -108,7 +114,10 @@ fn buffer_size_mismatch_on_reads_writes_and_batches() {
         BatchWrite { slba: 0, data: WritePayload::Bytes(&good), dspec: None },
         BatchWrite { slba: 1, data: WritePayload::Bytes(&good[..10]), dspec: None },
     ];
-    assert!(matches!(c.write_batch_ns(&s, &writes), Err(NvmeError::BufferSizeMismatch { .. })));
+    assert!(matches!(
+        c.write_batch_ns(&s, &writes, &mut [WriteCompletion::default(); 2]),
+        Err(NvmeError::BufferSizeMismatch { .. })
+    ));
     let mut out = page(0);
     assert!(matches!(c.read_ns(&s, 0, &mut out), Err(NvmeError::Unwritten(_))));
 }
@@ -227,9 +236,12 @@ fn ftl_lba_out_of_range_variants() {
     let n = f.exported_lbas();
     assert!(matches!(f.write(n, 0), Err(FtlError::LbaOutOfRange(l)) if l == n));
     assert!(matches!(f.read(n), Err(FtlError::LbaOutOfRange(_))));
-    assert!(matches!(f.trim(n - 1, 2), Err(FtlError::LbaOutOfRange(_))));
-    assert!(matches!(f.write_placed_batch(n - 1, 2, 0, 0), Err(FtlError::LbaOutOfRange(_))));
-    assert!(matches!(f.rollback_range(n, 1), Err(FtlError::LbaOutOfRange(_))));
+    // Every range check names the first LBA outside the device.
+    assert!(matches!(f.trim(n - 1, 2), Err(FtlError::LbaOutOfRange(l)) if l == n));
+    assert!(
+        matches!(f.write_placed_batch(n - 1, 2, 0, 0), Err(FtlError::LbaOutOfRange(l)) if l == n)
+    );
+    assert!(matches!(f.rollback_range(n, 1), Err(FtlError::LbaOutOfRange(l)) if l == n));
     // Overflowing ranges are rejected, not wrapped.
     assert!(matches!(f.trim(u64::MAX, 2), Err(FtlError::LbaOutOfRange(_))));
     assert!(matches!(f.write_placed_batch(u64::MAX, 2, 0, 0), Err(FtlError::LbaOutOfRange(_))));

@@ -20,7 +20,7 @@ use proptest::prelude::*;
 use fdpcache_ftl::FtlConfig;
 use fdpcache_nvme::{
     BatchWrite, Controller, DeallocRange, FaultConfig, FaultStore, MemStore, NvmeError,
-    WritePayload,
+    WriteCompletion, WritePayload,
 };
 
 const NS_BLOCKS: u64 = 64;
@@ -106,9 +106,9 @@ fn apply(c: &Controller, op: &DevOp, model: &mut BTreeMap<u64, u8>) {
                 .map(|&slba| BatchWrite { slba, data: WritePayload::Bytes(&data), dspec: None })
                 .collect();
             let state = c.open_namespace(1).expect("ns 1");
-            match c.write_batch_ns(&state, &writes) {
-                Ok(completions) => {
-                    assert_eq!(completions.len(), slbas.len());
+            let mut done = vec![WriteCompletion::default(); writes.len()];
+            match c.write_batch_ns(&state, &writes, &mut done) {
+                Ok(()) => {
                     for &b in slbas {
                         model.insert(b, *fill);
                     }

@@ -5,9 +5,9 @@
 //!   once, under arbitrary submit/reap/advance interleavings.
 //! * **Monotonic virtual time** — the clock never runs backwards, no
 //!   matter how submissions and reaps interleave.
-//! * **Depth-1 ≡ legacy** — the synchronous wrapper over the SQ/CQ
-//!   pair is bit-identical to the pre-batching one-command-at-a-time
-//!   model for any command sequence.
+//! * **Depth-1 ≡ legacy** — `submit` at depth 1 is bit-identical to
+//!   the pre-batching one-command-at-a-time model for any command
+//!   sequence.
 //! * **Completion order** — reaps come back sorted by completion time.
 
 use proptest::prelude::*;
@@ -16,10 +16,10 @@ use fdpcache_nvme::QueuePair;
 
 #[derive(Debug, Clone)]
 enum QpOp {
-    /// Submit asynchronously: (service_ns, background_ns).
-    SubmitAsync(u64, u64),
-    /// Submit synchronously.
-    Submit(u64, u64),
+    /// Submit asynchronously (service_ns).
+    SubmitAsync(u64),
+    /// Submit, honouring the depth.
+    Submit(u64),
     /// Reap one completion.
     Complete,
     /// Reap everything.
@@ -32,8 +32,8 @@ enum QpOp {
 
 fn qp_op() -> impl Strategy<Value = QpOp> {
     prop_oneof![
-        (0..5_000u64, 0..2_000u64).prop_map(|(s, b)| QpOp::SubmitAsync(s, b)),
-        (0..5_000u64, 0..2_000u64).prop_map(|(s, b)| QpOp::Submit(s, b)),
+        (0..5_000u64).prop_map(QpOp::SubmitAsync),
+        (0..5_000u64).prop_map(QpOp::Submit),
         Just(QpOp::Complete),
         Just(QpOp::Drain),
         (0..10_000u64).prop_map(QpOp::Advance),
@@ -45,10 +45,10 @@ proptest! {
     /// Conservation: across any interleaving of asynchronous submits
     /// and reaps, every submitted command is reaped exactly once after
     /// the final drain, and the in-flight count is always bounded by
-    /// the configured depth. (Synchronous submits reap earlier async
-    /// completions internally, so the observable exactly-once property
-    /// is stated over the async interface; the mixed-mode counters are
-    /// covered by `virtual_time_is_monotonic`.)
+    /// the configured depth. (A depth-1 `submit` reaps its own command
+    /// internally, so the observable exactly-once property is stated
+    /// over the async interface; the mixed-mode counters are covered by
+    /// `virtual_time_is_monotonic`.)
     #[test]
     fn every_submitted_command_completes_exactly_once(
         lanes in 1usize..6,
@@ -68,14 +68,13 @@ proptest! {
         };
         for op in &ops {
             match *op {
-                QpOp::SubmitAsync(s, b) | QpOp::Submit(s, b) => {
+                QpOp::SubmitAsync(s) | QpOp::Submit(s) => {
                     while model.len() >= depth {
                         reaped.push(pop_min(&mut model).expect("full queue has entries"));
                     }
-                    let id = q.submit_async(s, b);
-                    prop_assert!(ids.insert(id), "duplicate command id {id}");
-                    let c = q.scheduled(id).expect("just-submitted command is in flight");
-                    model.push((c.completion_ns, id));
+                    let c = q.submit_async(s);
+                    prop_assert!(ids.insert(c.id), "duplicate command id {}", c.id);
+                    model.push((c.completion_ns, c.id));
                 }
                 QpOp::Complete => {
                     if let Some(c) = q.complete() {
@@ -130,8 +129,8 @@ proptest! {
         let mut last_completion = 0u64;
         for op in &ops {
             match *op {
-                QpOp::SubmitAsync(s, b) => { q.submit_async(s, b); }
-                QpOp::Submit(s, b) => { q.submit(s, b); }
+                QpOp::SubmitAsync(s) => { q.submit_async(s); }
+                QpOp::Submit(s) => { q.submit(s); }
                 QpOp::Complete => {
                     if let Some(c) = q.complete() {
                         prop_assert!(c.completion_ns >= last_completion, "completion order");
@@ -157,20 +156,19 @@ proptest! {
         }
     }
 
-    /// The depth-1 synchronous wrapper is bit-identical to the legacy
-    /// one-command-at-a-time model (pre-refactor `QueuePair::submit`)
-    /// for any command sequence: same per-command latencies, same
+    /// `submit` at depth 1 is bit-identical to the legacy
+    /// one-command-at-a-time model for any command sequence: same per-command latencies, same
     /// clock, same lane schedule (observed through latencies).
     #[test]
     fn depth_one_is_bit_identical_to_legacy_model(
         lanes in 1usize..6,
-        cmds in proptest::collection::vec((0..100_000u64, 0..50_000u64), 1..80),
+        cmds in proptest::collection::vec(0..100_000u64, 1..80),
     ) {
         let mut q = QueuePair::new(lanes);
         // Reference: the exact arithmetic of the pre-SQ/CQ model.
         let mut ref_lanes = vec![0u64; lanes.max(1)];
         let mut ref_now = 0u64;
-        for &(service, background) in &cmds {
+        for &service in &cmds {
             let lane = ref_lanes
                 .iter()
                 .enumerate()
@@ -179,10 +177,10 @@ proptest! {
                 .unwrap_or(0);
             let start = ref_now.max(ref_lanes[lane]);
             let completion = start + service;
-            ref_lanes[lane] = completion + background;
+            ref_lanes[lane] = completion;
             let ref_latency = completion - ref_now;
             ref_now = completion;
-            let latency = q.submit(service, background);
+            let latency = q.submit(service);
             prop_assert_eq!(latency, ref_latency, "latency diverged");
             prop_assert_eq!(q.now_ns(), ref_now, "clock diverged");
         }
@@ -194,13 +192,13 @@ proptest! {
     fn pipelining_never_slows_the_clock(
         lanes in 1usize..6,
         depth in 2usize..10,
-        cmds in proptest::collection::vec((1..10_000u64, 0..1_000u64), 1..80),
+        cmds in proptest::collection::vec(1..10_000u64, 1..80),
     ) {
         let mut sync = QueuePair::new(lanes);
         let mut piped = QueuePair::with_depth(lanes, depth);
-        for &(s, b) in &cmds {
-            sync.submit(s, b);
-            piped.submit_async(s, b);
+        for &s in &cmds {
+            sync.submit(s);
+            piped.submit(s);
         }
         piped.drain();
         prop_assert!(piped.now_ns() <= sync.now_ns(), "pipelining must not slow completion");
