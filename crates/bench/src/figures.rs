@@ -2,10 +2,12 @@
 //! [`FIGURES`], run by the `repro` binary (`repro --fig 6 --quick`).
 //!
 //! A row lists its cells — labelled deltas on §6.1's configuration
-//! ([`ExpConfig::paper_default`]), each run by the replayer or by one of
-//! the few custom runners below — and the columns it reports. One
-//! renderer turns the columns into both the printed table (rounded) and
-//! the CSV (every digit); the row closes with the paper's value.
+//! ([`ExpConfig::paper_default`]) — and the columns it reports. A cell
+//! builds its stack here and runs it through the one replayer
+//! ([`Replayer::run`]); only the wear-out cell, which measures no
+//! window, serves requests itself. One renderer turns the columns into
+//! both the printed table (rounded) and the CSV (every digit); the row
+//! closes with the paper's value.
 //! `--quick` shrinks every cell ([`ExpConfig::quick`]) and some sweeps;
 //! quick runs stop inside the pre-wrap transient and prove nothing about
 //! placement.
@@ -20,7 +22,7 @@ use std::path::Path;
 use fdpcache_cache::builder::{
     build_cache, build_device, build_stack, create_namespace, equal_share_fraction, StoreKind,
 };
-use fdpcache_cache::{CacheError, CacheStats, ConcurrentPool, HybridCache};
+use fdpcache_cache::{ConcurrentPool, HybridCache};
 use fdpcache_core::{
     Assignment, DynamicPlacement, EpochFeedback, LoadBalancer, PlacementPolicy, RoundRobinPolicy,
     SharedController, StaticPlacement, StreamId, TemperatureBalancer,
@@ -30,11 +32,7 @@ use fdpcache_metrics::{csv, Table, TimeSeries};
 use fdpcache_model::{
     co2e_from_energy_kg, dlwa_theorem1, embodied_co2e_kg, operational_energy_joules, CarbonParams,
 };
-use fdpcache_nvme::FdpStatsLog;
-use fdpcache_workloads::trace::Request;
-use fdpcache_workloads::{
-    serve, ExperimentResult, ReplayConfig, Replayer, TraceGen, WorkloadProfile,
-};
+use fdpcache_workloads::{serve, ExperimentResult, Replayer, Tenant, TraceGen, WorkloadProfile};
 
 use crate::harness::ExpConfig;
 
@@ -59,32 +57,33 @@ struct Cell {
     run: Run,
 }
 
-/// How a cell runs. Every runner but `Replay` drives its tenants through
-/// [`Drive`], whose requests all end in the one step, [`serve`].
+/// How a cell's stack is built. Every kind but `WearOut` runs under the
+/// replayer: one cache samples 48 intervals per measurement, and the
+/// shared-device kinds (`Tenants`, `Pairs`, `ReclaimGroups`) 32.
 #[derive(Clone, Copy)]
 enum Run {
-    /// One cache under the replayer, its interval series 48 points long.
+    /// One cache.
     Replay,
     /// This many tenants on disjoint namespaces and RUHs of one device,
-    /// interleaved round-robin (Fig. 11).
+    /// served round-robin (Fig. 11).
     Tenants(usize),
     /// This many `<SOC, LOC>` engine pairs of one pool, routed by key.
     Pairs(usize),
     /// Two tenants separated by handles in one reclaim group (`false`),
     /// or each in a reclaim group of its own (`true`).
     ReclaimGroups(bool),
-    /// Placement re-decided every epoch by this policy.
+    /// One cache whose placement this policy re-decides every epoch.
     Dynamic(fn() -> Box<dyn DynamicPlacement>),
     /// No warm-up or measurement: serve until the device wears out at
     /// this P/E limit.
     WearOut(u32),
 }
 
-/// What a cell measured; a custom runner fills only what it measures.
+/// What a cell measured: the replayer's result, plus what the dynamic
+/// and wear-out cells count.
 #[derive(Debug, Clone, Default)]
 struct Outcome {
     run: ExperimentResult,
-    tenant_hits: Vec<f64>,
     epochs: u64,
     retired_rus: u64,
     mean_pe: f64,
@@ -304,8 +303,8 @@ pub const FIGURES: &[Figure] = &[
         columns: &[
             DLWA,
             STEADY,
-            Column { head: "tenant 0 hit%", dp: 1, get: |_, o| o.tenant_hits[0] * 100.0 },
-            Column { head: "tenant 1 hit%", dp: 1, get: |_, o| o.tenant_hits[1] * 100.0 },
+            Column { head: "tenant 0 hit%", dp: 1, get: |_, o| o.run.tenant_hit_ratios[0] * 100.0 },
+            Column { head: "tenant 1 hit%", dp: 1, get: |_, o| o.run.tenant_hit_ratios[1] * 100.0 },
             GC,
         ],
         series: true,
@@ -577,29 +576,15 @@ fn write_csv(dir: &str, name: &str, body: &str) -> io::Result<()> {
 impl Cell {
     fn run(&self) -> Outcome {
         let cfg = &self.cfg;
-        match self.run {
+        let run = match self.run {
             Run::Replay => {
-                let (ctrl, mut d) = Drive::single(cfg, cfg.ftl_config());
-                let (warmup, measure) = cfg.phase_bytes();
-                let replayer = Replayer::new(ReplayConfig {
-                    warmup_host_bytes: warmup,
-                    measure_host_bytes: measure,
-                    interval_host_bytes: (measure / 48).max(16 << 20),
-                    max_ops: 2_000_000_000,
-                    ..ReplayConfig::default()
-                });
-                let (cache, gen) = (&mut d.caches[0], &mut d.gens[0]);
-                let run = replayer.run(cfg.label(), cfg.workload.name, cache, &ctrl, gen);
-                Outcome { run: run.unwrap_or_else(|e| panic!("replay: {e}")), ..Outcome::default() }
+                let (ctrl, cache, gen) = single(cfg, cfg.ftl_config());
+                replay(cfg, 48, &ctrl, &mut [cache], &mut [gen], |_, _| {})
             }
             Run::Tenants(n) => {
-                let ftl = cfg.ftl_config();
-                let per = (ftl.num_ruhs as usize / n).max(1);
-                let ctrl = build_device(ftl, StoreKind::Null, cfg.fdp)
-                    .unwrap_or_else(|e| panic!("device: {e}"));
+                let per = (cfg.ftl_config().num_ruhs as usize / n).max(1);
                 let ruhs = |t: usize| (0..per as u8).map(|i| (t * per) as u8 + i).collect();
-                let d = Drive::tenants(&ctrl, cfg, n, ruhs, |_| Box::new(RoundRobinPolicy::new()));
-                d.measure(&ctrl, cfg)
+                shared(cfg, cfg.ftl_config(), n, ruhs, |_| Box::new(RoundRobinPolicy::new()))
             }
             Run::Pairs(n) => {
                 let ctrl = build_device(cfg.ftl_config(), StoreKind::Null, cfg.fdp)
@@ -616,224 +601,116 @@ impl Cell {
                     pool.with_shard(0, |c| c.navy().io().capacity_bytes()).expect("pair 0");
                 let keyspace =
                     cfg.workload.keyspace_for(shard_bytes * n as u64, cfg.keyspace_multiple);
-                let gens = vec![cfg.workload.generator(keyspace, cfg.seed)];
-                Drive { caches: vec![pool], gens, ops: 0 }.measure(&ctrl, cfg)
+                let gen = cfg.workload.generator(keyspace, cfg.seed);
+                replay(cfg, 32, &ctrl, &mut [&pool], &mut [gen], |_, _| {})
             }
             Run::ReclaimGroups(isolated) => {
-                let mut ftl = cfg.ftl_config();
-                ftl.num_rgs = if isolated { 2 } else { 1 };
-                let ctrl = build_device(ftl, StoreKind::Null, true)
-                    .unwrap_or_else(|e| panic!("device: {e}"));
+                let ftl = FtlConfig { num_rgs: if isolated { 2 } else { 1 }, ..cfg.ftl_config() };
                 // A group per tenant, or one group whose four handles the
                 // tenants split two and two.
                 let policy = |t: usize| -> Box<dyn PlacementPolicy> {
-                    let (rg, next) = if isolated { (t as u8, 0) } else { (0, 2 * t as u16) };
-                    Box::new(GroupPolicy { rg, next })
+                    let (rg, first) = if isolated { (t as u8, 0) } else { (0, 2 * t) };
+                    Box::new(RoundRobinPolicy::within(rg, first))
                 };
-                Drive::tenants(&ctrl, cfg, 2, |_| (0..4).collect(), policy).measure(&ctrl, cfg)
+                shared(cfg, ftl, 2, |_| (0..4).collect(), policy)
             }
-            Run::Dynamic(policy) => dynamic(cfg, policy()),
+            Run::Dynamic(policy) => return dynamic(cfg, policy()),
             Run::WearOut(pe_limit) => {
-                let (ctrl, mut d) = Drive::single(cfg, FtlConfig { pe_limit, ..cfg.ftl_config() });
+                let (ctrl, mut cache, mut gen) =
+                    single(cfg, FtlConfig { pe_limit, ..cfg.ftl_config() });
                 // Every host page spends endurance, so this ends.
-                while d.step().is_ok() {}
+                while serve(&mut cache, gen.next_request()).is_ok() {}
                 let log = ctrl.fdp_stats_log();
                 let (dlwa, host_bytes) = (log.dlwa(), log.host_bytes_written);
                 let (retired_rus, mean_pe) =
                     ctrl.with_ftl(|f| (f.stats().retired_rus, f.wear().mean_pe));
                 let run = ExperimentResult { dlwa, host_bytes, ..ExperimentResult::default() };
-                Outcome { run, retired_rus, mean_pe, ..Outcome::default() }
+                return Outcome { run, retired_rus, mean_pe, ..Outcome::default() };
             }
-        }
+        };
+        Outcome { run, ..Outcome::default() }
     }
 }
 
-/// Round-robin from the `next`-th handle, within reclaim group `rg`:
-/// placement identifiers carry the group in their upper byte
-/// (`PlacementHandle::with_pid`).
-struct GroupPolicy {
-    rg: u8,
-    next: u16,
+/// One cache from `build_stack` on `ftl`, with its own generator.
+fn single(cfg: &ExpConfig, ftl: FtlConfig) -> (SharedController, HybridCache, TraceGen) {
+    let cache_cfg = cfg.cache_config_for_build();
+    let (ctrl, cache) = build_stack(ftl, StoreKind::Null, cfg.fdp, cfg.utilization, &cache_cfg)
+        .unwrap_or_else(|e| panic!("stack: {e}"));
+    let keyspace =
+        cfg.workload.keyspace_for(cache.navy().io().capacity_bytes(), cfg.keyspace_multiple);
+    let gen = cfg.workload.generator(keyspace, cfg.seed);
+    (ctrl, cache, gen)
 }
 
-impl PlacementPolicy for GroupPolicy {
-    fn pick(&mut self, _consumer: &str, available: &[u16]) -> Option<u16> {
-        let ph = available.get(self.next as usize).copied()?;
-        self.next += 1;
-        Some(((self.rg as u16) << 8) | ph)
-    }
-}
-
-/// What a [`Drive`] tenant is: one cache, or a pool that routes each
-/// request to an engine pair by key.
-trait Tenant {
-    /// Serves one request ([`serve`]).
-    fn serve(&mut self, req: Request) -> Result<(), CacheError>;
-    /// Cumulative statistics.
-    fn stats(&self) -> CacheStats;
-}
-
-impl Tenant for HybridCache {
-    fn serve(&mut self, req: Request) -> Result<(), CacheError> {
-        serve(self, req)
-    }
-
-    fn stats(&self) -> CacheStats {
-        HybridCache::stats(self)
-    }
-}
-
-/// Each request goes through its shard's lock, never the lock-free DRAM
-/// hit path: a locked hit moves the key to the LRU head, as a lone cache
-/// does.
-impl Tenant for ConcurrentPool {
-    fn serve(&mut self, req: Request) -> Result<(), CacheError> {
-        self.with_shard(self.shard_of(req.key), |c| serve(c, req)).expect("routed shard exists")
-    }
-
-    fn stats(&self) -> CacheStats {
-        ConcurrentPool::stats(self)
-    }
-}
-
-/// Tenants on one device, each fed by its own trace generator, served
-/// round-robin.
-struct Drive<T> {
-    caches: Vec<T>,
-    gens: Vec<TraceGen>,
-    ops: usize,
-}
-
-impl Drive<HybridCache> {
-    /// One cache from `build_stack` on `ftl`, with its own generator.
-    fn single(cfg: &ExpConfig, ftl: FtlConfig) -> (SharedController, Self) {
-        let cache_cfg = cfg.cache_config_for_build();
-        let (ctrl, cache) = build_stack(ftl, StoreKind::Null, cfg.fdp, cfg.utilization, &cache_cfg)
-            .unwrap_or_else(|e| panic!("stack: {e}"));
-        let keyspace =
-            cfg.workload.keyspace_for(cache.navy().io().capacity_bytes(), cfg.keyspace_multiple);
-        let gens = vec![cfg.workload.generator(keyspace, cfg.seed)];
-        (ctrl, Drive { caches: vec![cache], gens, ops: 0 })
-    }
-
-    /// `n` tenants, tenant `t` on an equal share of the device with
-    /// handles `ruhs(t)`, placement `policy(t)` and seed `seed + t`.
-    fn tenants(
-        ctrl: &SharedController,
-        cfg: &ExpConfig,
-        n: usize,
-        ruhs: impl Fn(usize) -> Vec<u8>,
-        policy: impl Fn(usize) -> Box<dyn PlacementPolicy>,
-    ) -> Self {
-        let mut d = Drive { caches: Vec::new(), gens: Vec::new(), ops: 0 };
-        for t in 0..n {
-            let nsid = create_namespace(ctrl, equal_share_fraction(t, n, cfg.utilization), ruhs(t))
-                .unwrap_or_else(|e| panic!("namespace: {e}"));
+/// `n` tenants sharing a device on `ftl`, tenant `t` on an equal share
+/// with handles `ruhs(t)`, placement `policy(t)` and seed `seed + t`,
+/// under the replayer.
+fn shared(
+    cfg: &ExpConfig,
+    ftl: FtlConfig,
+    n: usize,
+    ruhs: impl Fn(usize) -> Vec<u8>,
+    policy: impl Fn(usize) -> Box<dyn PlacementPolicy>,
+) -> ExperimentResult {
+    let ctrl =
+        build_device(ftl, StoreKind::Null, cfg.fdp).unwrap_or_else(|e| panic!("device: {e}"));
+    let (mut caches, mut gens): (Vec<_>, Vec<_>) = (0..n)
+        .map(|t| {
+            let nsid =
+                create_namespace(&ctrl, equal_share_fraction(t, n, cfg.utilization), ruhs(t))
+                    .unwrap_or_else(|e| panic!("namespace: {e}"));
             let ns_bytes = ctrl.namespace(nsid).expect("created").capacity_bytes(ctrl.lba_bytes());
-            let cache = build_cache(ctrl, nsid, &cfg.cache_config(ns_bytes), policy(t))
+            let cache = build_cache(&ctrl, nsid, &cfg.cache_config(ns_bytes), policy(t))
                 .unwrap_or_else(|e| panic!("cache: {e}"));
             let keyspace = cfg.workload.keyspace_for(ns_bytes, cfg.keyspace_multiple);
-            d.caches.push(cache);
-            d.gens.push(cfg.workload.generator(keyspace, cfg.seed + t as u64));
-        }
-        d
-    }
+            (cache, cfg.workload.generator(keyspace, cfg.seed + t as u64))
+        })
+        .unzip();
+    replay(cfg, 32, &ctrl, &mut caches, &mut gens, |_, _| {})
 }
 
-impl<T: Tenant> Drive<T> {
-    /// Serves the next tenant's next request.
-    fn step(&mut self) -> Result<(), CacheError> {
-        let t = self.ops % self.gens.len();
-        self.ops += 1;
-        let req = self.gens[t].next_request();
-        self.caches[t].serve(req)
-    }
-
-    /// Steps until the device has taken `target` host bytes, handing the
-    /// FDP statistics log after every step to `after`.
-    fn run_to(
-        &mut self,
-        ctrl: &SharedController,
-        target: u64,
-        mut after: impl FnMut(&mut [T], FdpStatsLog),
-    ) {
-        while ctrl.fdp_stats_log().host_bytes_written < target {
-            self.step().unwrap_or_else(|e| panic!("{e}"));
-            after(&mut self.caches, ctrl.fdp_stats_log());
-        }
-    }
-
-    /// Warm-up, then measurement: the shared device's DLWA, GC events
-    /// and interval-DLWA series (32 points), the tenants' merged hit
-    /// ratio, and each tenant's own.
-    fn measure(mut self, ctrl: &SharedController, cfg: &ExpConfig) -> Outcome {
-        let (warmup, measure) = cfg.phase_bytes();
-        let interval = (measure / 32).max(16 << 20);
-        self.run_to(ctrl, warmup, |_, _| {});
-        let log0 = ctrl.fdp_stats_log();
-        let stats0: Vec<CacheStats> = self.caches.iter().map(T::stats).collect();
-        let (mut series, mut last) = (Vec::new(), log0);
-        self.run_to(ctrl, log0.host_bytes_written + measure, |_, log| {
-            if log.host_bytes_written >= last.host_bytes_written + interval {
-                let gib =
-                    (log.host_bytes_written - log0.host_bytes_written) as f64 / (1u64 << 30) as f64;
-                series.push((gib, log.delta(&last).dlwa()));
-                last = log;
-            }
-        });
-        let dlog = ctrl.fdp_stats_log().delta(&log0);
-        // Steady state as the replayer reads it: the tail quarter's mean.
-        let tail: Vec<f64> =
-            series.iter().rev().take(series.len().max(4) / 4).map(|p| p.1).collect();
-        let steady = if tail.is_empty() {
-            dlog.dlwa()
-        } else {
-            tail.iter().sum::<f64>() / tail.len() as f64
-        };
-        let deltas: Vec<CacheStats> =
-            self.caches.iter().zip(&stats0).map(|(c, s0)| c.stats().delta(s0)).collect();
-        let merged = deltas.iter().fold(CacheStats::default(), |t, s| t.merge(s));
-        Outcome {
-            run: ExperimentResult {
-                dlwa: dlog.dlwa(),
-                dlwa_steady: steady,
-                dlwa_series: series,
-                hit_ratio: merged.hit_ratio(),
-                gc_events: dlog.media_relocated_events,
-                ..ExperimentResult::default()
-            },
-            tenant_hits: deltas.iter().map(CacheStats::hit_ratio).collect(),
-            ..Outcome::default()
-        }
-    }
+/// `tenants` of `ctrl` under the replayer, sampling `points` intervals
+/// per measurement.
+fn replay<T: Tenant>(
+    cfg: &ExpConfig,
+    points: u64,
+    ctrl: &SharedController,
+    tenants: &mut [T],
+    gens: &mut [TraceGen],
+    observe: impl FnMut(&mut [T], Option<u64>),
+) -> ExperimentResult {
+    let replayer = Replayer::new(cfg.replay_config(points));
+    let run = replayer.run(cfg.label(), cfg.workload.name, tenants, gens, ctrl, observe);
+    run.unwrap_or_else(|e| panic!("replay: {e}"))
 }
 
-/// §5.5 lesson 2's loop: after warm-up, every sixteenth of a device
-/// turnover digest the epoch's relocation events and per-handle host
-/// pages, ask `policy` for the SOC and LOC handles, and re-bind.
+/// §5.5 lesson 2's loop: from the measurement origin, every sixteenth
+/// of a device turnover digest the epoch's relocation events and
+/// per-handle host pages, ask `policy` for the SOC and LOC handles, and
+/// re-bind.
 fn dynamic(cfg: &ExpConfig, mut policy: Box<dyn DynamicPlacement>) -> Outcome {
-    let (ctrl, mut d) = Drive::single(cfg, cfg.ftl_config());
-    let (warmup, measure) = cfg.phase_bytes();
+    let (ctrl, cache, gen) = single(cfg, cfg.ftl_config());
     let epoch_bytes = ((cfg.device_gib << 30) / 16).max(16 << 20);
     let (soc, loc) = (StreamId("soc-0".to_string()), StreamId("loc-0".to_string()));
-    let navy = d.caches[0].navy();
-    let mut assignment: Assignment =
-        HashMap::from([(soc.clone(), navy.soc().handle()), (loc.clone(), navy.loc().handle())]);
+    let mut assignment: Assignment = HashMap::from([
+        (soc.clone(), cache.navy().soc().handle()),
+        (loc.clone(), cache.navy().loc().handle()),
+    ]);
+    // `build_stack` hands its namespace every RUH in order: placement
+    // identifier `d` is RUH `d`.
     let available: Vec<u16> = (0..ctrl.config().num_ruhs as u16).collect();
-    // dspec → device RUH, resolved through the single namespace, to
-    // attribute events back to handles.
-    let ns = ctrl.namespace(1).expect("namespace 1 exists");
-    let ruh_of_dspec: HashMap<u16, u8> =
-        available.iter().filter_map(|&d| ns.resolve_pid(d).map(|ruh| (d, ruh))).collect();
-    let dspec_of_ruh: HashMap<u8, u16> = ruh_of_dspec.iter().map(|(&d, &r)| (r, d)).collect();
-    let mut last_pages = ctrl.with_ftl(|f| f.ruh_host_pages().to_vec());
-    let (mut next_epoch, mut epochs) = (epoch_bytes, 0);
+    let host_pages = || ctrl.with_ftl(|f| f.ruh_host_pages().to_vec());
+    let (mut last_pages, mut next_epoch, mut epochs) = (Vec::new(), epoch_bytes, 0);
 
-    d.run_to(&ctrl, warmup, |_, _| {});
-    let log0 = ctrl.fdp_stats_log();
-    ctrl.drain_fdp_events();
-    d.run_to(&ctrl, log0.host_bytes_written + measure, |caches, log| {
-        if log.host_bytes_written - log0.host_bytes_written < next_epoch {
+    let run = replay(cfg, 48, &ctrl, &mut [cache], &mut [gen], |caches, written| {
+        let Some(written) = written else {
+            // The measurement origin opens the first epoch.
+            ctrl.drain_fdp_events();
+            last_pages = host_pages();
+            return;
+        };
+        if written < next_epoch {
             return;
         }
         next_epoch += epoch_bytes;
@@ -841,13 +718,13 @@ fn dynamic(cfg: &ExpConfig, mut policy: Box<dyn DynamicPlacement>) -> Outcome {
         let mut feedback = EpochFeedback::default();
         for e in ctrl.drain_fdp_events() {
             if let FdpEvent::MediaRelocated { owner, relocated_pages, .. } = e {
-                let dspec = owner.and_then(|ruh| dspec_of_ruh.get(&ruh).copied());
-                *feedback.relocated_pages.entry(dspec).or_default() += relocated_pages;
+                *feedback.relocated_pages.entry(owner.map(u16::from)).or_default() +=
+                    relocated_pages;
             }
         }
-        let pages = ctrl.with_ftl(|f| f.ruh_host_pages().to_vec());
-        for (&dspec, &ruh) in &ruh_of_dspec {
-            feedback.host_pages.insert(dspec, pages[ruh as usize] - last_pages[ruh as usize]);
+        let pages = host_pages();
+        for (ruh, (now, then)) in pages.iter().zip(&last_pages).enumerate() {
+            feedback.host_pages.insert(ruh as u16, now - then);
         }
         last_pages = pages;
         let next = policy.rebalance(&assignment, &available, &feedback);
@@ -856,8 +733,6 @@ fn dynamic(cfg: &ExpConfig, mut policy: Box<dyn DynamicPlacement>) -> Outcome {
             caches[0].navy_mut().set_handles(assignment[&soc], assignment[&loc]);
         }
     });
-    let dlwa = ctrl.fdp_stats_log().delta(&log0).dlwa();
-    let run = ExperimentResult { dlwa, alwa: d.caches[0].alwa(), ..ExperimentResult::default() };
     Outcome { run, epochs, ..Outcome::default() }
 }
 
@@ -871,9 +746,10 @@ mod tests {
             dlwa: 1.25,
             dlwa_steady: 1.2345,
             gc_events: 42,
+            tenant_hit_ratios: vec![0.5, 0.25],
             ..Default::default()
         };
-        Outcome { run, tenant_hits: vec![0.5, 0.25], ..Outcome::default() }
+        Outcome { run, ..Outcome::default() }
     }
 
     #[test]

@@ -13,7 +13,7 @@ use std::fmt::Debug;
 use fdpcache_cache::config::{CacheConfig, NvmConfig};
 use fdpcache_ftl::{FtlConfig, GcPolicy, RuhType};
 use fdpcache_nand::Geometry;
-use fdpcache_workloads::WorkloadProfile;
+use fdpcache_workloads::{ReplayConfig, WorkloadProfile};
 
 /// The bench-device FTL configuration shared by every gate scenario, so
 /// they always measure the same device shape: 4 KiB LBAs, 8 RUHs,
@@ -177,14 +177,19 @@ impl ExpConfig {
         self.cache_config(ns_bytes)
     }
 
-    /// Host bytes of warm-up and of measurement: the turnover counts
-    /// times the raw device size.
-    pub fn phase_bytes(&self) -> (u64, u64) {
+    /// The replayer configuration this experiment runs: warm-up and
+    /// measurement are the turnover counts times the raw device size,
+    /// sampled every `1 / points` of the measurement (at least 16 MiB).
+    pub fn replay_config(&self, points: u64) -> ReplayConfig {
         let device_bytes = (self.device_gib << 30) as f64;
-        (
-            (device_bytes * self.warmup_turnovers) as u64,
-            (device_bytes * self.measure_turnovers) as u64,
-        )
+        let measure = (device_bytes * self.measure_turnovers) as u64;
+        ReplayConfig {
+            warmup_host_bytes: (device_bytes * self.warmup_turnovers) as u64,
+            measure_host_bytes: measure,
+            interval_host_bytes: (measure / points).max(16 << 20),
+            max_ops: 2_000_000_000,
+            ..ReplayConfig::default()
+        }
     }
 }
 

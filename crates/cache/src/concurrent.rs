@@ -58,7 +58,6 @@ use std::mem::offset_of;
 use std::sync::Arc;
 
 use fdpcache_core::{IoStats, PlacementPolicy, SharedController};
-use fdpcache_metrics::Histogram;
 use fdpcache_nvme::NamespaceId;
 use parking_lot::Mutex;
 
@@ -324,14 +323,6 @@ impl ConcurrentPool {
         }
     }
 
-    /// Empties every shard's device latency histograms (see
-    /// [`HybridCache::reset_latency`]).
-    pub fn reset_latency(&self) {
-        for s in &self.shards {
-            s.cache.lock().reset_latency();
-        }
-    }
-
     /// Retunes every shard's breaker probe-backoff schedule (see
     /// [`HybridCache::set_breaker_backoff`]).
     pub fn set_breaker_backoff(&self, initial_ns: u64, max_ns: u64) {
@@ -393,24 +384,6 @@ impl ConcurrentPool {
     /// clock is when the pool as a whole is done with submitted work.
     pub fn now_ns(&self) -> u64 {
         self.shards.iter().map(|s| s.cache.lock().now_ns()).max().unwrap_or(0)
-    }
-
-    /// Merged device read-latency histogram across shards.
-    pub fn read_latency(&self) -> Histogram {
-        let mut h = Histogram::new();
-        for s in &self.shards {
-            h.merge(s.cache.lock().navy().read_latency());
-        }
-        h
-    }
-
-    /// Merged device write-latency histogram across shards.
-    pub fn write_latency(&self) -> Histogram {
-        let mut h = Histogram::new();
-        for s in &self.shards {
-            h.merge(s.cache.lock().navy().write_latency());
-        }
-        h
     }
 }
 
@@ -662,7 +635,6 @@ mod tests {
         }
         assert!(p.alwa() > 1.0, "alwa = {}", p.alwa());
         assert!(p.io_stats().writes > 0);
-        assert!(p.write_latency().count() > 0);
         assert!(p.now_ns() > 0);
         assert!(p.with_shard(0, |c| c.stats().puts).unwrap() > 0);
         assert!(p.with_shard(99, |_| ()).is_none());

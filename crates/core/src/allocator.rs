@@ -139,7 +139,7 @@ impl PlacementHandleAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{RoundRobinPolicy, SingleHandlePolicy};
+    use crate::policy::{PlacementPolicy, RoundRobinPolicy};
     use fdpcache_ftl::RuhType;
     use fdpcache_nvme::FdpConfigDescriptor;
 
@@ -156,6 +156,15 @@ mod tests {
                 ruh_type: RuhType::InitiallyIsolated,
                 ru_bytes: 64 << 20,
             }),
+        }
+    }
+
+    /// Every consumer on the first identifier: all streams intermixed.
+    struct FirstHandle;
+
+    impl PlacementPolicy for FirstHandle {
+        fn pick(&mut self, _consumer: &str, available: &[u16]) -> Option<u16> {
+            available.first().copied()
         }
     }
 
@@ -196,11 +205,8 @@ mod tests {
 
     #[test]
     fn single_handle_policy_intermixes() {
-        let mut a = PlacementHandleAllocator::discover(
-            &identity(true),
-            &ns(4),
-            Box::new(SingleHandlePolicy),
-        );
+        let mut a =
+            PlacementHandleAllocator::discover(&identity(true), &ns(4), Box::new(FirstHandle));
         let soc = a.allocate("soc-0");
         let loc = a.allocate("loc-0");
         assert_eq!(soc, loc, "single-handle policy must map all consumers together");
@@ -217,11 +223,8 @@ mod tests {
         let (_soc, loc) = (a.allocate("soc"), a.allocate("loc"));
         assert_eq!(a.allocate_metadata(loc), loc);
         // A policy that intermixes everything intermixes metadata too.
-        let mut a = PlacementHandleAllocator::discover(
-            &identity(true),
-            &ns(4),
-            Box::new(SingleHandlePolicy),
-        );
+        let mut a =
+            PlacementHandleAllocator::discover(&identity(true), &ns(4), Box::new(FirstHandle));
         let loc = a.allocate("loc");
         assert_eq!(a.allocate_metadata(loc), loc);
         // FDP off: everything is the default handle.

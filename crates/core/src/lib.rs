@@ -44,4 +44,4 @@ pub use io::{
     SharedController, DISCARD_BASE_SERVICE_NS, DISCARD_PER_BLOCK_NS, GC_READ_INTERFERENCE_CAP,
     GC_WRITE_INTERFERENCE_CAP,
 };
-pub use policy::{PlacementPolicy, RoundRobinPolicy, SingleHandlePolicy};
+pub use policy::{PlacementPolicy, RoundRobinPolicy};

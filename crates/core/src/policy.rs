@@ -3,9 +3,9 @@
 //! The paper's lesson (§5.5): simple static assignment beats dynamic
 //! adaptive schemes for CacheLib's workloads. The allocator therefore
 //! defaults to round-robin static assignment, but the policy is a trait
-//! so experiments can plug in alternatives (the ablations use
-//! [`SingleHandlePolicy`] to force the Non-FDP behaviour even on an
-//! FDP-enabled device, exactly like the paper's Figure 10b methodology).
+//! so experiments can plug in alternatives (the `rgroups` row picks
+//! handles inside one reclaim group). Non-FDP baselines turn FDP off
+//! rather than plug in a policy.
 
 /// Chooses which available placement identifier a consumer receives.
 pub trait PlacementPolicy: Send {
@@ -23,6 +23,7 @@ pub trait PlacementPolicy: Send {
 #[derive(Debug, Default)]
 pub struct RoundRobinPolicy {
     next: usize,
+    rg: u8,
 }
 
 impl RoundRobinPolicy {
@@ -30,27 +31,21 @@ impl RoundRobinPolicy {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Round-robin from the `first`-th identifier, within reclaim group
+    /// `rg`: picks carry the group in their upper byte, as
+    /// [`PlacementHandle::with_pid`](crate::PlacementHandle::with_pid)
+    /// encodes it.
+    pub fn within(rg: u8, first: usize) -> Self {
+        RoundRobinPolicy { next: first, rg }
+    }
 }
 
 impl PlacementPolicy for RoundRobinPolicy {
     fn pick(&mut self, _consumer: &str, available: &[u16]) -> Option<u16> {
-        let pick = available.get(self.next).copied();
-        if pick.is_some() {
-            self.next += 1;
-        }
-        pick
-    }
-}
-
-/// Forces every consumer onto one identifier, intermixing all streams —
-/// the Non-FDP baseline on FDP hardware ("force SOC and LOC to use a
-/// single RUH to simulate the Non-FDP scenario", paper §6.6).
-#[derive(Debug, Default)]
-pub struct SingleHandlePolicy;
-
-impl PlacementPolicy for SingleHandlePolicy {
-    fn pick(&mut self, _consumer: &str, available: &[u16]) -> Option<u16> {
-        available.first().copied()
+        let pick = available.get(self.next).copied()?;
+        self.next += 1;
+        Some((u16::from(self.rg) << 8) | pick)
     }
 }
 
@@ -70,18 +65,17 @@ mod tests {
     }
 
     #[test]
-    fn single_handle_always_first() {
-        let mut p = SingleHandlePolicy;
-        let avail = [4u16, 5];
-        assert_eq!(p.pick("a", &avail), Some(4));
-        assert_eq!(p.pick("b", &avail), Some(4));
+    fn within_a_group_starts_at_first_and_tags_the_group() {
+        let mut p = RoundRobinPolicy::within(1, 2);
+        let avail = [0u16, 1, 2, 3];
+        assert_eq!(p.pick("soc", &avail), Some(0x0102));
+        assert_eq!(p.pick("loc", &avail), Some(0x0103));
+        assert_eq!(p.pick("meta", &avail), None);
     }
 
     #[test]
     fn empty_available_gives_default() {
         let mut rr = RoundRobinPolicy::new();
-        let mut single = SingleHandlePolicy;
         assert_eq!(rr.pick("x", &[]), None);
-        assert_eq!(single.pick("x", &[]), None);
     }
 }

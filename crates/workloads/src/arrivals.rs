@@ -6,8 +6,8 @@
 //! queueing delay is unmeasurable by construction. An
 //! [`ArrivalProcess`] decouples *offered* load from *service*: it
 //! emits a seed-stable sequence of virtual-nanosecond arrival stamps
-//! (Poisson by default, optionally modulated by a diurnal sine or
-//! scripted burst windows), and the driver charges each request the
+//! (Poisson by default, optionally modulated by scripted burst
+//! windows), and the driver charges each request the
 //! queueing delay between its arrival and the moment the server got to
 //! it. Overload then shows up the way the paper's Figure 13 frames it
 //! — as p99 sojourn inflation — instead of silently flattening
@@ -65,16 +65,6 @@ impl BurstWindow {
 pub enum RateShape {
     /// Homogeneous Poisson at the base rate.
     Steady,
-    /// Sinusoidal day/night modulation:
-    /// `rate(t) = base · (1 + amplitude · sin(2πt / period))`.
-    /// `amplitude` must lie in `[0, 1]` so the rate never goes
-    /// negative.
-    Diurnal {
-        /// Peak deviation as a fraction of the base rate.
-        amplitude: f64,
-        /// Virtual-time period of one full cycle.
-        period_ns: u64,
-    },
     /// Scripted burst windows over an otherwise steady base rate. The
     /// first window containing `t` wins; time outside every window
     /// runs at the base rate.
@@ -86,11 +76,6 @@ impl RateShape {
     pub fn multiplier_at(&self, t_ns: u64) -> f64 {
         match self {
             RateShape::Steady => 1.0,
-            RateShape::Diurnal { amplitude, period_ns } => {
-                let period = (*period_ns).max(1) as f64;
-                let phase = (t_ns % (*period_ns).max(1)) as f64 / period;
-                1.0 + amplitude * (2.0 * std::f64::consts::PI * phase).sin()
-            }
             RateShape::Bursts(windows) => {
                 windows.iter().find(|w| w.contains(t_ns)).map(|w| w.multiplier).unwrap_or(1.0)
             }
@@ -102,7 +87,6 @@ impl RateShape {
     pub fn peak_multiplier(&self) -> f64 {
         match self {
             RateShape::Steady => 1.0,
-            RateShape::Diurnal { amplitude, .. } => 1.0 + amplitude.max(0.0),
             RateShape::Bursts(windows) => {
                 windows.iter().map(|w| w.multiplier).fold(1.0f64, f64::max)
             }
@@ -236,25 +220,5 @@ mod tests {
             inside as f64 > 5.0 * before as f64,
             "burst window must densify arrivals ({inside} in-burst vs {before} calm)"
         );
-    }
-
-    #[test]
-    fn diurnal_shape_stays_positive_and_periodic() {
-        let shape = RateShape::Diurnal { amplitude: 0.8, period_ns: 1_000_000 };
-        for t in (0..5_000_000u64).step_by(37_000) {
-            let m = shape.multiplier_at(t);
-            assert!(m > 0.0 && m <= 1.8 + 1e-9, "multiplier {m} out of range at {t}");
-            assert!(
-                (m - shape.multiplier_at(t + 1_000_000)).abs() < 1e-9,
-                "shape must be periodic"
-            );
-        }
-        let mut p = ArrivalProcess::new(30_000.0, shape, 11);
-        let mut prev = 0;
-        for _ in 0..2_000 {
-            let t = p.next_ns();
-            assert!(t > prev);
-            prev = t;
-        }
     }
 }

@@ -16,12 +16,12 @@
 //! We cannot ship those traces, so [`profiles`] provides generators
 //! matched to their published characteristics: op mix, Zipfian popularity
 //! (small hot working set with churn), and small-object-dominant size
-//! mixtures. Each `crates/bench/src/bin/fig*.rs` header records the
+//! mixtures. Each row of the bench crate's figure table records the
 //! parameters its figure uses.
 //!
-//! [`replay::Replayer`] plays a generator against a
-//! [`fdpcache_cache::HybridCache`], sampling the device's FDP statistics
-//! log at fixed host-byte intervals to produce the interval-DLWA series
+//! [`replay::Replayer`], the one warm-up → measure → roll-up loop, plays
+//! a generator per tenant against caches (or pools) sharing one device,
+//! sampling its FDP statistics log to produce the interval-DLWA series
 //! of Figures 5, 7, 8 and 11, plus throughput/hit-ratio/latency rollups.
 
 #![forbid(unsafe_code)]
@@ -43,7 +43,9 @@ pub use concurrent::{run_pool_round, PoolMode, PoolWorkerReport};
 pub use faults::{ChaosPhase, ChaosStorm, FaultScenario};
 pub use oracle::Oracle;
 pub use profiles::WorkloadProfile;
-pub use replay::{replay_pool, serve, ExperimentResult, PoolReplayConfig, ReplayConfig, Replayer};
+pub use replay::{
+    replay_pool, serve, ExperimentResult, PoolReplayConfig, ReplayConfig, Replayer, Tenant,
+};
 pub use sizes::SizeDist;
 pub use tenants::{
     AdmissionBudget, SloTarget, TenantCatalog, TenantSloSummary, TenantSloTracker, TenantSpec,

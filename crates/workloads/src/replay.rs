@@ -1,25 +1,35 @@
-//! The CacheBench-equivalent replayer.
+//! The CacheBench-equivalent replayer: the one warm-up → measure →
+//! roll-up loop every figure cell, example and replay test runs.
 //!
-//! Drives a [`HybridCache`] with a [`crate::TraceGen`] (or any other
-//! [`RequestSource`]), sampling the device's
-//! FDP statistics log at fixed host-byte intervals (the simulated
-//! counterpart of the paper's 10-minute `nvme get-log` polling, §6.1)
-//! to produce interval-DLWA series, and rolls up the CacheBench metrics
-//! the paper reports: throughput, hit ratios, p99 latencies, ALWA.
+//! [`Replayer::run`] drives one or more [`Tenant`]s that share one
+//! device — each a [`HybridCache`], or a [`ConcurrentPool`] served
+//! through its shard locks — round-robin, each from its own
+//! [`RequestSource`] (a [`crate::TraceGen`] or a recorded
+//! [`crate::FileReplay`]). It warms the caches for a host-byte budget,
+//! then samples the device's FDP statistics log at fixed host-byte
+//! intervals (the simulated counterpart of the paper's 10-minute
+//! `nvme get-log` polling, §6.1) to produce the interval-DLWA series,
+//! reads steady state off the series' last quarter, and rolls up the
+//! CacheBench metrics the paper reports: throughput, hit ratios (merged
+//! and per tenant), p99 latencies, ALWA.
 //!
 //! [`replay_pool`] is the multi-threaded sibling: M real worker threads
 //! drive one [`ConcurrentPool`] (partitioning or contending on the
-//! trace, [`crate::concurrent::PoolMode`]) and the same metrics are
-//! aggregated mergeably across shards.
+//! trace, [`crate::concurrent::PoolMode`]) and the same roll-up
+//! aggregates its shards.
 
-use fdpcache_cache::{CacheError, ConcurrentPool, HybridCache};
+use fdpcache_cache::{CacheError, CacheStats, ConcurrentPool, HybridCache};
 use fdpcache_core::SharedController;
+use fdpcache_metrics::Histogram;
+use fdpcache_nvme::FdpStatsLog;
 use serde::Serialize;
 
 use crate::concurrent::{run_pool_round, PoolMode, PoolWorkerReport};
 use crate::oracle::{apply, Cache};
 use crate::trace::Request;
 use crate::tracefile::RequestSource;
+
+const GIB: f64 = (1u64 << 30) as f64;
 
 /// Serves one request on `cache` — one [`HybridCache`], or a
 /// [`ConcurrentPool`] through its lock-free read path: GET, SET or
@@ -33,6 +43,41 @@ pub fn serve<C: Cache + ?Sized>(cache: &mut C, req: Request) -> Result<(), Cache
     match apply(cache, req) {
         Err(CacheError::ObjectTooLarge { .. }) => Ok(()),
         r => r,
+    }
+}
+
+/// What [`Replayer::run`] drives: one [`HybridCache`], or a
+/// [`ConcurrentPool`] that routes each request to an engine pair by key.
+pub trait Tenant {
+    /// Serves one request ([`serve`]).
+    fn serve(&mut self, req: Request) -> Result<(), CacheError>;
+    /// Runs `f` on each of the tenant's caches in order: the one cache,
+    /// or every shard of a pool.
+    fn each(&mut self, f: &mut dyn FnMut(&mut HybridCache));
+}
+
+impl Tenant for HybridCache {
+    fn serve(&mut self, req: Request) -> Result<(), CacheError> {
+        serve(self, req)
+    }
+
+    fn each(&mut self, f: &mut dyn FnMut(&mut HybridCache)) {
+        f(self);
+    }
+}
+
+/// Each request goes through its shard's lock, never the lock-free DRAM
+/// hit path: a locked hit moves the key to the LRU head, as a lone cache
+/// does.
+impl Tenant for &ConcurrentPool {
+    fn serve(&mut self, req: Request) -> Result<(), CacheError> {
+        self.with_shard(self.shard_of(req.key), |c| serve(c, req)).expect("routed shard exists")
+    }
+
+    fn each(&mut self, f: &mut dyn FnMut(&mut HybridCache)) {
+        for i in 0..self.shards() {
+            self.with_shard(i, &mut *f);
+        }
     }
 }
 
@@ -124,9 +169,12 @@ pub struct ExperimentResult {
     pub repairs: u64,
     /// Objects requeued out of failed region seals during measurement.
     pub requeues: u64,
+    /// Each tenant's own hit ratio over the measurement, in tenant
+    /// order; one entry for one cache or one pool.
+    pub tenant_hit_ratios: Vec<f64>,
 }
 
-/// Replays traces against a cache.
+/// Replays traces against one or more tenants of one device.
 #[derive(Debug)]
 pub struct Replayer {
     config: ReplayConfig,
@@ -140,115 +188,175 @@ impl Replayer {
 
     /// Runs the replay and returns the rolled-up result.
     ///
-    /// `gen` may be a synthetic [`crate::TraceGen`] or a recorded
-    /// [`crate::FileReplay`] — anything implementing [`RequestSource`].
+    /// Tenant `t` draws its requests from `sources[t]`, and the tenants
+    /// are served round-robin: request `i`, counted from the first
+    /// warm-up request, goes to tenant `i % tenants.len()`. `observe`
+    /// sees the tenants at the measurement origin (with `None`), then
+    /// after every measured request with the host bytes written since
+    /// the origin, read from the same FDP log sample the replayer's own
+    /// sampling uses. Pass `|_, _| {}` to observe nothing.
+    ///
+    /// With several tenants the throughput clock is the slowest
+    /// tenant's (they run in parallel, as pool shards do) and ALWA is
+    /// weighted by bytes across them, as [`ConcurrentPool::alwa`] is.
     ///
     /// # Errors
     ///
-    /// Propagates cache/device errors as strings (experiment binaries
+    /// No tenant, a source count that differs from the tenant count, or
+    /// the first cache/device error, as a string (experiment binaries
     /// only report them).
-    pub fn run(
+    pub fn run<T: Tenant, S: RequestSource>(
         &self,
         label: &str,
         workload: &str,
-        cache: &mut HybridCache,
+        tenants: &mut [T],
+        sources: &mut [S],
         ctrl: &SharedController,
-        gen: &mut impl RequestSource,
+        mut observe: impl FnMut(&mut [T], Option<u64>),
     ) -> Result<ExperimentResult, String> {
-        cache.set_queue_depth(self.config.queue_depth);
+        if tenants.is_empty() || sources.len() != tenants.len() {
+            return Err("the replay needs one request source per tenant, and a tenant".into());
+        }
+        let cfg = &self.config;
+        each_cache(tenants, |c| c.set_queue_depth(cfg.queue_depth));
 
         // Warm-up (uncounted), bounded by host bytes written.
-        let mut total_ops = 0u64;
-        {
-            let start = ctrl.fdp_stats_log().host_bytes_written;
-            let target = start + self.config.warmup_host_bytes;
-            while total_ops < self.config.max_ops {
-                if self.config.warmup_host_bytes == 0
-                    || ctrl.fdp_stats_log().host_bytes_written >= target
-                {
-                    break;
-                }
-                serve(cache, gen.next_request()).map_err(|e| e.to_string())?;
-                total_ops += 1;
-            }
+        let mut ops = 0u64;
+        let warm = ctrl.fdp_stats_log().host_bytes_written + cfg.warmup_host_bytes;
+        while ops < cfg.max_ops && ctrl.fdp_stats_log().host_bytes_written < warm {
+            step(tenants, sources, ops)?;
+            ops += 1;
         }
 
-        // Reap in-flight completions so the measurement origin reflects
-        // all warm-up work (no-op at queue depth 1); percentiles then
-        // cover the measurement window only.
-        cache.drain_io();
-        cache.reset_latency();
-        let stats0 = cache.stats();
-        let log0 = ctrl.fdp_stats_log();
-        let t0 = cache.now_ns();
+        // The origin reflects all warm-up work; percentiles cover the
+        // measurement window only.
+        let origin = Snapshot::take(tenants, ctrl);
+        each_cache(tenants, HybridCache::reset_latency);
+        observe(tenants, None);
 
-        let mut dlwa_series = Vec::new();
-        let mut last_log = log0;
-        let mut next_sample = log0.host_bytes_written + self.config.interval_host_bytes;
-        let target = log0.host_bytes_written + self.config.measure_host_bytes;
-        let mut measured_ops = 0u64;
-
-        while total_ops < self.config.max_ops {
-            serve(cache, gen.next_request()).map_err(|e| e.to_string())?;
-            total_ops += 1;
-            measured_ops += 1;
-            // Interval sampling by host bytes (cheap check first).
+        let (mut series, mut last) = (Vec::new(), origin.log);
+        let end = origin.log.host_bytes_written + cfg.measure_host_bytes;
+        let warm_ops = ops;
+        while ops < cfg.max_ops {
+            step(tenants, sources, ops)?;
+            ops += 1;
             let log = ctrl.fdp_stats_log();
-            if log.host_bytes_written >= next_sample {
-                let d = log.delta(&last_log);
-                let x =
-                    (log.host_bytes_written - log0.host_bytes_written) as f64 / (1u64 << 30) as f64;
-                dlwa_series.push((x, d.dlwa()));
-                last_log = log;
-                next_sample = log.host_bytes_written + self.config.interval_host_bytes;
+            let written = log.host_bytes_written - origin.log.host_bytes_written;
+            observe(tenants, Some(written));
+            if log.host_bytes_written >= last.host_bytes_written + cfg.interval_host_bytes {
+                series.push((written as f64 / GIB, log.delta(&last).dlwa()));
+                last = log;
             }
-            if log.host_bytes_written >= target {
+            if log.host_bytes_written >= end {
                 break;
             }
         }
 
-        cache.drain_io();
-        let stats = cache.stats().delta(&stats0);
-        let log = ctrl.fdp_stats_log();
-        let dlog = log.delta(&log0);
-        let elapsed_ns = cache.now_ns().saturating_sub(t0).max(1);
-        let secs = elapsed_ns as f64 * 1e-9;
+        let now = Snapshot::take(tenants, ctrl);
+        Ok(roll_up(label, workload, &origin, &now, series, ops - warm_ops))
+    }
+}
 
-        let read_hist = cache.navy().read_latency();
-        let write_hist = cache.navy().write_latency();
+/// Serves request `i` of the round-robin over `tenants`.
+fn step<T: Tenant, S: RequestSource>(
+    tenants: &mut [T],
+    sources: &mut [S],
+    i: u64,
+) -> Result<(), String> {
+    let t = (i % tenants.len() as u64) as usize;
+    tenants[t].serve(sources[t].next_request()).map_err(|e| e.to_string())
+}
 
-        let tail = dlwa_series.len().max(4) / 4;
-        let dlwa_steady = if dlwa_series.is_empty() {
-            dlog.dlwa()
-        } else {
-            let t: Vec<f64> = dlwa_series.iter().rev().take(tail).map(|&(_, y)| y).collect();
-            t.iter().sum::<f64>() / t.len() as f64
-        };
+/// Runs `f` on every cache of every tenant.
+fn each_cache<T: Tenant>(tenants: &mut [T], mut f: impl FnMut(&mut HybridCache)) {
+    tenants.iter_mut().for_each(|t| t.each(&mut f));
+}
 
-        Ok(ExperimentResult {
-            workload: workload.to_string(),
-            label: label.to_string(),
-            dlwa_series,
-            dlwa: dlog.dlwa(),
-            dlwa_steady,
-            hit_ratio: stats.hit_ratio(),
-            nvm_hit_ratio: stats.nvm_hit_ratio(),
-            alwa: cache.alwa(),
-            kops: (stats.gets + stats.puts + stats.deletes) as f64 / secs / 1e3,
-            kgets: stats.gets as f64 / secs / 1e3,
-            p50_read_us: read_hist.p50() as f64 / 1e3,
-            p99_read_us: read_hist.p99() as f64 / 1e3,
-            p50_write_us: write_hist.p50() as f64 / 1e3,
-            p99_write_us: write_hist.p99() as f64 / 1e3,
-            gc_events: dlog.media_relocated_events,
-            host_bytes: dlog.host_bytes_written,
-            media_bytes: dlog.media_bytes_written,
-            ops: measured_ops,
-            faults: stats.faults,
-            retries: stats.retries,
-            repairs: stats.repairs,
-            requeues: stats.requeues,
-        })
+/// The counters a measurement window subtracts, at its origin or end.
+struct Snapshot {
+    /// Per tenant, merged across its caches.
+    stats: Vec<CacheStats>,
+    log: FdpStatsLog,
+    /// The slowest cache clock: caches run in parallel, so that is when
+    /// their submitted work is done.
+    now_ns: u64,
+    /// Device latency, merged across every cache.
+    read: Histogram,
+    write: Histogram,
+    /// `(device bytes, application bytes)` summed across every cache:
+    /// ALWA weighted by bytes.
+    amp_bytes: (u64, u64),
+}
+
+impl Snapshot {
+    /// Reaps every cache's in-flight completions (a no-op at queue
+    /// depth 1), so virtual time covers all submitted work, then reads.
+    fn take<T: Tenant>(tenants: &mut [T], ctrl: &SharedController) -> Self {
+        let (mut stats, mut now_ns) = (Vec::with_capacity(tenants.len()), 0);
+        let (mut read, mut write, mut amp_bytes) = (Histogram::new(), Histogram::new(), (0, 0));
+        for t in tenants {
+            let mut merged = CacheStats::default();
+            t.each(&mut |c| {
+                c.drain_io();
+                merged = merged.merge(&c.stats());
+                now_ns = now_ns.max(c.now_ns());
+                read.merge(c.navy().read_latency());
+                write.merge(c.navy().write_latency());
+                let (dev, app) = c.amp_bytes();
+                amp_bytes = (amp_bytes.0 + dev, amp_bytes.1 + app);
+            });
+            stats.push(merged);
+        }
+        Snapshot { stats, log: ctrl.fdp_stats_log(), now_ns, read, write, amp_bytes }
+    }
+}
+
+/// The one roll-up: the window from `origin` to `now`, `ops` requests
+/// long, with its interval-DLWA series. Steady state is the mean of the
+/// series' last quarter, or the window's DLWA when the series is empty.
+fn roll_up(
+    label: &str,
+    workload: &str,
+    origin: &Snapshot,
+    now: &Snapshot,
+    dlwa_series: Vec<(f64, f64)>,
+    ops: u64,
+) -> ExperimentResult {
+    let deltas: Vec<CacheStats> =
+        now.stats.iter().zip(&origin.stats).map(|(s, s0)| s.delta(s0)).collect();
+    let stats = deltas.iter().fold(CacheStats::default(), |m, d| m.merge(d));
+    let dlog = now.log.delta(&origin.log);
+    let secs = now.now_ns.saturating_sub(origin.now_ns).max(1) as f64 * 1e-9;
+    let (dev, app) = now.amp_bytes;
+    let tail: Vec<f64> =
+        dlwa_series.iter().rev().take(dlwa_series.len().max(4) / 4).map(|p| p.1).collect();
+    let dlwa_steady =
+        if tail.is_empty() { dlog.dlwa() } else { tail.iter().sum::<f64>() / tail.len() as f64 };
+
+    ExperimentResult {
+        workload: workload.to_string(),
+        label: label.to_string(),
+        dlwa_series,
+        dlwa: dlog.dlwa(),
+        dlwa_steady,
+        hit_ratio: stats.hit_ratio(),
+        nvm_hit_ratio: stats.nvm_hit_ratio(),
+        alwa: if app == 0 { 1.0 } else { dev as f64 / app as f64 },
+        kops: (stats.gets + stats.puts + stats.deletes) as f64 / secs / 1e3,
+        kgets: stats.gets as f64 / secs / 1e3,
+        p50_read_us: now.read.p50() as f64 / 1e3,
+        p99_read_us: now.read.p99() as f64 / 1e3,
+        p50_write_us: now.write.p50() as f64 / 1e3,
+        p99_write_us: now.write.p99() as f64 / 1e3,
+        gc_events: dlog.media_relocated_events,
+        host_bytes: dlog.host_bytes_written,
+        media_bytes: dlog.media_bytes_written,
+        ops,
+        faults: stats.faults,
+        retries: stats.retries,
+        repairs: stats.repairs,
+        requeues: stats.requeues,
+        tenant_hit_ratios: deltas.iter().map(CacheStats::hit_ratio).collect(),
     }
 }
 
@@ -300,7 +408,8 @@ impl Default for PoolReplayConfig {
 /// are merged across shards on read (per-shard consistent), DLWA comes
 /// from the shared device's FDP log, and throughput uses the pool's
 /// virtual-time frontier (the slowest shard clock — shards run in
-/// parallel, so that is when the submitted work is done). The
+/// parallel, so that is when the submitted work is done); the roll-up
+/// is [`Replayer::run`]'s, with the pool as its one tenant. The
 /// `dlwa_series` holds the single whole-measurement point: interval
 /// sampling during a multi-threaded run would order-couple workers,
 /// destroying the determinism this driver exists to provide; timeline
@@ -341,60 +450,32 @@ pub fn replay_pool<S: RequestSource + Send>(
             PoolMode::Contended => source_factory(cfg.seed + w as u64),
         })
         .collect();
-    pool.set_queue_depth(cfg.queue_depth);
+    let tenants = &mut [pool];
+    each_cache(tenants, |c| c.set_queue_depth(cfg.queue_depth));
     if cfg.warmup_ops > 0 {
         check(run_pool_round(pool, &mut sources, cfg.mode, cfg.warmup_ops))?;
     }
 
-    pool.drain_io();
-    pool.reset_latency();
-    let stats0 = pool.stats();
-    let log0 = ctrl.fdp_stats_log();
-    let t0 = pool.now_ns();
+    let origin = Snapshot::take(tenants, ctrl);
+    each_cache(tenants, HybridCache::reset_latency);
 
     let ops = check(run_pool_round(pool, &mut sources, cfg.mode, cfg.measure_ops))?;
 
-    pool.drain_io();
-    let stats = pool.stats().delta(&stats0);
-    let dlog = ctrl.fdp_stats_log().delta(&log0);
-    let elapsed_ns = pool.now_ns().saturating_sub(t0).max(1);
-    let secs = elapsed_ns as f64 * 1e-9;
-    let read_hist = pool.read_latency();
-    let write_hist = pool.write_latency();
-    let dlwa = dlog.dlwa();
-    let host_gib = dlog.host_bytes_written as f64 / (1u64 << 30) as f64;
-
-    Ok(ExperimentResult {
-        workload: workload.to_string(),
-        label: label.to_string(),
-        dlwa_series: vec![(host_gib, dlwa)],
-        dlwa,
-        dlwa_steady: dlwa,
-        hit_ratio: stats.hit_ratio(),
-        nvm_hit_ratio: stats.nvm_hit_ratio(),
-        alwa: pool.alwa(),
-        kops: (stats.gets + stats.puts + stats.deletes) as f64 / secs / 1e3,
-        kgets: stats.gets as f64 / secs / 1e3,
-        p50_read_us: read_hist.p50() as f64 / 1e3,
-        p99_read_us: read_hist.p99() as f64 / 1e3,
-        p50_write_us: write_hist.p50() as f64 / 1e3,
-        p99_write_us: write_hist.p99() as f64 / 1e3,
-        gc_events: dlog.media_relocated_events,
-        host_bytes: dlog.host_bytes_written,
-        media_bytes: dlog.media_bytes_written,
-        ops,
-        faults: stats.faults,
-        retries: stats.retries,
-        repairs: stats.repairs,
-        requeues: stats.requeues,
-    })
+    let now = Snapshot::take(tenants, ctrl);
+    let dlog = now.log.delta(&origin.log);
+    let point = (dlog.host_bytes_written as f64 / GIB, dlog.dlwa());
+    Ok(roll_up(label, workload, &origin, &now, vec![point], ops))
 }
 
 #[cfg(test)]
 mod tests {
+    use std::slice;
+
     use super::*;
     use crate::profiles::WorkloadProfile;
-    use fdpcache_cache::builder::{build_stack, StoreKind};
+    use fdpcache_cache::builder::{
+        build_cache, build_device, build_stack, create_namespace, equal_share_fraction, StoreKind,
+    };
     use fdpcache_cache::config::{CacheConfig, NvmConfig};
     use fdpcache_ftl::FtlConfig;
 
@@ -420,7 +501,8 @@ mod tests {
             max_ops: 200_000,
             queue_depth: 1,
         });
-        let r = replayer.run("FDP", profile.name, &mut cache, &ctrl, &mut gen).unwrap();
+        let (caches, gens) = (slice::from_mut(&mut cache), slice::from_mut(&mut gen));
+        let r = replayer.run("FDP", profile.name, caches, gens, &ctrl, |_, _| {}).unwrap();
         assert!(r.dlwa >= 1.0, "dlwa {}", r.dlwa);
         assert!(r.hit_ratio > 0.0 && r.hit_ratio < 1.0, "hit ratio {}", r.hit_ratio);
         assert!(r.kops > 0.0);
@@ -442,7 +524,8 @@ mod tests {
             max_ops: 200_000,
             queue_depth: 1,
         });
-        replayer.run("FDP", profile.name, &mut cache, &ctrl, &mut gen).unwrap();
+        let (caches, gens) = (slice::from_mut(&mut cache), slice::from_mut(&mut gen));
+        replayer.run("FDP", profile.name, caches, gens, &ctrl, |_, _| {}).unwrap();
         let recorded = cache.navy().write_latency().count();
         let writes = cache.navy().io().stats().writes;
         assert!(recorded > 0, "the measurement window wrote nothing");
@@ -461,7 +544,8 @@ mod tests {
             max_ops: 100_000,
             queue_depth: 1,
         });
-        let r = replayer.run("FDP", profile.name, &mut cache, &ctrl, &mut gen).unwrap();
+        let (caches, gens) = (slice::from_mut(&mut cache), slice::from_mut(&mut gen));
+        let r = replayer.run("FDP", profile.name, caches, gens, &ctrl, |_, _| {}).unwrap();
         assert_eq!(r.kgets, 0.0, "write-only trace has no GETs");
         assert!(r.host_bytes > 0);
     }
@@ -478,13 +562,61 @@ mod tests {
             max_ops: 20_000,
             queue_depth: 1,
         });
-        let r = replayer.run("x", profile.name, &mut cache, &ctrl, &mut gen).unwrap();
+        let (caches, gens) = (slice::from_mut(&mut cache), slice::from_mut(&mut gen));
+        let r = replayer.run("x", profile.name, caches, gens, &ctrl, |_, _| {}).unwrap();
         let json = serde_json::to_string(&r).unwrap();
         assert!(json.contains("\"dlwa\""));
     }
 
+    #[test]
+    fn tenants_share_the_device_round_robin_and_report_their_own_hits() {
+        let ctrl = build_device(FtlConfig::tiny_test(), StoreKind::Null, true).unwrap();
+        let config = CacheConfig {
+            ram_bytes: 32 << 10,
+            ram_item_overhead: 31,
+            nvm: NvmConfig { soc_fraction: 0.1, region_bytes: 8 * 4096, ..NvmConfig::default() },
+            use_fdp: true,
+        };
+        let mut tenants: Vec<HybridCache> = (0..2u8)
+            .map(|t| {
+                let share = equal_share_fraction(t as usize, 2, 0.9);
+                let nsid = create_namespace(&ctrl, share, vec![2 * t, 2 * t + 1]).unwrap();
+                let policy = Box::new(fdpcache_core::RoundRobinPolicy::new());
+                build_cache(&ctrl, nsid, &config, policy).unwrap()
+            })
+            .collect();
+        let profile = WorkloadProfile::meta_kv_cache();
+        let mut gens: Vec<_> = (0..2).map(|t| profile.generator(5_000, t)).collect();
+        let replayer = Replayer::new(ReplayConfig {
+            warmup_host_bytes: 0,
+            measure_host_bytes: 8 << 20,
+            interval_host_bytes: 2 << 20,
+            max_ops: 200_000,
+            queue_depth: 1,
+        });
+        let before: Vec<CacheStats> = tenants.iter().map(HybridCache::stats).collect();
+        let r = replayer.run("two", profile.name, &mut tenants, &mut gens, &ctrl, |_, _| {});
+        let r = r.unwrap();
+        assert!(r.ops > 0 && r.host_bytes > 0);
+        for (t, g) in gens.iter().enumerate() {
+            let served = g.generated();
+            assert!(served.abs_diff(r.ops / 2) <= 1, "tenant {t} served {served} of {}", r.ops);
+        }
+        let deltas: Vec<CacheStats> =
+            tenants.iter().zip(&before).map(|(c, s0)| c.stats().delta(s0)).collect();
+        let own: Vec<f64> = deltas.iter().map(CacheStats::hit_ratio).collect();
+        assert_eq!(r.tenant_hit_ratios, own);
+        assert_eq!(r.hit_ratio, deltas[0].merge(&deltas[1]).hit_ratio());
+
+        let (ctrl, mut cache) = stack(true);
+        let mut gen = profile.generator(5_000, 3);
+        let one = slice::from_mut(&mut cache);
+        let r = replayer.run("one", profile.name, one, slice::from_mut(&mut gen), &ctrl, |_, _| {});
+        let r = r.unwrap();
+        assert_eq!(r.tenant_hit_ratios, vec![r.hit_ratio]);
+    }
+
     fn pool_stack(shards: usize) -> (SharedController, fdpcache_cache::ConcurrentPool) {
-        use fdpcache_cache::builder::build_device;
         let ctrl = build_device(FtlConfig::tiny_test(), StoreKind::Null, true).unwrap();
         let config = CacheConfig {
             ram_bytes: 32 << 10,

@@ -2,13 +2,12 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::sizes::SizeDist;
 use crate::zipf::Zipf;
 
 /// A cache operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
     /// Read a key.
     Get,
@@ -19,7 +18,7 @@ pub enum Op {
 }
 
 /// One trace record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Request {
     /// The operation.
     pub op: Op,

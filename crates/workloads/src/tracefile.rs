@@ -4,8 +4,7 @@
 //! ("CacheBench ... can be used to run captured traces or generate
 //! benchmarks", §6.1). This module is the captured-trace side of that
 //! tool: a compact binary format for recording any request stream to
-//! disk and replaying it later, plus a JSON-lines codec for
-//! interoperability with external tooling.
+//! disk and replaying it later.
 //!
 //! Binary format (little-endian):
 //!
@@ -260,38 +259,6 @@ pub fn record<S: RequestSource, W: Write>(source: &mut S, count: u64, sink: W) -
     Ok(n)
 }
 
-/// Serializes requests as JSON lines (one request per line) for
-/// external tooling.
-///
-/// # Errors
-///
-/// Propagates serialization/I/O failures.
-pub fn write_jsonl<W: Write>(records: &[Request], mut sink: W) -> io::Result<()> {
-    for r in records {
-        let line = serde_json::to_string(r).map_err(io::Error::other)?;
-        sink.write_all(line.as_bytes())?;
-        sink.write_all(b"\n")?;
-    }
-    Ok(())
-}
-
-/// Parses JSON-lines requests (blank lines skipped).
-///
-/// # Errors
-///
-/// [`io::ErrorKind::InvalidData`] on malformed lines.
-pub fn read_jsonl<R: Read>(mut source: R) -> io::Result<Vec<Request>> {
-    let mut text = String::new();
-    source.read_to_string(&mut text)?;
-    text.lines()
-        .filter(|l| !l.trim().is_empty())
-        .map(|l| {
-            serde_json::from_str(l)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -379,20 +346,6 @@ mod tests {
         let mut buf = Vec::new();
         TraceWriter::new(&mut buf).unwrap().finish().unwrap();
         assert!(FileReplay::load(&buf[..]).is_err());
-    }
-
-    #[test]
-    fn jsonl_round_trip() {
-        let reqs = sample_requests(50);
-        let mut buf = Vec::new();
-        write_jsonl(&reqs, &mut buf).unwrap();
-        let back = read_jsonl(&buf[..]).unwrap();
-        assert_eq!(back, reqs);
-    }
-
-    #[test]
-    fn jsonl_rejects_garbage() {
-        assert!(read_jsonl(&b"{\"op\":\"Get\",\"key\":1,\"size\":0}\nnot json\n"[..]).is_err());
     }
 
     #[test]

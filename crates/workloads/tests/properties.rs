@@ -156,9 +156,7 @@ mod zipf_distribution_props {
 
 mod tracefile_props {
     use fdpcache_workloads::trace::{Op, Request};
-    use fdpcache_workloads::tracefile::{
-        self, FileReplay, RequestSource, TraceReader, TraceWriter,
-    };
+    use fdpcache_workloads::tracefile::{FileReplay, RequestSource, TraceReader, TraceWriter};
     use proptest::prelude::*;
 
     fn request() -> impl Strategy<Value = Request> {
@@ -181,14 +179,6 @@ mod tracefile_props {
             prop_assert_eq!(n as usize, reqs.len());
             let mut reader = TraceReader::new(&buf[..]).unwrap();
             prop_assert_eq!(reader.read_all().unwrap(), reqs);
-        }
-
-        /// The JSON-lines codec agrees with the binary codec.
-        #[test]
-        fn jsonl_codec_round_trips(reqs in prop::collection::vec(request(), 1..200)) {
-            let mut buf = Vec::new();
-            tracefile::write_jsonl(&reqs, &mut buf).unwrap();
-            prop_assert_eq!(tracefile::read_jsonl(&buf[..]).unwrap(), reqs);
         }
 
         /// Looping replay reproduces the capture verbatim on every pass.

@@ -7,6 +7,8 @@
 //!
 //! Run with: `cargo run --release --example fdp_vs_conventional`
 
+use std::slice;
+
 use fdpcache::cache::builder::{build_stack, StoreKind};
 use fdpcache::cache::{CacheConfig, NvmConfig};
 use fdpcache::ftl::FtlConfig;
@@ -40,7 +42,8 @@ fn run(fdp: bool) {
         queue_depth: 1,
     });
     let label = if fdp { "FDP" } else { "Non-FDP" };
-    let r = replayer.run(label, profile.name, &mut cache, &ctrl, &mut gen).expect("replay");
+    let (caches, gens) = (slice::from_mut(&mut cache), slice::from_mut(&mut gen));
+    let r = replayer.run(label, profile.name, caches, gens, &ctrl, |_, _| {}).expect("replay");
     println!(
         "{label:>8}: DLWA {:.2}  GC events {:>5}  p99 read {:>4.0} us  p99 write {:>5.0} us  hit {:.1}%",
         r.dlwa_steady, r.gc_events, r.p99_read_us, r.p99_write_us, r.hit_ratio * 100.0

@@ -10,7 +10,7 @@ use fdpcache::cache::{CacheConfig, NvmConfig};
 use fdpcache::ftl::FtlConfig;
 use fdpcache::nand::Geometry;
 use fdpcache::placement::RoundRobinPolicy;
-use fdpcache::workloads::{serve, WorkloadProfile};
+use fdpcache::workloads::{ReplayConfig, Replayer, WorkloadProfile};
 
 fn main() {
     let mut ftl = FtlConfig::scaled_default();
@@ -32,32 +32,28 @@ fn main() {
         nvm: NvmConfig { soc_fraction: 0.04, ..NvmConfig::default() },
         use_fdp: true,
     };
-    let mut tenant_a =
-        build_cache(&ctrl, ns_a, &cfg, Box::new(RoundRobinPolicy::new())).expect("A");
-    let mut tenant_b =
-        build_cache(&ctrl, ns_b, &cfg, Box::new(RoundRobinPolicy::new())).expect("B");
+    let mut tenants = [ns_a, ns_b]
+        .map(|ns| build_cache(&ctrl, ns, &cfg, Box::new(RoundRobinPolicy::new())).expect("tenant"));
 
-    // Each tenant replays its own write-heavy stream.
+    // Each tenant replays its own write-heavy stream; the replayer serves
+    // them round-robin until three full device writes have landed.
     let profile = WorkloadProfile::wo_kv_cache();
-    let mut gen_a = profile.generator(200_000, 1);
-    let mut gen_b = profile.generator(200_000, 2);
+    let mut gens = [1, 2].map(|seed| profile.generator(200_000, seed));
+    let replayer = Replayer::new(ReplayConfig {
+        warmup_host_bytes: 0,
+        measure_host_bytes: device_bytes * 3,
+        interval_host_bytes: device_bytes / 2,
+        ..ReplayConfig::default()
+    });
+    let r = replayer
+        .run("FDP", profile.name, &mut tenants, &mut gens, &ctrl, |_, _| {})
+        .expect("replay");
 
-    let target = device_bytes * 3; // three full device writes
-    let mut i = 0u64;
-    while ctrl.fdp_stats_log().host_bytes_written < target {
-        for (cache, gen) in [(&mut tenant_a, &mut gen_a), (&mut tenant_b, &mut gen_b)] {
-            let req = gen.next_request();
-            serve(cache, req).unwrap_or_else(|e| panic!("{req:?} failed: {e}"));
-        }
-        i += 2;
-    }
-
-    let log = ctrl.fdp_stats_log();
-    println!("two tenants, {i} ops total, {} GiB host writes", log.host_bytes_written >> 30);
-    println!("shared-device DLWA: {:.2} (each tenant's SOC/LOC on its own RUHs)", log.dlwa());
+    println!("two tenants, {} ops total, {} GiB host writes", r.ops, r.host_bytes >> 30);
+    println!("shared-device DLWA: {:.2} (each tenant's SOC/LOC on its own RUHs)", r.dlwa);
     println!(
         "tenant A flash writes: {} MiB, tenant B flash writes: {} MiB",
-        tenant_a.navy().io().stats().bytes_written >> 20,
-        tenant_b.navy().io().stats().bytes_written >> 20,
+        tenants[0].navy().io().stats().bytes_written >> 20,
+        tenants[1].navy().io().stats().bytes_written >> 20,
     );
 }

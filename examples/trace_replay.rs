@@ -6,6 +6,7 @@
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
+use std::slice;
 
 use fdpcache::cache::builder::{build_stack, StoreKind};
 use fdpcache::cache::{CacheConfig, NvmConfig};
@@ -53,8 +54,9 @@ fn main() {
         max_ops: u64::MAX,
         queue_depth: 1,
     });
+    let (caches, sources) = (slice::from_mut(&mut cache), slice::from_mut(&mut replay));
     let result = replayer
-        .run("FDP", "twitter-c12 (recorded)", &mut cache, &ctrl, &mut replay)
+        .run("FDP", "twitter-c12 (recorded)", caches, sources, &ctrl, |_, _| {})
         .expect("replay");
 
     println!(

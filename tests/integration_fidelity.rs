@@ -10,6 +10,8 @@
 //! pages into long-lived reclaim units (as fixed 64 KiB LOC footers
 //! through the LOC's handle did) turns the FDP cells red here.
 
+use std::slice;
+
 use fdpcache::cache::builder::{build_stack, StoreKind};
 use fdpcache::cache::{CacheConfig, NvmConfig};
 use fdpcache::ftl::FtlConfig;
@@ -55,7 +57,8 @@ fn cell(fdp: bool, utilization: f64) -> Cell {
         ..ReplayConfig::default()
     });
     let label = if fdp { "FDP" } else { "Non-FDP" };
-    let result = replayer.run(label, profile.name, &mut cache, &ctrl, &mut gen).unwrap();
+    let (caches, gens) = (slice::from_mut(&mut cache), slice::from_mut(&mut gen));
+    let result = replayer.run(label, profile.name, caches, gens, &ctrl, |_, _| {}).unwrap();
     ctrl.with_ftl(|f| f.check_invariants());
     let loc = cache.navy().loc();
     let footer_bytes = (loc.stats().footer_blocks_written * BLOCK_BYTES) as f64;

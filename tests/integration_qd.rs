@@ -3,6 +3,8 @@
 //! deterministic at every depth, and actually buy virtual-time
 //! throughput at QD ≥ 4 on the region-seal-heavy workload.
 
+use std::slice;
+
 use fdpcache::cache::builder::{build_stack, StoreKind};
 use fdpcache::cache::{CacheConfig, HybridCache, NvmConfig};
 use fdpcache::ftl::FtlConfig;
@@ -35,7 +37,8 @@ fn replay(queue_depth: usize) -> ExperimentResult {
         max_ops: 100_000,
         queue_depth,
     });
-    replayer.run("qd", profile.name, &mut cache, &ctrl, &mut gen).unwrap()
+    let (caches, gens) = (slice::from_mut(&mut cache), slice::from_mut(&mut gen));
+    replayer.run("qd", profile.name, caches, gens, &ctrl, |_, _| {}).unwrap()
 }
 
 #[test]
