@@ -609,8 +609,8 @@ impl Cell {
                 // A group per tenant, or one group whose four handles the
                 // tenants split two and two.
                 let policy = |t: usize| -> Box<dyn PlacementPolicy> {
-                    let (rg, first) = if isolated { (t as u8, 0) } else { (0, 2 * t) };
-                    Box::new(RoundRobinPolicy::within(rg, first))
+                    let (rg, next) = if isolated { (t as u8, 0) } else { (0, 2 * t as u16) };
+                    Box::new(GroupPolicy { rg, next })
                 };
                 shared(cfg, ftl, 2, |_| (0..4).collect(), policy)
             }
@@ -629,6 +629,22 @@ impl Cell {
             }
         };
         Outcome { run, ..Outcome::default() }
+    }
+}
+
+/// Round-robin from the `next`-th handle, within reclaim group `rg`:
+/// placement identifiers carry the group in their upper byte
+/// (`PlacementHandle::with_pid`).
+struct GroupPolicy {
+    rg: u8,
+    next: u16,
+}
+
+impl PlacementPolicy for GroupPolicy {
+    fn pick(&mut self, _consumer: &str, available: &[u16]) -> Option<u16> {
+        let ph = available.get(self.next as usize).copied()?;
+        self.next += 1;
+        Some(((self.rg as u16) << 8) | ph)
     }
 }
 

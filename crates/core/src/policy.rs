@@ -23,7 +23,6 @@ pub trait PlacementPolicy: Send {
 #[derive(Debug, Default)]
 pub struct RoundRobinPolicy {
     next: usize,
-    rg: u8,
 }
 
 impl RoundRobinPolicy {
@@ -31,21 +30,15 @@ impl RoundRobinPolicy {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Round-robin from the `first`-th identifier, within reclaim group
-    /// `rg`: picks carry the group in their upper byte, as
-    /// [`PlacementHandle::with_pid`](crate::PlacementHandle::with_pid)
-    /// encodes it.
-    pub fn within(rg: u8, first: usize) -> Self {
-        RoundRobinPolicy { next: first, rg }
-    }
 }
 
 impl PlacementPolicy for RoundRobinPolicy {
     fn pick(&mut self, _consumer: &str, available: &[u16]) -> Option<u16> {
-        let pick = available.get(self.next).copied()?;
-        self.next += 1;
-        Some((u16::from(self.rg) << 8) | pick)
+        let pick = available.get(self.next).copied();
+        if pick.is_some() {
+            self.next += 1;
+        }
+        pick
     }
 }
 
@@ -61,15 +54,6 @@ mod tests {
         assert_eq!(p.pick("loc-0", &avail), Some(1));
         assert_eq!(p.pick("soc-1", &avail), Some(2));
         assert_eq!(p.pick("loc-1", &avail), None);
-        assert_eq!(p.pick("meta", &avail), None);
-    }
-
-    #[test]
-    fn within_a_group_starts_at_first_and_tags_the_group() {
-        let mut p = RoundRobinPolicy::within(1, 2);
-        let avail = [0u16, 1, 2, 3];
-        assert_eq!(p.pick("soc", &avail), Some(0x0102));
-        assert_eq!(p.pick("loc", &avail), Some(0x0103));
         assert_eq!(p.pick("meta", &avail), None);
     }
 

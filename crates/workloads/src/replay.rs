@@ -253,7 +253,7 @@ impl Replayer {
         }
 
         let now = Snapshot::take(tenants, ctrl);
-        Ok(roll_up(label, workload, &origin, &now, series, ops - warm_ops))
+        Ok(roll_up(label, workload, tenants, &origin, &now, series, ops - warm_ops))
     }
 }
 
@@ -272,7 +272,8 @@ fn each_cache<T: Tenant>(tenants: &mut [T], mut f: impl FnMut(&mut HybridCache))
     tenants.iter_mut().for_each(|t| t.each(&mut f));
 }
 
-/// The counters a measurement window subtracts, at its origin or end.
+/// The counters a measurement window subtracts, read at its origin and
+/// at its end.
 struct Snapshot {
     /// Per tenant, merged across its caches.
     stats: Vec<CacheStats>,
@@ -280,12 +281,6 @@ struct Snapshot {
     /// The slowest cache clock: caches run in parallel, so that is when
     /// their submitted work is done.
     now_ns: u64,
-    /// Device latency, merged across every cache.
-    read: Histogram,
-    write: Histogram,
-    /// `(device bytes, application bytes)` summed across every cache:
-    /// ALWA weighted by bytes.
-    amp_bytes: (u64, u64),
 }
 
 impl Snapshot {
@@ -293,30 +288,29 @@ impl Snapshot {
     /// depth 1), so virtual time covers all submitted work, then reads.
     fn take<T: Tenant>(tenants: &mut [T], ctrl: &SharedController) -> Self {
         let (mut stats, mut now_ns) = (Vec::with_capacity(tenants.len()), 0);
-        let (mut read, mut write, mut amp_bytes) = (Histogram::new(), Histogram::new(), (0, 0));
         for t in tenants {
             let mut merged = CacheStats::default();
             t.each(&mut |c| {
                 c.drain_io();
                 merged = merged.merge(&c.stats());
                 now_ns = now_ns.max(c.now_ns());
-                read.merge(c.navy().read_latency());
-                write.merge(c.navy().write_latency());
-                let (dev, app) = c.amp_bytes();
-                amp_bytes = (amp_bytes.0 + dev, amp_bytes.1 + app);
             });
             stats.push(merged);
         }
-        Snapshot { stats, log: ctrl.fdp_stats_log(), now_ns, read, write, amp_bytes }
+        Snapshot { stats, log: ctrl.fdp_stats_log(), now_ns }
     }
 }
 
 /// The one roll-up: the window from `origin` to `now`, `ops` requests
 /// long, with its interval-DLWA series. Steady state is the mean of the
 /// series' last quarter, or the window's DLWA when the series is empty.
-fn roll_up(
+/// Latency and ALWA are read once, from `tenants` at the end: the
+/// histograms were emptied at the origin, and ALWA is cumulative,
+/// weighted by bytes across every cache.
+fn roll_up<T: Tenant>(
     label: &str,
     workload: &str,
+    tenants: &mut [T],
     origin: &Snapshot,
     now: &Snapshot,
     dlwa_series: Vec<(f64, f64)>,
@@ -327,7 +321,12 @@ fn roll_up(
     let stats = deltas.iter().fold(CacheStats::default(), |m, d| m.merge(d));
     let dlog = now.log.delta(&origin.log);
     let secs = now.now_ns.saturating_sub(origin.now_ns).max(1) as f64 * 1e-9;
-    let (dev, app) = now.amp_bytes;
+    let (read, write) = merged_latency(tenants);
+    let (mut dev, mut app) = (0, 0);
+    each_cache(tenants, |c| {
+        let (d, a) = c.amp_bytes();
+        (dev, app) = (dev + d, app + a);
+    });
     let tail: Vec<f64> =
         dlwa_series.iter().rev().take(dlwa_series.len().max(4) / 4).map(|p| p.1).collect();
     let dlwa_steady =
@@ -344,10 +343,10 @@ fn roll_up(
         alwa: if app == 0 { 1.0 } else { dev as f64 / app as f64 },
         kops: (stats.gets + stats.puts + stats.deletes) as f64 / secs / 1e3,
         kgets: stats.gets as f64 / secs / 1e3,
-        p50_read_us: now.read.p50() as f64 / 1e3,
-        p99_read_us: now.read.p99() as f64 / 1e3,
-        p50_write_us: now.write.p50() as f64 / 1e3,
-        p99_write_us: now.write.p99() as f64 / 1e3,
+        p50_read_us: read.p50() as f64 / 1e3,
+        p99_read_us: read.p99() as f64 / 1e3,
+        p50_write_us: write.p50() as f64 / 1e3,
+        p99_write_us: write.p99() as f64 / 1e3,
         gc_events: dlog.media_relocated_events,
         host_bytes: dlog.host_bytes_written,
         media_bytes: dlog.media_bytes_written,
@@ -358,6 +357,16 @@ fn roll_up(
         requeues: stats.requeues,
         tenant_hit_ratios: deltas.iter().map(CacheStats::hit_ratio).collect(),
     }
+}
+
+/// Device read and write latency, merged across every cache.
+fn merged_latency<T: Tenant>(tenants: &mut [T]) -> (Histogram, Histogram) {
+    let (mut read, mut write) = (Histogram::new(), Histogram::new());
+    each_cache(tenants, |c| {
+        read.merge(c.navy().read_latency());
+        write.merge(c.navy().write_latency());
+    });
+    (read, write)
 }
 
 /// Configuration for a multi-threaded replay over a [`ConcurrentPool`].
@@ -464,7 +473,7 @@ pub fn replay_pool<S: RequestSource + Send>(
     let now = Snapshot::take(tenants, ctrl);
     let dlog = now.log.delta(&origin.log);
     let point = (dlog.host_bytes_written as f64 / GIB, dlog.dlwa());
-    Ok(roll_up(label, workload, &origin, &now, vec![point], ops))
+    Ok(roll_up(label, workload, tenants, &origin, &now, vec![point], ops))
 }
 
 #[cfg(test)]
@@ -568,9 +577,15 @@ mod tests {
         assert!(json.contains("\"dlwa\""));
     }
 
+    /// `tiny_test`'s geometry with real NAND timings, so latency
+    /// percentiles are not all zero.
+    fn timed_ftl() -> FtlConfig {
+        FtlConfig { latency: FtlConfig::scaled_default().latency, ..FtlConfig::tiny_test() }
+    }
+
     #[test]
     fn tenants_share_the_device_round_robin_and_report_their_own_hits() {
-        let ctrl = build_device(FtlConfig::tiny_test(), StoreKind::Null, true).unwrap();
+        let ctrl = build_device(timed_ftl(), StoreKind::Null, true).unwrap();
         let config = CacheConfig {
             ram_bytes: 32 << 10,
             ram_item_overhead: 31,
@@ -607,6 +622,13 @@ mod tests {
         let own: Vec<f64> = deltas.iter().map(CacheStats::hit_ratio).collect();
         assert_eq!(r.tenant_hit_ratios, own);
         assert_eq!(r.hit_ratio, deltas[0].merge(&deltas[1]).hit_ratio());
+        // Latency percentiles cover both tenants' measured writes.
+        let counts: Vec<u64> = tenants.iter().map(|c| c.navy().write_latency().count()).collect();
+        let (_, write) = merged_latency(&mut tenants);
+        assert!(counts.iter().all(|&n| n > 0), "a tenant wrote nothing: {counts:?}");
+        assert_eq!(write.count(), counts.iter().sum::<u64>());
+        assert!(r.p99_write_us > 0.0);
+        assert_eq!(r.p99_write_us, write.p99() as f64 / 1e3);
 
         let (ctrl, mut cache) = stack(true);
         let mut gen = profile.generator(5_000, 3);
@@ -617,7 +639,7 @@ mod tests {
     }
 
     fn pool_stack(shards: usize) -> (SharedController, fdpcache_cache::ConcurrentPool) {
-        let ctrl = build_device(FtlConfig::tiny_test(), StoreKind::Null, true).unwrap();
+        let ctrl = build_device(timed_ftl(), StoreKind::Null, true).unwrap();
         let config = CacheConfig {
             ram_bytes: 32 << 10,
             ram_item_overhead: 0,
@@ -653,6 +675,14 @@ mod tests {
         assert!(r.host_bytes > 0);
         assert!(r.ops > 0);
         assert_eq!(r.dlwa_series.len(), 1);
+        // Write latency merges every shard's measured writes.
+        let count = |i| pool.with_shard(i, |c| c.navy().write_latency().count()).unwrap();
+        let counts: Vec<u64> = (0..pool.shards()).map(count).collect();
+        let (_, write) = merged_latency(&mut [&pool]);
+        assert!(counts.iter().all(|&n| n > 0), "a shard wrote nothing: {counts:?}");
+        assert_eq!(write.count(), counts.iter().sum::<u64>());
+        assert!(r.p99_write_us > 0.0);
+        assert_eq!(r.p99_write_us, write.p99() as f64 / 1e3);
         ctrl.with_ftl(|f| f.check_invariants());
     }
 
