@@ -1,14 +1,14 @@
 //! Warm-restart gate: deterministic crash plus crash-consistent
 //! recovery of flash-resident cache state (`recovery::tests::gate`).
 //!
-//! Each crash point replays the fault-gate trace against a
-//! `MemStore`-backed stack whose fault plan carries exactly one
-//! scripted [`fdpcache_nvme::FaultKind::Kill`]. When the kill fires the
+//! Each crash point replays the fault-gate workload with 2 % DELETEs
+//! added (`recovery_trace`) against a `MemStore`-backed stack whose
+//! fault plan carries exactly one scripted
+//! [`fdpcache_nvme::FaultKind::Kill`]. When the kill fires the
 //! driver drops every host-side structure (the simulated process
-//! death), rebuilds the FTL mapping from its persisted evidence
-//! ([`fdpcache_nvme::Controller::recover_ftl`] with the newest
-//! periodic checkpoint), reattaches the cache with
-//! [`fdpcache_cache::builder::recover_cache`], and then:
+//! death), rebuilds the FTL mapping by the full out-of-band media scan
+//! ([`fdpcache_nvme::Controller::recover_ftl`]), reattaches the cache
+//! with [`fdpcache_cache::builder::recover_cache`], and then:
 //!
 //! 1. **Zero lost acknowledged-and-sealed writes** — every key the
 //!    crashed instance had persisted (SOC bucket entries, sealed LOC
@@ -43,20 +43,15 @@ use fdpcache_cache::builder::{
 };
 use fdpcache_cache::{CacheError, CacheStats, HybridCache};
 use fdpcache_core::RoundRobinPolicy;
-use fdpcache_ftl::FtlSnapshot;
 use fdpcache_workloads::oracle::{reattach, CrashReport};
 use fdpcache_workloads::trace::Request;
-use fdpcache_workloads::{serve, FaultScenario, Oracle};
+use fdpcache_workloads::{serve, FaultScenario, Oracle, TraceGen, WorkloadProfile};
 
-use crate::faults::{gate_cache_config, gate_ftl_config, gate_trace, GATE_OPS};
+use crate::faults::{gate_cache_config, gate_ftl_config, GATE_OPS, GATE_SEED};
 
 /// Maximum tolerated hit-ratio gap between the recovered continuation
 /// and the no-crash baseline (3 points).
 const HIT_RATIO_TOLERANCE: f64 = 0.03;
-
-/// FTL checkpoint cadence in operations (the periodic host flush a real
-/// deployment would run; the crash uses the newest one).
-const CHECKPOINT_EVERY: u64 = 5_000;
 
 /// Post-recovery operations excluded from the hit-ratio comparison: the
 /// DRAM-refill transient. Warm restart preserves flash-resident state,
@@ -64,6 +59,14 @@ const CHECKPOINT_EVERY: u64 = 5_000;
 /// layer has had one refill's worth of traffic. The no-crash baseline
 /// segment starts at the same trace index.
 const WARMUP_OPS: u64 = 2_000;
+
+/// The fault-gate trace (Meta KV over 20,000 keys) with 2 % DELETEs, so
+/// the no-resurrection contract probes real deletes. The crashed runs
+/// and the no-crash baseline replay the same trace.
+fn recovery_trace() -> TraceGen {
+    WorkloadProfile { delete_ratio: 0.02, ..WorkloadProfile::meta_kv_cache() }
+        .generator(20_000, GATE_SEED)
+}
 
 /// The built-in crash points, each a label and the device LBA whose
 /// first command the kill fires on. They are derived from the gate
@@ -116,12 +119,6 @@ struct RecoveryRunResult {
     crashed: bool,
     /// Virtual clock at the crash (ns).
     now_at_crash_ns: u64,
-    /// FTL mapping-reconstruction strategy taken (`checkpoint`,
-    /// `journal`, `full-scan`).
-    ftl_path: String,
-    /// FDP event-log entries lost to ring overflow at recovery (any
-    /// non-zero value must have forced the full scan).
-    ftl_events_dropped: u64,
     /// Simulated recovery cost: FTL reconstruction plus cache
     /// reattachment reads (ns).
     recovery_ns: u64,
@@ -150,7 +147,7 @@ struct RecoveryRunResult {
     post_stats: CacheStats,
 }
 
-/// Replays the gate trace against a stack armed with a kill of the
+/// Replays the recovery trace against a stack armed with a kill of the
 /// first command at `lba`,
 /// recovers at the crash, checks the crash contract, and finishes the
 /// trace on the recovered instance.
@@ -170,15 +167,11 @@ fn run_crash_recovery(label: &'static str, lba: u64) -> RecoveryRunResult {
         build_cache(&ctrl, nsid, &config, Box::new(RoundRobinPolicy::new())).expect("cache");
     let ns_lbas = ctrl.namespace(nsid).expect("ns").lba_count;
 
-    let mut gen = gate_trace();
+    let mut gen = recovery_trace();
     let mut oracle = Oracle::new();
-    let mut checkpoint: Option<FtlSnapshot> = None;
     let mut interrupted: Option<Request> = None;
     let mut ops_done = 0u64;
     for i in 0..GATE_OPS {
-        if i > 0 && i % CHECKPOINT_EVERY == 0 {
-            checkpoint = Some(ctrl.checkpoint_ftl());
-        }
         let req = gen.next_request();
         match step(&mut oracle, &mut cache, req) {
             Ok(()) => ops_done += 1,
@@ -197,11 +190,11 @@ fn run_crash_recovery(label: &'static str, lba: u64) -> RecoveryRunResult {
     // The simulated process dies: every host-side structure is gone.
     drop(cache);
 
-    // FTL recovery from the newest periodic checkpoint (possibly none),
-    // then a read-only scratch reattachment for verification.
-    let report = ctrl.recover_ftl(checkpoint.as_ref());
+    // FTL recovery, then a read-only scratch reattachment for
+    // verification.
+    let ftl_ns = ctrl.recover_ftl();
     let mut scratch = reattach(&ctrl, nsid, &config);
-    let recovery_ns = report.recovery_ns + scratch.now_ns();
+    let recovery_ns = ftl_ns + scratch.now_ns();
     let latency = gate_ftl_config().latency;
     let recovery_budget_ns = 4 * ns_lbas * latency.read_ns.max(1) + 10_000_000;
 
@@ -238,8 +231,6 @@ fn run_crash_recovery(label: &'static str, lba: u64) -> RecoveryRunResult {
         ops_before_crash: ops_done,
         crashed,
         now_at_crash_ns,
-        ftl_path: report.path.to_string(),
-        ftl_events_dropped: report.events_dropped,
         recovery_ns,
         recovery_budget_ns,
         check,
@@ -251,7 +242,7 @@ fn run_crash_recovery(label: &'static str, lba: u64) -> RecoveryRunResult {
     }
 }
 
-/// Replays the gate trace on an uncrashed stack and returns, for each
+/// Replays the recovery trace on an uncrashed stack and returns, for each
 /// requested split index, the hit ratio of the segment `[split, ops)` —
 /// the no-crash baselines the crash runs are compared against.
 ///
@@ -264,7 +255,7 @@ fn baseline_segment_hit_ratios(splits: &[u64]) -> Vec<f64> {
     let mut cache =
         build_cache(&ctrl, nsid, &gate_cache_config(), Box::new(RoundRobinPolicy::new()))
             .expect("baseline cache");
-    let mut gen = gate_trace();
+    let mut gen = recovery_trace();
     let mut snapshots: BTreeMap<u64, CacheStats> = BTreeMap::new();
     for i in 0..GATE_OPS {
         if splits.contains(&i) {
@@ -311,6 +302,12 @@ mod tests {
             if r.check.persisted.checked == 0 {
                 fails.push(format!(
                     "crash point {} had nothing persisted before the kill (vacuous)",
+                    r.label
+                ));
+            }
+            if r.check.deleted.checked == 0 {
+                fails.push(format!(
+                    "crash point {} had no delete acknowledged before the kill (vacuous)",
                     r.label
                 ));
             }

@@ -5,9 +5,9 @@
 //! checksum. Recovery validates it before believing anything else on
 //! the page; a mismatch demotes the page to "never written" (SOC bucket
 //! treated as virgin, LOC region treated as unsealed). The hash is the
-//! same splitmix64 family used by the fault plan and the FTL snapshot
-//! digest: fast, deterministic, and with 64-bit output collisions are
-//! not a practical concern for torn-page detection in a simulator.
+//! same splitmix64 family the fault plan uses: fast, deterministic, and
+//! with 64-bit output collisions are not a practical concern for
+//! torn-page detection in a simulator.
 //!
 //! Two definitions share the primitive:
 //!

@@ -25,11 +25,6 @@ pub enum FtlError {
     /// An underlying media operation failed; always a simulator-internal
     /// invariant violation if it escapes.
     Nand(NandError),
-    /// A persisted mapping snapshot failed hash validation or does not
-    /// match this device's geometry. Recovery treats this as "no usable
-    /// checkpoint" and falls back to a full media scan; the variant only
-    /// escapes from explicit [`crate::Ftl::restore`] calls.
-    BadSnapshot(&'static str),
 }
 
 impl From<NandError> for FtlError {
@@ -51,7 +46,6 @@ impl std::fmt::Display for FtlError {
             FtlError::Unmapped(lba) => write!(f, "LBA {lba} is unmapped"),
             FtlError::OutOfSpace => write!(f, "no free reclaim units available after GC"),
             FtlError::Nand(e) => write!(f, "NAND error: {e}"),
-            FtlError::BadSnapshot(why) => write!(f, "invalid FTL snapshot: {why}"),
         }
     }
 }

@@ -51,12 +51,11 @@ pub enum FdpEvent {
 }
 
 /// Bounded ring buffer of [`FdpEvent`]s with drop accounting.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct EventLog {
     events: VecDeque<FdpEvent>,
     capacity: usize,
     dropped: u64,
-    total: u64,
 }
 
 impl EventLog {
@@ -66,7 +65,6 @@ impl EventLog {
             events: VecDeque::with_capacity(capacity.min(4096)),
             capacity: capacity.max(1),
             dropped: 0,
-            total: 0,
         }
     }
 
@@ -77,7 +75,6 @@ impl EventLog {
             self.dropped += 1;
         }
         self.events.push_back(event);
-        self.total += 1;
     }
 
     /// Drains all buffered events (the host "reading the log page").
@@ -100,11 +97,6 @@ impl EventLog {
         self.dropped
     }
 
-    /// Total events ever logged (including dropped ones).
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
     /// Iterates over buffered events oldest-first without draining.
     pub fn iter(&self) -> impl Iterator<Item = &FdpEvent> {
         self.events.iter()
@@ -124,7 +116,6 @@ mod tests {
         let drained = log.drain();
         assert_eq!(drained.len(), 2);
         assert!(log.is_empty());
-        assert_eq!(log.total(), 2);
     }
 
     #[test]
@@ -136,7 +127,6 @@ mod tests {
         assert_eq!(log.dropped(), 1);
         let events = log.drain();
         assert_eq!(events, vec![FdpEvent::RuErased { ru: 2 }, FdpEvent::RuErased { ru: 3 }]);
-        assert_eq!(log.total(), 3);
     }
 
     #[test]

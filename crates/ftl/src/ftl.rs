@@ -32,125 +32,11 @@ pub struct WriteReceipt {
     pub relocated_pages: u64,
 }
 
-/// One splitmix64 mixing step, used for snapshot digests. Matches the
-/// generator the fault plan and value materializer already use, so the
-/// whole stack shares one deterministic hash family.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Salt folded into snapshot header checksums so a digest alone cannot
-/// masquerade as a sealed header.
-const SNAPSHOT_SALT: u64 = 0x46_54_4C_53_4E_41_50_31; // "FTLSNAP1"
-
-/// Simulated cost of loading a persisted mapping checkpoint, in exported
-/// LBAs per nanosecond (a sequential metadata read, far cheaper than
-/// scanning media).
-const SNAPSHOT_LOAD_LBAS_PER_NS: u64 = 64;
-
-/// How the mapping tables were reconstructed after a crash.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecoveryPath {
-    /// The checkpoint was current (mapping digest unchanged since it was
-    /// taken): recovery is a straight snapshot load.
-    Checkpoint,
-    /// The checkpoint was stale but the event journal since its watermark
-    /// is complete: recovery loads the snapshot and scans only the
-    /// reclaim units the journal names.
-    JournalReplay,
-    /// No checkpoint, a hash-invalid checkpoint, or a journal with
-    /// dropped events: every page's out-of-band metadata is scanned.
-    FullScan,
-}
-
-impl std::fmt::Display for RecoveryPath {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RecoveryPath::Checkpoint => write!(f, "checkpoint"),
-            RecoveryPath::JournalReplay => write!(f, "journal"),
-            RecoveryPath::FullScan => write!(f, "full-scan"),
-        }
-    }
-}
-
-/// Outcome of [`Ftl::recover_mapping`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FtlRecoveryReport {
-    /// Which reconstruction strategy applied.
-    pub path: RecoveryPath,
-    /// Journal events replayed on the [`RecoveryPath::JournalReplay`]
-    /// path (zero otherwise).
-    pub events_replayed: u64,
-    /// Events lost to ring overflow since the checkpoint watermark; any
-    /// non-zero value forces the full scan.
-    pub events_dropped: u64,
-    /// Media pages whose out-of-band metadata was (modelled as) read.
-    pub scanned_pages: u64,
-    /// Simulated time the reconstruction cost.
-    pub recovery_ns: u64,
-}
-
-/// Point-in-time checkpoint of the FTL's volatile state, sealed with a
-/// mapping digest and a header checksum.
-///
-/// A real FTL periodically flushes its DRAM-resident L2P table plus a
-/// journal watermark to a reserved media region; after power loss it
-/// reloads the newest checkpoint whose hashes validate and replays the
-/// journal tail. [`Ftl::snapshot`] captures exactly that state,
-/// [`FtlSnapshot::validate`] is the hash check, and
-/// [`Ftl::recover_mapping`] is the reload-or-rescan decision.
-#[derive(Debug, Clone)]
-pub struct FtlSnapshot {
-    /// Deep copy of the FTL at capture time.
-    state: Box<Ftl>,
-    /// Digest of the forward map at capture time.
-    mapping_digest: u64,
-    /// Event-log ordinal watermark (`EventLog::total()`) at capture.
-    events_total: u64,
-    /// Events already lost to overflow at capture.
-    events_dropped: u64,
-    /// Header checksum sealing the fields above.
-    checksum: u64,
-}
-
-impl FtlSnapshot {
-    /// Seals the header fields into one checksum.
-    fn seal(mapping_digest: u64, events_total: u64, events_dropped: u64) -> u64 {
-        mix64(mapping_digest ^ mix64(events_total ^ mix64(events_dropped ^ SNAPSHOT_SALT)))
-    }
-
-    /// Event-log watermark (`EventLog::total()`) at capture time.
-    pub fn events_total(&self) -> u64 {
-        self.events_total
-    }
-
-    /// Re-derives every hash and compares against the sealed header.
-    ///
-    /// # Errors
-    ///
-    /// [`FtlError::BadSnapshot`] when the payload digest or the header
-    /// checksum does not validate — the snapshot must be discarded.
-    pub fn validate(&self) -> Result<(), FtlError> {
-        if self.state.mapping_digest() != self.mapping_digest {
-            return Err(FtlError::BadSnapshot("mapping digest mismatch"));
-        }
-        if Self::seal(self.mapping_digest, self.events_total, self.events_dropped) != self.checksum
-        {
-            return Err(FtlError::BadSnapshot("header checksum mismatch"));
-        }
-        Ok(())
-    }
-}
-
 /// Page-mapped FTL with FDP placement semantics.
 ///
 /// See the crate docs for the feature list. All methods are synchronous;
 /// latencies are returned as simulated nanoseconds rather than slept.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Ftl {
     config: FtlConfig,
     nand: NandDevice,
@@ -770,55 +656,6 @@ impl Ftl {
         }
     }
 
-    /// Order-sensitive digest of the forward (L2P) map.
-    ///
-    /// Two FTLs with the same exported geometry have equal digests iff
-    /// every LBA maps to the same physical page. Used to seal snapshots
-    /// and to decide whether a checkpoint is still current at recovery.
-    pub fn mapping_digest(&self) -> u64 {
-        let mut h = 0x9E37_79B9_7F4A_7C15u64;
-        for &entry in &self.l2p {
-            h = mix64(h ^ entry);
-        }
-        mix64(h ^ self.l2p.len() as u64)
-    }
-
-    /// Captures a hash-sealed checkpoint of the FTL's volatile state.
-    ///
-    /// The host persists this (the simulator keeps it in the controller)
-    /// and hands it back to [`Ftl::recover_mapping`] after a crash to
-    /// avoid the full media scan.
-    pub fn snapshot(&self) -> FtlSnapshot {
-        let mapping_digest = self.mapping_digest();
-        let events_total = self.events.total();
-        let events_dropped = self.events.dropped();
-        FtlSnapshot {
-            state: Box::new(self.clone()),
-            mapping_digest,
-            events_total,
-            events_dropped,
-            checksum: FtlSnapshot::seal(mapping_digest, events_total, events_dropped),
-        }
-    }
-
-    /// Replaces this FTL's entire state with a validated snapshot — an
-    /// exact rewind to capture time, used by tests that verify snapshot
-    /// integrity. Crash recovery goes through [`Ftl::recover_mapping`]
-    /// instead, which never rewinds media state.
-    ///
-    /// # Errors
-    ///
-    /// [`FtlError::BadSnapshot`] when the snapshot fails hash validation
-    /// or was captured from a device with different geometry.
-    pub fn restore(&mut self, snap: &FtlSnapshot) -> Result<(), FtlError> {
-        snap.validate()?;
-        if snap.state.l2p.len() != self.l2p.len() || snap.state.rus.len() != self.rus.len() {
-            return Err(FtlError::BadSnapshot("geometry mismatch"));
-        }
-        *self = (*snap.state).clone();
-        Ok(())
-    }
-
     /// Drops the forward map and re-derives it from the per-RU reverse
     /// maps — the simulator's stand-in for the out-of-band LBA stamps a
     /// real FTL scans after power loss (a set slot is a valid page).
@@ -841,67 +678,22 @@ impl Ftl {
         scanned
     }
 
-    /// Reconstructs the L2P mapping after a crash, choosing the cheapest
-    /// strategy the persisted evidence supports.
+    /// Reconstructs the L2P mapping after a crash and returns the
+    /// simulated time it cost (ns).
     ///
-    /// * Checkpoint valid and current (mapping digest unchanged) — load
-    ///   it and stop.
-    /// * Checkpoint valid but stale, journal complete since its
-    ///   watermark (no events dropped) — load it and scan only the
-    ///   reclaim units the journal names.
-    /// * Anything else — no checkpoint, hash-invalid checkpoint, or a
-    ///   journal that overflowed (`EventLog::dropped` advanced) — full
-    ///   out-of-band scan of every page. Overflow **must** force this
-    ///   path: replaying an incomplete journal would silently
-    ///   reconstruct a wrong mapping.
-    ///
-    /// The rebuilt mapping is always derived from media ground truth
-    /// (the reverse maps stand in for per-page OOB stamps), so every
-    /// path produces the same tables; they differ only in the simulated
-    /// time charged.
-    pub fn recover_mapping(&mut self, checkpoint: Option<&FtlSnapshot>) -> FtlRecoveryReport {
-        let pages_per_ru = self.config.geometry.pages_per_superblock();
-        // Out-of-band metadata reads touch a fraction of a page.
-        let oob_ns = self.config.latency.read_ns / 4;
-        let load_ns = self.l2p.len() as u64 / SNAPSHOT_LOAD_LBAS_PER_NS;
-        let digest_now = self.mapping_digest();
-        let (path, events_replayed, events_dropped) = match checkpoint {
-            Some(s) if s.validate().is_ok() && s.state.l2p.len() == self.l2p.len() => {
-                let dropped_since = self.events.dropped().saturating_sub(s.events_dropped);
-                if s.mapping_digest == digest_now {
-                    (RecoveryPath::Checkpoint, 0, 0)
-                } else if dropped_since == 0 {
-                    let replayed = self.events.total().saturating_sub(s.events_total);
-                    (RecoveryPath::JournalReplay, replayed, 0)
-                } else {
-                    (RecoveryPath::FullScan, 0, dropped_since)
-                }
-            }
-            _ => (RecoveryPath::FullScan, 0, self.events.dropped()),
-        };
+    /// The map is rebuilt from media ground truth: every page's
+    /// out-of-band metadata is scanned (the reverse maps stand in for
+    /// the per-page LBA stamps), so the charge is one out-of-band read
+    /// per physical page, whatever happened since the last recovery.
+    pub fn recover_mapping(&mut self) -> u64 {
+        let before = cfg!(debug_assertions).then(|| self.l2p.clone());
         let scanned = self.rebuild_l2p_from_media();
-        debug_assert_eq!(
-            self.mapping_digest(),
-            digest_now,
+        debug_assert!(
+            before.is_none_or(|b| b == self.l2p),
             "media rebuild must reproduce the pre-crash mapping"
         );
-        let (charged_pages, recovery_ns) = match path {
-            RecoveryPath::Checkpoint => (0, load_ns),
-            RecoveryPath::JournalReplay => {
-                // Each journal event names one RU; its GC destination may
-                // be a second, hence the factor of two.
-                let touched = (events_replayed * 2 * pages_per_ru).min(scanned);
-                (touched, load_ns + touched * oob_ns)
-            }
-            RecoveryPath::FullScan => (scanned, scanned * oob_ns),
-        };
-        FtlRecoveryReport {
-            path,
-            events_replayed,
-            events_dropped,
-            scanned_pages: charged_pages,
-            recovery_ns,
-        }
+        // Out-of-band metadata reads touch a fraction of a page.
+        scanned * (self.config.latency.read_ns / 4)
     }
 
     /// Exhaustive consistency check, used by tests and property tests.
@@ -1514,132 +1306,35 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_round_trips() {
-        let mut f = ftl();
-        let n = f.exported_lbas();
-        for lba in 0..n / 2 {
-            f.write(lba, 0).unwrap();
-        }
-        let snap = f.snapshot();
-        snap.validate().unwrap();
-        let digest_at_capture = f.mapping_digest();
-        for lba in 0..n {
-            f.write(lba, 1).unwrap();
-        }
-        assert_ne!(f.mapping_digest(), digest_at_capture);
-        f.restore(&snap).unwrap();
-        assert_eq!(f.mapping_digest(), digest_at_capture);
-        f.check_invariants();
-    }
-
-    #[test]
-    fn tampered_snapshot_is_rejected() {
-        let mut f = ftl();
-        f.write(0, 0).unwrap();
-        let mut snap = f.snapshot();
-        // Flip a mapping inside the sealed payload.
-        snap.state.l2p[0] ^= 1;
-        assert!(matches!(snap.validate(), Err(FtlError::BadSnapshot(_))));
-        assert!(matches!(f.restore(&snap), Err(FtlError::BadSnapshot(_))));
-        // A tampered header is equally rejected.
-        let mut snap2 = f.snapshot();
-        snap2.events_total += 1;
-        assert!(matches!(snap2.validate(), Err(FtlError::BadSnapshot(_))));
-    }
-
-    #[test]
-    fn geometry_mismatch_rejected_on_restore() {
-        let mut small = ftl();
-        let mut big_cfg = FtlConfig::tiny_test();
-        big_cfg.geometry.blocks_per_plane *= 2;
-        let big = Ftl::new(big_cfg).unwrap();
-        assert!(matches!(small.restore(&big.snapshot()), Err(FtlError::BadSnapshot(_))));
-    }
-
-    #[test]
-    fn recover_mapping_prefers_current_checkpoint() {
-        let mut f = ftl();
-        let n = f.exported_lbas();
-        for lba in 0..n / 2 {
-            f.write(lba, 0).unwrap();
-        }
-        let snap = f.snapshot();
-        let digest = f.mapping_digest();
-        let report = f.recover_mapping(Some(&snap));
-        assert_eq!(report.path, RecoveryPath::Checkpoint);
-        assert_eq!(report.scanned_pages, 0);
-        assert_eq!(f.mapping_digest(), digest, "recovery must reproduce the mapping");
-        f.check_invariants();
-    }
-
-    #[test]
-    fn recover_mapping_replays_journal_when_checkpoint_is_stale() {
-        let mut f = ftl();
-        let snap = f.snapshot();
-        let per_ru = f.config().geometry.pages_per_superblock();
-        // Enough writes to switch RUs (journal events) without GC churn.
-        for lba in 0..per_ru + 1 {
-            f.write(lba, 0).unwrap();
-        }
-        let digest = f.mapping_digest();
-        let report = f.recover_mapping(Some(&snap));
-        assert_eq!(report.path, RecoveryPath::JournalReplay);
-        assert!(report.events_replayed > 0);
-        assert_eq!(f.mapping_digest(), digest);
-        f.check_invariants();
-    }
-
-    #[test]
-    fn recover_mapping_full_scans_without_checkpoint() {
-        let mut f = ftl();
+    fn recover_mapping_charges_one_full_scan() {
+        // tiny_test's NAND costs nothing; price the scan with real timings.
+        let config =
+            FtlConfig { latency: fdpcache_nand::LatencyModel::default(), ..FtlConfig::tiny_test() };
+        let scan_ns = config.geometry.total_pages() * (config.latency.read_ns / 4);
+        assert!(scan_ns > 0);
+        let mut f = Ftl::new(config).unwrap();
         let n = f.exported_lbas();
         let mut x = 17u64;
+        let mut churn = |f: &mut Ftl| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            f.write(x % n, 0).unwrap();
+        };
         for _ in 0..(n * 4) {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            f.write(x % n, 0).unwrap();
+            churn(&mut f);
         }
-        let digest = f.mapping_digest();
-        let mapped = f.mapped_lbas();
-        let report = f.recover_mapping(None);
-        assert_eq!(report.path, RecoveryPath::FullScan);
-        assert!(report.scanned_pages > 0);
-        assert_eq!(f.mapping_digest(), digest);
-        assert_eq!(f.mapped_lbas(), mapped);
+        let l2p = f.l2p.clone();
+        assert_eq!(f.recover_mapping(), scan_ns, "one OOB read per physical page");
+        assert_eq!(f.l2p, l2p, "recovery must reproduce the mapping");
         f.check_invariants();
-    }
-
-    #[test]
-    fn journal_overflow_forces_full_scan() {
-        // A checkpoint taken before the event ring overflows must not be
-        // journal-replayed: dropped events would reconstruct a wrong
-        // mapping. The log capacity in tiny_test is small enough that a
-        // few thousand churn writes overflow it.
-        let mut f = ftl();
-        let snap = f.snapshot();
-        let n = f.exported_lbas();
-        let mut x = 23u64;
+        // An overflowed event ring changes nothing: no journal is read.
         while f.events().dropped() == 0 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            f.write(x % n, 0).unwrap();
+            churn(&mut f);
         }
-        let report = f.recover_mapping(Some(&snap));
-        assert_eq!(report.path, RecoveryPath::FullScan);
-        assert!(report.events_dropped > 0);
-        f.check_invariants();
-    }
-
-    #[test]
-    fn corrupt_checkpoint_falls_back_to_full_scan() {
-        let mut f = ftl();
-        f.write(0, 0).unwrap();
-        let mut snap = f.snapshot();
-        snap.state.l2p[0] ^= 1;
-        let report = f.recover_mapping(Some(&snap));
-        assert_eq!(report.path, RecoveryPath::FullScan);
+        let l2p = f.l2p.clone();
+        assert_eq!(f.recover_mapping(), scan_ns);
+        assert_eq!(f.l2p, l2p);
         f.check_invariants();
     }
 

@@ -31,12 +31,11 @@
 //! ## Non-goals
 //!
 //! Payload bytes are not stored here (see `fdpcache-nvme`'s backing
-//! store). Mapping persistence *is* modeled for the warm-restart path:
-//! [`Ftl::snapshot`] checkpoints the table and
-//! [`Ftl::recover_mapping`] rebuilds it from a checkpoint, the FDP event
-//! journal, or a full spare-area scan (DESIGN.md §6.6) — but there is
-//! no wear-aware data placement or real power-loss-protection
-//! hardware model.
+//! store). Mapping recovery *is* modeled for the warm-restart path:
+//! [`Ftl::recover_mapping`] rebuilds the table from a full spare-area
+//! scan and charges one out-of-band read per physical page (DESIGN.md
+//! §6.6) — but there is no wear-aware data placement or real
+//! power-loss-protection hardware model.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,7 +50,7 @@ pub mod stats;
 pub use config::{FtlConfig, GcPolicy, RuhType};
 pub use error::FtlError;
 pub use events::{EventLog, FdpEvent};
-pub use ftl::{Ftl, FtlRecoveryReport, FtlSnapshot, RecoveryPath};
+pub use ftl::Ftl;
 pub use ru::{RuInfo, RuOwner};
 pub use stats::FtlStats;
 

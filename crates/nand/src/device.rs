@@ -43,7 +43,7 @@ struct SuperblockState {
 /// The device knows *how many* pages of a superblock are valid, not
 /// *which*: the FTL's reverse map is the per-page truth, and it names the
 /// page it invalidates.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct NandDevice {
     geometry: Geometry,
     pe_limit: u32,

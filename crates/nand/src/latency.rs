@@ -34,7 +34,7 @@ impl LatencyModel {
 }
 
 /// Deterministic latency sampler (xorshift64*, seeded).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct LatencySampler {
     model: LatencyModel,
     state: u64,

@@ -33,13 +33,13 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use fdpcache_ftl::{FdpEvent, Ftl, FtlConfig, FtlRecoveryReport, FtlSnapshot, RuhId, DEFAULT_RUH};
+use fdpcache_ftl::{FdpEvent, Ftl, FtlConfig, RuhId, DEFAULT_RUH};
 use parking_lot::{Mutex, RwLock};
 
 use crate::datastore::DataStore;
 use crate::error::NvmeError;
 use crate::fault::{FaultOp, FaultRates, FaultTotals};
-use crate::health::{HealthConfig, HealthReport, HealthState};
+use crate::health::{HealthConfig, HealthReport};
 use crate::identify::{ControllerIdentity, FdpConfigDescriptor};
 use crate::logpage::{FdpConfigLog, RuhUsageDescriptor, RuhUsageLog};
 use crate::namespace::{Namespace, NamespaceId};
@@ -116,8 +116,7 @@ pub struct FdpStatsLog {
     pub media_relocated_events: u64,
     /// Events lost to event-log ring overflow. GC-energy accounting that
     /// counts drained *Media Relocated* events under-counts by (up to)
-    /// this much; a nonzero value also disqualifies the event journal
-    /// for mapping recovery (the full-scan fallback takes over).
+    /// this much.
     pub log_events_dropped: u64,
 }
 
@@ -360,26 +359,14 @@ impl Controller {
         self.store.set_fault_rates(rates)
     }
 
-    /// Coarse device-wide health classification: the cumulative
-    /// injected-fault rate over all completed commands, through the
-    /// default [`HealthConfig`] thresholds. This is the fleet
-    /// dashboard view; the authoritative degraded-mode signal is the
-    /// windowed per-shard monitor embedded in each I/O manager (see
-    /// [`HealthMonitor`](crate::health::HealthMonitor)).
-    pub fn health(&self) -> HealthState {
-        self.health_report().state
-    }
-
-    /// The cumulative health view behind [`Controller::health`], with
-    /// the evidence (command/fault counts and the exact rate) a fleet
-    /// router or dashboard wants alongside the classification.
-    pub fn health_report(&self) -> HealthReport {
-        self.health_report_with(&HealthConfig::default())
-    }
-
-    /// [`Controller::health_report`] against caller-supplied
-    /// thresholds — a serving tier may evict devices from rotation at
-    /// a tighter rate than the default degraded-mode ladder.
+    /// Coarse device-wide health: the cumulative injected-fault rate
+    /// over all completed commands, classified against `config`'s
+    /// thresholds, with the evidence (command/fault counts and the
+    /// exact rate) a fleet router wants alongside the state. A serving
+    /// tier may evict devices from rotation at a tighter rate than the
+    /// default degraded-mode ladder; the authoritative degraded-mode
+    /// signal is the windowed per-shard monitor embedded in each I/O
+    /// manager (see [`HealthMonitor`](crate::health::HealthMonitor)).
     pub fn health_report_with(&self, config: &HealthConfig) -> HealthReport {
         let io = self.device_io_stats();
         let commands = io.writes + io.reads + io.discards;
@@ -804,23 +791,12 @@ impl Controller {
         self.ftl.lock().events_mut().drain()
     }
 
-    /// Captures a hash-sealed checkpoint of the FTL's volatile mapping
-    /// state. A real host persists this blob to stable storage; the
-    /// simulator's crash drivers keep it across the simulated process
-    /// death and hand it back to [`Controller::recover_ftl`].
-    pub fn checkpoint_ftl(&self) -> FtlSnapshot {
-        self.ftl.lock().snapshot()
-    }
-
     /// Rebuilds the FTL's volatile mapping tables after a simulated
-    /// crash, picking the cheapest strategy the persisted evidence
-    /// supports (see [`Ftl::recover_mapping`]): a hash-valid, current
-    /// checkpoint loads directly; a stale checkpoint with a complete
-    /// event journal scans only journal-named reclaim units; anything
-    /// else — including a journal that overflowed (`dropped > 0`) —
-    /// falls back to the full out-of-band media scan.
-    pub fn recover_ftl(&self, checkpoint: Option<&FtlSnapshot>) -> FtlRecoveryReport {
-        self.ftl.lock().recover_mapping(checkpoint)
+    /// crash by the full out-of-band media scan (see
+    /// [`Ftl::recover_mapping`]) and returns the simulated time it cost
+    /// (ns).
+    pub fn recover_ftl(&self) -> u64 {
+        self.ftl.lock().recover_mapping()
     }
 
     /// Reads the reclaim unit handle usage log page: per-handle host

@@ -28,11 +28,11 @@
 //! on. Transitions are recorded with their virtual timestamps for
 //! exactly that comparison.
 //!
-//! [`Controller::health`](crate::Controller::health) offers a coarser
-//! device-wide view computed from cumulative injection totals via
-//! [`HealthMonitor::classify_totals`] — useful for fleet dashboards,
-//! while the windowed per-shard monitors remain the authoritative
-//! degraded-mode signal.
+//! [`Controller::health_report_with`](crate::Controller::health_report_with)
+//! offers a coarser device-wide view computed from cumulative injection
+//! totals via [`HealthReport::from_totals`] — useful for fleet
+//! dashboards, while the windowed per-shard monitors remain the
+//! authoritative degraded-mode signal.
 
 use crate::fault::FaultTotals;
 
@@ -140,7 +140,7 @@ fn classify_rate(config: &HealthConfig, bad: u64, events: u64) -> HealthState {
 
 /// Snapshot of the cumulative device-wide health view — the numbers a
 /// fleet router keys placement and failover off
-/// ([`Controller::health_report`](crate::Controller::health_report)).
+/// ([`Controller::health_report_with`](crate::Controller::health_report_with)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HealthReport {
     /// Classification of the cumulative rate.
@@ -352,19 +352,6 @@ impl HealthMonitor {
         self.state = to;
         self.transitions.push(HealthTransition { at_ns: now_ns, state: to });
     }
-
-    /// Coarse device-wide classification from cumulative injection
-    /// totals: the all-time error rate over `commands` *successful*
-    /// completions plus the injected failures, against the same
-    /// thresholds (no windowing — this is the fleet dashboard view,
-    /// not the degraded-mode signal).
-    pub fn classify_totals(
-        config: &HealthConfig,
-        totals: &FaultTotals,
-        commands: u64,
-    ) -> HealthState {
-        HealthReport::from_totals(config, totals, commands).state
-    }
 }
 
 #[cfg(test)]
@@ -502,17 +489,17 @@ mod tests {
     }
 
     #[test]
-    fn classify_totals_is_a_pure_rate_threshold() {
+    fn from_totals_is_a_pure_rate_threshold() {
         let cfg = HealthConfig::default();
+        let state = |totals: &FaultTotals, commands| {
+            HealthReport::from_totals(&cfg, totals, commands).state
+        };
         let quiet = FaultTotals::default();
-        assert_eq!(HealthMonitor::classify_totals(&cfg, &quiet, 1_000), HealthState::Healthy);
+        assert_eq!(state(&quiet, 1_000), HealthState::Healthy);
         let noisy = FaultTotals { read_errors: 100, ..Default::default() };
-        assert_eq!(HealthMonitor::classify_totals(&cfg, &noisy, 1_000), HealthState::Degraded);
-        assert_eq!(HealthMonitor::classify_totals(&cfg, &noisy, 300), HealthState::Failing);
+        assert_eq!(state(&noisy, 1_000), HealthState::Degraded);
+        assert_eq!(state(&noisy, 300), HealthState::Failing);
         // Below min_events everything is healthy (not enough signal).
-        assert_eq!(
-            HealthMonitor::classify_totals(&cfg, &FaultTotals::default(), 3),
-            HealthState::Healthy
-        );
+        assert_eq!(state(&quiet, 3), HealthState::Healthy);
     }
 }

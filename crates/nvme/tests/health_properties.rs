@@ -10,8 +10,8 @@
 //!   sees successful completions never leaves `Healthy`, so the cache
 //!   tier's circuit breaker (which opens on `Failing` only) can never
 //!   open on a fault-free plan.
-//! * **`classify_totals` monotonicity** — more cumulative errors at the
-//!   same traffic never classify as healthier.
+//! * **`HealthReport::from_totals` monotonicity** — more cumulative
+//!   errors at the same traffic never classify as healthier.
 
 use proptest::prelude::*;
 
@@ -163,15 +163,15 @@ proptest! {
     /// More cumulative errors at the same successful-command count
     /// never classify as healthier.
     #[test]
-    fn classify_totals_is_monotone_in_errors(
+    fn from_totals_is_monotone_in_errors(
         commands in 0..10_000u64,
         errors_a in 0..5_000u64,
         extra in 0..5_000u64,
     ) {
         let cfg = HealthConfig::default();
         let t = |n: u64| FaultTotals { read_errors: n, ..FaultTotals::default() };
-        let lo = HealthMonitor::classify_totals(&cfg, &t(errors_a), commands);
-        let hi = HealthMonitor::classify_totals(&cfg, &t(errors_a + extra), commands);
+        let lo = HealthReport::from_totals(&cfg, &t(errors_a), commands).state;
+        let hi = HealthReport::from_totals(&cfg, &t(errors_a + extra), commands).state;
         prop_assert!(hi >= lo, "more errors classified healthier ({lo:?} -> {hi:?})");
     }
 
@@ -199,10 +199,10 @@ proptest! {
 
     /// Threshold boundaries are pinned to `>=`: a window whose rate
     /// lands *exactly* on a threshold votes for the worse level, one
-    /// event under it votes below. Exercised through `classify_totals`
+    /// event under it votes below. Exercised through `from_totals`
     /// by constructing totals that hit the boundary exactly.
     #[test]
-    fn classify_totals_pins_exact_threshold_boundaries(scale in 1..2_000u64) {
+    fn from_totals_pins_exact_threshold_boundaries(scale in 1..2_000u64) {
         // bad/events == failing_ppm/1e6 exactly: pick events as a
         // multiple of 1e6/gcd and bad accordingly. Use thresholds that
         // divide 1e6 cleanly so exact boundaries exist at every scale.
@@ -217,25 +217,25 @@ proptest! {
         let bad = scale;
         let commands = 4 * scale; // events = commands + bad = 5*scale
         prop_assert_eq!(
-            HealthMonitor::classify_totals(&cfg, &t(bad), commands),
+            HealthReport::from_totals(&cfg, &t(bad), commands).state,
             HealthState::Failing,
             "exact failing boundary must classify Failing"
         );
         // One good event past the boundary drops strictly below it.
         prop_assert_eq!(
-            HealthMonitor::classify_totals(&cfg, &t(bad), commands + 1),
+            HealthReport::from_totals(&cfg, &t(bad), commands + 1).state,
             HealthState::Degraded,
             "one event under the failing boundary must not classify Failing"
         );
         // Exactly at degraded: bad = scale, events = 20*scale.
         let commands = 19 * scale;
         prop_assert_eq!(
-            HealthMonitor::classify_totals(&cfg, &t(bad), commands),
+            HealthReport::from_totals(&cfg, &t(bad), commands).state,
             HealthState::Degraded,
             "exact degraded boundary must classify Degraded"
         );
         prop_assert_eq!(
-            HealthMonitor::classify_totals(&cfg, &t(bad), commands + 1),
+            HealthReport::from_totals(&cfg, &t(bad), commands + 1).state,
             HealthState::Healthy,
             "one event under the degraded boundary must not classify Degraded"
         );

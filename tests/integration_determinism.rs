@@ -313,7 +313,7 @@ fn pool_crash_recover_continue_is_deterministic() {
         let pre_executed: u64 = reports.iter().map(|r| r.executed).sum();
         drop(pool);
 
-        ctrl.recover_ftl(None);
+        ctrl.recover_ftl();
         let recovered =
             ConcurrentPool::recover(&ctrl, &config, &[1, 2], || Box::new(RoundRobinPolicy::new()))
                 .unwrap();

@@ -86,8 +86,6 @@ struct MatrixOutcome {
     ops_before_crash: u64,
     crashed: bool,
     now_at_crash_ns: u64,
-    ftl_path: String,
-    ftl_events_dropped: u64,
     persisted: BTreeSet<u64>,
     check: CrashReport,
     final_stats: CacheStats,
@@ -121,7 +119,7 @@ fn run_matrix_point(lba: u64, at_access: u64, ops: u64) -> MatrixOutcome {
     let persisted: BTreeSet<u64> = cache.persisted_keys().into_iter().collect();
     drop(cache);
 
-    let report = ctrl.recover_ftl(None);
+    ctrl.recover_ftl();
     let mut cache = reattach(&ctrl, nsid, &config);
     cache.set_promote_on_nvm_hit(false);
     let recovered: BTreeSet<u64> = cache.persisted_keys().into_iter().collect();
@@ -139,8 +137,6 @@ fn run_matrix_point(lba: u64, at_access: u64, ops: u64) -> MatrixOutcome {
         ops_before_crash: ops_done,
         crashed,
         now_at_crash_ns,
-        ftl_path: report.path.to_string(),
-        ftl_events_dropped: report.events_dropped,
         persisted,
         check,
         final_stats: cache.stats(),
@@ -181,12 +177,6 @@ fn crash_matrix_loses_nothing_and_replays_bit_identically() {
         assert_eq!(c.persisted.checked, first.persisted.len() as u64, "{label}: unchecked keys");
         assert_eq!(c.persisted.violations, [], "{label}: lost acknowledged-and-sealed writes");
         assert_eq!(c.deleted.violations, [], "{label}: acknowledged deletes resurrected");
-        if first.ftl_events_dropped > 0 {
-            assert_eq!(
-                first.ftl_path, "full-scan",
-                "{label}: event-ring overflow must force the full scan"
-            );
-        }
         let rerun = run_matrix_point(lba, at_access, ops);
         assert_eq!(first, rerun, "{label}: crash + recovery diverged across reruns");
     }
@@ -214,7 +204,7 @@ fn recovered_engines_report_zero_app_bytes_and_wa_identities_hold() {
     assert!(app_before > 0 && dev_before >= app_before);
     drop(cache); // the crash
 
-    ctrl.recover_ftl(None);
+    ctrl.recover_ftl();
     // The FTL's lifetime counters survive in the device (they are the
     // device's own bookkeeping); the identity must hold right after
     // mapping reconstruction.
@@ -330,7 +320,7 @@ fn run_pool_crash(workers: usize, ops: u64, crash_lba: u64) -> Vec<ShardOutcome>
         .collect();
     drop(pool);
 
-    ctrl.recover_ftl(None);
+    ctrl.recover_ftl();
     let recovered =
         ConcurrentPool::recover(&ctrl, &config, &[1, 2], || Box::new(RoundRobinPolicy::new()))
             .unwrap();
@@ -467,7 +457,7 @@ fn long_footer_shrinks_with_deletes_and_recovers_whole() {
     }
     drop(cache); // the crash
 
-    ctrl.recover_ftl(None);
+    ctrl.recover_ftl();
     let mut cache = reattach(&ctrl, nsid, &config);
     let recovered: BTreeSet<u64> = cache.persisted_keys().into_iter().collect();
     let expected: BTreeSet<u64> = (1_048..1_300).chain([5_000]).collect();
@@ -574,7 +564,7 @@ fn recover_and_check(
     oracle: &mut Oracle,
     at: &str,
 ) -> HybridCache {
-    ctrl.recover_ftl(None);
+    ctrl.recover_ftl();
     ctrl.with_ftl(|f| f.check_invariants());
     let mut cache = reattach(ctrl, nsid, &sweep_config());
     cache.set_promote_on_nvm_hit(false);
