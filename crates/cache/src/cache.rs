@@ -10,7 +10,7 @@ use crate::config::CacheConfig;
 use crate::engine::{NavyEngine, NvmSource};
 use crate::error::CacheError;
 use crate::index::ReadIndex;
-use crate::ram::RamCache;
+use crate::ram::{Evicted, RamCache};
 use crate::stats::{CacheStats, ReadSideStats};
 use crate::value::Value;
 use crate::Key;
@@ -44,6 +44,9 @@ pub const HOST_OP_NS: u64 = 2_000;
 #[derive(Debug)]
 pub struct HybridCache {
     ram: RamCache,
+    /// DRAM evictions on their way to flash; reused by every put and
+    /// promotion so neither allocates for them (DESIGN.md §5.3).
+    evicted: Vec<Evicted>,
     navy: NavyEngine,
     stats: CacheStats,
     /// Counters for GETs served off the lock-free read path (shared
@@ -88,6 +91,7 @@ impl HybridCache {
         let navy = NavyEngine::new(&config.nvm, io, soc, loc, meta)?;
         Ok(HybridCache {
             ram: RamCache::new(config.ram_bytes, config.ram_item_overhead),
+            evicted: Vec::new(),
             navy,
             stats: CacheStats::default(),
             read_stats: Arc::new(ReadSideStats::default()),
@@ -100,12 +104,12 @@ impl HybridCache {
     /// crash (the warm-restart path, DESIGN.md §6.4–6.6). The flash
     /// engines come back from their checksummed on-device structures
     /// via [`NavyEngine::recover`]; everything DRAM-resident is
-    /// deliberately fresh — an empty [`RamCache`] with a brand-new
-    /// lock-free [`ReadIndex`] (and its own epoch collector, so no
-    /// pre-crash guard or retired node can touch the new index), and
-    /// zeroed [`CacheStats`] (pre-crash acknowledged application bytes
-    /// must not be double-counted into post-recovery ALWA/DLWA
-    /// denominators).
+    /// deliberately fresh — an empty [`RamCache`] whose lock-free
+    /// [`ReadIndex`], once a pool asks for it, is brand-new (with its
+    /// own epoch collector, so no pre-crash guard or retired node can
+    /// touch it), and zeroed [`CacheStats`] (pre-crash acknowledged
+    /// application bytes must not be double-counted into post-recovery
+    /// ALWA/DLWA denominators).
     ///
     /// Handle allocation is [`HybridCache::new`]'s (SOC, LOC, then the
     /// metadata handle), so a recovered cache writes through the same
@@ -126,6 +130,7 @@ impl HybridCache {
         let navy = NavyEngine::recover(&config.nvm, io, soc, loc, meta)?;
         Ok(HybridCache {
             ram: RamCache::new(config.ram_bytes, config.ram_item_overhead),
+            evicted: Vec::new(),
             navy,
             stats: CacheStats::default(),
             read_stats: Arc::new(ReadSideStats::default()),
@@ -142,10 +147,11 @@ impl HybridCache {
         self.navy.persisted_keys()
     }
 
-    /// The lock-free DRAM read index this cache publishes into. A pool
-    /// may probe it from any thread without locking the cache, pairing
-    /// hits with [`Self::read_stats`] accounting.
-    pub fn read_index(&self) -> Arc<ReadIndex> {
+    /// The lock-free DRAM read index this cache publishes into, built
+    /// by the first call (see [`RamCache::read_index`]). A pool may probe
+    /// it from any thread without locking the cache, pairing hits with
+    /// [`Self::read_stats`] accounting.
+    pub fn read_index(&mut self) -> Arc<ReadIndex> {
         Arc::clone(self.ram.read_index())
     }
 
@@ -391,11 +397,7 @@ impl HybridCache {
                     }
                 };
                 if self.promote_on_nvm_hit {
-                    for evicted in self.ram.put(key, value.clone()) {
-                        if evicted.key != key {
-                            self.degraded_flash_insert(evicted.key, evicted.value)?;
-                        }
-                    }
+                    self.ram_put(key, value.clone(), true)?;
                 }
                 Ok((outcome, Some(value)))
             }
@@ -419,10 +421,19 @@ impl HybridCache {
         }
         self.stats.puts += 1;
         self.io_mut().advance(HOST_OP_NS);
-        for evicted in self.ram.put(key, value) {
-            self.degraded_flash_insert(evicted.key, evicted.value)?;
-        }
-        Ok(())
+        self.ram_put(key, value, false)
+    }
+
+    /// Puts `key` into DRAM and offers every eviction to flash, oldest
+    /// first — except, for a `promoted` flash hit too big for DRAM, the
+    /// key itself: flash already holds it.
+    fn ram_put(&mut self, key: Key, value: Value, promoted: bool) -> Result<(), CacheError> {
+        let mut evicted = std::mem::take(&mut self.evicted);
+        evicted.extend(self.ram.put(key, value).filter(|e| !(promoted && e.key == key)));
+        let offered =
+            evicted.drain(..).try_for_each(|e| self.degraded_flash_insert(e.key, e.value));
+        self.evicted = evicted;
+        offered
     }
 
     /// Removes `key` from every layer. Returns whether it was present
@@ -509,6 +520,27 @@ mod tests {
         let (outcome, v) = c.get(0).unwrap();
         assert_eq!(outcome, GetOutcome::SocHit);
         assert_eq!(v.unwrap().len(), 90);
+    }
+
+    #[test]
+    fn a_lone_cache_never_builds_its_read_index() {
+        // DRAM fits ~10 of the 90-byte items: puts evict to flash.
+        let mut c = build(1_000, true);
+        for k in 0..100u64 {
+            c.put(k, Value::synthetic(90)).unwrap();
+        }
+        assert!(c.stats().nvm_inserts > 0, "DRAM must have evicted");
+        assert_eq!(c.get(99).unwrap().0, GetOutcome::RamHit);
+        // A flash hit promotes into DRAM, evicting again.
+        assert_eq!(c.get(0).unwrap().0, GetOutcome::SocHit);
+        assert!(c.delete(99).unwrap());
+        assert!(!c.ram().index_built(), "nothing read lock-free, yet the index was built");
+        // The first request builds it from what DRAM holds now.
+        let index = c.read_index();
+        assert!(c.ram().index_built());
+        assert_eq!(index.peek(0), Some(Value::synthetic(90)));
+        assert_eq!(index.peek(99), None);
+        c.ram().check_invariants();
     }
 
     #[test]

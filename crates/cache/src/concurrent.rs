@@ -116,7 +116,7 @@ const _: () = {
 };
 
 impl Shard {
-    fn new(cache: HybridCache) -> Self {
+    fn new(mut cache: HybridCache) -> Self {
         let read = ReadHandles { index: cache.read_index(), read_stats: cache.read_stats() };
         Shard { read, cache: Mutex::new(cache) }
     }

@@ -48,6 +48,7 @@ pub mod engine;
 pub mod error;
 pub mod fleet;
 pub mod index;
+mod keymap;
 pub mod loc;
 pub mod ram;
 pub mod soc;

@@ -34,13 +34,14 @@
 //!   can never resurrect a deleted key from a stale footer.
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use fdpcache_core::{IoBatch, IoManager, PlacementHandle};
 use fdpcache_nvme::NvmeError;
 
 use crate::checksum::page_checksum;
 use crate::error::CacheError;
+use crate::keymap::{KeyMap, KeySet};
 use crate::value::Value;
 use crate::Key;
 
@@ -142,8 +143,9 @@ enum RegionState {
 #[derive(Debug)]
 struct Region {
     state: RegionState,
-    /// Keys written into this region (for index cleanup at eviction
-    /// and for locating footers that may still list a deleted key).
+    /// Keys written into this region, in fill order (ascending offset),
+    /// for index cleanup at eviction, patrol scrubs and locating
+    /// footers that may still list a deleted key.
     /// [`Loc::key_regions`] inverts these lists; every change to one
     /// goes through a `Loc` method that updates both.
     keys: Vec<Key>,
@@ -190,7 +192,7 @@ fn fill_region(objects: &[(Key, &ActiveEntry)], at: usize, out: &mut [u8]) {
 /// whose [`Region::keys`] hold it. A key is listed by at most one
 /// region per copy it has on flash, so the lists stay short.
 #[derive(Debug, Default)]
-struct KeyRegions(HashMap<Key, Vec<u32>>);
+struct KeyRegions(KeyMap<Vec<u32>>);
 
 impl KeyRegions {
     fn list(&mut self, key: Key, region: u32) {
@@ -244,10 +246,10 @@ pub struct Loc {
     /// The active buffer's live objects by key (a key's newer copy
     /// replaces its older one): every insert, lookup and remove of
     /// either engine asks "is it in the active buffer?" first.
-    active_keys: HashMap<Key, ActiveEntry>,
+    active_keys: KeyMap<ActiveEntry>,
     /// Next [`ActiveEntry::seq`].
     active_seq: u64,
-    index: HashMap<Key, IndexEntry>,
+    index: KeyMap<IndexEntry>,
     /// Which regions list each key (the inverse of `Region::keys`).
     key_regions: KeyRegions,
     trim_on_evict: bool,
@@ -301,9 +303,9 @@ impl Loc {
             sealed_fifo: VecDeque::new(),
             active: None,
             active_fill: 0,
-            active_keys: HashMap::new(),
+            active_keys: KeyMap::default(),
             active_seq: 0,
-            index: HashMap::new(),
+            index: KeyMap::default(),
             key_regions: KeyRegions::default(),
             trim_on_evict,
             handle,
@@ -871,7 +873,7 @@ impl Loc {
     fn scrub_footers_for_keys(
         &mut self,
         io: &mut IoManager,
-        keys: &HashSet<Key>,
+        keys: &KeySet,
         skip: Option<u32>,
     ) -> Result<(), CacheError> {
         for r in self.scrub_candidates(keys, skip) {
@@ -889,7 +891,7 @@ impl Loc {
 
     /// Sealed regions other than `skip` whose key lists hold any of
     /// `keys`, ascending.
-    fn scrub_candidates(&self, keys: &HashSet<Key>, skip: Option<u32>) -> Vec<u32> {
+    fn scrub_candidates(&self, keys: &KeySet, skip: Option<u32>) -> Vec<u32> {
         let mut candidates: Vec<u32> = keys
             .iter()
             .filter_map(|k| self.key_regions.0.get(k))
@@ -916,7 +918,7 @@ impl Loc {
             return Ok(());
         };
         let keys = self.key_regions.take(&mut self.regions[region as usize], region);
-        let mut dropped: HashSet<Key> = HashSet::new();
+        let mut dropped = KeySet::default();
         for key in keys {
             // Only drop entries that still point into this region (the
             // key may have been rewritten into a newer region since).
@@ -1173,14 +1175,16 @@ impl Loc {
         if self.regions[region as usize].state != RegionState::Sealed {
             return Ok((0, 0));
         }
-        let keys: Vec<Key> =
-            self.index.iter().filter(|(_, e)| e.region == region).map(|(k, _)| *k).collect();
+        // The region's key list holds every live key it stores, in fill
+        // order: reads and repairs follow the layout, not a map's order.
+        let keys = self.regions[region as usize].keys.clone();
         let retains = io.retains_data();
         let mut pages = 0u64;
         let mut repairs = 0u64;
         for key in keys {
-            // Re-fetch per key: an earlier repair in this sweep may
-            // have sealed the active region and evicted this one.
+            // Skip superseded copies, and re-fetch per key: an earlier
+            // repair in this sweep may have sealed the active region and
+            // evicted this one.
             let Some(entry) = self.index.get(&key).cloned() else { continue };
             if entry.region != region {
                 continue;
@@ -1226,8 +1230,7 @@ impl Loc {
         let in_active = self.active_keys.remove(&key).is_some();
         let in_index = self.index.remove(&key).is_some();
         if in_active || in_index {
-            let mut keys = HashSet::with_capacity(1);
-            keys.insert(key);
+            let keys = KeySet::from_iter([key]);
             self.scrub_footers_for_keys(io, &keys, None)?;
             self.stats.removes += 1;
         }
@@ -1237,12 +1240,17 @@ impl Loc {
     /// Keys with a live, sealed, footer-persisted copy on flash right
     /// now — exactly the LOC objects a crash-and-recover cycle must
     /// bring back (active-buffer objects are volatile and excluded).
+    /// Ascending, so callers that sample the list see the same keys
+    /// whatever the index's layout.
     pub fn persisted_keys(&self) -> Vec<Key> {
-        self.index
+        let mut keys: Vec<Key> = self
+            .index
             .iter()
             .filter(|(_, e)| self.regions[e.region as usize].state == RegionState::Sealed)
             .map(|(k, _)| *k)
-            .collect()
+            .collect();
+        keys.sort_unstable();
+        keys
     }
 
     /// Rebuilds a LOC from the region footers persisted on flash
@@ -1519,20 +1527,10 @@ mod tests {
         l.insert(&mut io, 3, Value::synthetic(12_000)).unwrap(); // seals region 0
         l.insert(&mut io, 4, Value::synthetic(10_000)).unwrap(); // active (volatile)
         assert_eq!(l.stats().seals, 1);
-        let survivors = l.persisted_keys();
-        assert_eq!(
-            {
-                let mut s = survivors.clone();
-                s.sort_unstable();
-                s
-            },
-            vec![1, 2]
-        );
+        assert_eq!(l.persisted_keys(), vec![1, 2]);
         drop(l);
         let mut r = recover(&mut io);
-        let mut recovered = r.persisted_keys();
-        recovered.sort_unstable();
-        assert_eq!(recovered, vec![1, 2]);
+        assert_eq!(r.persisted_keys(), vec![1, 2]);
         assert!(r.lookup(&mut io, 3).unwrap().is_none(), "in-flight seal key 3 must be volatile");
         assert!(r.lookup(&mut io, 4).unwrap().is_none(), "active-buffer key 4 must be volatile");
         assert_eq!(r.read_raw(&mut io, 1).unwrap().unwrap(), payload, "payload bytes mangled");
@@ -1598,11 +1596,52 @@ mod tests {
         drop(l);
         let mut r = recover(&mut io);
         assert!(r.lookup(&mut io, 0).unwrap().is_none(), "evicted key resurrected by recovery");
-        let mut recovered = r.persisted_keys();
-        let mut expected = survivors;
-        recovered.sort_unstable();
-        expected.sort_unstable();
-        assert_eq!(recovered, expected);
+        assert_eq!(r.persisted_keys(), survivors);
+    }
+
+    #[test]
+    fn persisted_keys_ascend_and_leave_out_the_active_buffer() {
+        let (mut l, mut io) = loc();
+        // Filled in descending key order; region 0 seals on key 1.
+        for k in [9u64, 7, 5, 3] {
+            l.insert(&mut io, k, Value::synthetic(8_000)).unwrap();
+        }
+        l.insert(&mut io, 1, Value::synthetic(8_000)).unwrap();
+        assert_eq!(l.persisted_keys(), vec![3, 5, 7, 9]);
+        assert!(l.active_keys.contains_key(&1), "key 1 stays in the active buffer");
+    }
+
+    #[test]
+    fn scrub_repairs_a_region_in_fill_order() {
+        let (mut l, mut io) = loc();
+        // Eight 3,000-byte objects fill region 0 in this order; the
+        // ninth seals it and opens region 1.
+        let fill = [70u64, 10, 50, 30, 80, 20, 60, 40];
+        for &k in &fill {
+            l.insert(&mut io, k, Value::synthetic(3_000)).unwrap();
+        }
+        l.insert(&mut io, 99, Value::synthetic(9_000)).unwrap();
+        assert_eq!(l.regions[0].state, RegionState::Sealed);
+        // Scribble one byte of every object but 50 and 20 on flash.
+        let corrupted: Vec<Key> = fill.iter().copied().filter(|k| ![50, 20].contains(k)).collect();
+        let mut page = vec![0u8; BLOCK as usize];
+        for k in &corrupted {
+            let at = l.index[k].offset as u64;
+            let block = l.region_block(0) + at / BLOCK as u64;
+            io.read(block, &mut page).unwrap();
+            page[(at % BLOCK as u64) as usize] ^= 0xFF;
+            io.write(block, &page, PlacementHandle::with_dspec(1)).unwrap();
+        }
+        assert_eq!(l.scrub_region(&mut io, 0).unwrap(), (8, 6));
+        // The repairs re-entered the active buffer behind key 99, in
+        // the region's fill order, at ascending offsets.
+        let mut repaired: Vec<(u32, Key)> = corrupted
+            .iter()
+            .map(|k| (l.active_keys.get(k).expect("repaired into the active buffer").offset, *k))
+            .collect();
+        repaired.sort_unstable();
+        assert_eq!(repaired.iter().map(|&(_, k)| k).collect::<Vec<_>>(), corrupted);
+        assert_eq!(repaired[0].0, 9_000);
     }
 
     #[test]
@@ -1666,11 +1705,6 @@ mod tests {
     /// inserting one seals whatever the active region held.
     const BIG: u32 = 300_000;
 
-    fn sorted(mut keys: Vec<Key>) -> Vec<Key> {
-        keys.sort_unstable();
-        keys
-    }
-
     /// Seal sequence stamped into the footer block at `block`.
     fn seq_on_flash(io: &mut IoManager, block: u64) -> u64 {
         let mut page = vec![0u8; BLOCK as usize];
@@ -1689,7 +1723,7 @@ mod tests {
         assert_eq!(io.stats().bytes_written - written, (WIDE_BLOCKS + 2) * BLOCK as u64);
         drop(l);
         let mut r = recover_wide(&mut io);
-        assert_eq!(sorted(r.persisted_keys()), (0..300).collect::<Vec<_>>());
+        assert_eq!(r.persisted_keys(), (0..300).collect::<Vec<_>>());
         // Entries of both blocks point at the right payload bytes.
         for k in [0, 252, 253, 299] {
             let raw = r.read_raw(&mut io, k).unwrap().unwrap();
@@ -1711,10 +1745,10 @@ mod tests {
         let slot = l.meta_block(0);
         assert!(seq_on_flash(&mut io, slot) > 1, "block 0 carries the new seal");
         assert_eq!(seq_on_flash(&mut io, slot + 1), 1, "block 1 is the first seal's leftover");
-        let survivors = sorted(l.persisted_keys());
+        let survivors = l.persisted_keys();
         drop(l);
         let mut r = recover_wide(&mut io);
-        assert_eq!(sorted(r.persisted_keys()), survivors);
+        assert_eq!(r.persisted_keys(), survivors);
         assert!(r.lookup(&mut io, 1_003).unwrap().is_some());
         assert!(r.lookup(&mut io, 299).unwrap().is_none(), "stale block 1 resurrected a key");
     }
@@ -1823,7 +1857,7 @@ mod tests {
         // The shrunk footer (stale second block behind it) recovers to
         // exactly the surviving keys.
         let r = recover_wide(&mut io);
-        assert_eq!(sorted(r.persisted_keys()), (48..300).chain([1_000]).collect::<Vec<_>>());
+        assert_eq!(r.persisted_keys(), (48..300).chain([1_000]).collect::<Vec<_>>());
     }
 
     /// Every region the LOC seals, read straight back off the device:
@@ -1929,7 +1963,7 @@ mod tests {
         }
 
         /// The scan the inverted listing replaced, kept as its oracle.
-        fn scan_candidates(l: &Loc, keys: &HashSet<Key>, skip: Option<u32>) -> Vec<u32> {
+        fn scan_candidates(l: &Loc, keys: &KeySet, skip: Option<u32>) -> Vec<u32> {
             (0..l.num_regions)
                 .filter(|&r| {
                     Some(r) != skip
@@ -1940,17 +1974,27 @@ mod tests {
         }
 
         fn check(l: &Loc) {
-            let mut inverted: HashMap<Key, Vec<u32>> = HashMap::new();
+            let mut inverted: KeyMap<Vec<u32>> = KeyMap::default();
             for (r, region) in l.regions.iter().enumerate() {
                 for &k in &region.keys {
                     inverted.entry(k).or_default().push(r as u32);
                 }
             }
+            // Each key list is in fill order: its live entries ascend.
+            for (r, region) in l.regions.iter().enumerate() {
+                let offsets: Vec<u32> = region
+                    .keys
+                    .iter()
+                    .filter_map(|k| l.index.get(k).filter(|e| e.region == r as u32))
+                    .map(|e| e.offset)
+                    .collect();
+                assert!(offsets.is_sorted(), "region {r} lists its keys out of fill order");
+            }
             let mut listed = l.key_regions.0.clone();
             listed.values_mut().for_each(|v| v.sort_unstable());
             assert_eq!(listed, inverted, "the map is not the inversion of the key lists");
-            let all: HashSet<Key> = (0..16).collect();
-            let sets = (0..16).map(|k| HashSet::from([k])).chain([all]);
+            let all: KeySet = (0..16).collect();
+            let sets = (0..16).map(|k| KeySet::from_iter([k])).chain([all]);
             for keys in sets {
                 for skip in [None, Some(0), Some(3)] {
                     assert_eq!(

@@ -7,19 +7,24 @@
 //!
 //! ## Lock-free publication
 //!
-//! Every membership change is mirrored into a [`ReadIndex`] the cache
-//! owns: concurrent readers resolve DRAM hits through that index with
-//! no lock (DESIGN.md §5.1a). The locked [`RamCache::get`] keeps exact
-//! LRU promotion; lock-free index hits instead set the entry's
-//! `accessed` flag, and eviction grants flagged tail entries a second
-//! chance (one rotation) before evicting — CLOCK-style approximation
-//! only where lock-free reads actually happened, bit-identical to exact
-//! LRU when they didn't.
+//! Concurrent readers resolve DRAM hits through a [`ReadIndex`] with no
+//! lock (DESIGN.md §5.1a). The cache builds that index on the first
+//! [`RamCache::read_index`] call: every resident value moves into an
+//! [`IndexEntry`] shared with the index, and from then on every
+//! membership change is mirrored into it. A lone cache — one no pool
+//! serves lock-free — never asks, so it holds its values in place and
+//! pays no index upkeep, entry allocation or epoch traffic. The locked
+//! [`RamCache::get`] keeps exact LRU promotion; lock-free index hits
+//! instead set the entry's `accessed` flag, and eviction grants flagged
+//! tail entries a second chance (one rotation) before evicting —
+//! CLOCK-style approximation only where lock-free reads actually
+//! happened, bit-identical to exact LRU when they didn't.
 
-use std::collections::HashMap;
 use std::sync::Arc;
+use std::vec::Drain;
 
 use crate::index::{IndexEntry, ReadIndex};
+use crate::keymap::KeyMap;
 use crate::value::Value;
 use crate::Key;
 
@@ -28,10 +33,45 @@ const NIL: u32 = u32::MAX;
 #[derive(Debug)]
 struct Node {
     key: Key,
-    entry: Arc<IndexEntry>,
+    slot: Slot,
     charge: u64,
     prev: u32,
     next: u32,
+}
+
+/// Where a node keeps its value.
+#[derive(Debug)]
+enum Slot {
+    /// Held in place: the cache has no read index.
+    Local(Value),
+    /// Shared with the read index, whose readers flag it on every hit.
+    Published(Arc<IndexEntry>),
+}
+
+impl Slot {
+    /// What a vacated slab slot holds, so a removed payload is released
+    /// at once, not at slot reuse.
+    const VACANT: Slot = Slot::Local(Value::Synthetic(0));
+
+    fn value(&self) -> &Value {
+        match self {
+            Slot::Local(value) => value,
+            Slot::Published(entry) => entry.value(),
+        }
+    }
+
+    fn into_value(self) -> Value {
+        match self {
+            Slot::Local(value) => value,
+            Slot::Published(entry) => entry.value().clone(),
+        }
+    }
+
+    /// Consumes a lock-free reader's access flag (see
+    /// [`IndexEntry::take_accessed`]); a local value has none.
+    fn take_accessed(&self) -> bool {
+        matches!(self, Slot::Published(entry) if entry.take_accessed())
+    }
 }
 
 /// An evicted item handed to the flash layer.
@@ -46,7 +86,7 @@ pub struct Evicted {
 /// LRU DRAM cache with exact byte accounting.
 #[derive(Debug)]
 pub struct RamCache {
-    map: HashMap<Key, u32>,
+    map: KeyMap<u32>,
     nodes: Vec<Node>,
     free: Vec<u32>,
     head: u32, // most recently used
@@ -54,21 +94,19 @@ pub struct RamCache {
     used_bytes: u64,
     capacity_bytes: u64,
     item_overhead: u32,
-    /// Lock-free publication surface; shared with `ConcurrentPool`.
-    index: Arc<ReadIndex>,
-    /// Cheap placeholder swapped into vacated slab slots so removed
-    /// payloads are released immediately, not at slot reuse.
-    tombstone: Arc<IndexEntry>,
+    /// Lock-free publication surface, shared with `ConcurrentPool`;
+    /// built by the first [`RamCache::read_index`] call.
+    index: Option<Arc<ReadIndex>>,
+    /// The current `put`'s evictions, drained by its caller; reused so
+    /// a put allocates nothing for them (DESIGN.md §5.3).
+    evicted: Vec<Evicted>,
 }
 
 impl RamCache {
     /// Creates a cache with the given byte budget and per-item overhead.
     pub fn new(capacity_bytes: u64, item_overhead: u32) -> Self {
-        // Size the index for the resident item count a small-object
-        // working set implies (~128 B/item is the profiles' mean).
-        let hint = (capacity_bytes / 128).max(1) as usize;
         RamCache {
-            map: HashMap::new(),
+            map: KeyMap::default(),
             nodes: Vec::new(),
             free: Vec::new(),
             head: NIL,
@@ -76,15 +114,36 @@ impl RamCache {
             used_bytes: 0,
             capacity_bytes,
             item_overhead,
-            index: Arc::new(ReadIndex::with_capacity_hint(hint)),
-            tombstone: IndexEntry::new(Value::Synthetic(0)),
+            index: None,
+            evicted: Vec::new(),
         }
     }
 
     /// The lock-free read index this cache publishes into. Readers may
     /// probe it from any thread without the owning shard's lock.
-    pub fn read_index(&self) -> &Arc<ReadIndex> {
-        &self.index
+    ///
+    /// The first call builds the index and publishes every resident
+    /// item into it; later puts and removes keep it in step.
+    pub fn read_index(&mut self) -> &Arc<ReadIndex> {
+        self.index.get_or_insert_with(|| {
+            // Size the index for the resident item count a small-object
+            // working set implies (~128 B/item is the profiles' mean).
+            let index = ReadIndex::with_capacity_hint((self.capacity_bytes / 128).max(1) as usize);
+            for &idx in self.map.values() {
+                let node = &mut self.nodes[idx as usize];
+                let entry =
+                    IndexEntry::new(std::mem::replace(&mut node.slot, Slot::VACANT).into_value());
+                index.insert(node.key, Arc::clone(&entry));
+                node.slot = Slot::Published(entry);
+            }
+            Arc::new(index)
+        })
+    }
+
+    /// Whether [`RamCache::read_index`] has built the index yet.
+    #[cfg(test)]
+    pub(crate) fn index_built(&self) -> bool {
+        self.index.is_some()
     }
 
     /// Bytes currently accounted.
@@ -149,42 +208,46 @@ impl RamCache {
         let idx = *self.map.get(&key)?;
         self.detach(idx);
         self.attach_front(idx);
-        Some(self.nodes[idx as usize].entry.value().clone())
+        Some(self.nodes[idx as usize].slot.value().clone())
     }
 
     /// Looks up without promoting (for stats probes).
     pub fn peek(&self, key: Key) -> Option<&Value> {
         let idx = *self.map.get(&key)?;
-        Some(self.nodes[idx as usize].entry.value())
+        Some(self.nodes[idx as usize].slot.value())
     }
 
     /// Inserts or replaces `key`, evicting LRU items as needed to stay
-    /// within budget. Evicted items are returned oldest-first so the
-    /// caller can push them to flash.
+    /// within budget. The evicted items are drained oldest-first so the
+    /// caller can push them to flash; dropping the iterator drops any it
+    /// did not take. Its buffer is the cache's, reused by every put.
     ///
     /// An object larger than the whole budget is not cached: it is
-    /// returned as if immediately evicted (flash-direct insertion).
-    pub fn put(&mut self, key: Key, value: Value) -> Vec<Evicted> {
+    /// yielded as if immediately evicted (flash-direct insertion).
+    pub fn put(&mut self, key: Key, value: Value) -> Drain<'_, Evicted> {
         let charge = self.charge_of(&value);
-        let mut evicted = Vec::new();
         if charge > self.capacity_bytes {
             // The object bypasses DRAM entirely — but any older copy of
             // the key cached here would now be stale and must go.
             self.remove(key);
-            evicted.push(Evicted { key, value });
-            return evicted;
+            self.evicted.push(Evicted { key, value });
+            return self.evicted.drain(..);
         }
-        let entry = IndexEntry::new(value);
+        let slot = match self.index {
+            Some(_) => Slot::Published(IndexEntry::new(value)),
+            None => Slot::Local(value),
+        };
         // Replace in place if present.
-        if let Some(&idx) = self.map.get(&key) {
+        let idx = if let Some(&idx) = self.map.get(&key) {
             let old_charge = self.nodes[idx as usize].charge;
             self.used_bytes = self.used_bytes - old_charge + charge;
-            self.nodes[idx as usize].entry = Arc::clone(&entry);
+            self.nodes[idx as usize].slot = slot;
             self.nodes[idx as usize].charge = charge;
             self.detach(idx);
             self.attach_front(idx);
+            idx
         } else {
-            let node = Node { key, entry: Arc::clone(&entry), charge, prev: NIL, next: NIL };
+            let node = Node { key, slot, charge, prev: NIL, next: NIL };
             let idx = match self.free.pop() {
                 Some(i) => {
                     self.nodes[i as usize] = node;
@@ -198,10 +261,14 @@ impl RamCache {
             self.map.insert(key, idx);
             self.attach_front(idx);
             self.used_bytes += charge;
-        }
+            idx
+        };
         // Publish after the local structures agree (replaces any older
         // index entry atomically for lock-free readers).
-        self.index.insert(key, entry);
+        if let (Some(index), Slot::Published(entry)) = (&self.index, &self.nodes[idx as usize].slot)
+        {
+            index.insert(key, Arc::clone(entry));
+        }
         // Evict until within budget. A tail entry that lock-free
         // readers flagged since its last consideration gets one second
         // chance (rotate to front); the rotation budget bounds the
@@ -222,34 +289,37 @@ impl RamCache {
                 self.attach_front(victim);
                 continue;
             }
-            if chances > 0 && self.nodes[victim as usize].entry.take_accessed() {
+            if chances > 0 && self.nodes[victim as usize].slot.take_accessed() {
                 self.detach(victim);
                 self.attach_front(victim);
                 chances -= 1;
                 continue;
             }
             let removed = self.remove(vkey).expect("tail must be present");
-            evicted.push(removed);
+            self.evicted.push(removed);
         }
-        evicted
+        self.evicted.drain(..)
     }
 
     /// Removes `key`, returning it if present. Unpublishes the key from
-    /// the read index first, so no lock-free reader can hit a value the
-    /// locked structures no longer hold.
+    /// the read index (if built) first, so no lock-free reader can hit a
+    /// value the locked structures no longer hold.
     pub fn remove(&mut self, key: Key) -> Option<Evicted> {
         let idx = self.map.remove(&key)?;
-        self.index.remove(key);
+        if let Some(index) = &self.index {
+            index.remove(key);
+        }
         self.detach(idx);
         let node = &mut self.nodes[idx as usize];
         self.used_bytes -= node.charge;
-        let entry = std::mem::replace(&mut node.entry, Arc::clone(&self.tombstone));
+        let value = std::mem::replace(&mut node.slot, Slot::VACANT).into_value();
         self.free.push(idx);
-        Some(Evicted { key, value: entry.value().clone() })
+        Some(Evicted { key, value })
     }
 
-    /// Internal consistency check for tests: list ↔ map agreement and
-    /// exact byte accounting.
+    /// Internal consistency check for tests: list ↔ map agreement,
+    /// exact byte accounting, and — once built — a read index that
+    /// mirrors membership.
     ///
     /// # Panics
     ///
@@ -272,16 +342,22 @@ impl RamCache {
         assert_eq!(seen, self.map.len(), "list/map length mismatch");
         assert_eq!(bytes, self.used_bytes, "byte accounting mismatch");
         assert!(self.used_bytes <= self.capacity_bytes || self.map.len() <= 1);
-        // The lock-free index mirrors membership exactly (peek, not
-        // get, so the check never perturbs access flags).
+        // Without an index every value is held in place; with one, the
+        // index mirrors membership exactly (peek, not get, so the check
+        // never perturbs access flags).
         for (&key, &idx) in &self.map {
-            let published = self
-                .index
+            let slot = &self.nodes[idx as usize].slot;
+            let Some(index) = &self.index else {
+                assert!(matches!(slot, Slot::Local(_)), "key {key} published with no index");
+                continue;
+            };
+            assert!(matches!(slot, Slot::Published(_)), "key {key} resident but not shared");
+            let published = index
                 .peek(key)
                 .unwrap_or_else(|| panic!("key {key} resident but unpublished in the read index"));
             assert_eq!(
                 &published,
-                self.nodes[idx as usize].entry.value(),
+                slot.value(),
                 "read index publishes a different value for {key}"
             );
         }
@@ -294,6 +370,11 @@ mod tests {
 
     fn val(n: u32) -> Value {
         Value::synthetic(n)
+    }
+
+    /// Puts a synthetic `n`-byte value and returns the evicted keys.
+    fn put(c: &mut RamCache, key: Key, n: u32) -> Vec<Key> {
+        c.put(key, val(n)).map(|e| e.key).collect()
     }
 
     #[test]
@@ -313,9 +394,9 @@ mod tests {
         c.put(3, val(10));
         // Touch 1 so 2 becomes LRU.
         c.get(1);
-        let ev = c.put(4, val(10));
+        let ev = put(&mut c, 4, 10);
         assert_eq!(ev.len(), 1);
-        assert_eq!(ev[0].key, 2);
+        assert_eq!(ev[0], 2);
         c.check_invariants();
     }
 
@@ -332,9 +413,9 @@ mod tests {
     #[test]
     fn oversized_object_bypasses_ram() {
         let mut c = RamCache::new(10, 0);
-        let ev = c.put(9, val(100));
+        let ev = put(&mut c, 9, 100);
         assert_eq!(ev.len(), 1);
-        assert_eq!(ev[0].key, 9);
+        assert_eq!(ev[0], 9);
         assert!(c.is_empty());
         c.check_invariants();
     }
@@ -346,7 +427,7 @@ mod tests {
         assert_eq!(c.used_bytes(), 40);
         // Second 40-byte item fits; third evicts.
         c.put(2, val(10));
-        let ev = c.put(3, val(10));
+        let ev = put(&mut c, 3, 10);
         assert_eq!(ev.len(), 1);
         c.check_invariants();
     }
@@ -369,10 +450,10 @@ mod tests {
         for k in 0..5 {
             c.put(k, val(10));
         }
-        let ev = c.put(100, val(40));
+        let ev = put(&mut c, 100, 40);
         assert_eq!(ev.len(), 4, "40-byte insert must evict four 10-byte items");
         // Oldest first.
-        assert_eq!(ev[0].key, 0);
+        assert_eq!(ev[0], 0);
         c.check_invariants();
     }
 
@@ -395,8 +476,8 @@ mod tests {
         c.put(1, val(10));
         c.put(2, val(10));
         c.peek(1);
-        let ev = c.put(3, val(10));
-        assert_eq!(ev[0].key, 1, "peek must not refresh LRU position");
+        let ev = put(&mut c, 3, 10);
+        assert_eq!(ev[0], 1, "peek must not refresh LRU position");
     }
 
     #[test]
@@ -426,10 +507,10 @@ mod tests {
         c.remove(2);
         assert_eq!(c.read_index().peek(2), None, "removed key still published");
         // Eviction unpublishes too.
-        let ev = c.put(3, val(25));
+        let ev = put(&mut c, 3, 25);
         assert!(!ev.is_empty());
-        for e in &ev {
-            assert_eq!(c.read_index().peek(e.key), None, "evicted {} still published", e.key);
+        for &k in &ev {
+            assert_eq!(c.read_index().peek(k), None, "evicted {k} still published");
         }
         c.check_invariants();
     }
@@ -443,15 +524,15 @@ mod tests {
         // A lock-free reader touches key 1 (the LRU tail) through the
         // index — no LRU promotion, only the accessed flag.
         assert_eq!(c.read_index().get(1), Some(val(10)));
-        let ev = c.put(4, val(10));
+        let ev = put(&mut c, 4, 10);
         // Second chance: 1 is rotated to the front, 2 is evicted.
         assert_eq!(ev.len(), 1);
-        assert_eq!(ev[0].key, 2, "flagged tail must survive one round");
+        assert_eq!(ev[0], 2, "flagged tail must survive one round");
         assert!(c.peek(1).is_some());
         // The flag was consumed: the next eviction takes 3 (LRU), and
         // 1 only survives because it was rotated ahead of it.
-        let ev = c.put(5, val(10));
-        assert_eq!(ev[0].key, 3);
+        let ev = put(&mut c, 5, 10);
+        assert_eq!(ev[0], 3);
         c.check_invariants();
     }
 
@@ -465,16 +546,16 @@ mod tests {
         for _ in 0..5 {
             c.read_index().get(1);
         }
-        assert_eq!(c.put(4, val(10))[0].key, 2, "flagged tail must rotate, not go");
+        assert_eq!(put(&mut c, 4, 10)[0], 2, "flagged tail must rotate, not go");
         // The rotation put 1 ahead of 4: 3 and 4 go first, and then 1,
         // which nobody read since its flag was consumed.
-        assert_eq!(c.put(5, val(10))[0].key, 3);
-        assert_eq!(c.put(6, val(10))[0].key, 4);
-        assert_eq!(c.put(7, val(10))[0].key, 1, "one flag must buy exactly one rotation");
+        assert_eq!(put(&mut c, 5, 10)[0], 3);
+        assert_eq!(put(&mut c, 6, 10)[0], 4);
+        assert_eq!(put(&mut c, 7, 10)[0], 1, "one flag must buy exactly one rotation");
         // A read after a consumed flag arms it again (5 is the tail).
-        assert!(!c.nodes[c.tail as usize].entry.was_accessed());
+        assert!(!matches!(&c.nodes[c.tail as usize].slot, Slot::Published(e) if e.was_accessed()));
         c.read_index().get(5);
-        assert_eq!(c.put(8, val(10))[0].key, 6, "re-flagged tail must rotate again");
+        assert_eq!(put(&mut c, 8, 10)[0], 6, "re-flagged tail must rotate again");
         assert!(c.peek(5).is_some());
         c.check_invariants();
     }
@@ -488,9 +569,9 @@ mod tests {
         // each ahead of the new key and finds the new key at the tail.
         c.read_index().get(1);
         c.read_index().get(2);
-        let ev = c.put(3, val(90));
+        let ev = put(&mut c, 3, 90);
         assert!(c.used_bytes() <= 100, "{} bytes resident in a 100-byte cache", c.used_bytes());
-        assert_eq!(ev.iter().map(|e| e.key).collect::<Vec<_>>(), vec![1]);
+        assert_eq!(ev, vec![1]);
         assert!(c.peek(3).is_some(), "the inserted key must never be the victim");
         c.check_invariants();
     }
@@ -519,7 +600,7 @@ mod tests {
             } else {
                 touch(&mut lru);
                 let expected: Vec<Key> = lru.drain(3.min(lru.len())..).rev().collect();
-                let evicted: Vec<Key> = c.put(k, val(10)).into_iter().map(|e| e.key).collect();
+                let evicted = put(&mut c, k, 10);
                 assert_eq!(evicted, expected, "eviction order drifted from exact LRU");
             }
         }
@@ -528,14 +609,25 @@ mod tests {
 
     #[test]
     fn stress_random_ops_keep_invariants() {
+        // The index is first requested halfway through: the late fill
+        // must publish every resident, and every later op must keep the
+        // mirror exact while lock-free reads flag entries.
+        const FIRST_REQUEST: usize = 2_500;
         let mut c = RamCache::new(500, 5);
         let mut x = 88u64;
-        for _ in 0..5000 {
+        for op in 0..5_000 {
+            if op == FIRST_REQUEST {
+                assert!(!c.index_built(), "nothing asked for the index yet");
+                c.read_index();
+            }
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
             let k = x % 50;
             match x % 4 {
+                0 if op >= FIRST_REQUEST && x % 8 == 4 => {
+                    c.read_index().get(k);
+                }
                 0 => {
                     c.get(k);
                 }
@@ -545,6 +637,9 @@ mod tests {
                 _ => {
                     c.put(k, val((x % 60) as u32));
                 }
+            }
+            if op >= FIRST_REQUEST {
+                c.check_invariants();
             }
         }
         c.check_invariants();

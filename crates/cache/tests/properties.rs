@@ -76,7 +76,6 @@ proptest! {
                 LruOp::Put { key, size } => {
                     let evicted: Vec<u64> = real
                         .put(key as u64, Value::synthetic(size as u32))
-                        .into_iter()
                         .map(|e| e.key)
                         .collect();
                     let expected = model.put(key as u64, size as u32);
