@@ -465,6 +465,7 @@ impl HybridCache {
 mod tests {
     use super::*;
     use crate::config::NvmConfig;
+    use crate::engine::FlashVerify;
     use fdpcache_core::{HealthState, RoundRobinPolicy, SharedController};
     use fdpcache_ftl::FtlConfig;
     use fdpcache_nvme::{Controller, MemStore};
@@ -852,5 +853,63 @@ mod tests {
         assert!(s.soc_hits > 0);
         assert!(s.hit_ratio() > 0.9);
         assert!(s.nvm_hit_ratio() > 0.0);
+    }
+
+    /// Two SOCs driven by one thread share its page buffer. Interleaved
+    /// inserts, removes and lookups on the same bucket indexes, with
+    /// bytes that differ per cache and per put: after every step every
+    /// key of either cache must verify against its own device, and every
+    /// written page holding one must be byte for byte the from-scratch
+    /// page of its own list — no byte of the other SOC's page carried
+    /// (in debug builds every splice is cross-checked as well).
+    #[test]
+    fn two_socs_on_one_thread_keep_their_own_pages() {
+        const KEYS: u64 = 48;
+        let mut caches = [build(600, true), build(600, true)];
+        let mut rng = 0x5EED_u64;
+        let mut verified = 0;
+        for step in 0..400u64 {
+            rng =
+                rng.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            let draw = rng >> 33;
+            let which = (step % 2) as usize;
+            let key = draw % KEYS;
+            let c = &mut caches[which];
+            match draw % 5 {
+                0..=2 => {
+                    let len = 60 + (draw % 500) as usize;
+                    let fill = (which as u8 + 1).wrapping_mul(97).wrapping_add(step as u8);
+                    c.put(key, Value::real(vec![fill; len])).unwrap();
+                }
+                3 => {
+                    c.delete(key).unwrap();
+                }
+                _ => {
+                    c.get(key).unwrap();
+                }
+            }
+            for (i, c) in caches.iter_mut().enumerate() {
+                for k in 0..KEYS {
+                    match c.verify_flash_key(k).unwrap() {
+                        FlashVerify::Verified => verified += 1,
+                        FlashVerify::Absent => {}
+                        other => panic!("step {step}: cache {i} key {k}: {other:?}"),
+                    }
+                    let soc = c.navy().soc();
+                    if soc.contains(k) && soc.bucket_on_flash(k) {
+                        let bucket = soc.bucket_index(k);
+                        let (block, want) = (soc.bucket_block(bucket), soc.reference_page(bucket));
+                        let mut page = vec![0u8; want.len()];
+                        c.navy_mut().io_mut().read(block, &mut page).unwrap();
+                        assert!(page == want, "step {step}: cache {i} bucket {bucket}");
+                    }
+                }
+            }
+        }
+        assert!(verified > 0, "no key ever reached flash");
+        for c in &caches {
+            let soc = c.navy().soc().stats();
+            assert!(soc.inserts > 0 && soc.removes > 0 && soc.hits > 0, "{soc:?}");
+        }
     }
 }

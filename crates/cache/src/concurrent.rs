@@ -15,13 +15,17 @@
 //! Design (DESIGN.md §5.1):
 //!
 //! * Each shard is a complete [`HybridCache`] (DRAM LRU + SOC + LOC) on
-//!   its own namespace of the shared device, behind its **own**
-//!   [`parking_lot::Mutex`]. Keys route by a splitmix64 hash
-//!   ([`shard_index`]), so two operations contend only when their keys
-//!   share a shard — the classic CacheLib-style sharded-pool locking
-//!   model. A caller that serves a request itself (exact LRU, a
-//!   virtual-time charge per op) takes the shard through
-//!   [`ConcurrentPool::with_shard`].
+//!   its own namespace of the shared device, behind its **own** lock.
+//!   Keys route by a splitmix64 hash ([`shard_index`]), so two
+//!   operations contend only when their keys share a shard — the
+//!   classic CacheLib-style sharded-pool locking model. A caller that
+//!   serves a request itself (exact LRU, a virtual-time charge per op)
+//!   takes the shard through [`ConcurrentPool::with_shard`].
+//! * The shard lock is a FIFO handoff: a ticket pair on a line of its
+//!   own, spun on and then yielded on, in front of a mutex that is
+//!   therefore never contended. A waiter never parks on a futex, an
+//!   unlock never pays a wake, and two clients take strict turns
+//!   instead of one re-winning the lock it just released.
 //! * Per-key operations take exactly one shard lock; nothing in the
 //!   pool holds two shard locks at once, so there is no lock-ordering
 //!   hazard and no pool-wide serialization point on the data path.
@@ -54,12 +58,15 @@
 //! Multi-key reads (`stats`, `alwa`) and operations on different keys
 //! have no cross-shard ordering guarantees.
 
+use std::hint::spin_loop;
 use std::mem::offset_of;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread;
 
 use fdpcache_core::{IoStats, PlacementPolicy, SharedController};
 use fdpcache_nvme::NamespaceId;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::builder::{attach, create_namespace, equal_share_fraction};
 use crate::cache::{GetOutcome, HybridCache};
@@ -100,25 +107,101 @@ struct ReadHandles {
     read_stats: Arc<ReadSideStats>,
 }
 
-/// One shard: the read-only handles a DRAM hit goes through, then the
-/// locked hybrid cache, whose mutex word and contents every SET dirties.
+/// A shard's FIFO handoff: the ticket the next arrival takes and the
+/// ticket now allowed in. Every waiter spins on `serving`, so the pair
+/// sits alone on its 128-byte line: neither the read handles nor the
+/// cache a holder works on share it.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct Tickets {
+    next: AtomicUsize,
+    serving: AtomicUsize,
+}
+
+/// `spin_loop` rounds a waiter spends before it starts yielding its
+/// core between checks. At ≈ 15 ns a round (2-vCPU Xeon) this is
+/// ≈ 15 µs, several mean shard holds (≈ 2–4 µs), so two clients on two
+/// cores hand the shard over without a syscall; a waiter whose
+/// predecessor is descheduled (more threads than cores) yields so that
+/// the predecessor can run and pass the turn on.
+const SPIN_BUDGET: u32 = 1 << 10;
+
+/// Exclusive access to a shard's cache. Fields drop in order: the
+/// (uncontended) mutex is released before the turn passes on.
+struct ShardGuard<'a> {
+    cache: MutexGuard<'a, HybridCache>,
+    _turn: Turn<'a>,
+}
+
+/// Passes the shard to the next ticket when dropped, unwinding
+/// included.
+struct Turn<'a>(&'a Tickets);
+
+impl Drop for Turn<'_> {
+    fn drop(&mut self) {
+        self.0.serving.fetch_add(1, Ordering::Release);
+    }
+}
+
+impl std::ops::Deref for ShardGuard<'_> {
+    type Target = HybridCache;
+    fn deref(&self) -> &HybridCache {
+        &self.cache
+    }
+}
+
+impl std::ops::DerefMut for ShardGuard<'_> {
+    fn deref_mut(&mut self) -> &mut HybridCache {
+        &mut self.cache
+    }
+}
+
+/// One shard: the read-only handles a DRAM hit goes through, the ticket
+/// pair every locked operation queues on, then the hybrid cache, whose
+/// contents every SET dirties.
 #[derive(Debug)]
 #[repr(C)]
 struct Shard {
     read: ReadHandles,
+    turn: Tickets,
     cache: Mutex<HybridCache>,
 }
 
 const _: () = {
     assert!(align_of::<Shard>() == 128 && size_of::<Shard>().is_multiple_of(128));
     assert!(offset_of!(Shard, read) == 0 && size_of::<ReadHandles>() == 128);
-    assert!(offset_of!(Shard, cache) == 128);
+    assert!(offset_of!(Shard, turn) == 128 && size_of::<Tickets>() == 128);
+    assert!(offset_of!(Shard, cache) == 256);
 };
 
 impl Shard {
     fn new(mut cache: HybridCache) -> Self {
         let read = ReadHandles { index: cache.read_index(), read_stats: cache.read_stats() };
-        Shard { read, cache: Mutex::new(cache) }
+        Shard { read, turn: Tickets::default(), cache: Mutex::new(cache) }
+    }
+
+    /// Takes the shard in arrival order: draws a ticket, spins on
+    /// `serving` for [`SPIN_BUDGET`] rounds and yields between checks
+    /// after that. Only the ticket holder ever locks the mutex, so that
+    /// lock never waits.
+    ///
+    /// Orderings: `next` only hands out distinct tickets and publishes
+    /// nothing, so its increment is `Relaxed`; the `Acquire` load of
+    /// `serving` pairs with the previous holder's `Release` increment
+    /// in [`Turn`]'s drop (the mutex orders the cache itself as well).
+    fn lock(&self) -> ShardGuard<'_> {
+        let ticket = self.turn.next.fetch_add(1, Ordering::Relaxed);
+        let mut spins = 0;
+        while self.turn.serving.load(Ordering::Acquire) != ticket {
+            if spins < SPIN_BUDGET {
+                spins += 1;
+                spin_loop();
+            } else {
+                thread::yield_now();
+            }
+        }
+        let turn = Turn(&self.turn);
+        ShardGuard { cache: self.cache.lock(), _turn: turn }
     }
 }
 
@@ -232,7 +315,7 @@ impl ConcurrentPool {
     /// pin a tenant to a shard; tests inspect engines). Returns `None`
     /// for an out-of-range index.
     pub fn with_shard<R>(&self, idx: usize, f: impl FnOnce(&mut HybridCache) -> R) -> Option<R> {
-        self.shards.get(idx).map(|s| f(&mut s.cache.lock()))
+        self.shards.get(idx).map(|s| f(&mut s.lock()))
     }
 
     /// Looks up `key` in its shard. Callable from any thread.
@@ -253,7 +336,7 @@ impl ConcurrentPool {
             shard.read.read_stats.record_ram_hit();
             return Ok((GetOutcome::RamHit, Some(value)));
         }
-        shard.cache.lock().get(key)
+        shard.lock().get(key)
     }
 
     /// Looks up `key` through the shard lock unconditionally — the
@@ -264,7 +347,7 @@ impl ConcurrentPool {
     ///
     /// Propagates I/O failures.
     pub fn get_locked(&self, key: Key) -> Result<(GetOutcome, Option<Value>), CacheError> {
-        self.shards[self.shard_of(key)].cache.lock().get(key)
+        self.shards[self.shard_of(key)].lock().get(key)
     }
 
     /// Inserts `key` into its shard. Callable from any thread.
@@ -273,7 +356,7 @@ impl ConcurrentPool {
     ///
     /// Propagates I/O failures and size rejections.
     pub fn put(&self, key: Key, value: Value) -> Result<(), CacheError> {
-        self.shards[self.shard_of(key)].cache.lock().put(key, value)
+        self.shards[self.shard_of(key)].lock().put(key, value)
     }
 
     /// Deletes `key` from its shard. Callable from any thread.
@@ -282,7 +365,7 @@ impl ConcurrentPool {
     ///
     /// Propagates I/O failures.
     pub fn delete(&self, key: Key) -> Result<bool, CacheError> {
-        self.shards[self.shard_of(key)].cache.lock().delete(key)
+        self.shards[self.shard_of(key)].lock().delete(key)
     }
 
     /// Runs an epoch-reclamation sweep on every shard's read index and
@@ -301,7 +384,7 @@ impl ConcurrentPool {
     /// Toggles flash-hit promotion into DRAM on every shard.
     pub fn set_promote_on_nvm_hit(&self, promote: bool) {
         for s in &self.shards {
-            s.cache.lock().set_promote_on_nvm_hit(promote);
+            s.lock().set_promote_on_nvm_hit(promote);
         }
     }
 
@@ -309,7 +392,7 @@ impl ConcurrentPool {
     /// flight; 1 = synchronous per-command model).
     pub fn set_queue_depth(&self, depth: usize) {
         for s in &self.shards {
-            s.cache.lock().set_queue_depth(depth);
+            s.lock().set_queue_depth(depth);
         }
     }
 
@@ -319,7 +402,7 @@ impl ConcurrentPool {
     /// frontier [`ConcurrentPool::now_ns`] only reflects reaped work).
     pub fn drain_io(&self) {
         for s in &self.shards {
-            s.cache.lock().drain_io();
+            s.lock().drain_io();
         }
     }
 
@@ -327,7 +410,7 @@ impl ConcurrentPool {
     /// [`HybridCache::set_breaker_backoff`]).
     pub fn set_breaker_backoff(&self, initial_ns: u64, max_ns: u64) {
         for s in &self.shards {
-            s.cache.lock().set_breaker_backoff(initial_ns, max_ns);
+            s.lock().set_breaker_backoff(initial_ns, max_ns);
         }
     }
 
@@ -343,7 +426,7 @@ impl ConcurrentPool {
         let mut pages = 0;
         let mut repairs = 0;
         for s in &self.shards {
-            let (p, r) = s.cache.lock().scrub(budget_pages_per_shard)?;
+            let (p, r) = s.lock().scrub(budget_pages_per_shard)?;
             pages += p;
             repairs += r;
         }
@@ -353,7 +436,7 @@ impl ConcurrentPool {
     /// Aggregated cache statistics, merged on read shard by shard
     /// (per-shard consistent, not a cross-shard point-in-time cut).
     pub fn stats(&self) -> CacheStats {
-        self.shards.iter().fold(CacheStats::default(), |acc, s| acc.merge(&s.cache.lock().stats()))
+        self.shards.iter().fold(CacheStats::default(), |acc, s| acc.merge(&s.lock().stats()))
     }
 
     /// Aggregated device-side I/O counters across every shard's queue
@@ -361,7 +444,7 @@ impl ConcurrentPool {
     pub fn io_stats(&self) -> IoStats {
         self.shards
             .iter()
-            .fold(IoStats::default(), |acc, s| acc.merge(&s.cache.lock().navy().io().stats()))
+            .fold(IoStats::default(), |acc, s| acc.merge(&s.lock().navy().io().stats()))
     }
 
     /// Pool-wide ALWA: device bytes over application bytes, summed across
@@ -369,7 +452,7 @@ impl ConcurrentPool {
     /// bytes reach flash.
     pub fn alwa(&self) -> f64 {
         let (dev, app) = self.shards.iter().fold((0u64, 0u64), |(d, a), s| {
-            let (dev, app) = s.cache.lock().amp_bytes();
+            let (dev, app) = s.lock().amp_bytes();
             (d + dev, a + app)
         });
         if app == 0 {
@@ -383,7 +466,7 @@ impl ConcurrentPool {
     /// across shards. Shards run in parallel, so the slowest shard's
     /// clock is when the pool as a whole is done with submitted work.
     pub fn now_ns(&self) -> u64 {
-        self.shards.iter().map(|s| s.cache.lock().now_ns()).max().unwrap_or(0)
+        self.shards.iter().map(|s| s.lock().now_ns()).max().unwrap_or(0)
     }
 }
 
@@ -567,6 +650,40 @@ mod tests {
         let s = p.stats();
         assert_eq!(s.puts, THREADS * OPS);
         assert_eq!(s.gets, THREADS * OPS);
+        ctrl.with_ftl(|f| f.check_invariants());
+    }
+
+    /// Eight threads on two shards, more than a 2-vCPU host has cores:
+    /// a handoff may find its next ticket holder descheduled, so the
+    /// pool only finishes if waiters fall back to yielding.
+    #[test]
+    fn oversubscribed_pool_hands_every_shard_on() {
+        let (ctrl, p) = pool(2);
+        const THREADS: u64 = 8;
+        const OPS: u64 = 256;
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (p, start) = (&p, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..OPS {
+                        let key = t * OPS + i;
+                        p.put(key, Value::synthetic(64)).unwrap();
+                        let (_, v) = p.get(key).unwrap();
+                        assert_eq!(v.expect("own put visible").len(), 64, "key {key}");
+                        if i % 4 == 0 {
+                            assert!(p.delete(key).unwrap(), "own put deletable: key {key}");
+                            assert_eq!(p.get(key).unwrap().0, GetOutcome::Miss, "key {key}");
+                        }
+                    }
+                });
+            }
+        });
+        let s = p.stats();
+        assert_eq!(s.puts, THREADS * OPS);
+        assert_eq!(s.gets, THREADS * (OPS + OPS / 4));
+        assert_eq!(s.deletes, THREADS * OPS / 4);
         ctrl.with_ftl(|f| f.check_invariants());
     }
 

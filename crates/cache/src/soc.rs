@@ -33,8 +33,14 @@
 //! Concurrency note: the SOC is single-threaded state owned by its
 //! shard — lookups mutate bloom/bucket bookkeeping and charge device
 //! time on the shard's `&mut` queue pair, so every SOC call happens
-//! under the shard mutex. Only the DRAM tier publishes into the
-//! lock-free read index (DESIGN.md §5.1a).
+//! under the shard lock. Only the DRAM tier publishes into the
+//! lock-free read index (DESIGN.md §5.1a). The 4 KiB page buffer every
+//! RMW read fills and every splice edits is the one piece of SOC state
+//! that stays with the calling *thread* instead (`with_page`,
+//! DESIGN.md §5.3), so when two clients take turns on a shard the page
+//! does not migrate between their cores with it.
+
+use std::cell::Cell;
 
 use fdpcache_core::{IoManager, PlacementHandle};
 use fdpcache_nvme::NvmeError;
@@ -179,14 +185,31 @@ pub struct Soc {
     bloom: BloomArray,
     handle: PlacementHandle,
     stats: SocStats,
-    /// Reusable page buffer for RMW reads and serialization. Arbitrary
-    /// bytes between uses: every reader overwrites the whole page,
-    /// [`Soc::serialize_bucket`] zeroes what it does not write, and
-    /// [`Soc::splice`] only ever edits a page the RMW read just filled.
-    scratch: Vec<u8>,
     /// Reusable rollback buffer: the entries the insert in flight
     /// evicted, oldest first. Empty between inserts.
     evicted: Vec<Entry>,
+}
+
+thread_local! {
+    /// The calling thread's page buffer for RMW reads and serialization,
+    /// shared by every SOC the thread drives (see [`with_page`]).
+    static PAGE: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+}
+
+/// Runs `f` over the calling thread's page buffer, resized to `bytes`.
+///
+/// The buffer holds arbitrary bytes between uses — possibly another
+/// SOC's page: every reader overwrites the whole page,
+/// [`Soc::serialize_bucket`] zeroes what it does not write, and
+/// [`Soc::splice`] only ever edits a page the RMW read just filled. A
+/// nested call (or one after `f` panicked) finds the slot empty and
+/// allocates afresh.
+fn with_page<R>(bytes: u32, f: impl FnOnce(&mut [u8]) -> R) -> R {
+    let mut page = PAGE.take();
+    page.resize(bytes as usize, 0);
+    let res = f(&mut page);
+    PAGE.set(page);
+    res
 }
 
 /// Uniform hash: splitmix64 finalizer (the paper's model assumes a
@@ -217,7 +240,6 @@ impl Soc {
             bloom: BloomArray::new(num_buckets as usize),
             handle,
             stats: SocStats::default(),
-            scratch: vec![0u8; bucket_bytes as usize],
             evicted: Vec::new(),
         }
     }
@@ -407,7 +429,7 @@ impl Soc {
     /// The from-scratch page of `bucket`'s current list, for the debug
     /// cross-check of [`Soc::splice`] (and tests); cached digests are
     /// left alone.
-    fn reference_page(&self, bucket: u64) -> Vec<u8> {
+    pub(crate) fn reference_page(&self, bucket: u64) -> Vec<u8> {
         let mut page = vec![0u8; self.bucket_bytes as usize];
         Self::serialize_bucket(&mut self.buckets[bucket as usize].clone(), &mut page);
         page
@@ -534,15 +556,13 @@ impl Soc {
     /// bloom filter is untouched: a rewrite alone never changes the
     /// list.
     fn rewrite_bucket(&mut self, io: &mut IoManager, bucket: u64) -> Result<(), CacheError> {
-        let mut page = std::mem::take(&mut self.scratch);
-        let res = self.rmw_read(io, bucket, &mut page).and_then(|_| {
+        with_page(self.bucket_bytes, |page| {
+            self.rmw_read(io, bucket, page)?;
             if io.retains_data() {
-                Self::serialize_bucket(&mut self.buckets[bucket as usize], &mut page);
+                Self::serialize_bucket(&mut self.buckets[bucket as usize], page);
             }
-            self.write_page(io, bucket, &page)
-        });
-        self.scratch = page;
-        res
+            self.write_page(io, bucket, page)
+        })
     }
 
     /// Blooms cannot delete: after entries left `bucket`, rebuild its
@@ -601,10 +621,9 @@ impl Soc {
             return Err(CacheError::ObjectTooLarge { size: len, max: self.max_object_bytes() });
         }
         let bucket = self.bucket_of(key);
-        let mut page = std::mem::take(&mut self.scratch);
-        let res = self.insert_paged(io, bucket, Entry { key, value, digest: 0 }, &mut page);
-        self.scratch = page;
-        let evicted = res?;
+        let entry = Entry { key, value, digest: 0 };
+        let evicted =
+            with_page(self.bucket_bytes, |page| self.insert_paged(io, bucket, entry, page))?;
         self.stats.collision_evictions += evicted;
         if count_app_bytes {
             self.stats.inserts += 1;
@@ -613,7 +632,7 @@ impl Soc {
         Ok(evicted)
     }
 
-    /// [`Soc::insert_impl`] over the page scratch: RMW read, one walk
+    /// [`Soc::insert_impl`] over the thread's page: RMW read, one walk
     /// of the pre-insert list, list and page edited together, write,
     /// rollback of the list if the write is abandoned.
     fn insert_paged(
@@ -688,8 +707,8 @@ impl Soc {
     /// A hit hands back the stored value **without touching its
     /// bytes**: for `Value::Real` the clone below is a refcount bump on
     /// the shared `Arc<[u8]>`, for `Value::Synthetic` it copies a
-    /// length. The page read into the reusable scratch buffer is the
-    /// only byte traffic.
+    /// length. The page read into the thread's page buffer is the only
+    /// byte traffic.
     ///
     /// # Errors
     ///
@@ -703,13 +722,11 @@ impl Soc {
         }
         if self.written[bucket as usize] {
             let block = self.bucket_block(bucket);
-            let mut page = std::mem::take(&mut self.scratch);
-            let mut res = io.read(block, &mut page);
-            if res.as_ref().is_err_and(|e| e.is_busy()) {
+            let res = with_page(self.bucket_bytes, |page| match io.read(block, page) {
                 // Transient busy: one immediate retry.
-                res = io.read(block, &mut page);
-            }
-            self.scratch = page;
+                Err(e) if e.is_busy() => io.read(block, page),
+                res => res,
+            });
             match res {
                 Ok(_) => {}
                 Err(e) if e.is_injected_fault() => {
@@ -761,10 +778,7 @@ impl Soc {
         if !self.buckets[bucket as usize].iter().any(|e| e.key == key) {
             return Ok(false);
         }
-        let mut page = std::mem::take(&mut self.scratch);
-        let res = self.remove_paged(io, bucket, key, &mut page);
-        self.scratch = page;
-        match res {
+        match with_page(self.bucket_bytes, |page| self.remove_paged(io, bucket, key, page)) {
             Ok(()) => {}
             Err(e) if e.is_injected_fault() => {
                 // The stale page must not be read again; invalidate it.
@@ -776,8 +790,8 @@ impl Soc {
         Ok(true)
     }
 
-    /// [`Soc::remove`] of a key its bucket holds, over the page
-    /// scratch: RMW read, list and page edited together, write.
+    /// [`Soc::remove`] of a key its bucket holds, over the thread's
+    /// page: RMW read, list and page edited together, write.
     fn remove_paged(
         &mut self,
         io: &mut IoManager,
@@ -862,10 +876,8 @@ impl Soc {
         } else {
             // Payload-free store: the patrol read can detect injected
             // faults but has no bytes to compare.
-            let mut page = std::mem::take(&mut self.scratch);
-            let res = io.read(self.bucket_block(bucket), &mut page);
-            self.scratch = page;
-            match res {
+            let block = self.bucket_block(bucket);
+            match with_page(self.bucket_bytes, |page| io.read(block, page)) {
                 Ok(_) => true,
                 Err(e) if e.is_injected_fault() => {
                     self.stats.read_faults += 1;
@@ -892,10 +904,8 @@ impl Soc {
                         Err(e) => return Err(e),
                     }
                 } else {
-                    let mut page = std::mem::take(&mut self.scratch);
-                    let res = io.read(self.bucket_block(bucket), &mut page);
-                    self.scratch = page;
-                    match res {
+                    let block = self.bucket_block(bucket);
+                    match with_page(self.bucket_bytes, |page| io.read(block, page)) {
                         Ok(_) => true,
                         Err(e) if e.is_injected_fault() => {
                             self.stats.read_faults += 1;
