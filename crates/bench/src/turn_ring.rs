@@ -3,9 +3,9 @@
 //! completed, whichever worker owns it, so a shared device sees
 //! commands in exact stream order at any worker count.
 //!
-//! Free-running partitioned drivers (`fdpcache_workloads::replay_pool`)
-//! keep per-shard *counters* invariant but not the per-shard clock
-//! frontier: the shared FTL charges GC and reclaim-unit switches to
+//! The free-running partitioned pool driver
+//! (`fdpcache_workloads::run_pool_round`) keeps per-shard *counters*
+//! invariant but not the per-shard clock frontier: the shared FTL charges GC and reclaim-unit switches to
 //! whichever shard's command trips them, which depends on thread
 //! interleaving. The gates pin breaker transitions and sojourn times to
 //! exact virtual times across reruns and worker counts, so they

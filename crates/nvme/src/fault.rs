@@ -8,10 +8,10 @@
 //! on `(kind, location, nth-access-to-that-location)` — never on wall
 //! clock, thread interleaving or global submission order. Two replays
 //! of the same trace under the same plan therefore inject byte-for-byte
-//! identical fault schedules, and in the pool replayer's partitioned
-//! mode the schedule is invariant to the worker-thread count because
-//! namespaces own disjoint LBA ranges (each location's access sequence
-//! is a per-shard property).
+//! identical fault schedules, and under the threaded pool driver's
+//! shard partition the schedule is invariant to the worker-thread count
+//! because namespaces own disjoint LBA ranges (each location's access
+//! sequence is a per-shard property).
 //!
 //! Fault kinds (paper-world analogues in parentheses):
 //!

@@ -15,34 +15,13 @@
 //! Because the data path no longer funnels through a controller-wide
 //! mutex, this module is a correctness/stress harness on real OS
 //! threads: [`run_pool_round`] drives one shared [`ConcurrentPool`]
-//! from N workers, who either partition its shards deterministically
-//! or contend on them ([`PoolMode`]). N shards replayed by N
-//! partitioned workers is the "N threads, N caches, one device"
-//! topology; the same round backs the pool replayer
-//! ([`crate::replay::replay_pool`]).
+//! from N workers that partition its shards. N shards replayed by N
+//! workers is the "N threads, N caches, one device" topology.
 
 use fdpcache_cache::ConcurrentPool;
 
 use crate::replay::serve;
 use crate::tracefile::RequestSource;
-
-/// How a round of pool workers divides a trace over a
-/// [`ConcurrentPool`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PoolMode {
-    /// Every worker walks an **identical** request stream but executes
-    /// only the requests whose shard it owns (shard `s` belongs to
-    /// worker `s % workers`). Each request is executed exactly once
-    /// across the worker set, and each shard sees the same request
-    /// subsequence in the same order **regardless of worker count** —
-    /// this is what makes aggregate cache counters thread-count
-    /// invariant (the determinism regression test relies on it).
-    Partitioned,
-    /// Every worker has its own independent stream and executes all of
-    /// it, contending on shard locks. Total executed work is
-    /// `workers × ops`; used for scaling/stress measurement.
-    Contended,
-}
 
 /// One pool worker's outcome for a round.
 #[derive(Debug, Clone)]
@@ -51,24 +30,35 @@ pub struct PoolWorkerReport {
     pub worker: usize,
     /// Requests drawn from the worker's stream.
     pub generated: u64,
-    /// Requests actually executed (equals `generated` in
-    /// [`PoolMode::Contended`]; the owned-shard subset in
-    /// [`PoolMode::Partitioned`]).
+    /// Requests executed: those on the worker's shards, each shard's up
+    /// to its first error.
     pub executed: u64,
-    /// First error encountered, if the worker stopped early.
+    /// The first error, prefixed with the shard it stopped.
     pub error: Option<String>,
 }
 
 /// Runs one round of pool workers: `sources.len()` OS threads share
-/// `pool` through `&self`, each drawing exactly `ops_per_stream`
-/// requests from its own source and executing them per `mode`. Sources
-/// are advanced in place, so consecutive rounds (warm-up, then
-/// measurement) continue the same streams. Reports come back in worker
-/// order.
+/// `pool` through `&self`, each drawing up to `ops_per_stream` requests
+/// from its own source. Sources are advanced in place, so consecutive
+/// rounds (warm-up, then measurement) continue the same streams.
+/// Reports come back in worker order.
+///
+/// Every worker should walk an **identical** stream; worker `w` owns
+/// the shards `s` with `s % workers == w` and executes only the
+/// requests routed to them. Each request is then executed exactly once
+/// across the worker set, and each shard sees the same request
+/// subsequence in the same order **regardless of worker count**, which
+/// makes per-shard cache state thread-count invariant (the determinism
+/// table in `tests/integration_determinism.rs` relies on it).
+///
+/// An error stops its shard, not its worker: the worker skips that
+/// shard's later requests and keeps serving its other shards, so one
+/// failed shard changes no other shard's subsequence. A worker returns
+/// early once every shard it owns has failed (or at once if it owns
+/// none).
 pub fn run_pool_round<S: RequestSource + Send>(
     pool: &ConcurrentPool,
     sources: &mut [S],
-    mode: PoolMode,
     ops_per_stream: u64,
 ) -> Vec<PoolWorkerReport> {
     let workers = sources.len();
@@ -79,24 +69,21 @@ pub fn run_pool_round<S: RequestSource + Send>(
             .map(|(widx, source)| {
                 scope.spawn(move || {
                     let mut pool = pool;
-                    let mut generated = 0u64;
-                    let mut executed = 0u64;
-                    let mut error = None;
-                    while generated < ops_per_stream {
+                    // The owned shards that have not failed this round.
+                    let mut live: Vec<usize> = (widx..pool.shards()).step_by(workers).collect();
+                    let (mut generated, mut executed, mut error) = (0u64, 0u64, None);
+                    while generated < ops_per_stream && !live.is_empty() {
                         let req = source.next_request();
                         generated += 1;
-                        let owned = match mode {
-                            PoolMode::Contended => true,
-                            PoolMode::Partitioned => pool.shard_of(req.key) % workers == widx,
-                        };
-                        if !owned {
+                        let shard = pool.shard_of(req.key);
+                        if !live.contains(&shard) {
                             continue;
                         }
                         match serve(&mut pool, req) {
                             Ok(()) => executed += 1,
                             Err(e) => {
-                                error = Some(e.to_string());
-                                break;
+                                live.retain(|&s| s != shard);
+                                error.get_or_insert_with(|| format!("shard {shard}: {e}"));
                             }
                         }
                     }
@@ -112,10 +99,11 @@ pub fn run_pool_round<S: RequestSource + Send>(
 mod tests {
     use super::*;
     use crate::profiles::WorkloadProfile;
-    use fdpcache_cache::builder::{build_device, StoreKind};
-    use fdpcache_cache::{CacheConfig, NvmConfig};
+    use fdpcache_cache::builder::{build_device, build_device_faulted, StoreKind};
+    use fdpcache_cache::{CacheConfig, CacheStats, NvmConfig};
     use fdpcache_core::RoundRobinPolicy;
     use fdpcache_ftl::FtlConfig;
+    use fdpcache_nvme::{FaultConfig, FaultKind, ScriptedFault};
 
     /// `shards` shards of `ram_bytes / shards` DRAM each on a tiny
     /// device with `pe_limit` erase cycles per reclaim unit.
@@ -149,7 +137,7 @@ mod tests {
         let profile = WorkloadProfile::meta_kv_cache();
         const OPS: u64 = 40_000;
         let mut sources: Vec<_> = (0..4).map(|_| profile.generator(20_000, 1)).collect();
-        let reports = run_pool_round(&pool, &mut sources, PoolMode::Partitioned, OPS);
+        let reports = run_pool_round(&pool, &mut sources, OPS);
         for (i, r) in reports.iter().enumerate() {
             assert_eq!(r.worker, i, "reports come back in worker order");
             assert_eq!(r.error, None, "worker {i} failed");
@@ -180,7 +168,7 @@ mod tests {
         let profile = WorkloadProfile::wo_kv_cache();
         let mut sources: Vec<_> = (0..2).map(|_| profile.generator(10_000, 7)).collect();
         // Run until the device dies.
-        let reports = run_pool_round(&pool, &mut sources, PoolMode::Partitioned, u64::MAX / 2);
+        let reports = run_pool_round(&pool, &mut sources, u64::MAX / 2);
         // The endurance budget guarantees both workers stop with a device
         // error rather than running forever; no panics, no poisoned state.
         for r in &reports {
@@ -200,7 +188,7 @@ mod tests {
         const OPS: u64 = 4_000;
         // All workers walk the SAME stream (same seed).
         let mut sources: Vec<_> = (0..4).map(|_| profile.generator(5_000, 9)).collect();
-        let reports = run_pool_round(&pool, &mut sources, PoolMode::Partitioned, OPS);
+        let reports = run_pool_round(&pool, &mut sources, OPS);
         for r in &reports {
             assert_eq!(r.error, None, "worker {} failed", r.worker);
             assert_eq!(r.generated, OPS);
@@ -216,21 +204,44 @@ mod tests {
         ctrl.with_ftl(|f| f.check_invariants());
     }
 
+    /// A kill on shard 0's first LOC region seal stops shard 0 only:
+    /// shard 1 serves the same requests whether it shares a worker with
+    /// the failed shard or has one of its own.
     #[test]
-    fn contended_round_executes_every_worker_stream_fully() {
-        let (ctrl, pool) = shared_pool(2);
-        let profile = WorkloadProfile::meta_kv_cache();
-        const OPS: u64 = 2_000;
-        let mut sources: Vec<_> = (0..3).map(|i| profile.generator(5_000, 21 + i)).collect();
-        let reports = run_pool_round(&pool, &mut sources, PoolMode::Contended, OPS);
-        for r in &reports {
-            assert_eq!(r.error, None, "worker {} failed", r.worker);
-            assert_eq!(r.executed, OPS);
-        }
-        let s = pool.stats();
-        let counted = s.gets + s.puts + s.deletes;
-        assert!((3 * OPS - OPS / 20..=3 * OPS).contains(&counted), "counted {counted}");
-        ctrl.with_ftl(|f| f.check_invariants());
+    fn a_shard_error_stops_that_shard_not_its_worker() {
+        let config = CacheConfig {
+            ram_bytes: 2_000,
+            ram_item_overhead: 0,
+            nvm: NvmConfig { soc_fraction: 0.2, region_bytes: 32 * 4096, ..NvmConfig::default() },
+            use_fdp: true,
+        };
+        let pool_on = |ctrl: fdpcache_core::SharedController| {
+            ConcurrentPool::new(&ctrl, &config, 2, 0.9, || Box::new(RoundRobinPolicy::new()))
+                .unwrap()
+        };
+        let probe = pool_on(build_device(FtlConfig::tiny_test(), StoreKind::Null, true).unwrap());
+        let lba = probe.with_shard(0, |c| {
+            c.navy().io().namespace().info().start_lba + c.navy().loc().region_start_block(0)
+        });
+        let kill =
+            ScriptedFault { kind: FaultKind::Kill, lba: lba.unwrap(), at_access: 0, repeats: 1 };
+        let fault = FaultConfig { scripted: vec![kill], ..FaultConfig::default() };
+        let run = |workers: usize| {
+            let ftl = FtlConfig::tiny_test();
+            let pool =
+                pool_on(build_device_faulted(ftl, StoreKind::Null, true, fault.clone()).unwrap());
+            let profile = WorkloadProfile::loc_seal_heavy();
+            let mut sources: Vec<_> = (0..workers).map(|_| profile.generator(5_000, 3)).collect();
+            let reports = run_pool_round(&pool, &mut sources, 20_000);
+            let errors: Vec<&str> = reports.iter().filter_map(|r| r.error.as_deref()).collect();
+            assert_eq!(errors.len(), 1, "exactly one shard fails: {errors:?}");
+            assert!(errors[0].starts_with("shard 0: "), "the report names the shard: {errors:?}");
+            (0..2).map(|s| pool.with_shard(s, |c| c.stats()).unwrap()).collect::<Vec<_>>()
+        };
+        let one = run(1);
+        assert_eq!(one, run(2), "per-shard counters changed with the worker count");
+        let served = |s: &CacheStats| s.gets + s.puts;
+        assert!(served(&one[1]) > 10 * served(&one[0]), "shard 1 stopped early: {one:?}");
     }
 
     #[test]
@@ -238,15 +249,15 @@ mod tests {
         let (_ctrl, pool) = shared_pool(2);
         let profile = WorkloadProfile::meta_kv_cache();
         let mut sources = vec![profile.generator(5_000, 5)];
-        let warm = run_pool_round(&pool, &mut sources, PoolMode::Partitioned, 500);
-        let measure = run_pool_round(&pool, &mut sources, PoolMode::Partitioned, 700);
+        let warm = run_pool_round(&pool, &mut sources, 500);
+        let measure = run_pool_round(&pool, &mut sources, 700);
         assert_eq!(warm[0].generated, 500);
         assert_eq!(measure[0].generated, 700);
         // One deterministic stream replayed in one round covers the
         // same requests the two split rounds did.
         let (_ctrl2, pool2) = shared_pool(2);
         let mut whole = vec![profile.generator(5_000, 5)];
-        let all = run_pool_round(&pool2, &mut whole, PoolMode::Partitioned, 1_200);
+        let all = run_pool_round(&pool2, &mut whole, 1_200);
         assert_eq!(all[0].executed, warm[0].executed + measure[0].executed);
         assert_eq!(pool2.stats(), pool.stats());
     }

@@ -39,13 +39,11 @@ pub mod tracefile;
 pub mod zipf;
 
 pub use arrivals::{ArrivalProcess, BurstWindow, RateShape};
-pub use concurrent::{run_pool_round, PoolMode, PoolWorkerReport};
+pub use concurrent::{run_pool_round, PoolWorkerReport};
 pub use faults::{ChaosPhase, ChaosStorm, FaultScenario};
 pub use oracle::Oracle;
 pub use profiles::WorkloadProfile;
-pub use replay::{
-    replay_pool, serve, ExperimentResult, PoolReplayConfig, ReplayConfig, Replayer, Tenant,
-};
+pub use replay::{serve, ExperimentResult, ReplayConfig, Replayer, Tenant};
 pub use sizes::SizeDist;
 pub use tenants::{
     AdmissionBudget, SloTarget, TenantCatalog, TenantSloSummary, TenantSloTracker, TenantSpec,

@@ -12,11 +12,6 @@
 //! reads steady state off the series' last quarter, and rolls up the
 //! CacheBench metrics the paper reports: throughput, hit ratios (merged
 //! and per tenant), p99 latencies, ALWA.
-//!
-//! [`replay_pool`] is the multi-threaded sibling: M real worker threads
-//! drive one [`ConcurrentPool`] (partitioning or contending on the
-//! trace, [`crate::concurrent::PoolMode`]) and the same roll-up
-//! aggregates its shards.
 
 use fdpcache_cache::{CacheError, CacheStats, ConcurrentPool, HybridCache};
 use fdpcache_core::SharedController;
@@ -24,7 +19,6 @@ use fdpcache_metrics::Histogram;
 use fdpcache_nvme::FdpStatsLog;
 use serde::Serialize;
 
-use crate::concurrent::{run_pool_round, PoolMode, PoolWorkerReport};
 use crate::oracle::{apply, Cache};
 use crate::trace::Request;
 use crate::tracefile::RequestSource;
@@ -144,12 +138,8 @@ pub struct ExperimentResult {
     pub kops: f64,
     /// GET throughput (KGET/s).
     pub kgets: f64,
-    /// p50 device read latency (µs).
-    pub p50_read_us: f64,
     /// p99 device read latency (µs).
     pub p99_read_us: f64,
-    /// p50 device write latency (µs).
-    pub p50_write_us: f64,
     /// p99 device write latency (µs).
     pub p99_write_us: f64,
     /// GC events (Media Relocated) during measurement.
@@ -160,15 +150,6 @@ pub struct ExperimentResult {
     pub media_bytes: u64,
     /// Operations replayed (excluding warm-up).
     pub ops: u64,
-    /// Device commands that completed with an injected failure status
-    /// during measurement (0 on a fault-free device).
-    pub faults: u64,
-    /// Recovery retries performed during measurement.
-    pub retries: u64,
-    /// Targeted repair-writes performed during measurement.
-    pub repairs: u64,
-    /// Objects requeued out of failed region seals during measurement.
-    pub requeues: u64,
     /// Each tenant's own hit ratio over the measurement, in tenant
     /// order; one entry for one cache or one pool.
     pub tenant_hit_ratios: Vec<f64>,
@@ -343,18 +324,12 @@ fn roll_up<T: Tenant>(
         alwa: if app == 0 { 1.0 } else { dev as f64 / app as f64 },
         kops: (stats.gets + stats.puts + stats.deletes) as f64 / secs / 1e3,
         kgets: stats.gets as f64 / secs / 1e3,
-        p50_read_us: read.p50() as f64 / 1e3,
         p99_read_us: read.p99() as f64 / 1e3,
-        p50_write_us: write.p50() as f64 / 1e3,
         p99_write_us: write.p99() as f64 / 1e3,
         gc_events: dlog.media_relocated_events,
         host_bytes: dlog.host_bytes_written,
         media_bytes: dlog.media_bytes_written,
         ops,
-        faults: stats.faults,
-        retries: stats.retries,
-        repairs: stats.repairs,
-        requeues: stats.requeues,
         tenant_hit_ratios: deltas.iter().map(CacheStats::hit_ratio).collect(),
     }
 }
@@ -367,113 +342,6 @@ fn merged_latency<T: Tenant>(tenants: &mut [T]) -> (Histogram, Histogram) {
         write.merge(c.navy().write_latency());
     });
     (read, write)
-}
-
-/// Configuration for a multi-threaded replay over a [`ConcurrentPool`].
-///
-/// Run length is in *operations per stream* rather than host bytes:
-/// op-count termination is what keeps the run deterministic (every
-/// worker stops at the same stream position no matter how threads
-/// interleave), which the determinism regression tests rely on.
-#[derive(Debug, Clone)]
-pub struct PoolReplayConfig {
-    /// Worker thread count.
-    pub workers: usize,
-    /// Requests drawn per stream during warm-up (uncounted).
-    pub warmup_ops: u64,
-    /// Requests drawn per stream during measurement.
-    pub measure_ops: u64,
-    /// Base RNG seed. In [`PoolMode::Partitioned`] every worker's
-    /// stream uses this seed verbatim (identical streams, disjoint
-    /// shard ownership); in [`PoolMode::Contended`] worker `w` uses
-    /// `seed + w` (independent streams).
-    pub seed: u64,
-    /// How workers divide the trace.
-    pub mode: PoolMode,
-    /// Device queue depth per shard (commands kept in flight; 1 = the
-    /// synchronous per-command model). Shard clocks only reflect reaped
-    /// completions, so the driver drains every shard at measurement
-    /// boundaries.
-    pub queue_depth: usize,
-}
-
-impl Default for PoolReplayConfig {
-    fn default() -> Self {
-        PoolReplayConfig {
-            workers: 4,
-            warmup_ops: 0,
-            measure_ops: 10_000,
-            seed: 42,
-            mode: PoolMode::Partitioned,
-            queue_depth: 1,
-        }
-    }
-}
-
-/// Replays a workload over `pool` from `cfg.workers` real OS threads
-/// and rolls the run up into an [`ExperimentResult`].
-///
-/// Stats aggregate mergeably: cache counters and latency histograms
-/// are merged across shards on read (per-shard consistent), DLWA comes
-/// from the shared device's FDP log, and throughput uses the pool's
-/// virtual-time frontier (the slowest shard clock — shards run in
-/// parallel, so that is when the submitted work is done); the roll-up
-/// is [`Replayer::run`]'s, with the pool as its one tenant. The
-/// `dlwa_series` holds the single whole-measurement point: interval
-/// sampling during a multi-threaded run would order-couple workers,
-/// destroying the determinism this driver exists to provide; timeline
-/// experiments stay on the single-threaded [`Replayer`].
-///
-/// `source_factory` maps a seed to a request stream (e.g.
-/// `|seed| profile.generator(keyspace, seed)`).
-///
-/// # Errors
-///
-/// A zero worker count (nothing would run, and an empty window is not
-/// a result), or the first worker error, as a string (experiment
-/// binaries only report them).
-pub fn replay_pool<S: RequestSource + Send>(
-    label: &str,
-    workload: &str,
-    pool: &ConcurrentPool,
-    ctrl: &SharedController,
-    cfg: &PoolReplayConfig,
-    source_factory: impl Fn(u64) -> S,
-) -> Result<ExperimentResult, String> {
-    if cfg.workers == 0 {
-        return Err("pool replay needs at least one worker".into());
-    }
-    let check = |reports: Vec<PoolWorkerReport>| -> Result<u64, String> {
-        let mut executed = 0u64;
-        for r in reports {
-            if let Some(e) = r.error {
-                return Err(format!("pool worker {} failed: {e}", r.worker));
-            }
-            executed += r.executed;
-        }
-        Ok(executed)
-    };
-    let mut sources: Vec<S> = (0..cfg.workers)
-        .map(|w| match cfg.mode {
-            PoolMode::Partitioned => source_factory(cfg.seed),
-            PoolMode::Contended => source_factory(cfg.seed + w as u64),
-        })
-        .collect();
-    let tenants = &mut [pool];
-    each_cache(tenants, |c| c.set_queue_depth(cfg.queue_depth));
-    if cfg.warmup_ops > 0 {
-        check(run_pool_round(pool, &mut sources, cfg.mode, cfg.warmup_ops))?;
-    }
-
-    let origin = Snapshot::take(tenants, ctrl);
-    each_cache(tenants, HybridCache::reset_latency);
-
-    let ops = check(run_pool_round(pool, &mut sources, cfg.mode, cfg.measure_ops))?;
-
-    let now = Snapshot::take(tenants, ctrl);
-    let dlog = now.log.delta(&origin.log);
-    let point = (dlog.host_bytes_written as f64 / GIB, dlog.dlwa());
-    Ok(roll_up(label, workload, tenants, &origin, &now, vec![point], ops))
 }
 
 #[cfg(test)]
@@ -638,7 +506,7 @@ mod tests {
         assert_eq!(r.tenant_hit_ratios, vec![r.hit_ratio]);
     }
 
-    fn pool_stack(shards: usize) -> (SharedController, fdpcache_cache::ConcurrentPool) {
+    fn pool_stack(shards: usize) -> (SharedController, ConcurrentPool) {
         let ctrl = build_device(timed_ftl(), StoreKind::Null, true).unwrap();
         let config = CacheConfig {
             ram_bytes: 32 << 10,
@@ -646,74 +514,38 @@ mod tests {
             nvm: NvmConfig { soc_fraction: 0.2, region_bytes: 8 * 4096, ..NvmConfig::default() },
             use_fdp: true,
         };
-        let pool = fdpcache_cache::ConcurrentPool::new(&ctrl, &config, shards, 0.9, || {
+        let pool = ConcurrentPool::new(&ctrl, &config, shards, 0.9, || {
             Box::new(fdpcache_core::RoundRobinPolicy::new())
         })
         .unwrap();
         (ctrl, pool)
     }
 
+    /// A pool tenant (the `pairs` figure row's path) reports the device
+    /// latency of every shard's measured writes, merged.
     #[test]
-    fn pool_replay_produces_sane_metrics() {
+    fn pool_tenant_latency_merges_every_shard() {
         let (ctrl, pool) = pool_stack(4);
         let profile = WorkloadProfile::meta_kv_cache();
-        let cfg = PoolReplayConfig {
-            workers: 4,
-            warmup_ops: 2_000,
-            measure_ops: 10_000,
-            seed: 7,
-            mode: crate::concurrent::PoolMode::Contended,
+        let mut gen = profile.generator(5_000, 7);
+        let replayer = Replayer::new(ReplayConfig {
+            warmup_host_bytes: 1 << 20,
+            measure_host_bytes: 8 << 20,
+            interval_host_bytes: 2 << 20,
+            max_ops: 200_000,
             queue_depth: 1,
-        };
-        let r = replay_pool("FDP", profile.name, &pool, &ctrl, &cfg, |seed| {
-            profile.generator(5_000, seed)
-        })
-        .unwrap();
-        assert!(r.dlwa >= 1.0, "dlwa {}", r.dlwa);
+        });
+        let (tenants, gens) = (&mut [&pool], slice::from_mut(&mut gen));
+        let r = replayer.run("FDP", profile.name, tenants, gens, &ctrl, |_, _| {}).unwrap();
         assert!(r.hit_ratio > 0.0 && r.hit_ratio < 1.0, "hit ratio {}", r.hit_ratio);
-        assert!(r.kops > 0.0);
-        assert!(r.host_bytes > 0);
-        assert!(r.ops > 0);
-        assert_eq!(r.dlwa_series.len(), 1);
-        // Write latency merges every shard's measured writes.
+        assert!(r.dlwa >= 1.0 && r.kops > 0.0 && r.ops > 0 && r.host_bytes > 0, "{r:?}");
         let count = |i| pool.with_shard(i, |c| c.navy().write_latency().count()).unwrap();
         let counts: Vec<u64> = (0..pool.shards()).map(count).collect();
-        let (_, write) = merged_latency(&mut [&pool]);
+        let (_, write) = merged_latency(tenants);
         assert!(counts.iter().all(|&n| n > 0), "a shard wrote nothing: {counts:?}");
         assert_eq!(write.count(), counts.iter().sum::<u64>());
         assert!(r.p99_write_us > 0.0);
         assert_eq!(r.p99_write_us, write.p99() as f64 / 1e3);
         ctrl.with_ftl(|f| f.check_invariants());
-    }
-
-    #[test]
-    fn pool_replay_partitioned_counts_each_request_once() {
-        let (ctrl, pool) = pool_stack(4);
-        let profile = WorkloadProfile::meta_kv_cache();
-        let cfg = PoolReplayConfig {
-            workers: 2,
-            warmup_ops: 0,
-            measure_ops: 6_000,
-            seed: 11,
-            mode: crate::concurrent::PoolMode::Partitioned,
-            queue_depth: 1,
-        };
-        let r = replay_pool("FDP", profile.name, &pool, &ctrl, &cfg, |seed| {
-            profile.generator(5_000, seed)
-        })
-        .unwrap();
-        assert_eq!(r.ops, 6_000, "partition must cover the stream exactly once");
-    }
-
-    #[test]
-    fn pool_replay_without_workers_is_an_error() {
-        let (ctrl, pool) = pool_stack(2);
-        let profile = WorkloadProfile::meta_kv_cache();
-        let cfg = PoolReplayConfig { workers: 0, ..PoolReplayConfig::default() };
-        let r = replay_pool("FDP", profile.name, &pool, &ctrl, &cfg, |seed| {
-            profile.generator(5_000, seed)
-        });
-        assert!(r.is_err(), "an empty window is not a result: {r:?}");
-        assert_eq!(pool.stats().gets + pool.stats().puts, 0, "nothing may run");
     }
 }

@@ -13,7 +13,7 @@ use fdpcache::cache::{CacheConfig, ConcurrentPool, NvmConfig};
 use fdpcache::ftl::FtlConfig;
 use fdpcache::nvme::Controller;
 use fdpcache::placement::{IoManager, PlacementHandle, RoundRobinPolicy};
-use fdpcache::workloads::{run_pool_round, PoolMode, WorkloadProfile};
+use fdpcache::workloads::{run_pool_round, WorkloadProfile};
 
 /// Raw device path: 6 threads × disjoint namespaces, every write/read
 /// accounted, payload integrity per namespace.
@@ -81,7 +81,7 @@ fn four_cache_workers_aggregate_consistently() {
             .unwrap();
     let profile = WorkloadProfile::meta_kv_cache();
     let mut sources: Vec<_> = (0..WORKERS).map(|_| profile.generator(12_000, 11)).collect();
-    let reports = run_pool_round(&pool, &mut sources, PoolMode::Partitioned, OPS);
+    let reports = run_pool_round(&pool, &mut sources, OPS);
     assert_eq!(reports.len(), WORKERS);
     for r in &reports {
         assert_eq!(r.error, None, "worker {} failed", r.worker);

@@ -1,29 +1,30 @@
-//! Determinism regression: the pool replayer must be a pure function
-//! of its seed at one worker, and its aggregate counters must be
-//! invariant to the worker count in partitioned mode.
+//! Determinism regression: the threaded pool driver must be a pure
+//! function of its seed at one worker, and what each shard does must be
+//! invariant to the worker count.
 //!
-//! Why this holds: in `PoolMode::Partitioned` every worker walks an
-//! identical stream and executes exactly the requests whose shard it
-//! owns, so each shard sees the same request subsequence in the same
-//! order no matter how many threads carry it. Per-shard cache state is
-//! therefore bit-identical across worker counts; only device-global
+//! Why this holds: `run_pool_round` has every worker walk an identical
+//! stream and execute exactly the requests whose shard it owns, so each
+//! shard sees the same request subsequence in the same order no matter
+//! how many threads carry it. Per-shard cache state and I/O counters
+//! are therefore bit-identical across worker counts; only device-global
 //! side effects that depend on cross-shard interleaving (GC victim
 //! choice, hence media bytes and latency) may differ.
 //!
 //! The replay checks are one table ([`replay_table!`]): each row names
 //! a workload and the axes it runs on — payload stores, queue depths, a
 //! fault schedule, worker counts — and [`check`] applies the same
-//! assertions to every combination.
+//! assertions to every combination. Each replay drives the pool with
+//! `run_pool_round` directly and records what virtual time decides
+//! ([`Run`]): every shard's cache and I/O counters, clock, ALWA bytes
+//! and latency tails, and the device's FDP log.
 
 use fdpcache::cache::builder::{build_device, build_device_faulted, StoreKind};
-use fdpcache::cache::{CacheConfig, CacheStats, ConcurrentPool, NvmConfig};
+use fdpcache::cache::{CacheConfig, CacheStats, ConcurrentPool, HybridCache, NvmConfig};
 use fdpcache::ftl::FtlConfig;
-use fdpcache::nvme::{FaultConfig, FaultKind, ScriptedFault};
-use fdpcache::placement::{RoundRobinPolicy, SharedController};
-use fdpcache::workloads::{
-    replay_pool, run_pool_round, ExperimentResult, FaultScenario, PoolMode, PoolReplayConfig,
-    WorkloadProfile,
-};
+use fdpcache::metrics::Histogram;
+use fdpcache::nvme::{FaultConfig, FaultKind, FdpStatsLog, ScriptedFault};
+use fdpcache::placement::{IoStats, RoundRobinPolicy, SharedController};
+use fdpcache::workloads::{run_pool_round, FaultScenario, WorkloadProfile};
 
 fn cache_config() -> CacheConfig {
     CacheConfig {
@@ -54,9 +55,9 @@ struct Case {
     fault: Option<FaultScenario>,
     /// Worker counts whose counters must equal the one-worker run's.
     workers: &'static [usize],
-    /// Whether the virtual clock (hence KOPS) is worker-invariant too:
-    /// only where the device does almost no work, since GC victims
-    /// depend on how shards interleave.
+    /// Whether each shard's virtual clock is worker-invariant too: only
+    /// where the device does almost no work, since GC victims depend on
+    /// how shards interleave.
     clock_invariant: bool,
     /// The one-worker hit ratio must exceed this.
     min_hit_ratio: f64,
@@ -100,97 +101,134 @@ fn hot_mix(name: &'static str, seed: u64) -> Option<FaultScenario> {
     Some(FaultScenario { name, config })
 }
 
-/// Replays `case` on a fresh stack; the label carries the scenario.
-fn replay(case: &Case, store: StoreKind, workers: usize, queue_depth: usize) -> ExperimentResult {
+/// What virtual time decides about one shard over the measured round.
+#[derive(Debug, Clone, PartialEq)]
+struct ShardWindow {
+    /// Cache counters over the round: ops, hit ratios, and the fault,
+    /// retry, repair and requeue counters.
+    stats: CacheStats,
+    /// The queue pair's I/O counters at the round's end.
+    io: IoStats,
+    /// The virtual clock at the round's start and end.
+    now_ns: [u64; 2],
+    /// [`HybridCache::amp_bytes`] at the round's end (ALWA).
+    amp_bytes: (u64, u64),
+    /// p99 device read and write latency over the round (ns).
+    p99_ns: (u64, u64),
+}
+
+/// One replay of the table: a warm-up round, then a measured round.
+#[derive(Debug, Clone, PartialEq)]
+struct Run {
+    /// Requests the measured round executed.
+    ops: u64,
+    shards: Vec<ShardWindow>,
+    /// p99 device read and write latency over the round, merged across
+    /// shards (ns).
+    p99_ns: (u64, u64),
+    /// The device's log over the measured round: host and media bytes,
+    /// GC events, hence DLWA.
+    log: FdpStatsLog,
+}
+
+impl Run {
+    /// The merged cache counters over the measured round.
+    fn stats(&self) -> CacheStats {
+        self.shards.iter().fold(CacheStats::default(), |m, s| m.merge(&s.stats))
+    }
+}
+
+/// Replays `case` on a fresh stack: every worker walks the same stream
+/// through [`run_pool_round`], 3 000 requests of warm-up, then 12 000
+/// measured.
+fn replay(case: &Case, store: StoreKind, workers: usize, queue_depth: usize) -> Run {
     let ftl = FtlConfig::tiny_test();
-    let (ctrl, label) = match &case.fault {
-        Some(s) => (
-            build_device_faulted(ftl, store, true, s.config.clone()).unwrap(),
-            format!("FDP+{}", s.name),
-        ),
-        None => (build_device(ftl, store, true).unwrap(), "FDP".to_string()),
+    let ctrl = match &case.fault {
+        Some(s) => build_device_faulted(ftl, store, true, s.config.clone()).unwrap(),
+        None => build_device(ftl, store, true).unwrap(),
     };
     let pool = ConcurrentPool::new(&ctrl, &cache_config(), case.shards, 0.9, || {
         Box::new(RoundRobinPolicy::new())
     })
     .unwrap();
+    pool.set_queue_depth(queue_depth);
     let profile = (case.profile)();
-    let cfg = PoolReplayConfig {
-        workers,
-        warmup_ops: 3_000,
-        measure_ops: 12_000,
-        seed: case.seed,
-        mode: PoolMode::Partitioned,
-        queue_depth,
+    let mut sources: Vec<_> = (0..workers).map(|_| profile.generator(5_000, case.seed)).collect();
+    let mut round = |ops| -> u64 {
+        let reports = run_pool_round(&pool, &mut sources, ops);
+        reports.iter().for_each(|r| assert_eq!(r.error, None, "worker {} failed", r.worker));
+        reports.iter().map(|r| r.executed).sum()
     };
-    let r = replay_pool(&label, profile.name, &pool, &ctrl, &cfg, |seed| {
-        profile.generator(5_000, seed)
-    })
-    .unwrap();
-    assert_eq!(r.label, label);
+    round(3_000);
+    // The window opens once every in-flight command is reaped.
+    pool.drain_io();
+    let log0 = ctrl.fdp_stats_log();
+    let open = |c: &mut HybridCache| {
+        c.reset_latency();
+        (c.stats(), c.now_ns())
+    };
+    let origin: Vec<_> = (0..case.shards).map(|i| pool.with_shard(i, open).unwrap()).collect();
+    let ops = round(12_000);
+    pool.drain_io();
+    let (mut read, mut write) = (Histogram::new(), Histogram::new());
+    let close = |(i, (s0, t0)): (usize, (CacheStats, u64))| {
+        pool.with_shard(i, |c| {
+            let navy = c.navy();
+            read.merge(navy.read_latency());
+            write.merge(navy.write_latency());
+            ShardWindow {
+                stats: c.stats().delta(&s0),
+                io: navy.io().stats(),
+                now_ns: [t0, c.now_ns()],
+                amp_bytes: c.amp_bytes(),
+                p99_ns: (navy.read_latency().p99(), navy.write_latency().p99()),
+            }
+        })
+        .unwrap()
+    };
+    let shards = origin.into_iter().enumerate().map(close).collect();
     ctrl.with_ftl(|f| f.check_invariants());
-    r
-}
-
-/// Asserts every virtual-time field of two replay results is
-/// bit-identical (floats compared by bits, not tolerance).
-fn assert_bit_identical(a: &ExperimentResult, b: &ExperimentResult, what: &str) {
-    assert_eq!(a.ops, b.ops, "{what}: ops");
-    assert_eq!(a.host_bytes, b.host_bytes, "{what}: host bytes");
-    assert_eq!(a.media_bytes, b.media_bytes, "{what}: media bytes");
-    assert_eq!(a.gc_events, b.gc_events, "{what}: GC events");
-    assert_eq!(a.hit_ratio.to_bits(), b.hit_ratio.to_bits(), "{what}: hit ratio");
-    assert_eq!(a.nvm_hit_ratio.to_bits(), b.nvm_hit_ratio.to_bits(), "{what}: nvm hit ratio");
-    assert_eq!(a.dlwa.to_bits(), b.dlwa.to_bits(), "{what}: DLWA");
-    assert_eq!(a.alwa.to_bits(), b.alwa.to_bits(), "{what}: ALWA");
-    assert_eq!(a.kops.to_bits(), b.kops.to_bits(), "{what}: virtual KOPS");
-    assert_eq!(a.p99_read_us.to_bits(), b.p99_read_us.to_bits(), "{what}: p99 read");
-    assert_eq!(a.p99_write_us.to_bits(), b.p99_write_us.to_bits(), "{what}: p99 write");
-    assert_eq!(
-        (a.faults, a.retries, a.repairs, a.requeues),
-        (b.faults, b.retries, b.repairs, b.requeues),
-        "{what}: fault/recovery counters"
-    );
+    let log = ctrl.fdp_stats_log().delta(&log0);
+    Run { ops, shards, p99_ns: (read.p99(), write.p99()), log }
 }
 
 /// The table's one loop body. At every depth and store: a one-worker
-/// rerun is bit-identical, and every listed worker count reproduces the
-/// one-worker counters (ops, host bytes, hit ratios, fault/recovery
-/// counters, and KOPS where the clock is invariant). At every depth,
-/// every listed store is bit-identical to the first.
+/// rerun is bit-identical, and every listed worker count reproduces
+/// what the partition makes invariant — the op count, each shard's
+/// cache and I/O counters and ALWA bytes, the device's host bytes, and
+/// each shard's clock where the row says so. At every depth, every
+/// listed store is bit-identical to the first.
 fn check(case: Case) {
     for &qd in case.depths {
-        let mut first: Option<ExperimentResult> = None;
+        let mut first: Option<Run> = None;
         for &store in case.stores {
             let what = format!("{store:?} QD-{qd}");
             let one = replay(&case, store, 1, qd);
-            assert_bit_identical(&one, &replay(&case, store, 1, qd), &format!("{what} rerun"));
-            assert!(one.hit_ratio > case.min_hit_ratio, "{what}: hit ratio {}", one.hit_ratio);
+            assert_eq!(one, replay(&case, store, 1, qd), "{what}: rerun");
+            let hit_ratio = one.stats().hit_ratio();
+            assert!(hit_ratio > case.min_hit_ratio, "{what}: hit ratio {hit_ratio}");
             if case.fault.is_some() {
-                assert!(one.faults > 0, "{what}: the schedule must actually inject");
+                assert!(one.stats().faults > 0, "{what}: the schedule must actually inject");
             }
             for &workers in case.workers {
                 let w = replay(&case, store, workers, qd);
                 let what = format!("{what}, {workers} workers");
                 assert_eq!(one.ops, w.ops, "{what}: ops");
-                assert_eq!(one.host_bytes, w.host_bytes, "{what}: host bytes");
-                assert_eq!(one.hit_ratio.to_bits(), w.hit_ratio.to_bits(), "{what}: hit ratio");
                 assert_eq!(
-                    one.nvm_hit_ratio.to_bits(),
-                    w.nvm_hit_ratio.to_bits(),
-                    "{what}: nvm hit ratio"
+                    one.log.host_bytes_written, w.log.host_bytes_written,
+                    "{what}: host bytes"
                 );
-                assert_eq!(
-                    (one.faults, one.retries, one.repairs, one.requeues),
-                    (w.faults, w.retries, w.repairs, w.requeues),
-                    "{what}: fault counters changed with the thread count"
-                );
-                if case.clock_invariant {
-                    assert_eq!(one.kops.to_bits(), w.kops.to_bits(), "{what}: virtual KOPS");
+                for (i, (a, b)) in one.shards.iter().zip(&w.shards).enumerate() {
+                    assert_eq!(a.stats, b.stats, "{what}: shard {i} cache counters");
+                    assert_eq!(a.io, b.io, "{what}: shard {i} I/O counters");
+                    assert_eq!(a.amp_bytes, b.amp_bytes, "{what}: shard {i} ALWA bytes");
+                    if case.clock_invariant {
+                        assert_eq!(a.now_ns, b.now_ns, "{what}: shard {i} virtual clock");
+                    }
                 }
             }
             match &first {
-                Some(f) => assert_bit_identical(f, &one, &format!("QD-{qd} {store:?} vs first")),
+                Some(f) => assert_eq!(f, &one, "QD-{qd} {store:?} vs first"),
                 None => first = Some(one),
             }
         }
@@ -208,7 +246,7 @@ replay_table! {
     /// Same seed, two fresh stacks, one worker: every reported metric is
     /// bit-identical — hit rate, DLWA, byte counters, op counts.
     same_seed_is_bit_identical_at_one_worker: KV;
-    /// The rolled-up result is counter-stable across thread counts too
+    /// Every shard's counters are stable across thread counts too
     /// (ratios are quotients of invariant counters).
     pool_replay_metrics_are_thread_count_invariant: Case { workers: &[4], ..KV };
     /// The pipeline depth never introduces nondeterminism: QD-1 and QD-4
@@ -237,10 +275,11 @@ replay_table! {
         fault: hot_mix("determinism_mix", 0xD373),
         ..KV
     };
-    /// The lock-free read path must not cost the replayer its
+    /// The lock-free read path must not cost the pool driver its
     /// determinism: each shard's epoch-protected index is read and
     /// written by exactly one thread, so even the read-side counters and
-    /// the virtual host time they feed into KOPS are worker-invariant.
+    /// the virtual host time they feed into each shard's clock are
+    /// worker-invariant.
     read_mostly_contended_replays_are_bit_identical_and_thread_invariant: Case {
         workers: &[4, 8],
         clock_invariant: true,
@@ -263,7 +302,7 @@ fn partitioned_counters_are_thread_count_invariant() {
         let (ctrl, pool) = stack(4);
         let profile = WorkloadProfile::meta_kv_cache();
         let mut sources: Vec<_> = (0..workers).map(|_| profile.generator(5_000, 77)).collect();
-        let reports = run_pool_round(&pool, &mut sources, PoolMode::Partitioned, 15_000);
+        let reports = run_pool_round(&pool, &mut sources, 15_000);
         for r in &reports {
             assert_eq!(r.error, None, "worker {} failed", r.worker);
         }
@@ -305,7 +344,7 @@ fn pool_crash_recover_continue_is_deterministic() {
                 .unwrap();
         let profile = WorkloadProfile::meta_kv_cache();
         let mut sources = vec![profile.generator(5_000, 99)];
-        let reports = run_pool_round(&pool, &mut sources, PoolMode::Partitioned, 6_000);
+        let reports = run_pool_round(&pool, &mut sources, 6_000);
         assert!(
             reports.iter().any(|r| r.error.is_some()),
             "the scripted kill must crash the replay"
@@ -318,7 +357,7 @@ fn pool_crash_recover_continue_is_deterministic() {
             ConcurrentPool::recover(&ctrl, &config, &[1, 2], || Box::new(RoundRobinPolicy::new()))
                 .unwrap();
         let mut sources = vec![profile.generator(5_000, 100)];
-        let reports = run_pool_round(&recovered, &mut sources, PoolMode::Partitioned, 6_000);
+        let reports = run_pool_round(&recovered, &mut sources, 6_000);
         for r in &reports {
             assert_eq!(r.error, None, "post-recovery round must run clean");
         }
