@@ -164,12 +164,14 @@ impl<'a> IoBatch<'a> {
 
     /// Queues a write of `nlb` blocks at `block` whose bytes `fill`
     /// produces inside the payload store: `fill(offset, out)` writes
-    /// every byte of `out`, the command's bytes from `offset` on.
+    /// every byte of `out`, the command's bytes from `offset` on. `fill`
+    /// must be `Sync`: the controller fills the commands of a batch of
+    /// 1 MiB or more from two threads, each command on one of them.
     pub fn write_with(
         &mut self,
         block: u64,
         nlb: u64,
-        fill: &'a dyn Fn(usize, &mut [u8]),
+        fill: &'a (dyn Fn(usize, &mut [u8]) + Sync),
         handle: PlacementHandle,
     ) -> &mut Self {
         self.writes.push(BatchWrite {

@@ -80,8 +80,15 @@ pub trait DataStore: Send + Sync {
     /// default fills one temporary buffer and calls
     /// [`DataStore::write_blocks`]; [`MemStore`] fills its slab pages in
     /// place, so a sealed region is materialised once, not staged and
-    /// copied.
-    fn fill_blocks(&self, lba: u64, nlb: u64, block_bytes: usize, fill: &dyn Fn(usize, &mut [u8])) {
+    /// copied. `fill` is `Sync`: the controller may fill the commands of
+    /// one large batch from two threads at once, each command on one.
+    fn fill_blocks(
+        &self,
+        lba: u64,
+        nlb: u64,
+        block_bytes: usize,
+        fill: &(dyn Fn(usize, &mut [u8]) + Sync),
+    ) {
         let mut buf = vec![0u8; nlb as usize * block_bytes];
         fill(0, &mut buf);
         self.write_blocks(lba, &buf, block_bytes);
@@ -130,14 +137,17 @@ pub trait DataStore: Send + Sync {
     }
 }
 
-/// Blocks per slab segment (= lock shard) in [`MemStore`]: 2048 blocks
-/// = 8 MiB at 4 KiB LBAs. Segments are *contiguous* LBA ranges — the
-/// opposite of the seed's LBA-interleaved hash shards — so one vectored
-/// region write locks one segment (occasionally two at a boundary)
+/// Blocks per slab segment (= lock shard) in [`MemStore`]: 256 blocks
+/// = 1 MiB at 4 KiB LBAs. Segments are *contiguous* LBA ranges — the
+/// opposite of the seed's LBA-interleaved hash shards — so one 64 KiB
+/// seal command locks one segment (occasionally two at a boundary)
 /// instead of touching every shard, while distinct namespaces (carved
 /// sequentially from exported capacity) still land on distinct
-/// segments and never contend.
-const SEGMENT_BLOCKS: u64 = 2048;
+/// segments and never contend. 1 MiB is the controller's threshold for
+/// splitting a batch's payload pass across two threads, so the two
+/// ends of any split region write lock different segments until they
+/// meet.
+const SEGMENT_BLOCKS: u64 = 256;
 
 /// Default slot size for a store used directly, before/without
 /// [`DataStore::attach`] (unit tests, tools). Attached stores use the
@@ -396,7 +406,13 @@ impl DataStore for MemStore {
         });
     }
 
-    fn fill_blocks(&self, lba: u64, nlb: u64, block_bytes: usize, fill: &dyn Fn(usize, &mut [u8])) {
+    fn fill_blocks(
+        &self,
+        lba: u64,
+        nlb: u64,
+        block_bytes: usize,
+        fill: &(dyn Fn(usize, &mut [u8]) + Sync),
+    ) {
         if nlb == 0 {
             return;
         }
@@ -509,7 +525,7 @@ impl DataStore for NullStore {
         _lba: u64,
         _nlb: u64,
         _block_bytes: usize,
-        _fill: &dyn Fn(usize, &mut [u8]),
+        _fill: &(dyn Fn(usize, &mut [u8]) + Sync),
     ) {
     }
 

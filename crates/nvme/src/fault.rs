@@ -19,7 +19,8 @@
 //!   [`FaultKind::DiscardError`] — per-LBA media errors (unrecoverable
 //!   read error, program failure, failed DSM).
 //! * [`FaultKind::Corruption`] — per-*segment* detected corruption on
-//!   the read path: a whole 2048-block slab segment reports
+//!   the read path: a whole 2048-block corruption segment
+//!   ([`CORRUPTION_SEGMENT_BLOCKS`]) reports
 //!   end-to-end-protection failure together, like a die losing a
 //!   wordline.
 //! * [`FaultKind::Busy`] — a transient device-busy latency spike: the
@@ -46,9 +47,10 @@ use parking_lot::Mutex;
 
 use crate::datastore::DataStore;
 
-/// Blocks per corruption-detection segment, matching the slab store's
-/// segment (= lock shard) size so "per-segment corruption" aligns with
-/// a physical allocation unit.
+/// Blocks per corruption-detection segment (8 MiB at 4 KiB LBAs): the
+/// unit a "per-segment corruption" fault covers. It is part of the
+/// fault model, not of any store's layout, and it places every seeded
+/// corruption fault, so changing it moves fault scenarios.
 pub const CORRUPTION_SEGMENT_BLOCKS: u64 = 2048;
 
 /// Default busy-spike penalty when a scenario does not set one (ns).
@@ -63,7 +65,7 @@ pub enum FaultKind {
     WriteError,
     /// Failed DSM deallocate.
     DiscardError,
-    /// Detected corruption covering a whole slab segment.
+    /// Detected corruption covering a whole corruption segment.
     Corruption,
     /// Transient device-busy rejection (retry after the penalty).
     Busy,
@@ -575,7 +577,13 @@ impl DataStore for FaultStore {
         self.inner.write_blocks(lba, data, block_bytes);
     }
 
-    fn fill_blocks(&self, lba: u64, nlb: u64, block_bytes: usize, fill: &dyn Fn(usize, &mut [u8])) {
+    fn fill_blocks(
+        &self,
+        lba: u64,
+        nlb: u64,
+        block_bytes: usize,
+        fill: &(dyn Fn(usize, &mut [u8]) + Sync),
+    ) {
         self.inner.fill_blocks(lba, nlb, block_bytes, fill);
     }
 

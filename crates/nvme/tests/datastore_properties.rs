@@ -22,7 +22,7 @@ use fdpcache_nvme::{DataStore, MemStore};
 
 /// Small blocks keep cases fast while preserving the slot arithmetic.
 const BLOCK: usize = 16;
-/// Spans two segment boundaries (segments are 2048 blocks).
+/// Spans 19 segment boundaries (segments are 256 blocks).
 const LBAS: u64 = 5_000;
 
 /// The reference model: sparse map of written blocks.
