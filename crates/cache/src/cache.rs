@@ -324,10 +324,10 @@ impl HybridCache {
                 Ok(())
             }
             state => {
-                let probing = state == BreakerState::HalfOpen;
-                let before = self.navy.io().stats();
+                // Only a half-open probe reads the I/O snapshot.
+                let probe = (state == BreakerState::HalfOpen).then(|| self.navy.io().stats());
                 self.flash_insert(key, value)?;
-                if probing {
+                if let Some(before) = probe {
                     self.settle_probe(before)?;
                 }
                 Ok(())
@@ -378,10 +378,9 @@ impl HybridCache {
             self.stats.degraded_misses += 1;
             return Ok((GetOutcome::Miss, None));
         }
-        let probing = breaker == BreakerState::HalfOpen;
-        let before = self.navy.io().stats();
+        let probe = (breaker == BreakerState::HalfOpen).then(|| self.navy.io().stats());
         let found = self.navy.lookup(key)?;
-        if probing {
+        if let Some(before) = probe {
             self.settle_probe(before)?;
         }
         match found {

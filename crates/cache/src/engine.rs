@@ -447,12 +447,17 @@ mod tests {
     use super::*;
     use fdpcache_core::SharedController;
     use fdpcache_ftl::FtlConfig;
-    use fdpcache_nvme::{Controller, MemStore};
+    use fdpcache_nvme::{Controller, DataStore, MemStore};
 
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
     fn engine() -> NavyEngine {
-        let ctrl = Controller::new(FtlConfig::tiny_test(), Box::new(MemStore::new())).unwrap();
+        engine_over(Box::new(MemStore::new()))
+    }
+
+    fn engine_over(store: Box<dyn DataStore>) -> NavyEngine {
+        let ctrl = Controller::new(FtlConfig::tiny_test(), store).unwrap();
         let blocks = ctrl.unallocated_lbas();
         let nsid = ctrl.create_namespace(blocks, vec![0, 1]).unwrap();
         let shared: SharedController = Arc::new(ctrl);
@@ -531,6 +536,105 @@ mod tests {
         assert!(!e.remove(3).unwrap());
         assert!(e.lookup(1).unwrap().is_none());
         assert!(e.lookup(2).unwrap().is_none());
+    }
+
+    /// A [`MemStore`] that counts payload loads: every
+    /// `read_block`/`read_blocks` call, the transfers a charged read
+    /// skips.
+    struct CountingStore {
+        inner: MemStore,
+        loads: Arc<AtomicU64>,
+    }
+
+    impl DataStore for CountingStore {
+        fn attach(&self, exported_lbas: u64, lba_bytes: u32) {
+            self.inner.attach(exported_lbas, lba_bytes);
+        }
+        fn write_block(&self, lba: u64, data: &[u8]) {
+            self.inner.write_block(lba, data);
+        }
+        fn read_block(&self, lba: u64, out: &mut [u8]) -> bool {
+            self.loads.fetch_add(1, Ordering::Relaxed);
+            self.inner.read_block(lba, out)
+        }
+        fn discard(&self, lba: u64) {
+            self.inner.discard(lba);
+        }
+        fn retains_data(&self) -> bool {
+            self.inner.retains_data()
+        }
+        fn write_blocks(&self, lba: u64, data: &[u8], block_bytes: usize) {
+            self.inner.write_blocks(lba, data, block_bytes);
+        }
+        fn fill_blocks(
+            &self,
+            lba: u64,
+            nlb: u64,
+            block_bytes: usize,
+            fill: &(dyn Fn(usize, &mut [u8]) + Sync),
+        ) {
+            self.inner.fill_blocks(lba, nlb, block_bytes, fill);
+        }
+        fn read_blocks(&self, lba: u64, out: &mut [u8], block_bytes: usize) {
+            self.loads.fetch_add(1, Ordering::Relaxed);
+            self.inner.read_blocks(lba, out, block_bytes);
+        }
+        fn discard_blocks(&self, lba: u64, count: u64) {
+            self.inner.discard_blocks(lba, count);
+        }
+    }
+
+    #[test]
+    fn hits_charge_their_read_but_only_checks_load_bytes() {
+        let loads = Arc::new(AtomicU64::new(0));
+        let store = CountingStore { inner: MemStore::new(), loads: loads.clone() };
+        let mut e = engine_over(Box::new(store));
+        let loads = || loads.load(Ordering::Relaxed);
+        // Key 1 in the SOC; keys 10.. of 10 000 bytes fill LOC region
+        // 0 (16 blocks) and seal it, key 10 at its start.
+        e.insert(1, Value::synthetic(100)).unwrap();
+        for k in 10..20u64 {
+            e.insert(k, Value::synthetic(10_000)).unwrap();
+        }
+        assert!(e.loc().stats().seals >= 1);
+
+        // A SOC hit and a sealed LOC hit: one charged read each, with
+        // the bytes of a bucket page and of the three covering blocks,
+        // and no payload load.
+        let hit = |e: &mut NavyEngine, key, source, len, bytes| {
+            let (io, n) = (e.io().stats(), loads());
+            let (v, src) = e.lookup(key).unwrap().unwrap();
+            assert_eq!((src, v.len()), (source, len));
+            let after = e.io().stats();
+            assert_eq!(after.reads, io.reads + 1, "key {key}: one device read");
+            assert_eq!(after.bytes_read, io.bytes_read + bytes, "key {key}: bytes charged");
+            assert_eq!(loads(), n, "key {key}: a hit loads no payload");
+        };
+        hit(&mut e, 1, NvmSource::Soc, 100, 4096);
+        hit(&mut e, 10, NvmSource::Loc, 10_000, 3 * 4096);
+
+        // Verification loads and compares: a bucket, then an object.
+        let n = loads();
+        assert_eq!(e.verify_key(1).unwrap(), FlashVerify::Verified);
+        assert_eq!(e.verify_key(10).unwrap(), FlashVerify::Verified);
+        assert_eq!(loads(), n + 2);
+        let garbage = vec![0xEEu8; 4096];
+        let soc_block = e.soc().bucket_block(e.soc().bucket_index(1));
+        let loc_block = e.loc().region_start_block(0);
+        e.io_mut().write(soc_block, &garbage, PlacementHandle::with_dspec(0)).unwrap();
+        e.io_mut().write(loc_block, &garbage, PlacementHandle::with_dspec(1)).unwrap();
+        assert_eq!(e.verify_key(1).unwrap(), FlashVerify::Mismatch);
+        assert_eq!(e.verify_key(10).unwrap(), FlashVerify::Mismatch);
+
+        // The patrol scrub on a data-retaining store loads every page it
+        // counts — the repair's read-modify-write read is only charged —
+        // and its comparison finds both corruptions.
+        let n = loads();
+        let (pages, repairs) = e.scrub(u64::MAX).unwrap();
+        assert_eq!(repairs, 2);
+        assert_eq!(loads(), n + pages, "every scrubbed page is a load");
+        assert_eq!(e.verify_key(1).unwrap(), FlashVerify::Verified);
+        assert_eq!(e.verify_key(10).unwrap(), FlashVerify::Verified);
     }
 
     #[test]

@@ -261,8 +261,10 @@ pub struct Loc {
     /// Next seal sequence number (resumes past the recovered maximum).
     next_seal_seq: u64,
     stats: LocStats,
-    /// Reusable block-aligned buffer for sealed-object device reads —
-    /// lookups must not pay a heap allocation per hit (DESIGN.md §5.3).
+    /// Reusable block-aligned buffer for the sealed-object reads whose
+    /// bytes are compared — scrub, verification and `read_raw` — so
+    /// none pays a heap allocation per read. Lookups copy no bytes: their
+    /// read is charged only (DESIGN.md §5.3).
     read_scratch: Vec<u8>,
     /// Reusable slot-sized buffer footers are serialized into (seals,
     /// rewrites and retirements alike — DESIGN.md §5.3). Arbitrary
@@ -521,6 +523,21 @@ impl Loc {
         Ok((entries.len() == total).then_some((seq, entries)))
     }
 
+    /// The blocks covering an index entry's object: the first block,
+    /// their length in bytes, and the object's byte range within them.
+    fn covering_blocks(&self, entry: &IndexEntry) -> (u64, usize, std::ops::Range<usize>) {
+        let block_bytes = self.block_bytes as u64;
+        let first_block = entry.offset as u64 / block_bytes;
+        let last_byte = entry.offset as u64 + entry.value.len().max(1) as u64 - 1;
+        let nblocks = last_byte / block_bytes - first_block + 1;
+        let start = entry.offset as usize - (first_block * block_bytes) as usize;
+        (
+            self.region_block(entry.region) + first_block,
+            (nblocks * block_bytes) as usize,
+            start..start + entry.value.len(),
+        )
+    }
+
     /// The covering-block read for an index entry: grows the reusable
     /// scratch buffer as needed (amortized to zero allocations) and
     /// reads the covering blocks from the device, returning the byte
@@ -530,17 +547,25 @@ impl Loc {
         io: &mut IoManager,
         entry: &IndexEntry,
     ) -> Result<std::ops::Range<usize>, CacheError> {
-        let block_bytes = self.block_bytes as u64;
-        let first_block = entry.offset as u64 / block_bytes;
-        let last_byte = entry.offset as u64 + entry.value.len().max(1) as u64 - 1;
-        let nblocks = last_byte / block_bytes - first_block + 1;
-        let need = (nblocks * block_bytes) as usize;
+        let (block, need, range) = self.covering_blocks(entry);
         if self.read_scratch.len() < need {
             self.read_scratch.resize(need, 0);
         }
-        io.read(self.region_block(entry.region) + first_block, &mut self.read_scratch[..need])?;
-        let start = entry.offset as usize - (first_block * block_bytes) as usize;
-        Ok(start..start + entry.value.len())
+        io.read(block, &mut self.read_scratch[..need])?;
+        Ok(range)
+    }
+
+    /// The covering-block read charged without its transfer
+    /// ([`IoManager::read_charged`]): the same device cost and faults
+    /// as [`Loc::read_covering_blocks`], no bytes copied.
+    fn charge_covering_blocks(
+        &self,
+        io: &mut IoManager,
+        entry: &IndexEntry,
+    ) -> Result<(), CacheError> {
+        let (block, need, _) = self.covering_blocks(entry);
+        io.read_charged(block, need)?;
+        Ok(())
     }
 
     /// Number of regions.
@@ -1044,8 +1069,9 @@ impl Loc {
 
     /// Looks up an object. Objects still in the active buffer are served
     /// from memory (as CacheLib serves in-flight regions); sealed objects
-    /// cost a device read of the covering blocks into the reusable
-    /// scratch buffer.
+    /// cost a charged device read of the covering blocks — virtual time,
+    /// NAND reads, faults and `bytes_read`, with no bytes copied
+    /// ([`IoManager::read_charged`]).
     ///
     /// The returned value is the authoritative indexed one, handed back
     /// **zero-copy**: cloning a `Value::Real` bumps the shared
@@ -1066,17 +1092,16 @@ impl Loc {
         let Some(entry) = self.index.get(&key).cloned() else {
             return Ok(None);
         };
-        // Read the covering blocks for real device timing (scratch
-        // buffer reuse: no per-lookup allocation). An injected fault on
-        // this read demotes the lookup to a miss and triggers a
-        // targeted repair-write (DESIGN.md §6): a transient busy spike
-        // gets one immediate retry first.
-        match self.read_covering_blocks(io, &entry) {
-            Ok(_) => {}
+        // Charge the covering-block read for real device timing. An
+        // injected fault on this read demotes the lookup to a miss and
+        // triggers a targeted repair-write (DESIGN.md §6): a transient
+        // busy spike gets one immediate retry first.
+        match self.charge_covering_blocks(io, &entry) {
+            Ok(()) => {}
             Err(e) if e.is_injected_fault() => {
                 let recovered = e.is_busy()
-                    && match self.read_covering_blocks(io, &entry) {
-                        Ok(_) => true,
+                    && match self.charge_covering_blocks(io, &entry) {
+                        Ok(()) => true,
                         Err(e2) if e2.is_injected_fault() => false,
                         // Non-injected retry errors are caller bugs and
                         // must surface, never be masked as a miss.
@@ -1096,9 +1121,9 @@ impl Loc {
             Err(e) => return Err(e),
         }
         self.stats.hits += 1;
-        // With a data-retaining store the scratch bytes equal the
-        // materialized value (verified in tests); the authoritative value
-        // is returned either way.
+        // The authoritative value is returned; the bytes on flash match
+        // it on a data-retaining store ([`Loc::verify_object`] and the
+        // patrol scrub compare them).
         Ok(Some(entry.value))
     }
 
@@ -1190,8 +1215,16 @@ impl Loc {
                 continue;
             }
             pages += 1;
-            let intact = match self.read_covering_blocks(io, &entry) {
-                Ok(range) => !retains || self.read_scratch[range] == entry.value.to_bytes(key)[..],
+            // A payload-free store has no bytes to compare: its patrol
+            // read is only charged.
+            let read = if retains {
+                self.read_covering_blocks(io, &entry)
+                    .map(|range| self.read_scratch[range] == entry.value.to_bytes(key)[..])
+            } else {
+                self.charge_covering_blocks(io, &entry).map(|()| true)
+            };
+            let intact = match read {
+                Ok(intact) => intact,
                 Err(e) if e.is_injected_fault() => {
                     self.stats.read_faults += 1;
                     false

@@ -202,8 +202,9 @@ thread_local! {
 /// SOC's page: every reader overwrites the whole page,
 /// [`Soc::serialize_bucket`] zeroes what it does not write, and
 /// [`Soc::splice`] only ever edits a page the RMW read just filled. A
-/// nested call (or one after `f` panicked) finds the slot empty and
-/// allocates afresh.
+/// page is written unfilled only to a store that retains no payload,
+/// which drops the bytes. A nested call (or one after `f` panicked)
+/// finds the slot empty and allocates afresh.
 fn with_page<R>(bytes: u32, f: impl FnOnce(&mut [u8]) -> R) -> R {
     let mut page = PAGE.take();
     page.resize(bytes as usize, 0);
@@ -484,7 +485,10 @@ impl Soc {
 
     /// The read-modify-write read: a real SOC must fetch the page
     /// before modifying it, so every rewrite of an existing page issues
-    /// it. Returns whether `page` now holds what the device returned.
+    /// it. With `page` the bytes land there (inserts and removes on a
+    /// data-retaining store splice them); without, the read is charged
+    /// but copies nothing ([`IoManager::read_charged`]). Returns whether
+    /// the device returned the page.
     ///
     /// Recovery (DESIGN.md §6): an injected fault is absorbed after one
     /// retry — the authoritative entry list lives in memory, so a
@@ -494,16 +498,21 @@ impl Soc {
         &mut self,
         io: &mut IoManager,
         bucket: u64,
-        page: &mut [u8],
+        mut page: Option<&mut [u8]>,
     ) -> Result<bool, CacheError> {
         if !self.written[bucket as usize] {
             return Ok(false);
         }
         let block = self.bucket_block(bucket);
-        let mut read = io.read(block, page);
+        let len = self.bucket_bytes as usize;
+        let mut device_read = |io: &mut IoManager| match page.as_deref_mut() {
+            Some(page) => io.read(block, page),
+            None => io.read_charged(block, len),
+        };
+        let mut read = device_read(io);
         if read.as_ref().is_err_and(|e| e.is_injected_fault()) {
             self.stats.read_faults += 1;
-            read = io.read(block, page);
+            read = device_read(io);
         }
         match read {
             Ok(_) => {
@@ -548,16 +557,16 @@ impl Soc {
 
     /// Rewrites the bucket page from the authoritative list alone —
     /// the repair and scrub path, where the page on flash is the thing
-    /// in doubt: the read-modify-write read is issued for its device
-    /// cost ([`Soc::rmw_read`]) and its bytes are not used; the page is
-    /// built from scratch ([`Soc::serialize_bucket`]) and written
-    /// ([`Soc::write_page`]). Inserts and removes, which change the
-    /// list, edit the page they read instead ([`Soc::splice`]). The
+    /// in doubt: the read-modify-write read is charged for its device
+    /// cost ([`Soc::rmw_read`] without a page) and copies no bytes; the
+    /// page is built from scratch ([`Soc::serialize_bucket`]) and
+    /// written ([`Soc::write_page`]). Inserts and removes, which change
+    /// the list, edit the page they read instead ([`Soc::splice`]). The
     /// bloom filter is untouched: a rewrite alone never changes the
     /// list.
     fn rewrite_bucket(&mut self, io: &mut IoManager, bucket: u64) -> Result<(), CacheError> {
+        self.rmw_read(io, bucket, None)?;
         with_page(self.bucket_bytes, |page| {
-            self.rmw_read(io, bucket, page)?;
             if io.retains_data() {
                 Self::serialize_bucket(&mut self.buckets[bucket as usize], page);
             }
@@ -643,7 +652,7 @@ impl Soc {
         page: &mut [u8],
     ) -> Result<u64, CacheError> {
         let retains = io.retains_data();
-        let old_page = self.rmw_read(io, bucket, page)? && retains;
+        let old_page = self.rmw_read(io, bucket, retains.then_some(&mut *page))? && retains;
         let usable = self.usable_bucket_bytes();
         let Walk { used, hit, spliceable } =
             walk(&self.buckets[bucket as usize], new.key, old_page.then_some(&*page));
@@ -701,14 +710,15 @@ impl Soc {
     }
 
     /// Looks up an object. A bloom reject answers without touching
-    /// flash; otherwise the bucket page is read (real I/O cost) and the
-    /// authoritative list is consulted.
+    /// flash; otherwise the bucket page read is charged in full —
+    /// virtual time, NAND read, faults, `bytes_read` — without copying
+    /// the page ([`IoManager::read_charged`]), and the authoritative
+    /// list is consulted.
     ///
     /// A hit hands back the stored value **without touching its
     /// bytes**: for `Value::Real` the clone below is a refcount bump on
     /// the shared `Arc<[u8]>`, for `Value::Synthetic` it copies a
-    /// length. The page read into the thread's page buffer is the only
-    /// byte traffic.
+    /// length. A lookup moves no payload bytes at all.
     ///
     /// # Errors
     ///
@@ -722,11 +732,12 @@ impl Soc {
         }
         if self.written[bucket as usize] {
             let block = self.bucket_block(bucket);
-            let res = with_page(self.bucket_bytes, |page| match io.read(block, page) {
+            let len = self.bucket_bytes as usize;
+            let res = match io.read_charged(block, len) {
                 // Transient busy: one immediate retry.
-                Err(e) if e.is_busy() => io.read(block, page),
+                Err(e) if e.is_busy() => io.read_charged(block, len),
                 res => res,
-            });
+            };
             match res {
                 Ok(_) => {}
                 Err(e) if e.is_injected_fault() => {
@@ -800,7 +811,7 @@ impl Soc {
         page: &mut [u8],
     ) -> Result<(), CacheError> {
         let retains = io.retains_data();
-        let old_page = self.rmw_read(io, bucket, page)? && retains;
+        let old_page = self.rmw_read(io, bucket, retains.then_some(&mut *page))? && retains;
         let Walk { used, hit, spliceable } =
             walk(&self.buckets[bucket as usize], key, old_page.then_some(&*page));
         // Debug builds cross-check every splice of an exact old page.
@@ -875,9 +886,8 @@ impl Soc {
             }
         } else {
             // Payload-free store: the patrol read can detect injected
-            // faults but has no bytes to compare.
-            let block = self.bucket_block(bucket);
-            match with_page(self.bucket_bytes, |page| io.read(block, page)) {
+            // faults but has no bytes to compare, so it is only charged.
+            match io.read_charged(self.bucket_block(bucket), self.bucket_bytes as usize) {
                 Ok(_) => true,
                 Err(e) if e.is_injected_fault() => {
                     self.stats.read_faults += 1;
@@ -904,8 +914,7 @@ impl Soc {
                         Err(e) => return Err(e),
                     }
                 } else {
-                    let block = self.bucket_block(bucket);
-                    match with_page(self.bucket_bytes, |page| io.read(block, page)) {
+                    match io.read_charged(self.bucket_block(bucket), self.bucket_bytes as usize) {
                         Ok(_) => true,
                         Err(e) if e.is_injected_fault() => {
                             self.stats.read_faults += 1;

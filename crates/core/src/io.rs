@@ -504,8 +504,31 @@ impl IoManager {
     ///
     /// Propagates controller validation/FTL errors.
     pub fn read(&mut self, block: u64, out: &mut [u8]) -> Result<u64, NvmeError> {
-        match self.ctrl.read_ns(&self.ns, block, out) {
-            Ok(service_ns) => Ok(self.finish_command(Command::Read, service_ns, out.len() as u64)),
+        let res = self.ctrl.read_ns(&self.ns, block, out);
+        self.complete_read(res, out.len())
+    }
+
+    /// A charged read of `len` bytes at `block`: everything
+    /// [`IoManager::read`] does — fault gate, media accounting, GC
+    /// interference, queue completion, histograms, [`IoStats`]
+    /// (`bytes_read` included) and health — except the payload
+    /// transfer ([`Controller::read_charged_ns`]). For reads whose bytes
+    /// nobody inspects, such as a cache hit served from the in-memory
+    /// index. Returns the observed latency (ns).
+    ///
+    /// # Errors
+    ///
+    /// Exactly those of [`IoManager::read`] over a `len`-byte buffer.
+    pub fn read_charged(&mut self, block: u64, len: usize) -> Result<u64, NvmeError> {
+        let res = self.ctrl.read_charged_ns(&self.ns, block, len);
+        self.complete_read(res, len)
+    }
+
+    /// Completes a read of `len` bytes through the per-command step, or
+    /// its failure through [`IoManager::fail_command`].
+    fn complete_read(&mut self, res: Result<u64, NvmeError>, len: usize) -> Result<u64, NvmeError> {
+        match res {
+            Ok(service_ns) => Ok(self.finish_command(Command::Read, service_ns, len as u64)),
             Err(e) => Err(self.fail_command(e)),
         }
     }
@@ -980,6 +1003,84 @@ mod tests {
         assert_eq!(io.stats().health.busys, 1);
         assert_eq!(io.health(), HealthState::Healthy);
         ctrl.with_ftl(|f| f.check_invariants());
+    }
+
+    #[test]
+    fn charged_reads_match_transferring_reads_in_everything_but_the_bytes() {
+        use fdpcache_nvme::{FaultConfig, FaultStore};
+        // Two identical devices with every read-side fault kind live:
+        // one twin transfers each read's payload, the other only
+        // charges it. Writes churn a 96-block window of a 256-block
+        // namespace so GC runs and leaves backlog for the reads to
+        // absorb; blocks 224.. are never written.
+        let twin = || {
+            let faults = FaultConfig {
+                seed: 7,
+                read_err_ppm: 40_000,
+                corruption_ppm: 100_000,
+                busy_ppm: 50_000,
+                ..Default::default()
+            };
+            let cfg = FtlConfig {
+                latency: fdpcache_nand::LatencyModel::default(),
+                ..FtlConfig::tiny_test()
+            };
+            let store = FaultStore::new(Box::new(MemStore::new()), faults);
+            let ctrl = Arc::new(Controller::new(cfg, Box::new(store)).unwrap());
+            let nsid = ctrl.create_namespace(256, vec![0, 1]).unwrap();
+            let mut io = IoManager::new(ctrl.clone(), nsid, 2).unwrap();
+            io.set_queue_depth(2);
+            (ctrl, io)
+        };
+        let (ctrl_t, mut transfer) = twin();
+        let (ctrl_c, mut charged) = twin();
+        let data = vec![0xA5u8; 2 * 4096];
+        let mut out = vec![0u8; 4 * 4096];
+        let mut outcomes = [0u64; 3];
+        for i in 0..2000u64 {
+            let block = (i * 37) % 96;
+            let w_t = transfer.write(block, &data, PlacementHandle::with_dspec(1));
+            let w_c = charged.write(block, &data, PlacementHandle::with_dspec(1));
+            assert_eq!(w_t, w_c, "write {i}");
+            // Reads of 1..=4 blocks across the written window, the
+            // never-written tail and the namespace end, plus a
+            // misaligned length every so often.
+            let (block, len) = match i % 10 {
+                7 => (224 + i % 32, 4096),
+                8 => (254, 3 * 4096),
+                9 => (i % 96, 100),
+                _ => ((i * 13) % 96, (1 + i as usize % 4) * 4096),
+            };
+            let r_t = transfer.read(block, &mut out[..len]);
+            let r_c = charged.read_charged(block, len);
+            assert_eq!(r_t, r_c, "read {i} of {len} bytes at {block}");
+            outcomes[match &r_t {
+                Ok(_) => 0,
+                Err(e) if e.is_injected_fault() => 1,
+                Err(_) => 2,
+            }] += 1;
+            assert_eq!(transfer.now_ns(), charged.now_ns(), "queue clock after read {i}");
+        }
+        assert!(outcomes.iter().all(|&n| n > 0), "every outcome kind exercised: {outcomes:?}");
+        transfer.flush();
+        charged.flush();
+        assert_eq!(transfer.now_ns(), charged.now_ns());
+        assert_eq!(transfer.stats(), charged.stats());
+        assert!(transfer.stats().bytes_read > 0);
+        let (h_t, h_c) = (transfer.read_latency(), charged.read_latency());
+        assert_eq!((h_t.count(), h_t.sum(), h_t.max()), (h_c.count(), h_c.sum(), h_c.max()));
+        assert_eq!((h_t.p50(), h_t.p99()), (h_c.p50(), h_c.p99()));
+        assert_eq!(transfer.namespace().stats(), charged.namespace().stats());
+        assert_eq!(ctrl_t.with_ftl(|f| f.stats()), ctrl_c.with_ftl(|f| f.stats()));
+        assert!(ctrl_t.with_ftl(|f| f.stats()).gc_runs > 0, "the churn must run GC");
+        let nand_reads = |c: &Controller| c.with_ftl(|f| f.nand_stats().pages_read);
+        assert_eq!(nand_reads(&ctrl_t), nand_reads(&ctrl_c));
+        assert_eq!(ctrl_t.fault_totals(), ctrl_c.fault_totals());
+        let totals = ctrl_t.fault_totals();
+        assert!(
+            totals.busy_events > 0 && totals.read_errors > 0 && totals.corruption_errors > 0,
+            "every read-side fault kind fired: {totals:?}"
+        );
     }
 
     #[test]

@@ -754,8 +754,11 @@ impl Controller {
         self.read_ns(&*self.open_checked(nsid)?, slba, out)
     }
 
-    /// Reads through an opened namespace. Mapping checks and timing run
-    /// under the media lock; payload loads run after it is released.
+    /// Reads through an opened namespace: the media step (validation,
+    /// fault gate, FTL read and namespace counters — all of
+    /// [`Controller::read_charged_ns`]), then the payload load into
+    /// `out`. Mapping checks and timing run under the media lock; the
+    /// payload load runs after it is released.
     ///
     /// If the backing store does not retain payloads ([`crate::NullStore`])
     /// the buffer is zero-filled but timing/accounting still happen.
@@ -769,7 +772,46 @@ impl Controller {
         slba: u64,
         out: &mut [u8],
     ) -> Result<u64, NvmeError> {
-        let (dev_start, nlb) = self.validate_io(&state.ns, slba, out.len())?;
+        let (dev_start, total_ns) = self.read_media(state, slba, out.len())?;
+        // Payload loads run outside the media lock as one vectored
+        // transfer; the store zero-fills unbacked blocks itself (the
+        // slab serves them straight from its pre-zeroed pages). Non-goal
+        // (DESIGN.md §5): a read racing a deallocate of the same LBA may
+        // zero-fill — no client issues that pattern (trim traffic comes
+        // from each namespace's own single-threaded engine).
+        self.store.read_blocks(dev_start, out, self.lba_bytes as usize);
+        Ok(total_ns)
+    }
+
+    /// A charged read of `len` bytes at `slba`: the media step of
+    /// [`Controller::read_ns`] alone — the same validation, fault gate,
+    /// FTL read, NAND accounting and namespace counters (`bytes_read`
+    /// included) — with no payload load. For reads whose bytes nobody
+    /// inspects (DESIGN.md §5.3); returns the media service time.
+    ///
+    /// # Errors
+    ///
+    /// Exactly those of [`Controller::read_ns`] over a `len`-byte buffer.
+    pub fn read_charged_ns(
+        &self,
+        state: &NamespaceState,
+        slba: u64,
+        len: usize,
+    ) -> Result<u64, NvmeError> {
+        self.read_media(state, slba, len).map(|(_, total_ns)| total_ns)
+    }
+
+    /// The media step every read takes: validates a `len`-byte read,
+    /// passes the fault-plan gate, reads the mapping under the media
+    /// lock and counts the command. Returns the device start LBA and the
+    /// media service time.
+    fn read_media(
+        &self,
+        state: &NamespaceState,
+        slba: u64,
+        len: usize,
+    ) -> Result<(u64, u64), NvmeError> {
+        let (dev_start, nlb) = self.validate_io(&state.ns, slba, len)?;
         // Fault-plan gate: an injected read failure (media error,
         // segment corruption, busy spike) completes with an error
         // status before any media accounting or payload load.
@@ -780,16 +822,9 @@ impl Controller {
             fdpcache_ftl::FtlError::Unmapped(l) => NvmeError::Unwritten(l),
             other => NvmeError::Ftl(other),
         })?;
-        // Payload loads run outside the media lock as one vectored
-        // transfer; the store zero-fills unbacked blocks itself (the
-        // slab serves them straight from its pre-zeroed pages). Non-goal
-        // (DESIGN.md §5): a read racing a deallocate of the same LBA may
-        // zero-fill — no client issues that pattern (trim traffic comes
-        // from each namespace's own single-threaded engine).
-        self.store.read_blocks(dev_start, out, self.lba_bytes as usize);
         state.counters.reads.fetch_add(1, Ordering::Relaxed);
-        state.counters.bytes_read.fetch_add(out.len() as u64, Ordering::Relaxed);
-        Ok(total_ns)
+        state.counters.bytes_read.fetch_add(len as u64, Ordering::Relaxed);
+        Ok((dev_start, total_ns))
     }
 
     /// Deallocates the given ranges (DSM). Unwritten LBAs are skipped.
