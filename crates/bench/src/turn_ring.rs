@@ -1,4 +1,4 @@
-//! The deterministic turn ring the chaos and fleet gates schedule on:
+//! The deterministic turn ring the chaos gate schedules on:
 //! stream position `p` executes only after every earlier position has
 //! completed, whichever worker owns it, so a shared device sees
 //! commands in exact stream order at any worker count.
@@ -7,9 +7,9 @@
 //! (`fdpcache_workloads::run_pool_round`) keeps per-shard *counters*
 //! invariant but not the per-shard clock frontier: the shared FTL charges GC and reclaim-unit switches to
 //! whichever shard's command trips them, which depends on thread
-//! interleaving. The gates pin breaker transitions and sojourn times to
-//! exact virtual times across reruns and worker counts, so they
-//! schedule deterministically and measure no wall-clock scaling.
+//! interleaving. The chaos gate pins breaker transitions to exact
+//! virtual times across reruns and worker counts, so it schedules
+//! deterministically and measures no wall-clock scaling.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

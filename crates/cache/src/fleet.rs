@@ -21,12 +21,12 @@
 //! [`Controller::health_report_with`](fdpcache_nvme::Controller)
 //! classifies it `Failing` under the router's [`HealthConfig`]
 //! thresholds (a serving tier typically evicts at a tighter rate than
-//! the degraded-mode ladder), or while it is administratively retired.
+//! the degraded-mode ladder).
 //! Health queries read cumulative counters only — routing is a pure
 //! function of (key, ring, device health), so replays that serialize
 //! device commands deterministically route deterministically.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use fdpcache_core::SharedController;
 use fdpcache_nvme::{HealthConfig, HealthReport, HealthState};
@@ -53,8 +53,6 @@ fn ring_hash(x: u64) -> u64 {
 pub struct HashRing {
     /// `(point, device)` sorted by point.
     points: Vec<(u64, usize)>,
-    devices: usize,
-    vnodes: usize,
 }
 
 impl HashRing {
@@ -82,17 +80,7 @@ impl HashRing {
             })
             .collect();
         points.sort_unstable();
-        HashRing { points, devices, vnodes }
-    }
-
-    /// Number of devices on the ring.
-    pub fn devices(&self) -> usize {
-        self.devices
-    }
-
-    /// Virtual nodes per device.
-    pub fn vnodes(&self) -> usize {
-        self.vnodes
+        HashRing { points }
     }
 
     /// The device `key` routes to when every device serves.
@@ -136,7 +124,7 @@ pub struct DeviceRouteStats {
     /// Ops routed to the device.
     pub routed: u64,
     /// Ops that *preferred* this device but were routed elsewhere
-    /// because it was not serving (failing or retired).
+    /// because it was classified `Failing`.
     pub failed_over: u64,
 }
 
@@ -155,7 +143,6 @@ pub struct FleetRouter {
     ring: HashRing,
     health: HealthConfig,
     counters: Vec<DeviceCounters>,
-    retired: Vec<AtomicBool>,
 }
 
 /// Default virtual nodes per device. Per-device share spread scales as
@@ -185,23 +172,7 @@ impl FleetRouter {
         }
         let ring = HashRing::new(devices.len(), vnodes);
         let counters = devices.iter().map(|_| DeviceCounters::default()).collect();
-        let retired = devices.iter().map(|_| AtomicBool::new(false)).collect();
-        Ok(FleetRouter { devices, ring, health, counters, retired })
-    }
-
-    /// Number of devices (serving or not).
-    pub fn len(&self) -> usize {
-        self.devices.len()
-    }
-
-    /// Whether the fleet is empty (never true after construction).
-    pub fn is_empty(&self) -> bool {
-        self.devices.is_empty()
-    }
-
-    /// The ring (for tests and rebalancing math).
-    pub fn ring(&self) -> &HashRing {
-        &self.ring
+        Ok(FleetRouter { devices, ring, health, counters })
     }
 
     /// The device at `idx`.
@@ -213,24 +184,14 @@ impl FleetRouter {
         &self.devices[idx]
     }
 
-    /// Administratively removes a device from rotation (planned
-    /// decommission — health-based eviction is automatic).
-    pub fn retire(&self, idx: usize) {
-        if let Some(r) = self.retired.get(idx) {
-            r.store(true, Ordering::Release);
-        }
-    }
-
     /// The device's cumulative health under the router's thresholds.
     pub fn health_of(&self, idx: usize) -> HealthReport {
         self.devices[idx].ctrl.health_report_with(&self.health)
     }
 
-    /// Whether the device currently serves: not retired and not
-    /// classified `Failing`.
+    /// Whether the device currently serves: not classified `Failing`.
     pub fn serving(&self, idx: usize) -> bool {
-        !self.retired[idx].load(Ordering::Acquire)
-            && self.health_of(idx).state != HealthState::Failing
+        self.health_of(idx).state != HealthState::Failing
     }
 
     /// Routes `key` to its serving device, recording per-device stats

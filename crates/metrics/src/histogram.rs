@@ -123,9 +123,8 @@ impl Histogram {
 
     /// Value at the given percentile (0.0–100.0), or `None` for an
     /// empty histogram — the caller-facing distinction between "the
-    /// p99 is 0 ns" and "there were no samples to rank", which SLO
-    /// reporting must keep apart (a tenant admitted zero ops during a
-    /// window reports *absent*, never a fabricated zero).
+    /// p99 is 0 ns" and "there were no samples to rank" (a window with
+    /// zero samples reports *absent*, never a fabricated zero).
     pub fn try_percentile(&self, p: f64) -> Option<u64> {
         if self.count == 0 {
             None
@@ -221,10 +220,10 @@ mod tests {
         assert_eq!(h.mean(), 0.0);
     }
 
-    /// Regression (SLO tracker dependency): empty and low-sample
-    /// histograms must never rank garbage — `try_percentile` reports
-    /// absence for zero samples, agrees with `percentile` otherwise,
-    /// and a lone sample answers every percentile with itself.
+    /// Regression: empty and low-sample histograms must never rank
+    /// garbage — `try_percentile` reports absence for zero samples,
+    /// agrees with `percentile` otherwise, and a lone sample answers
+    /// every percentile with itself.
     #[test]
     fn empty_and_low_sample_percentiles_are_sane() {
         let h = Histogram::new();

@@ -26,29 +26,22 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-pub mod arrivals;
 pub mod concurrent;
 pub mod faults;
 pub mod oracle;
 pub mod profiles;
 pub mod replay;
 pub mod sizes;
-pub mod tenants;
 pub mod trace;
 pub mod tracefile;
 pub mod zipf;
 
-pub use arrivals::{ArrivalProcess, BurstWindow, RateShape};
 pub use concurrent::{run_pool_round, PoolWorkerReport};
 pub use faults::{ChaosPhase, ChaosStorm, FaultScenario};
 pub use oracle::Oracle;
 pub use profiles::WorkloadProfile;
 pub use replay::{serve, ExperimentResult, ReplayConfig, Replayer, Tenant};
 pub use sizes::SizeDist;
-pub use tenants::{
-    AdmissionBudget, SloTarget, TenantCatalog, TenantSloSummary, TenantSloTracker, TenantSpec,
-    TokenBucket,
-};
 pub use trace::{Op, Request, TraceGen};
 pub use tracefile::{FileReplay, RequestSource, TraceReader, TraceWriter};
 pub use zipf::Zipf;

@@ -73,7 +73,8 @@ fn tenant_engines_map_to_disjoint_device_ruhs() {
 
 #[test]
 fn shared_device_dlwa_benefits_from_per_tenant_segregation() {
-    fn run(fdp: bool) -> f64 {
+    /// Returns the run's DLWA and host bytes written.
+    fn run(fdp: bool) -> (f64, u64) {
         let ctrl = build_device(FtlConfig::tiny_test(), StoreKind::Null, fdp).unwrap();
         let ns_a = create_namespace(&ctrl, 0.5, vec![0, 1]).unwrap();
         let ns_b = create_namespace(&ctrl, 1.0, vec![2, 3]).unwrap();
@@ -94,10 +95,19 @@ fn shared_device_dlwa_benefits_from_per_tenant_segregation() {
                 Err(e) => panic!("{e}"),
             }
         }
-        ctrl.fdp_stats_log().dlwa()
+        let log = ctrl.fdp_stats_log();
+        (log.dlwa(), log.host_bytes_written)
     }
-    let with_fdp = run(true);
-    let without = run(false);
+    let (with_fdp, fdp_host_bytes) = run(true);
+    let (without, _) = run(false);
+    // The absolute bound means something only once the host has
+    // written the whole exported device at least once.
+    let exported = FtlConfig::tiny_test().exported_bytes();
+    assert!(
+        fdp_host_bytes >= exported,
+        "DLWA bound vacuous: host bytes {fdp_host_bytes} < exported bytes {exported}"
+    );
+    assert!(with_fdp <= 1.3, "FDP DLWA {with_fdp:.3} > 1.3 on the shared device");
     assert!(
         with_fdp <= without + 1e-9,
         "per-tenant segregation should not hurt: fdp {with_fdp:.3} vs non {without:.3}"
