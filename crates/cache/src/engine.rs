@@ -447,7 +447,7 @@ mod tests {
     use super::*;
     use fdpcache_core::SharedController;
     use fdpcache_ftl::FtlConfig;
-    use fdpcache_nvme::{Controller, DataStore, MemStore};
+    use fdpcache_nvme::{Controller, DataStore, FillSource, MemStore};
 
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
@@ -538,12 +538,22 @@ mod tests {
         assert!(e.lookup(2).unwrap().is_none());
     }
 
-    /// A [`MemStore`] that counts payload loads: every
+    /// A [`MemStore`] that counts payload loads — every
     /// `read_block`/`read_blocks` call, the transfers a charged read
-    /// skips.
+    /// skips — and the bytes its sources make.
     struct CountingStore {
         inner: MemStore,
         loads: Arc<AtomicU64>,
+        made: Arc<AtomicU64>,
+    }
+
+    impl CountingStore {
+        fn new() -> (Self, Arc<AtomicU64>, Arc<AtomicU64>) {
+            let (loads, made) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+            let store =
+                CountingStore { inner: MemStore::new(), loads: loads.clone(), made: made.clone() };
+            (store, loads, made)
+        }
     }
 
     impl DataStore for CountingStore {
@@ -566,14 +576,20 @@ mod tests {
         fn write_blocks(&self, lba: u64, data: &[u8], block_bytes: usize) {
             self.inner.write_blocks(lba, data, block_bytes);
         }
-        fn fill_blocks(
+        fn write_source(
             &self,
             lba: u64,
             nlb: u64,
             block_bytes: usize,
-            fill: &(dyn Fn(usize, &mut [u8]) + Sync),
+            source: &FillSource,
+            base: usize,
         ) {
-            self.inner.fill_blocks(lba, nlb, block_bytes, fill);
+            let (source, made) = (source.clone(), self.made.clone());
+            let counted: FillSource = Arc::new(move |at, out: &mut [u8]| {
+                made.fetch_add(out.len() as u64, Ordering::Relaxed);
+                source(at, out);
+            });
+            self.inner.write_source(lba, nlb, block_bytes, &counted, base);
         }
         fn read_blocks(&self, lba: u64, out: &mut [u8], block_bytes: usize) {
             self.loads.fetch_add(1, Ordering::Relaxed);
@@ -586,8 +602,7 @@ mod tests {
 
     #[test]
     fn hits_charge_their_read_but_only_checks_load_bytes() {
-        let loads = Arc::new(AtomicU64::new(0));
-        let store = CountingStore { inner: MemStore::new(), loads: loads.clone() };
+        let (store, loads, _) = CountingStore::new();
         let mut e = engine_over(Box::new(store));
         let loads = || loads.load(Ordering::Relaxed);
         // Key 1 in the SOC; keys 10.. of 10 000 bytes fill LOC region
@@ -635,6 +650,23 @@ mod tests {
         assert_eq!(loads(), n + pages, "every scrubbed page is a load");
         assert_eq!(e.verify_key(1).unwrap(), FlashVerify::Verified);
         assert_eq!(e.verify_key(10).unwrap(), FlashVerify::Verified);
+    }
+
+    /// Seals make no byte: the store keeps each region's source, and
+    /// verifying a sealed LOC key makes exactly the blocks covering it.
+    #[test]
+    fn seals_make_no_bytes_until_a_read_asks() {
+        let (store, _, made) = CountingStore::new();
+        let mut e = engine_over(Box::new(store));
+        // Six 10 000-byte objects fill a 16-block region; 36 seal five.
+        for k in 10..46u64 {
+            e.insert(k, Value::synthetic(10_000)).unwrap();
+        }
+        assert!(e.loc().stats().seals >= 5, "{:?}", e.loc().stats());
+        assert_eq!(made.load(Ordering::Relaxed), 0, "sealing regions makes no byte");
+        // Key 12 sits at byte 20 000 of region 0: blocks 4..=7.
+        assert_eq!(e.verify_key(12).unwrap(), FlashVerify::Verified);
+        assert_eq!(made.load(Ordering::Relaxed), 4 * 4096, "only the covering blocks");
     }
 
     #[test]

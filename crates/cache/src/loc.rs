@@ -5,9 +5,9 @@
 //! * the flash space is divided into *regions* (16 MiB default, aligned
 //!   with erase-block/reclaim-unit sizes);
 //! * objects append into an in-memory active region; a full region is
-//!   *sealed* — written to flash sequentially in large chunks, each
-//!   object materialised once, straight into the payload store — and a
-//!   fresh region opens;
+//!   *sealed* — written to flash sequentially in large chunks that
+//!   share one image of the region's objects, whose bytes the payload
+//!   store makes only when they are read — and a fresh region opens;
 //! * when no free region remains, the oldest sealed region is evicted
 //!   (FIFO) and its index entries dropped; the region's blocks are simply
 //!   overwritten by the next seal (no TRIM), exactly like CacheLib —
@@ -35,9 +35,10 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use fdpcache_core::{IoBatch, IoManager, PlacementHandle};
-use fdpcache_nvme::NvmeError;
+use fdpcache_nvme::{FillSource, NvmeError};
 
 use crate::checksum::page_checksum;
 use crate::error::CacheError;
@@ -166,23 +167,23 @@ struct ActiveEntry {
     value: Value,
 }
 
-/// Writes bytes `[at, at + out.len())` of a sealing region into `out`:
-/// the overlapping parts of `objects` (ordered by offset), and zeros
-/// in the gaps superseded or removed objects left and in the tail
-/// padding.
-fn fill_region(objects: &[(Key, &ActiveEntry)], at: usize, out: &mut [u8]) {
+/// Writes bytes `[at, at + out.len())` of a sealed region into `out`:
+/// the overlapping parts of `objects` (`(key, offset, value)`, ordered
+/// by offset), and zeros in the gaps superseded or removed objects
+/// left and in the tail padding.
+fn fill_region(objects: &[(Key, u32, Value)], at: usize, out: &mut [u8]) {
     let end = at + out.len();
-    let first = objects.partition_point(|(_, e)| e.offset as usize + e.value.len() <= at);
+    let first = objects.partition_point(|(_, off, v)| *off as usize + v.len() <= at);
     let mut pos = at;
-    for &(key, e) in &objects[first..] {
-        let off = e.offset as usize;
+    for (key, off, value) in &objects[first..] {
+        let off = *off as usize;
         if off >= end {
             break;
         }
         let from = off.max(pos);
-        let to = (off + e.value.len()).min(end);
+        let to = (off + value.len()).min(end);
         out[pos - at..from - at].fill(0);
-        e.value.materialize_at(key, from - off, &mut out[from - at..to - at]);
+        value.materialize_at(*key, from - off, &mut out[from - at..to - at]);
         pos = to;
     }
     out[pos - at..].fill(0);
@@ -241,7 +242,7 @@ pub struct Loc {
     sealed_fifo: VecDeque<u32>,
     active: Option<u32>,
     /// Bytes of the active region its objects occupy; nothing is
-    /// materialised until the seal writes them.
+    /// materialised until a read of the sealed region asks for it.
     active_fill: usize,
     /// The active buffer's live objects by key (a key's newer copy
     /// replaces its older one): every insert, lookup and remove of
@@ -651,11 +652,14 @@ impl Loc {
     /// chunks pipeline across device lanes; at depth 1 the timing is
     /// bit-identical to the old sequential loop.
     ///
-    /// No region buffer exists: each chunk's write carries a fill
-    /// source ([`IoBatch::write_with`]) over the offset-ordered object
-    /// list, so the payload store materialises the objects straight
-    /// into its pages — one pass over the region's bytes — with the
-    /// gaps and tail padding zeroed. The footer is serialized bytes.
+    /// No region buffer exists, and the seal makes no byte: the region
+    /// is one shared image — its objects as `(key, offset, value)` in
+    /// offset order, values shared, never copied — and each chunk's
+    /// write carries that image as a source ([`IoBatch::write_with`])
+    /// from the chunk's offset on. The payload store keeps the source
+    /// and makes a block's bytes (objects, zeroed gaps and tail
+    /// padding) only when the block is read. The footer is serialized
+    /// bytes.
     ///
     /// Recovery (DESIGN.md §6): an injected device fault fails the
     /// batch all-or-nothing (the controller's fault gate plus FTL
@@ -686,24 +690,23 @@ impl Loc {
         objects.sort_unstable_by_key(|&(_, e)| e.seq);
         let entries: Vec<(Key, u32, u32)> =
             objects.iter().map(|&(k, e)| (k, e.offset, e.value.len() as u32)).collect();
-        let objects = &objects;
+        let image: Vec<(Key, u32, Value)> =
+            objects.iter().map(|&(k, e)| (k, e.offset, e.value.clone())).collect();
+        let source: FillSource = Arc::new(move |at, out| fill_region(&image, at, out));
         let chunk_bytes = chunk_blocks * self.block_bytes as usize;
-        let fills: Vec<_> = (0..payload_bytes.div_ceil(chunk_bytes))
-            .map(|c| {
-                move |at: usize, out: &mut [u8]| fill_region(objects, c * chunk_bytes + at, out)
-            })
-            .collect();
+        let chunks = payload_bytes.div_ceil(chunk_bytes);
         let mut scratch = std::mem::take(&mut self.meta_scratch);
         let footer_blocks = self.serialize_footer(region, seq, &entries, &mut scratch);
         let meta_buf = &scratch[..footer_blocks * self.block_bytes as usize];
         let mut attempt = 1;
         let landed = loop {
             let mut batch =
-                IoBatch::with_capacity(fills.len() + meta_buf.len().div_ceil(SEAL_CHUNK_BYTES));
-            for (c, fill) in fills.iter().enumerate() {
+                IoBatch::with_capacity(chunks + meta_buf.len().div_ceil(SEAL_CHUNK_BYTES));
+            for c in 0..chunks {
                 let block = (c * chunk_blocks) as u64;
                 let nlb = (chunk_blocks as u64).min(self.region_blocks - block);
-                batch.write_with(start_block + block, nlb, fill, self.handle);
+                let base = c * chunk_bytes;
+                batch.write_with(start_block + block, nlb, source.clone(), base, self.handle);
             }
             let meta_start = self.meta_block(region);
             let mut moff = 0usize;

@@ -2,10 +2,14 @@
 //!
 //! Trace replays care about object *sizes*, not contents; storing real
 //! payloads for hundreds of millions of accesses would dwarf the machine.
-//! `Value::Synthetic` carries only a length — when such a value reaches
-//! flash, deterministic filler bytes derived from the key are
-//! materialized so the device sees real full-size writes. `Value::Real`
-//! carries actual bytes for functional tests and examples.
+//! `Value::Synthetic` carries only a length; its flash copy is
+//! deterministic filler derived from the key, and the device sees
+//! full-size writes either way. A SOC bucket page materializes its
+//! values when it is serialized; a sealed LOC region hands the payload
+//! store its values themselves, and the store materializes a block's
+//! bytes only when the block is read. Values are immutable, which is
+//! what makes that deferral sound. `Value::Real` carries actual bytes
+//! for functional tests and examples.
 
 use std::sync::Arc;
 
@@ -68,8 +72,8 @@ impl Value {
 
     /// Writes the value's bytes `[start, start + out.len())` into `out`
     /// — the slice of [`Value::to_bytes`] starting at `start`, which is
-    /// how a region seal materialises an object that a command boundary
-    /// cuts.
+    /// how a read of a sealed region materialises an object that a
+    /// block boundary cuts.
     pub fn materialize_at(&self, key: Key, start: usize, out: &mut [u8]) {
         debug_assert!(start + out.len() <= self.len());
         match self {

@@ -24,10 +24,11 @@
 //!
 //! Payloads stay vectored all the way down: each write reaches the
 //! payload store through `DataStore::write_blocks` (borrowed bytes) or
-//! `DataStore::fill_blocks` (bytes the store asks the caller to produce
-//! in place), so a sealed LOC region is materialised straight into the
-//! slab rather than staged, copied, or inserted one 4 KiB block at a
-//! time (DESIGN.md §5.3).
+//! `DataStore::write_source` (a shared source of the bytes, which the
+//! slab records and calls only when the blocks are read), so a sealed
+//! LOC region is neither staged, copied, nor inserted one 4 KiB block
+//! at a time — nor made at all until somebody reads it (DESIGN.md
+//! §5.3).
 //!
 //! Concurrency topology: the controller is a plain `Arc` —
 //! [`SharedController`] — with interior fine-grained locking (media
@@ -43,8 +44,8 @@ use std::sync::Arc;
 
 use fdpcache_metrics::Histogram;
 use fdpcache_nvme::{
-    BatchWrite, Controller, DeallocRange, HealthMonitor, NamespaceId, NamespaceState, NvmeError,
-    QueuePair, WriteCompletion, WritePayload,
+    BatchWrite, Controller, DeallocRange, FillSource, HealthMonitor, NamespaceId, NamespaceState,
+    NvmeError, QueuePair, WriteCompletion, WritePayload,
 };
 pub use fdpcache_nvme::{HealthConfig, HealthIoStats, HealthState, HealthTransition};
 
@@ -132,9 +133,9 @@ impl IoStats {
 /// A builder of vectored write submissions: queue writes against one
 /// [`IoManager`], then flush them all with [`IoManager::submit_batch`].
 /// Batch assembly is copy-free: a write either borrows its bytes
-/// ([`IoBatch::write`]) or hands the payload store a fill source that
-/// produces them in place ([`IoBatch::write_with`]; the LOC seals
-/// regions this way).
+/// ([`IoBatch::write`]) or hands the payload store a shared source of
+/// them ([`IoBatch::write_with`]; the LOC seals regions this way, and
+/// the slab makes the bytes only when they are read).
 #[derive(Debug, Default)]
 pub struct IoBatch<'a> {
     writes: Vec<BatchWrite<'a>>,
@@ -162,21 +163,22 @@ impl<'a> IoBatch<'a> {
         self
     }
 
-    /// Queues a write of `nlb` blocks at `block` whose bytes `fill`
-    /// produces inside the payload store: `fill(offset, out)` writes
-    /// every byte of `out`, the command's bytes from `offset` on. `fill`
-    /// must be `Sync`: the controller fills the commands of a batch of
-    /// 1 MiB or more from two threads, each command on one of them.
+    /// Queues a write of `nlb` blocks at `block` holding `source`'s
+    /// bytes from byte `base` on (`source(offset, out)` writes every
+    /// byte of `out`, the payload's bytes from `offset` on). The
+    /// payload store keeps the source and makes the bytes when they
+    /// are read, so the commands of one region share one source.
     pub fn write_with(
         &mut self,
         block: u64,
         nlb: u64,
-        fill: &'a (dyn Fn(usize, &mut [u8]) + Sync),
+        source: FillSource,
+        base: usize,
         handle: PlacementHandle,
     ) -> &mut Self {
         self.writes.push(BatchWrite {
             slba: block,
-            data: WritePayload::Fill { nlb, fill },
+            data: WritePayload::Fill { nlb, source, base },
             dspec: handle.dspec(),
         });
         self

@@ -121,24 +121,11 @@ impl Histogram {
         self.max
     }
 
-    /// Value at the given percentile (0.0–100.0), or `None` for an
-    /// empty histogram — the caller-facing distinction between "the
-    /// p99 is 0 ns" and "there were no samples to rank" (a window with
-    /// zero samples reports *absent*, never a fabricated zero).
-    pub fn try_percentile(&self, p: f64) -> Option<u64> {
-        if self.count == 0 {
-            None
-        } else {
-            Some(self.percentile(p))
-        }
-    }
-
     /// Value at the given percentile (0.0–100.0).
     ///
     /// Returns the representative value of the bucket containing the
     /// requested rank; the exact `max()` is returned for p100. Returns 0
-    /// for an empty histogram (use [`Histogram::try_percentile`] when
-    /// "no samples" must stay distinguishable from a zero value).
+    /// for an empty histogram.
     pub fn percentile(&self, p: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -220,34 +207,21 @@ mod tests {
         assert_eq!(h.mean(), 0.0);
     }
 
-    /// Regression: empty and low-sample histograms must never rank
-    /// garbage — `try_percentile` reports absence for zero samples,
-    /// agrees with `percentile` otherwise, and a lone sample answers
-    /// every percentile with itself.
+    /// Out-of-range and NaN ranks on an empty histogram read 0, and two
+    /// samples rank onto themselves without extrapolating past `max()`.
     #[test]
-    fn empty_and_low_sample_percentiles_are_sane() {
+    fn low_sample_percentiles_are_sane() {
         let h = Histogram::new();
-        for p in [0.0, 50.0, 99.0, 99.9, 100.0, -1.0, 250.0, f64::NAN] {
-            assert_eq!(h.try_percentile(p), None, "empty histogram must report absent at {p}");
+        for p in [-1.0, 250.0, f64::NAN] {
+            assert_eq!(h.percentile(p), 0, "empty histogram at {p}");
         }
-
-        let mut h = Histogram::new();
-        h.record(7_000);
-        for p in [0.0, 50.0, 99.0, 100.0] {
-            let v = h.try_percentile(p).expect("one sample must rank");
-            assert_eq!(v, h.percentile(p));
-            assert_eq!(v, 7_000, "a lone sample answers every percentile with itself");
-        }
-
-        // Two samples: p99 lands on the larger, p0/p50 on the smaller;
-        // nothing NaNs, panics or extrapolates past max().
         let mut h = Histogram::new();
         h.record(10);
         h.record(1_000);
-        assert_eq!(h.try_percentile(0.0), Some(10));
-        assert_eq!(h.try_percentile(50.0), Some(10));
-        assert!(h.try_percentile(99.0).unwrap() <= h.max());
-        assert_eq!(h.try_percentile(100.0), Some(1_000));
+        assert_eq!(h.percentile(0.0), 10);
+        assert_eq!(h.percentile(50.0), 10);
+        assert!(h.percentile(99.0) <= h.max());
+        assert_eq!(h.percentile(100.0), 1_000);
     }
 
     #[test]

@@ -30,39 +30,19 @@
 //! `Arc<Mutex<Controller>>` arrangement, which serialized entire
 //! commands — payload copies included — through one global lock.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use fdpcache_ftl::{FdpEvent, Ftl, FtlConfig, RuhId, DEFAULT_RUH};
 use parking_lot::{Mutex, RwLock};
 
-use crate::datastore::DataStore;
+use crate::datastore::{DataStore, FillSource};
 use crate::error::NvmeError;
 use crate::fault::{FaultOp, FaultRates, FaultTotals};
 use crate::health::{HealthConfig, HealthReport};
 use crate::identify::{ControllerIdentity, FdpConfigDescriptor};
 use crate::logpage::{FdpConfigLog, RuhUsageDescriptor, RuhUsageLog};
 use crate::namespace::{Namespace, NamespaceId};
-
-/// Payload bytes from which a batch's payload pass is split between the
-/// submitting thread and one scoped helper. One spawn plus join costs
-/// ≈ 40–75 µs on a 2-vCPU x86-64 host, the time to fill ≈ 200 KiB, so
-/// below 1 MiB the helper would not repay its own start. Only LOC seals
-/// (whole regions of 4 MiB and more) reach it; SOC bucket pages and
-/// footers are a few blocks.
-const SPLIT_PAYLOAD_BYTES: u64 = 1 << 20;
-
-/// Whether a batch's commands cover ascending, disjoint LBA ranges, so
-/// that no block's final bytes depend on which thread stored which
-/// command.
-fn ascending_disjoint(writes: &[BatchWrite<'_>], lba_bytes: usize) -> bool {
-    let mut next_free = 0;
-    writes.iter().all(|w| {
-        let ascending = w.slba >= next_free;
-        next_free = w.slba + (w.data.byte_len(lba_bytes) / lba_bytes) as u64;
-        ascending
-    })
-}
 
 /// Completion information for a write command.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -75,20 +55,21 @@ pub struct WriteCompletion {
 }
 
 /// The bytes of one batched write command.
-#[derive(Clone, Copy)]
+#[derive(Clone)]
 pub enum WritePayload<'a> {
     /// Borrowed bytes: a whole number of logical blocks.
     Bytes(&'a [u8]),
-    /// `nlb` blocks the payload store asks `fill` to produce in place
-    /// ([`DataStore::fill_blocks`]): the LOC materialises a sealed
-    /// region's objects straight into the store this way. `fill` is
-    /// `Sync` because a large batch's payload pass may run it on a
-    /// second thread ([`Controller::write_batch_ns`]).
+    /// `nlb` blocks holding `source`'s bytes from byte `base` on,
+    /// stored through [`DataStore::write_source`]: a LOC seal hands
+    /// every command of a region one shared source this way, and a
+    /// [`crate::MemStore`] makes the bytes only when they are read.
     Fill {
         /// Logical blocks the command covers.
         nlb: u64,
-        /// Writes the command's bytes from a byte offset on.
-        fill: &'a (dyn Fn(usize, &mut [u8]) + Sync),
+        /// Writes the payload's bytes from a byte offset on.
+        source: FillSource,
+        /// The command's first byte within `source`.
+        base: usize,
     },
 }
 
@@ -113,8 +94,8 @@ impl std::fmt::Debug for WritePayload<'_> {
 
 /// One write of a vectored batch submission: a whole number of blocks
 /// at `slba` carrying its own placement directive. Payloads are
-/// borrowed or filled by the store, so batch assembly is copy-free.
-#[derive(Debug, Clone, Copy)]
+/// borrowed bytes or a shared source, so batch assembly is copy-free.
+#[derive(Debug, Clone)]
 pub struct BatchWrite<'a> {
     /// Namespace-relative start LBA.
     pub slba: u64,
@@ -271,9 +252,6 @@ pub struct Controller {
     config: FtlConfig,
     lba_bytes: u32,
     exported_lbas: u64,
-    /// Whether the host has a second core for a large batch's payload
-    /// pass (read once, at construction).
-    payload_helper: bool,
 }
 
 impl std::fmt::Debug for Controller {
@@ -314,7 +292,6 @@ impl Controller {
             config,
             lba_bytes,
             exported_lbas,
-            payload_helper: std::thread::available_parallelism().is_ok_and(|n| n.get() >= 2),
         })
     }
 
@@ -589,20 +566,18 @@ impl Controller {
     /// 2. the fault plan is consulted per command, still before any
     ///    side effect;
     /// 3. all payloads land in the (sharded) store outside the media
-    ///    lock. A batch of at least 1 MiB of payload with more than one
-    ///    command, in ascending disjoint LBA ranges, over a store that
-    ///    retains data, on a host with a second core, splits this pass
-    ///    with one scoped helper thread: the submitter takes commands
-    ///    from the front, the helper from the back, and the helper is
-    ///    joined before step 4. Commands cover disjoint blocks, so the
-    ///    stored bytes do not depend on which thread wrote them; a LOC
-    ///    seal fills its region on two cores this way;
+    ///    lock, in command order, so a later command's bytes win where
+    ///    commands overlap. Borrowed bytes are copied
+    ///    ([`DataStore::write_blocks`]); a source is handed over
+    ///    ([`DataStore::write_source`]), which a [`crate::MemStore`]
+    ///    records per block and calls only when the block is read — a
+    ///    LOC seal makes no byte here;
     /// 4. one `Mutex<Ftl>` acquisition maps every command via
     ///    [`fdpcache_ftl::Ftl::write_placed_batch`].
     ///
-    /// Validation, the fault gate, mapping and per-command timing stay
-    /// on the submitting thread, so completions and every virtual-time
-    /// result are the same whether or not the payload pass split.
+    /// Nothing of the payload's form reaches the FTL, the fault gate or
+    /// the timing, so completions and every virtual-time result are the
+    /// same whether a store makes a source's bytes at once or later.
     ///
     /// Payloads land BEFORE the mapping is published so that (a) every
     /// mapped LBA has its payload even if the FTL errors mid-command,
@@ -659,17 +634,8 @@ impl Controller {
                 return Err(f.into());
             }
         }
-        if writes.len() > 1
-            && total_bytes >= SPLIT_PAYLOAD_BYTES
-            && self.payload_helper
-            && self.store.retains_data()
-            && ascending_disjoint(writes, lba_bytes)
-        {
-            self.store_payloads_split(ns, writes)?;
-        } else {
-            for w in writes {
-                self.store_payload(ns, w)?;
-            }
+        for w in writes {
+            self.store_payload(ns, w)?;
         }
         {
             let mut ftl = self.ftl.lock();
@@ -701,46 +667,13 @@ impl Controller {
     fn store_payload(&self, ns: &Namespace, w: &BatchWrite<'_>) -> Result<(), NvmeError> {
         let lba_bytes = self.lba_bytes as usize;
         let (dev_start, nlb) = self.validate_io(ns, w.slba, w.data.byte_len(lba_bytes))?;
-        match w.data {
+        match &w.data {
             WritePayload::Bytes(data) => self.store.write_blocks(dev_start, data, lba_bytes),
-            WritePayload::Fill { fill, .. } => {
-                self.store.fill_blocks(dev_start, nlb, lba_bytes, fill)
+            WritePayload::Fill { source, base, .. } => {
+                self.store.write_source(dev_start, nlb, lba_bytes, source, *base)
             }
         }
         Ok(())
-    }
-
-    /// The payload pass of a large batch on two threads: the submitter
-    /// takes commands from the front, one scoped helper from the back,
-    /// and one shared claim count hands out each command exactly once
-    /// (the two sides together claim at most `writes.len()`). A helper
-    /// that gets no CPU therefore costs the submitter at most the one
-    /// command it is filling. The helper is joined before this returns
-    /// and its panic resumes here; if it cannot be spawned, the
-    /// submitter claims every command itself.
-    fn store_payloads_split(
-        &self,
-        ns: &Namespace,
-        writes: &[BatchWrite<'_>],
-    ) -> Result<(), NvmeError> {
-        let claimed = AtomicUsize::new(0);
-        let claim = || claimed.fetch_add(1, Ordering::Relaxed) < writes.len();
-        std::thread::scope(|scope| {
-            let helper = std::thread::Builder::new().spawn_scoped(scope, || {
-                writes
-                    .iter()
-                    .rev()
-                    .take_while(|_| claim())
-                    .try_for_each(|w| self.store_payload(ns, w))
-            });
-            let front =
-                writes.iter().take_while(|_| claim()).try_for_each(|w| self.store_payload(ns, w));
-            let back = match helper {
-                Ok(h) => h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
-                Err(_) => Ok(()),
-            };
-            front.and(back)
-        })
     }
 
     /// Reads whole blocks into `out` starting at `slba`. Returns media
@@ -1273,11 +1206,13 @@ mod tests {
         assert!(out.iter().all(|&x| x == 3));
     }
 
-    /// A seal-shaped batch, whose payload pass runs on two threads, and
-    /// the same writes submitted one command per batch (below the split
-    /// line, so serial) leave identical devices.
+    /// A seal-shaped batch over one shared source and the same writes
+    /// submitted one command per batch leave identical devices, and the
+    /// store makes no byte of the source until a block is read.
     #[test]
-    fn split_payload_pass_leaves_no_trace() {
+    fn deferred_seal_batch_matches_one_command_per_batch() {
+        use std::sync::atomic::AtomicUsize;
+
         const CHUNK_BLOCKS: u64 = 16;
         const COMMANDS: u64 = 64;
         // Mid-segment start: command 15 covers blocks 248..264 and so
@@ -1285,25 +1220,25 @@ mod tests {
         const REGION_START: u64 = 8;
         let chunk_bytes = CHUNK_BLOCKS as usize * 4096;
         let region_byte = |p: usize| (p.wrapping_mul(2_654_435_761) >> 13) as u8;
-        let filled: Vec<AtomicUsize> = (0..COMMANDS).map(|_| AtomicUsize::new(0)).collect();
-        let fills: Vec<_> = (0..COMMANDS as usize)
-            .map(|c| {
-                let filled = &filled;
-                move |at: usize, out: &mut [u8]| {
-                    filled[c].fetch_add(out.len(), Ordering::Relaxed);
-                    for (i, b) in out.iter_mut().enumerate() {
-                        *b = region_byte(c * chunk_bytes + at + i);
-                    }
+        let made = Arc::new(AtomicUsize::new(0));
+        let source: FillSource = {
+            let made = made.clone();
+            Arc::new(move |at: usize, out: &mut [u8]| {
+                made.fetch_add(out.len(), Ordering::Relaxed);
+                for (i, b) in out.iter_mut().enumerate() {
+                    *b = region_byte(at + i);
                 }
             })
-            .collect();
+        };
         let footer = page(0xF0);
-        let mut writes: Vec<BatchWrite<'_>> = fills
-            .iter()
-            .enumerate()
-            .map(|(c, fill)| BatchWrite {
+        let mut writes: Vec<BatchWrite<'_>> = (0..COMMANDS as usize)
+            .map(|c| BatchWrite {
                 slba: REGION_START + c as u64 * CHUNK_BLOCKS,
-                data: WritePayload::Fill { nlb: CHUNK_BLOCKS, fill },
+                data: WritePayload::Fill {
+                    nlb: CHUNK_BLOCKS,
+                    source: source.clone(),
+                    base: c * chunk_bytes,
+                },
                 dspec: Some(1),
             })
             .collect();
@@ -1322,16 +1257,11 @@ mod tests {
             let state = c.open_namespace(c.create_namespace(lbas, vec![0, 1, 2]).unwrap()).unwrap();
             (c, state)
         };
-        let (mut split, split_ns) = device();
+        let (batched_dev, batched_ns) = device();
         let (serial, serial_ns) = device();
-        // Exercise the two-thread pass whatever the host's core count.
-        split.payload_helper = true;
 
         let mut batched = vec![WriteCompletion::default(); writes.len()];
-        split.write_batch_ns(&split_ns, &writes, &mut batched).unwrap();
-        for (c, bytes) in filled.iter().enumerate() {
-            assert_eq!(bytes.swap(0, Ordering::Relaxed), chunk_bytes, "command {c} filled once");
-        }
+        batched_dev.write_batch_ns(&batched_ns, &writes, &mut batched).unwrap();
         let one_by_one: Vec<WriteCompletion> = writes
             .iter()
             .map(|w| {
@@ -1341,12 +1271,13 @@ mod tests {
             })
             .collect();
         assert_eq!(batched, one_by_one);
+        assert_eq!(made.load(Ordering::Relaxed), 0, "storing a source makes no byte");
 
         let mut a = page(0);
         let mut b = page(0);
-        for lba in 0..split_ns.info().lba_count {
+        for lba in 0..batched_ns.info().lba_count {
             let written = (REGION_START..=footer_lba).contains(&lba);
-            assert_eq!(split.read_ns(&split_ns, lba, &mut a).is_ok(), written, "LBA {lba}");
+            assert_eq!(batched_dev.read_ns(&batched_ns, lba, &mut a).is_ok(), written, "LBA {lba}");
             assert_eq!(serial.read_ns(&serial_ns, lba, &mut b).is_ok(), written, "LBA {lba}");
             assert_eq!(a, b, "LBA {lba}");
             if lba == footer_lba {
@@ -1359,39 +1290,47 @@ mod tests {
                 );
             }
         }
+        // Each device made every source block once, on its one read.
+        assert_eq!(made.load(Ordering::Relaxed), 2 * COMMANDS as usize * chunk_bytes);
         let device_view = |c: &Controller| {
             c.with_ftl(|f| {
                 let mapped: Vec<bool> = (0..c.exported_lbas).map(|l| f.is_mapped(l)).collect();
                 (mapped, f.stats(), f.ruh_host_pages().to_vec())
             })
         };
-        assert_eq!(device_view(&split), device_view(&serial));
-        assert_eq!(split.fdp_stats_log(), serial.fdp_stats_log());
-        assert_eq!(split_ns.stats().bytes_written, serial_ns.stats().bytes_written);
+        assert_eq!(device_view(&batched_dev), device_view(&serial));
+        assert_eq!(batched_dev.fdp_stats_log(), serial.fdp_stats_log());
+        assert_eq!(batched_ns.stats().bytes_written, serial_ns.stats().bytes_written);
     }
 
-    /// A large batch whose commands overlap stays one serial pass, so
-    /// the later command's bytes win as they would one command at a
-    /// time. Split, the helper could store the short second command
-    /// while the submitter is still copying the long first one.
+    /// Where the commands of one batch overlap, the later command's
+    /// bytes win, as they would one command at a time — whether the
+    /// earlier one carried bytes or a source.
     #[test]
-    fn split_payload_pass_needs_disjoint_ascending_commands() {
-        let mut c = ctrl();
-        c.payload_helper = true;
+    fn overlapping_batch_commands_keep_the_last_writers_bytes() {
+        let c = ctrl();
         let ns = c.create_namespace(c.unallocated_lbas(), vec![]).unwrap();
         let s = c.open_namespace(ns).unwrap();
         let long = vec![1u8; 4 << 20];
         let short = page(2);
-        let writes = [
-            BatchWrite { slba: 0, data: WritePayload::Bytes(&long), dspec: None },
-            BatchWrite { slba: 0, data: WritePayload::Bytes(&short), dspec: None },
-        ];
-        let mut done = [WriteCompletion::default(); 2];
-        c.write_batch_ns(&s, &writes, &mut done).unwrap();
-        let mut out = vec![0u8; 4 << 20];
-        c.read_ns(&s, 0, &mut out).unwrap();
-        assert_eq!(out[..4096], short[..]);
-        assert!(out[4096..].iter().all(|&x| x == 1));
+        let threes: FillSource = Arc::new(|_, out: &mut [u8]| out.fill(3));
+        let source_nlb = (long.len() / 4096) as u64;
+        for first in [
+            WritePayload::Bytes(&long),
+            WritePayload::Fill { nlb: source_nlb, source: threes.clone(), base: 0 },
+        ] {
+            let expect_rest = if matches!(first, WritePayload::Bytes(_)) { 1 } else { 3 };
+            let writes = [
+                BatchWrite { slba: 0, data: first, dspec: None },
+                BatchWrite { slba: 0, data: WritePayload::Bytes(&short), dspec: None },
+            ];
+            let mut done = [WriteCompletion::default(); 2];
+            c.write_batch_ns(&s, &writes, &mut done).unwrap();
+            let mut out = vec![0u8; 4 << 20];
+            c.read_ns(&s, 0, &mut out).unwrap();
+            assert_eq!(out[..4096], short[..]);
+            assert!(out[4096..].iter().all(|&x| x == expect_rest));
+        }
     }
 
     #[test]

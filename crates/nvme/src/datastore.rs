@@ -11,13 +11,13 @@
 //! payload memcpy traffic from N workers proceed in parallel.
 //!
 //! The trait is **vectored**: [`DataStore::write_blocks`],
-//! [`DataStore::fill_blocks`], [`DataStore::read_blocks`] and
+//! [`DataStore::write_source`], [`DataStore::read_blocks`] and
 //! [`DataStore::discard_blocks`] move N contiguous blocks per call.
-//! A sealed 4 MiB cache region is a few dozen `fill_blocks` commands,
-//! each materialising its objects straight into the slab, rather than
-//! a thousand per-block operations. Per-block entry points remain for
-//! direct use and as the building blocks of the default vectored
-//! implementations.
+//! A sealed 4 MiB cache region is a few dozen `write_source` commands
+//! over one [`FillSource`], which [`MemStore`] records per slot and
+//! calls only when a block is read, rather than a thousand per-block
+//! operations. Per-block entry points remain for direct use and as the
+//! building blocks of the default vectored implementations.
 //!
 //! Implementations:
 //!
@@ -31,9 +31,18 @@
 //!   replay billions of accesses only need placement metadata, and
 //!   skipping payload copies keeps them fast.
 
+use std::sync::Arc;
+
 use parking_lot::{Mutex, RwLock};
 
 use crate::fault::{FaultOp, FaultRates, FaultTotals, InjectedFault};
+
+/// An owned producer of a payload's bytes: `source(offset, out)` writes
+/// every byte of `out`, which holds the payload's bytes from byte
+/// `offset` on. A source is pure — the same call writes the same bytes
+/// whenever it is made — so a store may keep it and call it at read
+/// time ([`DataStore::write_source`]).
+pub type FillSource = Arc<dyn Fn(usize, &mut [u8]) + Send + Sync>;
 
 /// Logical payload storage keyed by device LBA.
 ///
@@ -73,24 +82,24 @@ pub trait DataStore: Send + Sync {
         }
     }
 
-    /// Stores `nlb` contiguous blocks starting at `lba` whose bytes the
-    /// caller produces on demand: `fill(offset, out)` must write every
-    /// byte of `out`, which holds the command's bytes from `offset` on.
-    /// A store may call it several times with disjoint ranges. The
-    /// default fills one temporary buffer and calls
-    /// [`DataStore::write_blocks`]; [`MemStore`] fills its slab pages in
-    /// place, so a sealed region is materialised once, not staged and
-    /// copied. `fill` is `Sync`: the controller may fill the commands of
-    /// one large batch from two threads at once, each command on one.
-    fn fill_blocks(
+    /// Stores `nlb` contiguous blocks starting at `lba` holding
+    /// `source`'s bytes from byte `base` on. The default makes them at
+    /// once, into one temporary buffer, and calls
+    /// [`DataStore::write_blocks`]. [`MemStore`] records
+    /// `(source, offset)` per slot instead and calls the source only
+    /// when the slot is read, so a stored command costs no byte pass
+    /// until somebody reads it; a later write or discard of the slot
+    /// drops its share of the source.
+    fn write_source(
         &self,
         lba: u64,
         nlb: u64,
         block_bytes: usize,
-        fill: &(dyn Fn(usize, &mut [u8]) + Sync),
+        source: &FillSource,
+        base: usize,
     ) {
         let mut buf = vec![0u8; nlb as usize * block_bytes];
-        fill(0, &mut buf);
+        source(base, &mut buf);
         self.write_blocks(lba, &buf, block_bytes);
     }
 
@@ -143,16 +152,43 @@ pub trait DataStore: Send + Sync {
 /// seal command locks one segment (occasionally two at a boundary)
 /// instead of touching every shard, while distinct namespaces (carved
 /// sequentially from exported capacity) still land on distinct
-/// segments and never contend. 1 MiB is the controller's threshold for
-/// splitting a batch's payload pass across two threads, so the two
-/// ends of any split region write lock different segments until they
-/// meet.
+/// segments and never contend.
 const SEGMENT_BLOCKS: u64 = 256;
 
 /// Default slot size for a store used directly, before/without
 /// [`DataStore::attach`] (unit tests, tools). Attached stores use the
 /// device's LBA size.
 const DEFAULT_BLOCK_BYTES: usize = 4096;
+
+/// A slot stored by [`DataStore::write_source`]: its bytes are
+/// `source`'s from byte `at` on, made when the slot is read.
+#[derive(Clone)]
+struct SlotSource {
+    source: FillSource,
+    at: usize,
+}
+
+impl std::fmt::Debug for SlotSource {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "SlotSource(at {})", self.at)
+    }
+}
+
+/// Whether slot `next`, `k` slots after slot `head`, continues its
+/// bytes: the same source at the following offset or, for two slots
+/// without a source, the page bytes.
+fn continues_run(
+    head: &Option<SlotSource>,
+    next: &Option<SlotSource>,
+    k: usize,
+    block_bytes: usize,
+) -> bool {
+    match (head, next) {
+        (None, None) => true,
+        (Some(a), Some(b)) => Arc::ptr_eq(&a.source, &b.source) && b.at == a.at + k * block_bytes,
+        _ => false,
+    }
+}
 
 /// One slab segment: a contiguous page buffer plus a written-bitmap.
 /// On the production path, [`DataStore::attach`] allocates **and
@@ -170,6 +206,11 @@ struct Segment {
     written: Vec<u64>,
     /// Count of set bits (for `len`).
     live: usize,
+    /// Per slot, the source its bytes come from when it was last
+    /// stored by [`DataStore::write_source`] (its page bytes are then
+    /// stale and never read); empty until the segment's first such
+    /// write. A byte write or discard of the slot clears its entry.
+    sources: Vec<Option<SlotSource>>,
 }
 
 impl Segment {
@@ -192,12 +233,55 @@ impl Segment {
         for i in (0..pages.len()).step_by(OS_PAGE) {
             pages[i] = 0;
         }
-        Segment { pages, written: vec![0u64; (SEGMENT_BLOCKS as usize).div_ceil(64)], live: 0 }
+        Segment {
+            pages,
+            written: vec![0u64; (SEGMENT_BLOCKS as usize).div_ceil(64)],
+            live: 0,
+            sources: Vec::new(),
+        }
     }
 
     fn ensure_allocated(&mut self, block_bytes: usize) {
         if self.pages.is_empty() {
             *self = Segment::allocate_committed(block_bytes);
+        }
+    }
+
+    /// Drops the sources of slots `[slot, slot + span)`: their bytes
+    /// are about to be the page's again.
+    fn clear_sources(&mut self, slot: u64, span: u64) {
+        if !self.sources.is_empty() {
+            self.sources[slot as usize..(slot + span) as usize].fill(None);
+        }
+    }
+
+    /// Writes the bytes of the slots from `slot` on into `out`, which
+    /// may end mid-slot: one page copy per run of slots without a
+    /// source, one source call per run of slots that continue one
+    /// source.
+    fn load(&self, slot: u64, out: &mut [u8], block_bytes: usize) {
+        let base = slot as usize * block_bytes;
+        if self.sources.is_empty() {
+            out.copy_from_slice(&self.pages[base..base + out.len()]);
+            return;
+        }
+        let first = slot as usize;
+        let mut pos = 0;
+        while pos < out.len() {
+            let run = first + pos / block_bytes;
+            let head = &self.sources[run];
+            let mut next = run + 1;
+            while (next - first) * block_bytes < out.len()
+                && continues_run(head, &self.sources[next], next - run, block_bytes)
+            {
+                next += 1;
+            }
+            let end = ((next - first) * block_bytes).min(out.len());
+            match head {
+                Some(s) => (s.source)(s.at, &mut out[pos..end]),
+                None => out[pos..end].copy_from_slice(&self.pages[base + pos..base + end]),
+            }
+            pos = end;
         }
     }
 
@@ -251,7 +335,9 @@ struct Slab {
 /// hashing, no per-block boxing — and a vectored N-block transfer is
 /// one lock pass and one `memcpy` per overlapped segment. Misses read
 /// from the pre-zeroed slab page directly (discard re-zeroes its slot),
-/// so the miss path costs the same single `memcpy` as a hit.
+/// so the miss path costs the same single `memcpy` as a hit. A slot
+/// stored by [`DataStore::write_source`] holds its source instead of
+/// bytes, and a read calls the source for it.
 #[derive(Debug)]
 pub struct MemStore {
     inner: RwLock<Slab>,
@@ -369,6 +455,7 @@ impl DataStore for MemStore {
         let n = data.len().min(block_bytes);
         s.pages[off..off + n].copy_from_slice(&data[..n]);
         s.pages[off + n..off + block_bytes].fill(0);
+        s.clear_sources(slot, 1);
         s.mark_written(slot);
     }
 
@@ -384,9 +471,8 @@ impl DataStore for MemStore {
         if !s.is_written(slot) {
             return false;
         }
-        let off = slot as usize * block_bytes;
         let n = out.len().min(block_bytes);
-        out[..n].copy_from_slice(&s.pages[off..off + n]);
+        s.load(slot, &mut out[..n], block_bytes);
         true
     }
 
@@ -401,18 +487,6 @@ impl DataStore for MemStore {
     fn write_blocks(&self, lba: u64, data: &[u8], block_bytes: usize) {
         debug_assert_eq!(data.len() % block_bytes, 0, "vectored write must be whole blocks");
         let nlb = (data.len() / block_bytes) as u64;
-        self.fill_blocks(lba, nlb, block_bytes, &|at, out| {
-            out.copy_from_slice(&data[at..at + out.len()]);
-        });
-    }
-
-    fn fill_blocks(
-        &self,
-        lba: u64,
-        nlb: u64,
-        block_bytes: usize,
-        fill: &(dyn Fn(usize, &mut [u8]) + Sync),
-    ) {
         if nlb == 0 {
             return;
         }
@@ -428,9 +502,44 @@ impl DataStore for MemStore {
             s.ensure_allocated(block_bytes);
             let off = slot as usize * block_bytes;
             let bytes = span as usize * block_bytes;
-            fill(data_off, &mut s.pages[off..off + bytes]);
+            s.pages[off..off + bytes].copy_from_slice(&data[data_off..data_off + bytes]);
+            s.clear_sources(slot, span);
             for i in slot..slot + span {
                 s.mark_written(i);
+            }
+        });
+    }
+
+    /// Records `(source, offset)` per slot under the segment lock and
+    /// makes no byte: `Segment::load` calls the source when a slot is
+    /// read. The slot's stale page bytes stay until a byte write or a
+    /// discard replaces them.
+    fn write_source(
+        &self,
+        lba: u64,
+        nlb: u64,
+        block_bytes: usize,
+        source: &FillSource,
+        base: usize,
+    ) {
+        if nlb == 0 {
+            return;
+        }
+        let inner = self.table(lba + nlb - 1);
+        debug_assert_eq!(
+            block_bytes, inner.block_bytes,
+            "vectored transfer must use the attached LBA size"
+        );
+        for_segments(&inner, lba, nlb, block_bytes, |seg, slot, span, data_off| {
+            let mut s = seg.lock();
+            s.ensure_allocated(block_bytes);
+            if s.sources.is_empty() {
+                s.sources = vec![None; SEGMENT_BLOCKS as usize];
+            }
+            for i in 0..span {
+                let at = base + data_off + i as usize * block_bytes;
+                s.sources[(slot + i) as usize] = Some(SlotSource { source: source.clone(), at });
+                s.mark_written(slot + i);
             }
         });
     }
@@ -466,10 +575,10 @@ impl DataStore for MemStore {
                 // Untouched segment: every slot is (logically) zero.
                 chunk.fill(0);
             } else {
-                // One contiguous copy serves hits and misses alike:
-                // unwritten/discarded slots are pre-zeroed in the slab.
-                let off = slot as usize * block_bytes;
-                chunk.copy_from_slice(&s.pages[off..off + bytes]);
+                // One contiguous copy serves hits and misses alike
+                // (unwritten/discarded slots are pre-zeroed in the
+                // slab), except where slots hold a source's bytes.
+                s.load(slot, chunk, block_bytes);
             }
         });
     }
@@ -489,6 +598,7 @@ impl DataStore for MemStore {
             if s.pages.is_empty() {
                 return;
             }
+            s.clear_sources(slot, span);
             for i in slot..slot + span {
                 if s.clear_written(i) {
                     // Keep the invariant that unwritten slots are zero,
@@ -520,12 +630,13 @@ impl DataStore for NullStore {
 
     fn write_blocks(&self, _lba: u64, _data: &[u8], _block_bytes: usize) {}
 
-    fn fill_blocks(
+    fn write_source(
         &self,
         _lba: u64,
         _nlb: u64,
         _block_bytes: usize,
-        _fill: &(dyn Fn(usize, &mut [u8]) + Sync),
+        _source: &FillSource,
+        _base: usize,
     ) {
     }
 

@@ -45,7 +45,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
-use crate::datastore::DataStore;
+use crate::datastore::{DataStore, FillSource};
 
 /// Blocks per corruption-detection segment (8 MiB at 4 KiB LBAs): the
 /// unit a "per-segment corruption" fault covers. It is part of the
@@ -577,14 +577,15 @@ impl DataStore for FaultStore {
         self.inner.write_blocks(lba, data, block_bytes);
     }
 
-    fn fill_blocks(
+    fn write_source(
         &self,
         lba: u64,
         nlb: u64,
         block_bytes: usize,
-        fill: &(dyn Fn(usize, &mut [u8]) + Sync),
+        source: &FillSource,
+        base: usize,
     ) {
-        self.inner.fill_blocks(lba, nlb, block_bytes, fill);
+        self.inner.write_source(lba, nlb, block_bytes, source, base);
     }
 
     fn read_blocks(&self, lba: u64, out: &mut [u8], block_bytes: usize) {

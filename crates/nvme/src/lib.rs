@@ -66,7 +66,7 @@ pub use controller::{
     BatchWrite, Controller, FdpStatsLog, NamespaceState, NamespaceStats, WriteCompletion,
     WritePayload,
 };
-pub use datastore::{DataStore, MemStore, NullStore};
+pub use datastore::{DataStore, FillSource, MemStore, NullStore};
 pub use error::NvmeError;
 pub use fault::{
     FaultConfig, FaultKind, FaultOp, FaultPlan, FaultRates, FaultStore, FaultTotals, InjectedFault,

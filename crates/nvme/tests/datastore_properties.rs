@@ -9,16 +9,18 @@
 //! The LBA range spans several slab segments, so vectored operations
 //! regularly cross segment boundaries (the multi-lock-pass path).
 //!
-//! Filled writes ([`DataStore::fill_blocks`]) are checked twice over:
-//! through `MemStore`'s in-place override and through the trait's
-//! default (one temporary buffer, then `write_blocks`), which
-//! [`DefaultFill`] keeps by forwarding everything else.
+//! Deferred writes ([`DataStore::write_source`]) are checked twice
+//! over: through `MemStore`'s override (a source recorded per slot and
+//! called at read time) and through the trait's eager default (one
+//! temporary buffer, then `write_blocks`), which [`EagerDefault`] keeps
+//! by forwarding everything else.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use fdpcache_nvme::{DataStore, MemStore};
+use fdpcache_nvme::{DataStore, FillSource, MemStore};
 
 /// Small blocks keep cases fast while preserving the slot arithmetic.
 const BLOCK: usize = 16;
@@ -45,6 +47,18 @@ impl Model {
     fn discard(&mut self, lba: u64) {
         self.blocks.remove(&lba);
     }
+
+    /// Block `lba + i` of a command `(lba, nlb, base)` holds the
+    /// source's bytes from `base + i * BLOCK` on.
+    fn write_deferred(&mut self, seed: u8, cmds: &[(u64, u8, u16)]) {
+        for &(lba, nlb, base) in cmds {
+            for i in 0..nlb as u64 {
+                let at = base as usize + i as usize * BLOCK;
+                let block: Vec<u8> = (at..at + BLOCK).map(|p| source_byte(seed, p)).collect();
+                self.write(lba + i, &block);
+            }
+        }
+    }
 }
 
 /// One datastore operation. Payload bytes derive from a fill byte plus
@@ -55,23 +69,50 @@ enum StoreOp {
     Write(u64, u8),
     /// Vectored write `(lba, nlb, fill)`.
     WriteBlocks(u64, u8, u8),
-    /// Filled write `(lba, nlb, fill)`: the same bytes as `WriteBlocks`,
-    /// produced by the store's fill callback.
-    FillBlocks(u64, u8, u8),
     /// Vectored read-and-compare `(lba, nlb)`.
     ReadBlocks(u64, u8),
     /// Vectored discard `(lba, nlb)`.
     Discard(u64, u8),
+    /// Deferred writes `(seed, commands)`: one source made from `seed`,
+    /// stored by every command `(lba, nlb, base)` in turn — a batch
+    /// whose commands may overlap and may start anywhere in the source.
+    Deferred(u8, Vec<(u64, u8, u16)>),
 }
 
 fn store_op() -> impl Strategy<Value = StoreOp> {
     prop_oneof![
         (0..LBAS, any::<u8>()).prop_map(|(l, f)| StoreOp::Write(l, f)),
         (0..LBAS - 16, 1..16u8, any::<u8>()).prop_map(|(l, n, f)| StoreOp::WriteBlocks(l, n, f)),
-        (0..LBAS - 16, 1..16u8, any::<u8>()).prop_map(|(l, n, f)| StoreOp::FillBlocks(l, n, f)),
         (0..LBAS - 16, 1..16u8).prop_map(|(l, n)| StoreOp::ReadBlocks(l, n)),
         (0..LBAS - 16, 1..16u8).prop_map(|(l, n)| StoreOp::Discard(l, n)),
+        (any::<u8>(), deferred_batch()).prop_map(|(seed, cmds)| StoreOp::Deferred(seed, cmds)),
     ]
+}
+
+/// The commands of one deferred batch, all within 40 blocks of one
+/// start, so they often overlap or abut at unrelated source offsets.
+/// Half the starts sit within 16 blocks before a segment boundary
+/// (segments are 256 blocks), so many commands straddle it.
+fn deferred_batch() -> impl Strategy<Value = Vec<(u64, u8, u16)>> {
+    let start =
+        prop_oneof![0..LBAS - 48, (1..LBAS / 256, 1..=16u64).prop_map(|(s, b)| s * 256 - b)];
+    let cmds = proptest::collection::vec((0..24u64, 1..16u8, any::<u16>()), 1..6);
+    (start, cmds).prop_map(|(start, cmds)| {
+        cmds.into_iter().map(|(off, nlb, base)| (start + off, nlb, base)).collect()
+    })
+}
+
+/// Byte `p` of the source made from `seed`.
+fn source_byte(seed: u8, p: usize) -> u8 {
+    ((p as u64 ^ (seed as u64) << 32).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8
+}
+
+fn source(seed: u8) -> FillSource {
+    Arc::new(move |at, out: &mut [u8]| {
+        for (i, b) in out.iter_mut().enumerate() {
+            *b = source_byte(seed, at + i);
+        }
+    })
 }
 
 fn block_payload(fill: u8, i: u64) -> Vec<u8> {
@@ -80,10 +121,11 @@ fn block_payload(fill: u8, i: u64) -> Vec<u8> {
     b
 }
 
-/// A [`MemStore`] behind the trait's default `fill_blocks`.
-struct DefaultFill(MemStore);
+/// A [`MemStore`] behind the trait's default `write_source`: every
+/// source's bytes are made at once.
+struct EagerDefault(MemStore);
 
-impl DataStore for DefaultFill {
+impl DataStore for EagerDefault {
     fn write_block(&self, lba: u64, data: &[u8]) {
         self.0.write_block(lba, data);
     }
@@ -125,19 +167,6 @@ fn apply(store: &impl DataStore, model: &mut Model, op: &StoreOp) {
                 model.write(lba + i, &data[i as usize * BLOCK..(i as usize + 1) * BLOCK]);
             }
         }
-        StoreOp::FillBlocks(lba, nlb, fill) => {
-            // Byte `p` of the command is byte `p % BLOCK` of its block.
-            let produce = |at: usize, out: &mut [u8]| {
-                for (i, b) in out.iter_mut().enumerate() {
-                    let p = at + i;
-                    *b = block_payload(fill, lba + (p / BLOCK) as u64)[p % BLOCK];
-                }
-            };
-            store.fill_blocks(lba, nlb as u64, BLOCK, &produce);
-            for i in 0..nlb as u64 {
-                model.write(lba + i, &block_payload(fill, lba + i));
-            }
-        }
         StoreOp::ReadBlocks(lba, nlb) => {
             let mut out = vec![0xEEu8; nlb as usize * BLOCK];
             store.read_blocks(lba, &mut out, BLOCK);
@@ -153,12 +182,24 @@ fn apply(store: &impl DataStore, model: &mut Model, op: &StoreOp) {
                 model.discard(lba + i);
             }
         }
+        StoreOp::Deferred(seed, ref cmds) => {
+            let src = source(seed);
+            for &(lba, nlb, base) in cmds {
+                store.write_source(lba, nlb as u64, BLOCK, &src, base as usize);
+            }
+            model.write_deferred(seed, cmds);
+        }
     }
 }
 
 /// Verifies every LBA of the range agrees between store and model,
-/// through the per-block read path.
+/// through the per-block read path and one vectored read of it all.
 fn assert_full_equivalence(store: &MemStore, model: &Model) {
+    let mut all = vec![0xEEu8; LBAS as usize * BLOCK];
+    store.read_blocks(0, &mut all, BLOCK);
+    for (lba, block) in all.chunks(BLOCK).enumerate() {
+        assert_eq!(block, model.read(lba as u64), "vectored read diverged at lba {lba}");
+    }
     for lba in 0..LBAS {
         let mut out = vec![0xEEu8; BLOCK];
         let present = store.read_block(lba, &mut out);
@@ -186,11 +227,11 @@ proptest! {
         assert_full_equivalence(&store, &model);
     }
 
-    /// The same, with every filled write going through the trait's
-    /// default `fill_blocks` instead of the slab's in-place override.
+    /// The same, with every deferred write going through the trait's
+    /// eager default instead of the slab's override.
     #[test]
-    fn default_fill_equals_hashmap_model(ops in proptest::collection::vec(store_op(), 1..120)) {
-        let store = DefaultFill(MemStore::with_capacity(LBAS, BLOCK as u32));
+    fn eager_default_equals_hashmap_model(ops in proptest::collection::vec(store_op(), 1..120)) {
+        let store = EagerDefault(MemStore::with_capacity(LBAS, BLOCK as u32));
         let mut model = Model::default();
         for op in &ops {
             apply(&store, &mut model, op);
@@ -228,10 +269,6 @@ proptest! {
                     let (b, n) = place(l, n);
                     StoreOp::WriteBlocks(b, n, f)
                 }
-                StoreOp::FillBlocks(l, n, f) => {
-                    let (b, n) = place(l, n);
-                    StoreOp::FillBlocks(b, n, f)
-                }
                 StoreOp::ReadBlocks(l, n) => {
                     let (b, n) = place(l, n);
                     StoreOp::ReadBlocks(b, n)
@@ -240,6 +277,15 @@ proptest! {
                     let (b, n) = place(l, n);
                     StoreOp::Discard(b, n)
                 }
+                StoreOp::Deferred(seed, ref cmds) => StoreOp::Deferred(
+                    seed,
+                    cmds.iter()
+                        .map(|&(l, n, base)| {
+                            let (b, n) = place(l, n);
+                            (b, n, base)
+                        })
+                        .collect(),
+                ),
             }
         };
         let striped: Vec<Vec<StoreOp>> = streams
@@ -272,7 +318,7 @@ proptest! {
                 match op {
                     StoreOp::ReadBlocks(..) => {}
                     StoreOp::Write(lba, fill) => model.write(*lba, &block_payload(*fill, *lba)),
-                    StoreOp::WriteBlocks(lba, nlb, fill) | StoreOp::FillBlocks(lba, nlb, fill) => {
+                    StoreOp::WriteBlocks(lba, nlb, fill) => {
                         for i in 0..*nlb as u64 {
                             model.write(lba + i, &block_payload(*fill, lba + i));
                         }
@@ -282,9 +328,42 @@ proptest! {
                             model.discard(lba + i);
                         }
                     }
+                    StoreOp::Deferred(seed, cmds) => model.write_deferred(*seed, cmds),
                 }
             }
         }
         assert_full_equivalence(&store, &model);
     }
+}
+
+/// A source the store keeps is let go slot by slot: once every slot it
+/// backed is overwritten (by bytes or by another source) or discarded,
+/// the store holds no share of it — it cannot pin the values a source
+/// captures for longer than their blocks live.
+#[test]
+fn store_drops_a_source_once_every_slot_it_backed_is_gone() {
+    let store = MemStore::with_capacity(LBAS, BLOCK as u32);
+    let kept = source(7);
+    // 40 blocks across the 256-block segment boundary, in two commands.
+    store.write_source(236, 20, BLOCK, &kept, 0);
+    store.write_source(256, 20, BLOCK, &kept, 20 * BLOCK);
+    assert_eq!(Arc::strong_count(&kept), 41);
+    let mut out = vec![0u8; 40 * BLOCK];
+    store.read_blocks(236, &mut out, BLOCK);
+    assert!(out.iter().enumerate().all(|(p, &b)| b == source_byte(7, p)));
+    assert_eq!(Arc::strong_count(&kept), 41, "a read leaves the source in place");
+
+    store.write_blocks(236, &[1u8; 10 * BLOCK], BLOCK);
+    assert_eq!(Arc::strong_count(&kept), 31);
+    store.write_block(246, &[2u8; BLOCK]);
+    assert_eq!(Arc::strong_count(&kept), 30);
+    store.discard_blocks(247, 15);
+    assert_eq!(Arc::strong_count(&kept), 15);
+    store.write_source(262, 14, BLOCK, &source(8), 0);
+    assert_eq!(Arc::strong_count(&kept), 1, "no slot still holds the source");
+    store.read_blocks(236, &mut out, BLOCK);
+    assert!(out[..10 * BLOCK].iter().all(|&b| b == 1));
+    assert!(out[10 * BLOCK..11 * BLOCK].iter().all(|&b| b == 2));
+    assert!(out[11 * BLOCK..26 * BLOCK].iter().all(|&b| b == 0), "discarded blocks read zero");
+    assert!(out[26 * BLOCK..].iter().enumerate().all(|(p, &b)| b == source_byte(8, p)));
 }

@@ -71,14 +71,23 @@ fn tenant_engines_map_to_disjoint_device_ruhs() {
     assert!(pages[4..].iter().all(|&p| p == 0), "unexpected handle use: {pages:?}");
 }
 
+/// The shared device of the DLWA test: the tiny geometry at 10 % OP,
+/// so that intermixed SOC and LOC pages make GC relocate.
+fn segregation_device() -> FtlConfig {
+    FtlConfig { op_fraction: 0.1, ..FtlConfig::tiny_test() }
+}
+
 #[test]
 fn shared_device_dlwa_benefits_from_per_tenant_segregation() {
     /// Returns the run's DLWA and host bytes written.
     fn run(fdp: bool) -> (f64, u64) {
-        let ctrl = build_device(FtlConfig::tiny_test(), StoreKind::Null, fdp).unwrap();
+        let ctrl = build_device(segregation_device(), StoreKind::Null, fdp).unwrap();
         let ns_a = create_namespace(&ctrl, 0.5, vec![0, 1]).unwrap();
         let ns_b = create_namespace(&ctrl, 1.0, vec![2, 3]).unwrap();
         let mut cfg = cache_config();
+        // A small SOC, as in the paper's deployments: its random
+        // rewrites are what FDP keeps out of the LOC's reclaim units.
+        cfg.nvm.soc_fraction = 0.05;
         cfg.use_fdp = fdp;
         let mut a = build_cache(&ctrl, ns_a, &cfg, Box::new(RoundRobinPolicy::new())).unwrap();
         let mut b = build_cache(&ctrl, ns_b, &cfg, Box::new(RoundRobinPolicy::new())).unwrap();
@@ -102,14 +111,15 @@ fn shared_device_dlwa_benefits_from_per_tenant_segregation() {
     let (without, _) = run(false);
     // The absolute bound means something only once the host has
     // written the whole exported device at least once.
-    let exported = FtlConfig::tiny_test().exported_bytes();
+    let exported = segregation_device().exported_bytes();
     assert!(
         fdp_host_bytes >= exported,
         "DLWA bound vacuous: host bytes {fdp_host_bytes} < exported bytes {exported}"
     );
-    assert!(with_fdp <= 1.3, "FDP DLWA {with_fdp:.3} > 1.3 on the shared device");
+    // Measured: FDP 1.0014, Non-FDP 1.3405.
+    assert!(with_fdp <= 1.05, "FDP DLWA {with_fdp:.4} > 1.05 on the shared device");
     assert!(
-        with_fdp <= without + 1e-9,
-        "per-tenant segregation should not hurt: fdp {with_fdp:.3} vs non {without:.3}"
+        without >= with_fdp + 0.2,
+        "per-tenant segregation should cut DLWA: fdp {with_fdp:.4} vs non {without:.4}"
     );
 }
