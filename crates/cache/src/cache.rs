@@ -854,13 +854,14 @@ mod tests {
         assert!(s.nvm_hit_ratio() > 0.0);
     }
 
-    /// Two SOCs driven by one thread share its page buffer. Interleaved
-    /// inserts, removes and lookups on the same bucket indexes, with
-    /// bytes that differ per cache and per put: after every step every
-    /// key of either cache must verify against its own device, and every
-    /// written page holding one must be byte for byte the from-scratch
-    /// page of its own list — no byte of the other SOC's page carried
-    /// (in debug builds every splice is cross-checked as well).
+    /// Two SOCs driven by one thread, each writing its pages as
+    /// snapshots of its own lists. Interleaved inserts, removes and
+    /// lookups on the same bucket indexes, with bytes that differ per
+    /// cache and per put: after every step every key of either cache
+    /// must verify against its own device, and every written page
+    /// holding one must read back byte for byte as the page of its own
+    /// current list — no byte of the other SOC's page, and no page of
+    /// an older list.
     #[test]
     fn two_socs_on_one_thread_keep_their_own_pages() {
         const KEYS: u64 = 48;

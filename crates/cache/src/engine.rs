@@ -652,6 +652,39 @@ mod tests {
         assert_eq!(e.verify_key(10).unwrap(), FlashVerify::Verified);
     }
 
+    /// SOC bucket writes make no byte: each insert or remove charges
+    /// its read-modify-write read and the store keeps the page's
+    /// source, so verifying one SOC key makes exactly its bucket page.
+    #[test]
+    fn soc_writes_make_no_bytes_until_a_read_asks() {
+        let (store, loads, made) = CountingStore::new();
+        let mut e = engine_over(Box::new(store));
+        let mut rng = 0x50C_u64;
+        let (mut replaces, mut removes) = (0, 0);
+        for step in 0..600u64 {
+            rng =
+                rng.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            let draw = rng >> 33;
+            let key = draw % 400;
+            if step % 6 == 5 {
+                removes += u64::from(e.remove(key).unwrap());
+            } else {
+                replaces += u64::from(e.soc().contains(key));
+                e.insert(key, Value::synthetic(100 + (draw % 1900) as u32)).unwrap();
+            }
+        }
+        let soc = e.soc().stats();
+        assert!(replaces > 0 && removes > 0, "{replaces} replaces, {removes} removes");
+        assert!(soc.collision_evictions > 0 && soc.rmw_reads > 0, "{soc:?}");
+        assert_eq!(soc.page_writes, soc.inserts + removes);
+        assert_eq!(loads.load(Ordering::Relaxed), 0, "an RMW read loads no page");
+        assert_eq!(made.load(Ordering::Relaxed), 0, "a bucket write makes no byte");
+        let key = (0..400).find(|&k| e.soc().contains(k)).expect("a key in the SOC");
+        assert_eq!(e.verify_key(key).unwrap(), FlashVerify::Verified);
+        assert_eq!(loads.load(Ordering::Relaxed), 1);
+        assert_eq!(made.load(Ordering::Relaxed), u64::from(e.io().block_bytes()), "one page");
+    }
+
     /// Seals make no byte: the store keeps each region's source, and
     /// verifying a sealed LOC key makes exactly the blocks covering it.
     #[test]

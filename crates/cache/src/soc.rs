@@ -16,34 +16,30 @@
 //! docs' simulator concession); serialization to the on-flash format is
 //! exact and tested for round-trip fidelity.
 //!
-//! A rewrite costs what changed (DESIGN.md §5.3). On a data-retaining
-//! store an insert or remove *consumes* its read-modify-write read: the
-//! page that came back is checked against the pre-edit list's skeleton
-//! (magic, count, every entry's key and length at its running offset)
-//! and then edited in step with the list — surviving entries' bytes
-//! move with `copy_within`, only the new entry is materialised, only
-//! the vacated gap is zeroed. The trailer (§6.5) folds one cached digest
-//! per entry, taken when the SOC itself materialised that entry, so it
-//! is rebuilt without re-reading the carried bytes and never vouches for
-//! what the device handed back. Whenever there is no trustworthy old
-//! page — virgin bucket, RMW read fault absorbed, skeleton mismatch,
-//! repair and scrub rewrites — the page is built from scratch by
-//! `Soc::serialize_bucket`, the one full-build path.
+//! A bucket write records its page; it does not make it (DESIGN.md
+//! §5.3). An insert or remove charges its read-modify-write read
+//! ([`IoManager::read_charged`]: the device cost, no bytes), edits the
+//! entry list, and writes the page as one [`FillSource`] over a
+//! snapshot of the edited list — clones of its keys and values, each a
+//! refcount bump or a length copy. The payload store keeps the source
+//! and calls it, which runs `Soc::serialize_bucket`, the one page
+//! builder, only when the block is read: by verification, scrub or
+//! recovery. Every page is therefore built whole from the list, and the
+//! trailer (§6.5) is folded from digests of the bytes the builder just
+//! wrote, so nothing read back from the device is carried forward. A
+//! store that retains no data is handed one shared source of zeros, so
+//! its writes allocate nothing.
 //!
 //! Concurrency note: the SOC is single-threaded state owned by its
 //! shard — lookups mutate bloom/bucket bookkeeping and charge device
 //! time on the shard's `&mut` queue pair, so every SOC call happens
 //! under the shard lock. Only the DRAM tier publishes into the
-//! lock-free read index (DESIGN.md §5.1a). The 4 KiB page buffer every
-//! RMW read fills and every splice edits is the one piece of SOC state
-//! that stays with the calling *thread* instead (`with_page`,
-//! DESIGN.md §5.3), so when two clients take turns on a shard the page
-//! does not migrate between their cores with it.
+//! lock-free read index (DESIGN.md §5.1a).
 
-use std::cell::Cell;
+use std::sync::{Arc, LazyLock};
 
 use fdpcache_core::{IoManager, PlacementHandle};
-use fdpcache_nvme::NvmeError;
+use fdpcache_nvme::{FillSource, NvmeError};
 
 use crate::bloom::BloomArray;
 use crate::checksum::{bucket_trailer, page_checksum};
@@ -66,6 +62,10 @@ const CHECKSUM_BYTES: usize = 8;
 /// faults are transient by default, so retries recover everything but
 /// scripted bad blocks. Reads (RMW, lookup, recovery) retry once.
 const SOC_WRITE_ATTEMPTS: u32 = 4;
+
+/// The page source of every bucket write to a store that retains no
+/// data: zeros, built once and shared, so those writes allocate nothing.
+static BLANK_PAGE: LazyLock<FillSource> = LazyLock::new(|| Arc::new(|_, out| out.fill(0)));
 
 /// SOC statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -104,12 +104,6 @@ pub struct SocStats {
 struct Entry {
     key: Key,
     value: Value,
-    /// [`page_checksum`] of the entry's on-flash bytes (12-byte header
-    /// plus payload), taken from the page where the SOC materialised
-    /// them ([`Entry::write`]) or from a page recovery verified — never
-    /// from bytes a read-modify-write read carried forward. Unset on
-    /// stores that retain no data, where nothing is serialized.
-    digest: u64,
 }
 
 impl Entry {
@@ -120,51 +114,27 @@ impl Entry {
     }
 
     /// Materialises the entry into `at` (exactly [`Entry::flash_len`]
-    /// bytes of a page) and takes its digest from what it wrote.
-    fn write(&mut self, at: &mut [u8]) {
+    /// bytes of a page).
+    fn write(&self, at: &mut [u8]) {
         at[0..8].copy_from_slice(&self.key.to_le_bytes());
         at[8..12].copy_from_slice(&(self.value.len() as u32).to_le_bytes());
         self.value.materialize(self.key, &mut at[ENTRY_META_BYTES..]);
-        self.digest = page_checksum(at);
     }
 }
 
-/// What one pass over a bucket's entry list finds ([`walk`]).
-struct Walk {
-    /// Header plus every entry: the page offset where the zero padding
-    /// starts.
-    used: usize,
-    /// List position and page offset of the entry holding the key.
-    hit: Option<(usize, usize)>,
-    /// Whether the page handed in carries this list's skeleton: magic,
-    /// entry count, and each entry's key and length at its running
-    /// offset. Payload bytes are not looked at — the trailer is folded
-    /// from the SOC's own digests, so a payload that rotted on the
-    /// device yields a page that fails [`Soc::parse_bucket`].
-    spliceable: bool,
-}
-
-/// Walks `entries` once for everything a rewrite needs to know about
-/// the pre-edit bucket: where `key` sits, how many bytes are in use,
-/// and — when the read-modify-write read produced an old `page` —
-/// whether that page may be edited in place of a full rebuild.
-fn walk(entries: &[Entry], key: Key, page: Option<&[u8]>) -> Walk {
-    let mut spliceable = page.is_some_and(|p| {
-        p[0..4] == MAGIC.to_le_bytes() && p[4..8] == (entries.len() as u32).to_le_bytes()
-    });
+/// One pass over a bucket's entry list: the list position of `key`,
+/// if it is listed, and the page bytes the list uses (header plus every
+/// entry: the offset where the zero padding starts).
+fn walk(entries: &[Entry], key: Key) -> (Option<usize>, usize) {
     let mut hit = None;
-    let mut off = HEADER_BYTES;
+    let mut used = HEADER_BYTES;
     for (pos, e) in entries.iter().enumerate() {
         if e.key == key {
-            hit = Some((pos, off));
+            hit = Some(pos);
         }
-        if let Some(p) = page.filter(|_| spliceable) {
-            spliceable = p[off..off + 8] == e.key.to_le_bytes()
-                && p[off + 8..off + 12] == (e.value.len() as u32).to_le_bytes();
-        }
-        off += e.flash_len();
+        used += e.flash_len();
     }
-    Walk { used: off, hit, spliceable }
+    (hit, used)
 }
 
 /// The Small Object Cache engine.
@@ -188,29 +158,6 @@ pub struct Soc {
     /// Reusable rollback buffer: the entries the insert in flight
     /// evicted, oldest first. Empty between inserts.
     evicted: Vec<Entry>,
-}
-
-thread_local! {
-    /// The calling thread's page buffer for RMW reads and serialization,
-    /// shared by every SOC the thread drives (see [`with_page`]).
-    static PAGE: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
-}
-
-/// Runs `f` over the calling thread's page buffer, resized to `bytes`.
-///
-/// The buffer holds arbitrary bytes between uses — possibly another
-/// SOC's page: every reader overwrites the whole page,
-/// [`Soc::serialize_bucket`] zeroes what it does not write, and
-/// [`Soc::splice`] only ever edits a page the RMW read just filled. A
-/// page is written unfilled only to a store that retains no payload,
-/// which drops the bytes. A nested call (or one after `f` panicked)
-/// finds the slot empty and allocates afresh.
-fn with_page<R>(bytes: u32, f: impl FnOnce(&mut [u8]) -> R) -> R {
-    let mut page = PAGE.take();
-    page.resize(bytes as usize, 0);
-    let res = f(&mut page);
-    PAGE.set(page);
-    res
 }
 
 /// Uniform hash: splitmix64 finalizer (the paper's model assumes a
@@ -283,17 +230,17 @@ impl Soc {
                 Err(e) if e.is_injected_fault() => continue,
                 Err(e) => return Err(e.into()),
             }
-            let Some(parsed) = Self::parse_entries(&page) else {
+            let Some(parsed) = Self::parse_bucket(&page) else {
                 // Readable but not a valid bucket (torn or foreign
                 // page): recovery must not trust it.
                 continue;
             };
             let mut off = HEADER_BYTES;
-            for (key, size, digest) in parsed {
+            for (key, size) in parsed {
                 off += ENTRY_META_BYTES;
                 let bytes = page[off..off + size as usize].to_vec();
                 off += size as usize;
-                soc.buckets[bucket as usize].push(Entry { key, value: Value::real(bytes), digest });
+                soc.buckets[bucket as usize].push(Entry { key, value: Value::real(bytes) });
             }
             soc.written[bucket as usize] = true;
             soc.rebuild_bloom(bucket);
@@ -364,75 +311,55 @@ impl Soc {
         &self.bloom
     }
 
-    /// Builds a bucket page from scratch — the single full-build path
+    /// Builds the page of `entries` into `out` — the one page builder
     /// (DESIGN.md §5.3) — in one pass over `out`, whatever it held
-    /// before: header and entries are written in place, every entry's
-    /// digest is retaken from the bytes just materialised, and only the
-    /// gap between the last entry and the trailer is zeroed.
-    fn serialize_bucket(entries: &mut [Entry], out: &mut [u8]) {
-        out[0..4].copy_from_slice(&MAGIC.to_le_bytes());
+    /// before: header and entries are written in place, each entry is
+    /// digested (§6.5) right after it is written, and only the gap
+    /// between the last entry and the trailer is zeroed.
+    fn serialize_bucket(entries: &[Entry], out: &mut [u8]) {
+        let (body, trailer) = out.split_at_mut(out.len() - CHECKSUM_BYTES);
+        body[0..4].copy_from_slice(&MAGIC.to_le_bytes());
+        body[4..8].copy_from_slice(&(entries.len() as u32).to_le_bytes());
+        let used = HEADER_BYTES + entries.iter().map(Entry::flash_len).sum::<usize>();
         let mut off = HEADER_BYTES;
-        for e in entries.iter_mut() {
-            let end = off + e.flash_len();
-            e.write(&mut out[off..end]);
-            off = end;
-        }
-        let cut = out.len() - CHECKSUM_BYTES;
-        out[off..cut].fill(0);
-        Self::seal(entries, out, off);
+        let digests = entries.iter().map(|e| {
+            let at = &mut body[off..off + e.flash_len()];
+            off += at.len();
+            e.write(at);
+            page_checksum(at)
+        });
+        let sum = bucket_trailer(digests, used);
+        body[used..].fill(0);
+        trailer.copy_from_slice(&sum.to_le_bytes());
     }
 
-    /// Stamps the entry count and the trailer (DESIGN.md §6.5) of
-    /// `entries` — `used` bytes of header and entries — onto `page`,
-    /// from the entries' cached digests alone.
-    fn seal(entries: &[Entry], page: &mut [u8], used: usize) {
-        page[4..8].copy_from_slice(&(entries.len() as u32).to_le_bytes());
-        let cut = page.len() - CHECKSUM_BYTES;
-        let sum = bucket_trailer(entries.iter().map(|e| e.digest), used);
-        page[cut..].copy_from_slice(&sum.to_le_bytes());
+    /// The page source of `bucket`'s current list. On a store that
+    /// retains data it is a snapshot of the list — clones of its keys
+    /// and values — that [`Soc::serialize_bucket`] builds the page from
+    /// whenever the store reads the block; otherwise it is
+    /// [`BLANK_PAGE`].
+    fn page_source(&self, io: &IoManager, bucket: u64) -> FillSource {
+        if !io.retains_data() {
+            return BLANK_PAGE.clone();
+        }
+        let entries = self.buckets[bucket as usize].clone();
+        let bytes = self.bucket_bytes as usize;
+        Arc::new(move |at, out| {
+            if at == 0 && out.len() == bytes {
+                Self::serialize_bucket(&entries, out);
+            } else {
+                let mut page = vec![0u8; bytes];
+                Self::serialize_bucket(&entries, &mut page);
+                out.copy_from_slice(&page[at..at + out.len()]);
+            }
+        })
     }
 
-    /// Edits `page` — the old page of a list [`walk`] found spliceable,
-    /// `old_used` bytes in use — into the page of `entries`, the list
-    /// after the edit. The edit took out the `hole` (page offset,
-    /// length) of a replaced or removed entry and whatever followed the
-    /// first `kept` bytes of the rest (evictions from the tail); with
-    /// `inserted`, `entries[0]` is new and still to be materialised.
-    /// Surviving entries' bytes move, they are not rebuilt or re-read;
-    /// only the gap the edit vacated is zeroed (the old padding beyond
-    /// it is carried: the trailer does not cover padding).
-    fn splice(
-        entries: &mut [Entry],
-        page: &mut [u8],
-        old_used: usize,
-        hole: (usize, usize),
-        kept: usize,
-        inserted: bool,
-    ) {
-        let fresh = if inserted { entries[0].flash_len() } else { 0 };
-        // Survivors ahead of the hole shift right by the new entry;
-        // those behind it close the hole as well. Rightmost first, so
-        // no move lands on bytes still to be moved.
-        let ahead = hole.0.min(kept);
-        let behind = hole.0 + hole.1;
-        page.copy_within(behind..behind + (kept - ahead), ahead + fresh);
-        page.copy_within(HEADER_BYTES..ahead, HEADER_BYTES + fresh);
-        if inserted {
-            entries[0].write(&mut page[HEADER_BYTES..HEADER_BYTES + fresh]);
-        }
-        let used = kept + fresh;
-        if used < old_used {
-            page[used..old_used].fill(0);
-        }
-        Self::seal(entries, page, used);
-    }
-
-    /// The from-scratch page of `bucket`'s current list, for the debug
-    /// cross-check of [`Soc::splice`] (and tests); cached digests are
-    /// left alone.
+    /// The page of `bucket`'s current list, built into a fresh buffer.
+    #[cfg(test)]
     pub(crate) fn reference_page(&self, bucket: u64) -> Vec<u8> {
         let mut page = vec![0u8; self.bucket_bytes as usize];
-        Self::serialize_bucket(&mut self.buckets[bucket as usize].clone(), &mut page);
+        Self::serialize_bucket(&self.buckets[bucket as usize], &mut page);
         page
     }
 
@@ -444,13 +371,6 @@ impl Soc {
     /// the count, every header and payload byte, their order and the
     /// used length; nothing is returned before it holds.
     pub fn parse_bucket(page: &[u8]) -> Option<Vec<(Key, u32)>> {
-        let parsed = Self::parse_entries(page)?;
-        Some(parsed.into_iter().map(|(key, size, _)| (key, size)).collect())
-    }
-
-    /// [`Soc::parse_bucket`] with each entry's digest, which recovery
-    /// keeps so later rewrites can fold it.
-    fn parse_entries(page: &[u8]) -> Option<Vec<(Key, u32, u64)>> {
         if page.len() < HEADER_BYTES + CHECKSUM_BYTES {
             return None;
         }
@@ -465,66 +385,61 @@ impl Soc {
             return None;
         }
         let mut out = Vec::with_capacity(count);
-        let mut off = HEADER_BYTES;
+        let mut used = HEADER_BYTES;
         for _ in 0..count {
-            if off + ENTRY_META_BYTES > cut {
+            if used + ENTRY_META_BYTES > cut {
                 return None;
             }
-            let key = u64::from_le_bytes(page[off..off + 8].try_into().ok()?);
-            let size = u32::from_le_bytes(page[off + 8..off + 12].try_into().ok()?);
-            let end = off + ENTRY_META_BYTES + size as usize;
-            if end > cut {
+            let key = u64::from_le_bytes(page[used..used + 8].try_into().ok()?);
+            let size = u32::from_le_bytes(page[used + 8..used + 12].try_into().ok()?);
+            used += ENTRY_META_BYTES + size as usize;
+            if used > cut {
                 return None;
             }
-            out.push((key, size, page_checksum(&page[off..end])));
-            off = end;
+            out.push((key, size));
         }
+        let mut off = HEADER_BYTES;
+        let digests = out.iter().map(|&(_, size)| {
+            let entry = &page[off..off + ENTRY_META_BYTES + size as usize];
+            off += entry.len();
+            page_checksum(entry)
+        });
         let stored = u64::from_le_bytes(page[cut..].try_into().ok()?);
-        (stored == bucket_trailer(out.iter().map(|&(_, _, digest)| digest), off)).then_some(out)
+        (stored == bucket_trailer(digests, used)).then_some(out)
     }
 
     /// The read-modify-write read: a real SOC must fetch the page
     /// before modifying it, so every rewrite of an existing page issues
-    /// it. With `page` the bytes land there (inserts and removes on a
-    /// data-retaining store splice them); without, the read is charged
-    /// but copies nothing ([`IoManager::read_charged`]). Returns whether
-    /// the device returned the page.
+    /// it. It is charged — device time, NAND read, faults, `bytes_read`
+    /// — and copies nothing ([`IoManager::read_charged`]): the new page
+    /// is built from the authoritative list, not from the old one.
     ///
     /// Recovery (DESIGN.md §6): an injected fault is absorbed after one
     /// retry — the authoritative entry list lives in memory, so a
-    /// persistently unreadable old page does not block the rewrite, it
-    /// only forces the from-scratch build.
-    fn rmw_read(
-        &mut self,
-        io: &mut IoManager,
-        bucket: u64,
-        mut page: Option<&mut [u8]>,
-    ) -> Result<bool, CacheError> {
+    /// persistently unreadable old page does not block the rewrite.
+    fn rmw_read(&mut self, io: &mut IoManager, bucket: u64) -> Result<(), CacheError> {
         if !self.written[bucket as usize] {
-            return Ok(false);
+            return Ok(());
         }
         let block = self.bucket_block(bucket);
         let len = self.bucket_bytes as usize;
-        let mut device_read = |io: &mut IoManager| match page.as_deref_mut() {
-            Some(page) => io.read(block, page),
-            None => io.read_charged(block, len),
-        };
-        let mut read = device_read(io);
+        let mut read = io.read_charged(block, len);
         if read.as_ref().is_err_and(|e| e.is_injected_fault()) {
             self.stats.read_faults += 1;
-            read = device_read(io);
+            read = io.read_charged(block, len);
         }
         match read {
             Ok(_) => {
                 self.stats.rmw_reads += 1;
-                Ok(true)
+                Ok(())
             }
-            Err(e) if e.is_injected_fault() => Ok(false),
+            Err(e) if e.is_injected_fault() => Ok(()),
             Err(e) => Err(e.into()),
         }
     }
 
-    /// Writes `page` over the bucket through the placement handle.
+    /// Writes `bucket`'s page, one block holding `source`'s bytes,
+    /// through the placement handle.
     ///
     /// Recovery (DESIGN.md §6): an injected fault is retried, up to
     /// [`SOC_WRITE_ATTEMPTS`] attempts in all; a persistent failure
@@ -535,11 +450,11 @@ impl Soc {
         &mut self,
         io: &mut IoManager,
         bucket: u64,
-        page: &[u8],
+        source: FillSource,
     ) -> Result<(), CacheError> {
         let block = self.bucket_block(bucket);
         let mut attempt = 1;
-        while let Err(e) = io.write(block, page, self.handle) {
+        while let Err(e) = io.write_with(block, 1, source.clone(), self.handle) {
             if !e.is_injected_fault() {
                 return Err(e.into());
             }
@@ -555,23 +470,15 @@ impl Soc {
         Ok(())
     }
 
-    /// Rewrites the bucket page from the authoritative list alone —
-    /// the repair and scrub path, where the page on flash is the thing
-    /// in doubt: the read-modify-write read is charged for its device
-    /// cost ([`Soc::rmw_read`] without a page) and copies no bytes; the
-    /// page is built from scratch ([`Soc::serialize_bucket`]) and
-    /// written ([`Soc::write_page`]). Inserts and removes, which change
-    /// the list, edit the page they read instead ([`Soc::splice`]). The
-    /// bloom filter is untouched: a rewrite alone never changes the
+    /// Rewrites the bucket page from the authoritative list alone — the
+    /// repair and scrub path, where the page on flash is the thing in
+    /// doubt: the charged read-modify-write read, then the page write.
+    /// The bloom filter is untouched: a rewrite alone never changes the
     /// list.
     fn rewrite_bucket(&mut self, io: &mut IoManager, bucket: u64) -> Result<(), CacheError> {
-        self.rmw_read(io, bucket, None)?;
-        with_page(self.bucket_bytes, |page| {
-            if io.retains_data() {
-                Self::serialize_bucket(&mut self.buckets[bucket as usize], page);
-            }
-            self.write_page(io, bucket, page)
-        })
+        self.rmw_read(io, bucket)?;
+        let source = self.page_source(io, bucket);
+        self.write_page(io, bucket, source)
     }
 
     /// Blooms cannot delete: after entries left `bucket`, rebuild its
@@ -618,6 +525,9 @@ impl Soc {
         self.insert_impl(io, key, value, false)
     }
 
+    /// [`Soc::insert`] and [`Soc::reinsert`]: the charged RMW read, one
+    /// walk of the pre-insert list, the list edit, the page write, and
+    /// the rollback of the list if the write is abandoned.
     fn insert_impl(
         &mut self,
         io: &mut IoManager,
@@ -630,43 +540,16 @@ impl Soc {
             return Err(CacheError::ObjectTooLarge { size: len, max: self.max_object_bytes() });
         }
         let bucket = self.bucket_of(key);
-        let entry = Entry { key, value, digest: 0 };
-        let evicted =
-            with_page(self.bucket_bytes, |page| self.insert_paged(io, bucket, entry, page))?;
-        self.stats.collision_evictions += evicted;
-        if count_app_bytes {
-            self.stats.inserts += 1;
-            self.stats.app_bytes_written += len as u64;
-        }
-        Ok(evicted)
-    }
-
-    /// [`Soc::insert_impl`] over the thread's page: RMW read, one walk
-    /// of the pre-insert list, list and page edited together, write,
-    /// rollback of the list if the write is abandoned.
-    fn insert_paged(
-        &mut self,
-        io: &mut IoManager,
-        bucket: u64,
-        new: Entry,
-        page: &mut [u8],
-    ) -> Result<u64, CacheError> {
-        let retains = io.retains_data();
-        let old_page = self.rmw_read(io, bucket, retains.then_some(&mut *page))? && retains;
+        self.rmw_read(io, bucket)?;
         let usable = self.usable_bucket_bytes();
-        let Walk { used, hit, spliceable } =
-            walk(&self.buckets[bucket as usize], new.key, old_page.then_some(&*page));
-        // Debug builds cross-check every splice of an exact old page.
-        let exact =
-            cfg!(debug_assertions) && spliceable && page[..] == self.reference_page(bucket)[..];
         let entries = &mut self.buckets[bucket as usize];
+        let (hit, used) = walk(entries, key);
         // Replace any existing entry for the key (kept for rollback).
-        let replaced = hit.map(|(pos, off)| (pos, off, entries.remove(pos)));
-        let hole = replaced.as_ref().map_or((used, 0), |(_, off, old)| (*off, old.flash_len()));
+        let replaced = hit.map(|pos| (pos, entries.remove(pos)));
         // Evict oldest entries until the new one fits (kept for
         // rollback, oldest first).
-        let need = new.flash_len();
-        let mut kept = used - hole.1;
+        let need = ENTRY_META_BYTES + len;
+        let mut kept = used - replaced.as_ref().map_or(0, |(_, old)| old.flash_len());
         while kept + need > usable {
             let Some(old) = entries.pop() else { break };
             kept -= old.flash_len();
@@ -676,26 +559,15 @@ impl Soc {
         // The only keys to leave the list; with none, the filter just
         // gains the new key.
         let pure_insert = replaced.is_none() && evicted == 0;
-        let key = new.key;
-        // The value moves into the bucket; the only bytes touched are
-        // its materialization into the page below.
-        entries.insert(0, new);
-        if spliceable {
-            Self::splice(entries, page, used, hole, kept, true);
-        } else if retains {
-            Self::serialize_bucket(entries, page);
-        }
-        debug_assert!(
-            !exact || page[..] == self.reference_page(bucket)[..],
-            "spliced page of bucket {bucket} differs from its from-scratch build"
-        );
-        if let Err(e) = self.write_page(io, bucket, page) {
-            // Roll back to the exact pre-insert bucket, cached digests
-            // included.
+        // The value moves into the bucket; the page source shares it.
+        entries.insert(0, Entry { key, value });
+        let source = self.page_source(io, bucket);
+        if let Err(e) = self.write_page(io, bucket, source) {
+            // Roll back to the exact pre-insert bucket.
             let entries = &mut self.buckets[bucket as usize];
             entries.remove(0);
             entries.extend(self.evicted.drain(..).rev());
-            if let Some((pos, _, old)) = replaced {
+            if let Some((pos, old)) = replaced {
                 entries.insert(pos, old);
             }
             return Err(e);
@@ -705,6 +577,11 @@ impl Soc {
             self.bloom.insert(bucket as usize, key);
         } else {
             self.rebuild_bloom(bucket);
+        }
+        self.stats.collision_evictions += evicted;
+        if count_app_bytes {
+            self.stats.inserts += 1;
+            self.stats.app_bytes_written += len as u64;
         }
         Ok(evicted)
     }
@@ -786,10 +663,14 @@ impl Soc {
     /// Propagates non-injected I/O failures only.
     pub fn remove(&mut self, io: &mut IoManager, key: Key) -> Result<bool, CacheError> {
         let bucket = self.bucket_of(key);
-        if !self.buckets[bucket as usize].iter().any(|e| e.key == key) {
+        let Some(pos) = self.buckets[bucket as usize].iter().position(|e| e.key == key) else {
             return Ok(false);
-        }
-        match with_page(self.bucket_bytes, |page| self.remove_paged(io, bucket, key, page)) {
+        };
+        self.rmw_read(io, bucket)?;
+        self.buckets[bucket as usize].remove(pos);
+        self.rebuild_bloom(bucket);
+        let source = self.page_source(io, bucket);
+        match self.write_page(io, bucket, source) {
             Ok(()) => {}
             Err(e) if e.is_injected_fault() => {
                 // The stale page must not be read again; invalidate it.
@@ -799,38 +680,6 @@ impl Soc {
         }
         self.stats.removes += 1;
         Ok(true)
-    }
-
-    /// [`Soc::remove`] of a key its bucket holds, over the thread's
-    /// page: RMW read, list and page edited together, write.
-    fn remove_paged(
-        &mut self,
-        io: &mut IoManager,
-        bucket: u64,
-        key: Key,
-        page: &mut [u8],
-    ) -> Result<(), CacheError> {
-        let retains = io.retains_data();
-        let old_page = self.rmw_read(io, bucket, retains.then_some(&mut *page))? && retains;
-        let Walk { used, hit, spliceable } =
-            walk(&self.buckets[bucket as usize], key, old_page.then_some(&*page));
-        // Debug builds cross-check every splice of an exact old page.
-        let exact =
-            cfg!(debug_assertions) && spliceable && page[..] == self.reference_page(bucket)[..];
-        let entries = &mut self.buckets[bucket as usize];
-        let (pos, off) = hit.expect("the caller found the key in this bucket");
-        let hole = (off, entries.remove(pos).flash_len());
-        if spliceable {
-            Self::splice(entries, page, used, hole, used - hole.1, false);
-        } else if retains {
-            Self::serialize_bucket(entries, page);
-        }
-        debug_assert!(
-            !exact || page[..] == self.reference_page(bucket)[..],
-            "spliced page of bucket {bucket} differs from its from-scratch build"
-        );
-        self.rebuild_bloom(bucket);
-        self.write_page(io, bucket, page)
     }
 
     /// Verifies that the on-flash serialization of `bucket` matches the
@@ -1222,7 +1071,7 @@ mod tests {
     fn entries_trading_places_fail_the_trailer() {
         let (_s, _io, page, bounds) = five_entry_bucket();
         // Neighbours, and first against last: rebuild the entry area
-        // with two whole entries swapped, skeleton still well-formed.
+        // with two whole entries swapped, every header still well-formed.
         for (a, b) in [(0, 1), (2, 3), (0, 4)] {
             let mut order: Vec<usize> = (0..5).collect();
             order.swap(a, b);
@@ -1254,7 +1103,7 @@ mod tests {
     #[test]
     fn torn_pages_fail_the_trailer() {
         // Old page: five entries. New pages: a sixth inserted (a pure
-        // splice), key 3 replaced by a shorter value, key 3 removed.
+        // insert), key 3 replaced by a shorter value, key 3 removed.
         let edits: [fn(&mut Soc, &mut IoManager); 3] = [
             |s, io| assert_eq!(s.insert(io, 6, Value::synthetic(300)).unwrap(), 0),
             |s, io| assert_eq!(s.insert(io, 3, Value::synthetic(40)).unwrap(), 0),
@@ -1291,45 +1140,64 @@ mod tests {
         }
     }
 
-    /// The case the trailer's definition exists for: a payload byte
-    /// rots on the device, the next insert carries it forward — and the
-    /// page it writes must not validate, because the trailer is folded
-    /// from digests of what the SOC wrote, not of what it read back.
+    /// Nothing the device hands back is carried into the next page: a
+    /// page scribbled in the store — a payload byte, or a key in an
+    /// entry header — is rebuilt whole by the next insert into its
+    /// bucket.
     #[test]
-    fn rot_carried_through_a_splice_is_caught_not_laundered() {
-        let (mut s, mut io, mut page, bounds) = five_entry_bucket();
-        // One payload byte of the middle entry, skeleton intact.
-        page[bounds[2] + ENTRY_META_BYTES + 7] ^= 0x04;
-        io.write(s.bucket_block(0), &page, s.handle()).unwrap();
-        let (writes, rmw_reads) = (s.stats().page_writes, s.stats().rmw_reads);
-        s.insert(&mut io, 6, Value::synthetic(200)).unwrap();
-        assert_eq!((s.stats().page_writes, s.stats().rmw_reads), (writes + 1, rmw_reads + 1));
-        let spliced = page_on_flash(&s, &mut io, 0);
-        let rotten = bounds[2] + ENTRY_META_BYTES + 7;
-        assert_eq!(spliced[rotten + ENTRY_META_BYTES + 200], page[rotten], "the splice carries it");
-        assert_eq!(Soc::parse_bucket(&spliced), None, "a whole-page re-hash would vouch for it");
-        assert!(!s.verify_bucket(&mut io, 0).unwrap());
-        // Recovery treats the bucket as virgin…
-        let mut r = Soc::recover(0, 1, 4096, PlacementHandle::with_dspec(0), &mut io).unwrap();
-        assert!(r.persisted_keys().is_empty());
-        assert!(r.lookup(&mut io, 6).unwrap().is_none());
-        // …and the patrol scrub of the live engine repairs it to the
-        // from-scratch page of the authoritative list.
-        assert_eq!(s.scrub_bucket(&mut io, 0).unwrap(), (2, 1));
-        let repaired = page_on_flash(&s, &mut io, 0);
-        assert_eq!(repaired, s.reference_page(0));
-        assert_eq!(Soc::parse_bucket(&repaired), Some(s.bucket_entries(0)));
+    fn a_scribbled_page_is_rebuilt_whole_by_the_next_insert() {
+        for what in ["payload", "key"] {
+            let (mut s, mut io, mut page, bounds) = five_entry_bucket();
+            // A byte of the middle entry's payload, or of the second
+            // entry's key.
+            let at = if what == "payload" { bounds[2] + ENTRY_META_BYTES + 7 } else { bounds[1] };
+            page[at] ^= 0x04;
+            io.write(s.bucket_block(0), &page, s.handle()).unwrap();
+            assert!(!s.verify_bucket(&mut io, 0).unwrap(), "{what}: the scribble shows");
+            let (writes, rmw_reads) = (s.stats().page_writes, s.stats().rmw_reads);
+            s.insert(&mut io, 6, Value::synthetic(200)).unwrap();
+            assert_eq!((s.stats().page_writes, s.stats().rmw_reads), (writes + 1, rmw_reads + 1));
+            let rebuilt = page_on_flash(&s, &mut io, 0);
+            assert_eq!(rebuilt, s.reference_page(0), "{what}");
+            assert_eq!(Soc::parse_bucket(&rebuilt), Some(s.bucket_entries(0)), "{what}");
+        }
     }
 
+    /// A page write's source holds clones of its list's values. An
+    /// entry that leaves the list — replaced, evicted or removed — is
+    /// held by nobody once the next write of its bucket has replaced
+    /// the old source: its buffer's strong count is back at the test's
+    /// own 1.
     #[test]
-    fn skeleton_mismatch_falls_back_to_the_full_build() {
-        let (mut s, mut io, mut page, bounds) = five_entry_bucket();
-        // A foreign key in the second entry's header: the page is not
-        // this list's, so nothing of it may be carried.
-        page[bounds[1]] ^= 0x01;
-        io.write(s.bucket_block(0), &page, s.handle()).unwrap();
-        s.insert(&mut io, 6, Value::synthetic(200)).unwrap();
-        assert_eq!(page_on_flash(&s, &mut io, 0), s.reference_page(0));
+    fn a_value_leaving_its_bucket_dies_with_the_next_write() {
+        let (mut s, mut io) = soc(1);
+        let real = |fill: u8, len: usize| {
+            let value = Value::real(vec![fill; len]);
+            let arc = value.as_real().unwrap().clone();
+            (value, arc)
+        };
+        // Replaced.
+        let (value, replaced) = real(1, 300);
+        s.insert(&mut io, 1, value).unwrap();
+        assert_eq!(Arc::strong_count(&replaced), 3, "test, list and page source");
+        s.insert(&mut io, 1, real(2, 300).0).unwrap();
+        assert_eq!(Arc::strong_count(&replaced), 1, "replaced");
+        // Evicted: key 2 ages out behind 1000-byte inserts.
+        let (value, evicted) = real(3, 1000);
+        s.insert(&mut io, 2, value).unwrap();
+        let mut key = 10;
+        while s.contains(2) {
+            assert_eq!(Arc::strong_count(&evicted), 3);
+            s.insert(&mut io, key, Value::synthetic(1000)).unwrap();
+            key += 1;
+        }
+        assert!(s.stats().collision_evictions >= 2);
+        assert_eq!(Arc::strong_count(&evicted), 1, "evicted");
+        // Removed.
+        let (value, removed) = real(4, 500);
+        s.insert(&mut io, 3, value).unwrap();
+        assert!(s.remove(&mut io, 3).unwrap());
+        assert_eq!(Arc::strong_count(&removed), 1, "removed");
         assert!(s.verify_bucket(&mut io, 0).unwrap());
     }
 

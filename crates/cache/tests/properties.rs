@@ -245,16 +245,16 @@ mod page_bytes_props {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// After every insert, replace, evict, remove and lookup — the
-        /// page scratch dirtied by each one's reads and writes, across
-        /// buckets, synthetic and real payloads alike — each bucket
-        /// page on flash is byte-for-byte the reference page of the
-        /// authoritative list (so it parses to that list and the gap
-        /// before the trailer is zero), the list is what the naive
+        /// After every insert, replace, evict, remove and lookup —
+        /// across buckets, synthetic and real payloads alike — each
+        /// bucket page on flash is byte-for-byte the reference page of
+        /// the authoritative list (so it parses to that list and the
+        /// gap before the trailer is zero), the list is what the naive
         /// model holds, and the bucket's bloom filter is what a
-        /// from-scratch rebuild gives. That holds whether the page was
-        /// spliced from the one the op read or, its read having
-        /// faulted, rebuilt whole; an insert whose write exhausted its
+        /// from-scratch rebuild gives. That holds whether the op's
+        /// read-modify-write read succeeded or faulted: the page the
+        /// store reads back is made from the snapshot of the list its
+        /// last write recorded; an insert whose write exhausted its
         /// retries leaves list and flash exactly as they were, and a
         /// remove whose write did drops the key and disowns the page.
         #[test]

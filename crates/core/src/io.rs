@@ -4,8 +4,9 @@
 //! submits commands through a per-worker [`QueuePair`], recording
 //! latency histograms.
 //!
-//! Every device command takes one route. [`IoManager::write`] is a
-//! one-command write batch and [`IoManager::submit_batch`] flushes an
+//! Every device command takes one route. [`IoManager::write`] and
+//! [`IoManager::write_with`] are one-command write batches and
+//! [`IoManager::submit_batch`] flushes an
 //! [`IoBatch`] of writes; both map through
 //! [`Controller::write_batch_ns`], which validates and maps every
 //! command of the batch under **one** media-lock acquisition.
@@ -27,8 +28,8 @@
 //! `DataStore::write_source` (a shared source of the bytes, which the
 //! slab records and calls only when the blocks are read), so a sealed
 //! LOC region is neither staged, copied, nor inserted one 4 KiB block
-//! at a time — nor made at all until somebody reads it (DESIGN.md
-//! §5.3).
+//! at a time, and neither it nor a SOC bucket page is made at all until
+//! somebody reads it (DESIGN.md §5.3).
 //!
 //! Concurrency topology: the controller is a plain `Arc` —
 //! [`SharedController`] — with interior fine-grained locking (media
@@ -489,8 +490,37 @@ impl IoManager {
         data: &[u8],
         handle: PlacementHandle,
     ) -> Result<u64, NvmeError> {
-        let write =
-            BatchWrite { slba: block, data: WritePayload::Bytes(data), dspec: handle.dspec() };
+        self.write_one(BatchWrite {
+            slba: block,
+            data: WritePayload::Bytes(data),
+            dspec: handle.dspec(),
+        })
+    }
+
+    /// Writes `nlb` blocks at `block` holding `source`'s bytes from
+    /// byte 0 on, returning observed command latency (ns): the
+    /// one-command form of [`IoBatch::write_with`]. The payload store
+    /// keeps the source and makes the bytes when they are read.
+    ///
+    /// # Errors
+    ///
+    /// Propagates controller validation/FTL errors.
+    pub fn write_with(
+        &mut self,
+        block: u64,
+        nlb: u64,
+        source: FillSource,
+        handle: PlacementHandle,
+    ) -> Result<u64, NvmeError> {
+        self.write_one(BatchWrite {
+            slba: block,
+            data: WritePayload::Fill { nlb, source, base: 0 },
+            dspec: handle.dspec(),
+        })
+    }
+
+    /// Submits `write` as a one-command write batch.
+    fn write_one(&mut self, write: BatchWrite<'_>) -> Result<u64, NvmeError> {
         let mut latency = [0];
         self.write_batch(
             std::slice::from_ref(&write),
@@ -620,6 +650,40 @@ mod tests {
         assert_eq!(io.stats().reads, 1);
         assert_eq!(io.read_latency().count(), 1);
         assert_eq!(io.write_latency().count(), 1);
+    }
+
+    #[test]
+    fn source_writes_match_byte_writes_in_everything_but_when_bytes_are_made() {
+        // Twin timed devices: one writes each page's bytes, the other a
+        // source of the same bytes. Churning 96 blocks of 256 runs GC.
+        let (ctrl_b, nsid_b) = timed_setup();
+        let (ctrl_s, nsid_s) = timed_setup();
+        let mut bytes = IoManager::new(ctrl_b.clone(), nsid_b, 2).unwrap();
+        let mut sourced = IoManager::new(ctrl_s.clone(), nsid_s, 2).unwrap();
+        let page = |i: u64| {
+            move |at: usize, out: &mut [u8]| {
+                for (j, b) in out.iter_mut().enumerate() {
+                    *b = (i as usize + at + j) as u8;
+                }
+            }
+        };
+        for i in 0..2000u64 {
+            let (block, nlb) = ((i * 37) % 96, 1 + i % 2);
+            let mut data = vec![0u8; nlb as usize * 4096];
+            page(i)(0, &mut data);
+            let handle = PlacementHandle::with_dspec((i % 2) as u16);
+            let w_b = bytes.write(block, &data, handle);
+            let w_s = sourced.write_with(block, nlb, Arc::new(page(i)), handle);
+            assert_eq!(w_b, w_s, "write {i}");
+            assert_eq!(bytes.now_ns(), sourced.now_ns(), "queue clock after write {i}");
+        }
+        assert_eq!(bytes.stats(), sourced.stats());
+        assert_eq!(ctrl_b.with_ftl(|f| f.stats()), ctrl_s.with_ftl(|f| f.stats()));
+        assert!(ctrl_b.with_ftl(|f| f.stats()).gc_runs > 0, "the churn must run GC");
+        let (mut out_b, mut out_s) = (vec![0u8; 97 * 4096], vec![0u8; 97 * 4096]);
+        bytes.read(0, &mut out_b).unwrap();
+        sourced.read(0, &mut out_s).unwrap();
+        assert!(out_b == out_s, "a source reads back as the bytes it stands for");
     }
 
     #[test]
