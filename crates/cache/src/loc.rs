@@ -189,27 +189,64 @@ fn fill_region(objects: &[(Key, u32, Value)], at: usize, out: &mut [u8]) {
     out[pos - at..].fill(0);
 }
 
+/// The regions whose [`Region::keys`] list one key. A key is listed by
+/// at most one region per copy it has on flash, and almost always by
+/// exactly one, which is kept inline rather than in a heap `Vec`.
+#[derive(Debug)]
+enum Listing {
+    One(u32),
+    Many(Vec<u32>),
+}
+
+impl Listing {
+    fn regions(&self) -> &[u32] {
+        match self {
+            Listing::One(r) => std::slice::from_ref(r),
+            Listing::Many(rs) => rs,
+        }
+    }
+}
+
 /// The inverse of every region's key list: for each key, the regions
-/// whose [`Region::keys`] hold it. A key is listed by at most one
-/// region per copy it has on flash, so the lists stay short.
+/// whose [`Region::keys`] hold it.
 #[derive(Debug, Default)]
-struct KeyRegions(KeyMap<Vec<u32>>);
+struct KeyRegions(KeyMap<Listing>);
 
 impl KeyRegions {
     fn list(&mut self, key: Key, region: u32) {
-        self.0.entry(key).or_default().push(region);
+        match self.0.entry(key) {
+            Entry::Vacant(e) => {
+                e.insert(Listing::One(region));
+            }
+            Entry::Occupied(mut e) => match e.get_mut() {
+                Listing::One(r) => *e.get_mut() = Listing::Many(vec![*r, region]),
+                Listing::Many(rs) => rs.push(region),
+            },
+        }
     }
 
     fn unlist(&mut self, key: Key, region: u32) {
         if let Entry::Occupied(mut e) = self.0.entry(key) {
-            let regions = e.get_mut();
-            if let Some(i) = regions.iter().position(|&r| r == region) {
-                regions.swap_remove(i);
-            }
-            if regions.is_empty() {
-                e.remove();
+            match e.get_mut() {
+                Listing::One(r) if *r == region => {
+                    e.remove();
+                }
+                Listing::One(_) => {}
+                Listing::Many(rs) => {
+                    if let Some(i) = rs.iter().position(|&r| r == region) {
+                        rs.swap_remove(i);
+                    }
+                    if let [r] = rs[..] {
+                        *e.get_mut() = Listing::One(r);
+                    }
+                }
             }
         }
+    }
+
+    /// Whether any region lists `key`.
+    fn is_listed(&self, key: Key) -> bool {
+        self.0.contains_key(&key)
     }
 
     /// Empties `region`'s (number `r`) key list, unlisting each key,
@@ -923,7 +960,7 @@ impl Loc {
         let mut candidates: Vec<u32> = keys
             .iter()
             .filter_map(|k| self.key_regions.0.get(k))
-            .flatten()
+            .flat_map(Listing::regions)
             .copied()
             .filter(|&r| Some(r) != skip && self.regions[r as usize].state == RegionState::Sealed)
             .collect();
@@ -946,15 +983,17 @@ impl Loc {
             return Ok(());
         };
         let keys = self.key_regions.take(&mut self.regions[region as usize], region);
-        let mut dropped = KeySet::default();
+        // Dropped keys another region still lists: only their footers
+        // can need a scrub, and most dropped keys have no other copy.
+        let mut listed_elsewhere = KeySet::default();
         for key in keys {
             // Only drop entries that still point into this region (the
             // key may have been rewritten into a newer region since).
-            if let Some(e) = self.index.get(&key) {
-                if e.region == region {
-                    self.index.remove(&key);
-                    self.stats.evicted_objects += 1;
-                    dropped.insert(key);
+            if self.index.get(&key).is_some_and(|e| e.region == region) {
+                self.index.remove(&key);
+                self.stats.evicted_objects += 1;
+                if self.key_regions.is_listed(key) {
+                    listed_elsewhere.insert(key);
                 }
             }
         }
@@ -975,7 +1014,7 @@ impl Loc {
         // An evicted key's *older* superseded copy may still be listed
         // in another sealed region's footer; scrub those so recovery
         // cannot serve a stale value for a key the cache just dropped.
-        self.scrub_footers_for_keys(io, &dropped, Some(region))?;
+        self.scrub_footers_for_keys(io, &listed_elsewhere, Some(region))?;
         self.regions[region as usize].state = RegionState::Free;
         self.free.push_back(region);
         self.stats.region_evictions += 1;
@@ -2026,8 +2065,20 @@ mod tests {
                     .collect();
                 assert!(offsets.is_sorted(), "region {r} lists its keys out of fill order");
             }
-            let mut listed = l.key_regions.0.clone();
-            listed.values_mut().for_each(|v| v.sort_unstable());
+            let listed: KeyMap<Vec<u32>> = l
+                .key_regions
+                .0
+                .iter()
+                .map(|(&k, listing)| {
+                    assert!(
+                        matches!(listing, Listing::One(_)) || listing.regions().len() > 1,
+                        "key {k}: one region listed out of line"
+                    );
+                    let mut regions = listing.regions().to_vec();
+                    regions.sort_unstable();
+                    (k, regions)
+                })
+                .collect();
             assert_eq!(listed, inverted, "the map is not the inversion of the key lists");
             let all: KeySet = (0..16).collect();
             let sets = (0..16).map(|k| KeySet::from_iter([k])).chain([all]);

@@ -1,5 +1,7 @@
 //! The FTL proper: L2P mapping, RUH-directed placement, garbage
-//! collection and DLWA accounting.
+//! collection and DLWA accounting. Host writes map as runs of pages,
+//! one per stretch of a command that fits the active reclaim unit
+//! ([`Ftl::write_placed_batch`]).
 
 use std::collections::VecDeque;
 
@@ -274,10 +276,17 @@ impl Ftl {
     /// partially apply before hitting an invalid LBA), and GC runs at
     /// batch granularity: reclamation triggered by any RU switch inside
     /// the batch is accumulated into the single aggregate receipt the
-    /// caller turns into one command latency. The mapping sequence is
-    /// identical to `count` sequential `write_placed` calls, so FTL
-    /// state (and therefore DLWA accounting) is bit-identical between
-    /// the batched and per-command paths.
+    /// caller turns into one command latency.
+    ///
+    /// The batch maps as runs: each stretch of it that fits the
+    /// handle's active RU is programmed as one NAND run
+    /// ([`NandDevice::program_run`]) and then mapped page by page, and
+    /// an RU switch (with any GC it triggers) falls between two runs,
+    /// exactly where the LBA that finds the RU full would have met it.
+    /// The program samples, GC work, events and map updates are those
+    /// of `count` sequential `write_placed` calls in the same order, so
+    /// FTL state (and therefore DLWA accounting and virtual time) is
+    /// bit-identical between the batched and per-command paths.
     ///
     /// # Errors
     ///
@@ -301,20 +310,13 @@ impl Ftl {
         if rg >= self.config.num_rgs {
             return Err(FtlError::InvalidRg(rg));
         }
-        let mut total = WriteReceipt::default();
-        for lba in lbas {
-            let r = match self.map_one(lba, rg, ruh) {
-                Ok(r) => r,
-                Err(e) => {
-                    self.rollback_range(slba, lba - slba)?;
-                    return Err(e);
-                }
-            };
-            total.program_ns += r.program_ns;
-            total.gc_ns += r.gc_ns;
-            total.relocated_pages += r.relocated_pages;
+        let mut receipt = WriteReceipt::default();
+        let mut next = slba;
+        if let Err(e) = self.map_runs(lbas, rg, ruh, &mut receipt, &mut next) {
+            self.rollback_range(slba, next - slba)?;
+            return Err(e);
         }
-        Ok(total)
+        Ok(receipt)
     }
 
     /// The LBAs `lba..lba + count`, or [`FtlError::LbaOutOfRange`]
@@ -367,52 +369,65 @@ impl Ftl {
         Ok(())
     }
 
-    /// Maps one already-validated LBA through `<rg, ruh>`: the loop body
-    /// of [`Ftl::write_placed_batch`].
-    fn map_one(&mut self, lba: Lba, rg: u16, ruh: RuhId) -> Result<WriteReceipt, FtlError> {
-        let mut receipt = WriteReceipt::default();
-
-        // Ensure the handle references an RU with space in this group.
+    /// Maps the already-validated `lbas` through `<rg, ruh>`, one run
+    /// per stretch that fits the active RU, adding the work to
+    /// `receipt`. `next` is the first LBA not yet mapped, so on an
+    /// error the caller rolls back exactly `lbas.start..next`.
+    fn map_runs(
+        &mut self,
+        lbas: std::ops::Range<Lba>,
+        rg: u16,
+        ruh: RuhId,
+        receipt: &mut WriteReceipt,
+        next: &mut Lba,
+    ) -> Result<(), FtlError> {
         let slot = self.slot(rg, ruh);
-        let ru = match self.ruh_active[slot] {
-            Some(ru) if !self.nand.is_full(ru) => ru,
-            current => {
-                // Close the filled RU (if any) and open a fresh one.
-                if let Some(full) = current {
-                    self.close_ru(full);
+        let pages = self.config.geometry.pages_per_superblock();
+        while *next < lbas.end {
+            // Ensure the handle references an RU with space in this group.
+            let ru = match self.ruh_active[slot] {
+                Some(ru) if !self.nand.is_full(ru) => ru,
+                current => {
+                    // Close the filled RU (if any) and open a fresh one.
+                    if let Some(full) = current {
+                        self.close_ru(full);
+                    }
+                    let (new_ru, gc) = self.open_ru(rg, RuOwner::Host(ruh))?;
+                    receipt.gc_ns += gc.0;
+                    receipt.relocated_pages += gc.1;
+                    self.events.push(FdpEvent::RuSwitched { ruh, old_ru: current, new_ru });
+                    self.ruh_switches[ruh as usize] += 1;
+                    self.ruh_active[slot] = Some(new_ru);
+                    new_ru
                 }
-                let (new_ru, gc) = self.open_ru(rg, RuOwner::Host(ruh))?;
-                receipt.gc_ns += gc.0;
-                receipt.relocated_pages += gc.1;
-                self.events.push(FdpEvent::RuSwitched { ruh, old_ru: current, new_ru });
-                self.ruh_switches[ruh as usize] += 1;
-                self.ruh_active[slot] = Some(new_ru);
-                new_ru
+            };
+
+            // Program the stretch that fits the RU as one run.
+            let first = self.nand.write_ptr(ru);
+            let n = (pages - first).min(lbas.end - *next);
+            receipt.program_ns += self.nand.program_run(ru, n)?;
+            self.stats.host_pages_written += n;
+            self.stats.nand_pages_written += n;
+            self.ruh_host_pages[ruh as usize] += n;
+
+            // Only now invalidate each previous mapping: a failed
+            // allocation above (OutOfSpace at end of life) must leave the
+            // old data readable, and the GC triggered above may itself
+            // have relocated an old page, so the mapping is read after it
+            // ran.
+            for page in first..first + n {
+                let lba = *next;
+                let old = self.l2p[lba as usize];
+                if old != NONE64 {
+                    self.invalidate_page(Ppa::unpack(old), lba as u32)?;
+                    self.stats.overwrites += 1;
+                }
+                self.l2p[lba as usize] = Ppa::new(ru, page as u32).pack();
+                self.p2l[ru as usize][page as usize] = lba as u32;
+                *next += 1;
             }
-        };
-
-        // Program the next page in the RU.
-        let page = self.nand.write_ptr(ru);
-        let ppa = Ppa::new(ru, page as u32);
-        let ns = self.nand.program(ppa)?;
-
-        // Only now invalidate the previous mapping: a failed allocation
-        // above (OutOfSpace at end of life) must leave the old data
-        // readable, and the GC triggered above may itself have relocated
-        // the old page, so the mapping is re-read after it ran.
-        let old = self.l2p[lba as usize];
-        if old != NONE64 {
-            self.invalidate_page(Ppa::unpack(old), lba as u32)?;
-            self.stats.overwrites += 1;
         }
-
-        self.l2p[lba as usize] = ppa.pack();
-        self.p2l[ru as usize][page as usize] = lba as u32;
-        self.stats.host_pages_written += 1;
-        self.stats.nand_pages_written += 1;
-        self.ruh_host_pages[ruh as usize] += 1;
-        receipt.program_ns = ns;
-        Ok(receipt)
+        Ok(())
     }
 
     /// Clears the reverse-map slot of `ppa`, which must hold `lba`, and
@@ -1195,18 +1210,26 @@ mod tests {
     #[test]
     fn batch_mapping_is_bit_identical_to_sequential() {
         // Drive both FTLs well past GC onset with interleaved batch
-        // sizes; every observable (receipts, stats, full L2P) must
-        // match the per-command path exactly.
-        let mut batched = ftl();
-        let mut sequential = ftl();
+        // sizes, one in five batches up to two RUs long so a run meets
+        // an RU switch, and GC, inside one batch. Every observable
+        // (receipts, events, stats, both maps, per-handle counters and
+        // the latency sampler's position) must match the per-command
+        // path exactly. Real latencies, so receipts carry samples.
+        let config =
+            FtlConfig { latency: fdpcache_nand::LatencyModel::default(), ..FtlConfig::tiny_test() };
+        let mut batched = Ftl::new(config.clone()).unwrap();
+        let mut sequential = Ftl::new(config).unwrap();
         let n = batched.exported_lbas();
+        let pages = batched.config().geometry.pages_per_superblock();
         let mut x = 0xFEED_BEEFu64;
+        let mut long_batches_with_gc = 0;
         for round in 0..(n / 2) {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            let count = 1 + (round % 7);
+            let count = if round % 5 == 4 { 1 + x % (2 * pages) } else { 1 + (round % 7) };
             let slba = x % (n - count);
+            let gc_runs = batched.stats().gc_runs;
             let b = batched.write_placed_batch(slba, count, 0, 1).unwrap();
             let mut s = WriteReceipt::default();
             for lba in slba..slba + count {
@@ -1216,9 +1239,25 @@ mod tests {
                 s.relocated_pages += r.relocated_pages;
             }
             assert_eq!(b, s, "receipt diverged at round {round}");
+            assert_eq!(
+                batched.events_mut().drain(),
+                sequential.events_mut().drain(),
+                "events diverged at round {round}"
+            );
+            if count > pages && batched.stats().gc_runs > gc_runs {
+                long_batches_with_gc += 1;
+            }
         }
+        assert!(long_batches_with_gc > 0, "no batch crossed an RU switch that ran GC");
         assert_eq!(batched.stats(), sequential.stats());
+        assert_eq!(batched.nand_stats(), sequential.nand_stats());
         assert_eq!(batched.l2p, sequential.l2p);
+        assert_eq!(batched.p2l, sequential.p2l);
+        assert_eq!(batched.ruh_switches(), sequential.ruh_switches());
+        assert_eq!(batched.ruh_host_pages(), sequential.ruh_host_pages());
+        assert_eq!(batched.events().dropped(), sequential.events().dropped());
+        let next = |f: &mut Ftl| f.write_placed(0, 0, 1).unwrap().program_ns;
+        assert_eq!(next(&mut batched), next(&mut sequential), "the samplers drifted apart");
         batched.check_invariants();
     }
 
@@ -1259,13 +1298,16 @@ mod tests {
         cfg.pe_limit = 8;
         let mut f = Ftl::new(cfg).unwrap();
         let n = f.exported_lbas();
+        let pages = f.config().geometry.pages_per_superblock();
         let mut x = 41u64;
         let mut failed = None;
         for _ in 0..(n * 400) {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            let count = 4;
+            // Every batch is longer than an RU, so it maps as at least
+            // two runs and the wear-out can land past a mapped run.
+            let count = pages + 1 + x % pages;
             let slba = x % (n - count);
             let before: Vec<u64> = (slba..slba + count).map(|l| f.l2p[l as usize]).collect();
             match f.write_placed_batch(slba, count, 0, 0) {
@@ -1278,15 +1320,26 @@ mod tests {
             }
         }
         let (slba, count, before) = failed.expect("device should wear out");
-        // No partially-applied mapping: every LBA of the failed batch is
-        // either rolled back (unmapped) or untouched (its pre-batch
-        // mapping) — never a new mapping from the failed batch.
+        // No partially-applied mapping: the mapped prefix of the failed
+        // batch is rolled back (unmapped), and every LBA past it keeps
+        // its pre-batch data — at its old page, or at the copy GC made
+        // while the batch ran — never a new mapping from the batch.
+        let prefix = f.stats().rolled_back_lbas as usize;
+        assert!(prefix > 0, "the failure landed before any run was mapped");
         for (i, lba) in (slba..slba + count).enumerate() {
             let entry = f.l2p[lba as usize];
-            assert!(
-                entry == NONE64 || entry == before[i],
-                "failed batch left a new mapping at LBA {lba}"
-            );
+            if i < prefix {
+                assert_eq!(entry, NONE64, "LBA {lba} of the mapped prefix is still mapped");
+            } else {
+                let relocated = |e: u64| {
+                    let owner = f.rus[Ppa::unpack(e).superblock as usize].owner;
+                    matches!(owner, Some(RuOwner::GcShared))
+                };
+                assert!(
+                    entry == before[i] || relocated(entry),
+                    "failed batch left a new mapping at LBA {lba}"
+                );
+            }
         }
         f.check_invariants();
     }

@@ -7,7 +7,10 @@
 //! ## What it implements
 //!
 //! * **L2P mapping** — one physical page per logical block (LBA = one
-//!   4 KiB page), with overwrite-invalidates-old semantics.
+//!   4 KiB page), with overwrite-invalidates-old semantics. A write
+//!   command maps as runs: each stretch of it that fits the handle's
+//!   active RU is programmed as one NAND run, with the same samples,
+//!   GC and events as page-by-page writes.
 //! * **Reclaim units (RUs)** — mapped 1:1 onto NAND superblocks, exactly
 //!   like the paper's PM9D3 device (§3.2.1).
 //! * **Reclaim unit handles (RUHs)** — up to 128 handles, each pointing

@@ -570,10 +570,12 @@ impl Controller {
     ///    commands overlap. Borrowed bytes are copied
     ///    ([`DataStore::write_blocks`]); a source is handed over
     ///    ([`DataStore::write_source`]), which a [`crate::MemStore`]
-    ///    records per block and calls only when the block is read — a
-    ///    LOC seal makes no byte here;
+    ///    records as one run per segment the command overlaps and calls
+    ///    only when a block of it is read — a LOC seal makes no byte
+    ///    here;
     /// 4. one `Mutex<Ftl>` acquisition maps every command via
-    ///    [`fdpcache_ftl::Ftl::write_placed_batch`].
+    ///    [`fdpcache_ftl::Ftl::write_placed_batch`], as one run of pages
+    ///    per stretch that fits the handle's active reclaim unit.
     ///
     /// Nothing of the payload's form reaches the FTL, the fault gate or
     /// the timing, so completions and every virtual-time result are the

@@ -14,10 +14,11 @@
 //! [`DataStore::write_source`], [`DataStore::read_blocks`] and
 //! [`DataStore::discard_blocks`] move N contiguous blocks per call.
 //! A sealed 4 MiB cache region is a few dozen `write_source` commands
-//! over one [`FillSource`], which [`MemStore`] records per slot and
-//! calls only when a block is read, rather than a thousand per-block
-//! operations. Per-block entry points remain for direct use and as the
-//! building blocks of the default vectored implementations.
+//! over one [`FillSource`], which [`MemStore`] records as one run per
+//! command and segment and calls only when a block is read, rather
+//! than a thousand per-block operations. Per-block entry points remain
+//! for direct use and as the building blocks of the default vectored
+//! implementations.
 //!
 //! Implementations:
 //!
@@ -26,7 +27,8 @@
 //!   shards); each segment owns one contiguous buffer indexed directly
 //!   by LBA plus a written-bitmap. No per-write heap allocation, no
 //!   hashing: a vectored write is one bounds computation and one
-//!   `memcpy` per overlapped segment.
+//!   `memcpy` per overlapped segment, and a source write one run
+//!   record per overlapped segment.
 //! * [`NullStore`] — discards payloads; DLWA/carbon experiments that
 //!   replay billions of accesses only need placement metadata, and
 //!   skipping payload copies keeps them fast.
@@ -85,11 +87,12 @@ pub trait DataStore: Send + Sync {
     /// Stores `nlb` contiguous blocks starting at `lba` holding
     /// `source`'s bytes from byte `base` on. The default makes them at
     /// once, into one temporary buffer, and calls
-    /// [`DataStore::write_blocks`]. [`MemStore`] records
-    /// `(source, offset)` per slot instead and calls the source only
-    /// when the slot is read, so a stored command costs no byte pass
-    /// until somebody reads it; a later write or discard of the slot
-    /// drops its share of the source.
+    /// [`DataStore::write_blocks`]. [`MemStore`] records the command as
+    /// one run per segment it overlaps instead and calls the source
+    /// only when a slot of the run is read, so a stored command costs
+    /// no byte pass until somebody reads it; the last slot of a run to
+    /// be written over or discarded drops the run's share of the
+    /// source.
     fn write_source(
         &self,
         lba: u64,
@@ -160,33 +163,23 @@ const SEGMENT_BLOCKS: u64 = 256;
 /// device's LBA size.
 const DEFAULT_BLOCK_BYTES: usize = 4096;
 
-/// A slot stored by [`DataStore::write_source`]: its bytes are
-/// `source`'s from byte `at` on, made when the slot is read.
-#[derive(Clone)]
-struct SlotSource {
-    source: FillSource,
+/// No run: the slot's bytes are its page bytes.
+const NO_RUN: u16 = u16::MAX;
+
+/// One [`DataStore::write_source`] command's stretch of a segment: slot
+/// `first + k` holds `source`'s bytes from byte `at + k * block_bytes`
+/// on, for every slot still naming the run. `live` counts those slots;
+/// the last to leave drops `source` and frees the run for reuse.
+struct Run {
+    source: Option<FillSource>,
     at: usize,
+    first: u16,
+    live: u16,
 }
 
-impl std::fmt::Debug for SlotSource {
+impl std::fmt::Debug for Run {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "SlotSource(at {})", self.at)
-    }
-}
-
-/// Whether slot `next`, `k` slots after slot `head`, continues its
-/// bytes: the same source at the following offset or, for two slots
-/// without a source, the page bytes.
-fn continues_run(
-    head: &Option<SlotSource>,
-    next: &Option<SlotSource>,
-    k: usize,
-    block_bytes: usize,
-) -> bool {
-    match (head, next) {
-        (None, None) => true,
-        (Some(a), Some(b)) => Arc::ptr_eq(&a.source, &b.source) && b.at == a.at + k * block_bytes,
-        _ => false,
+        write!(f, "Run(slot {} at {}, {} live)", self.first, self.at, self.live)
     }
 }
 
@@ -206,11 +199,16 @@ struct Segment {
     written: Vec<u64>,
     /// Count of set bits (for `len`).
     live: usize,
-    /// Per slot, the source its bytes come from when it was last
-    /// stored by [`DataStore::write_source`] (its page bytes are then
-    /// stale and never read); empty until the segment's first such
-    /// write. A byte write or discard of the slot clears its entry.
-    sources: Vec<Option<SlotSource>>,
+    /// Per slot, the run its bytes come from when it was last stored by
+    /// [`DataStore::write_source`] (its page bytes are then stale and
+    /// never read), else [`NO_RUN`]. A byte write or discard of the slot
+    /// leaves its run.
+    run_of: Vec<u16>,
+    /// The runs `run_of` names, indexed by run id; a run no slot names
+    /// holds no source and its id waits in `free_runs`. Both are sized
+    /// with the segment, so recording a run never allocates.
+    runs: Vec<Run>,
+    free_runs: Vec<u16>,
 }
 
 impl Segment {
@@ -237,7 +235,11 @@ impl Segment {
             pages,
             written: vec![0u64; (SEGMENT_BLOCKS as usize).div_ceil(64)],
             live: 0,
-            sources: Vec::new(),
+            run_of: vec![NO_RUN; SEGMENT_BLOCKS as usize],
+            // At most one live run per slot: a write's slots leave their
+            // old runs before it records its own.
+            runs: Vec::with_capacity(SEGMENT_BLOCKS as usize),
+            free_runs: Vec::with_capacity(SEGMENT_BLOCKS as usize),
         }
     }
 
@@ -247,38 +249,108 @@ impl Segment {
         }
     }
 
-    /// Drops the sources of slots `[slot, slot + span)`: their bytes
-    /// are about to be the page's again.
-    fn clear_sources(&mut self, slot: u64, span: u64) {
-        if !self.sources.is_empty() {
-            self.sources[slot as usize..(slot + span) as usize].fill(None);
+    /// Takes slots `[slot, slot + span)` out of their runs: their bytes
+    /// are about to be the page's, or a new run's, again. A run the
+    /// last of its slots leaves drops its source.
+    fn leave_runs(&mut self, slot: u64, span: u64) {
+        let end = (slot + span) as usize;
+        let mut i = slot as usize;
+        while i < end {
+            let id = self.run_of[i];
+            let mut j = i + 1;
+            while j < end && self.run_of[j] == id {
+                j += 1;
+            }
+            if id != NO_RUN {
+                self.run_of[i..j].fill(NO_RUN);
+                let run = &mut self.runs[id as usize];
+                run.live -= (j - i) as u16;
+                if run.live == 0 {
+                    run.source = None;
+                    self.free_runs.push(id);
+                }
+            }
+            i = j;
         }
     }
 
-    /// Writes the bytes of the slots from `slot` on into `out`, which
-    /// may end mid-slot: one page copy per run of slots without a
-    /// source, one source call per run of slots that continue one
-    /// source.
-    fn load(&self, slot: u64, out: &mut [u8], block_bytes: usize) {
-        let base = slot as usize * block_bytes;
-        if self.sources.is_empty() {
-            out.copy_from_slice(&self.pages[base..base + out.len()]);
+    /// Records slots `[slot, slot + span)` as one run of `source` from
+    /// byte `at` on, and marks them written.
+    fn record_run(&mut self, slot: u64, span: u64, source: &FillSource, at: usize) {
+        let slots = slot as usize..(slot + span) as usize;
+        let id = self.run_of[slots.start];
+        if id != NO_RUN
+            && u64::from(self.runs[id as usize].live) == span
+            && self.run_of[slots.clone()].iter().all(|&r| r == id)
+        {
+            // The command covers exactly the slots of one run — a bucket
+            // page rewritten, a region resealed in the same chunks — so
+            // it takes the run over; its slots are written already.
+            let run = &mut self.runs[id as usize];
+            run.source = Some(source.clone());
+            run.at = at;
+            run.first = slot as u16;
             return;
         }
+        self.leave_runs(slot, span);
+        let run = Run { source: Some(source.clone()), at, first: slot as u16, live: span as u16 };
+        let id = match self.free_runs.pop() {
+            Some(id) => {
+                self.runs[id as usize] = run;
+                id
+            }
+            None => {
+                self.runs.push(run);
+                (self.runs.len() - 1) as u16
+            }
+        };
+        self.run_of[slots].fill(id);
+        for i in slot..slot + span {
+            self.mark_written(i);
+        }
+    }
+
+    /// The source slot `slot`'s bytes come from, and the byte of it
+    /// they start at; `None` for page bytes.
+    fn source_of(&self, slot: usize, block_bytes: usize) -> Option<(&FillSource, usize)> {
+        let id = self.run_of[slot];
+        if id == NO_RUN {
+            return None;
+        }
+        let run = &self.runs[id as usize];
+        let source = run.source.as_ref().expect("a run some slot names holds its source");
+        Some((source, run.at + (slot - run.first as usize) * block_bytes))
+    }
+
+    /// Writes the bytes of the slots from `slot` on into `out`, which
+    /// may end mid-slot: one page copy per stretch of slots without a
+    /// source, one source call per stretch of slots that continue one
+    /// source's bytes (a run, or runs of one source at consecutive
+    /// offsets).
+    fn load(&self, slot: u64, out: &mut [u8], block_bytes: usize) {
+        let base = slot as usize * block_bytes;
         let first = slot as usize;
         let mut pos = 0;
         while pos < out.len() {
-            let run = first + pos / block_bytes;
-            let head = &self.sources[run];
-            let mut next = run + 1;
-            while (next - first) * block_bytes < out.len()
-                && continues_run(head, &self.sources[next], next - run, block_bytes)
-            {
+            let head = first + pos / block_bytes;
+            let from = self.source_of(head, block_bytes);
+            let mut next = head + 1;
+            while (next - first) * block_bytes < out.len() {
+                let continues = match (from, self.source_of(next, block_bytes)) {
+                    (None, None) => true,
+                    (Some((a, at)), Some((b, bt))) => {
+                        Arc::ptr_eq(a, b) && bt == at + (next - head) * block_bytes
+                    }
+                    _ => false,
+                };
+                if !continues {
+                    break;
+                }
                 next += 1;
             }
             let end = ((next - first) * block_bytes).min(out.len());
-            match head {
-                Some(s) => (s.source)(s.at, &mut out[pos..end]),
+            match from {
+                Some((source, at)) => source(at, &mut out[pos..end]),
                 None => out[pos..end].copy_from_slice(&self.pages[base + pos..base + end]),
             }
             pos = end;
@@ -335,9 +407,11 @@ struct Slab {
 /// hashing, no per-block boxing — and a vectored N-block transfer is
 /// one lock pass and one `memcpy` per overlapped segment. Misses read
 /// from the pre-zeroed slab page directly (discard re-zeroes its slot),
-/// so the miss path costs the same single `memcpy` as a hit. A slot
-/// stored by [`DataStore::write_source`] holds its source instead of
-/// bytes, and a read calls the source for it.
+/// so the miss path costs the same single `memcpy` as a hit. A
+/// [`DataStore::write_source`] command is recorded as one run per
+/// segment it overlaps — one share of the source, the first slot and
+/// its byte offset, and a live count — and each of its slots names the
+/// run instead of holding bytes; a read calls the source for them.
 #[derive(Debug)]
 pub struct MemStore {
     inner: RwLock<Slab>,
@@ -455,7 +529,7 @@ impl DataStore for MemStore {
         let n = data.len().min(block_bytes);
         s.pages[off..off + n].copy_from_slice(&data[..n]);
         s.pages[off + n..off + block_bytes].fill(0);
-        s.clear_sources(slot, 1);
+        s.leave_runs(slot, 1);
         s.mark_written(slot);
     }
 
@@ -503,16 +577,17 @@ impl DataStore for MemStore {
             let off = slot as usize * block_bytes;
             let bytes = span as usize * block_bytes;
             s.pages[off..off + bytes].copy_from_slice(&data[data_off..data_off + bytes]);
-            s.clear_sources(slot, span);
+            s.leave_runs(slot, span);
             for i in slot..slot + span {
                 s.mark_written(i);
             }
         });
     }
 
-    /// Records `(source, offset)` per slot under the segment lock and
+    /// Records one run per overlapped segment under its lock — one
+    /// share of `source`, the first slot and its byte offset — and
     /// makes no byte: `Segment::load` calls the source when a slot is
-    /// read. The slot's stale page bytes stay until a byte write or a
+    /// read. The slots' stale page bytes stay until a byte write or a
     /// discard replaces them.
     fn write_source(
         &self,
@@ -533,14 +608,7 @@ impl DataStore for MemStore {
         for_segments(&inner, lba, nlb, block_bytes, |seg, slot, span, data_off| {
             let mut s = seg.lock();
             s.ensure_allocated(block_bytes);
-            if s.sources.is_empty() {
-                s.sources = vec![None; SEGMENT_BLOCKS as usize];
-            }
-            for i in 0..span {
-                let at = base + data_off + i as usize * block_bytes;
-                s.sources[(slot + i) as usize] = Some(SlotSource { source: source.clone(), at });
-                s.mark_written(slot + i);
-            }
+            s.record_run(slot, span, source, base + data_off);
         });
     }
 
@@ -598,7 +666,7 @@ impl DataStore for MemStore {
             if s.pages.is_empty() {
                 return;
             }
-            s.clear_sources(slot, span);
+            s.leave_runs(slot, span);
             for i in slot..slot + span {
                 if s.clear_written(i) {
                     // Keep the invariant that unwritten slots are zero,

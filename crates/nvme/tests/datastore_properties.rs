@@ -336,29 +336,32 @@ proptest! {
     }
 }
 
-/// A source the store keeps is let go slot by slot: once every slot it
-/// backed is overwritten (by bytes or by another source) or discarded,
-/// the store holds no share of it — it cannot pin the values a source
+/// A source the store keeps is let go run by run: each command holds
+/// one share of it per segment it overlaps, and once every slot of that
+/// run is overwritten (by bytes or by another source) or discarded, the
+/// store holds no share of it — it cannot pin the values a source
 /// captures for longer than their blocks live.
 #[test]
 fn store_drops_a_source_once_every_slot_it_backed_is_gone() {
     let store = MemStore::with_capacity(LBAS, BLOCK as u32);
     let kept = source(7);
-    // 40 blocks across the 256-block segment boundary, in two commands.
+    // 40 blocks across the 256-block segment boundary, in two commands:
+    // run A is slots 236..256 of segment 0, run B slots 0..20 of
+    // segment 1.
     store.write_source(236, 20, BLOCK, &kept, 0);
     store.write_source(256, 20, BLOCK, &kept, 20 * BLOCK);
-    assert_eq!(Arc::strong_count(&kept), 41);
+    assert_eq!(Arc::strong_count(&kept), 3, "one share per run");
     let mut out = vec![0u8; 40 * BLOCK];
     store.read_blocks(236, &mut out, BLOCK);
     assert!(out.iter().enumerate().all(|(p, &b)| b == source_byte(7, p)));
-    assert_eq!(Arc::strong_count(&kept), 41, "a read leaves the source in place");
+    assert_eq!(Arc::strong_count(&kept), 3, "a read leaves the source in place");
 
     store.write_blocks(236, &[1u8; 10 * BLOCK], BLOCK);
-    assert_eq!(Arc::strong_count(&kept), 31);
+    assert_eq!(Arc::strong_count(&kept), 3, "run A keeps 10 of its 20 slots");
     store.write_block(246, &[2u8; BLOCK]);
-    assert_eq!(Arc::strong_count(&kept), 30);
+    assert_eq!(Arc::strong_count(&kept), 3, "run A keeps 9");
     store.discard_blocks(247, 15);
-    assert_eq!(Arc::strong_count(&kept), 15);
+    assert_eq!(Arc::strong_count(&kept), 2, "run A is gone, run B keeps 14 of 20");
     store.write_source(262, 14, BLOCK, &source(8), 0);
     assert_eq!(Arc::strong_count(&kept), 1, "no slot still holds the source");
     store.read_blocks(236, &mut out, BLOCK);
@@ -366,4 +369,42 @@ fn store_drops_a_source_once_every_slot_it_backed_is_gone() {
     assert!(out[10 * BLOCK..11 * BLOCK].iter().all(|&b| b == 2));
     assert!(out[11 * BLOCK..26 * BLOCK].iter().all(|&b| b == 0), "discarded blocks read zero");
     assert!(out[26 * BLOCK..].iter().enumerate().all(|(p, &b)| b == source_byte(8, p)));
+}
+
+/// A byte write into the middle of a run splits it in two stretches
+/// that still name it, and a read across the head, the written block,
+/// the tail and a second run of the same source — at an offset that
+/// does not continue the first run — gets each block's own bytes: the
+/// read never joins the two runs into one source call.
+#[test]
+fn a_read_across_a_split_run_and_a_second_run_gets_each_blocks_bytes() {
+    let store = MemStore::with_capacity(LBAS, BLOCK as u32);
+    let shared = source(3);
+    // Run 1: slots 10..18 from byte 0. Run 2 continues the slots, not
+    // the bytes: slots 18..22 from byte 100 blocks on.
+    store.write_source(10, 8, BLOCK, &shared, 0);
+    store.write_source(18, 4, BLOCK, &shared, 100 * BLOCK);
+    store.write_block(13, &[0xAB; BLOCK]);
+    assert_eq!(Arc::strong_count(&shared), 3, "the split run keeps its share");
+
+    let mut out = vec![0u8; 12 * BLOCK];
+    store.read_blocks(10, &mut out, BLOCK);
+    let block = |i: usize| &out[i * BLOCK..(i + 1) * BLOCK];
+    let from = |at: usize| (0..BLOCK).map(move |p| source_byte(3, at + p));
+    for i in [0, 1, 2, 4, 5, 6, 7] {
+        assert!(block(i).iter().copied().eq(from(i * BLOCK)), "run 1, block {i}");
+    }
+    assert!(block(3).iter().all(|&b| b == 0xAB), "the written block");
+    for i in 8..12 {
+        assert!(block(i).iter().copied().eq(from((100 + i - 8) * BLOCK)), "run 2, block {i}");
+    }
+
+    // Writing over the head and the tail frees run 1; run 2 stays.
+    store.write_blocks(10, &[1u8; 3 * BLOCK], BLOCK);
+    assert_eq!(Arc::strong_count(&shared), 3, "the tail still names run 1");
+    store.discard_blocks(14, 4);
+    assert_eq!(Arc::strong_count(&shared), 2, "run 1 is gone");
+    let mut tail = vec![0u8; 4 * BLOCK];
+    store.read_blocks(18, &mut tail, BLOCK);
+    assert!(tail.iter().enumerate().all(|(p, &b)| b == source_byte(3, 100 * BLOCK + p)));
 }

@@ -1,0 +1,163 @@
+//! Virtual time pinned to exact integers: a seeded, seal-heavy LOC
+//! replay through the LOC's wrap and device GC on the tiny device,
+//! checked against the counters and latency sums recorded before the
+//! FTL mapped runs and the payload store recorded runs. A change that
+//! only makes the host faster must leave every one of these numbers
+//! as it is; a change that moves one must say why and re-pin it.
+
+use fdpcache::cache::builder::{build_stack, StoreKind};
+use fdpcache::cache::{CacheConfig, NvmConfig, Value};
+use fdpcache::ftl::{FtlConfig, FtlStats};
+use fdpcache::nand::{LatencyModel, NandStats};
+use fdpcache::nvme::FdpStatsLog;
+use fdpcache::placement::{HealthIoStats, HealthState, IoStats};
+use fdpcache::workloads::{Op, WorkloadProfile};
+
+/// Everything the replay is pinned on.
+#[derive(Debug, PartialEq, Eq)]
+struct Pinned {
+    ftl: FtlStats,
+    nand: NandStats,
+    io: IoStats,
+    fdp: FdpStatsLog,
+    /// Sum of every write, read and discard completion latency (ns).
+    latency_sum_ns: u128,
+    /// The cache's virtual clock at the end (ns).
+    now_ns: u64,
+    /// LOC regions evicted: > 0 means the LOC wrapped.
+    region_evictions: u64,
+}
+
+/// Replays 6 000 requests of the seal-heavy profile (8–64 KiB objects,
+/// 90 % SETs) at queue depth 4 on a full tiny device, with a small
+/// SOC-bound SET after every third request so GC has live pages to
+/// relocate. Regions are 40 blocks: three commands per seal
+/// (16 + 16 + 8 blocks), so seals straddle the device's 128-page
+/// reclaim units.
+fn replay(fdp: bool) -> Pinned {
+    let ftl = FtlConfig { latency: LatencyModel::default(), ..FtlConfig::tiny_test() };
+    let config = CacheConfig {
+        ram_bytes: 64 << 10,
+        ram_item_overhead: 0,
+        nvm: NvmConfig { soc_fraction: 0.1, region_bytes: 40 * 4096, ..NvmConfig::default() },
+        use_fdp: fdp,
+    };
+    let (ctrl, mut cache) = build_stack(ftl, StoreKind::Mem, fdp, 1.0, &config).unwrap();
+    cache.set_queue_depth(4);
+    let mut gen = WorkloadProfile::loc_seal_heavy().generator(400, 11);
+    for i in 0..6_000u64 {
+        if i % 3 == 0 {
+            let small = Value::synthetic(100 + (i * 37 % 1_400) as u32);
+            cache.put(1_000_000 + i * 7 % 3_000, small).unwrap();
+        }
+        let req = gen.next_request();
+        match req.op {
+            Op::Get => {
+                cache.get(req.key).unwrap();
+            }
+            Op::Set => cache.put(req.key, Value::synthetic(req.size)).unwrap(),
+            Op::Delete => {
+                cache.delete(req.key).unwrap();
+            }
+        }
+    }
+    cache.drain_io();
+    let io = cache.navy().io();
+    Pinned {
+        ftl: ctrl.with_ftl(|f| f.stats()),
+        nand: ctrl.with_ftl(|f| f.nand_stats()),
+        io: io.stats(),
+        fdp: ctrl.fdp_stats_log(),
+        latency_sum_ns: io.write_latency().sum()
+            + io.read_latency().sum()
+            + io.discard_latency().sum(),
+        now_ns: cache.now_ns(),
+        region_evictions: cache.navy().loc().stats().region_evictions,
+    }
+}
+
+/// The replay's numbers, recorded before the FTL mapped a command's
+/// pages as runs and before the payload store recorded runs.
+fn expected(fdp: bool) -> Pinned {
+    let health =
+        |windows| HealthIoStats { state: HealthState::Healthy, windows, ..Default::default() };
+    let io = |windows| IoStats {
+        writes: 8_953,
+        reads: 2_134,
+        discards: 0,
+        bytes_written: 248_389_632,
+        bytes_read: 18_513_920,
+        bytes_discarded: 0,
+        faults: 0,
+        health: health(windows),
+    };
+    let host = FtlStats {
+        host_pages_written: 60_642,
+        overwrites: 59_136,
+        host_reads: 4_520,
+        ..Default::default()
+    };
+    if fdp {
+        Pinned {
+            ftl: FtlStats {
+                nand_pages_written: 88_781,
+                relocated_pages: 28_139,
+                gc_runs: 680,
+                rus_erased: 680,
+                ..host
+            },
+            nand: NandStats {
+                pages_programmed: 88_781,
+                pages_read: 32_659,
+                superblock_erases: 680,
+            },
+            io: io(190),
+            fdp: FdpStatsLog {
+                host_bytes_written: 248_389_632,
+                media_bytes_written: 363_646_976,
+                media_bytes_erased: 356_515_840,
+                media_relocated_events: 680,
+                log_events_dropped: 1_579,
+            },
+            latency_sum_ns: 16_574_192_847,
+            now_ns: 4_143_834_009,
+            region_evictions: 1_365,
+        }
+    } else {
+        Pinned {
+            ftl: FtlStats {
+                nand_pages_written: 69_313,
+                relocated_pages: 8_671,
+                gc_runs: 527,
+                rus_erased: 527,
+                ..host
+            },
+            nand: NandStats {
+                pages_programmed: 69_313,
+                pages_read: 13_191,
+                superblock_erases: 527,
+            },
+            io: io(122),
+            fdp: FdpStatsLog {
+                host_bytes_written: 248_389_632,
+                media_bytes_written: 283_906_048,
+                media_bytes_erased: 276_299_776,
+                media_relocated_events: 527,
+                log_events_dropped: 1_272,
+            },
+            latency_sum_ns: 10_094_582_875,
+            now_ns: 2_524_140_885,
+            region_evictions: 1_365,
+        }
+    }
+}
+
+#[test]
+fn seal_heavy_replay_keeps_its_pinned_virtual_time() {
+    for fdp in [true, false] {
+        let got = replay(fdp);
+        assert!(got.region_evictions > 0, "fdp {fdp}: the LOC never wrapped");
+        assert!(got.ftl.relocated_pages > 0, "fdp {fdp}: GC relocated nothing");
+        assert_eq!(got, expected(fdp), "fdp {fdp}: virtual time moved");
+    }
+}
