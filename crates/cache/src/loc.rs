@@ -189,57 +189,25 @@ fn fill_region(objects: &[(Key, u32, Value)], at: usize, out: &mut [u8]) {
     out[pos - at..].fill(0);
 }
 
-/// The regions whose [`Region::keys`] list one key. A key is listed by
-/// at most one region per copy it has on flash, and almost always by
-/// exactly one, which is kept inline rather than in a heap `Vec`.
-#[derive(Debug)]
-enum Listing {
-    One(u32),
-    Many(Vec<u32>),
-}
-
-impl Listing {
-    fn regions(&self) -> &[u32] {
-        match self {
-            Listing::One(r) => std::slice::from_ref(r),
-            Listing::Many(rs) => rs,
-        }
-    }
-}
-
 /// The inverse of every region's key list: for each key, the regions
-/// whose [`Region::keys`] hold it.
+/// whose [`Region::keys`] hold it. A key is listed by at most one
+/// region per copy it has on flash, so the lists stay short.
 #[derive(Debug, Default)]
-struct KeyRegions(KeyMap<Listing>);
+struct KeyRegions(KeyMap<Vec<u32>>);
 
 impl KeyRegions {
     fn list(&mut self, key: Key, region: u32) {
-        match self.0.entry(key) {
-            Entry::Vacant(e) => {
-                e.insert(Listing::One(region));
-            }
-            Entry::Occupied(mut e) => match e.get_mut() {
-                Listing::One(r) => *e.get_mut() = Listing::Many(vec![*r, region]),
-                Listing::Many(rs) => rs.push(region),
-            },
-        }
+        self.0.entry(key).or_default().push(region);
     }
 
     fn unlist(&mut self, key: Key, region: u32) {
         if let Entry::Occupied(mut e) = self.0.entry(key) {
-            match e.get_mut() {
-                Listing::One(r) if *r == region => {
-                    e.remove();
-                }
-                Listing::One(_) => {}
-                Listing::Many(rs) => {
-                    if let Some(i) = rs.iter().position(|&r| r == region) {
-                        rs.swap_remove(i);
-                    }
-                    if let [r] = rs[..] {
-                        *e.get_mut() = Listing::One(r);
-                    }
-                }
+            let regions = e.get_mut();
+            if let Some(i) = regions.iter().position(|&r| r == region) {
+                regions.swap_remove(i);
+            }
+            if regions.is_empty() {
+                e.remove();
             }
         }
     }
@@ -960,7 +928,7 @@ impl Loc {
         let mut candidates: Vec<u32> = keys
             .iter()
             .filter_map(|k| self.key_regions.0.get(k))
-            .flat_map(Listing::regions)
+            .flatten()
             .copied()
             .filter(|&r| Some(r) != skip && self.regions[r as usize].state == RegionState::Sealed)
             .collect();
@@ -2065,20 +2033,8 @@ mod tests {
                     .collect();
                 assert!(offsets.is_sorted(), "region {r} lists its keys out of fill order");
             }
-            let listed: KeyMap<Vec<u32>> = l
-                .key_regions
-                .0
-                .iter()
-                .map(|(&k, listing)| {
-                    assert!(
-                        matches!(listing, Listing::One(_)) || listing.regions().len() > 1,
-                        "key {k}: one region listed out of line"
-                    );
-                    let mut regions = listing.regions().to_vec();
-                    regions.sort_unstable();
-                    (k, regions)
-                })
-                .collect();
+            let mut listed = l.key_regions.0.clone();
+            listed.values_mut().for_each(|v| v.sort_unstable());
             assert_eq!(listed, inverted, "the map is not the inversion of the key lists");
             let all: KeySet = (0..16).collect();
             let sets = (0..16).map(|k| KeySet::from_iter([k])).chain([all]);

@@ -1292,56 +1292,71 @@ mod tests {
 
     #[test]
     fn mid_batch_failure_rolls_back_the_mapped_prefix() {
-        // Wear the device out mid-batch: once OutOfSpace fires inside a
-        // multi-LBA batch, the batch's prefix must be unmapped.
-        let mut cfg = FtlConfig::tiny_test();
-        cfg.pe_limit = 8;
-        let mut f = Ftl::new(cfg).unwrap();
-        let n = f.exported_lbas();
-        let pages = f.config().geometry.pages_per_superblock();
-        let mut x = 41u64;
-        let mut failed = None;
-        for _ in 0..(n * 400) {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            // Every batch is longer than an RU, so it maps as at least
-            // two runs and the wear-out can land past a mapped run.
-            let count = pages + 1 + x % pages;
-            let slba = x % (n - count);
-            let before: Vec<u64> = (slba..slba + count).map(|l| f.l2p[l as usize]).collect();
-            match f.write_placed_batch(slba, count, 0, 0) {
-                Ok(_) => {}
-                Err(FtlError::OutOfSpace) => {
-                    failed = Some((slba, count, before));
-                    break;
+        // Wear devices out with short (4-LBA) batches and, one in 32, a
+        // batch longer than an RU: once OutOfSpace fires inside a
+        // multi-LBA batch, the batch's mapped prefix must be unmapped.
+        // Across the seeds, failures land both in a batch's first run
+        // (nothing mapped yet) and in a long batch past a mapped run.
+        let (mut empty_prefix, mut mid_run) = (false, false);
+        for seed in [41u64, 7, 1729, 99] {
+            let mut cfg = FtlConfig::tiny_test();
+            cfg.pe_limit = 8;
+            let mut f = Ftl::new(cfg).unwrap();
+            let n = f.exported_lbas();
+            let pages = f.config().geometry.pages_per_superblock();
+            let mut x = seed;
+            let mut failed = None;
+            for i in 0..(n * 400) {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let count = if i % 32 == 0 { pages + 1 + x % pages } else { 4 };
+                let slba = x % (n - count);
+                let before: Vec<u64> = (slba..slba + count).map(|l| f.l2p[l as usize]).collect();
+                match f.write_placed_batch(slba, count, 0, 0) {
+                    Ok(_) => {}
+                    Err(FtlError::OutOfSpace) => {
+                        failed = Some((slba, count, before));
+                        break;
+                    }
+                    Err(e) => panic!("unexpected error: {e:?}"),
                 }
-                Err(e) => panic!("unexpected error: {e:?}"),
             }
-        }
-        let (slba, count, before) = failed.expect("device should wear out");
-        // No partially-applied mapping: the mapped prefix of the failed
-        // batch is rolled back (unmapped), and every LBA past it keeps
-        // its pre-batch data — at its old page, or at the copy GC made
-        // while the batch ran — never a new mapping from the batch.
-        let prefix = f.stats().rolled_back_lbas as usize;
-        assert!(prefix > 0, "the failure landed before any run was mapped");
-        for (i, lba) in (slba..slba + count).enumerate() {
-            let entry = f.l2p[lba as usize];
-            if i < prefix {
-                assert_eq!(entry, NONE64, "LBA {lba} of the mapped prefix is still mapped");
-            } else {
+            let (slba, count, before) = failed.expect("device should wear out");
+            // No partially-applied mapping: the mapped prefix of the
+            // failed batch is rolled back (unmapped), and every LBA past
+            // it keeps its pre-batch data — at its old page, or at the
+            // copy GC made while the batch ran — never a new mapping
+            // from the batch.
+            let prefix = f.stats().rolled_back_lbas as usize;
+            if count > pages {
+                assert!(prefix > 0, "seed {seed}: a long batch failed before any run was mapped");
+                mid_run = true;
+            }
+            empty_prefix |= prefix == 0;
+            for (i, lba) in (slba..slba + count).enumerate() {
+                let entry = f.l2p[lba as usize];
+                if i < prefix {
+                    assert_eq!(entry, NONE64, "LBA {lba} of the mapped prefix is still mapped");
+                    continue;
+                }
+                // GC's copy of this LBA: a page of a GC RU that maps
+                // back to it, with the pre-batch page no longer its copy.
                 let relocated = |e: u64| {
-                    let owner = f.rus[Ppa::unpack(e).superblock as usize].owner;
-                    matches!(owner, Some(RuOwner::GcShared))
+                    let (to, from) = (Ppa::unpack(e), Ppa::unpack(before[i]));
+                    matches!(f.rus[to.superblock as usize].owner, Some(RuOwner::GcShared))
+                        && f.p2l[to.superblock as usize][to.page as usize] == lba as u32
+                        && f.p2l[from.superblock as usize][from.page as usize] != lba as u32
                 };
                 assert!(
-                    entry == before[i] || relocated(entry),
-                    "failed batch left a new mapping at LBA {lba}"
+                    entry == before[i] || (before[i] != NONE64 && relocated(entry)),
+                    "seed {seed}: failed batch left a new mapping at LBA {lba}"
                 );
             }
+            f.check_invariants();
         }
-        f.check_invariants();
+        assert!(empty_prefix, "no failure landed in a batch's first run");
+        assert!(mid_run, "no failure landed in a long batch past a mapped run");
     }
 
     #[test]
