@@ -22,13 +22,15 @@
 //!
 //! Implementations:
 //!
-//! * [`MemStore`] — the primary store: a **pre-sized page slab**.
+//! * [`MemStore`] — the primary store: a **lazily paged slab**.
 //!   Exported capacity is divided into fixed segments (the lock
-//!   shards); each segment owns one contiguous buffer indexed directly
-//!   by LBA plus a written-bitmap. No per-write heap allocation, no
-//!   hashing: a vectored write is one bounds computation and one
-//!   `memcpy` per overlapped segment, and a source write one run
-//!   record per overlapped segment.
+//!   shards); each segment owns a written-bitmap and a run table from
+//!   the start, and one contiguous page buffer indexed directly by LBA
+//!   from its first byte write on. No hashing, and no allocation after
+//!   a segment's first byte write: a vectored write is one bounds
+//!   computation and one `memcpy` per overlapped segment, and a source
+//!   write one run record per overlapped segment, which pages in
+//!   nothing.
 //! * [`NullStore`] — discards payloads; DLWA/carbon experiments that
 //!   replay billions of accesses only need placement metadata, and
 //!   skipping payload copies keeps them fast.
@@ -54,8 +56,8 @@ pub type FillSource = Arc<dyn Fn(usize, &mut [u8]) + Send + Sync>;
 pub trait DataStore: Send + Sync {
     /// Announces the device geometry once, before any I/O. The
     /// controller calls this from [`crate::Controller::new`] so
-    /// capacity-aware stores ([`MemStore`]) can pre-size their slabs;
-    /// stores that need no sizing ignore it.
+    /// capacity-aware stores ([`MemStore`]) can size their segment
+    /// tables; stores that need no sizing ignore it.
     fn attach(&self, exported_lbas: u64, lba_bytes: u32) {
         let _ = (exported_lbas, lba_bytes);
     }
@@ -183,18 +185,20 @@ impl std::fmt::Debug for Run {
     }
 }
 
-/// One slab segment: a contiguous page buffer plus a written-bitmap.
-/// On the production path, [`DataStore::attach`] allocates **and
-/// commits** every segment of the exported capacity up front — an
-/// attached `MemStore` costs the full device size in resident RAM from
-/// construction (size experiments accordingly; metadata-only runs use
-/// [`NullStore`]). Only segments created by unattached direct-use
-/// growth allocate their buffer lazily, on first write.
-#[derive(Debug, Default)]
+/// One slab segment: a written-bitmap and a run table, plus a
+/// contiguous page buffer from the segment's first byte write on.
+/// Every segment, whether [`DataStore::attach`] or unattached growth
+/// made it, starts without its buffer, so a store costs resident RAM
+/// only for the segments that hold page bytes: a
+/// [`DataStore::write_source`] records a run and pages in nothing,
+/// and on the cache's data path only LOC footers are byte writes.
+#[derive(Debug)]
 struct Segment {
-    /// `SEGMENT_BLOCKS * block_bytes` bytes; unwritten/discarded slots
-    /// are always zero — reads serve misses straight from the slab.
-    pages: Vec<u8>,
+    /// `SEGMENT_BLOCKS * block_bytes` bytes once a slot of the segment
+    /// has had a byte write; `None` reads as zeros. Unwritten and
+    /// discarded slots are always zero, so reads serve misses from the
+    /// buffer (or as zeros without one) like hits.
+    pages: Option<Box<[u8]>>,
     /// One bit per block: whether the slot currently holds a payload.
     written: Vec<u64>,
     /// Count of set bits (for `len`).
@@ -212,27 +216,10 @@ struct Segment {
 }
 
 impl Segment {
-    /// Allocates **and commits** the segment's contiguous buffer: one
-    /// non-zero store per OS page forces the kernel to back that page
-    /// now (a plain zeroed allocation stays copy-on-write of the
-    /// shared zero page), so the data path never eats first-touch soft
-    /// faults — that cost belongs to setup, exactly like CacheLib
-    /// pre-faulting its region buffers at startup. The `black_box`
-    /// between the touch pass and the re-zero pass makes the non-zero
-    /// stores observable, so neither pass can ever be folded back into
-    /// a lazy `alloc_zeroed` by the optimizer.
-    fn allocate_committed(block_bytes: usize) -> Segment {
-        const OS_PAGE: usize = 4096;
-        let mut pages = vec![0u8; SEGMENT_BLOCKS as usize * block_bytes];
-        for i in (0..pages.len()).step_by(OS_PAGE) {
-            pages[i] = 1;
-        }
-        std::hint::black_box(&mut pages);
-        for i in (0..pages.len()).step_by(OS_PAGE) {
-            pages[i] = 0;
-        }
+    /// An empty segment: its bitmap and run tables, no page buffer.
+    fn new() -> Segment {
         Segment {
-            pages,
+            pages: None,
             written: vec![0u64; (SEGMENT_BLOCKS as usize).div_ceil(64)],
             live: 0,
             run_of: vec![NO_RUN; SEGMENT_BLOCKS as usize],
@@ -243,10 +230,10 @@ impl Segment {
         }
     }
 
-    fn ensure_allocated(&mut self, block_bytes: usize) {
-        if self.pages.is_empty() {
-            *self = Segment::allocate_committed(block_bytes);
-        }
+    /// The page buffer, allocated zeroed at the segment's first byte
+    /// write; the kernel backs its pages as they are first touched.
+    fn pages_mut(&mut self, block_bytes: usize) -> &mut [u8] {
+        self.pages.get_or_insert_with(|| vec![0u8; SEGMENT_BLOCKS as usize * block_bytes].into())
     }
 
     /// Takes slots `[slot, slot + span)` out of their runs: their bytes
@@ -351,9 +338,12 @@ impl Segment {
                 next += 1;
             }
             let end = ((next - first) * block_bytes).min(out.len());
-            match from {
-                Some((source, at)) => source(at, &mut out[pos..end]),
-                None => out[pos..end].copy_from_slice(&self.pages[base + pos..base + end]),
+            match (from, &self.pages) {
+                (Some((source, at)), _) => source(at, &mut out[pos..end]),
+                (None, Some(pages)) => {
+                    out[pos..end].copy_from_slice(&pages[base + pos..base + end])
+                }
+                (None, None) => out[pos..end].fill(0),
             }
             pos = end;
         }
@@ -361,7 +351,7 @@ impl Segment {
 
     #[inline]
     fn is_written(&self, slot: u64) -> bool {
-        !self.written.is_empty() && self.written[(slot / 64) as usize] & (1 << (slot % 64)) != 0
+        self.written[(slot / 64) as usize] & (1 << (slot % 64)) != 0
     }
 
     #[inline]
@@ -376,9 +366,6 @@ impl Segment {
 
     #[inline]
     fn clear_written(&mut self, slot: u64) -> bool {
-        if self.written.is_empty() {
-            return false;
-        }
         let word = &mut self.written[(slot / 64) as usize];
         let bit = 1u64 << (slot % 64);
         if *word & bit != 0 {
@@ -401,19 +388,21 @@ struct Slab {
     segments: Vec<Mutex<Segment>>,
 }
 
-/// Pre-sized page-slab store: contiguous per-segment buffers indexed
-/// directly by LBA.
+/// Page-slab store: per-segment buffers indexed directly by LBA, each
+/// allocated at its segment's first byte write.
 ///
 /// Compared to the seed's sharded `HashMap<u64, Box<[u8]>>`, a write is
-/// a bounds computation plus a `memcpy` into a pre-existing slot — no
-/// hashing, no per-block boxing — and a vectored N-block transfer is
-/// one lock pass and one `memcpy` per overlapped segment. Misses read
-/// from the pre-zeroed slab page directly (discard re-zeroes its slot),
-/// so the miss path costs the same single `memcpy` as a hit. A
-/// [`DataStore::write_source`] command is recorded as one run per
-/// segment it overlaps — one share of the source, the first slot and
-/// its byte offset, and a live count — and each of its slots names the
-/// run instead of holding bytes; a read calls the source for them.
+/// a bounds computation plus a `memcpy` into its slot — no hashing, no
+/// per-block boxing — and a vectored N-block transfer is one lock pass
+/// and one `memcpy` per overlapped segment. Misses read from the zeroed
+/// slab page directly (discard re-zeroes its slot), or as zeros from a
+/// segment with no page buffer, so the miss path costs the same single
+/// pass as a hit. A [`DataStore::write_source`] command is recorded as
+/// one run per segment it overlaps — one share of the source, the
+/// first slot and its byte offset, and a live count — and each of its
+/// slots names the run instead of holding bytes; a read calls the
+/// source for them. Such a command allocates no page buffer, so a
+/// store whose writes are all sources holds none.
 #[derive(Debug)]
 pub struct MemStore {
     inner: RwLock<Slab>,
@@ -429,12 +418,12 @@ impl Default for MemStore {
 
 impl MemStore {
     /// Creates an empty, unsized store; [`DataStore::attach`] (called by
-    /// the controller) pre-sizes the segment table to the device.
+    /// the controller) sizes the segment table to the device.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates a store pre-sized for `lbas` blocks of `lba_bytes` each
+    /// Creates a store sized for `lbas` blocks of `lba_bytes` each
     /// (direct/bench use without a controller).
     pub fn with_capacity(lbas: u64, lba_bytes: u32) -> Self {
         let s = Self::new();
@@ -449,7 +438,7 @@ impl MemStore {
         let mut inner = self.inner.write();
         let needed = (lba / SEGMENT_BLOCKS + 1) as usize;
         while inner.segments.len() < needed {
-            inner.segments.push(Mutex::new(Segment::default()));
+            inner.segments.push(Mutex::new(Segment::new()));
         }
     }
 
@@ -503,6 +492,9 @@ fn for_segments(
 }
 
 impl DataStore for MemStore {
+    /// Sizes the segment table to the exported capacity: one bitmap and
+    /// run table per segment, and no page buffer, so attaching costs
+    /// kilobytes per segment, not the device size.
     fn attach(&self, exported_lbas: u64, lba_bytes: u32) {
         let mut inner = self.inner.write();
         debug_assert!(
@@ -511,12 +503,7 @@ impl DataStore for MemStore {
         );
         inner.block_bytes = lba_bytes as usize;
         let segments = exported_lbas.div_ceil(SEGMENT_BLOCKS) as usize;
-        // Pre-size AND pre-fault the whole slab: one contiguous
-        // committed allocation per segment, so the hot path is pure
-        // memcpy from the first write on.
-        inner.segments = (0..segments)
-            .map(|_| Mutex::new(Segment::allocate_committed(lba_bytes as usize)))
-            .collect();
+        inner.segments = (0..segments).map(|_| Mutex::new(Segment::new())).collect();
     }
 
     fn write_block(&self, lba: u64, data: &[u8]) {
@@ -526,11 +513,11 @@ impl DataStore for MemStore {
         let seg = &inner.segments[(lba / SEGMENT_BLOCKS) as usize];
         let slot = lba % SEGMENT_BLOCKS;
         let mut s = seg.lock();
-        s.ensure_allocated(block_bytes);
         let off = slot as usize * block_bytes;
         let n = data.len().min(block_bytes);
-        s.pages[off..off + n].copy_from_slice(&data[..n]);
-        s.pages[off + n..off + block_bytes].fill(0);
+        let pages = s.pages_mut(block_bytes);
+        pages[off..off + n].copy_from_slice(&data[..n]);
+        pages[off + n..off + block_bytes].fill(0);
         s.leave_runs(slot, 1);
         s.mark_written(slot);
     }
@@ -575,10 +562,10 @@ impl DataStore for MemStore {
         );
         for_segments(&inner, lba, nlb, block_bytes, |seg, slot, span, data_off| {
             let mut s = seg.lock();
-            s.ensure_allocated(block_bytes);
             let off = slot as usize * block_bytes;
             let bytes = span as usize * block_bytes;
-            s.pages[off..off + bytes].copy_from_slice(&data[data_off..data_off + bytes]);
+            s.pages_mut(block_bytes)[off..off + bytes]
+                .copy_from_slice(&data[data_off..data_off + bytes]);
             s.leave_runs(slot, span);
             for i in slot..slot + span {
                 s.mark_written(i);
@@ -588,8 +575,9 @@ impl DataStore for MemStore {
 
     /// Records one run per overlapped segment under its lock — one
     /// share of `source`, the first slot and its byte offset — and
-    /// makes no byte: `Segment::load` calls the source when a slot is
-    /// read. The slots' stale page bytes stay until a byte write or a
+    /// makes no byte and allocates no page buffer: `Segment::load`
+    /// calls the source when a slot is read. The slots' stale page
+    /// bytes, if the segment has a buffer, stay until a byte write or a
     /// discard replaces them.
     fn write_source(
         &self,
@@ -608,9 +596,7 @@ impl DataStore for MemStore {
             "vectored transfer must use the attached LBA size"
         );
         for_segments(&inner, lba, nlb, block_bytes, |seg, slot, span, data_off| {
-            let mut s = seg.lock();
-            s.ensure_allocated(block_bytes);
-            s.record_run(slot, span, source, base + data_off);
+            seg.lock().record_run(slot, span, source, base + data_off);
         });
     }
 
@@ -637,19 +623,13 @@ impl DataStore for MemStore {
             nlb = table_blocks - lba;
             out[(nlb as usize) * block_bytes..].fill(0);
         }
+        // One contiguous pass per segment serves hits and misses alike
+        // (unwritten and discarded slots are zero in the slab, or the
+        // segment has no page buffer), except where slots hold a
+        // source's bytes.
         for_segments(&inner, lba, nlb, block_bytes, |seg, slot, span, out_off| {
-            let s = seg.lock();
             let bytes = span as usize * block_bytes;
-            let chunk = &mut out[out_off..out_off + bytes];
-            if s.pages.is_empty() {
-                // Untouched segment: every slot is (logically) zero.
-                chunk.fill(0);
-            } else {
-                // One contiguous copy serves hits and misses alike
-                // (unwritten/discarded slots are pre-zeroed in the
-                // slab), except where slots hold a source's bytes.
-                s.load(slot, chunk, block_bytes);
-            }
+            seg.lock().load(slot, &mut out[out_off..out_off + bytes], block_bytes);
         });
     }
 
@@ -665,16 +645,15 @@ impl DataStore for MemStore {
         let count = count.min(table_blocks - lba);
         for_segments(&inner, lba, count, block_bytes, |seg, slot, span, _| {
             let mut s = seg.lock();
-            if s.pages.is_empty() {
-                return;
-            }
             s.leave_runs(slot, span);
             for i in slot..slot + span {
                 if s.clear_written(i) {
                     // Keep the invariant that unwritten slots are zero,
                     // so reads can serve misses from the slab directly.
-                    let off = i as usize * block_bytes;
-                    s.pages[off..off + block_bytes].fill(0);
+                    if let Some(pages) = &mut s.pages {
+                        let off = i as usize * block_bytes;
+                        pages[off..off + block_bytes].fill(0);
+                    }
                 }
             }
         });
@@ -755,18 +734,53 @@ mod tests {
     }
 
     #[test]
-    fn attach_presizes_and_commits_whole_device() {
+    fn segments_page_in_at_their_first_byte_write_only() {
         let s = MemStore::new();
-        DataStore::attach(&s, 5 * SEGMENT_BLOCKS + 3, 512);
+        DataStore::attach(&s, 5 * SEGMENT_BLOCKS + 3, 8);
         assert_eq!(s.inner.read().segments.len(), 6);
-        assert_eq!(s.inner.read().block_bytes, 512);
-        // Every segment's contiguous buffer exists (and is zeroed)
-        // before the first write: no first-touch cost on the data path.
-        for seg in &s.inner.read().segments {
-            let seg = seg.lock();
-            assert_eq!(seg.pages.len(), SEGMENT_BLOCKS as usize * 512);
-            assert!(seg.pages.iter().all(|&b| b == 0));
-        }
+        assert_eq!(s.inner.read().block_bytes, 8);
+        let paged = |s: &MemStore| -> Vec<bool> {
+            s.inner.read().segments.iter().map(|seg| seg.lock().pages.is_some()).collect()
+        };
+        assert_eq!(paged(&s), [false; 6], "attach allocates no page buffer");
+
+        // A source run across the first segment boundary pages in nothing.
+        let source: FillSource = Arc::new(|at, out: &mut [u8]| {
+            for (i, b) in out.iter_mut().enumerate() {
+                *b = (at + i) as u8 | 0x80;
+            }
+        });
+        let first = SEGMENT_BLOCKS - 2;
+        s.write_source(first, 4, 8, &source, 16);
+        assert_eq!(paged(&s), [false; 6], "write_source allocates no page buffer");
+        assert_eq!(s.len(), 4);
+
+        // A byte write pages in exactly the segments it touches.
+        s.write_blocks(3 * SEGMENT_BLOCKS - 1, &[7; 16], 8);
+        assert_eq!(paged(&s), [false, false, true, true, false, false]);
+
+        // A page-less segment reads run slots as the source's bytes and
+        // every other slot as zeros.
+        let mut out = [0xEEu8; 6 * 8];
+        s.read_blocks(first - 1, &mut out, 8);
+        let mut expect = [0u8; 6 * 8];
+        source(16, &mut expect[8..40]);
+        assert_eq!(out, expect);
+        let mut one = [0xEEu8; 8];
+        assert!(s.read_block(SEGMENT_BLOCKS, &mut one));
+        assert_eq!(one, expect[24..32]);
+        assert!(!s.read_block(SEGMENT_BLOCKS + 2, &mut one));
+
+        // Discarding source-only slots unmarks them, still page-less.
+        s.discard_blocks(first + 1, 2);
+        assert_eq!(s.len(), 2 + 2);
+        assert!(!s.read_block(first + 1, &mut one));
+        assert!(!s.read_block(SEGMENT_BLOCKS, &mut one));
+        let mut out = [0xEEu8; 4 * 8];
+        s.read_blocks(first, &mut out, 8);
+        expect[16..32].fill(0);
+        assert_eq!(out, expect[8..40]);
+        assert_eq!(paged(&s), [false, false, true, true, false, false]);
     }
 
     #[test]
