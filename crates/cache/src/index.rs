@@ -24,6 +24,10 @@
 //!   node pointer before the unlink can finish its traversal safely.
 //! - Per key the chain holds at most one node: insert unlinks any older
 //!   duplicate behind the fresh head, so readers take the first match.
+//! - A node is replaced only when its key's value changes. A SET of the
+//!   value a key already holds publishes nothing: the shard's `RamCache`
+//!   keeps the entry and only clears its `accessed` flag, the same
+//!   write eviction's second-chance sweep makes.
 //!
 //! Layout: what a lookup reads of the index itself (`buckets`, `mask`)
 //! sits on a 128-byte line of its own, ahead of the collector, whose

@@ -19,7 +19,18 @@
 //! tail entries a second chance (one rotation) before evicting —
 //! CLOCK-style approximation only where lock-free reads actually
 //! happened, bit-identical to exact LRU when they didn't.
+//!
+//! A put publishes a fresh entry only when the key's value changes. A
+//! put of the value the key already holds — a synthetic value of the
+//! same length, whose bytes derive from the key and length alone, or a
+//! real one sharing the same buffer — keeps the slot and its published
+//! entry: the node moves to the LRU front and the entry's `accessed`
+//! flag is cleared, as a fresh entry's starts clear. Readers keep
+//! hitting the node they have cached, and the put allocates, publishes
+//! and retires nothing; LRU order, eviction order and every count come
+//! out as a replace would leave them.
 
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 use std::vec::Drain;
 
@@ -71,6 +82,18 @@ impl Slot {
     /// [`IndexEntry::take_accessed`]); a local value has none.
     fn take_accessed(&self) -> bool {
         matches!(self, Slot::Published(entry) if entry.take_accessed())
+    }
+}
+
+/// Whether `new` is the value `old` already is, by a test that never
+/// compares bytes: a synthetic value of the same length (its bytes
+/// derive from the key and length alone), or a real one sharing the
+/// same buffer.
+fn identical(old: &Value, new: &Value) -> bool {
+    match (old, new) {
+        (Value::Synthetic(a), Value::Synthetic(b)) => a == b,
+        (Value::Real(a), Value::Real(b)) => Arc::ptr_eq(a, b),
+        _ => false,
     }
 }
 
@@ -224,6 +247,9 @@ impl RamCache {
     ///
     /// An object larger than the whole budget is not cached: it is
     /// yielded as if immediately evicted (flash-direct insertion).
+    ///
+    /// A put of the value the key already holds keeps its published
+    /// entry (see the module docs).
     pub fn put(&mut self, key: Key, value: Value) -> Drain<'_, Evicted> {
         let charge = self.charge_of(&value);
         if charge > self.capacity_bytes {
@@ -233,35 +259,50 @@ impl RamCache {
             self.evicted.push(Evicted { key, value });
             return self.evicted.drain(..);
         }
-        let slot = match self.index {
-            Some(_) => Slot::Published(IndexEntry::new(value)),
-            None => Slot::Local(value),
+        let published = self.index.is_some();
+        let new_slot = |value| {
+            if published {
+                Slot::Published(IndexEntry::new(value))
+            } else {
+                Slot::Local(value)
+            }
         };
-        // Replace in place if present.
-        let idx = if let Some(&idx) = self.map.get(&key) {
-            let old_charge = self.nodes[idx as usize].charge;
-            self.used_bytes = self.used_bytes - old_charge + charge;
-            self.nodes[idx as usize].slot = slot;
-            self.nodes[idx as usize].charge = charge;
-            self.detach(idx);
-            self.attach_front(idx);
-            idx
-        } else {
-            let node = Node { key, slot, charge, prev: NIL, next: NIL };
-            let idx = match self.free.pop() {
-                Some(i) => {
-                    self.nodes[i as usize] = node;
-                    i
+        // One map probe decides the path.
+        let idx = match self.map.entry(key) {
+            Entry::Occupied(resident) => {
+                let idx = *resident.get();
+                let node = &mut self.nodes[idx as usize];
+                if identical(node.slot.value(), &value) {
+                    // Same charge, so nothing to evict either.
+                    node.slot.take_accessed();
+                    self.detach(idx);
+                    self.attach_front(idx);
+                    return self.evicted.drain(..);
                 }
-                None => {
-                    self.nodes.push(node);
-                    (self.nodes.len() - 1) as u32
-                }
-            };
-            self.map.insert(key, idx);
-            self.attach_front(idx);
-            self.used_bytes += charge;
-            idx
+                self.used_bytes = self.used_bytes - node.charge + charge;
+                node.charge = charge;
+                node.slot = new_slot(value);
+                self.detach(idx);
+                self.attach_front(idx);
+                idx
+            }
+            Entry::Vacant(vacant) => {
+                let node = Node { key, slot: new_slot(value), charge, prev: NIL, next: NIL };
+                let idx = match self.free.pop() {
+                    Some(i) => {
+                        self.nodes[i as usize] = node;
+                        i
+                    }
+                    None => {
+                        self.nodes.push(node);
+                        (self.nodes.len() - 1) as u32
+                    }
+                };
+                vacant.insert(idx);
+                self.attach_front(idx);
+                self.used_bytes += charge;
+                idx
+            }
         };
         // Publish after the local structures agree (replaces any older
         // index entry atomically for lock-free readers).
@@ -558,6 +599,66 @@ mod tests {
         assert_eq!(put(&mut c, 8, 10)[0], 6, "re-flagged tail must rotate again");
         assert!(c.peek(5).is_some());
         c.check_invariants();
+    }
+
+    /// The entry `key`'s slot shares with the read index.
+    fn entry(c: &RamCache, key: Key) -> Arc<IndexEntry> {
+        match &c.nodes[c.map[&key] as usize].slot {
+            Slot::Published(entry) => Arc::clone(entry),
+            Slot::Local(_) => panic!("key {key} is not published"),
+        }
+    }
+
+    #[test]
+    fn an_identical_set_keeps_the_published_entry() {
+        let mut c = RamCache::new(1000, 0);
+        let bytes: Arc<[u8]> = vec![7u8; 64].into();
+        c.read_index();
+        c.put(1, val(10));
+        c.put(2, Value::Real(Arc::clone(&bytes)));
+        c.put(3, val(10));
+        for (key, same) in [(1, val(10)), (2, Value::Real(Arc::clone(&bytes)))] {
+            let before = entry(&c, key);
+            c.read_index().get(key);
+            assert!(before.was_accessed());
+            let retired = c.read_index().retired_total();
+            assert_eq!(c.put(key, same.clone()).count(), 0, "nothing to evict");
+            let after = entry(&c, key);
+            assert!(Arc::ptr_eq(&before, &after), "key {key}: entry republished");
+            assert_eq!(c.read_index().retired_total(), retired, "key {key}: a node retired");
+            let published = c.read_index().peek(key);
+            assert_eq!(published, Some(same), "key {key}: published value");
+            if let Some(Value::Real(b)) = &published {
+                assert!(Arc::ptr_eq(b, &bytes), "the published buffer must stay shared");
+            }
+            assert!(!after.was_accessed(), "key {key}: the readers' flag survived");
+            assert_eq!(c.head, c.map[&key], "key {key}: not at the LRU front");
+            assert_eq!(c.used_bytes(), 84);
+            c.check_invariants();
+        }
+    }
+
+    #[test]
+    fn a_different_value_republishes() {
+        let mut c = RamCache::new(1000, 0);
+        let bytes: Arc<[u8]> = vec![7u8; 64].into();
+        c.read_index();
+        c.put(1, val(10));
+        c.put(2, Value::Real(Arc::clone(&bytes)));
+        let equal_bytes = Value::real(bytes.to_vec());
+        for (key, other) in [(1, val(11)), (2, equal_bytes)] {
+            let before = entry(&c, key);
+            c.read_index().get(key);
+            let retired = c.read_index().retired_total();
+            c.put(key, other.clone());
+            let after = entry(&c, key);
+            assert!(!Arc::ptr_eq(&before, &after), "key {key}: entry kept");
+            assert_eq!(c.read_index().retired_total(), retired + 1, "key {key}");
+            assert_eq!(c.read_index().peek(key), Some(other));
+            assert!(!after.was_accessed(), "key {key}: a fresh entry starts unflagged");
+            assert_eq!(c.head, c.map[&key]);
+            c.check_invariants();
+        }
     }
 
     #[test]

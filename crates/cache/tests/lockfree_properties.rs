@@ -66,9 +66,12 @@ fn decode(value: &Value) -> (u64, u64) {
     (key, version)
 }
 
+/// One step of the model check; `PutCurrent` SETs the value the key
+/// already holds, if it holds one.
 #[derive(Debug, Clone)]
 enum PoolOp {
     Put { key: u8, size: u16 },
+    PutCurrent { key: u8 },
     Get { key: u8 },
     Delete { key: u8 },
 }
@@ -76,6 +79,7 @@ enum PoolOp {
 fn pool_op() -> impl Strategy<Value = PoolOp> {
     prop_oneof![
         (any::<u8>(), 1..512u16).prop_map(|(key, size)| PoolOp::Put { key, size }),
+        any::<u8>().prop_map(|key| PoolOp::PutCurrent { key }),
         any::<u8>().prop_map(|key| PoolOp::Get { key }),
         any::<u8>().prop_map(|key| PoolOp::Delete { key }),
     ]
@@ -88,25 +92,46 @@ proptest! {
     /// to a reference map: every get (lock-free *and* locked baseline)
     /// observes exactly the surviving puts, deletes report presence
     /// truthfully, and a DRAM-resident key always answers as a RAM hit.
+    /// Odd sizes are real payloads, so a SET of a key's current value
+    /// hands the pool the buffer it already holds; even ones synthetic.
     #[test]
     fn pool_matches_reference_model(
         ops in prop::collection::vec(pool_op(), 1..150),
         shards in 1usize..=4,
     ) {
         let pool = dram_pool(shards);
-        let mut model: std::collections::HashMap<u64, usize> = Default::default();
+        let mut model: std::collections::HashMap<u64, Value> = Default::default();
         for op in ops {
             match op {
                 PoolOp::Put { key, size } => {
-                    pool.put(key as u64, Value::synthetic(size as u32)).unwrap();
-                    model.insert(key as u64, size as usize);
+                    let value = if size % 2 == 1 {
+                        Value::real(vec![key; size as usize])
+                    } else {
+                        Value::synthetic(size as u32)
+                    };
+                    pool.put(key as u64, value.clone()).unwrap();
+                    model.insert(key as u64, value);
+                }
+                PoolOp::PutCurrent { key } => {
+                    if let Some(value) = model.get(&(key as u64)) {
+                        pool.put(key as u64, value.clone()).unwrap();
+                    }
+                    // Still published, and both paths read the value.
+                    let (outcome, got) = pool.get(key as u64).unwrap();
+                    let (_, locked_got) = pool.get_locked(key as u64).unwrap();
+                    let expected = model.get(&(key as u64));
+                    prop_assert_eq!(got.as_ref(), expected);
+                    prop_assert_eq!(locked_got.as_ref(), expected);
+                    if expected.is_some() {
+                        prop_assert_eq!(outcome, GetOutcome::RamHit);
+                    }
                 }
                 PoolOp::Get { key } => {
                     let (outcome, got) = pool.get(key as u64).unwrap();
                     let (locked_outcome, locked_got) = pool.get_locked(key as u64).unwrap();
-                    let expected = model.get(&(key as u64)).copied();
-                    prop_assert_eq!(got.map(|v| v.len()), expected);
-                    prop_assert_eq!(locked_got.map(|v| v.len()), expected);
+                    let expected = model.get(&(key as u64));
+                    prop_assert_eq!(got.as_ref(), expected);
+                    prop_assert_eq!(locked_got.as_ref(), expected);
                     // Nothing evicts at this scale, so presence means a
                     // DRAM hit on both paths.
                     if expected.is_some() {
@@ -127,8 +152,8 @@ proptest! {
         }
         // Final sweep: the index agrees with the model on every key.
         for key in 0..=u8::MAX {
-            let expected = model.get(&(key as u64)).copied();
-            prop_assert_eq!(pool.get(key as u64).unwrap().1.map(|v| v.len()), expected);
+            let expected = model.get(&(key as u64));
+            prop_assert_eq!(pool.get(key as u64).unwrap().1.as_ref(), expected);
         }
     }
 

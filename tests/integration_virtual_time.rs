@@ -1,17 +1,20 @@
 //! Virtual time pinned to exact integers: a seeded, seal-heavy LOC
 //! replay through the LOC's wrap and device GC on the tiny device,
 //! checked against the counters and latency sums recorded before the
-//! FTL mapped runs and the payload store recorded runs. A change that
+//! FTL mapped runs and the payload store recorded runs; and a
+//! read-mostly pool replay whose lock-free reads steer DRAM eviction,
+//! checked against the counters recorded before a SET of the value
+//! already in DRAM stopped republishing it. A change that
 //! only makes the host faster must leave every one of these numbers
 //! as it is; a change that moves one must say why and re-pin it.
 
-use fdpcache::cache::builder::{build_stack, StoreKind};
-use fdpcache::cache::{CacheConfig, NvmConfig, Value};
+use fdpcache::cache::builder::{build_device, build_stack, StoreKind};
+use fdpcache::cache::{CacheConfig, CacheStats, ConcurrentPool, NvmConfig, Value};
 use fdpcache::ftl::{FtlConfig, FtlStats};
 use fdpcache::nand::{LatencyModel, NandStats};
 use fdpcache::nvme::FdpStatsLog;
-use fdpcache::placement::{HealthIoStats, HealthState, IoStats};
-use fdpcache::workloads::{Op, WorkloadProfile};
+use fdpcache::placement::{HealthIoStats, HealthState, IoStats, RoundRobinPolicy};
+use fdpcache::workloads::{run_pool_round, Op, WorkloadProfile};
 
 /// Everything the replay is pinned on.
 #[derive(Debug, PartialEq, Eq)]
@@ -160,4 +163,86 @@ fn seal_heavy_replay_keeps_its_pinned_virtual_time() {
         assert!(got.ftl.relocated_pages > 0, "fdp {fdp}: GC relocated nothing");
         assert_eq!(got, expected(fdp), "fdp {fdp}: virtual time moved");
     }
+}
+
+/// Everything the pool replay is pinned on.
+#[derive(Debug, PartialEq, Eq)]
+struct PinnedPool {
+    cache: CacheStats,
+    io: IoStats,
+    ftl: FtlStats,
+    /// The pool's virtual-time frontier at the end (ns).
+    now_ns: u64,
+}
+
+/// Replays 40 000 requests of the read-mostly-hot profile (the workload
+/// behind the benchmark's `dram_hot_reads`) through a two-shard pool
+/// driven by one worker. Its 4 000 keys overflow the 64 KiB of DRAM, so
+/// eviction runs all along, and the pool serves GETs lock-free: which
+/// entry leaves DRAM depends on the second-chance flags those reads set
+/// and on what every SET, including one of the value already resident,
+/// does to them.
+fn pool_replay() -> PinnedPool {
+    let ctrl = build_device(FtlConfig::tiny_test(), StoreKind::Mem, true).unwrap();
+    let config = CacheConfig {
+        ram_bytes: 64 << 10,
+        ram_item_overhead: 0,
+        nvm: NvmConfig { soc_fraction: 0.5, region_bytes: 8 * 4096, ..NvmConfig::default() },
+        use_fdp: true,
+    };
+    let pool =
+        ConcurrentPool::new(&ctrl, &config, 2, 0.9, || Box::new(RoundRobinPolicy::new())).unwrap();
+    let mut sources = [WorkloadProfile::read_mostly_hot().generator(4_000, 46)];
+    for report in run_pool_round(&pool, &mut sources, 40_000) {
+        assert_eq!(report.error, None, "the pool replay failed");
+    }
+    pool.drain_io();
+    PinnedPool {
+        cache: pool.stats(),
+        io: pool.io_stats(),
+        ftl: ctrl.with_ftl(|f| f.stats()),
+        now_ns: pool.now_ns(),
+    }
+}
+
+/// The pool replay's numbers, recorded before a SET of the value a key
+/// already holds in DRAM stopped republishing it. That SET must still
+/// clear the entry's second-chance flag, as a fresh entry's starts
+/// clear: one that kept it moves five evictions and six flash reads.
+fn expected_pool() -> PinnedPool {
+    PinnedPool {
+        cache: CacheStats {
+            gets: 38_063,
+            ram_hits: 24_871,
+            nvm_lookups: 13_192,
+            soc_hits: 852,
+            puts: 1_937,
+            nvm_insert_attempts: 1_291,
+            nvm_inserts: 1_291,
+            nvm_app_bytes: 328_094,
+            ..Default::default()
+        },
+        io: IoStats {
+            writes: 1_291,
+            reads: 1_754,
+            bytes_written: 5_287_936,
+            bytes_read: 7_184_384,
+            ..Default::default()
+        },
+        ftl: FtlStats {
+            host_pages_written: 1_291,
+            nand_pages_written: 1_291,
+            overwrites: 902,
+            host_reads: 1_754,
+            ..Default::default()
+        },
+        now_ns: 44_036_000,
+    }
+}
+
+#[test]
+fn read_mostly_pool_replay_keeps_its_pinned_counters() {
+    let got = pool_replay();
+    assert!(got.cache.nvm_insert_attempts > 0, "DRAM never evicted");
+    assert_eq!(got, expected_pool(), "the pool replay moved");
 }
