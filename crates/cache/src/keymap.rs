@@ -1,16 +1,16 @@
 //! Hash maps keyed by cache [`Key`]s.
 //!
-//! The DRAM cache's slab map and the LOC's index, active buffer and
-//! key lists are probed on every operation. std's default hasher,
-//! SipHash-1-3, defends a map against keys an adversary picks to
-//! collide; these keys come from the simulator's own workload
-//! generators and traces, so nobody picks them, and one splitmix64
-//! finalizer ([`mix64`]) spreads them well at a fraction of the cost.
+//! The DRAM cache's slab map and the LOC's key map are probed on every
+//! operation. std's default hasher, SipHash-1-3, defends a map against
+//! keys an adversary picks to collide; these keys come from the
+//! simulator's own workload generators and traces, so nobody picks
+//! them, and one splitmix64 finalizer ([`mix64`]) spreads them well at
+//! a fraction of the cost.
 //! The hasher is also seedless: no per-map random seed decides an
 //! iteration order. Code whose output depends on order still walks an
 //! ordered list or sorts; it never relies on a map's order.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::checksum::mix64;
@@ -39,9 +39,6 @@ impl Hasher for KeyHasher {
 
 /// A map from [`Key`] hashed with [`KeyHasher`].
 pub(crate) type KeyMap<V> = HashMap<Key, V, BuildHasherDefault<KeyHasher>>;
-
-/// A set of [`Key`]s hashed with [`KeyHasher`].
-pub(crate) type KeySet = HashSet<Key, BuildHasherDefault<KeyHasher>>;
 
 #[cfg(test)]
 mod tests {

@@ -9,16 +9,18 @@
 //!   share one image of the region's objects, whose bytes the payload
 //!   store makes only when they are read — and a fresh region opens;
 //! * when no free region remains, the oldest sealed region is evicted
-//!   (FIFO) and its index entries dropped; the region's blocks are simply
+//!   (FIFO) and its live copies dropped; the region's blocks are simply
 //!   overwritten by the next seal (no TRIM), exactly like CacheLib —
 //!   the optional `trim_on_region_evict` flag reproduces the paper's
 //!   shelved FDP-specialized eviction policy (§5.5);
-//! * a DRAM index maps key → (region, offset, length): the LOC pays
-//!   DRAM for small flash metadata, the opposite tradeoff to the SOC;
+//! * one DRAM key map holds each key's live copy — buffered, or
+//!   (region, offset, length) on flash — and the regions whose footers
+//!   still list a superseded copy of it: the LOC pays DRAM for small
+//!   flash metadata, the opposite tradeoff to the SOC;
 //! * a dedicated *metadata area* after the region array holds one
 //!   *footer* per region persisting its entry table (key, offset,
 //!   length) under a checksum, written as part of the same
-//!   all-or-nothing seal batch — this is what makes the DRAM index
+//!   all-or-nothing seal batch — this is what makes the DRAM key map
 //!   rebuildable after a crash ([`Loc::recover`], DESIGN.md §6.4).
 //!   Keeping footers *outside* the regions preserves the LOC's
 //!   region-aligned payload layout: every region is a whole
@@ -42,7 +44,7 @@ use fdpcache_nvme::{FillSource, NvmeError};
 
 use crate::checksum::page_checksum;
 use crate::error::CacheError;
-use crate::keymap::{KeyMap, KeySet};
+use crate::keymap::KeyMap;
 use crate::value::Value;
 use crate::Key;
 
@@ -144,11 +146,12 @@ enum RegionState {
 #[derive(Debug)]
 struct Region {
     state: RegionState,
-    /// Keys written into this region, in fill order (ascending offset),
-    /// for index cleanup at eviction, patrol scrubs and locating
-    /// footers that may still list a deleted key.
-    /// [`Loc::key_regions`] inverts these lists; every change to one
-    /// goes through a `Loc` method that updates both.
+    /// Keys this region's footer lists, in fill order (ascending
+    /// offset): its live objects and superseded copies not yet
+    /// scrubbed. Eviction and patrol scrubs walk it. A key's [`Slot`]
+    /// inverts these lists (its live copy's region plus
+    /// [`Slot::older`]); every change to one goes through a `Loc`
+    /// method that updates both.
     keys: Vec<Key>,
     /// Monotonic sequence stamped into the footer at seal time;
     /// recovery orders regions by it so newer copies of a key
@@ -156,22 +159,13 @@ struct Region {
     seal_seq: u64,
 }
 
-/// An object buffered in the active region.
-#[derive(Debug)]
-struct ActiveEntry {
-    /// Insertion ordinal: seals list and publish the buffer's objects
-    /// in this order, so the footer's entry table is laid out as the
-    /// buffer was filled.
-    seq: u64,
-    offset: u32,
-    value: Value,
-}
+/// An object in the active buffer: key, offset in the region, value.
+type Buffered = (Key, u32, Value);
 
 /// Writes bytes `[at, at + out.len())` of a sealed region into `out`:
-/// the overlapping parts of `objects` (`(key, offset, value)`, ordered
-/// by offset), and zeros in the gaps superseded or removed objects
-/// left and in the tail padding.
-fn fill_region(objects: &[(Key, u32, Value)], at: usize, out: &mut [u8]) {
+/// the overlapping parts of `objects` (ordered by offset), and zeros in
+/// the gaps superseded or removed objects left and in the tail padding.
+fn fill_region(objects: &[Buffered], at: usize, out: &mut [u8]) {
     let end = at + out.len();
     let first = objects.partition_point(|(_, off, v)| *off as usize + v.len() <= at);
     let mut pos = at;
@@ -189,50 +183,82 @@ fn fill_region(objects: &[(Key, u32, Value)], at: usize, out: &mut [u8]) {
     out[pos - at..].fill(0);
 }
 
-/// The inverse of every region's key list: for each key, the regions
-/// whose [`Region::keys`] hold it. A key is listed by at most one
-/// region per copy it has on flash, so the lists stay short.
-#[derive(Debug, Default)]
-struct KeyRegions(KeyMap<Vec<u32>>);
-
-impl KeyRegions {
-    fn list(&mut self, key: Key, region: u32) {
-        self.0.entry(key).or_default().push(region);
-    }
-
-    fn unlist(&mut self, key: Key, region: u32) {
-        if let Entry::Occupied(mut e) = self.0.entry(key) {
-            let regions = e.get_mut();
-            if let Some(i) = regions.iter().position(|&r| r == region) {
-                regions.swap_remove(i);
-            }
-            if regions.is_empty() {
-                e.remove();
-            }
-        }
-    }
-
-    /// Whether any region lists `key`.
-    fn is_listed(&self, key: Key) -> bool {
-        self.0.contains_key(&key)
-    }
-
-    /// Empties `region`'s (number `r`) key list, unlisting each key,
-    /// and returns the keys.
-    fn take(&mut self, region: &mut Region, r: u32) -> Vec<Key> {
-        let keys = std::mem::take(&mut region.keys);
-        for &k in &keys {
-            self.unlist(k, r);
-        }
-        keys
-    }
-}
-
+/// A sealed object's place on flash and its authoritative value.
 #[derive(Debug, Clone)]
-struct IndexEntry {
+struct SealedCopy {
     region: u32,
     offset: u32,
     value: Value,
+}
+
+/// A key's live copy.
+#[derive(Debug)]
+enum Live {
+    /// Buffered at this position of [`Loc::buffer`].
+    Active(u32),
+    /// Sealed on flash.
+    Sealed(SealedCopy),
+}
+
+/// Everything the LOC knows of one key: its live copy, if any, and the
+/// regions whose footers still list a superseded copy. A key's
+/// *listing* — the regions whose [`Region::keys`] hold it — is
+/// `older` plus its sealed live copy's region; most keys have one
+/// copy on flash, and their `older` stays empty and unallocated.
+#[derive(Debug, Default)]
+struct Slot {
+    live: Option<Live>,
+    older: Vec<u32>,
+}
+
+impl Slot {
+    /// Drops the live copy. A sealed one's region still lists the key,
+    /// so it joins `older`; a buffered one's position is returned.
+    fn supersede(&mut self) -> Option<u32> {
+        match self.live.take()? {
+            Live::Active(pos) => Some(pos),
+            Live::Sealed(copy) => {
+                self.older.push(copy.region);
+                None
+            }
+        }
+    }
+
+    /// The sealed live copy, if the key has one.
+    fn sealed(&self) -> Option<&SealedCopy> {
+        match &self.live {
+            Some(Live::Sealed(copy)) => Some(copy),
+            _ => None,
+        }
+    }
+
+    /// The regions that list the key.
+    fn listing(&self) -> impl Iterator<Item = u32> + '_ {
+        self.older.iter().copied().chain(self.sealed().map(|c| c.region))
+    }
+
+    /// Drops `region` from the superseded copies' regions.
+    fn drop_older(&mut self, region: u32) {
+        if let Some(i) = self.older.iter().position(|&r| r == region) {
+            self.older.swap_remove(i);
+        }
+    }
+
+    /// Whether nothing of the key is left: no live copy, no listing.
+    fn is_empty(&self) -> bool {
+        self.live.is_none() && self.older.is_empty()
+    }
+}
+
+/// Drops `region` from `key`'s superseded copies' regions, and the
+/// key's slot once nothing of it is left.
+fn unlist(slots: &mut KeyMap<Slot>, key: Key, region: u32) {
+    if let Entry::Occupied(mut e) = slots.entry(key) {
+        e.get_mut().drop_older(region);
+        if e.get().is_empty() {
+            e.remove();
+        }
+    }
 }
 
 /// The Large Object Cache engine.
@@ -249,15 +275,17 @@ pub struct Loc {
     /// Bytes of the active region its objects occupy; nothing is
     /// materialised until a read of the sealed region asks for it.
     active_fill: usize,
-    /// The active buffer's live objects by key (a key's newer copy
-    /// replaces its older one): every insert, lookup and remove of
-    /// either engine asks "is it in the active buffer?" first.
-    active_keys: KeyMap<ActiveEntry>,
-    /// Next [`ActiveEntry::seq`].
-    active_seq: u64,
-    index: KeyMap<IndexEntry>,
-    /// Which regions list each key (the inverse of `Region::keys`).
-    key_regions: KeyRegions,
+    /// The active region's objects in fill order, which is offset
+    /// order: at the seal, once its superseded positions are dropped,
+    /// this is the region's image.
+    buffer: Vec<Buffered>,
+    /// Positions of `buffer` whose object a later insert or a remove
+    /// superseded; the buffer holds `buffer.len() - superseded.len()`
+    /// live objects.
+    superseded: Vec<u32>,
+    /// Every key the LOC holds or a footer lists. Every insert, lookup
+    /// and remove of either engine probes it once.
+    slots: KeyMap<Slot>,
     trim_on_evict: bool,
     handle: PlacementHandle,
     /// Placement handle for footer writes: the namespace's metadata
@@ -311,10 +339,9 @@ impl Loc {
             sealed_fifo: VecDeque::new(),
             active: None,
             active_fill: 0,
-            active_keys: KeyMap::default(),
-            active_seq: 0,
-            index: KeyMap::default(),
-            key_regions: KeyRegions::default(),
+            buffer: Vec::new(),
+            superseded: Vec::new(),
+            slots: KeyMap::default(),
             trim_on_evict,
             handle,
             meta_handle,
@@ -378,9 +405,10 @@ impl Loc {
             + region as u64 * self.meta_blocks()
     }
 
-    /// Serializes a region footer into the head of `slot` (a buffer of
-    /// at least its [`Loc::footer_blocks`]), whatever it held before,
-    /// and returns how many blocks that is. Entries beyond each block's
+    /// Serializes a region footer listing `entries` (key, offset,
+    /// length), in order, into the head of `slot` (a buffer of at least
+    /// its [`Loc::footer_blocks`]), whatever it held before, and returns
+    /// how many blocks that is. Entries beyond each block's
     /// capacity spill into the next block; every block carries the full
     /// header and its own trailing checksum so recovery can reject any
     /// torn block alone. Header and entries are written in place; only
@@ -389,26 +417,25 @@ impl Loc {
         &self,
         region: u32,
         seal_seq: u64,
-        entries: &[(Key, u32, u32)],
+        mut entries: impl ExactSizeIterator<Item = (Key, u32, u32)>,
         slot: &mut [u8],
     ) -> usize {
         let bb = self.block_bytes as usize;
-        let blocks = self.footer_blocks(entries.len());
-        debug_assert!(entries.len() <= self.entry_capacity());
+        let total = entries.len();
+        let blocks = self.footer_blocks(total);
+        debug_assert!(total <= self.entry_capacity());
         let per = self.entries_per_meta_block();
         for (bi, chunk) in slot[..blocks * bb].chunks_exact_mut(bb).enumerate() {
-            let lo = (bi * per).min(entries.len());
-            let hi = ((bi + 1) * per).min(entries.len());
-            let slice = &entries[lo..hi];
+            let count = per.min(total - (bi * per).min(total));
             chunk[0..4].copy_from_slice(&META_MAGIC.to_le_bytes());
             chunk[4..8].copy_from_slice(&META_VERSION.to_le_bytes());
             chunk[8..16].copy_from_slice(&seal_seq.to_le_bytes());
             chunk[16..20].copy_from_slice(&region.to_le_bytes());
             chunk[20..24].copy_from_slice(&(bi as u32).to_le_bytes());
-            chunk[24..28].copy_from_slice(&(slice.len() as u32).to_le_bytes());
-            chunk[28..32].copy_from_slice(&(entries.len() as u32).to_le_bytes());
+            chunk[24..28].copy_from_slice(&(count as u32).to_le_bytes());
+            chunk[28..32].copy_from_slice(&(total as u32).to_le_bytes());
             let mut off = META_HEADER_BYTES;
-            for &(key, obj_off, obj_len) in slice {
+            for (key, obj_off, obj_len) in entries.by_ref().take(count) {
                 chunk[off..off + 8].copy_from_slice(&key.to_le_bytes());
                 chunk[off + 8..off + 12].copy_from_slice(&obj_off.to_le_bytes());
                 chunk[off + 12..off + 16].copy_from_slice(&obj_len.to_le_bytes());
@@ -529,9 +556,9 @@ impl Loc {
         Ok((entries.len() == total).then_some((seq, entries)))
     }
 
-    /// The blocks covering an index entry's object: the first block,
-    /// their length in bytes, and the object's byte range within them.
-    fn covering_blocks(&self, entry: &IndexEntry) -> (u64, usize, std::ops::Range<usize>) {
+    /// The blocks covering a sealed object: the first block, their
+    /// length in bytes, and the object's byte range within them.
+    fn covering_blocks(&self, entry: &SealedCopy) -> (u64, usize, std::ops::Range<usize>) {
         let block_bytes = self.block_bytes as u64;
         let first_block = entry.offset as u64 / block_bytes;
         let last_byte = entry.offset as u64 + entry.value.len().max(1) as u64 - 1;
@@ -544,14 +571,14 @@ impl Loc {
         )
     }
 
-    /// The covering-block read for an index entry: grows the reusable
+    /// The covering-block read for a sealed object: grows the reusable
     /// scratch buffer as needed (amortized to zero allocations) and
     /// reads the covering blocks from the device, returning the byte
     /// range of the object within the scratch.
     fn read_covering_blocks(
         &mut self,
         io: &mut IoManager,
-        entry: &IndexEntry,
+        entry: &SealedCopy,
     ) -> Result<std::ops::Range<usize>, CacheError> {
         let (block, need, range) = self.covering_blocks(entry);
         if self.read_scratch.len() < need {
@@ -567,7 +594,7 @@ impl Loc {
     fn charge_covering_blocks(
         &self,
         io: &mut IoManager,
-        entry: &IndexEntry,
+        entry: &SealedCopy,
     ) -> Result<(), CacheError> {
         let (block, need, _) = self.covering_blocks(entry);
         io.read_charged(block, need)?;
@@ -635,14 +662,15 @@ impl Loc {
         self.stats
     }
 
-    /// Objects currently indexed.
+    /// Objects currently sealed on flash (a count over every key; the
+    /// active buffer's objects are not included).
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.slots.values().filter(|s| s.sealed().is_some()).count()
     }
 
-    /// Whether no objects are indexed.
+    /// Whether no object is sealed on flash.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        !self.slots.values().any(|s| s.sealed().is_some())
     }
 
     fn region_block(&self, region: u32) -> u64 {
@@ -658,8 +686,9 @@ impl Loc {
     /// bit-identical to the old sequential loop.
     ///
     /// No region buffer exists, and the seal makes no byte: the region
-    /// is one shared image — its objects as `(key, offset, value)` in
-    /// offset order, values shared, never copied — and each chunk's
+    /// is one shared image — the active buffer's live objects as `(key,
+    /// offset, value)` in fill order, which is offset order, values
+    /// shared, never copied — and each chunk's
     /// write carries that image as a source ([`IoBatch::write_with`])
     /// from the chunk's offset on. The payload store keeps the source
     /// and makes a block's bytes (objects, zeroed gaps and tail
@@ -689,19 +718,17 @@ impl Loc {
         // the region as unsealed (its objects were buffered, i.e.
         // acknowledged-but-not-sealed — the documented volatile class).
         let seq = self.next_seal_seq;
-        // Fill order is offset order: offsets grow with every insert.
-        let mut objects: Vec<(Key, &ActiveEntry)> =
-            self.active_keys.iter().map(|(k, e)| (*k, e)).collect();
-        objects.sort_unstable_by_key(|&(_, e)| e.seq);
-        let entries: Vec<(Key, u32, u32)> =
-            objects.iter().map(|&(k, e)| (k, e.offset, e.value.len() as u32)).collect();
-        let image: Vec<(Key, u32, Value)> =
-            objects.iter().map(|&(k, e)| (k, e.offset, e.value.clone())).collect();
-        let source: FillSource = Arc::new(move |at, out| fill_region(&image, at, out));
+        self.drop_superseded();
+        let image = Arc::new(std::mem::take(&mut self.buffer));
+        let source: FillSource = {
+            let image = image.clone();
+            Arc::new(move |at, out| fill_region(&image, at, out))
+        };
         let chunk_bytes = chunk_blocks * self.block_bytes as usize;
         let chunks = payload_bytes.div_ceil(chunk_bytes);
         let mut scratch = std::mem::take(&mut self.meta_scratch);
-        let footer_blocks = self.serialize_footer(region, seq, &entries, &mut scratch);
+        let entries = image.iter().map(|(k, off, v)| (*k, *off, v.len() as u32));
+        let footer_blocks = self.serialize_footer(region, seq, entries, &mut scratch);
         let meta_buf = &scratch[..footer_blocks * self.block_bytes as usize];
         let mut attempt = 1;
         let landed = loop {
@@ -737,44 +764,57 @@ impl Loc {
             }
         };
         self.meta_scratch = scratch;
-        let landed = landed?;
-        // Either way the buffer empties, in the order it was filled.
-        let buffered = entries.iter().map(|&(key, offset, _)| {
-            let e = self.active_keys.remove(&key).expect("listed from the active buffer");
-            (key, offset, e.value)
-        });
+        let landed = match landed {
+            Ok(landed) => landed,
+            Err(e) => {
+                // A kill or a caller bug: the region stays active, with
+                // its objects buffered.
+                self.buffer = image.to_vec();
+                self.compact_buffer();
+                return Err(e);
+            }
+        };
+        // Either way the buffer is empty now.
+        self.active = None;
+        self.active_fill = 0;
         if !landed {
             // Persistent failure: quarantine the region and hand every
-            // buffered object back for requeueing.
+            // buffered object back for requeueing. Its key list is
+            // empty: keys join it only when a seal lands.
             self.stats.seal_faults += 1;
             self.stats.quarantined_regions += 1;
             self.regions[region as usize].state = RegionState::Quarantined;
-            self.key_regions.take(&mut self.regions[region as usize], region);
-            self.stats.requeued_objects += entries.len() as u64;
-            self.pending_requeue.extend(buffered.map(|(key, _, value)| (key, value)));
-            self.active = None;
-            self.active_fill = 0;
+            self.stats.requeued_objects += image.len() as u64;
+            for (key, _, value) in image.iter() {
+                if let Entry::Occupied(mut e) = self.slots.entry(*key) {
+                    e.get_mut().live = None;
+                    if e.get().is_empty() {
+                        e.remove();
+                    }
+                }
+                self.pending_requeue.push((*key, value.clone()));
+            }
             return Ok(());
         }
-        // Publish index entries.
-        for (key, offset, value) in buffered {
-            self.regions[region as usize].keys.push(key);
-            self.key_regions.list(key, region);
-            self.index.insert(key, IndexEntry { region, offset, value });
+        // Publish each key's sealed copy.
+        for (key, offset, value) in image.iter() {
+            let slot = self.slots.get_mut(key).expect("a buffered key has a slot");
+            slot.live =
+                Some(Live::Sealed(SealedCopy { region, offset: *offset, value: value.clone() }));
         }
+        self.regions[region as usize].keys = image.iter().map(|&(key, ..)| key).collect();
         self.regions[region as usize].state = RegionState::Sealed;
         self.regions[region as usize].seal_seq = seq;
         self.next_seal_seq += 1;
         self.sealed_fifo.push_back(region);
-        self.active = None;
-        self.active_fill = 0;
         self.stats.seals += 1;
         self.stats.footer_blocks_written += footer_blocks as u64;
         Ok(())
     }
 
-    /// Rewrites `region`'s persisted footer from the live index
-    /// (delete persistence, superseded-entry scrubs). Retries injected
+    /// Rewrites `region`'s persisted footer to list exactly the keys
+    /// whose live copy it holds (delete persistence, superseded-entry
+    /// scrubs), and drops every other key from its list. Retries injected
     /// faults ([`Loc::write_footer`]), then falls back to invalidating
     /// the footer wholesale — either way no stale entry survives on
     /// flash. Only non-injected errors propagate.
@@ -782,24 +822,31 @@ impl Loc {
         if self.meta_blocks() == 0 {
             return Ok(());
         }
-        // Every index entry pointing into a sealed region got there with
-        // its key pushed onto the region's key list (seal, recovery), and
-        // keys only leave that list together with their index entry: the
-        // list is a superset of the region's live keys, so looking each
-        // one up finds them all without scanning the whole index.
-        let mut entries: Vec<(Key, u32, u32)> = Vec::new();
-        for k in std::mem::take(&mut self.regions[region as usize].keys) {
-            match self.index.get(&k).filter(|e| e.region == region) {
-                Some(e) => entries.push((k, e.offset, e.value.len() as u32)),
-                None => self.key_regions.unlist(k, region),
+        // A key whose live copy a region holds is on the region's list
+        // (seal, recovery), so the list is a superset of the region's live
+        // keys, and it is in fill order: the kept entries ascend by offset.
+        let mut keys = std::mem::take(&mut self.regions[region as usize].keys);
+        let mut entries: Vec<(Key, u32, u32)> = Vec::with_capacity(keys.len());
+        let slots = &mut self.slots;
+        keys.retain(|&k| match slots.get(&k).and_then(Slot::sealed) {
+            Some(c) if c.region == region => {
+                entries.push((k, c.offset, c.value.len() as u32));
+                true
             }
-        }
-        entries.sort_by_key(|&(_, off, _)| off);
-        // The rebuilt footer lists exactly the region's live entries, so
-        // mirror that in the in-memory key list: superseded copies are
-        // gone from flash now, and leaving them listed would trigger a
-        // redundant rewrite the next time one of them is evicted.
-        self.regions[region as usize].keys = entries.iter().map(|&(k, _, _)| k).collect();
+            _ => {
+                unlist(slots, k, region);
+                false
+            }
+        });
+        debug_assert!(
+            entries.is_sorted_by_key(|&(_, off, _)| off),
+            "region {region} out of fill order"
+        );
+        // The rebuilt footer lists exactly the region's live entries, and
+        // so does the in-memory key list: superseded copies are gone from
+        // flash now, and leaving them listed would trigger a redundant
+        // rewrite the next time one of them is evicted.
+        self.regions[region as usize].keys = keys;
         let seq = self.regions[region as usize].seal_seq;
         self.write_footer(io, region, seq, &entries)
     }
@@ -836,7 +883,8 @@ impl Loc {
         entries: &[(Key, u32, u32)],
     ) -> Result<(), CacheError> {
         let mut scratch = std::mem::take(&mut self.meta_scratch);
-        let footer_blocks = self.serialize_footer(region, seal_seq, entries, &mut scratch);
+        let footer_blocks =
+            self.serialize_footer(region, seal_seq, entries.iter().copied(), &mut scratch);
         let buf = &scratch[..footer_blocks * self.block_bytes as usize];
         let start = self.meta_block(region);
         let mut attempt = 1;
@@ -895,41 +943,34 @@ impl Loc {
 
     /// Scrubs `keys` out of every sealed region footer that may still
     /// list them (superseded older copies included), so a crash cannot
-    /// resurrect them. `skip` excludes a region already handled by the
-    /// caller (e.g. one being invalidated wholesale).
+    /// resurrect them. None of `keys` may have a sealed live copy left:
+    /// the rewrite drops every key whose live copy the region does not
+    /// hold. `skip` excludes a region already handled by the caller
+    /// (e.g. one being invalidated wholesale).
     ///
-    /// The footers to rewrite come from [`Loc::key_regions`], so a
-    /// scrub costs the keys it drops, not every key the LOC holds. They
-    /// are visited in ascending region order: `keys` iterates in no
-    /// fixed order, and the device command sequence must not depend on
-    /// it.
+    /// The footers to rewrite come from the keys' slots, so a scrub
+    /// costs the keys it drops, not every key the LOC holds. They are
+    /// visited in ascending region order: the device command sequence
+    /// must not depend on the order `keys` come in.
     fn scrub_footers_for_keys(
         &mut self,
         io: &mut IoManager,
-        keys: &KeySet,
+        keys: &[Key],
         skip: Option<u32>,
     ) -> Result<(), CacheError> {
         for r in self.scrub_candidates(keys, skip) {
-            let listed = std::mem::take(&mut self.regions[r as usize].keys);
-            let (dropped, kept): (Vec<Key>, Vec<Key>) =
-                listed.into_iter().partition(|k| keys.contains(k));
-            for k in dropped {
-                self.key_regions.unlist(k, r);
-            }
-            self.regions[r as usize].keys = kept;
             self.rewrite_footer(io, r)?;
         }
         Ok(())
     }
 
-    /// Sealed regions other than `skip` whose key lists hold any of
-    /// `keys`, ascending.
-    fn scrub_candidates(&self, keys: &KeySet, skip: Option<u32>) -> Vec<u32> {
+    /// Sealed regions other than `skip` that list any of `keys`,
+    /// ascending.
+    fn scrub_candidates(&self, keys: &[Key], skip: Option<u32>) -> Vec<u32> {
         let mut candidates: Vec<u32> = keys
             .iter()
-            .filter_map(|k| self.key_regions.0.get(k))
-            .flatten()
-            .copied()
+            .filter_map(|k| self.slots.get(k))
+            .flat_map(Slot::listing)
             .filter(|&r| Some(r) != skip && self.regions[r as usize].state == RegionState::Sealed)
             .collect();
         candidates.sort_unstable();
@@ -945,24 +986,32 @@ impl Loc {
     }
 
     /// Evicts the oldest sealed region (FIFO, as CacheLib's default and
-    /// the paper's DLWA model assume), dropping its live index entries.
+    /// the paper's DLWA model assume), dropping the live copies it holds.
     fn evict_region(&mut self, io: &mut IoManager) -> Result<(), CacheError> {
         let Some(region) = self.sealed_fifo.pop_front() else {
             return Ok(());
         };
-        let keys = self.key_regions.take(&mut self.regions[region as usize], region);
         // Dropped keys another region still lists: only their footers
         // can need a scrub, and most dropped keys have no other copy.
-        let mut listed_elsewhere = KeySet::default();
-        for key in keys {
-            // Only drop entries that still point into this region (the
-            // key may have been rewritten into a newer region since).
-            if self.index.get(&key).is_some_and(|e| e.region == region) {
-                self.index.remove(&key);
+        let mut listed_elsewhere = Vec::new();
+        for key in std::mem::take(&mut self.regions[region as usize].keys) {
+            let Entry::Occupied(mut e) = self.slots.entry(key) else {
+                unreachable!("a listed key has a slot")
+            };
+            let slot = e.get_mut();
+            // Only drop the live copy if this region holds it (the key
+            // may have been rewritten into a newer region since).
+            if slot.sealed().is_some_and(|c| c.region == region) {
+                slot.live = None;
                 self.stats.evicted_objects += 1;
-                if self.key_regions.is_listed(key) {
-                    listed_elsewhere.insert(key);
+                if !slot.older.is_empty() {
+                    listed_elsewhere.push(key);
                 }
+            } else {
+                slot.drop_older(region);
+            }
+            if slot.is_empty() {
+                e.remove();
             }
         }
         if self.trim_on_evict {
@@ -973,8 +1022,8 @@ impl Loc {
             // the non-TRIM policy.
             self.discard(io, self.region_block(region), self.region_blocks)?;
         }
-        // The region's persisted footer must not outlive its index
-        // entries: a crash after this point would otherwise resurrect
+        // The region's persisted footer must not outlive its in-memory
+        // copies: a crash after this point would otherwise resurrect
         // the evicted (possibly since-deleted) keys. The footer lives
         // in the metadata area, so the payload TRIM above never covers
         // it.
@@ -1006,7 +1055,7 @@ impl Loc {
             }
         })?;
         self.regions[region as usize].state = RegionState::Active;
-        self.key_regions.take(&mut self.regions[region as usize], region);
+        debug_assert!(self.regions[region as usize].keys.is_empty(), "a free region lists no key");
         self.active = Some(region);
         self.active_fill = 0;
         Ok(())
@@ -1055,21 +1104,30 @@ impl Loc {
         // Seal when the payload area overflows — or, rarely, when the
         // footer's entry table is full (footer capacity is sized for
         // ~250 entries per 4 KiB footer block, far above the object
-        // counts large-object regions see in practice).
+        // counts large-object regions see in practice). The table lists
+        // live objects only, not the positions overwrites superseded.
         if self.active_fill + len > self.payload_bytes()
-            || self.active_keys.len() >= self.entry_capacity()
+            || self.buffer.len() - self.superseded.len() >= self.entry_capacity()
         {
             self.seal_active(io)?;
             self.open_region(io)?;
         }
         let offset = self.active_fill as u32;
         self.active_fill += len;
-        // Supersede any older copy immediately (index points to the old
-        // location until seal publishes the new one; remove so lookups
-        // do not serve stale data after an overwrite).
-        self.index.remove(&key);
-        self.active_keys.insert(key, ActiveEntry { seq: self.active_seq, offset, value });
-        self.active_seq += 1;
+        // Supersede any older copy at once, so lookups never serve stale
+        // data after an overwrite.
+        let slot = self.slots.entry(key).or_default();
+        if let Some(pos) = slot.supersede() {
+            self.superseded.push(pos);
+        }
+        slot.live = Some(Live::Active(self.buffer.len() as u32));
+        self.buffer.push((key, offset, value));
+        // Objects as small as a few bytes, overwritten over and over,
+        // would grow the buffer by a position each: keep at least half
+        // of it live.
+        if self.superseded.len() > self.buffer.len() / 2 {
+            self.compact_buffer();
+        }
         if count_app_bytes {
             self.stats.inserts += 1;
             self.stats.app_bytes_written += len as u64;
@@ -1094,13 +1152,13 @@ impl Loc {
     /// Propagates I/O failures.
     pub fn lookup(&mut self, io: &mut IoManager, key: Key) -> Result<Option<Value>, CacheError> {
         self.stats.lookups += 1;
-        // Active-buffer hit.
-        if let Some(e) = self.active_keys.get(&key) {
-            self.stats.hits += 1;
-            return Ok(Some(e.value.clone()));
-        }
-        let Some(entry) = self.index.get(&key).cloned() else {
-            return Ok(None);
+        let entry = match self.slots.get(&key).and_then(|s| s.live.as_ref()) {
+            None => return Ok(None),
+            Some(Live::Active(pos)) => {
+                self.stats.hits += 1;
+                return Ok(Some(self.buffer[*pos as usize].2.clone()));
+            }
+            Some(Live::Sealed(copy)) => copy.clone(),
         };
         // Charge the covering-block read for real device timing. An
         // injected fault on this read demotes the lookup to a miss and
@@ -1122,7 +1180,7 @@ impl Loc {
                     // Demote to miss: drop the unreadable copy, then
                     // repair-write the (authoritative) value into the
                     // current active region so future lookups hit.
-                    self.index.remove(&key);
+                    self.demote(key);
                     self.reinsert(io, key, entry.value)?;
                     self.stats.repair_writes += 1;
                     return Ok(None);
@@ -1149,17 +1207,57 @@ impl Loc {
         io: &mut IoManager,
         key: Key,
     ) -> Result<Option<Vec<u8>>, CacheError> {
-        let Some(entry) = self.index.get(&key).cloned() else {
+        let Some(entry) = self.sealed(key).cloned() else {
             return Ok(None);
         };
         let range = self.read_covering_blocks(io, &entry)?;
         Ok(Some(self.read_scratch[range].to_vec()))
     }
 
-    /// Whether the LOC currently holds `key` (active buffer or index;
+    /// Whether the LOC currently holds `key` (active buffer or flash;
     /// no device I/O).
     pub fn contains(&self, key: Key) -> bool {
-        self.active_keys.contains_key(&key) || self.index.contains_key(&key)
+        self.slots.get(&key).is_some_and(|s| s.live.is_some())
+    }
+
+    /// `key`'s sealed live copy, if it has one.
+    fn sealed(&self, key: Key) -> Option<&SealedCopy> {
+        self.slots.get(&key).and_then(Slot::sealed)
+    }
+
+    /// Drops `key`'s sealed live copy, which its region's footer still
+    /// lists, before a repair-write re-homes the object.
+    fn demote(&mut self, key: Key) {
+        if let Some(slot) = self.slots.get_mut(&key) {
+            slot.supersede();
+        }
+    }
+
+    /// The active buffer's live objects, in fill order.
+    fn live_objects(&mut self) -> impl Iterator<Item = &Buffered> {
+        self.superseded.sort_unstable();
+        let mut dead = self.superseded.iter().copied().peekable();
+        let live = move |&(pos, _): &(usize, _)| dead.next_if_eq(&(pos as u32)).is_none();
+        self.buffer.iter().enumerate().filter(live).map(|(_, object)| object)
+    }
+
+    /// Drops the buffer's superseded positions, keeping fill order.
+    /// Slots still name the old positions.
+    fn drop_superseded(&mut self) {
+        if !self.superseded.is_empty() {
+            self.buffer = self.live_objects().cloned().collect();
+            self.superseded.clear();
+        }
+    }
+
+    /// Drops the buffer's superseded positions and points each live
+    /// key's slot at its object's new position.
+    fn compact_buffer(&mut self) {
+        self.drop_superseded();
+        for (pos, (key, ..)) in self.buffer.iter().enumerate() {
+            let slot = self.slots.get_mut(key).expect("a buffered key has a slot");
+            slot.live = Some(Live::Active(pos as u32));
+        }
     }
 
     /// Verifies that the on-flash bytes of `key` match its indexed
@@ -1177,12 +1275,11 @@ impl Loc {
         io: &mut IoManager,
         key: Key,
     ) -> Result<Option<bool>, CacheError> {
-        if self.active_keys.contains_key(&key) {
+        let entry = match self.slots.get(&key).and_then(|s| s.live.as_ref()) {
+            None => return Ok(None),
             // Still buffered in DRAM; nothing on flash to verify yet.
-            return Ok(Some(true));
-        }
-        let Some(entry) = self.index.get(&key).cloned() else {
-            return Ok(None);
+            Some(Live::Active(_)) => return Ok(Some(true)),
+            Some(Live::Sealed(copy)) => copy.clone(),
         };
         let range = self.read_covering_blocks(io, &entry)?;
         let expect = entry.value.to_bytes(key);
@@ -1220,10 +1317,9 @@ impl Loc {
             // Skip superseded copies, and re-fetch per key: an earlier
             // repair in this sweep may have sealed the active region and
             // evicted this one.
-            let Some(entry) = self.index.get(&key).cloned() else { continue };
-            if entry.region != region {
+            let Some(entry) = self.sealed(key).filter(|e| e.region == region).cloned() else {
                 continue;
-            }
+            };
             pages += 1;
             // A payload-free store has no bytes to compare: its patrol
             // read is only charged.
@@ -1242,7 +1338,7 @@ impl Loc {
                 Err(e) => return Err(e),
             };
             if !intact {
-                self.index.remove(&key);
+                self.demote(key);
                 self.reinsert(io, key, entry.value)?;
                 self.stats.repair_writes += 1;
                 repairs += 1;
@@ -1253,12 +1349,13 @@ impl Loc {
 
     /// Removes an object. Its bytes become dead space in the region
     /// until eviction reclaims them, but the removal is **persisted
-    /// before it is acknowledged**: every sealed region footer that may
-    /// still list the key — the live copy and any superseded older
-    /// copies — is rewritten from the live index first, so a
-    /// crash-and-recover cycle can never resurrect a deleted key
-    /// (DESIGN.md §6.4). Active-buffer copies are dropped in memory
-    /// only (the buffer is volatile by definition).
+    /// before it is acknowledged**: the key's live copy is dropped in
+    /// memory first, and then every sealed region footer that still
+    /// lists the key — the live copy's and any superseded older
+    /// copies' — is rewritten without it, so a crash-and-recover cycle
+    /// can never resurrect a deleted key (DESIGN.md §6.4).
+    /// Active-buffer copies are dropped in memory only (the buffer is
+    /// volatile by definition).
     ///
     /// Like [`Soc::remove`](crate::soc::Soc::remove), the in-memory
     /// removal always takes effect: a persistent injected fault on the
@@ -1270,26 +1367,36 @@ impl Loc {
     /// Propagates non-injected I/O failures (including a scripted kill,
     /// in which case the removal was never acknowledged).
     pub fn remove(&mut self, io: &mut IoManager, key: Key) -> Result<bool, CacheError> {
-        let in_active = self.active_keys.remove(&key).is_some();
-        let in_index = self.index.remove(&key).is_some();
-        if in_active || in_index {
-            let keys = KeySet::from_iter([key]);
-            self.scrub_footers_for_keys(io, &keys, None)?;
-            self.stats.removes += 1;
+        let Some(slot) = self.slots.get_mut(&key).filter(|s| s.live.is_some()) else {
+            return Ok(false);
+        };
+        if let Some(pos) = slot.supersede() {
+            self.superseded.push(pos);
         }
-        Ok(in_active || in_index)
+        if slot.older.is_empty() {
+            // Buffered only: no footer lists the key.
+            self.slots.remove(&key);
+        } else {
+            // The rewrites drop the key's last listing, and with it its slot.
+            self.scrub_footers_for_keys(io, &[key], None)?;
+        }
+        self.stats.removes += 1;
+        Ok(true)
     }
 
     /// Keys with a live, sealed, footer-persisted copy on flash right
     /// now — exactly the LOC objects a crash-and-recover cycle must
     /// bring back (active-buffer objects are volatile and excluded).
     /// Ascending, so callers that sample the list see the same keys
-    /// whatever the index's layout.
+    /// whatever the key map's layout.
     pub fn persisted_keys(&self) -> Vec<Key> {
         let mut keys: Vec<Key> = self
-            .index
+            .slots
             .iter()
-            .filter(|(_, e)| self.regions[e.region as usize].state == RegionState::Sealed)
+            .filter(|(_, s)| {
+                s.sealed()
+                    .is_some_and(|c| self.regions[c.region as usize].state == RegionState::Sealed)
+            })
             .map(|(k, _)| *k)
             .collect();
         keys.sort_unstable();
@@ -1378,15 +1485,15 @@ impl Loc {
             r.state = RegionState::Sealed;
             r.seal_seq = seq;
             r.keys = entries.iter().map(|&(k, _, _)| k).collect();
-            for &(k, _, _) in &entries {
-                loc.key_regions.list(k, region);
-            }
             loc.sealed_fifo.push_back(region);
             loc.next_seal_seq = loc.next_seal_seq.max(seq + 1);
-            for (key, off, len) in entries {
-                let bytes = payload[off as usize..(off + len) as usize].to_vec();
-                loc.index
-                    .insert(key, IndexEntry { region, offset: off, value: Value::real(bytes) });
+            for (key, offset, len) in entries {
+                let value = Value::real(payload[offset as usize..(offset + len) as usize].to_vec());
+                // A copy an earlier region sealed is superseded; its
+                // region still lists the key.
+                let slot = loc.slots.entry(key).or_default();
+                slot.supersede();
+                slot.live = Some(Live::Sealed(SealedCopy { region, offset, value }));
             }
         }
         Ok(loc)
@@ -1415,6 +1522,14 @@ mod tests {
     fn loc() -> (Loc, IoManager) {
         let h = PlacementHandle::with_dspec(1);
         (Loc::new(0, 4, 8, BLOCK, false, h, PlacementHandle::DEFAULT), io(64))
+    }
+
+    /// `key`'s copy in the active buffer, if it has one.
+    fn buffered(l: &Loc, key: Key) -> Option<&Buffered> {
+        match l.slots.get(&key)?.live.as_ref()? {
+            Live::Active(pos) => Some(&l.buffer[*pos as usize]),
+            Live::Sealed(_) => None,
+        }
     }
 
     /// Recovers the [`loc`] geometry from `io`.
@@ -1493,7 +1608,7 @@ mod tests {
         l.insert(&mut io, 5, Value::synthetic(10_000)).unwrap();
         l.insert(&mut io, 5, Value::synthetic(20_000)).unwrap();
         assert_eq!(l.lookup(&mut io, 5).unwrap().unwrap().len(), 20_000);
-        assert_eq!(l.len() + l.active_keys.len(), 1);
+        assert_eq!((l.len(), l.buffer.len() - l.superseded.len()), (0, 1));
     }
 
     #[test]
@@ -1517,6 +1632,70 @@ mod tests {
         let (_, listed) = l.read_footer(&mut io, 0, &mut buf).unwrap().expect("sealed footer");
         assert_eq!(listed, expected);
         assert_eq!(l.regions[0].keys, expected.iter().map(|&(k, ..)| k).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn an_early_seal_counts_live_objects_not_buffer_positions() {
+        let (mut l, mut io) = loc();
+        let cap = l.entry_capacity();
+        let small = || Value::synthetic(10);
+        // One key overwritten more times than a footer holds entries is
+        // one live object: no seal.
+        for _ in 0..cap + 50 {
+            l.insert(&mut io, 1, small()).unwrap();
+            inverted_listing::check(&l);
+        }
+        assert_eq!(l.stats().seals, 0, "overwrites sealed the region");
+        // Live objects up to one short of the table, then overwrites
+        // that push the positions past it.
+        for k in 2..cap as u64 {
+            l.insert(&mut io, k, small()).unwrap();
+        }
+        for _ in 0..3 {
+            l.insert(&mut io, 1, small()).unwrap();
+        }
+        assert_eq!(l.stats().seals, 0, "sealed when positions reached the table's size");
+        assert!(l.buffer.len() > cap, "the buffer holds {} positions", l.buffer.len());
+        l.insert(&mut io, cap as u64, small()).unwrap();
+        inverted_listing::check(&l);
+        assert_eq!(l.stats().seals, 0, "sealed before the table was full");
+        // The table is full: the next object seals every live one.
+        l.insert(&mut io, 10_000, small()).unwrap();
+        assert_eq!(l.stats().seals, 1);
+        let mut buf = vec![0u8; l.meta_blocks() as usize * BLOCK as usize];
+        let (_, listed) = l.read_footer(&mut io, 0, &mut buf).unwrap().expect("sealed footer");
+        // Key 1's live copy is its last overwrite, behind every other key
+        // but the last.
+        let order: Vec<Key> = (2..cap as u64).chain([1, cap as u64]).collect();
+        assert_eq!(listed.iter().map(|e| e.0).collect::<Vec<_>>(), order);
+    }
+
+    #[test]
+    fn a_seal_the_device_refuses_leaves_the_region_buffered() {
+        use fdpcache_nvme::{FaultConfig, FaultKind, FaultStore, ScriptedFault};
+        // The seal's first command (region 0 starts at block 0) is a
+        // kill point; the retry after it lands.
+        let kill = ScriptedFault { kind: FaultKind::Kill, lba: 0, at_access: 0, repeats: 1 };
+        let faults = FaultConfig { scripted: vec![kill], ..Default::default() };
+        let store = FaultStore::new(Box::new(MemStore::new()), faults);
+        let ctrl = Controller::new(FtlConfig::tiny_test(), Box::new(store)).unwrap();
+        let nsid = ctrl.create_namespace(64, vec![0, 1]).unwrap();
+        let mut io = IoManager::new(Arc::new(ctrl), nsid, 4).unwrap();
+        let (mut l, _) = loc();
+        for k in [1, 2, 1] {
+            l.insert(&mut io, k, Value::synthetic(9_000)).unwrap();
+        }
+        let err = l.insert(&mut io, 3, Value::synthetic(9_000)).unwrap_err();
+        assert!(err.is_kill(), "{err:?}");
+        inverted_listing::check(&l);
+        assert_eq!(l.stats().seals, 0);
+        assert_eq!(buffered(&l, 1).map(|b| b.1), Some(18_000), "key 1's overwrite lost");
+        assert_eq!(buffered(&l, 2).map(|b| b.1), Some(9_000));
+        l.insert(&mut io, 3, Value::synthetic(9_000)).unwrap();
+        assert_eq!(l.stats().seals, 1);
+        let mut buf = vec![0u8; l.meta_blocks() as usize * BLOCK as usize];
+        let (_, listed) = l.read_footer(&mut io, 0, &mut buf).unwrap().expect("sealed footer");
+        assert_eq!(listed, vec![(2, 9_000, 9_000), (1, 18_000, 9_000)]);
     }
 
     #[test]
@@ -1651,7 +1830,7 @@ mod tests {
         }
         l.insert(&mut io, 1, Value::synthetic(8_000)).unwrap();
         assert_eq!(l.persisted_keys(), vec![3, 5, 7, 9]);
-        assert!(l.active_keys.contains_key(&1), "key 1 stays in the active buffer");
+        assert!(buffered(&l, 1).is_some(), "key 1 stays in the active buffer");
     }
 
     #[test]
@@ -1669,7 +1848,7 @@ mod tests {
         let corrupted: Vec<Key> = fill.iter().copied().filter(|k| ![50, 20].contains(k)).collect();
         let mut page = vec![0u8; BLOCK as usize];
         for k in &corrupted {
-            let at = l.index[k].offset as u64;
+            let at = l.sealed(*k).unwrap().offset as u64;
             let block = l.region_block(0) + at / BLOCK as u64;
             io.read(block, &mut page).unwrap();
             page[(at % BLOCK as u64) as usize] ^= 0xFF;
@@ -1680,7 +1859,7 @@ mod tests {
         // the region's fill order, at ascending offsets.
         let mut repaired: Vec<(u32, Key)> = corrupted
             .iter()
-            .map(|k| (l.active_keys.get(k).expect("repaired into the active buffer").offset, *k))
+            .map(|k| (buffered(&l, *k).expect("repaired into the active buffer").1, *k))
             .collect();
         repaired.sort_unstable();
         assert_eq!(repaired.iter().map(|&(_, k)| k).collect::<Vec<_>>(), corrupted);
@@ -1784,7 +1963,7 @@ mod tests {
             l.insert(&mut io, k, Value::synthetic(BIG)).unwrap();
         }
         assert_eq!(l.stats().seals, 5);
-        assert_eq!(l.index.get(&1_003).map(|e| e.region), Some(0), "region 0 must be re-sealed");
+        assert_eq!(l.sealed(1_003).map(|e| e.region), Some(0), "region 0 must be re-sealed");
         let slot = l.meta_block(0);
         assert!(seq_on_flash(&mut io, slot) > 1, "block 0 carries the new seal");
         assert_eq!(seq_on_flash(&mut io, slot + 1), 1, "block 1 is the first seal's leftover");
@@ -1805,7 +1984,7 @@ mod tests {
 
     fn footer_bytes(l: &Loc, seq: u64, entries: &[(Key, u32, u32)]) -> Vec<u8> {
         let mut buf = vec![0u8; l.meta_blocks() as usize * BLOCK as usize];
-        let blocks = l.serialize_footer(0, seq, entries, &mut buf);
+        let blocks = l.serialize_footer(0, seq, entries.iter().copied(), &mut buf);
         buf.truncate(blocks * BLOCK as usize);
         buf
     }
@@ -1911,7 +2090,7 @@ mod tests {
         io.read(l.region_block(region), &mut image).unwrap();
         let mut expect = vec![0u8; l.payload_bytes()];
         for k in &l.regions[region as usize].keys {
-            let e = &l.index[k];
+            let e = l.sealed(*k).unwrap();
             assert_eq!(e.region, region, "a just-sealed region lists only live keys");
             let off = e.offset as usize;
             e.value.materialize(*k, &mut expect[off..off + e.value.len()]);
@@ -1951,7 +2130,8 @@ mod tests {
             }
         }
         assert!(l.stats().region_evictions >= 8, "the LOC must wrap more than twice");
-        let keys: Vec<Key> = l.index.keys().copied().collect();
+        let keys: Vec<Key> =
+            l.slots.iter().filter(|(_, s)| s.sealed().is_some()).map(|(k, _)| *k).collect();
         assert!(!keys.is_empty());
         for k in keys {
             assert_eq!(l.verify_object(&mut io, k).unwrap(), Some(true), "key {k}");
@@ -2006,7 +2186,7 @@ mod tests {
         }
 
         /// The scan the inverted listing replaced, kept as its oracle.
-        fn scan_candidates(l: &Loc, keys: &KeySet, skip: Option<u32>) -> Vec<u32> {
+        fn scan_candidates(l: &Loc, keys: &[Key], skip: Option<u32>) -> Vec<u32> {
             (0..l.num_regions)
                 .filter(|&r| {
                     Some(r) != skip
@@ -2016,7 +2196,8 @@ mod tests {
                 .collect()
         }
 
-        fn check(l: &Loc) {
+        /// The key map against the region key lists and the buffer.
+        pub(in super::super) fn check(l: &Loc) {
             let mut inverted: KeyMap<Vec<u32>> = KeyMap::default();
             for (r, region) in l.regions.iter().enumerate() {
                 for &k in &region.keys {
@@ -2028,16 +2209,34 @@ mod tests {
                 let offsets: Vec<u32> = region
                     .keys
                     .iter()
-                    .filter_map(|k| l.index.get(k).filter(|e| e.region == r as u32))
+                    .filter_map(|&k| l.sealed(k).filter(|e| e.region == r as u32))
                     .map(|e| e.offset)
                     .collect();
                 assert!(offsets.is_sorted(), "region {r} lists its keys out of fill order");
             }
-            let mut listed = l.key_regions.0.clone();
-            listed.values_mut().for_each(|v| v.sort_unstable());
+            let mut listed: KeyMap<Vec<u32>> = KeyMap::default();
+            let mut active = 0;
+            for (&k, slot) in &l.slots {
+                assert!(!slot.is_empty(), "key {k}: empty slot");
+                if let Some(Live::Active(pos)) = slot.live {
+                    assert_eq!(l.buffer[pos as usize].0, k, "key {k}: its position holds another");
+                    active += 1;
+                }
+                let mut regions: Vec<u32> = slot.listing().collect();
+                regions.sort_unstable();
+                if !regions.is_empty() {
+                    listed.insert(k, regions);
+                }
+            }
             assert_eq!(listed, inverted, "the map is not the inversion of the key lists");
-            let all: KeySet = (0..16).collect();
-            let sets = (0..16).map(|k| KeySet::from_iter([k])).chain([all]);
+            let mut dead = l.superseded.clone();
+            dead.sort_unstable();
+            dead.dedup();
+            assert_eq!(dead.len(), l.superseded.len(), "a position superseded twice");
+            assert!(dead.iter().all(|&p| (p as usize) < l.buffer.len()), "{dead:?}");
+            assert_eq!(l.buffer.len() - l.superseded.len(), active, "live buffered count");
+            let all: Vec<Key> = (0..16).collect();
+            let sets = (0..16).map(|k| vec![k]).chain([all]);
             for keys in sets {
                 for skip in [None, Some(0), Some(3)] {
                     assert_eq!(
@@ -2053,7 +2252,7 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(48))]
 
             #[test]
-            fn key_regions_inverts_the_key_lists_and_matches_the_scan(
+            fn slots_invert_the_key_lists_and_match_the_scan(
                 ops in proptest::collection::vec(op(), 1..60)
             ) {
                 let (ctrl, mut io) = setup();
@@ -2080,6 +2279,16 @@ mod tests {
                     }
                     check(&l);
                 }
+                // Nothing leaks: with every region evicted and every key
+                // removed, no slot is left.
+                while !l.sealed_fifo.is_empty() {
+                    l.evict_region(&mut io).unwrap();
+                }
+                for k in 0..16 {
+                    l.remove(&mut io, k).unwrap();
+                }
+                check(&l);
+                prop_assert!(l.slots.is_empty(), "leaked slots: {:?}", l.slots);
             }
         }
     }

@@ -1,7 +1,9 @@
 //! Virtual time pinned to exact integers: a seeded, seal-heavy LOC
 //! replay through the LOC's wrap and device GC on the tiny device,
 //! checked against the counters and latency sums recorded before the
-//! FTL mapped runs and the payload store recorded runs; and a
+//! FTL mapped runs and the payload store recorded runs; a LOC churn
+//! replay of deletes, overwrites and size-class flips, checked against
+//! the counters recorded before the LOC kept one key map; and a
 //! read-mostly pool replay whose lock-free reads steer DRAM eviction,
 //! checked against the counters recorded before a SET of the value
 //! already in DRAM stopped republishing it. A change that
@@ -9,6 +11,7 @@
 //! as it is; a change that moves one must say why and re-pin it.
 
 use fdpcache::cache::builder::{build_device, build_stack, StoreKind};
+use fdpcache::cache::loc::LocStats;
 use fdpcache::cache::{CacheConfig, CacheStats, ConcurrentPool, NvmConfig, Value};
 use fdpcache::ftl::{FtlConfig, FtlStats};
 use fdpcache::nand::{LatencyModel, NandStats};
@@ -245,4 +248,119 @@ fn read_mostly_pool_replay_keeps_its_pinned_counters() {
     let got = pool_replay();
     assert!(got.cache.nvm_insert_attempts > 0, "DRAM never evicted");
     assert_eq!(got, expected_pool(), "the pool replay moved");
+}
+
+/// Everything the churn replay is pinned on.
+#[derive(Debug, PartialEq, Eq)]
+struct PinnedChurn {
+    loc: LocStats,
+    io: IoStats,
+    ftl: FtlStats,
+    /// The cache's virtual clock at the end (ns).
+    now_ns: u64,
+}
+
+/// Replays 12 000 requests through 16 KiB of DRAM and 32 KiB LOC
+/// regions, so every LOC-sized SET reaches flash at once. Half the
+/// requests go to 32 hot keys, whose copies spread over several
+/// regions, and half to 2 000 cold keys, which region eviction drops.
+/// The requests are SETs of 3–12 KiB
+/// (LOC-bound), SETs of 200–1 700 bytes that flip a key to the SOC's
+/// size class (the engine then removes its LOC copy), deletes and
+/// GETs. Between them they drive `Loc::remove`, footer rewrites, the
+/// scrub of an older copy's footer when its key is deleted or evicted,
+/// and footer retirement at every region eviction.
+fn churn_replay(fdp: bool) -> PinnedChurn {
+    let ftl = FtlConfig { latency: LatencyModel::default(), ..FtlConfig::tiny_test() };
+    let config = CacheConfig {
+        ram_bytes: 16 << 10,
+        ram_item_overhead: 0,
+        nvm: NvmConfig { soc_fraction: 0.1, region_bytes: 8 * 4096, ..NvmConfig::default() },
+        use_fdp: fdp,
+    };
+    let (ctrl, mut cache) = build_stack(ftl, StoreKind::Mem, fdp, 1.0, &config).unwrap();
+    let mut state = 0x5EED_u64;
+    let mut draw = |n: u64| {
+        state =
+            state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        (state >> 33) % n
+    };
+    for _ in 0..12_000 {
+        let pick = draw(100);
+        let key = if draw(2) == 0 { draw(32) } else { 32 + draw(2_000) };
+        match pick {
+            0..=54 => cache.put(key, Value::synthetic(3_000 + draw(9_000) as u32)).unwrap(),
+            55..=64 => cache.put(key, Value::synthetic(200 + draw(1_500) as u32)).unwrap(),
+            65..=79 => {
+                cache.delete(key).unwrap();
+            }
+            _ => {
+                cache.get(key).unwrap();
+            }
+        }
+    }
+    cache.drain_io();
+    PinnedChurn {
+        loc: cache.navy().loc().stats(),
+        io: cache.navy().io().stats(),
+        ftl: ctrl.with_ftl(|f| f.stats()),
+        now_ns: cache.now_ns(),
+    }
+}
+
+/// The churn replay's numbers, recorded before the LOC kept one key
+/// map in place of its index, active-buffer map and key-to-regions
+/// inversion. Only the device's GC differs between FDP and Non-FDP.
+fn expected_churn(fdp: bool) -> PinnedChurn {
+    let (windows, nand_pages_written, relocated_pages, gc_runs, now_ns) = if fdp {
+        (398, 43_205, 18_674, 325, 8_330_951_909)
+    } else {
+        (439, 58_045, 33_514, 439, 9_580_283_454)
+    };
+    PinnedChurn {
+        loc: LocStats {
+            inserts: 7_447,
+            seals: 1_973,
+            region_evictions: 1_821,
+            evicted_objects: 2_560,
+            lookups: 2_119,
+            hits: 964,
+            app_bytes_written: 56_299_309,
+            removes: 1_183,
+            footer_rewrites: 4_594,
+            footer_blocks_written: 6_567,
+            ..Default::default()
+        },
+        io: IoStats {
+            writes: 10_720,
+            reads: 3_150,
+            bytes_written: 100_478_976,
+            bytes_read: 19_300_352,
+            health: HealthIoStats { state: HealthState::Healthy, windows, ..Default::default() },
+            ..Default::default()
+        },
+        ftl: FtlStats {
+            host_pages_written: 24_531,
+            nand_pages_written,
+            relocated_pages,
+            gc_runs,
+            rus_erased: gc_runs,
+            overwrites: 23_005,
+            host_reads: 4_712,
+            ..Default::default()
+        },
+        now_ns,
+    }
+}
+
+#[test]
+fn loc_churn_replay_keeps_its_pinned_counters() {
+    for fdp in [true, false] {
+        let got = churn_replay(fdp);
+        // Every region eviction retires its footer; the rest of the
+        // footer rewrites are delete persistence and scrubs.
+        assert!(got.loc.removes > 0 && got.loc.evicted_objects > 0, "fdp {fdp}: {:?}", got.loc);
+        assert!(got.loc.footer_rewrites > got.loc.region_evictions, "fdp {fdp}: no scrub");
+        assert_eq!(got, expected_churn(fdp), "fdp {fdp}: the churn replay moved");
+    }
 }
