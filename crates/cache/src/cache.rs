@@ -101,15 +101,15 @@ impl HybridCache {
     }
 
     /// Rebuilds a cache from the metadata persisted on flash after a
-    /// crash (the warm-restart path, DESIGN.md §6.4–6.6). The flash
-    /// engines come back from their checksummed on-device structures
-    /// via [`NavyEngine::recover`]; everything DRAM-resident is
-    /// deliberately fresh — an empty [`RamCache`] whose lock-free
-    /// [`ReadIndex`], once a pool asks for it, is brand-new (with its
-    /// own epoch collector, so no pre-crash guard or retired node can
-    /// touch it), and zeroed [`CacheStats`] (pre-crash acknowledged
-    /// application bytes must not be double-counted into post-recovery
-    /// ALWA/DLWA denominators).
+    /// crash (the warm-restart path, DESIGN.md §6.4–6.6): a cache fresh
+    /// from [`HybridCache::new`] whose flash engines replay their
+    /// checksummed on-device structures ([`NavyEngine::recover`]).
+    /// Everything DRAM-resident stays fresh — an empty [`RamCache`]
+    /// whose lock-free [`ReadIndex`], once a pool asks for it, is
+    /// brand-new (with its own epoch collector, so no pre-crash guard or
+    /// retired node can touch it), and zeroed [`CacheStats`] (pre-crash
+    /// acknowledged application bytes must not be double-counted into
+    /// post-recovery ALWA/DLWA denominators).
     ///
     /// Handle allocation is [`HybridCache::new`]'s (SOC, LOC, then the
     /// metadata handle), so a recovered cache writes through the same
@@ -125,18 +125,9 @@ impl HybridCache {
         io: IoManager,
         allocator: &mut PlacementHandleAllocator,
     ) -> Result<Self, CacheError> {
-        config.validate(io.block_bytes()).map_err(CacheError::Config)?;
-        let [soc, loc, meta] = Self::allocate_handles(config, allocator);
-        let navy = NavyEngine::recover(&config.nvm, io, soc, loc, meta)?;
-        Ok(HybridCache {
-            ram: RamCache::new(config.ram_bytes, config.ram_item_overhead),
-            evicted: Vec::new(),
-            navy,
-            stats: CacheStats::default(),
-            read_stats: Arc::new(ReadSideStats::default()),
-            promote_on_nvm_hit: true,
-            breaker: FlashBreaker::new(),
-        })
+        let mut cache = Self::new(config, io, allocator)?;
+        cache.navy.recover()?;
+        Ok(cache)
     }
 
     /// Keys whose latest acknowledged copy is persisted on flash right

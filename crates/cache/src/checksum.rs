@@ -9,32 +9,25 @@
 //! with 64-bit output collisions are not a practical concern for
 //! torn-page detection in a simulator.
 //!
-//! Two definitions share the primitive:
-//!
-//! * [`page_checksum`] digests a byte slice. A LOC footer block ends in
-//!   the digest of the rest of the block; a SOC bucket entry's digest
-//!   is the digest of its header and payload. It is built for
-//!   instruction-level parallelism: the input's 8-byte words are dealt
-//!   round-robin onto [`LANES`] independent fold chains, which a
-//!   superscalar core runs side by side, instead of one chain whose
-//!   every step waits two dependent multiplies on the step before it.
-//! * [`bucket_trailer`] closes a SOC bucket page: an ordered fold of
-//!   the entry count, each entry's digest and the used byte length. The
-//!   SOC caches one digest per entry, so a bucket rewrite folds a dozen
-//!   words and digests the one entry it materialised rather than the
-//!   whole page; readers recompute every digest from the page's bytes.
+//! This module holds the primitives, [`page_checksum`] and [`mix64`];
+//! the formats that use them live in [`crate::layout`]. A LOC footer
+//! block ends in the digest of the rest of the block, and a SOC bucket
+//! page's trailer folds the digest of each of its entries. The digest
+//! deals the input's 8-byte words round-robin onto [`LANES`]
+//! independent fold chains, which a superscalar core runs side by side.
 
 /// Independent fold chains. Word `w` of the input belongs to lane
 /// `w % LANES`.
 pub const LANES: usize = 4;
 
 /// Lane 0's initial state; lane `i` starts from `SEED + i` mixed once,
-/// so equal words on different lanes fold to different states.
-const SEED: u64 = 0xC0FF_EE00_5EED_1234;
+/// so equal words on different lanes fold to different states. The
+/// bucket trailer's fold starts from it too.
+pub(crate) const SEED: u64 = 0xC0FF_EE00_5EED_1234;
 
 /// One splitmix64 finalizer step.
 #[inline]
-pub(crate) fn mix64(x: u64) -> u64 {
+pub fn mix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -84,19 +77,6 @@ pub fn page_checksum(bytes: &[u8]) -> u64 {
         h = mix64(h ^ u64::from_le_bytes(tail));
     }
     mix64(h ^ bytes.len() as u64)
-}
-
-/// The trailer of a SOC bucket page (DESIGN.md §6.5): seeded with the
-/// entry count, folds each entry's digest — [`page_checksum`] over that
-/// entry's 12-byte header plus payload — in list order, each step
-/// `h = mix64(h ^ digest)`, and closes with `used`, the byte length of
-/// header plus entries. The fold is sequential and not commutative, so
-/// it covers the count, every header and payload byte, the entries'
-/// order and where they end; the zero padding behind them is not
-/// covered.
-pub fn bucket_trailer(digests: impl ExactSizeIterator<Item = u64>, used: usize) -> u64 {
-    let seeded = mix64(SEED ^ digests.len() as u64);
-    mix64(digests.fold(seeded, |h, digest| mix64(h ^ digest)) ^ used as u64)
 }
 
 #[cfg(test)]
@@ -177,28 +157,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn bucket_trailer_covers_count_digests_order_and_used_length() {
-        let digests = [mix64(1), mix64(2), mix64(3)];
-        let base = bucket_trailer(digests.iter().copied(), 500);
-        assert_eq!(base, bucket_trailer(digests.iter().copied(), 500));
-        assert_ne!(base, bucket_trailer(digests.iter().copied(), 501), "used length");
-        assert_ne!(base, bucket_trailer(digests[..2].iter().copied(), 500), "dropped entry");
-        for i in 0..3 {
-            for bit in 0..64 {
-                let mut flipped = digests;
-                flipped[i] ^= 1 << bit;
-                assert_ne!(base, bucket_trailer(flipped.into_iter(), 500), "digest {i} bit {bit}");
-            }
-            let mut swapped = digests;
-            swapped.swap(i, (i + 1) % 3);
-            assert_ne!(base, bucket_trailer(swapped.into_iter(), 500), "order");
-        }
-        // The count seeds the fold: an empty bucket and a bucket of one
-        // zero digest differ even at equal used length.
-        assert_ne!(bucket_trailer([].into_iter(), 8), bucket_trailer([0].into_iter(), 8));
     }
 
     #[test]

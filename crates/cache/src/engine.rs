@@ -103,9 +103,9 @@ impl NavyEngine {
         })
     }
 
-    /// Computes the SOC/LOC split for a namespace (shared by
-    /// [`NavyEngine::new`] and [`NavyEngine::recover`] — recovery must
-    /// derive bit-identical geometry from the same configuration).
+    /// Computes the SOC/LOC split for a namespace (recovery replays into
+    /// an engine built by [`NavyEngine::new`], so it derives
+    /// bit-identical geometry from the same configuration).
     fn geometry(cfg: &NvmConfig, io: &IoManager) -> Result<(u64, u64, u32), CacheError> {
         let block_bytes = io.block_bytes();
         let total_blocks = io.blocks();
@@ -128,44 +128,20 @@ impl NavyEngine {
         Ok((soc_blocks, region_blocks, num_regions))
     }
 
-    /// Rebuilds the engine pair from the metadata both engines persist
-    /// at runtime (SOC bucket pages, LOC region footers — DESIGN.md
-    /// §6.4–6.5), re-reading and checksum-validating every structure
-    /// before trusting it. Configuration must match the pre-crash
-    /// instance; `io` must address the same namespace.
+    /// Replays the metadata both engines persist at runtime (SOC bucket
+    /// pages, LOC region footers — DESIGN.md §6.4–6.5) into this pair,
+    /// fresh from [`NavyEngine::new`] with the pre-crash configuration
+    /// over the same namespace. Every structure is read back and
+    /// checksum-validated before it is trusted.
     ///
     /// # Errors
     ///
-    /// [`CacheError::Config`] for invalid geometry or a store that does
-    /// not retain payload bytes; otherwise propagates non-injected I/O
-    /// failures from the recovery reads.
-    pub fn recover(
-        cfg: &NvmConfig,
-        mut io: IoManager,
-        soc_handle: PlacementHandle,
-        loc_handle: PlacementHandle,
-        meta_handle: PlacementHandle,
-    ) -> Result<Self, CacheError> {
-        let (soc_blocks, region_blocks, num_regions) = Self::geometry(cfg, &io)?;
-        let soc = Soc::recover(0, soc_blocks, io.block_bytes(), soc_handle, &mut io)?;
-        let loc = Loc::recover(
-            soc_blocks,
-            num_regions,
-            region_blocks,
-            io.block_bytes(),
-            cfg.trim_on_region_evict,
-            loc_handle,
-            meta_handle,
-            &mut io,
-        )?;
-        Ok(NavyEngine {
-            io,
-            soc,
-            loc,
-            size_threshold: cfg.size_threshold,
-            park_requeues: false,
-            scrub_cursor: 0,
-        })
+    /// [`CacheError::Config`] for a store that does not retain payload
+    /// bytes; otherwise propagates non-injected I/O failures from the
+    /// recovery reads.
+    pub fn recover(&mut self) -> Result<(), CacheError> {
+        self.soc.recover(&mut self.io)?;
+        self.loc.recover(&mut self.io)
     }
 
     /// The SOC engine.

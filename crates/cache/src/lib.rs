@@ -49,6 +49,7 @@ pub mod error;
 pub mod fleet;
 pub mod index;
 mod keymap;
+pub mod layout;
 pub mod loc;
 pub mod ram;
 pub mod soc;

@@ -42,33 +42,15 @@ use std::sync::Arc;
 use fdpcache_core::{IoBatch, IoManager, PlacementHandle};
 use fdpcache_nvme::{FillSource, NvmeError};
 
-use crate::checksum::page_checksum;
 use crate::error::CacheError;
 use crate::keymap::KeyMap;
+use crate::layout::{Footer, FooterEntry, FooterGeometry, Malformed};
 use crate::value::Value;
 use crate::Key;
 
 /// Size of each device write when sealing a region (64 KiB): large
 /// sequential I/O like CacheLib's region flushes.
 const SEAL_CHUNK_BYTES: usize = 64 << 10;
-
-/// Footer block magic ("LOCM").
-const META_MAGIC: u32 = 0x4C4F_434D;
-/// Footer format version. 2: the lane-parallel page checksum
-/// (DESIGN.md §6.5). No image outlives the process that wrote it, so
-/// older versions are rejected, not migrated.
-const META_VERSION: u32 = 2;
-/// Per-footer-block header: magic (4) + version (4) + seal sequence
-/// (8) + region (4) + block index (4) + entries in this block (4) +
-/// total entries in the footer (4).
-const META_HEADER_BYTES: usize = 32;
-/// Per-entry footer bytes: key (8) + offset (4) + length (4).
-const META_ENTRY_BYTES: usize = 16;
-/// Trailing footer-block checksum (DESIGN.md §6.5).
-const META_CHECKSUM_BYTES: usize = 8;
-/// A footer's parsed entry table: (key, region offset, length) per
-/// surviving object, in on-flash order.
-type FooterEntries = Vec<(Key, u32, u32)>;
 
 /// Attempts a region seal gets before the region is declared bad: the
 /// first submit plus three immediate retries. Injected faults are
@@ -268,6 +250,9 @@ pub struct Loc {
     region_blocks: u64,
     block_bytes: u32,
     num_regions: u32,
+    /// The footer format's geometry: block size, slot blocks and the
+    /// region payload its entries address.
+    footer: FooterGeometry,
     regions: Vec<Region>,
     free: VecDeque<u32>,
     sealed_fifo: VecDeque<u32>,
@@ -300,10 +285,11 @@ pub struct Loc {
     /// none pays a heap allocation per read. Lookups copy no bytes: their
     /// read is charged only (DESIGN.md §5.3).
     read_scratch: Vec<u8>,
-    /// Reusable slot-sized buffer footers are serialized into (seals,
-    /// rewrites and retirements alike — DESIGN.md §5.3). Arbitrary
-    /// bytes between uses: [`Loc::serialize_footer`] overwrites or
-    /// zeroes the prefix it is handed, and nothing past it is written.
+    /// Reusable slot-sized buffer footers are encoded into and read
+    /// back into (seals, rewrites, retirements and recovery alike —
+    /// DESIGN.md §5.3). Arbitrary bytes between uses: the encoder
+    /// overwrites or zeroes the prefix it writes, and nothing past it
+    /// is written.
     meta_scratch: Vec<u8>,
     /// Objects rescued from a persistently failing seal, waiting for
     /// the engine to re-queue them ([`Loc::take_requeued`]).
@@ -327,11 +313,15 @@ impl Loc {
         handle: PlacementHandle,
         meta_handle: PlacementHandle,
     ) -> Self {
-        let mut loc = Loc {
+        let bb = block_bytes as usize;
+        let meta_blocks = Self::meta_blocks_for(region_blocks) as usize;
+        let footer = FooterGeometry::new(bb, meta_blocks, region_blocks as usize * bb);
+        Loc {
             base_block,
             region_blocks,
             block_bytes,
             num_regions,
+            footer,
             regions: (0..num_regions)
                 .map(|_| Region { state: RegionState::Free, keys: Vec::new(), seal_seq: 0 })
                 .collect(),
@@ -348,11 +338,9 @@ impl Loc {
             next_seal_seq: 1,
             stats: LocStats::default(),
             read_scratch: Vec::new(),
-            meta_scratch: Vec::new(),
+            meta_scratch: vec![0u8; footer.slot_bytes()],
             pending_requeue: Vec::new(),
-        };
-        loc.meta_scratch = vec![0u8; loc.meta_blocks() as usize * block_bytes as usize];
-        loc
+        }
     }
 
     /// Metadata-area blocks per region for a given region size (~1.6%
@@ -360,9 +348,6 @@ impl Loc {
     /// the engine's geometry computation can budget the metadata area
     /// before a `Loc` exists.
     pub fn meta_blocks_for(region_blocks: u64) -> u64 {
-        if region_blocks < 2 {
-            return 0; // degenerate 1-block region: nothing persistable
-        }
         (region_blocks / 64).max(1)
     }
 
@@ -370,128 +355,6 @@ impl Loc {
     /// region geometry.
     pub fn meta_blocks(&self) -> u64 {
         Self::meta_blocks_for(self.region_blocks)
-    }
-
-    /// Bytes of a region available to object payloads (the whole
-    /// region — footers live in the separate metadata area).
-    pub fn payload_bytes(&self) -> usize {
-        (self.region_blocks * self.block_bytes as u64) as usize
-    }
-
-    /// Entries one footer block can hold.
-    fn entries_per_meta_block(&self) -> usize {
-        (self.block_bytes as usize - META_HEADER_BYTES - META_CHECKSUM_BYTES) / META_ENTRY_BYTES
-    }
-
-    /// Entries a footer filling its whole slot can hold; a region
-    /// seals early when its entry table reaches this.
-    fn entry_capacity(&self) -> usize {
-        self.meta_blocks() as usize * self.entries_per_meta_block()
-    }
-
-    /// Blocks a footer listing `entries` entries occupies: as long as
-    /// its entry table, at least one (an empty footer still carries
-    /// its seal sequence). The rest of the slot is neither written nor
-    /// read.
-    fn footer_blocks(&self, entries: usize) -> usize {
-        entries.div_ceil(self.entries_per_meta_block()).max(1)
-    }
-
-    /// First footer block of `region` (namespace-relative): its slot in
-    /// the metadata area that follows the region array.
-    fn meta_block(&self, region: u32) -> u64 {
-        self.base_block
-            + self.num_regions as u64 * self.region_blocks
-            + region as u64 * self.meta_blocks()
-    }
-
-    /// Serializes a region footer listing `entries` (key, offset,
-    /// length), in order, into the head of `slot` (a buffer of at least
-    /// its [`Loc::footer_blocks`]), whatever it held before, and returns
-    /// how many blocks that is. Entries beyond each block's
-    /// capacity spill into the next block; every block carries the full
-    /// header and its own trailing checksum so recovery can reject any
-    /// torn block alone. Header and entries are written in place; only
-    /// the gap up to each block's checksum is zeroed.
-    fn serialize_footer(
-        &self,
-        region: u32,
-        seal_seq: u64,
-        mut entries: impl ExactSizeIterator<Item = (Key, u32, u32)>,
-        slot: &mut [u8],
-    ) -> usize {
-        let bb = self.block_bytes as usize;
-        let total = entries.len();
-        let blocks = self.footer_blocks(total);
-        debug_assert!(total <= self.entry_capacity());
-        let per = self.entries_per_meta_block();
-        for (bi, chunk) in slot[..blocks * bb].chunks_exact_mut(bb).enumerate() {
-            let count = per.min(total - (bi * per).min(total));
-            chunk[0..4].copy_from_slice(&META_MAGIC.to_le_bytes());
-            chunk[4..8].copy_from_slice(&META_VERSION.to_le_bytes());
-            chunk[8..16].copy_from_slice(&seal_seq.to_le_bytes());
-            chunk[16..20].copy_from_slice(&region.to_le_bytes());
-            chunk[20..24].copy_from_slice(&(bi as u32).to_le_bytes());
-            chunk[24..28].copy_from_slice(&(count as u32).to_le_bytes());
-            chunk[28..32].copy_from_slice(&(total as u32).to_le_bytes());
-            let mut off = META_HEADER_BYTES;
-            for (key, obj_off, obj_len) in entries.by_ref().take(count) {
-                chunk[off..off + 8].copy_from_slice(&key.to_le_bytes());
-                chunk[off + 8..off + 12].copy_from_slice(&obj_off.to_le_bytes());
-                chunk[off + 12..off + 16].copy_from_slice(&obj_len.to_le_bytes());
-                off += META_ENTRY_BYTES;
-            }
-            let cut = bb - META_CHECKSUM_BYTES;
-            chunk[off..cut].fill(0);
-            let sum = page_checksum(&chunk[..cut]);
-            chunk[cut..].copy_from_slice(&sum.to_le_bytes());
-        }
-        blocks
-    }
-
-    /// Parses footer block `bi` of `region` read back from flash,
-    /// appending its entries to `entries`. Returns the block's seal
-    /// sequence and the footer's total entry count, or `None` if the
-    /// block fails its checksum, header validation, or internal
-    /// consistency — nothing in a block is trusted before its checksum
-    /// holds.
-    fn parse_footer_block(
-        &self,
-        region: u32,
-        bi: usize,
-        chunk: &[u8],
-        entries: &mut FooterEntries,
-    ) -> Option<(u64, usize)> {
-        let cut = self.block_bytes as usize - META_CHECKSUM_BYTES;
-        let stored = u64::from_le_bytes(chunk[cut..].try_into().ok()?);
-        if stored != page_checksum(&chunk[..cut]) {
-            return None;
-        }
-        if u32::from_le_bytes(chunk[0..4].try_into().ok()?) != META_MAGIC
-            || u32::from_le_bytes(chunk[4..8].try_into().ok()?) != META_VERSION
-            || u32::from_le_bytes(chunk[16..20].try_into().ok()?) != region
-            || u32::from_le_bytes(chunk[20..24].try_into().ok()?) != bi as u32
-        {
-            return None;
-        }
-        let seq = u64::from_le_bytes(chunk[8..16].try_into().ok()?);
-        let count = u32::from_le_bytes(chunk[24..28].try_into().ok()?) as usize;
-        let total = u32::from_le_bytes(chunk[28..32].try_into().ok()?) as usize;
-        if count > self.entries_per_meta_block() {
-            return None;
-        }
-        let mut off = META_HEADER_BYTES;
-        for _ in 0..count {
-            let key = u64::from_le_bytes(chunk[off..off + 8].try_into().ok()?);
-            let o = u32::from_le_bytes(chunk[off + 8..off + 12].try_into().ok()?);
-            let l = u32::from_le_bytes(chunk[off + 12..off + 16].try_into().ok()?);
-            if o as u64 + l as u64 > self.payload_bytes() as u64 {
-                return None;
-            }
-            entries.push((key, o, l));
-            off += META_ENTRY_BYTES;
-        }
-        Some((seq, total))
     }
 
     /// One recovery read of `buf.len()` bytes at `start`, retried once
@@ -517,43 +380,31 @@ impl Loc {
         }
     }
 
-    /// Reads `region`'s footer back (`buf` is slot-sized scratch).
-    /// Block 0 is read and validated alone — checksum and header
-    /// *before* its `total` is believed — and then exactly the further
-    /// blocks `total` calls for, each of which must validate and carry
-    /// block 0's seal sequence and total. Whatever an older, longer
-    /// footer left further down the slot is never read. `None` is an
-    /// unsealed region: unreadable, never written, torn or corrupt.
+    /// Reads `region`'s footer back (`buf` is slot-sized scratch):
+    /// block 0 alone, which the decoder judges before its total is
+    /// believed, then exactly the further blocks that total calls for.
+    /// Whatever an older, longer footer left further down the slot is
+    /// never read. `None` is an unsealed region: unreadable, never
+    /// written, or rejected by the decoder (torn, stale or corrupt).
     fn read_footer(
         &mut self,
         io: &mut IoManager,
         region: u32,
         buf: &mut [u8],
-    ) -> Result<Option<(u64, FooterEntries)>, CacheError> {
+    ) -> Result<Option<Footer>, CacheError> {
         let bb = self.block_bytes as usize;
-        let start = self.meta_block(region);
-        let mut entries = Vec::new();
+        let start = self.meta_start_block(region);
         if !self.recovery_read(io, start, &mut buf[..bb])? {
             return Ok(None);
         }
-        let Some((seq, total)) = self.parse_footer_block(region, 0, &buf[..bb], &mut entries)
-        else {
-            return Ok(None);
+        let blocks = match self.footer.decode(region, &buf[..bb]) {
+            Err(Malformed::Short { blocks }) => blocks,
+            decoded => return Ok(decoded.ok()),
         };
-        if total > self.entry_capacity() {
-            return Ok(None); // would read past the slot
-        }
-        let blocks = self.footer_blocks(total);
-        if blocks > 1 && !self.recovery_read(io, start + 1, &mut buf[bb..blocks * bb])? {
+        if !self.recovery_read(io, start + 1, &mut buf[bb..blocks * bb])? {
             return Ok(None);
         }
-        for (bi, chunk) in buf[..blocks * bb].chunks_exact(bb).enumerate().skip(1) {
-            // A block of another seal (torn or stale) ends the footer.
-            if self.parse_footer_block(region, bi, chunk, &mut entries) != Some((seq, total)) {
-                return Ok(None);
-            }
-        }
-        Ok((entries.len() == total).then_some((seq, entries)))
+        Ok(self.footer.decode(region, &buf[..blocks * bb]).ok())
     }
 
     /// The blocks covering a sealed object: the first block, their
@@ -565,7 +416,7 @@ impl Loc {
         let nblocks = last_byte / block_bytes - first_block + 1;
         let start = entry.offset as usize - (first_block * block_bytes) as usize;
         (
-            self.region_block(entry.region) + first_block,
+            self.region_start_block(entry.region) + first_block,
             (nblocks * block_bytes) as usize,
             start..start + entry.value.len(),
         )
@@ -611,17 +462,21 @@ impl Loc {
     /// scripted fault coordinates (e.g. kill the first command of a
     /// region seal).
     pub fn region_start_block(&self, region: u32) -> u64 {
-        self.region_block(region)
+        self.base_block + region as u64 * self.region_blocks
     }
 
-    /// Namespace-relative first footer block of `region` (the start LBA
-    /// of its footer write/read commands; crash drivers target it to
-    /// kill inside metadata persistence).
+    /// Namespace-relative first footer block of `region`: its slot in
+    /// the metadata area that follows the region array, the start LBA
+    /// of its footer write and read commands (crash drivers target it
+    /// to kill inside metadata persistence).
     pub fn meta_start_block(&self, region: u32) -> u64 {
-        self.meta_block(region)
+        self.base_block
+            + self.num_regions as u64 * self.region_blocks
+            + region as u64 * self.meta_blocks()
     }
 
-    /// Region size in bytes.
+    /// Region size in bytes: all of it payload, since footers live in
+    /// the separate metadata area.
     pub fn region_bytes(&self) -> usize {
         (self.region_blocks * self.block_bytes as u64) as usize
     }
@@ -631,10 +486,9 @@ impl Loc {
         self.num_regions as u64 * self.region_bytes() as u64
     }
 
-    /// Largest storable object (one region's payload area; the footer
-    /// blocks are reserved).
+    /// Largest storable object: one region.
     pub fn max_object_bytes(&self) -> usize {
-        self.payload_bytes()
+        self.region_bytes()
     }
 
     /// The placement handle region payloads are written through.
@@ -673,10 +527,6 @@ impl Loc {
         !self.slots.values().any(|s| s.sealed().is_some())
     }
 
-    fn region_block(&self, region: u32) -> u64 {
-        self.base_block + region as u64 * self.region_blocks
-    }
-
     /// Flushes the active region to flash as **one** batched
     /// submission: every 64 KiB chunk of the region becomes one queued
     /// write and the whole region validates and maps under a single
@@ -710,8 +560,7 @@ impl Loc {
         };
         // Write the full region (tail padding included) so the previous
         // contents of these blocks are entirely invalidated on device.
-        let start_block = self.region_block(region);
-        let payload_bytes = self.payload_bytes();
+        let start_block = self.region_start_block(region);
         let chunk_blocks = (SEAL_CHUNK_BYTES / self.block_bytes as usize).max(1);
         // The footer rides in the same all-or-nothing batch: a crash
         // mid-seal leaves neither payload nor footer, so recovery reads
@@ -725,10 +574,10 @@ impl Loc {
             Arc::new(move |at, out| fill_region(&image, at, out))
         };
         let chunk_bytes = chunk_blocks * self.block_bytes as usize;
-        let chunks = payload_bytes.div_ceil(chunk_bytes);
+        let chunks = self.region_bytes().div_ceil(chunk_bytes);
         let mut scratch = std::mem::take(&mut self.meta_scratch);
         let entries = image.iter().map(|(k, off, v)| (*k, *off, v.len() as u32));
-        let footer_blocks = self.serialize_footer(region, seq, entries, &mut scratch);
+        let footer_blocks = self.footer.encode(region, seq, entries, &mut scratch);
         let meta_buf = &scratch[..footer_blocks * self.block_bytes as usize];
         let mut attempt = 1;
         let landed = loop {
@@ -740,7 +589,7 @@ impl Loc {
                 let base = c * chunk_bytes;
                 batch.write_with(start_block + block, nlb, source.clone(), base, self.handle);
             }
-            let meta_start = self.meta_block(region);
+            let meta_start = self.meta_start_block(region);
             let mut moff = 0usize;
             while moff < meta_buf.len() {
                 let len = (chunk_blocks * self.block_bytes as usize).min(meta_buf.len() - moff);
@@ -819,14 +668,11 @@ impl Loc {
     /// the footer wholesale — either way no stale entry survives on
     /// flash. Only non-injected errors propagate.
     fn rewrite_footer(&mut self, io: &mut IoManager, region: u32) -> Result<(), CacheError> {
-        if self.meta_blocks() == 0 {
-            return Ok(());
-        }
         // A key whose live copy a region holds is on the region's list
         // (seal, recovery), so the list is a superset of the region's live
         // keys, and it is in fill order: the kept entries ascend by offset.
         let mut keys = std::mem::take(&mut self.regions[region as usize].keys);
-        let mut entries: Vec<(Key, u32, u32)> = Vec::with_capacity(keys.len());
+        let mut entries: Vec<FooterEntry> = Vec::with_capacity(keys.len());
         let slots = &mut self.slots;
         keys.retain(|&k| match slots.get(&k).and_then(Slot::sealed) {
             Some(c) if c.region == region => {
@@ -862,15 +708,12 @@ impl Loc {
     /// back to [`Loc::invalidate_footer`] on a persistent injected
     /// fault; either way no evicted key survives on flash.
     fn retire_footer(&mut self, io: &mut IoManager, region: u32) -> Result<(), CacheError> {
-        if self.meta_blocks() == 0 {
-            return Ok(());
-        }
         let seq = self.next_seal_seq;
         self.next_seal_seq += 1;
         self.write_footer(io, region, seq, &[])
     }
 
-    /// Serializes one footer into the reusable scratch and writes it
+    /// Encodes one footer into the reusable scratch and writes it
     /// over the head of `region`'s footer slot — as many blocks as the
     /// entry table needs, one for an empty footer — retrying injected
     /// faults up to [`FOOTER_WRITE_ATTEMPTS`] attempts in all and
@@ -880,13 +723,13 @@ impl Loc {
         io: &mut IoManager,
         region: u32,
         seal_seq: u64,
-        entries: &[(Key, u32, u32)],
+        entries: &[FooterEntry],
     ) -> Result<(), CacheError> {
         let mut scratch = std::mem::take(&mut self.meta_scratch);
         let footer_blocks =
-            self.serialize_footer(region, seal_seq, entries.iter().copied(), &mut scratch);
+            self.footer.encode(region, seal_seq, entries.iter().copied(), &mut scratch);
         let buf = &scratch[..footer_blocks * self.block_bytes as usize];
-        let start = self.meta_block(region);
+        let start = self.meta_start_block(region);
         let mut attempt = 1;
         let written = loop {
             match io.write(start, buf, self.meta_handle) {
@@ -917,10 +760,7 @@ impl Loc {
     /// it leaves closes at the region's next seal, which overwrites the
     /// footer under a fresh sequence (DESIGN.md §6.4).
     fn invalidate_footer(&mut self, io: &mut IoManager, region: u32) -> Result<(), CacheError> {
-        if self.meta_blocks() == 0 {
-            return Ok(());
-        }
-        self.discard(io, self.meta_block(region), self.meta_blocks())
+        self.discard(io, self.meta_start_block(region), self.meta_blocks())
     }
 
     /// One advisory TRIM command: an injected fault is retried once,
@@ -941,38 +781,24 @@ impl Loc {
         }
     }
 
-    /// Scrubs `keys` out of every sealed region footer that may still
-    /// list them (superseded older copies included), so a crash cannot
-    /// resurrect them. None of `keys` may have a sealed live copy left:
-    /// the rewrite drops every key whose live copy the region does not
-    /// hold. `skip` excludes a region already handled by the caller
-    /// (e.g. one being invalidated wholesale).
-    ///
-    /// The footers to rewrite come from the keys' slots, so a scrub
-    /// costs the keys it drops, not every key the LOC holds. They are
-    /// visited in ascending region order: the device command sequence
-    /// must not depend on the order `keys` come in.
-    fn scrub_footers_for_keys(
-        &mut self,
-        io: &mut IoManager,
-        keys: &[Key],
-        skip: Option<u32>,
-    ) -> Result<(), CacheError> {
-        for r in self.scrub_candidates(keys, skip) {
+    /// Scrubs `key` out of every sealed region footer that still lists
+    /// it, so a crash cannot resurrect it. The key must have no sealed
+    /// live copy left: a rewrite drops every key whose live copy the
+    /// region does not hold. The footers come from the key's slot, so a
+    /// scrub costs one key, not every key the LOC holds; they are
+    /// rewritten in ascending region order.
+    fn scrub_footers_for_key(&mut self, io: &mut IoManager, key: Key) -> Result<(), CacheError> {
+        for r in self.scrub_candidates(key) {
             self.rewrite_footer(io, r)?;
         }
         Ok(())
     }
 
-    /// Sealed regions other than `skip` that list any of `keys`,
-    /// ascending.
-    fn scrub_candidates(&self, keys: &[Key], skip: Option<u32>) -> Vec<u32> {
-        let mut candidates: Vec<u32> = keys
-            .iter()
-            .filter_map(|k| self.slots.get(k))
-            .flat_map(Slot::listing)
-            .filter(|&r| Some(r) != skip && self.regions[r as usize].state == RegionState::Sealed)
-            .collect();
+    /// Sealed regions that list `key`, ascending.
+    fn scrub_candidates(&self, key: Key) -> Vec<u32> {
+        let listing = self.slots.get(&key).into_iter().flat_map(Slot::listing);
+        let mut candidates: Vec<u32> =
+            listing.filter(|&r| self.regions[r as usize].state == RegionState::Sealed).collect();
         candidates.sort_unstable();
         candidates.dedup();
         candidates
@@ -987,13 +813,14 @@ impl Loc {
 
     /// Evicts the oldest sealed region (FIFO, as CacheLib's default and
     /// the paper's DLWA model assume), dropping the live copies it holds.
+    ///
+    /// No other footer needs a scrub: a key's live copy is its newest
+    /// seal, so the regions listing its superseded copies were sealed
+    /// before this one and, FIFO, were evicted before it.
     fn evict_region(&mut self, io: &mut IoManager) -> Result<(), CacheError> {
         let Some(region) = self.sealed_fifo.pop_front() else {
             return Ok(());
         };
-        // Dropped keys another region still lists: only their footers
-        // can need a scrub, and most dropped keys have no other copy.
-        let mut listed_elsewhere = Vec::new();
         for key in std::mem::take(&mut self.regions[region as usize].keys) {
             let Entry::Occupied(mut e) = self.slots.entry(key) else {
                 unreachable!("a listed key has a slot")
@@ -1002,11 +829,9 @@ impl Loc {
             // Only drop the live copy if this region holds it (the key
             // may have been rewritten into a newer region since).
             if slot.sealed().is_some_and(|c| c.region == region) {
+                debug_assert!(slot.older.is_empty(), "key {key}: older copy outlived {region}");
                 slot.live = None;
                 self.stats.evicted_objects += 1;
-                if !slot.older.is_empty() {
-                    listed_elsewhere.push(key);
-                }
             } else {
                 slot.drop_older(region);
             }
@@ -1020,7 +845,7 @@ impl Loc {
             // The TRIM is advisory — a skipped one leaves the region's
             // blocks to be overwritten by the next seal, exactly like
             // the non-TRIM policy.
-            self.discard(io, self.region_block(region), self.region_blocks)?;
+            self.discard(io, self.region_start_block(region), self.region_blocks)?;
         }
         // The region's persisted footer must not outlive its in-memory
         // copies: a crash after this point would otherwise resurrect
@@ -1028,10 +853,6 @@ impl Loc {
         // in the metadata area, so the payload TRIM above never covers
         // it.
         self.retire_footer(io, region)?;
-        // An evicted key's *older* superseded copy may still be listed
-        // in another sealed region's footer; scrub those so recovery
-        // cannot serve a stale value for a key the cache just dropped.
-        self.scrub_footers_for_keys(io, &listed_elsewhere, Some(region))?;
         self.regions[region as usize].state = RegionState::Free;
         self.free.push_back(region);
         self.stats.region_evictions += 1;
@@ -1106,8 +927,8 @@ impl Loc {
         // ~250 entries per 4 KiB footer block, far above the object
         // counts large-object regions see in practice). The table lists
         // live objects only, not the positions overwrites superseded.
-        if self.active_fill + len > self.payload_bytes()
-            || self.buffer.len() - self.superseded.len() >= self.entry_capacity()
+        if self.active_fill + len > self.region_bytes()
+            || self.buffer.len() - self.superseded.len() >= self.footer.capacity()
         {
             self.seal_active(io)?;
             self.open_region(io)?;
@@ -1378,7 +1199,7 @@ impl Loc {
             self.slots.remove(&key);
         } else {
             // The rewrites drop the key's last listing, and with it its slot.
-            self.scrub_footers_for_keys(io, &[key], None)?;
+            self.scrub_footers_for_key(io, key)?;
         }
         self.stats.removes += 1;
         Ok(true)
@@ -1403,100 +1224,71 @@ impl Loc {
         keys
     }
 
-    /// Rebuilds a LOC from the region footers persisted on flash
-    /// (DESIGN.md §6.4). Geometry and policy arguments must match the
-    /// pre-crash instance (they are host-side configuration, not
-    /// recovered state).
-    ///
-    /// Each region's footer is read back (block 0 first, then exactly
-    /// the blocks its entry count calls for); a
-    /// region is trusted as sealed only if every one of those blocks
-    /// validates (checksum, magic, version, region id, block order,
-    /// consistent seal sequence and total).
-    /// Valid regions are processed in ascending seal-sequence order and
-    /// their payload bytes re-read from the device, so a newer sealed
-    /// copy of a key supersedes any older one. Everything else is
-    /// deliberately volatile and comes back empty: the active buffer
-    /// (acknowledged-but-unsealed objects) and all statistics including `app_bytes_written` — recovered objects
-    /// were already counted as application bytes in their first life,
-    /// and recounting them would bias ALWA.
+    /// Replays the region footers persisted on flash into this LOC,
+    /// fresh from [`Loc::new`] with the pre-crash geometry and policy
+    /// (DESIGN.md §6.4). A region is sealed only if
+    /// [`FooterGeometry::decode`] accepts its footer. Sealed regions replay in
+    /// ascending seal-sequence order, their payload re-read, so a newer
+    /// copy of a key supersedes an older one. The active buffer stays
+    /// empty and the statistics count only recovery's own read faults:
+    /// recovered objects were counted as application bytes in their
+    /// first life, and recounting them would bias ALWA.
     ///
     /// # Errors
     ///
     /// [`CacheError::Config`] without a data-retaining store; otherwise
     /// propagates non-injected I/O failures. Injected read faults are
     /// retried once, then the affected region is treated as unsealed.
-    #[allow(clippy::too_many_arguments)]
-    pub fn recover(
-        base_block: u64,
-        num_regions: u32,
-        region_blocks: u64,
-        block_bytes: u32,
-        trim_on_evict: bool,
-        handle: PlacementHandle,
-        meta_handle: PlacementHandle,
-        io: &mut IoManager,
-    ) -> Result<Self, CacheError> {
+    pub fn recover(&mut self, io: &mut IoManager) -> Result<(), CacheError> {
+        debug_assert!(self.slots.is_empty() && self.sealed_fifo.is_empty(), "LOC not fresh");
         if !io.retains_data() {
             return Err(CacheError::Config(
                 "LOC recovery requires a data-retaining store (payload bytes must survive)".into(),
             ));
         }
-        let mut loc = Loc::new(
-            base_block,
-            num_regions,
-            region_blocks,
-            block_bytes,
-            trim_on_evict,
-            handle,
-            meta_handle,
-        );
-        if loc.meta_blocks() == 0 {
-            return Ok(loc); // degenerate geometry persists nothing
-        }
-        let mut footer = std::mem::take(&mut loc.meta_scratch);
-        let mut sealed: Vec<(u64, u32, FooterEntries)> = Vec::new();
-        for region in 0..num_regions {
-            if let Some((seq, entries)) = loc.read_footer(io, region, &mut footer)? {
+        let mut buf = std::mem::take(&mut self.meta_scratch);
+        let mut sealed: Vec<(u64, u32, Vec<FooterEntry>)> = Vec::new();
+        for region in 0..self.num_regions {
+            if let Some(Footer { seq, entries }) = self.read_footer(io, region, &mut buf)? {
                 sealed.push((seq, region, entries));
             }
         }
-        loc.meta_scratch = footer;
+        self.meta_scratch = buf;
         // Ascending seal order: later regions supersede earlier ones
         // for keys that were overwritten between seals.
         sealed.sort_unstable_by_key(|&(seq, region, _)| (seq, region));
-        let mut payload = vec![0u8; loc.payload_bytes()];
+        let mut payload = vec![0u8; self.region_bytes()];
         for (seq, region, entries) in sealed {
             if entries.is_empty() {
                 // A retired (or fully scrubbed) footer: the region holds
                 // no live objects, so it stays free — but its sequence
                 // still advances the seal-seq high-water mark so the
                 // recovered engine never reissues an on-flash sequence.
-                loc.next_seal_seq = loc.next_seal_seq.max(seq + 1);
+                self.next_seal_seq = self.next_seal_seq.max(seq + 1);
                 continue;
             }
             // Footer valid but payload unreadable: the region's objects
             // are lost as if evicted; leave it free.
-            if !loc.recovery_read(io, loc.region_block(region), &mut payload)? {
+            if !self.recovery_read(io, self.region_start_block(region), &mut payload)? {
                 continue;
             }
-            loc.free.retain(|&r| r != region);
-            let r = &mut loc.regions[region as usize];
+            self.free.retain(|&r| r != region);
+            let r = &mut self.regions[region as usize];
             r.state = RegionState::Sealed;
             r.seal_seq = seq;
             r.keys = entries.iter().map(|&(k, _, _)| k).collect();
-            loc.sealed_fifo.push_back(region);
-            loc.next_seal_seq = loc.next_seal_seq.max(seq + 1);
+            self.sealed_fifo.push_back(region);
+            self.next_seal_seq = self.next_seal_seq.max(seq + 1);
             for (key, offset, len) in entries {
                 let value = Value::real(payload[offset as usize..(offset + len) as usize].to_vec());
                 // A copy an earlier region sealed is superseded; its
                 // region still lists the key.
-                let slot = loc.slots.entry(key).or_default();
+                let slot = self.slots.entry(key).or_default();
                 slot.supersede();
                 slot.live = Some(Live::Sealed(SealedCopy { region, offset, value }));
             }
         }
-        Ok(loc)
+        Ok(())
     }
 }
 
@@ -1519,9 +1311,12 @@ mod tests {
     }
 
     /// 4 regions × 8 blocks (32 KiB regions).
+    fn fresh() -> Loc {
+        Loc::new(0, 4, 8, BLOCK, false, PlacementHandle::with_dspec(1), PlacementHandle::DEFAULT)
+    }
+
     fn loc() -> (Loc, IoManager) {
-        let h = PlacementHandle::with_dspec(1);
-        (Loc::new(0, 4, 8, BLOCK, false, h, PlacementHandle::DEFAULT), io(64))
+        (fresh(), io(64))
     }
 
     /// `key`'s copy in the active buffer, if it has one.
@@ -1532,10 +1327,10 @@ mod tests {
         }
     }
 
-    /// Recovers the [`loc`] geometry from `io`.
-    fn recover(io: &mut IoManager) -> Loc {
-        let h = PlacementHandle::with_dspec(1);
-        Loc::recover(0, 4, 8, BLOCK, false, h, PlacementHandle::DEFAULT, io).unwrap()
+    /// `l`, fresh, with what `io` holds replayed into it.
+    fn recovered(mut l: Loc, io: &mut IoManager) -> Loc {
+        l.recover(io).unwrap();
+        l
     }
 
     #[test]
@@ -1628,8 +1423,8 @@ mod tests {
             keys.iter().enumerate().map(|(i, &k)| (k, i as u32 * 1000, 1000)).collect();
         expected.retain(|&(k, ..)| k != keys[3] && k != keys[7]);
         expected.push((keys[3], 300_000, 900));
-        let mut buf = vec![0u8; l.meta_blocks() as usize * BLOCK as usize];
-        let (_, listed) = l.read_footer(&mut io, 0, &mut buf).unwrap().expect("sealed footer");
+        let mut buf = vec![0u8; l.footer.slot_bytes()];
+        let listed = l.read_footer(&mut io, 0, &mut buf).unwrap().expect("sealed footer").entries;
         assert_eq!(listed, expected);
         assert_eq!(l.regions[0].keys, expected.iter().map(|&(k, ..)| k).collect::<Vec<_>>());
     }
@@ -1637,7 +1432,7 @@ mod tests {
     #[test]
     fn an_early_seal_counts_live_objects_not_buffer_positions() {
         let (mut l, mut io) = loc();
-        let cap = l.entry_capacity();
+        let cap = l.footer.capacity();
         let small = || Value::synthetic(10);
         // One key overwritten more times than a footer holds entries is
         // one live object: no seal.
@@ -1662,8 +1457,8 @@ mod tests {
         // The table is full: the next object seals every live one.
         l.insert(&mut io, 10_000, small()).unwrap();
         assert_eq!(l.stats().seals, 1);
-        let mut buf = vec![0u8; l.meta_blocks() as usize * BLOCK as usize];
-        let (_, listed) = l.read_footer(&mut io, 0, &mut buf).unwrap().expect("sealed footer");
+        let mut buf = vec![0u8; l.footer.slot_bytes()];
+        let listed = l.read_footer(&mut io, 0, &mut buf).unwrap().expect("sealed footer").entries;
         // Key 1's live copy is its last overwrite, behind every other key
         // but the last.
         let order: Vec<Key> = (2..cap as u64).chain([1, cap as u64]).collect();
@@ -1693,8 +1488,8 @@ mod tests {
         assert_eq!(buffered(&l, 2).map(|b| b.1), Some(9_000));
         l.insert(&mut io, 3, Value::synthetic(9_000)).unwrap();
         assert_eq!(l.stats().seals, 1);
-        let mut buf = vec![0u8; l.meta_blocks() as usize * BLOCK as usize];
-        let (_, listed) = l.read_footer(&mut io, 0, &mut buf).unwrap().expect("sealed footer");
+        let mut buf = vec![0u8; l.footer.slot_bytes()];
+        let listed = l.read_footer(&mut io, 0, &mut buf).unwrap().expect("sealed footer").entries;
         assert_eq!(listed, vec![(2, 9_000, 9_000), (1, 18_000, 9_000)]);
     }
 
@@ -1751,7 +1546,7 @@ mod tests {
         assert_eq!(l.stats().seals, 1);
         assert_eq!(l.persisted_keys(), vec![1, 2]);
         drop(l);
-        let mut r = recover(&mut io);
+        let mut r = recovered(fresh(), &mut io);
         assert_eq!(r.persisted_keys(), vec![1, 2]);
         assert!(r.lookup(&mut io, 3).unwrap().is_none(), "in-flight seal key 3 must be volatile");
         assert!(r.lookup(&mut io, 4).unwrap().is_none(), "active-buffer key 4 must be volatile");
@@ -1781,7 +1576,7 @@ mod tests {
         assert!(l.remove(&mut io, 5).unwrap());
         assert!(l.stats().footer_rewrites >= 2, "both footers must be rewritten");
         drop(l);
-        let mut r = recover(&mut io);
+        let mut r = recovered(fresh(), &mut io);
         assert!(r.lookup(&mut io, 5).unwrap().is_none(), "deleted key resurrected by recovery");
         assert!(r.lookup(&mut io, 6).unwrap().is_some(), "unrelated key lost by the scrub");
         assert!(r.lookup(&mut io, 7).unwrap().is_some());
@@ -1798,7 +1593,7 @@ mod tests {
         l.insert(&mut io, 5, Value::real(new.clone())).unwrap();
         l.insert(&mut io, 8, Value::synthetic(25_000)).unwrap(); // seals region 1
         drop(l);
-        let mut r = recover(&mut io);
+        let mut r = recovered(fresh(), &mut io);
         assert_eq!(
             r.read_raw(&mut io, 5).unwrap().unwrap(),
             new,
@@ -1816,7 +1611,7 @@ mod tests {
         assert!(l.stats().region_evictions >= 1);
         let survivors = l.persisted_keys();
         drop(l);
-        let mut r = recover(&mut io);
+        let mut r = recovered(fresh(), &mut io);
         assert!(r.lookup(&mut io, 0).unwrap().is_none(), "evicted key resurrected by recovery");
         assert_eq!(r.persisted_keys(), survivors);
     }
@@ -1849,7 +1644,7 @@ mod tests {
         let mut page = vec![0u8; BLOCK as usize];
         for k in &corrupted {
             let at = l.sealed(*k).unwrap().offset as u64;
-            let block = l.region_block(0) + at / BLOCK as u64;
+            let block = l.region_start_block(0) + at / BLOCK as u64;
             io.read(block, &mut page).unwrap();
             page[(at % BLOCK as u64) as usize] ^= 0xFF;
             io.write(block, &page, PlacementHandle::with_dspec(1)).unwrap();
@@ -1872,14 +1667,14 @@ mod tests {
         l.insert(&mut io, 1, Value::synthetic(12_000)).unwrap();
         l.insert(&mut io, 2, Value::synthetic(12_000)).unwrap();
         l.insert(&mut io, 3, Value::synthetic(12_000)).unwrap(); // seals region 0
-        let meta_block = l.meta_block(0);
+        let meta_block = l.meta_start_block(0);
         drop(l);
         // Corrupt the footer out-of-band (simulated torn write).
         let mut page = vec![0u8; BLOCK as usize];
         io.read(meta_block, &mut page).unwrap();
         page[40] ^= 0xFF;
         io.write(meta_block, &page, PlacementHandle::with_dspec(1)).unwrap();
-        let mut r = recover(&mut io);
+        let mut r = recovered(fresh(), &mut io);
         assert!(r.is_empty(), "a corrupt footer must not be trusted");
         assert!(r.lookup(&mut io, 1).unwrap().is_none());
     }
@@ -1888,32 +1683,15 @@ mod tests {
     /// entries to a block.
     const WIDE_BLOCKS: u64 = 128;
 
-    fn wide_loc() -> (Loc, IoManager) {
-        let l = Loc::new(
-            0,
-            4,
-            WIDE_BLOCKS,
-            BLOCK,
-            false,
-            PlacementHandle::with_dspec(1),
-            PlacementHandle::DEFAULT,
-        );
-        assert_eq!((l.meta_blocks(), l.entries_per_meta_block()), (2, 253));
-        (l, io(4 * (WIDE_BLOCKS + 2)))
+    fn fresh_wide() -> Loc {
+        let h = PlacementHandle::with_dspec(1);
+        let l = Loc::new(0, 4, WIDE_BLOCKS, BLOCK, false, h, PlacementHandle::DEFAULT);
+        assert_eq!((l.meta_blocks(), l.footer.entries_per_block()), (2, 253));
+        l
     }
 
-    fn recover_wide(io: &mut IoManager) -> Loc {
-        Loc::recover(
-            0,
-            4,
-            WIDE_BLOCKS,
-            BLOCK,
-            false,
-            PlacementHandle::with_dspec(1),
-            PlacementHandle::DEFAULT,
-            io,
-        )
-        .unwrap()
+    fn wide_loc() -> (Loc, IoManager) {
+        (fresh_wide(), io(4 * (WIDE_BLOCKS + 2)))
     }
 
     /// Inserts `n` 1000-byte objects keyed `base..base + n`.
@@ -1927,11 +1705,11 @@ mod tests {
     /// inserting one seals whatever the active region held.
     const BIG: u32 = 300_000;
 
-    /// Seal sequence stamped into the footer block at `block`.
-    fn seq_on_flash(io: &mut IoManager, block: u64) -> u64 {
+    /// Seal sequence stamped into block `index` of region 0's footer.
+    fn seq_on_flash(l: &Loc, io: &mut IoManager, index: usize) -> u64 {
         let mut page = vec![0u8; BLOCK as usize];
-        io.read(block, &mut page).unwrap();
-        u64::from_le_bytes(page[8..16].try_into().unwrap())
+        io.read(l.meta_start_block(0) + index as u64, &mut page).unwrap();
+        crate::layout::footer_header(0, index, &page).expect("a footer block").seq
     }
 
     #[test]
@@ -1944,7 +1722,7 @@ mod tests {
         assert_eq!(l.stats().footer_blocks_written, 2, "300 entries need two footer blocks");
         assert_eq!(io.stats().bytes_written - written, (WIDE_BLOCKS + 2) * BLOCK as u64);
         drop(l);
-        let mut r = recover_wide(&mut io);
+        let mut r = recovered(fresh_wide(), &mut io);
         assert_eq!(r.persisted_keys(), (0..300).collect::<Vec<_>>());
         // Entries of both blocks point at the right payload bytes.
         for k in [0, 252, 253, 299] {
@@ -1964,70 +1742,47 @@ mod tests {
         }
         assert_eq!(l.stats().seals, 5);
         assert_eq!(l.sealed(1_003).map(|e| e.region), Some(0), "region 0 must be re-sealed");
-        let slot = l.meta_block(0);
-        assert!(seq_on_flash(&mut io, slot) > 1, "block 0 carries the new seal");
-        assert_eq!(seq_on_flash(&mut io, slot + 1), 1, "block 1 is the first seal's leftover");
+        assert!(seq_on_flash(&l, &mut io, 0) > 1, "block 0 carries the new seal");
+        assert_eq!(seq_on_flash(&l, &mut io, 1), 1, "block 1 is the first seal's leftover");
         let survivors = l.persisted_keys();
         drop(l);
-        let mut r = recover_wide(&mut io);
+        let mut r = recovered(fresh_wide(), &mut io);
         assert_eq!(r.persisted_keys(), survivors);
         assert!(r.lookup(&mut io, 1_003).unwrap().is_some());
         assert!(r.lookup(&mut io, 299).unwrap().is_none(), "stale block 1 resurrected a key");
     }
 
-    /// Writes region 0's payload plus `footer` at the head of its slot.
-    fn plant_footer(l: &Loc, io: &mut IoManager, footer: &[u8]) {
-        let payload = vec![0x5Au8; l.payload_bytes()];
-        io.write(l.region_block(0), &payload, PlacementHandle::DEFAULT).unwrap();
-        io.write(l.meta_block(0), footer, PlacementHandle::DEFAULT).unwrap();
-    }
-
-    fn footer_bytes(l: &Loc, seq: u64, entries: &[(Key, u32, u32)]) -> Vec<u8> {
-        let mut buf = vec![0u8; l.meta_blocks() as usize * BLOCK as usize];
-        let blocks = l.serialize_footer(0, seq, entries.iter().copied(), &mut buf);
-        buf.truncate(blocks * BLOCK as usize);
-        buf
-    }
-
-    #[test]
-    fn torn_stale_or_missing_second_block_recovers_as_unsealed() {
-        let bb = BLOCK as usize;
-        let entries: Vec<(Key, u32, u32)> =
-            (0..300u32).map(|i| (i as u64, i * 1000, 1000)).collect();
-        // Control: the planted two-block footer is one recovery accepts.
-        let (l, mut io) = wide_loc();
-        let new = footer_bytes(&l, 7, &entries);
-        plant_footer(&l, &mut io, &new);
-        assert_eq!(recover_wide(&mut io).len(), 300);
-        // Block 0 of the new seal over block 1 of an older one.
-        let (l, mut io) = wide_loc();
-        let old = footer_bytes(&l, 3, &entries);
-        plant_footer(&l, &mut io, &[&new[..bb], &old[bb..]].concat());
-        assert!(recover_wide(&mut io).is_empty(), "mixed-seal footer trusted");
-        // Block 1 never written.
-        let (l, mut io) = wide_loc();
-        plant_footer(&l, &mut io, &new[..bb]);
-        assert!(recover_wide(&mut io).is_empty(), "footer missing its second block trusted");
-    }
-
     #[test]
     fn corrupt_total_recovers_as_unsealed_without_reading_past_the_slot() {
-        let bb = BLOCK as usize;
+        use crate::layout::{encode_footer_block, FooterHeader};
         let (l, mut io) = wide_loc();
-        let mut block0 = footer_bytes(&l, 7, &[(1, 0, 1000)]);
         // A total no slot can hold, under a checksum that vouches for it.
-        block0[28..32].copy_from_slice(&10_000u32.to_le_bytes());
-        let cut = bb - META_CHECKSUM_BYTES;
-        let sum = page_checksum(&block0[..cut]);
-        block0[cut..].copy_from_slice(&sum.to_le_bytes());
-        plant_footer(&l, &mut io, &block0);
+        let lie = FooterHeader { seq: 7, region: 0, block: 0, count: 1, total: 10_000 };
+        let mut block0 = vec![0u8; BLOCK as usize];
+        encode_footer_block(&lie, [(1, 0, 1000)].into_iter(), &mut block0);
+        io.write(l.meta_start_block(0), &block0, PlacementHandle::DEFAULT).unwrap();
         let read = io.stats().bytes_read;
-        assert!(recover_wide(&mut io).is_empty(), "footer with an impossible total trusted");
+        assert!(
+            recovered(fresh_wide(), &mut io).is_empty(),
+            "footer with an impossible total trusted"
+        );
         assert_eq!(
             io.stats().bytes_read - read,
             BLOCK as u64,
             "recovery must stop at region 0's first footer block (the other slots are unwritten)"
         );
+    }
+
+    #[test]
+    fn one_block_regions_seal_and_recover() {
+        let fresh =
+            || Loc::new(0, 4, 1, BLOCK, false, PlacementHandle::DEFAULT, PlacementHandle::DEFAULT);
+        let (mut l, mut io) = (fresh(), io(8));
+        for k in 0..6u64 {
+            l.insert(&mut io, k, Value::synthetic(3_000)).unwrap();
+        }
+        assert_eq!((l.meta_blocks(), l.stats().seals, l.stats().region_evictions), (1, 5, 2));
+        assert_eq!(recovered(fresh(), &mut io).persisted_keys(), l.persisted_keys());
     }
 
     #[test]
@@ -2041,7 +1796,7 @@ mod tests {
         assert_eq!(l.stats().footer_blocks_written - blocks, 1);
         assert_eq!(io.stats().bytes_written - bytes, BLOCK as u64);
         drop(l);
-        let r = recover_wide(&mut io);
+        let r = recovered(fresh_wide(), &mut io);
         assert!(r.is_empty(), "retired region's keys resurrected");
         assert_eq!(r.next_seal_seq, retire_seq + 1, "retirement sequence lost across recovery");
     }
@@ -2078,7 +1833,7 @@ mod tests {
         drop(l);
         // The shrunk footer (stale second block behind it) recovers to
         // exactly the surviving keys.
-        let r = recover_wide(&mut io);
+        let r = recovered(fresh_wide(), &mut io);
         assert_eq!(r.persisted_keys(), (48..300).chain([1_000]).collect::<Vec<_>>());
     }
 
@@ -2086,9 +1841,9 @@ mod tests {
     /// its live objects' bytes, zeros everywhere else (the gaps
     /// superseded and removed objects left, and the tail padding).
     fn assert_sealed_image(l: &Loc, io: &mut IoManager, region: u32) {
-        let mut image = vec![0u8; l.payload_bytes()];
-        io.read(l.region_block(region), &mut image).unwrap();
-        let mut expect = vec![0u8; l.payload_bytes()];
+        let mut image = vec![0u8; l.region_bytes()];
+        io.read(l.region_start_block(region), &mut image).unwrap();
+        let mut expect = vec![0u8; l.region_bytes()];
         for k in &l.regions[region as usize].keys {
             let e = l.sealed(*k).unwrap();
             assert_eq!(e.region, region, "a just-sealed region lists only live keys");
@@ -2177,23 +1932,15 @@ mod tests {
             (ctrl, io)
         }
 
-        fn fresh(io: Option<&mut IoManager>) -> Loc {
+        fn fresh() -> Loc {
             let (h, m) = (PlacementHandle::with_dspec(1), PlacementHandle::DEFAULT);
-            match io {
-                None => Loc::new(0, REGIONS, 8, BLOCK, false, h, m),
-                Some(io) => Loc::recover(0, REGIONS, 8, BLOCK, false, h, m, io).unwrap(),
-            }
+            Loc::new(0, REGIONS, 8, BLOCK, false, h, m)
         }
 
         /// The scan the inverted listing replaced, kept as its oracle.
-        fn scan_candidates(l: &Loc, keys: &[Key], skip: Option<u32>) -> Vec<u32> {
-            (0..l.num_regions)
-                .filter(|&r| {
-                    Some(r) != skip
-                        && l.regions[r as usize].state == RegionState::Sealed
-                        && l.regions[r as usize].keys.iter().any(|k| keys.contains(k))
-                })
-                .collect()
+        fn scan_candidates(l: &Loc, key: Key) -> Vec<u32> {
+            let listed = |r: &Region| r.state == RegionState::Sealed && r.keys.contains(&key);
+            (0..l.num_regions).filter(|&r| listed(&l.regions[r as usize])).collect()
         }
 
         /// The key map against the region key lists and the buffer.
@@ -2235,15 +1982,17 @@ mod tests {
             assert_eq!(dead.len(), l.superseded.len(), "a position superseded twice");
             assert!(dead.iter().all(|&p| (p as usize) < l.buffer.len()), "{dead:?}");
             assert_eq!(l.buffer.len() - l.superseded.len(), active, "live buffered count");
-            let all: Vec<Key> = (0..16).collect();
-            let sets = (0..16).map(|k| vec![k]).chain([all]);
-            for keys in sets {
-                for skip in [None, Some(0), Some(3)] {
-                    assert_eq!(
-                        l.scrub_candidates(&keys, skip),
-                        scan_candidates(l, &keys, skip),
-                        "keys {keys:?}, skip {skip:?}"
-                    );
+            for k in 0..16 {
+                assert_eq!(l.scrub_candidates(k), scan_candidates(l, k), "key {k}");
+            }
+            // FIFO eviction needs no scrub of other footers: no key the
+            // next region to go holds live is listed anywhere else.
+            if let Some(&front) = l.sealed_fifo.front() {
+                for &k in &l.regions[front as usize].keys {
+                    let slot = &l.slots[&k];
+                    if slot.sealed().is_some_and(|c| c.region == front) {
+                        assert!(slot.older.is_empty(), "key {k}: listed by {:?}", slot.older);
+                    }
                 }
             }
         }
@@ -2256,7 +2005,7 @@ mod tests {
                 ops in proptest::collection::vec(op(), 1..60)
             ) {
                 let (ctrl, mut io) = setup();
-                let mut l = fresh(None);
+                let mut l = fresh();
                 for op in ops {
                     match op {
                         Op::Insert(k, n) => l.insert(&mut io, k, Value::synthetic(n)).unwrap(),
@@ -2275,7 +2024,7 @@ mod tests {
                                 }
                             }
                         }
-                        Op::Recover => l = fresh(Some(&mut io)),
+                        Op::Recover => l = recovered(fresh(), &mut io),
                     }
                     check(&l);
                 }

@@ -13,8 +13,8 @@
 //! * there is **no DRAM index** — that is the SOC's reason to exist.
 //!
 //! The authoritative entry list per bucket lives in memory (see the crate
-//! docs' simulator concession); serialization to the on-flash format is
-//! exact and tested for round-trip fidelity.
+//! docs' simulator concession); the on-flash page format is
+//! [`crate::layout`]'s, exact and tested for round-trip fidelity.
 //!
 //! A bucket write records its page; it does not make it (DESIGN.md
 //! §5.3). An insert or remove charges its read-modify-write read
@@ -22,8 +22,8 @@
 //! entry list, and writes the page as one [`FillSource`] over a
 //! snapshot of the edited list — clones of its keys and values, each a
 //! refcount bump or a length copy. The payload store keeps the source
-//! and calls it, which runs `Soc::serialize_bucket`, the one page
-//! builder, only when the block is read: by verification, scrub or
+//! and calls it, which runs [`encode_bucket`], the one page builder,
+//! only when the block is read: by verification, scrub or
 //! recovery. Every page is therefore built whole from the list, and the
 //! trailer (§6.5) is folded from digests of the bytes the builder just
 //! wrote, so nothing read back from the device is carried forward. A
@@ -42,20 +42,10 @@ use fdpcache_core::{IoManager, PlacementHandle};
 use fdpcache_nvme::{FillSource, NvmeError};
 
 use crate::bloom::BloomArray;
-use crate::checksum::{bucket_trailer, page_checksum};
 use crate::error::CacheError;
+use crate::layout::{bucket_entry_bytes, bucket_room, decode_bucket, encode_bucket};
 use crate::value::Value;
 use crate::Key;
-
-/// On-flash bucket header: magic + entry count.
-const HEADER_BYTES: usize = 8;
-const MAGIC: u32 = 0x534F_4342; // "SOCB"
-/// Per-entry metadata: key (8) + size (4).
-const ENTRY_META_BYTES: usize = 12;
-/// Bucket trailer (DESIGN.md §6.5): recovery trusts a bucket page only
-/// when its last 8 bytes equal the ordered fold of the page's entry
-/// count, every entry's digest and the used byte length.
-const CHECKSUM_BYTES: usize = 8;
 
 /// Attempts a bucket-page write gets before the operation gives up on
 /// the device: the first submit plus three immediate retries. Injected
@@ -110,24 +100,21 @@ impl Entry {
     /// Bytes the entry occupies in a bucket page.
     #[inline]
     fn flash_len(&self) -> usize {
-        ENTRY_META_BYTES + self.value.len()
-    }
-
-    /// Materialises the entry into `at` (exactly [`Entry::flash_len`]
-    /// bytes of a page).
-    fn write(&self, at: &mut [u8]) {
-        at[0..8].copy_from_slice(&self.key.to_le_bytes());
-        at[8..12].copy_from_slice(&(self.value.len() as u32).to_le_bytes());
-        self.value.materialize(self.key, &mut at[ENTRY_META_BYTES..]);
+        bucket_entry_bytes(self.value.len())
     }
 }
 
+/// Encodes the page of `entries` into `page`.
+fn encode_entries(entries: &[Entry], page: &mut [u8]) {
+    encode_bucket(entries.iter().map(|e| (e.key, &e.value)), page);
+}
+
 /// One pass over a bucket's entry list: the list position of `key`,
-/// if it is listed, and the page bytes the list uses (header plus every
-/// entry: the offset where the zero padding starts).
+/// if it is listed, and the page bytes its entries use (of the
+/// [`bucket_room`] a page leaves them).
 fn walk(entries: &[Entry], key: Key) -> (Option<usize>, usize) {
     let mut hit = None;
-    let mut used = HEADER_BYTES;
+    let mut used = 0;
     for (pos, e) in entries.iter().enumerate() {
         if e.key == key {
             hit = Some(pos);
@@ -192,36 +179,25 @@ impl Soc {
         }
     }
 
-    /// Rebuilds a SOC from the bucket pages persisted on flash
-    /// (DESIGN.md §6.5). Each bucket page is read back and trusted only
-    /// if its trailing checksum validates; never-written and
-    /// checksum-failing pages come back as virgin buckets. Recovered
-    /// values are materialized payload bytes ([`Value::real`]), so they
-    /// serialize bit-identically to what was on flash.
-    ///
-    /// Requires a data-retaining store; geometry arguments must match
-    /// the pre-crash instance (the caller rebuilds them from
-    /// configuration, which is host-side input, not recovered state).
+    /// Replays the bucket pages persisted on flash into this SOC, fresh
+    /// from [`Soc::new`] with the pre-crash geometry (DESIGN.md §6.5).
+    /// A page is trusted only if [`decode_bucket`] accepts it; others
+    /// stay virgin buckets. Recovered values are the page's payload
+    /// bytes, so they encode bit-identically to what was on flash.
     ///
     /// # Errors
     ///
     /// Propagates non-injected I/O failures (an injected read fault is
     /// retried once, then the bucket is treated as lost — recovery
     /// must not wedge on a flaky page).
-    pub fn recover(
-        base_block: u64,
-        num_buckets: u64,
-        bucket_bytes: u32,
-        handle: PlacementHandle,
-        io: &mut IoManager,
-    ) -> Result<Self, CacheError> {
-        let mut soc = Soc::new(base_block, num_buckets, bucket_bytes, handle);
-        let mut page = vec![0u8; bucket_bytes as usize];
-        for bucket in 0..num_buckets {
-            let block = soc.bucket_block(bucket);
+    pub fn recover(&mut self, io: &mut IoManager) -> Result<(), CacheError> {
+        debug_assert!(self.written.iter().all(|w| !w), "SOC not fresh");
+        let mut page = vec![0u8; self.bucket_bytes as usize];
+        for bucket in 0..self.num_buckets {
+            let block = self.bucket_block(bucket);
             let mut res = io.read(block, &mut page);
             if res.as_ref().is_err_and(|e| e.is_injected_fault()) {
-                soc.stats.read_faults += 1;
+                self.stats.read_faults += 1;
                 res = io.read(block, &mut page);
             }
             match res {
@@ -230,22 +206,16 @@ impl Soc {
                 Err(e) if e.is_injected_fault() => continue,
                 Err(e) => return Err(e.into()),
             }
-            let Some(parsed) = Self::parse_bucket(&page) else {
-                // Readable but not a valid bucket (torn or foreign
-                // page): recovery must not trust it.
-                continue;
-            };
-            let mut off = HEADER_BYTES;
-            for (key, size) in parsed {
-                off += ENTRY_META_BYTES;
-                let bytes = page[off..off + size as usize].to_vec();
-                off += size as usize;
-                soc.buckets[bucket as usize].push(Entry { key, value: Value::real(bytes) });
-            }
-            soc.written[bucket as usize] = true;
-            soc.rebuild_bloom(bucket);
+            // A readable page that is not a valid bucket (torn or
+            // foreign) is not trusted.
+            let Ok(entries) = decode_bucket(&page) else { continue };
+            let entry =
+                |(key, bytes): (Key, &[u8])| Entry { key, value: Value::real(bytes.to_vec()) };
+            self.buckets[bucket as usize] = entries.into_iter().map(entry).collect();
+            self.written[bucket as usize] = true;
+            self.rebuild_bloom(bucket);
         }
-        Ok(soc)
+        Ok(())
     }
 
     /// Number of buckets.
@@ -278,14 +248,13 @@ impl Soc {
 
     /// Largest object the SOC can hold.
     pub fn max_object_bytes(&self) -> usize {
-        self.bucket_bytes as usize - HEADER_BYTES - ENTRY_META_BYTES - CHECKSUM_BYTES
+        self.room() - bucket_entry_bytes(0)
     }
 
-    /// Bytes of a bucket page available to the header + entries (the
-    /// trailing checksum is reserved).
+    /// Bytes of a bucket page available to its entries.
     #[inline]
-    fn usable_bucket_bytes(&self) -> usize {
-        self.bucket_bytes as usize - CHECKSUM_BYTES
+    fn room(&self) -> usize {
+        bucket_room(self.bucket_bytes as usize)
     }
 
     #[inline]
@@ -301,7 +270,8 @@ impl Soc {
     }
 
     /// The authoritative `(key, size)` list of `bucket`, newest first:
-    /// what its on-flash page parses to ([`Soc::parse_bucket`]).
+    /// the keys and payload lengths its on-flash page decodes to
+    /// ([`decode_bucket`]).
     pub fn bucket_entries(&self, bucket: u64) -> Vec<(Key, u32)> {
         self.buckets[bucket as usize].iter().map(|e| (e.key, e.value.len() as u32)).collect()
     }
@@ -311,31 +281,9 @@ impl Soc {
         &self.bloom
     }
 
-    /// Builds the page of `entries` into `out` — the one page builder
-    /// (DESIGN.md §5.3) — in one pass over `out`, whatever it held
-    /// before: header and entries are written in place, each entry is
-    /// digested (§6.5) right after it is written, and only the gap
-    /// between the last entry and the trailer is zeroed.
-    fn serialize_bucket(entries: &[Entry], out: &mut [u8]) {
-        let (body, trailer) = out.split_at_mut(out.len() - CHECKSUM_BYTES);
-        body[0..4].copy_from_slice(&MAGIC.to_le_bytes());
-        body[4..8].copy_from_slice(&(entries.len() as u32).to_le_bytes());
-        let used = HEADER_BYTES + entries.iter().map(Entry::flash_len).sum::<usize>();
-        let mut off = HEADER_BYTES;
-        let digests = entries.iter().map(|e| {
-            let at = &mut body[off..off + e.flash_len()];
-            off += at.len();
-            e.write(at);
-            page_checksum(at)
-        });
-        let sum = bucket_trailer(digests, used);
-        body[used..].fill(0);
-        trailer.copy_from_slice(&sum.to_le_bytes());
-    }
-
     /// The page source of `bucket`'s current list. On a store that
     /// retains data it is a snapshot of the list — clones of its keys
-    /// and values — that [`Soc::serialize_bucket`] builds the page from
+    /// and values — that [`encode_bucket`] builds the page from
     /// whenever the store reads the block; otherwise it is
     /// [`BLANK_PAGE`].
     fn page_source(&self, io: &IoManager, bucket: u64) -> FillSource {
@@ -346,10 +294,10 @@ impl Soc {
         let bytes = self.bucket_bytes as usize;
         Arc::new(move |at, out| {
             if at == 0 && out.len() == bytes {
-                Self::serialize_bucket(&entries, out);
+                encode_entries(&entries, out);
             } else {
                 let mut page = vec![0u8; bytes];
-                Self::serialize_bucket(&entries, &mut page);
+                encode_entries(&entries, &mut page);
                 out.copy_from_slice(&page[at..at + out.len()]);
             }
         })
@@ -359,53 +307,8 @@ impl Soc {
     #[cfg(test)]
     pub(crate) fn reference_page(&self, bucket: u64) -> Vec<u8> {
         let mut page = vec![0u8; self.bucket_bytes as usize];
-        Self::serialize_bucket(&self.buckets[bucket as usize], &mut page);
+        encode_entries(&self.buckets[bucket as usize], &mut page);
         page
-    }
-
-    /// Parses an on-flash bucket page into `(key, size)` pairs. Returns
-    /// `None` when the page is not a serialized bucket (wrong magic,
-    /// inconsistent lengths, or a trailer mismatch — recovery treats
-    /// such a page as never written). Every entry's digest is
-    /// recomputed from the page's own bytes, so the trailer vouches for
-    /// the count, every header and payload byte, their order and the
-    /// used length; nothing is returned before it holds.
-    pub fn parse_bucket(page: &[u8]) -> Option<Vec<(Key, u32)>> {
-        if page.len() < HEADER_BYTES + CHECKSUM_BYTES {
-            return None;
-        }
-        let cut = page.len() - CHECKSUM_BYTES;
-        let magic = u32::from_le_bytes(page[0..4].try_into().ok()?);
-        if magic != MAGIC {
-            return None;
-        }
-        // Untrusted until the trailer holds: bound it before allocating.
-        let count = u32::from_le_bytes(page[4..8].try_into().ok()?) as usize;
-        if count > (cut - HEADER_BYTES) / ENTRY_META_BYTES {
-            return None;
-        }
-        let mut out = Vec::with_capacity(count);
-        let mut used = HEADER_BYTES;
-        for _ in 0..count {
-            if used + ENTRY_META_BYTES > cut {
-                return None;
-            }
-            let key = u64::from_le_bytes(page[used..used + 8].try_into().ok()?);
-            let size = u32::from_le_bytes(page[used + 8..used + 12].try_into().ok()?);
-            used += ENTRY_META_BYTES + size as usize;
-            if used > cut {
-                return None;
-            }
-            out.push((key, size));
-        }
-        let mut off = HEADER_BYTES;
-        let digests = out.iter().map(|&(_, size)| {
-            let entry = &page[off..off + ENTRY_META_BYTES + size as usize];
-            off += entry.len();
-            page_checksum(entry)
-        });
-        let stored = u64::from_le_bytes(page[cut..].try_into().ok()?);
-        (stored == bucket_trailer(digests, used)).then_some(out)
     }
 
     /// The read-modify-write read: a real SOC must fetch the page
@@ -536,21 +439,21 @@ impl Soc {
         count_app_bytes: bool,
     ) -> Result<u64, CacheError> {
         let len = value.len();
-        if HEADER_BYTES + ENTRY_META_BYTES + len > self.usable_bucket_bytes() {
+        if bucket_entry_bytes(len) > self.room() {
             return Err(CacheError::ObjectTooLarge { size: len, max: self.max_object_bytes() });
         }
         let bucket = self.bucket_of(key);
         self.rmw_read(io, bucket)?;
-        let usable = self.usable_bucket_bytes();
+        let room = self.room();
         let entries = &mut self.buckets[bucket as usize];
         let (hit, used) = walk(entries, key);
         // Replace any existing entry for the key (kept for rollback).
         let replaced = hit.map(|pos| (pos, entries.remove(pos)));
         // Evict oldest entries until the new one fits (kept for
         // rollback, oldest first).
-        let need = ENTRY_META_BYTES + len;
+        let need = bucket_entry_bytes(len);
         let mut kept = used - replaced.as_ref().map_or(0, |(_, old)| old.flash_len());
-        while kept + need > usable {
+        while kept + need > room {
             let Some(old) = entries.pop() else { break };
             kept -= old.flash_len();
             self.evicted.push(old);
@@ -694,10 +597,29 @@ impl Soc {
         }
         let mut page = vec![0u8; self.bucket_bytes as usize];
         io.read(self.bucket_block(bucket), &mut page)?;
-        let Some(parsed) = Self::parse_bucket(&page) else {
-            return Ok(false);
+        let listed = self.buckets[bucket as usize].iter().map(|e| (e.key, e.value.len()));
+        Ok(decode_bucket(&page)
+            .is_ok_and(|entries| entries.iter().map(|&(k, bytes)| (k, bytes.len())).eq(listed)))
+    }
+
+    /// The patrol read of `bucket`: whether its page verifies on a
+    /// store that retains data; elsewhere the read is only charged —
+    /// it can detect injected faults but has no bytes to compare. An
+    /// injected fault is counted and reads as `false`.
+    fn patrol_read(&mut self, io: &mut IoManager, bucket: u64) -> Result<bool, CacheError> {
+        let read = if io.retains_data() {
+            self.verify_bucket(io, bucket)
+        } else {
+            let len = self.bucket_bytes as usize;
+            io.read_charged(self.bucket_block(bucket), len).map(|_| true).map_err(CacheError::from)
         };
-        Ok(parsed == self.bucket_entries(bucket))
+        match read {
+            Err(e) if e.is_injected_fault() => {
+                self.stats.read_faults += 1;
+                Ok(false)
+            }
+            read => read,
+        }
     }
 
     /// Patrol-reads one bucket page (no-op for virgin buckets) and
@@ -724,28 +646,7 @@ impl Soc {
         if !self.written[bucket as usize] {
             return Ok((0, 0));
         }
-        let intact = if io.retains_data() {
-            match self.verify_bucket(io, bucket) {
-                Ok(ok) => ok,
-                Err(e) if e.is_injected_fault() => {
-                    self.stats.read_faults += 1;
-                    false
-                }
-                Err(e) => return Err(e),
-            }
-        } else {
-            // Payload-free store: the patrol read can detect injected
-            // faults but has no bytes to compare, so it is only charged.
-            match io.read_charged(self.bucket_block(bucket), self.bucket_bytes as usize) {
-                Ok(_) => true,
-                Err(e) if e.is_injected_fault() => {
-                    self.stats.read_faults += 1;
-                    false
-                }
-                Err(e) => return Err(e.into()),
-            }
-        };
-        if intact {
+        if self.patrol_read(io, bucket)? {
             return Ok((1, 0));
         }
         match self.rewrite_bucket(io, bucket) {
@@ -753,26 +654,7 @@ impl Soc {
                 // Verify the fresh copy: on a permanently unreadable
                 // block the rewrite completes but the page still
                 // faults, and a client lookup must never touch it.
-                let readable = if io.retains_data() {
-                    match self.verify_bucket(io, bucket) {
-                        Ok(ok) => ok,
-                        Err(e) if e.is_injected_fault() => {
-                            self.stats.read_faults += 1;
-                            false
-                        }
-                        Err(e) => return Err(e),
-                    }
-                } else {
-                    match io.read_charged(self.bucket_block(bucket), self.bucket_bytes as usize) {
-                        Ok(_) => true,
-                        Err(e) if e.is_injected_fault() => {
-                            self.stats.read_faults += 1;
-                            false
-                        }
-                        Err(e) => return Err(e.into()),
-                    }
-                };
-                if !readable {
+                if !self.patrol_read(io, bucket)? {
                     self.written[bucket as usize] = false;
                 }
                 self.stats.repair_writes += 1;
@@ -958,16 +840,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_rejects_garbage() {
-        assert!(Soc::parse_bucket(&[0u8; 4096]).is_none());
-        assert!(Soc::parse_bucket(&[]).is_none());
-        let mut page = vec![0u8; 4096];
-        page[0..4].copy_from_slice(&MAGIC.to_le_bytes());
-        page[4..8].copy_from_slice(&1000u32.to_le_bytes()); // count too big
-        assert!(Soc::parse_bucket(&page).is_none());
-    }
-
-    #[test]
     fn recover_rebuilds_buckets_from_flash() {
         let (mut s, mut io) = soc(8);
         for k in 0..30u64 {
@@ -976,7 +848,8 @@ mod tests {
         s.remove(&mut io, 3).unwrap();
         let survivors = s.persisted_keys();
         drop(s);
-        let mut r = Soc::recover(0, 8, 4096, PlacementHandle::with_dspec(0), &mut io).unwrap();
+        let mut r = Soc::new(0, 8, 4096, PlacementHandle::with_dspec(0));
+        r.recover(&mut io).unwrap();
         let mut recovered = r.persisted_keys();
         let mut expected = survivors.clone();
         recovered.sort_unstable();
@@ -1008,136 +881,27 @@ mod tests {
         page[100] ^= 0xFF;
         io.write(block, &page, PlacementHandle::with_dspec(0)).unwrap();
         drop(s);
-        let mut r = Soc::recover(0, 4, 4096, PlacementHandle::with_dspec(0), &mut io).unwrap();
+        let mut r = Soc::new(0, 4, 4096, PlacementHandle::with_dspec(0));
+        r.recover(&mut io).unwrap();
         assert!(r.lookup(&mut io, 1).unwrap().is_none(), "corrupt bucket must not be trusted");
         assert!(r.persisted_keys().is_empty());
     }
 
     /// One bucket holding keys 1..=5, newest first, sizes all
-    /// different; returns it with its page as read from flash and the
-    /// page offset each entry starts at (plus the end of the last).
-    fn five_entry_bucket() -> (Soc, IoManager, Vec<u8>, Vec<usize>) {
+    /// different; returns it with its page as read from flash.
+    fn five_entry_bucket() -> (Soc, IoManager, Vec<u8>) {
         let (mut s, mut io) = soc(1);
         for k in 1..=5u64 {
             s.insert(&mut io, k, Value::synthetic(90 + 17 * k as u32)).unwrap();
         }
         let page = page_on_flash(&s, &mut io, 0);
-        let mut bounds = vec![HEADER_BYTES];
-        for e in &s.buckets[0] {
-            bounds.push(bounds.last().unwrap() + e.flash_len());
-        }
-        (s, io, page, bounds)
+        (s, io, page)
     }
 
     fn page_on_flash(s: &Soc, io: &mut IoManager, bucket: u64) -> Vec<u8> {
         let mut page = vec![0u8; 4096];
         io.read(s.bucket_block(bucket), &mut page).unwrap();
         page
-    }
-
-    #[test]
-    fn every_covered_bit_fails_the_trailer_when_flipped() {
-        let (s, _io, page, bounds) = five_entry_bucket();
-        assert_eq!(Soc::parse_bucket(&page), Some(s.bucket_entries(0)));
-        // The count; then key, length and whole payload of the first,
-        // the middle and the last entry.
-        let mut positions: Vec<usize> = (4..8).collect();
-        for e in [0, 2, 4] {
-            positions.extend(bounds[e]..bounds[e + 1]);
-        }
-        for pos in positions {
-            for bit in 0..8 {
-                let mut flipped = page.clone();
-                flipped[pos] ^= 1 << bit;
-                assert_eq!(Soc::parse_bucket(&flipped), None, "flip of byte {pos} bit {bit}");
-            }
-        }
-    }
-
-    #[test]
-    fn padding_is_not_covered_and_does_not_change_the_list() {
-        // Documented in DESIGN.md §6.5: nothing reads the padding, so a
-        // flip there is harmless and the trailer does not spend a word
-        // on it.
-        let (s, _io, page, bounds) = five_entry_bucket();
-        for pos in [bounds[5], 2000, 4096 - CHECKSUM_BYTES - 1] {
-            let mut flipped = page.clone();
-            flipped[pos] ^= 0x10;
-            assert_eq!(Soc::parse_bucket(&flipped), Some(s.bucket_entries(0)), "byte {pos}");
-        }
-    }
-
-    #[test]
-    fn entries_trading_places_fail_the_trailer() {
-        let (_s, _io, page, bounds) = five_entry_bucket();
-        // Neighbours, and first against last: rebuild the entry area
-        // with two whole entries swapped, every header still well-formed.
-        for (a, b) in [(0, 1), (2, 3), (0, 4)] {
-            let mut order: Vec<usize> = (0..5).collect();
-            order.swap(a, b);
-            let mut swapped = page.clone();
-            let mut off = HEADER_BYTES;
-            for e in order {
-                let bytes = &page[bounds[e]..bounds[e + 1]];
-                swapped[off..off + bytes.len()].copy_from_slice(bytes);
-                off += bytes.len();
-            }
-            assert_eq!(off, bounds[5]);
-            assert_eq!(Soc::parse_bucket(&swapped), None, "entries {a} and {b} swapped");
-        }
-    }
-
-    #[test]
-    fn truncation_at_every_entry_boundary_fails_the_trailer() {
-        let (_s, _io, page, bounds) = five_entry_bucket();
-        for keep in 0..5 {
-            // A well-formed page of the first `keep` entries under the
-            // five-entry trailer.
-            let mut cut = page.clone();
-            cut[4..8].copy_from_slice(&(keep as u32).to_le_bytes());
-            cut[bounds[keep]..4096 - CHECKSUM_BYTES].fill(0);
-            assert_eq!(Soc::parse_bucket(&cut), None, "truncated to {keep} entries");
-        }
-    }
-
-    #[test]
-    fn torn_pages_fail_the_trailer() {
-        // Old page: five entries. New pages: a sixth inserted (a pure
-        // insert), key 3 replaced by a shorter value, key 3 removed.
-        let edits: [fn(&mut Soc, &mut IoManager); 3] = [
-            |s, io| assert_eq!(s.insert(io, 6, Value::synthetic(300)).unwrap(), 0),
-            |s, io| assert_eq!(s.insert(io, 3, Value::synthetic(40)).unwrap(), 0),
-            |s, io| assert!(s.remove(io, 3).unwrap()),
-        ];
-        for (i, edit) in edits.into_iter().enumerate() {
-            let (mut s, mut io, old, _) = five_entry_bucket();
-            edit(&mut s, &mut io);
-            let new = page_on_flash(&s, &mut io, 0);
-            assert_eq!(Soc::parse_bucket(&new), Some(s.bucket_entries(0)));
-            // Cut after the header, at every entry boundary of the new
-            // page, inside every entry, in the padding, and right
-            // before the trailer.
-            let mut cuts = vec![HEADER_BYTES, 3000, 4096 - CHECKSUM_BYTES];
-            let mut off = HEADER_BYTES;
-            for e in &s.buckets[0] {
-                cuts.extend([off + 5, off + ENTRY_META_BYTES, off + e.flash_len() / 2]);
-                off += e.flash_len();
-                cuts.push(off);
-            }
-            let mut torn_pages = 0;
-            for cut in cuts {
-                for (head, tail) in [(&new, &old), (&old, &new)] {
-                    let torn = [&head[..cut], &tail[cut..]].concat();
-                    // A cut the two pages agree up to (the replace
-                    // keeps the count) tears nothing.
-                    if torn != old && torn != new {
-                        assert_eq!(Soc::parse_bucket(&torn), None, "edit {i}: cut at {cut}");
-                        torn_pages += 1;
-                    }
-                }
-            }
-            assert!(torn_pages >= 2 * 16, "edit {i}: only {torn_pages} torn pages tried");
-        }
     }
 
     /// Nothing the device hands back is carried into the next page: a
@@ -1147,10 +911,15 @@ mod tests {
     #[test]
     fn a_scribbled_page_is_rebuilt_whole_by_the_next_insert() {
         for what in ["payload", "key"] {
-            let (mut s, mut io, mut page, bounds) = five_entry_bucket();
-            // A byte of the middle entry's payload, or of the second
-            // entry's key.
-            let at = if what == "payload" { bounds[2] + ENTRY_META_BYTES + 7 } else { bounds[1] };
+            let (mut s, mut io, mut page) = five_entry_bucket();
+            // A byte of the middle entry's payload, or of key 4 (the
+            // second entry).
+            let at = if what == "payload" {
+                let entries = decode_bucket(&page).unwrap();
+                entries[2].1.as_ptr() as usize - page.as_ptr() as usize + 7
+            } else {
+                page.windows(8).position(|w| w == 4u64.to_le_bytes()).unwrap()
+            };
             page[at] ^= 0x04;
             io.write(s.bucket_block(0), &page, s.handle()).unwrap();
             assert!(!s.verify_bucket(&mut io, 0).unwrap(), "{what}: the scribble shows");
@@ -1159,7 +928,7 @@ mod tests {
             assert_eq!((s.stats().page_writes, s.stats().rmw_reads), (writes + 1, rmw_reads + 1));
             let rebuilt = page_on_flash(&s, &mut io, 0);
             assert_eq!(rebuilt, s.reference_page(0), "{what}");
-            assert_eq!(Soc::parse_bucket(&rebuilt), Some(s.bucket_entries(0)), "{what}");
+            assert!(s.verify_bucket(&mut io, 0).unwrap(), "{what}");
         }
     }
 

@@ -135,6 +135,7 @@ mod page_bytes_props {
     use fdpcache_cache::bloom::BloomArray;
     use fdpcache_cache::builder::{build_device_faulted, StoreKind};
     use fdpcache_cache::checksum::page_checksum;
+    use fdpcache_cache::layout::decode_bucket;
     use fdpcache_cache::loc::Loc;
     use fdpcache_cache::soc::Soc;
     use fdpcache_cache::value::Value;
@@ -335,9 +336,9 @@ mod page_bytes_props {
                         continue;
                     }
                     io.read(soc.bucket_block(b), &mut page).unwrap();
-                    prop_assert_eq!(Soc::parse_bucket(&page), Some(entries.clone()));
-                    let end = 8 + entries.iter().map(|&(_, s)| 12 + s as usize).sum::<usize>();
-                    prop_assert!(page[end..PAGE - 8].iter().all(|&x| x == 0), "bucket {} gap", b);
+                    let listed: Vec<(u64, &[u8])> =
+                        model[b as usize].iter().map(|(k, bytes)| (*k, &bytes[..])).collect();
+                    prop_assert_eq!(decode_bucket(&page), Ok(listed));
                     prop_assert!(page == reference_bucket_page(&model[b as usize]), "bucket {} bytes", b);
                 }
             }

@@ -13,6 +13,7 @@ use std::sync::{Arc, Mutex};
 use fdpcache::cache::builder::{
     build_cache, build_device, build_device_faulted, create_namespace, StoreKind,
 };
+use fdpcache::cache::layout::footer_header;
 use fdpcache::cache::value::Value;
 use fdpcache::cache::{
     CacheConfig, CacheStats, ConcurrentPool, GetOutcome, HybridCache, NvmConfig,
@@ -527,8 +528,7 @@ fn footer_seqs(ctrl: &Arc<Controller>, nsid: NamespaceId, cache: &HybridCache) -
     (0..loc.num_regions())
         .filter_map(|r| {
             io.read(loc.meta_start_block(r), &mut page).ok()?;
-            (page[0..4] == 0x4C4F_434Du32.to_le_bytes())
-                .then(|| (r, u64::from_le_bytes(page[8..16].try_into().unwrap())))
+            footer_header(r, 0, &page).ok().map(|h| (r, h.seq))
         })
         .collect()
 }
