@@ -103,7 +103,7 @@ impl HybridCache {
     /// Rebuilds a cache from the metadata persisted on flash after a
     /// crash (the warm-restart path, DESIGN.md §6.4–6.6): a cache fresh
     /// from [`HybridCache::new`] whose flash engines replay their
-    /// checksummed on-device structures ([`NavyEngine::recover`]).
+    /// checksummed on-device structures (`NavyEngine::recover`).
     /// Everything DRAM-resident stays fresh — an empty [`RamCache`]
     /// whose lock-free [`ReadIndex`], once a pool asks for it, is
     /// brand-new (with its own epoch collector, so no pre-crash guard or

@@ -9,7 +9,7 @@
 //! with 64-bit output collisions are not a practical concern for
 //! torn-page detection in a simulator.
 //!
-//! This module holds the primitives, [`page_checksum`] and [`mix64`];
+//! This module holds the primitives, [`page_checksum`] and `mix64`;
 //! the formats that use them live in [`crate::layout`]. A LOC footer
 //! block ends in the digest of the rest of the block, and a SOC bucket
 //! page's trailer folds the digest of each of its entries. The digest
@@ -27,7 +27,7 @@ pub(crate) const SEED: u64 = 0xC0FF_EE00_5EED_1234;
 
 /// One splitmix64 finalizer step.
 #[inline]
-pub fn mix64(x: u64) -> u64 {
+pub(crate) fn mix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

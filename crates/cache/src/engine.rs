@@ -139,7 +139,7 @@ impl NavyEngine {
     /// [`CacheError::Config`] for a store that does not retain payload
     /// bytes; otherwise propagates non-injected I/O failures from the
     /// recovery reads.
-    pub fn recover(&mut self) -> Result<(), CacheError> {
+    pub(crate) fn recover(&mut self) -> Result<(), CacheError> {
         self.soc.recover(&mut self.io)?;
         self.loc.recover(&mut self.io)
     }
@@ -370,7 +370,7 @@ impl NavyEngine {
     /// Keys with a live, persisted copy on flash right now (SOC bucket
     /// pages plus footer-persisted LOC index entries; LOC active-buffer
     /// objects are volatile and excluded). The must-survive oracle for
-    /// crash tests: after a kill at any point, [`NavyEngine::recover`]
+    /// crash tests: after a kill at any point, `NavyEngine::recover`
     /// must bring every one of these back.
     pub fn persisted_keys(&self) -> Vec<Key> {
         let mut keys = self.soc.persisted_keys();

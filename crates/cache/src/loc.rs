@@ -21,7 +21,7 @@
 //!   *footer* per region persisting its entry table (key, offset,
 //!   length) under a checksum, written as part of the same
 //!   all-or-nothing seal batch — this is what makes the DRAM key map
-//!   rebuildable after a crash ([`Loc::recover`], DESIGN.md §6.4).
+//!   rebuildable after a crash (`Loc::recover`, DESIGN.md §6.4).
 //!   Keeping footers *outside* the regions preserves the LOC's
 //!   region-aligned payload layout: every region is a whole
 //!   `region_bytes` of payload, so regions pack into reclaim units and
@@ -1239,7 +1239,7 @@ impl Loc {
     /// [`CacheError::Config`] without a data-retaining store; otherwise
     /// propagates non-injected I/O failures. Injected read faults are
     /// retried once, then the affected region is treated as unsealed.
-    pub fn recover(&mut self, io: &mut IoManager) -> Result<(), CacheError> {
+    pub(crate) fn recover(&mut self, io: &mut IoManager) -> Result<(), CacheError> {
         debug_assert!(self.slots.is_empty() && self.sealed_fifo.is_empty(), "LOC not fresh");
         if !io.retains_data() {
             return Err(CacheError::Config(

@@ -190,7 +190,7 @@ impl Soc {
     /// Propagates non-injected I/O failures (an injected read fault is
     /// retried once, then the bucket is treated as lost — recovery
     /// must not wedge on a flaky page).
-    pub fn recover(&mut self, io: &mut IoManager) -> Result<(), CacheError> {
+    pub(crate) fn recover(&mut self, io: &mut IoManager) -> Result<(), CacheError> {
         debug_assert!(self.written.iter().all(|w| !w), "SOC not fresh");
         let mut page = vec![0u8; self.bucket_bytes as usize];
         for bucket in 0..self.num_buckets {

@@ -285,6 +285,11 @@ fn decoded(page: &[u8]) -> Result<Vec<(u64, Vec<u8>)>, Malformed> {
     decode_bucket(page).map(|list| list.into_iter().map(|(k, bytes)| (k, bytes.to_vec())).collect())
 }
 
+/// One object that fills the room before the trailer exactly.
+fn largest() -> Vec<(u64, Value)> {
+    vec![(9, Value::synthetic((bucket_room(PAGE) - bucket_entry_bytes(0)) as u32))]
+}
+
 /// The page offset where `page`'s entries end: its padding starts.
 fn entries_end(page: &[u8]) -> usize {
     let list = decode_bucket(page).unwrap();
@@ -298,7 +303,7 @@ fn bucket_pages_of_every_prefix_and_the_largest_object_round_trip() {
     for n in 0..=list.len() {
         assert_eq!(decoded(&bucket(&list[..n])), Ok(expected(&list[..n])), "{n} entries");
     }
-    let largest = vec![(9, Value::synthetic((bucket_room(PAGE) - bucket_entry_bytes(0)) as u32))];
+    let largest = largest();
     assert_eq!(decoded(&bucket(&largest)), Ok(expected(&largest)));
     assert_eq!(decode_bucket(&[]), Err(Malformed::Short { blocks: 1 }));
     assert_eq!(decode_bucket(&[0; PAGE]), Err(Malformed::Magic));
@@ -323,11 +328,17 @@ fn every_single_bit_flip_of_a_bucket_page_is_rejected_but_in_the_padding() {
         }
     }
     accepted.dedup();
-    // Exactly a run from the end of the entries, short of the page's
-    // end: the padding, then the trailer.
-    let padding: Vec<usize> = (end..end + accepted.len()).collect();
-    assert_eq!(accepted, padding, "accepted flips outside the padding");
-    assert!(end + padding.len() < PAGE && !padding.is_empty());
+    // The largest object fills the room before the trailer exactly, so
+    // its entries end where the trailer starts. Every padding byte
+    // accepts its flips, the last one too, and no trailer byte does.
+    let largest = largest();
+    let trailer_at = entries_end(&bucket(&largest));
+    assert!(end < trailer_at && trailer_at < PAGE);
+    assert_eq!(
+        accepted,
+        (end..trailer_at).collect::<Vec<_>>(),
+        "accepted flips are not the padding"
+    );
 }
 
 #[test]
