@@ -70,6 +70,7 @@ use parking_lot::{Mutex, MutexGuard};
 
 use crate::builder::{attach, create_namespace, equal_share_fraction};
 use crate::cache::{GetOutcome, HybridCache};
+use crate::checksum::mix64;
 use crate::config::CacheConfig;
 use crate::error::CacheError;
 use crate::index::ReadIndex;
@@ -90,10 +91,7 @@ use crate::Key;
 /// Panics if `shards == 0` (a pool cannot be empty).
 pub fn shard_index(key: Key, shards: usize) -> usize {
     assert!(shards > 0, "shard routing over an empty pool");
-    let mut x = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    ((x ^ (x >> 31)) % shards as u64) as usize
+    (mix64(key) % shards as u64) as usize
 }
 
 /// Unlocked handles onto a shard's read index and read-side counters

@@ -423,7 +423,7 @@ mod tests {
     use super::*;
     use fdpcache_core::SharedController;
     use fdpcache_ftl::FtlConfig;
-    use fdpcache_nvme::{Controller, DataStore, FillSource, MemStore};
+    use fdpcache_nvme::{Controller, DataStore, FillSource, MemStore, NamespaceId};
 
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
@@ -436,8 +436,13 @@ mod tests {
         let ctrl = Controller::new(FtlConfig::tiny_test(), store).unwrap();
         let blocks = ctrl.unallocated_lbas();
         let nsid = ctrl.create_namespace(blocks, vec![0, 1]).unwrap();
-        let shared: SharedController = Arc::new(ctrl);
-        let io = IoManager::new(shared, nsid, 4).unwrap();
+        engine_on(Arc::new(ctrl), nsid)
+    }
+
+    /// A fresh engine over namespace `nsid` of `ctrl`, as
+    /// [`engine_over`] configures it.
+    fn engine_on(ctrl: SharedController, nsid: NamespaceId) -> NavyEngine {
+        let io = IoManager::new(ctrl, nsid, 4).unwrap();
         let cfg = NvmConfig {
             soc_fraction: 0.1,
             region_bytes: 16 * 4096, // 16-block regions for the tiny device
@@ -514,21 +519,29 @@ mod tests {
         assert!(e.lookup(2).unwrap().is_none());
     }
 
-    /// A [`MemStore`] that counts payload loads — every
-    /// `read_block`/`read_blocks` call, the transfers a charged read
-    /// skips — and the bytes its sources make.
+    /// What a [`CountingStore`] counts.
+    #[derive(Default)]
+    struct Counts {
+        /// Payload loads: every `read_block`/`read_blocks` call, the
+        /// transfers a charged read skips.
+        loads: AtomicU64,
+        /// Bytes the stored sources made.
+        made: AtomicU64,
+        /// `write_block`/`write_blocks` calls.
+        byte_writes: AtomicU64,
+    }
+
+    /// A [`MemStore`] that counts payload loads, the bytes its sources
+    /// make and its byte writes.
     struct CountingStore {
         inner: MemStore,
-        loads: Arc<AtomicU64>,
-        made: Arc<AtomicU64>,
+        counts: Arc<Counts>,
     }
 
     impl CountingStore {
-        fn new() -> (Self, Arc<AtomicU64>, Arc<AtomicU64>) {
-            let (loads, made) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
-            let store =
-                CountingStore { inner: MemStore::new(), loads: loads.clone(), made: made.clone() };
-            (store, loads, made)
+        fn new() -> (Self, Arc<Counts>) {
+            let counts = Arc::new(Counts::default());
+            (CountingStore { inner: MemStore::new(), counts: counts.clone() }, counts)
         }
     }
 
@@ -537,10 +550,11 @@ mod tests {
             self.inner.attach(exported_lbas, lba_bytes);
         }
         fn write_block(&self, lba: u64, data: &[u8]) {
+            self.counts.byte_writes.fetch_add(1, Ordering::Relaxed);
             self.inner.write_block(lba, data);
         }
         fn read_block(&self, lba: u64, out: &mut [u8]) -> bool {
-            self.loads.fetch_add(1, Ordering::Relaxed);
+            self.counts.loads.fetch_add(1, Ordering::Relaxed);
             self.inner.read_block(lba, out)
         }
         fn discard(&self, lba: u64) {
@@ -550,6 +564,7 @@ mod tests {
             self.inner.retains_data()
         }
         fn write_blocks(&self, lba: u64, data: &[u8], block_bytes: usize) {
+            self.counts.byte_writes.fetch_add(1, Ordering::Relaxed);
             self.inner.write_blocks(lba, data, block_bytes);
         }
         fn write_source(
@@ -560,15 +575,15 @@ mod tests {
             source: &FillSource,
             base: usize,
         ) {
-            let (source, made) = (source.clone(), self.made.clone());
+            let (source, counts) = (source.clone(), self.counts.clone());
             let counted: FillSource = Arc::new(move |at, out: &mut [u8]| {
-                made.fetch_add(out.len() as u64, Ordering::Relaxed);
+                counts.made.fetch_add(out.len() as u64, Ordering::Relaxed);
                 source(at, out);
             });
             self.inner.write_source(lba, nlb, block_bytes, &counted, base);
         }
         fn read_blocks(&self, lba: u64, out: &mut [u8], block_bytes: usize) {
-            self.loads.fetch_add(1, Ordering::Relaxed);
+            self.counts.loads.fetch_add(1, Ordering::Relaxed);
             self.inner.read_blocks(lba, out, block_bytes);
         }
         fn discard_blocks(&self, lba: u64, count: u64) {
@@ -578,9 +593,9 @@ mod tests {
 
     #[test]
     fn hits_charge_their_read_but_only_checks_load_bytes() {
-        let (store, loads, _) = CountingStore::new();
+        let (store, counts) = CountingStore::new();
         let mut e = engine_over(Box::new(store));
-        let loads = || loads.load(Ordering::Relaxed);
+        let loads = || counts.loads.load(Ordering::Relaxed);
         // Key 1 in the SOC; keys 10.. of 10 000 bytes fill LOC region
         // 0 (16 blocks) and seal it, key 10 at its start.
         e.insert(1, Value::synthetic(100)).unwrap();
@@ -633,8 +648,10 @@ mod tests {
     /// source, so verifying one SOC key makes exactly its bucket page.
     #[test]
     fn soc_writes_make_no_bytes_until_a_read_asks() {
-        let (store, loads, made) = CountingStore::new();
+        let (store, counts) = CountingStore::new();
         let mut e = engine_over(Box::new(store));
+        let loads = || counts.loads.load(Ordering::Relaxed);
+        let made = || counts.made.load(Ordering::Relaxed);
         let mut rng = 0x50C_u64;
         let (mut replaces, mut removes) = (0, 0);
         for step in 0..600u64 {
@@ -653,29 +670,63 @@ mod tests {
         assert!(replaces > 0 && removes > 0, "{replaces} replaces, {removes} removes");
         assert!(soc.collision_evictions > 0 && soc.rmw_reads > 0, "{soc:?}");
         assert_eq!(soc.page_writes, soc.inserts + removes);
-        assert_eq!(loads.load(Ordering::Relaxed), 0, "an RMW read loads no page");
-        assert_eq!(made.load(Ordering::Relaxed), 0, "a bucket write makes no byte");
+        assert_eq!(loads(), 0, "an RMW read loads no page");
+        assert_eq!(made(), 0, "a bucket write makes no byte");
         let key = (0..400).find(|&k| e.soc().contains(k)).expect("a key in the SOC");
         assert_eq!(e.verify_key(key).unwrap(), FlashVerify::Verified);
-        assert_eq!(loads.load(Ordering::Relaxed), 1);
-        assert_eq!(made.load(Ordering::Relaxed), u64::from(e.io().block_bytes()), "one page");
+        assert_eq!(loads(), 1);
+        assert_eq!(made(), u64::from(e.io().block_bytes()), "one page");
     }
 
     /// Seals make no byte: the store keeps each region's source, and
     /// verifying a sealed LOC key makes exactly the blocks covering it.
     #[test]
     fn seals_make_no_bytes_until_a_read_asks() {
-        let (store, _, made) = CountingStore::new();
+        let (store, counts) = CountingStore::new();
         let mut e = engine_over(Box::new(store));
+        let made = || counts.made.load(Ordering::Relaxed);
         // Six 10 000-byte objects fill a 16-block region; 36 seal five.
         for k in 10..46u64 {
             e.insert(k, Value::synthetic(10_000)).unwrap();
         }
         assert!(e.loc().stats().seals >= 5, "{:?}", e.loc().stats());
-        assert_eq!(made.load(Ordering::Relaxed), 0, "sealing regions makes no byte");
+        assert_eq!(made(), 0, "sealing regions and their footers makes no byte");
         // Key 12 sits at byte 20 000 of region 0: blocks 4..=7.
         assert_eq!(e.verify_key(12).unwrap(), FlashVerify::Verified);
-        assert_eq!(made.load(Ordering::Relaxed), 4 * 4096, "only the covering blocks");
+        assert_eq!(made(), 4 * 4096, "only the covering blocks");
+    }
+
+    /// The cache issues no byte write: SOC pages, sealed regions and
+    /// every LOC footer — at a seal, at a delete's scrub, at an
+    /// eviction's retirement — reach the store as sources, and neither
+    /// a patrol scrub nor a recovery writes bytes either.
+    #[test]
+    fn no_cache_write_is_a_byte_write() {
+        let (store, counts) = CountingStore::new();
+        let mut e = engine_over(Box::new(store));
+        for step in 0..2_000u64 {
+            let key = step * 7 % 401;
+            if step % 5 == 4 {
+                e.remove(key).unwrap();
+            } else {
+                let len = if key % 4 == 0 { 300 } else { 5_000 + (step % 7) as u32 * 1_000 };
+                e.insert(key, Value::synthetic(len)).unwrap();
+            }
+        }
+        let loc = e.loc().stats();
+        assert!(loc.seals > 20 && loc.region_evictions > 0 && loc.footer_rewrites > 0, "{loc:?}");
+        assert!(e.soc().stats().page_writes > 0);
+        let (pages, _) = e.scrub(u64::MAX).unwrap();
+        assert!(pages > 0);
+        let persisted = e.loc().persisted_keys();
+        assert!(!persisted.is_empty());
+        let mut recovered = engine_on(e.io().controller().clone(), e.io().namespace().nsid());
+        recovered.recover().unwrap();
+        assert_eq!(recovered.loc().persisted_keys(), persisted);
+        for key in persisted {
+            assert_eq!(recovered.verify_key(key).unwrap(), FlashVerify::Verified, "key {key}");
+        }
+        assert_eq!(counts.byte_writes.load(Ordering::Relaxed), 0);
     }
 
     #[test]

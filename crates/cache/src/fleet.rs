@@ -31,19 +31,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use fdpcache_core::SharedController;
 use fdpcache_nvme::{HealthConfig, HealthReport, HealthState};
 
+use crate::checksum::mix64;
 use crate::concurrent::ConcurrentPool;
 use crate::error::CacheError;
 use crate::Key;
-
-/// splitmix64 finalizer over a pre-mixed point id (same family as the
-/// pool's shard router; ring points and key hashes share one metric
-/// space).
-fn ring_hash(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// A consistent-hash ring: `vnodes` points per device on a `u64`
 /// circle. Pure data — availability is passed into [`HashRing::route`]
@@ -70,13 +61,13 @@ impl HashRing {
         assert!(vnodes > 0, "a ring needs at least one point per device");
         // Points are hashed twice so the point domain is disjoint from
         // raw key space: a single round would place device d's vnode v
-        // at ring_hash((d<<32)|v), and any key numerically equal to
+        // at mix64((d<<32)|v), and any key numerically equal to
         // that input (e.g. small contiguous keys vs device 0's vnodes)
         // would land exactly on the point — a systematic skew, not a
         // one-in-2^64 coincidence.
         let mut points: Vec<(u64, usize)> = (0..devices)
             .flat_map(|d| {
-                (0..vnodes).map(move |v| (ring_hash(ring_hash(((d as u64) << 32) | v as u64)), d))
+                (0..vnodes).map(move |v| (mix64(mix64(((d as u64) << 32) | v as u64)), d))
             })
             .collect();
         points.sort_unstable();
@@ -92,7 +83,9 @@ impl HashRing {
     /// whose device satisfies `serving`. Returns `None` only when no
     /// device serves.
     pub fn route(&self, key: Key, serving: impl Fn(usize) -> bool) -> Option<usize> {
-        let h = ring_hash(key);
+        // Keys hash with the splitmix64 finalizer the points do (and
+        // the pool's shard router): one metric space.
+        let h = mix64(key);
         let start = self.points.partition_point(|&(p, _)| p < h);
         let n = self.points.len();
         for i in 0..n {

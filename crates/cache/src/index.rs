@@ -40,6 +40,7 @@ use std::sync::Arc;
 
 use crossbeam::epoch::Collector;
 
+use crate::checksum::mix64;
 use crate::value::Value;
 use crate::Key;
 
@@ -132,15 +133,6 @@ impl std::fmt::Debug for ReadIndex {
     }
 }
 
-/// splitmix64 finalizer — same family as the shard router, different
-/// constant stream position is irrelevant here (only dispersion).
-fn hash(key: Key) -> u64 {
-    let mut z = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl ReadIndex {
     /// Creates an index sized for roughly `items` resident entries
     /// (buckets = next power of two ≥ items, clamped to [64, 2^22]).
@@ -159,7 +151,7 @@ impl ReadIndex {
     }
 
     fn bucket(&self, key: Key) -> &AtomicPtr<Node> {
-        &self.table.buckets[(hash(key) & self.table.mask) as usize]
+        &self.table.buckets[(mix64(key) & self.table.mask) as usize]
     }
 
     /// Lock-free lookup. On a hit, marks the entry accessed (feeding

@@ -4,12 +4,20 @@
 //! encode/decode pair over byte slices; the engines keep every device
 //! read and write, their retries and their fault handling.
 //!
+//! Neither engine writes an encoded page. It hands the device a
+//! `page_source` over an owned snapshot of what the page lists, and
+//! the payload store runs the encoder only when a block is read.
+//!
 //! A decoder judges every byte it is handed and names what it rejects
 //! ([`Malformed`]); nothing it returns is believed before the checksum
 //! that covers it holds. `tests/integration_layout.rs` enumerates the
 //! malformed pages of both formats on small geometries: every
 //! single-bit flip, every truncation and torn prefix, every swap of two
 //! footer blocks, and every footer header that checksums but lies.
+
+use std::sync::{Arc, LazyLock};
+
+use fdpcache_nvme::FillSource;
 
 use crate::checksum::{mix64, page_checksum, SEED};
 use crate::value::Value;
@@ -68,6 +76,45 @@ pub enum Malformed {
     /// A footer entry past the payload, or a bucket entry into the
     /// trailer.
     EntryPastEnd,
+}
+
+/// The source of every page written to a store that retains no data:
+/// zeros, built once and shared, so those writes allocate nothing.
+static BLANK_PAGE: LazyLock<FillSource> = LazyLock::new(|| Arc::new(|_, out| out.fill(0)));
+
+/// The source of a run of `page_bytes` pages, page `i` of which
+/// `encode(i, page)` writes whole, whatever `page` held. A read that
+/// covers a page whole has it encoded in place; one that covers it in
+/// part has it encoded into a scratch page and sliced. `encoder` builds
+/// `encode` — snapshotting what the pages list — only on a store that
+/// retains data; any other store gets one shared source of zeros.
+pub(crate) fn page_source<E>(
+    retains_data: bool,
+    page_bytes: usize,
+    encoder: impl FnOnce() -> E,
+) -> FillSource
+where
+    E: Fn(usize, &mut [u8]) + Send + Sync + 'static,
+{
+    if !retains_data {
+        return BLANK_PAGE.clone();
+    }
+    let encode = encoder();
+    Arc::new(move |at, out| {
+        let mut pos = 0;
+        while pos < out.len() {
+            let (page, skip) = ((at + pos) / page_bytes, (at + pos) % page_bytes);
+            let n = (page_bytes - skip).min(out.len() - pos);
+            if n == page_bytes {
+                encode(page, &mut out[pos..pos + n]);
+            } else {
+                let mut scratch = vec![0u8; page_bytes];
+                encode(page, &mut scratch);
+                out[pos..pos + n].copy_from_slice(&scratch[skip..skip + n]);
+            }
+            pos += n;
+        }
+    })
 }
 
 fn u32_at(bytes: &[u8], at: usize) -> u32 {
@@ -158,23 +205,56 @@ impl FooterGeometry {
     /// `entries` in order into the head of `slot`, whatever it held
     /// before, and returns the blocks written. Every block carries the
     /// full header and its own checksum, so a torn block fails alone.
-    pub fn encode(
+    pub fn encode(&self, region: u32, seq: u64, entries: &[FooterEntry], slot: &mut [u8]) -> usize {
+        let blocks = self.blocks_for(entries.len());
+        let bb = self.block_bytes;
+        for (bi, block) in slot[..blocks * bb].chunks_exact_mut(bb).enumerate() {
+            self.encode_block(region, seq, entries, bi, block);
+        }
+        blocks
+    }
+
+    /// Encodes block `bi` of the footer [`FooterGeometry::encode`]
+    /// writes: the header, the block's share of `entries` and its
+    /// checksum.
+    fn encode_block(
         &self,
         region: u32,
         seq: u64,
-        mut entries: impl ExactSizeIterator<Item = FooterEntry>,
-        slot: &mut [u8],
-    ) -> usize {
+        entries: &[FooterEntry],
+        bi: usize,
+        block: &mut [u8],
+    ) {
         let total = entries.len();
         debug_assert!(total <= self.capacity(), "{total} entries");
-        let blocks = self.blocks_for(total);
-        let bb = self.block_bytes;
-        for (bi, block) in slot[..blocks * bb].chunks_exact_mut(bb).enumerate() {
-            let count = self.share(bi, total) as u32;
-            let header = FooterHeader { seq, region, block: bi as u32, count, total: total as u32 };
-            encode_footer_block(&header, entries.by_ref().take(count as usize), block);
-        }
-        blocks
+        let count = self.share(bi, total);
+        let own = &entries[(bi * self.entries_per_block()).min(total)..][..count];
+        let header = FooterHeader {
+            seq,
+            region,
+            block: bi as u32,
+            count: count as u32,
+            total: total as u32,
+        };
+        encode_footer_block(&header, own.iter().copied(), block);
+    }
+
+    /// The footer [`FooterGeometry::encode`] writes, as a source of its
+    /// blocks: on a store that retains data, an owned copy of `entries`
+    /// that the source encodes block by block as blocks are read; on
+    /// any other, one shared source of zeros.
+    pub fn source(
+        &self,
+        retains_data: bool,
+        region: u32,
+        seq: u64,
+        entries: impl IntoIterator<Item = FooterEntry>,
+    ) -> FillSource {
+        let geo = *self;
+        page_source(retains_data, self.block_bytes, || {
+            let entries: Vec<FooterEntry> = entries.into_iter().collect();
+            move |bi, block: &mut [u8]| geo.encode_block(region, seq, &entries, bi, block)
+        })
     }
 
     /// Decodes the footer of `region` from the head of its slot. Block 0
@@ -395,7 +475,7 @@ mod tests {
     fn a_checksummed_footer_block_of_another_format_is_rejected() {
         let geo = FooterGeometry::new(128, 2, 4096);
         let mut slot = vec![0u8; geo.slot_bytes()];
-        geo.encode(3, 9, [(1, 0, 10)].into_iter(), &mut slot);
+        geo.encode(3, 9, &[(1, 0, 10)], &mut slot);
         assert_eq!(geo.decode(3, &slot).map(|f| f.entries), Ok(vec![(1, 0, 10)]));
         for (at, what) in [(0, Malformed::Magic), (4, Malformed::Version)] {
             let mut forged = slot.clone();

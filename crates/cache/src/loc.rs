@@ -285,12 +285,6 @@ pub struct Loc {
     /// none pays a heap allocation per read. Lookups copy no bytes: their
     /// read is charged only (DESIGN.md §5.3).
     read_scratch: Vec<u8>,
-    /// Reusable slot-sized buffer footers are encoded into and read
-    /// back into (seals, rewrites, retirements and recovery alike —
-    /// DESIGN.md §5.3). Arbitrary bytes between uses: the encoder
-    /// overwrites or zeroes the prefix it writes, and nothing past it
-    /// is written.
-    meta_scratch: Vec<u8>,
     /// Objects rescued from a persistently failing seal, waiting for
     /// the engine to re-queue them ([`Loc::take_requeued`]).
     pending_requeue: Vec<(Key, Value)>,
@@ -338,7 +332,6 @@ impl Loc {
             next_seal_seq: 1,
             stats: LocStats::default(),
             read_scratch: Vec::new(),
-            meta_scratch: vec![0u8; footer.slot_bytes()],
             pending_requeue: Vec::new(),
         }
     }
@@ -542,8 +535,10 @@ impl Loc {
     /// write carries that image as a source ([`IoBatch::write_with`])
     /// from the chunk's offset on. The payload store keeps the source
     /// and makes a block's bytes (objects, zeroed gaps and tail
-    /// padding) only when the block is read. The footer is serialized
-    /// bytes.
+    /// padding) only when the block is read. The footer's chunks carry
+    /// its source alike ([`FooterGeometry::source`]), over an owned
+    /// copy of its entry table, so a stale footer block never keeps the
+    /// region's values alive.
     ///
     /// Recovery (DESIGN.md §6): an injected device fault fails the
     /// batch all-or-nothing (the controller's fault gate plus FTL
@@ -561,7 +556,6 @@ impl Loc {
         // Write the full region (tail padding included) so the previous
         // contents of these blocks are entirely invalidated on device.
         let start_block = self.region_start_block(region);
-        let chunk_blocks = (SEAL_CHUNK_BYTES / self.block_bytes as usize).max(1);
         // The footer rides in the same all-or-nothing batch: a crash
         // mid-seal leaves neither payload nor footer, so recovery reads
         // the region as unsealed (its objects were buffered, i.e.
@@ -573,33 +567,19 @@ impl Loc {
             let image = image.clone();
             Arc::new(move |at, out| fill_region(&image, at, out))
         };
-        let chunk_bytes = chunk_blocks * self.block_bytes as usize;
-        let chunks = self.region_bytes().div_ceil(chunk_bytes);
-        let mut scratch = std::mem::take(&mut self.meta_scratch);
-        let entries = image.iter().map(|(k, off, v)| (*k, *off, v.len() as u32));
-        let footer_blocks = self.footer.encode(region, seq, entries, &mut scratch);
-        let meta_buf = &scratch[..footer_blocks * self.block_bytes as usize];
+        let footer_blocks = self.footer.blocks_for(image.len()) as u64;
+        let footer = self.footer.source(
+            io.retains_data(),
+            region,
+            seq,
+            image.iter().map(|(k, off, v)| (*k, *off, v.len() as u32)),
+        );
+        let meta_start = self.meta_start_block(region);
         let mut attempt = 1;
         let landed = loop {
-            let mut batch =
-                IoBatch::with_capacity(chunks + meta_buf.len().div_ceil(SEAL_CHUNK_BYTES));
-            for c in 0..chunks {
-                let block = (c * chunk_blocks) as u64;
-                let nlb = (chunk_blocks as u64).min(self.region_blocks - block);
-                let base = c * chunk_bytes;
-                batch.write_with(start_block + block, nlb, source.clone(), base, self.handle);
-            }
-            let meta_start = self.meta_start_block(region);
-            let mut moff = 0usize;
-            while moff < meta_buf.len() {
-                let len = (chunk_blocks * self.block_bytes as usize).min(meta_buf.len() - moff);
-                batch.write(
-                    meta_start + (moff / self.block_bytes as usize) as u64,
-                    &meta_buf[moff..moff + len],
-                    self.meta_handle,
-                );
-                moff += len;
-            }
+            let mut batch = IoBatch::new();
+            self.queue_chunks(&mut batch, start_block, self.region_blocks, &source, self.handle);
+            self.queue_chunks(&mut batch, meta_start, footer_blocks, &footer, self.meta_handle);
             match io.submit_batch(batch) {
                 Ok(_) => break Ok(true),
                 Err(e) if e.is_injected_fault() => {
@@ -612,7 +592,6 @@ impl Loc {
                 Err(e) => break Err(CacheError::from(e)),
             }
         };
-        self.meta_scratch = scratch;
         let landed = match landed {
             Ok(landed) => landed,
             Err(e) => {
@@ -657,8 +636,26 @@ impl Loc {
         self.next_seal_seq += 1;
         self.sealed_fifo.push_back(region);
         self.stats.seals += 1;
-        self.stats.footer_blocks_written += footer_blocks as u64;
+        self.stats.footer_blocks_written += footer_blocks;
         Ok(())
+    }
+
+    /// Queues `blocks` blocks at `start` holding `source`'s bytes as
+    /// commands of [`SEAL_CHUNK_BYTES`] each, the last one shorter.
+    fn queue_chunks(
+        &self,
+        batch: &mut IoBatch,
+        start: u64,
+        blocks: u64,
+        source: &FillSource,
+        handle: PlacementHandle,
+    ) {
+        let chunk_blocks = (SEAL_CHUNK_BYTES as u64 / self.block_bytes as u64).max(1);
+        for first in (0..blocks).step_by(chunk_blocks as usize) {
+            let nlb = chunk_blocks.min(blocks - first);
+            let base = (first * self.block_bytes as u64) as usize;
+            batch.write_with(start + first, nlb, source.clone(), base, handle);
+        }
     }
 
     /// Rewrites `region`'s persisted footer to list exactly the keys
@@ -694,7 +691,7 @@ impl Loc {
         // rewrite the next time one of them is evicted.
         self.regions[region as usize].keys = keys;
         let seq = self.regions[region as usize].seal_seq;
-        self.write_footer(io, region, seq, &entries)
+        self.write_footer(io, region, seq, entries)
     }
 
     /// Retires `region`'s persisted footer by overwriting its first
@@ -710,29 +707,27 @@ impl Loc {
     fn retire_footer(&mut self, io: &mut IoManager, region: u32) -> Result<(), CacheError> {
         let seq = self.next_seal_seq;
         self.next_seal_seq += 1;
-        self.write_footer(io, region, seq, &[])
+        self.write_footer(io, region, seq, Vec::new())
     }
 
-    /// Encodes one footer into the reusable scratch and writes it
-    /// over the head of `region`'s footer slot — as many blocks as the
-    /// entry table needs, one for an empty footer — retrying injected
-    /// faults up to [`FOOTER_WRITE_ATTEMPTS`] attempts in all and
-    /// invalidating the slot when every attempt fails.
+    /// Writes one footer over the head of `region`'s footer slot — as
+    /// many blocks as the entry table needs, one for an empty footer —
+    /// as one command carrying its source ([`FooterGeometry::source`]),
+    /// retrying injected faults up to [`FOOTER_WRITE_ATTEMPTS`] attempts
+    /// in all and invalidating the slot when every attempt fails.
     fn write_footer(
         &mut self,
         io: &mut IoManager,
         region: u32,
         seal_seq: u64,
-        entries: &[FooterEntry],
+        entries: Vec<FooterEntry>,
     ) -> Result<(), CacheError> {
-        let mut scratch = std::mem::take(&mut self.meta_scratch);
-        let footer_blocks =
-            self.footer.encode(region, seal_seq, entries.iter().copied(), &mut scratch);
-        let buf = &scratch[..footer_blocks * self.block_bytes as usize];
+        let footer_blocks = self.footer.blocks_for(entries.len()) as u64;
+        let source = self.footer.source(io.retains_data(), region, seal_seq, entries);
         let start = self.meta_start_block(region);
         let mut attempt = 1;
         let written = loop {
-            match io.write(start, buf, self.meta_handle) {
+            match io.write_with(start, footer_blocks, source.clone(), self.meta_handle) {
                 Ok(_) => break Ok(true),
                 Err(e) if e.is_injected_fault() => {
                     if attempt == FOOTER_WRITE_ATTEMPTS {
@@ -743,10 +738,9 @@ impl Loc {
                 Err(e) => break Err(CacheError::from(e)),
             }
         };
-        self.meta_scratch = scratch;
         if written? {
             self.stats.footer_rewrites += 1;
-            self.stats.footer_blocks_written += footer_blocks as u64;
+            self.stats.footer_blocks_written += footer_blocks;
             Ok(())
         } else {
             self.stats.footer_faults += 1;
@@ -1246,14 +1240,13 @@ impl Loc {
                 "LOC recovery requires a data-retaining store (payload bytes must survive)".into(),
             ));
         }
-        let mut buf = std::mem::take(&mut self.meta_scratch);
+        let mut buf = vec![0u8; self.footer.slot_bytes()];
         let mut sealed: Vec<(u64, u32, Vec<FooterEntry>)> = Vec::new();
         for region in 0..self.num_regions {
             if let Some(Footer { seq, entries }) = self.read_footer(io, region, &mut buf)? {
                 sealed.push((seq, region, entries));
             }
         }
-        self.meta_scratch = buf;
         // Ascending seal order: later regions supersede earlier ones
         // for keys that were overwritten between seals.
         sealed.sort_unstable_by_key(|&(seq, region, _)| (seq, region));

@@ -36,14 +36,13 @@
 //! under the shard lock. Only the DRAM tier publishes into the
 //! lock-free read index (DESIGN.md §5.1a).
 
-use std::sync::{Arc, LazyLock};
-
 use fdpcache_core::{IoManager, PlacementHandle};
 use fdpcache_nvme::{FillSource, NvmeError};
 
 use crate::bloom::BloomArray;
+use crate::checksum::mix64;
 use crate::error::CacheError;
-use crate::layout::{bucket_entry_bytes, bucket_room, decode_bucket, encode_bucket};
+use crate::layout::{bucket_entry_bytes, bucket_room, decode_bucket, encode_bucket, page_source};
 use crate::value::Value;
 use crate::Key;
 
@@ -52,10 +51,6 @@ use crate::Key;
 /// faults are transient by default, so retries recover everything but
 /// scripted bad blocks. Reads (RMW, lookup, recovery) retry once.
 const SOC_WRITE_ATTEMPTS: u32 = 4;
-
-/// The page source of every bucket write to a store that retains no
-/// data: zeros, built once and shared, so those writes allocate nothing.
-static BLANK_PAGE: LazyLock<FillSource> = LazyLock::new(|| Arc::new(|_, out| out.fill(0)));
 
 /// SOC statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -145,16 +140,6 @@ pub struct Soc {
     /// Reusable rollback buffer: the entries the insert in flight
     /// evicted, oldest first. Empty between inserts.
     evicted: Vec<Entry>,
-}
-
-/// Uniform hash: splitmix64 finalizer (the paper's model assumes a
-/// well-behaved uniform hash, §4.2).
-#[inline]
-fn bucket_hash(key: Key) -> u64 {
-    let mut z = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl Soc {
@@ -257,9 +242,11 @@ impl Soc {
         bucket_room(self.bucket_bytes as usize)
     }
 
+    /// The key's bucket under a uniform hash, the splitmix64 finalizer
+    /// (the paper's model assumes a well-behaved uniform hash, §4.2).
     #[inline]
     fn bucket_of(&self, key: Key) -> u64 {
-        bucket_hash(key) % self.num_buckets
+        mix64(key) % self.num_buckets
     }
 
     /// Namespace-relative block holding `bucket`'s page. Public so
@@ -281,25 +268,14 @@ impl Soc {
         &self.bloom
     }
 
-    /// The page source of `bucket`'s current list. On a store that
-    /// retains data it is a snapshot of the list — clones of its keys
-    /// and values — that [`encode_bucket`] builds the page from
-    /// whenever the store reads the block; otherwise it is
-    /// [`BLANK_PAGE`].
+    /// The [`page_source`] of `bucket`'s current list: on a store that
+    /// retains data, a snapshot of the list — clones of its keys and
+    /// values — that [`encode_bucket`] builds the page from whenever the
+    /// store reads the block.
     fn page_source(&self, io: &IoManager, bucket: u64) -> FillSource {
-        if !io.retains_data() {
-            return BLANK_PAGE.clone();
-        }
-        let entries = self.buckets[bucket as usize].clone();
-        let bytes = self.bucket_bytes as usize;
-        Arc::new(move |at, out| {
-            if at == 0 && out.len() == bytes {
-                encode_entries(&entries, out);
-            } else {
-                let mut page = vec![0u8; bytes];
-                encode_entries(&entries, &mut page);
-                out.copy_from_slice(&page[at..at + out.len()]);
-            }
+        page_source(io.retains_data(), self.bucket_bytes as usize, || {
+            let entries = self.buckets[bucket as usize].clone();
+            move |_, page: &mut [u8]| encode_entries(&entries, page)
         })
     }
 

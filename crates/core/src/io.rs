@@ -23,13 +23,15 @@
 //! and the clock only advances when the queue fills or
 //! [`IoManager::flush`] reaps it.
 //!
-//! Payloads stay vectored all the way down: each write reaches the
-//! payload store through `DataStore::write_blocks` (borrowed bytes) or
-//! `DataStore::write_source` (a shared source of the bytes, which the
-//! slab records and calls only when the blocks are read), so a sealed
-//! LOC region is neither staged, copied, nor inserted one 4 KiB block
-//! at a time, and neither it nor a SOC bucket page is made at all until
-//! somebody reads it (DESIGN.md §5.3).
+//! Payloads stay vectored all the way down. The cache's writes — SOC
+//! bucket pages, sealed LOC regions and LOC footers — reach the payload
+//! store through `DataStore::write_source`: a shared source of the
+//! bytes, which the slab records and calls only when the blocks are
+//! read. No page of the cache is staged, copied or inserted one 4 KiB
+//! block at a time, nor made at all until somebody reads it (DESIGN.md
+//! §5.3). [`IoManager::write`] still takes borrowed bytes (tests, tools
+//! and the benchmark's replays); they reach the store through
+//! `DataStore::write_blocks`, which the slab keeps as an owned copy.
 //!
 //! Concurrency topology: the controller is a plain `Arc` —
 //! [`SharedController`] — with interior fine-grained locking (media
@@ -133,16 +135,16 @@ impl IoStats {
 
 /// A builder of vectored write submissions: queue writes against one
 /// [`IoManager`], then flush them all with [`IoManager::submit_batch`].
-/// Batch assembly is copy-free: a write either borrows its bytes
-/// ([`IoBatch::write`]) or hands the payload store a shared source of
-/// them ([`IoBatch::write_with`]; the LOC seals regions this way, and
-/// the slab makes the bytes only when they are read).
+/// Batch assembly is copy-free: every write hands the payload store a
+/// shared source of its bytes ([`IoBatch::write_with`]; the LOC seals
+/// regions and their footers this way, and the slab makes the bytes
+/// only when they are read).
 #[derive(Debug, Default)]
-pub struct IoBatch<'a> {
-    writes: Vec<BatchWrite<'a>>,
+pub struct IoBatch {
+    writes: Vec<BatchWrite<'static>>,
 }
 
-impl<'a> IoBatch<'a> {
+impl IoBatch {
     /// Creates an empty batch.
     pub fn new() -> Self {
         IoBatch { writes: Vec::new() }
@@ -151,17 +153,6 @@ impl<'a> IoBatch<'a> {
     /// Creates an empty batch with room for `n` writes.
     pub fn with_capacity(n: usize) -> Self {
         IoBatch { writes: Vec::with_capacity(n) }
-    }
-
-    /// Queues a write of `data` (whole blocks) at `block` with the
-    /// consumer's placement handle.
-    pub fn write(&mut self, block: u64, data: &'a [u8], handle: PlacementHandle) -> &mut Self {
-        self.writes.push(BatchWrite {
-            slba: block,
-            data: WritePayload::Bytes(data),
-            dspec: handle.dspec(),
-        });
-        self
     }
 
     /// Queues a write of `nlb` blocks at `block` holding `source`'s
@@ -606,7 +597,7 @@ impl IoManager {
     /// bit-reproducible while the cache tier retries or requeues. The
     /// LOC region seal treats any batch error as "nothing of this
     /// region landed".
-    pub fn submit_batch(&mut self, batch: IoBatch<'_>) -> Result<Vec<u64>, NvmeError> {
+    pub fn submit_batch(&mut self, batch: IoBatch) -> Result<Vec<u64>, NvmeError> {
         let n = batch.writes.len();
         let mut latencies = vec![0; n];
         self.write_batch(&batch.writes, &mut vec![WriteCompletion::default(); n], &mut latencies)?;
@@ -815,19 +806,20 @@ mod tests {
         let (ctrl_b, ns_b) = setup();
         let mut batched = IoManager::new(ctrl_a, ns_a, 4).unwrap();
         let mut sequential = IoManager::new(ctrl_b, ns_b, 4).unwrap();
-        let bufs: Vec<Vec<u8>> = (0..12u8).map(|i| vec![i; 4 * 4096]).collect();
+        let sources: Vec<FillSource> =
+            (0..12u8).map(|i| Arc::new(move |_, out: &mut [u8]| out.fill(i)) as _).collect();
         let handle = PlacementHandle::with_dspec(1);
 
         // Sequential reference.
         let mut seq_lat = Vec::new();
-        for (i, d) in bufs.iter().enumerate() {
-            seq_lat.push(sequential.write(i as u64 * 4, d, handle).unwrap());
+        for (i, s) in sources.iter().enumerate() {
+            seq_lat.push(sequential.write_with(i as u64 * 4, 4, s.clone(), handle).unwrap());
         }
 
         // One batch, same commands in the same order.
-        let mut batch = IoBatch::with_capacity(bufs.len());
-        for (i, d) in bufs.iter().enumerate() {
-            batch.write(i as u64 * 4, d, handle);
+        let mut batch = IoBatch::with_capacity(sources.len());
+        for (i, s) in sources.iter().enumerate() {
+            batch.write_with(i as u64 * 4, 4, s.clone(), 0, handle);
         }
         let lat = batched.submit_batch(batch).unwrap();
 
@@ -891,6 +883,7 @@ mod tests {
             io.set_queue_depth(depth);
             let bb = io.block_bytes() as usize;
             let page = vec![0x5Au8; 4 * bb];
+            let fill: FillSource = Arc::new(|_, out| out.fill(0x5A));
             let mut out = vec![0u8; 4 * bb];
             let mut last = io.now_ns();
             for op in &ops {
@@ -906,7 +899,7 @@ mod tests {
                     GenOp::Batch(extents) => {
                         let mut batch = IoBatch::with_capacity(extents.len());
                         for &(block, nlb) in extents {
-                            batch.write(block, &page[..nlb as usize * bb], PlacementHandle::DEFAULT);
+                            batch.write_with(block, nlb, fill.clone(), 0, PlacementHandle::DEFAULT);
                         }
                         io.submit_batch(batch).map(drop)
                     }
@@ -935,11 +928,11 @@ mod tests {
     fn failed_batch_leaves_timing_untouched() {
         let (ctrl, nsid) = setup();
         let mut io = IoManager::new(ctrl, nsid, 4).unwrap();
-        let good = vec![1u8; 4096];
+        let ones: FillSource = Arc::new(|_, out| out.fill(1));
         let t0 = io.now_ns();
         let mut batch = IoBatch::new();
-        batch.write(0, &good, PlacementHandle::DEFAULT);
-        batch.write(1, &good[..100], PlacementHandle::DEFAULT); // misaligned
+        batch.write_with(0, 1, ones.clone(), 0, PlacementHandle::DEFAULT);
+        batch.write_with(io.blocks(), 1, ones, 0, PlacementHandle::DEFAULT); // past the end
         assert!(io.submit_batch(batch).is_err());
         assert_eq!(io.now_ns(), t0);
         assert_eq!(io.stats(), IoStats::default());

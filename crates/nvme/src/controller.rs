@@ -571,8 +571,8 @@ impl Controller {
     ///    ([`DataStore::write_blocks`]); a source is handed over
     ///    ([`DataStore::write_source`]), which a [`crate::MemStore`]
     ///    records as one run per segment the command overlaps and calls
-    ///    only when a block of it is read — a LOC seal makes no byte
-    ///    here;
+    ///    only when a block of it is read — the cache's writes are all
+    ///    sources, so they make no byte here;
     /// 4. one `Mutex<Ftl>` acquisition maps every command via
     ///    [`fdpcache_ftl::Ftl::write_placed_batch`], as one run of pages
     ///    per stretch that fits the handle's active reclaim unit.
@@ -710,7 +710,7 @@ impl Controller {
         let (dev_start, total_ns) = self.read_media(state, slba, out.len())?;
         // Payload loads run outside the media lock as one vectored
         // transfer; the store zero-fills unbacked blocks itself (the
-        // slab serves them straight from its pre-zeroed pages). Non-goal
+        // slab fills each stretch of slots without a run in one pass). Non-goal
         // (DESIGN.md §5): a read racing a deallocate of the same LBA may
         // zero-fill — no client issues that pattern (trim traffic comes
         // from each namespace's own single-threaded engine).

@@ -22,15 +22,13 @@
 //!
 //! Implementations:
 //!
-//! * [`MemStore`] — the primary store: a **lazily paged slab**.
-//!   Exported capacity is divided into fixed segments (the lock
-//!   shards); each segment owns a written-bitmap and a run table from
-//!   the start, and one contiguous page buffer indexed directly by LBA
-//!   from its first byte write on. No hashing, and no allocation after
-//!   a segment's first byte write: a vectored write is one bounds
-//!   computation and one `memcpy` per overlapped segment, and a source
-//!   write one run record per overlapped segment, which pages in
-//!   nothing.
+//! * [`MemStore`] — the primary store: a **run slab**. Exported
+//!   capacity is divided into fixed segments (the lock shards), each a
+//!   run table indexed directly by LBA. Every write is one run record
+//!   per overlapped segment: a source write keeps its source, and a
+//!   byte write keeps an owned, zero-padded copy of its bytes as one.
+//!   No hashing, and a read calls each run's source for its slots and
+//!   zero-fills the rest.
 //! * [`NullStore`] — discards payloads; DLWA/carbon experiments that
 //!   replay billions of accesses only need placement metadata, and
 //!   skipping payload copies keeps them fast.
@@ -165,13 +163,13 @@ const SEGMENT_BLOCKS: u64 = 256;
 /// device's LBA size.
 const DEFAULT_BLOCK_BYTES: usize = 4096;
 
-/// No run: the slot's bytes are its page bytes.
+/// No run: the slot holds no payload.
 const NO_RUN: u16 = u16::MAX;
 
-/// One [`DataStore::write_source`] command's stretch of a segment: slot
-/// `first + k` holds `source`'s bytes from byte `at + k * block_bytes`
-/// on, for every slot still naming the run. `live` counts those slots;
-/// the last to leave drops `source` and frees the run for reuse.
+/// One write command's stretch of a segment: slot `first + k` holds
+/// `source`'s bytes from byte `at + k * block_bytes` on, for every slot
+/// still naming the run. `live` counts those slots; the last to leave
+/// drops `source` and frees the run for reuse.
 struct Run {
     source: Option<FillSource>,
     at: usize,
@@ -185,28 +183,24 @@ impl std::fmt::Debug for Run {
     }
 }
 
-/// One slab segment: a written-bitmap and a run table, plus a
-/// contiguous page buffer from the segment's first byte write on.
-/// Every segment, whether [`DataStore::attach`] or unattached growth
-/// made it, starts without its buffer, so a store costs resident RAM
-/// only for the segments that hold page bytes: a
-/// [`DataStore::write_source`] records a run and pages in nothing,
-/// and on the cache's data path only LOC footers are byte writes.
+/// An owned copy of a byte write, zero-padded to whole blocks, as the
+/// source a run keeps: a byte write and a source write are then stored
+/// alike.
+fn owned_source(data: &[u8], bytes: usize) -> FillSource {
+    let mut copy = data[..data.len().min(bytes)].to_vec();
+    copy.resize(bytes, 0);
+    Arc::new(move |at, out: &mut [u8]| out.copy_from_slice(&copy[at..at + out.len()]))
+}
+
+/// One slab segment: its run table. A slot holds a payload exactly
+/// when it names a run, and its bytes are its run's; every other slot
+/// reads as zeros. A segment therefore costs the same few kilobytes
+/// whatever its slots hold, and the bytes of a write live in its
+/// source, shared by the runs of every segment the write overlaps.
 #[derive(Debug)]
 struct Segment {
-    /// `SEGMENT_BLOCKS * block_bytes` bytes once a slot of the segment
-    /// has had a byte write; `None` reads as zeros. Unwritten and
-    /// discarded slots are always zero, so reads serve misses from the
-    /// buffer (or as zeros without one) like hits.
-    pages: Option<Box<[u8]>>,
-    /// One bit per block: whether the slot currently holds a payload.
-    written: Vec<u64>,
-    /// Count of set bits (for `len`).
-    live: usize,
-    /// Per slot, the run its bytes come from when it was last stored by
-    /// [`DataStore::write_source`] (its page bytes are then stale and
-    /// never read), else [`NO_RUN`]. A byte write or discard of the slot
-    /// leaves its run.
+    /// Per slot, the run its bytes come from, else [`NO_RUN`]. A write
+    /// or discard of the slot leaves its run.
     run_of: Vec<u16>,
     /// The runs `run_of` names, indexed by run id; a run no slot names
     /// holds no source and its id waits in `free_runs`. Both are sized
@@ -216,12 +210,9 @@ struct Segment {
 }
 
 impl Segment {
-    /// An empty segment: its bitmap and run tables, no page buffer.
+    /// An empty segment: every slot without a payload.
     fn new() -> Segment {
         Segment {
-            pages: None,
-            written: vec![0u64; (SEGMENT_BLOCKS as usize).div_ceil(64)],
-            live: 0,
             run_of: vec![NO_RUN; SEGMENT_BLOCKS as usize],
             // At most one live run per slot: a write's slots leave their
             // old runs before it records its own.
@@ -230,15 +221,14 @@ impl Segment {
         }
     }
 
-    /// The page buffer, allocated zeroed at the segment's first byte
-    /// write; the kernel backs its pages as they are first touched.
-    fn pages_mut(&mut self, block_bytes: usize) -> &mut [u8] {
-        self.pages.get_or_insert_with(|| vec![0u8; SEGMENT_BLOCKS as usize * block_bytes].into())
+    /// Slots holding a payload.
+    fn live(&self) -> usize {
+        self.runs.iter().map(|r| r.live as usize).sum()
     }
 
-    /// Takes slots `[slot, slot + span)` out of their runs: their bytes
-    /// are about to be the page's, or a new run's, again. A run the
-    /// last of its slots leaves drops its source.
+    /// Takes slots `[slot, slot + span)` out of their runs: they are
+    /// about to be discarded or to join a new run. A run the last of its
+    /// slots leaves drops its source.
     fn leave_runs(&mut self, slot: u64, span: u64) {
         let end = (slot + span) as usize;
         let mut i = slot as usize;
@@ -262,7 +252,7 @@ impl Segment {
     }
 
     /// Records slots `[slot, slot + span)` as one run of `source` from
-    /// byte `at` on, and marks them written.
+    /// byte `at` on.
     fn record_run(&mut self, slot: u64, span: u64, source: &FillSource, at: usize) {
         let slots = slot as usize..(slot + span) as usize;
         let id = self.run_of[slots.start];
@@ -272,9 +262,8 @@ impl Segment {
         {
             // The command covers exactly the slots of one run — a bucket
             // page rewritten, a region resealed in the same chunks — so
-            // it takes the run over; its slots are written already.
-            // Leaving the run and recording a fresh one costs a
-            // one-block write about a fifth more.
+            // it takes the run over. Leaving the run and recording a
+            // fresh one costs a one-block write about a fifth more.
             let run = &mut self.runs[id as usize];
             run.source = Some(source.clone());
             run.at = at;
@@ -294,13 +283,10 @@ impl Segment {
             }
         };
         self.run_of[slots].fill(id);
-        for i in slot..slot + span {
-            self.mark_written(i);
-        }
     }
 
     /// The source slot `slot`'s bytes come from, and the byte of it
-    /// they start at; `None` for page bytes.
+    /// they start at; `None` for a slot without a payload.
     fn source_of(&self, slot: usize, block_bytes: usize) -> Option<(&FillSource, usize)> {
         let id = self.run_of[slot];
         if id == NO_RUN {
@@ -312,12 +298,11 @@ impl Segment {
     }
 
     /// Writes the bytes of the slots from `slot` on into `out`, which
-    /// may end mid-slot: one page copy per stretch of slots without a
-    /// source, one source call per stretch of slots that continue one
+    /// may end mid-slot: one zero fill per stretch of slots without a
+    /// payload, one source call per stretch of slots that continue one
     /// source's bytes (a run, or runs of one source at consecutive
     /// offsets).
     fn load(&self, slot: u64, out: &mut [u8], block_bytes: usize) {
-        let base = slot as usize * block_bytes;
         let first = slot as usize;
         let mut pos = 0;
         while pos < out.len() {
@@ -338,42 +323,11 @@ impl Segment {
                 next += 1;
             }
             let end = ((next - first) * block_bytes).min(out.len());
-            match (from, &self.pages) {
-                (Some((source, at)), _) => source(at, &mut out[pos..end]),
-                (None, Some(pages)) => {
-                    out[pos..end].copy_from_slice(&pages[base + pos..base + end])
-                }
-                (None, None) => out[pos..end].fill(0),
+            match from {
+                Some((source, at)) => source(at, &mut out[pos..end]),
+                None => out[pos..end].fill(0),
             }
             pos = end;
-        }
-    }
-
-    #[inline]
-    fn is_written(&self, slot: u64) -> bool {
-        self.written[(slot / 64) as usize] & (1 << (slot % 64)) != 0
-    }
-
-    #[inline]
-    fn mark_written(&mut self, slot: u64) {
-        let word = &mut self.written[(slot / 64) as usize];
-        let bit = 1u64 << (slot % 64);
-        if *word & bit == 0 {
-            *word |= bit;
-            self.live += 1;
-        }
-    }
-
-    #[inline]
-    fn clear_written(&mut self, slot: u64) -> bool {
-        let word = &mut self.written[(slot / 64) as usize];
-        let bit = 1u64 << (slot % 64);
-        if *word & bit != 0 {
-            *word &= !bit;
-            self.live -= 1;
-            true
-        } else {
-            false
         }
     }
 }
@@ -388,21 +342,19 @@ struct Slab {
     segments: Vec<Mutex<Segment>>,
 }
 
-/// Page-slab store: per-segment buffers indexed directly by LBA, each
-/// allocated at its segment's first byte write.
+/// Run-slab store: per-segment run tables indexed directly by LBA.
 ///
-/// Compared to the seed's sharded `HashMap<u64, Box<[u8]>>`, a write is
-/// a bounds computation plus a `memcpy` into its slot — no hashing, no
-/// per-block boxing — and a vectored N-block transfer is one lock pass
-/// and one `memcpy` per overlapped segment. Misses read from the zeroed
-/// slab page directly (discard re-zeroes its slot), or as zeros from a
-/// segment with no page buffer, so the miss path costs the same single
-/// pass as a hit. A [`DataStore::write_source`] command is recorded as
-/// one run per segment it overlaps — one share of the source, the
-/// first slot and its byte offset, and a live count — and each of its
-/// slots names the run instead of holding bytes; a read calls the
-/// source for them. Such a command allocates no page buffer, so a
-/// store whose writes are all sources holds none.
+/// Every write is recorded as one run per segment it overlaps — one
+/// share of its source, the first slot and its byte offset, and a live
+/// count — and each of its slots names the run; a read calls the
+/// source for them and zero-fills slots that name none. A
+/// [`DataStore::write_source`] command hands over its source, so it
+/// costs no byte pass until somebody reads it. A byte write
+/// ([`DataStore::write_blocks`], [`DataStore::write_block`]) becomes a
+/// source over an owned, zero-padded copy of its bytes, so a caller's
+/// buffer is free the moment the call returns. No hashing, no
+/// per-block boxing, and a vectored N-block transfer is one lock pass
+/// per overlapped segment.
 #[derive(Debug)]
 pub struct MemStore {
     inner: RwLock<Slab>,
@@ -444,12 +396,12 @@ impl MemStore {
 
     /// Number of LBAs currently holding payloads (aggregated on read).
     pub fn len(&self) -> usize {
-        self.inner.read().segments.iter().map(|s| s.lock().live).sum()
+        self.inner.read().segments.iter().map(|s| s.lock().live()).sum()
     }
 
     /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
-        self.inner.read().segments.iter().all(|s| s.lock().live == 0)
+        self.len() == 0
     }
 
     /// Takes the table read guard, growing the table first (write
@@ -492,13 +444,13 @@ fn for_segments(
 }
 
 impl DataStore for MemStore {
-    /// Sizes the segment table to the exported capacity: one bitmap and
-    /// run table per segment, and no page buffer, so attaching costs
-    /// kilobytes per segment, not the device size.
+    /// Sizes the segment table to the exported capacity: one run table
+    /// per segment, so attaching costs kilobytes per segment, not the
+    /// device size.
     fn attach(&self, exported_lbas: u64, lba_bytes: u32) {
         let mut inner = self.inner.write();
         debug_assert!(
-            inner.segments.iter().all(|s| s.lock().live == 0),
+            inner.segments.iter().all(|s| s.lock().live() == 0),
             "attach must precede payload traffic"
         );
         inner.block_bytes = lba_bytes as usize;
@@ -510,16 +462,9 @@ impl DataStore for MemStore {
         let inner = self.table(lba);
         let block_bytes = inner.block_bytes;
         debug_assert!(data.len() <= block_bytes, "block payload exceeds the slab slot");
+        let source = owned_source(data, block_bytes);
         let seg = &inner.segments[(lba / SEGMENT_BLOCKS) as usize];
-        let slot = lba % SEGMENT_BLOCKS;
-        let mut s = seg.lock();
-        let off = slot as usize * block_bytes;
-        let n = data.len().min(block_bytes);
-        let pages = s.pages_mut(block_bytes);
-        pages[off..off + n].copy_from_slice(&data[..n]);
-        pages[off + n..off + block_bytes].fill(0);
-        s.leave_runs(slot, 1);
-        s.mark_written(slot);
+        seg.lock().record_run(lba % SEGMENT_BLOCKS, 1, &source, 0);
     }
 
     fn read_block(&self, lba: u64, out: &mut [u8]) -> bool {
@@ -531,7 +476,7 @@ impl DataStore for MemStore {
             return false;
         };
         let s = seg.lock();
-        if !s.is_written(slot) {
+        if s.run_of[slot as usize] == NO_RUN {
             return false;
         }
         let n = out.len().min(block_bytes);
@@ -547,38 +492,19 @@ impl DataStore for MemStore {
         true
     }
 
+    /// Records an owned copy of `data` like a source write of it.
     fn write_blocks(&self, lba: u64, data: &[u8], block_bytes: usize) {
         debug_assert_eq!(data.len() % block_bytes, 0, "vectored write must be whole blocks");
         let nlb = (data.len() / block_bytes) as u64;
-        if nlb == 0 {
-            return;
+        if nlb > 0 {
+            self.write_source(lba, nlb, block_bytes, &owned_source(data, data.len()), 0);
         }
-        let inner = self.table(lba + nlb - 1);
-        // Slot offsets derive from the attached geometry; a caller
-        // chunking at a different size would corrupt slot arithmetic.
-        debug_assert_eq!(
-            block_bytes, inner.block_bytes,
-            "vectored transfer must use the attached LBA size"
-        );
-        for_segments(&inner, lba, nlb, block_bytes, |seg, slot, span, data_off| {
-            let mut s = seg.lock();
-            let off = slot as usize * block_bytes;
-            let bytes = span as usize * block_bytes;
-            s.pages_mut(block_bytes)[off..off + bytes]
-                .copy_from_slice(&data[data_off..data_off + bytes]);
-            s.leave_runs(slot, span);
-            for i in slot..slot + span {
-                s.mark_written(i);
-            }
-        });
     }
 
     /// Records one run per overlapped segment under its lock — one
     /// share of `source`, the first slot and its byte offset — and
-    /// makes no byte and allocates no page buffer: `Segment::load`
-    /// calls the source when a slot is read. The slots' stale page
-    /// bytes, if the segment has a buffer, stay until a byte write or a
-    /// discard replaces them.
+    /// makes no byte: `Segment::load` calls the source when a slot is
+    /// read.
     fn write_source(
         &self,
         lba: u64,
@@ -591,6 +517,8 @@ impl DataStore for MemStore {
             return;
         }
         let inner = self.table(lba + nlb - 1);
+        // Slot offsets derive from the attached geometry; a caller
+        // chunking at a different size would corrupt slot arithmetic.
         debug_assert_eq!(
             block_bytes, inner.block_bytes,
             "vectored transfer must use the attached LBA size"
@@ -623,10 +551,9 @@ impl DataStore for MemStore {
             nlb = table_blocks - lba;
             out[(nlb as usize) * block_bytes..].fill(0);
         }
-        // One contiguous pass per segment serves hits and misses alike
-        // (unwritten and discarded slots are zero in the slab, or the
-        // segment has no page buffer), except where slots hold a
-        // source's bytes.
+        // One pass per segment serves hits and misses alike: a source
+        // call per stretch of one source's bytes, a zero fill per
+        // stretch of slots without a payload.
         for_segments(&inner, lba, nlb, block_bytes, |seg, slot, span, out_off| {
             let bytes = span as usize * block_bytes;
             seg.lock().load(slot, &mut out[out_off..out_off + bytes], block_bytes);
@@ -644,18 +571,7 @@ impl DataStore for MemStore {
         }
         let count = count.min(table_blocks - lba);
         for_segments(&inner, lba, count, block_bytes, |seg, slot, span, _| {
-            let mut s = seg.lock();
-            s.leave_runs(slot, span);
-            for i in slot..slot + span {
-                if s.clear_written(i) {
-                    // Keep the invariant that unwritten slots are zero,
-                    // so reads can serve misses from the slab directly.
-                    if let Some(pages) = &mut s.pages {
-                        let off = i as usize * block_bytes;
-                        pages[off..off + block_bytes].fill(0);
-                    }
-                }
-            }
+            seg.lock().leave_runs(slot, span);
         });
     }
 }
@@ -734,17 +650,23 @@ mod tests {
     }
 
     #[test]
-    fn segments_page_in_at_their_first_byte_write_only() {
+    fn every_write_is_a_run_and_a_byte_write_keeps_an_owned_zero_padded_copy() {
         let s = MemStore::new();
         DataStore::attach(&s, 5 * SEGMENT_BLOCKS + 3, 8);
         assert_eq!(s.inner.read().segments.len(), 6);
         assert_eq!(s.inner.read().block_bytes, 8);
-        let paged = |s: &MemStore| -> Vec<bool> {
-            s.inner.read().segments.iter().map(|seg| seg.lock().pages.is_some()).collect()
+        let runs = |s: &MemStore| -> Vec<usize> {
+            let inner = s.inner.read();
+            inner
+                .segments
+                .iter()
+                .map(|g| g.lock().runs.iter().filter(|r| r.live > 0).count())
+                .collect()
         };
-        assert_eq!(paged(&s), [false; 6], "attach allocates no page buffer");
+        assert_eq!(runs(&s), [0; 6]);
 
-        // A source run across the first segment boundary pages in nothing.
+        // A source write across the first segment boundary is one run
+        // per segment, each holding a share of the source.
         let source: FillSource = Arc::new(|at, out: &mut [u8]| {
             for (i, b) in out.iter_mut().enumerate() {
                 *b = (at + i) as u8 | 0x80;
@@ -752,15 +674,33 @@ mod tests {
         });
         let first = SEGMENT_BLOCKS - 2;
         s.write_source(first, 4, 8, &source, 16);
-        assert_eq!(paged(&s), [false; 6], "write_source allocates no page buffer");
+        assert_eq!(runs(&s), [1, 1, 0, 0, 0, 0]);
+        assert_eq!(Arc::strong_count(&source), 3);
         assert_eq!(s.len(), 4);
 
-        // A byte write pages in exactly the segments it touches.
-        s.write_blocks(3 * SEGMENT_BLOCKS - 1, &[7; 16], 8);
-        assert_eq!(paged(&s), [false, false, true, true, false, false]);
+        // A byte write across the next boundary is one run per segment
+        // too, over a copy of the bytes: changing the caller's buffer
+        // afterwards changes no read.
+        let at = 3 * SEGMENT_BLOCKS - 1;
+        let mut bytes = [7u8; 16];
+        s.write_blocks(at, &bytes, 8);
+        bytes.fill(9);
+        assert_eq!(runs(&s), [1, 1, 1, 1, 0, 0]);
+        let mut two = [0u8; 16];
+        s.read_blocks(at, &mut two, 8);
+        assert_eq!(two, [7; 16]);
 
-        // A page-less segment reads run slots as the source's bytes and
-        // every other slot as zeros.
+        // A short write reads back zero-padded, over a slot that held
+        // more; it takes over the one-slot run it covers.
+        let mut short = [0x55u8; 3];
+        s.write_block(at, &short);
+        short.fill(9);
+        s.read_blocks(at, &mut two, 8);
+        assert_eq!(two, [0x55, 0x55, 0x55, 0, 0, 0, 0, 0, 7, 7, 7, 7, 7, 7, 7, 7]);
+        assert_eq!(runs(&s), [1, 1, 1, 1, 0, 0]);
+
+        // Run slots read as the source's bytes, every other slot as
+        // zeros, whether read whole or a block at a time.
         let mut out = [0xEEu8; 6 * 8];
         s.read_blocks(first - 1, &mut out, 8);
         let mut expect = [0u8; 6 * 8];
@@ -771,7 +711,7 @@ mod tests {
         assert_eq!(one, expect[24..32]);
         assert!(!s.read_block(SEGMENT_BLOCKS + 2, &mut one));
 
-        // Discarding source-only slots unmarks them, still page-less.
+        // Discarding slots takes them out of their runs.
         s.discard_blocks(first + 1, 2);
         assert_eq!(s.len(), 2 + 2);
         assert!(!s.read_block(first + 1, &mut one));
@@ -780,7 +720,14 @@ mod tests {
         s.read_blocks(first, &mut out, 8);
         expect[16..32].fill(0);
         assert_eq!(out, expect[8..40]);
-        assert_eq!(paged(&s), [false, false, true, true, false, false]);
+
+        // A run's last slot to leave drops its share of the source.
+        s.discard_blocks(0, 6 * SEGMENT_BLOCKS);
+        assert!(s.is_empty());
+        assert_eq!(runs(&s), [0; 6]);
+        assert_eq!(Arc::strong_count(&source), 1);
+        s.read_blocks(first, &mut out, 8);
+        assert_eq!(out, [0; 4 * 8]);
     }
 
     #[test]
@@ -810,7 +757,7 @@ mod tests {
     }
 
     #[test]
-    fn vectored_discard_rezeroes_slots() {
+    fn vectored_discard_reads_back_zeros() {
         let s = MemStore::with_capacity(SEGMENT_BLOCKS, 4);
         for lba in 0..8u64 {
             s.write_block(lba, &[0xFF; 4]);

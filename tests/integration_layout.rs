@@ -37,7 +37,7 @@ fn entries(n: usize, salt: u64) -> Vec<FooterEntry> {
 /// The footer of `entries` under `seq`, at the head of a zeroed slot.
 fn slot(seq: u64, entries: &[FooterEntry]) -> Vec<u8> {
     let mut slot = vec![0u8; geo().slot_bytes()];
-    geo().encode(REGION, seq, entries.iter().copied(), &mut slot);
+    geo().encode(REGION, seq, entries, &mut slot);
     slot
 }
 
@@ -53,7 +53,7 @@ fn footers_of_every_length_round_trip_and_leave_older_leftovers_unread() {
     for n in 0..=g.capacity() {
         let listed = entries(n, 0);
         let mut bytes = stale.clone();
-        let blocks = g.encode(REGION, 7, listed.iter().copied(), &mut bytes);
+        let blocks = g.encode(REGION, 7, &listed, &mut bytes);
         assert_eq!(blocks, g.blocks_for(n));
         let whole = Ok(Footer { seq: 7, entries: listed });
         assert_eq!(g.decode(REGION, &bytes), whole, "{n} entries over an older footer");
@@ -62,6 +62,39 @@ fn footers_of_every_length_round_trip_and_leave_older_leftovers_unread() {
             let h = footer_header(REGION, bi, block(&bytes, bi)).unwrap();
             assert_eq!((h.seq, h.block, h.total), (7, bi as u32, n as u32), "{n} entries");
         }
+    }
+}
+
+/// The footer a LOC writes is a source of its blocks
+/// ([`FooterGeometry::source`]), not encoded bytes: for every length,
+/// every block-aligned range of it — recovery's block 0 and then the
+/// rest among them — and every range that cuts a block reads as the
+/// same bytes [`FooterGeometry::encode`] writes. A store that retains
+/// no data gets zeros.
+#[test]
+fn a_footer_source_reads_as_the_encoded_footer_over_every_range() {
+    let g = geo();
+    for n in 0..=g.capacity() {
+        let listed = entries(n, 0);
+        let blocks = g.blocks_for(n);
+        let encoded = &slot(7, &listed)[..blocks * BB];
+        let source = g.source(true, REGION, 7, listed.clone());
+        for first in 0..blocks {
+            for end in first + 1..=blocks {
+                let mut out = vec![0xEEu8; (end - first) * BB];
+                source(first * BB, &mut out);
+                assert!(out == encoded[first * BB..end * BB], "{n} entries, blocks {first}..{end}");
+            }
+        }
+        for (at, len) in [(1, BB), (BB - 8, 16), (BB / 2, blocks * BB - BB / 2), (3, 5)] {
+            let len = len.min(blocks * BB - at);
+            let mut out = vec![0xEEu8; len];
+            source(at, &mut out);
+            assert!(out == encoded[at..at + len], "{n} entries, {len} bytes from byte {at}");
+        }
+        let mut out = vec![0xEEu8; blocks * BB];
+        g.source(false, REGION, 7, listed)(0, &mut out);
+        assert!(out.iter().all(|&b| b == 0), "{n} entries on a store that keeps no data");
     }
 }
 

@@ -59,7 +59,9 @@ fn qd1_batched_seal_matches_legacy_synchronous_write_path() {
     // 64 KiB writes. Reproduce it against the batched seal on an
     // identical second stack: same chunks, same order, one write call
     // each — every observable must match the batch exactly.
-    use fdpcache::placement::{IoManager, PlacementHandle};
+    use fdpcache::nvme::FillSource;
+    use fdpcache::placement::{IoBatch, IoManager, PlacementHandle};
+    use std::sync::Arc;
 
     let build_io = || {
         let ftl = FtlConfig { latency: LatencyModel::default(), ..FtlConfig::tiny_test() };
@@ -75,19 +77,30 @@ fn qd1_batched_seal_matches_legacy_synchronous_write_path() {
     let handle = PlacementHandle::with_dspec(1);
     // A 256 KiB "region" written as 16-block chunks, several times over
     // (overwrites force GC accounting through both paths identically).
-    let region: Vec<u8> = (0..256 << 10).map(|i| (i % 251) as u8).collect();
-    let chunk_blocks = 16usize;
-    let chunk_bytes = chunk_blocks * 4096;
+    // The batch shares one source of the region from each chunk's
+    // offset on; each sequential write gets a source of its own chunk.
+    let region = |from: usize| -> FillSource {
+        Arc::new(move |at, out: &mut [u8]| {
+            for (i, b) in out.iter_mut().enumerate() {
+                *b = ((from + at + i) % 251) as u8;
+            }
+        })
+    };
+    let (chunks, chunk_blocks) = (4usize, 16u64);
+    let chunk_bytes = chunk_blocks as usize * 4096;
+    let whole = region(0);
     for _round in 0..4 {
-        let mut batch = fdpcache::placement::IoBatch::new();
-        for (c, chunk) in region.chunks(chunk_bytes).enumerate() {
-            batch.write((c * chunk_blocks) as u64, chunk, handle);
+        let mut batch = IoBatch::new();
+        for c in 0..chunks {
+            let block = c as u64 * chunk_blocks;
+            batch.write_with(block, chunk_blocks, whole.clone(), c * chunk_bytes, handle);
         }
         let batch_lat = batched.submit_batch(batch).unwrap();
-        let seq_lat: Vec<u64> = region
-            .chunks(chunk_bytes)
-            .enumerate()
-            .map(|(c, chunk)| sequential.write((c * chunk_blocks) as u64, chunk, handle).unwrap())
+        let seq_lat: Vec<u64> = (0..chunks)
+            .map(|c| {
+                let block = c as u64 * chunk_blocks;
+                sequential.write_with(block, chunk_blocks, region(c * chunk_bytes), handle).unwrap()
+            })
             .collect();
         assert_eq!(batch_lat, seq_lat, "per-chunk latencies must match");
     }
@@ -100,6 +113,13 @@ fn qd1_batched_seal_matches_legacy_synchronous_write_path() {
         sequential.controller().fdp_stats_log(),
         "device-side accounting must match"
     );
+    let mut expect = vec![0u8; chunks * chunk_bytes];
+    whole(0, &mut expect);
+    for io in [&mut batched, &mut sequential] {
+        let mut out = vec![0u8; expect.len()];
+        io.read(0, &mut out).unwrap();
+        assert!(out == expect, "both paths store the region's bytes");
+    }
 }
 
 #[test]
