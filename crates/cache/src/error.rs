@@ -38,11 +38,6 @@ impl CacheError {
         matches!(self, CacheError::Io(e) if e.is_injected_fault())
     }
 
-    /// Whether the error is the transient device-busy rejection.
-    pub fn is_busy(&self) -> bool {
-        matches!(self, CacheError::Io(e) if e.is_busy())
-    }
-
     /// Whether a scripted kill point fired beneath this operation: the
     /// simulated process is dead and the only legal next step is to
     /// drop every in-memory structure and run recovery. No cache-level

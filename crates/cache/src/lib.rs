@@ -52,6 +52,7 @@ mod keymap;
 pub mod layout;
 pub mod loc;
 pub mod ram;
+mod retry;
 pub mod soc;
 pub mod stats;
 pub mod value;

@@ -45,23 +45,13 @@ use fdpcache_nvme::{FillSource, NvmeError};
 use crate::error::CacheError;
 use crate::keymap::KeyMap;
 use crate::layout::{Footer, FooterEntry, FooterGeometry, Malformed};
+use crate::retry::{issue, recovery_read, Retry};
 use crate::value::Value;
 use crate::Key;
 
 /// Size of each device write when sealing a region (64 KiB): large
 /// sequential I/O like CacheLib's region flushes.
 const SEAL_CHUNK_BYTES: usize = 64 << 10;
-
-/// Attempts a region seal gets before the region is declared bad: the
-/// first submit plus three immediate retries. Injected faults are
-/// transient by default (the schedule re-rolls per access), so retries
-/// recover everything but scripted permanent bad blocks.
-const SEAL_ATTEMPTS: u32 = 4;
-
-/// Attempts a footer write outside a seal (delete persistence,
-/// scrubs, retirement) gets before the footer slot is discarded
-/// instead. Advisory commands (TRIMs, busy lookup reads) retry once.
-const FOOTER_WRITE_ATTEMPTS: u32 = 4;
 
 /// LOC statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -108,6 +98,10 @@ pub struct LocStats {
     /// paths alike (failed attempts excluded). Times the block size,
     /// the LOC's metadata share of device bytes.
     pub footer_blocks_written: u64,
+    /// Footer-write re-submissions outside a seal after an injected
+    /// fault (seal-time footers retry with their batch, in
+    /// `seal_retries`).
+    pub footer_retries: u64,
     /// Footer rewrites that failed persistently under injected faults
     /// and fell back to invalidating the footer wholesale (the region's
     /// remaining entries then survive only in DRAM — a crash treats the
@@ -350,35 +344,13 @@ impl Loc {
         Self::meta_blocks_for(self.region_blocks)
     }
 
-    /// One recovery read of `buf.len()` bytes at `start`, retried once
-    /// on an injected fault. `Ok(false)` when the blocks stay
-    /// unreadable or were never written — the caller then treats the
-    /// region as unsealed.
-    fn recovery_read(
-        &mut self,
-        io: &mut IoManager,
-        start: u64,
-        buf: &mut [u8],
-    ) -> Result<bool, CacheError> {
-        let mut res = io.read(start, buf);
-        if res.as_ref().is_err_and(|e| e.is_injected_fault()) {
-            self.stats.read_faults += 1;
-            res = io.read(start, buf);
-        }
-        match res {
-            Ok(_) => Ok(true),
-            Err(NvmeError::Unwritten(_)) => Ok(false),
-            Err(e) if e.is_injected_fault() => Ok(false),
-            Err(e) => Err(e.into()),
-        }
-    }
-
     /// Reads `region`'s footer back (`buf` is slot-sized scratch):
     /// block 0 alone, which the decoder judges before its total is
     /// believed, then exactly the further blocks that total calls for.
     /// Whatever an older, longer footer left further down the slot is
     /// never read. `None` is an unsealed region: unreadable, never
-    /// written, or rejected by the decoder (torn, stale or corrupt).
+    /// written ([`recovery_read`]), or rejected by the decoder (torn,
+    /// stale or corrupt).
     fn read_footer(
         &mut self,
         io: &mut IoManager,
@@ -387,14 +359,14 @@ impl Loc {
     ) -> Result<Option<Footer>, CacheError> {
         let bb = self.block_bytes as usize;
         let start = self.meta_start_block(region);
-        if !self.recovery_read(io, start, &mut buf[..bb])? {
+        if !recovery_read(io, start, &mut buf[..bb], &mut self.stats.read_faults)? {
             return Ok(None);
         }
         let blocks = match self.footer.decode(region, &buf[..bb]) {
             Err(Malformed::Short { blocks }) => blocks,
             decoded => return Ok(decoded.ok()),
         };
-        if !self.recovery_read(io, start + 1, &mut buf[bb..blocks * bb])? {
+        if !recovery_read(io, start + 1, &mut buf[bb..blocks * bb], &mut self.stats.read_faults)? {
             return Ok(None);
         }
         Ok(self.footer.decode(region, &buf[..blocks * bb]).ok())
@@ -439,10 +411,9 @@ impl Loc {
         &self,
         io: &mut IoManager,
         entry: &SealedCopy,
-    ) -> Result<(), CacheError> {
+    ) -> Result<(), NvmeError> {
         let (block, need, _) = self.covering_blocks(entry);
-        io.read_charged(block, need)?;
-        Ok(())
+        io.read_charged(block, need).map(drop)
     }
 
     /// Number of regions.
@@ -543,8 +514,8 @@ impl Loc {
     /// Recovery (DESIGN.md §6): an injected device fault fails the
     /// batch all-or-nothing (the controller's fault gate plus FTL
     /// rollback guarantee none of the region landed), so the seal is
-    /// simply re-submitted, up to [`SEAL_ATTEMPTS`] attempts in all. If
-    /// every attempt fails the region is **quarantined** (withdrawn from
+    /// simply re-submitted under [`Retry::Write`]. If every attempt
+    /// fails the region is **quarantined** (withdrawn from
     /// rotation like a grown-bad erase block) and its objects are
     /// parked in [`Loc::take_requeued`] for the engine to re-queue —
     /// acknowledged inserts are never silently dropped. Only
@@ -575,25 +546,16 @@ impl Loc {
             image.iter().map(|(k, off, v)| (*k, *off, v.len() as u32)),
         );
         let meta_start = self.meta_start_block(region);
-        let mut attempt = 1;
-        let landed = loop {
+        let (bb, region_blocks) = (self.block_bytes, self.region_blocks);
+        let (handle, meta_handle) = (self.handle, self.meta_handle);
+        let seal = || {
             let mut batch = IoBatch::new();
-            self.queue_chunks(&mut batch, start_block, self.region_blocks, &source, self.handle);
-            self.queue_chunks(&mut batch, meta_start, footer_blocks, &footer, self.meta_handle);
-            match io.submit_batch(batch) {
-                Ok(_) => break Ok(true),
-                Err(e) if e.is_injected_fault() => {
-                    if attempt == SEAL_ATTEMPTS {
-                        break Ok(false);
-                    }
-                    attempt += 1;
-                    self.stats.seal_retries += 1;
-                }
-                Err(e) => break Err(CacheError::from(e)),
-            }
+            Self::queue_chunks(&mut batch, bb, start_block, region_blocks, &source, handle);
+            Self::queue_chunks(&mut batch, bb, meta_start, footer_blocks, &footer, meta_handle);
+            io.submit_batch(batch)
         };
-        let landed = match landed {
-            Ok(landed) => landed,
+        let landed = match issue(Retry::Write, || self.stats.seal_retries += 1, seal) {
+            Ok(res) => res.is_ok(),
             Err(e) => {
                 // A kill or a caller bug: the region stays active, with
                 // its objects buffered.
@@ -640,20 +602,21 @@ impl Loc {
         Ok(())
     }
 
-    /// Queues `blocks` blocks at `start` holding `source`'s bytes as
-    /// commands of [`SEAL_CHUNK_BYTES`] each, the last one shorter.
+    /// Queues `blocks` blocks of `block_bytes` at `start` holding
+    /// `source`'s bytes as commands of [`SEAL_CHUNK_BYTES`] each, the
+    /// last one shorter.
     fn queue_chunks(
-        &self,
         batch: &mut IoBatch,
+        block_bytes: u32,
         start: u64,
         blocks: u64,
         source: &FillSource,
         handle: PlacementHandle,
     ) {
-        let chunk_blocks = (SEAL_CHUNK_BYTES as u64 / self.block_bytes as u64).max(1);
+        let chunk_blocks = (SEAL_CHUNK_BYTES as u64 / block_bytes as u64).max(1);
         for first in (0..blocks).step_by(chunk_blocks as usize) {
             let nlb = chunk_blocks.min(blocks - first);
-            let base = (first * self.block_bytes as u64) as usize;
+            let base = (first * block_bytes as u64) as usize;
             batch.write_with(start + first, nlb, source.clone(), base, handle);
         }
     }
@@ -713,8 +676,8 @@ impl Loc {
     /// Writes one footer over the head of `region`'s footer slot — as
     /// many blocks as the entry table needs, one for an empty footer —
     /// as one command carrying its source ([`FooterGeometry::source`]),
-    /// retrying injected faults up to [`FOOTER_WRITE_ATTEMPTS`] attempts
-    /// in all and invalidating the slot when every attempt fails.
+    /// retrying injected faults under [`Retry::Write`] and invalidating
+    /// the slot when every attempt fails.
     fn write_footer(
         &mut self,
         io: &mut IoManager,
@@ -724,21 +687,9 @@ impl Loc {
     ) -> Result<(), CacheError> {
         let footer_blocks = self.footer.blocks_for(entries.len()) as u64;
         let source = self.footer.source(io.retains_data(), region, seal_seq, entries);
-        let start = self.meta_start_block(region);
-        let mut attempt = 1;
-        let written = loop {
-            match io.write_with(start, footer_blocks, source.clone(), self.meta_handle) {
-                Ok(_) => break Ok(true),
-                Err(e) if e.is_injected_fault() => {
-                    if attempt == FOOTER_WRITE_ATTEMPTS {
-                        break Ok(false);
-                    }
-                    attempt += 1;
-                }
-                Err(e) => break Err(CacheError::from(e)),
-            }
-        };
-        if written? {
+        let (start, handle) = (self.meta_start_block(region), self.meta_handle);
+        let write = || io.write_with(start, footer_blocks, source.clone(), handle);
+        if issue(Retry::Write, || self.stats.footer_retries += 1, write)?.is_ok() {
             self.stats.footer_rewrites += 1;
             self.stats.footer_blocks_written += footer_blocks;
             Ok(())
@@ -757,22 +708,14 @@ impl Loc {
         self.discard(io, self.meta_start_block(region), self.meta_blocks())
     }
 
-    /// One advisory TRIM command: an injected fault is retried once,
-    /// then counted in [`LocStats::discard_faults`] and skipped. Only
-    /// non-injected errors propagate.
+    /// One advisory TRIM command: an injected fault is retried under
+    /// [`Retry::Once`], then counted in [`LocStats::discard_faults`] and
+    /// skipped. Only non-injected errors propagate.
     fn discard(&mut self, io: &mut IoManager, start: u64, blocks: u64) -> Result<(), CacheError> {
-        let mut res = io.discard(start, blocks);
-        if res.as_ref().is_err_and(|e| e.is_injected_fault()) {
-            res = io.discard(start, blocks);
+        if issue(Retry::Once, || {}, || io.discard(start, blocks))?.is_err() {
+            self.stats.discard_faults += 1;
         }
-        match res {
-            Ok(_) => Ok(()),
-            Err(e) if e.is_injected_fault() => {
-                self.stats.discard_faults += 1;
-                Ok(())
-            }
-            Err(e) => Err(e.into()),
-        }
+        Ok(())
     }
 
     /// Scrubs `key` out of every sealed region footer that still lists
@@ -976,32 +919,18 @@ impl Loc {
             Some(Live::Sealed(copy)) => copy.clone(),
         };
         // Charge the covering-block read for real device timing. An
-        // injected fault on this read demotes the lookup to a miss and
-        // triggers a targeted repair-write (DESIGN.md §6): a transient
-        // busy spike gets one immediate retry first.
-        match self.charge_covering_blocks(io, &entry) {
-            Ok(()) => {}
-            Err(e) if e.is_injected_fault() => {
-                let recovered = e.is_busy()
-                    && match self.charge_covering_blocks(io, &entry) {
-                        Ok(()) => true,
-                        Err(e2) if e2.is_injected_fault() => false,
-                        // Non-injected retry errors are caller bugs and
-                        // must surface, never be masked as a miss.
-                        Err(e2) => return Err(e2),
-                    };
-                if !recovered {
-                    self.stats.read_faults += 1;
-                    // Demote to miss: drop the unreadable copy, then
-                    // repair-write the (authoritative) value into the
-                    // current active region so future lookups hit.
-                    self.demote(key);
-                    self.reinsert(io, key, entry.value)?;
-                    self.stats.repair_writes += 1;
-                    return Ok(None);
-                }
-            }
-            Err(e) => return Err(e),
+        // injected fault that outlasts `Retry::Busy` demotes the
+        // lookup to a miss and triggers a targeted repair-write
+        // (DESIGN.md §6).
+        if issue(Retry::Busy, || {}, || self.charge_covering_blocks(io, &entry))?.is_err() {
+            self.stats.read_faults += 1;
+            // Demote to miss: drop the unreadable copy, then
+            // repair-write the (authoritative) value into the current
+            // active region so future lookups hit.
+            self.demote(key);
+            self.reinsert(io, key, entry.value)?;
+            self.stats.repair_writes += 1;
+            return Ok(None);
         }
         self.stats.hits += 1;
         // The authoritative value is returned; the bytes on flash match
@@ -1142,7 +1071,7 @@ impl Loc {
                 self.read_covering_blocks(io, &entry)
                     .map(|range| self.read_scratch[range] == entry.value.to_bytes(key)[..])
             } else {
-                self.charge_covering_blocks(io, &entry).map(|()| true)
+                self.charge_covering_blocks(io, &entry).map(|()| true).map_err(CacheError::from)
             };
             let intact = match read {
                 Ok(intact) => intact,
@@ -1231,8 +1160,8 @@ impl Loc {
     /// # Errors
     ///
     /// [`CacheError::Config`] without a data-retaining store; otherwise
-    /// propagates non-injected I/O failures. Injected read faults are
-    /// retried once, then the affected region is treated as unsealed.
+    /// propagates non-injected I/O failures. A [`recovery_read`] that
+    /// stays faulted leaves the affected region unsealed.
     pub(crate) fn recover(&mut self, io: &mut IoManager) -> Result<(), CacheError> {
         debug_assert!(self.slots.is_empty() && self.sealed_fifo.is_empty(), "LOC not fresh");
         if !io.retains_data() {
@@ -1262,7 +1191,8 @@ impl Loc {
             }
             // Footer valid but payload unreadable: the region's objects
             // are lost as if evicted; leave it free.
-            if !self.recovery_read(io, self.region_start_block(region), &mut payload)? {
+            let start = self.region_start_block(region);
+            if !recovery_read(io, start, &mut payload, &mut self.stats.read_faults)? {
                 continue;
             }
             self.free.retain(|&r| r != region);

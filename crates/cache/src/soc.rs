@@ -37,20 +37,15 @@
 //! lock-free read index (DESIGN.md §5.1a).
 
 use fdpcache_core::{IoManager, PlacementHandle};
-use fdpcache_nvme::{FillSource, NvmeError};
+use fdpcache_nvme::FillSource;
 
 use crate::bloom::BloomArray;
 use crate::checksum::mix64;
 use crate::error::CacheError;
 use crate::layout::{bucket_entry_bytes, bucket_room, decode_bucket, encode_bucket, page_source};
+use crate::retry::{issue, recovery_read, Retry};
 use crate::value::Value;
 use crate::Key;
-
-/// Attempts a bucket-page write gets before the operation gives up on
-/// the device: the first submit plus three immediate retries. Injected
-/// faults are transient by default, so retries recover everything but
-/// scripted bad blocks. Reads (RMW, lookup, recovery) retry once.
-const SOC_WRITE_ATTEMPTS: u32 = 4;
 
 /// SOC statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -172,24 +167,16 @@ impl Soc {
     ///
     /// # Errors
     ///
-    /// Propagates non-injected I/O failures (an injected read fault is
-    /// retried once, then the bucket is treated as lost — recovery
+    /// Propagates non-injected I/O failures (a bucket whose
+    /// [`recovery_read`] stays faulted is treated as lost — recovery
     /// must not wedge on a flaky page).
     pub(crate) fn recover(&mut self, io: &mut IoManager) -> Result<(), CacheError> {
         debug_assert!(self.written.iter().all(|w| !w), "SOC not fresh");
         let mut page = vec![0u8; self.bucket_bytes as usize];
         for bucket in 0..self.num_buckets {
             let block = self.bucket_block(bucket);
-            let mut res = io.read(block, &mut page);
-            if res.as_ref().is_err_and(|e| e.is_injected_fault()) {
-                self.stats.read_faults += 1;
-                res = io.read(block, &mut page);
-            }
-            match res {
-                Ok(_) => {}
-                Err(NvmeError::Unwritten(_)) => continue,
-                Err(e) if e.is_injected_fault() => continue,
-                Err(e) => return Err(e.into()),
+            if !recovery_read(io, block, &mut page, &mut self.stats.read_faults)? {
+                continue;
             }
             // A readable page that is not a valid bucket (torn or
             // foreign) is not trusted.
@@ -293,56 +280,40 @@ impl Soc {
     /// — and copies nothing ([`IoManager::read_charged`]): the new page
     /// is built from the authoritative list, not from the old one.
     ///
-    /// Recovery (DESIGN.md §6): an injected fault is absorbed after one
-    /// retry — the authoritative entry list lives in memory, so a
-    /// persistently unreadable old page does not block the rewrite.
+    /// Recovery (DESIGN.md §6): an injected fault is absorbed after
+    /// [`Retry::Once`] — the authoritative entry list lives in memory,
+    /// so a persistently unreadable old page does not block the rewrite.
     fn rmw_read(&mut self, io: &mut IoManager, bucket: u64) -> Result<(), CacheError> {
         if !self.written[bucket as usize] {
             return Ok(());
         }
         let block = self.bucket_block(bucket);
         let len = self.bucket_bytes as usize;
-        let mut read = io.read_charged(block, len);
-        if read.as_ref().is_err_and(|e| e.is_injected_fault()) {
-            self.stats.read_faults += 1;
-            read = io.read_charged(block, len);
+        let read = || io.read_charged(block, len);
+        if issue(Retry::Once, || self.stats.read_faults += 1, read)?.is_ok() {
+            self.stats.rmw_reads += 1;
         }
-        match read {
-            Ok(_) => {
-                self.stats.rmw_reads += 1;
-                Ok(())
-            }
-            Err(e) if e.is_injected_fault() => Ok(()),
-            Err(e) => Err(e.into()),
-        }
+        Ok(())
     }
 
     /// Writes `bucket`'s page, one block holding `source`'s bytes,
     /// through the placement handle.
     ///
-    /// Recovery (DESIGN.md §6): an injected fault is retried, up to
-    /// [`SOC_WRITE_ATTEMPTS`] attempts in all; a persistent failure
-    /// propagates so the caller can roll back its in-memory mutation —
-    /// the bucket is then still exactly its pre-operation self, on
-    /// flash and in memory.
+    /// Recovery (DESIGN.md §6): an injected fault is retried under
+    /// [`Retry::Write`]; a persistent failure propagates so the caller
+    /// can roll back its in-memory mutation — the bucket is then still
+    /// exactly its pre-operation self, on flash and in memory.
     fn write_page(
         &mut self,
         io: &mut IoManager,
         bucket: u64,
         source: FillSource,
     ) -> Result<(), CacheError> {
-        let block = self.bucket_block(bucket);
-        let mut attempt = 1;
-        while let Err(e) = io.write_with(block, 1, source.clone(), self.handle) {
-            if !e.is_injected_fault() {
-                return Err(e.into());
-            }
-            if attempt == SOC_WRITE_ATTEMPTS {
-                self.stats.write_faults += 1;
-                return Err(e.into());
-            }
-            attempt += 1;
-            self.stats.write_retries += 1;
+        let (block, handle) = (self.bucket_block(bucket), self.handle);
+        let write = || io.write_with(block, 1, source.clone(), handle);
+        if let Err(fault) = issue(Retry::Write, || self.stats.write_retries += 1, write)? {
+            self.stats.write_faults += 1;
+            return Err(fault.into());
         }
         self.written[bucket as usize] = true;
         self.stats.page_writes += 1;
@@ -489,31 +460,20 @@ impl Soc {
         if self.written[bucket as usize] {
             let block = self.bucket_block(bucket);
             let len = self.bucket_bytes as usize;
-            let res = match io.read_charged(block, len) {
-                // Transient busy: one immediate retry.
-                Err(e) if e.is_busy() => io.read_charged(block, len),
-                res => res,
-            };
-            match res {
-                Ok(_) => {}
-                Err(e) if e.is_injected_fault() => {
-                    // Demote to miss + targeted repair (DESIGN.md §6):
-                    // the authoritative entry list is intact in memory,
-                    // so rewrite the page from it; future lookups hit
-                    // again. A persistently failing repair leaves the
-                    // page marked unwritten — the next insert rewrites
-                    // it in full without the RMW read.
-                    self.stats.read_faults += 1;
-                    match self.rewrite_bucket(io, bucket) {
-                        Ok(()) => self.stats.repair_writes += 1,
-                        Err(e2) if e2.is_injected_fault() => {
-                            self.written[bucket as usize] = false;
-                        }
-                        Err(e2) => return Err(e2),
-                    }
-                    return Ok(None);
+            if issue(Retry::Busy, || {}, || io.read_charged(block, len))?.is_err() {
+                // Demote to miss + targeted repair (DESIGN.md §6): the
+                // authoritative entry list is intact in memory, so
+                // rewrite the page from it; future lookups hit again. A
+                // persistently failing repair leaves the page marked
+                // unwritten — the next insert rewrites it in full
+                // without the RMW read.
+                self.stats.read_faults += 1;
+                match self.rewrite_bucket(io, bucket) {
+                    Ok(()) => self.stats.repair_writes += 1,
+                    Err(e) if e.is_injected_fault() => self.written[bucket as usize] = false,
+                    Err(e) => return Err(e),
                 }
-                Err(e) => return Err(e.into()),
+                return Ok(None);
             }
         }
         let found =

@@ -42,7 +42,7 @@ pub struct CacheStats {
     /// (media error / busy) observed by this cache's I/O path.
     pub faults: u64,
     /// Command retries the recovery paths performed (seal re-submits,
-    /// bucket rewrite re-attempts).
+    /// bucket and footer rewrite re-attempts).
     pub retries: u64,
     /// Targeted repair-writes after read faults (object re-written so
     /// future lookups hit again).

@@ -1,6 +1,4 @@
-//! I/O command definitions.
-
-use crate::namespace::NamespaceId;
+//! The deallocate range a dataset-management command carries.
 
 /// A deallocate range (one entry of a DSM command).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -9,85 +7,4 @@ pub struct DeallocRange {
     pub slba: u64,
     /// Number of logical blocks.
     pub nlb: u64,
-}
-
-/// NVMe I/O commands understood by the simulated controller.
-///
-/// Payload buffers travel separately (see [`crate::Controller`] methods)
-/// so commands stay `Copy` and cheap to queue.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum IoCommand {
-    /// Read `nlb` blocks starting at `slba`.
-    Read {
-        /// Target namespace.
-        nsid: NamespaceId,
-        /// Starting LBA (namespace-relative).
-        slba: u64,
-        /// Number of logical blocks.
-        nlb: u32,
-    },
-    /// Write `nlb` blocks starting at `slba`, optionally carrying a data
-    /// placement directive.
-    Write {
-        /// Target namespace.
-        nsid: NamespaceId,
-        /// Starting LBA (namespace-relative).
-        slba: u64,
-        /// Number of logical blocks.
-        nlb: u32,
-        /// Placement identifier (DSPEC) when `Some`; `None` means no
-        /// directive (DTYPE = 0), which lands on the namespace default
-        /// handle.
-        dspec: Option<u16>,
-    },
-    /// Dataset-management deallocate over the given ranges.
-    Deallocate {
-        /// Target namespace.
-        nsid: NamespaceId,
-        /// Ranges to deallocate.
-        ranges: Vec<DeallocRange>,
-    },
-}
-
-impl IoCommand {
-    /// The namespace this command addresses.
-    pub fn nsid(&self) -> NamespaceId {
-        match self {
-            IoCommand::Read { nsid, .. }
-            | IoCommand::Write { nsid, .. }
-            | IoCommand::Deallocate { nsid, .. } => *nsid,
-        }
-    }
-
-    /// Logical blocks touched (for accounting).
-    pub fn blocks(&self) -> u64 {
-        match self {
-            IoCommand::Read { nlb, .. } | IoCommand::Write { nlb, .. } => *nlb as u64,
-            IoCommand::Deallocate { ranges, .. } => ranges.iter().map(|r| r.nlb).sum(),
-        }
-    }
-
-    /// Whether this is a write-class command (program cost).
-    pub fn is_write(&self) -> bool {
-        matches!(self, IoCommand::Write { .. })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn accessors() {
-        let w = IoCommand::Write { nsid: 2, slba: 10, nlb: 4, dspec: Some(1) };
-        assert_eq!(w.nsid(), 2);
-        assert_eq!(w.blocks(), 4);
-        assert!(w.is_write());
-        let d = IoCommand::Deallocate {
-            nsid: 1,
-            ranges: vec![DeallocRange { slba: 0, nlb: 5 }, DeallocRange { slba: 9, nlb: 3 }],
-        };
-        assert_eq!(d.blocks(), 8);
-        assert!(!d.is_write());
-    }
 }

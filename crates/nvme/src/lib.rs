@@ -61,7 +61,7 @@ pub mod logpage;
 pub mod namespace;
 pub mod queue;
 
-pub use command::{DeallocRange, IoCommand};
+pub use command::DeallocRange;
 pub use controller::{
     BatchWrite, Controller, FdpStatsLog, NamespaceState, NamespaceStats, WriteCompletion,
     WritePayload,

@@ -26,16 +26,6 @@ pub struct Namespace {
 }
 
 impl Namespace {
-    /// Translates a namespace-relative LBA to a device LBA, or `None` if
-    /// out of range.
-    pub fn translate(&self, lba: u64) -> Option<u64> {
-        if lba < self.lba_count {
-            Some(self.start_lba + lba)
-        } else {
-            None
-        }
-    }
-
     /// Translates a namespace-relative range, or `None` if any part is
     /// out of range.
     pub fn translate_range(&self, lba: u64, count: u64) -> Option<(u64, u64)> {
@@ -69,14 +59,6 @@ mod tests {
 
     fn ns() -> Namespace {
         Namespace { nsid: 1, start_lba: 100, lba_count: 50, ruh_list: vec![0, 3, 5] }
-    }
-
-    #[test]
-    fn translate_offsets_and_bounds() {
-        let n = ns();
-        assert_eq!(n.translate(0), Some(100));
-        assert_eq!(n.translate(49), Some(149));
-        assert_eq!(n.translate(50), None);
     }
 
     #[test]

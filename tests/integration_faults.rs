@@ -6,7 +6,7 @@
 //! a shard or panics the stack.
 
 use fdpcache::cache::builder::{
-    build_cache, build_device, build_device_faulted, create_namespace, StoreKind,
+    build_cache, build_device, build_device_faulted, create_namespace, recover_cache, StoreKind,
 };
 use fdpcache::cache::value::Value;
 use fdpcache::cache::{
@@ -31,12 +31,19 @@ fn cache_config(ram_bytes: u64) -> CacheConfig {
 /// Builds a single-tenant stack over a faulted device, returning the
 /// controller, cache, and the namespace-relative first LOC block.
 fn faulted_stack(fault: FaultConfig, ram_bytes: u64) -> (SharedController, HybridCache, u64) {
+    faulted_stack_with(fault, &cache_config(ram_bytes))
+}
+
+/// [`faulted_stack`] under any cache configuration with
+/// [`cache_config`]'s SOC fraction.
+fn faulted_stack_with(
+    fault: FaultConfig,
+    config: &CacheConfig,
+) -> (SharedController, HybridCache, u64) {
     let ctrl = build_device_faulted(FtlConfig::tiny_test(), StoreKind::Mem, true, fault).unwrap();
     let nsid = create_namespace(&ctrl, 0.9, vec![0, 1]).unwrap();
     let blocks = ctrl.namespace(nsid).unwrap().lba_count;
-    let cache =
-        build_cache(&ctrl, nsid, &cache_config(ram_bytes), Box::new(RoundRobinPolicy::new()))
-            .unwrap();
+    let cache = build_cache(&ctrl, nsid, config, Box::new(RoundRobinPolicy::new())).unwrap();
     // Same arithmetic as NavyEngine::new: SOC gets the first
     // soc_fraction of blocks, LOC regions start right after.
     let soc_blocks = (blocks as f64 * 0.1).floor() as u64;
@@ -158,6 +165,7 @@ fn write_retry_budgets_hold_exactly() {
                         // Deleting a sealed key rewrites region 0's footer.
                         assert!(cache.delete(0).unwrap());
                         let loc = cache.navy().loc().stats();
+                        assert_eq!(loc.footer_retries, budget - 1, "{case}");
                         assert_eq!(loc.footer_rewrites, !exhausted as u64, "{case}");
                         assert_eq!(loc.footer_faults, exhausted as u64, "{case}");
                         let discards = cache.navy().io().stats().discards;
@@ -165,6 +173,165 @@ fn write_retry_budgets_hold_exactly() {
                     }
                 }
             }
+            ctrl.with_ftl(|f| f.check_invariants());
+        }
+    }
+}
+
+/// A read or TRIM retry site of the flash engines, as
+/// [`read_retry_budgets_hold_exactly`] drives it.
+#[derive(Debug, Clone, Copy)]
+enum ReadSite {
+    SocRmwRead,
+    SocLookupBusy,
+    SocLookupMedia,
+    LocLookupBusy,
+    LocLookupMedia,
+    SocRecoveryRead,
+    LocFooterRecoveryRead,
+    RegionEvictTrim,
+}
+
+#[test]
+fn read_retry_budgets_hold_exactly() {
+    // Each site's attempt budget, written out so that changing one
+    // fails here: a fault repeated `budget - 1` times is outlasted, one
+    // repeated `budget` times exhausts the site and takes its fallback.
+    // A lookup retries a busy rejection only, so a media error gets a
+    // single attempt.
+    const KEY: u64 = 5;
+    let table = [
+        (ReadSite::SocRmwRead, 2),
+        (ReadSite::SocLookupBusy, 2),
+        (ReadSite::SocLookupMedia, 1),
+        (ReadSite::LocLookupBusy, 2),
+        (ReadSite::LocLookupMedia, 1),
+        (ReadSite::SocRecoveryRead, 2),
+        (ReadSite::LocFooterRecoveryRead, 2),
+        (ReadSite::RegionEvictTrim, 2),
+    ];
+    let trim = CacheConfig {
+        nvm: NvmConfig { trim_on_region_evict: true, ..cache_config(1_000).nvm },
+        ..cache_config(1_000)
+    };
+    // Puts KEY, alone, into its SOC bucket: one page write, no read.
+    let soc_key = |cache: &mut HybridCache| {
+        cache.put(KEY, Value::synthetic(90)).unwrap();
+        cache.put(KEY + 1, Value::synthetic(950)).unwrap();
+    };
+    // Three 20 KB objects fill LOC region 0; the fourth seals it.
+    let seal_region_0 = |cache: &mut HybridCache| {
+        for k in 0..4u64 {
+            cache.put(k, Value::synthetic(20_000)).unwrap();
+        }
+    };
+    // Puts 20 KB objects until the LOC evicts its first region,
+    // region 0.
+    let evict_region_0 = |cache: &mut HybridCache| {
+        for k in 0..10_000u64 {
+            cache.put(k, Value::synthetic(20_000)).unwrap();
+            if cache.navy().loc().stats().region_evictions > 0 {
+                return;
+            }
+        }
+        panic!("the LOC never wrapped");
+    };
+    for (site, budget) in table {
+        let config =
+            if let ReadSite::RegionEvictTrim = site { &trim } else { &cache_config(1_000) };
+        // Aim the fault from an identical fault-free build.
+        let (kind, lba, at_access) = {
+            let (_, probe, _) = faulted_stack_with(FaultConfig::default(), config);
+            let (soc, loc) = (probe.navy().soc(), probe.navy().loc());
+            let bucket = soc.bucket_block(soc.bucket_index(KEY));
+            let region = loc.region_start_block(0);
+            // A busy rejection counts every command at its start block;
+            // access 0 there is the write that put the data down.
+            match site {
+                ReadSite::SocRmwRead | ReadSite::SocLookupMedia | ReadSite::SocRecoveryRead => {
+                    (FaultKind::ReadError, bucket, 0)
+                }
+                ReadSite::SocLookupBusy => (FaultKind::Busy, bucket, 1),
+                ReadSite::LocLookupMedia => (FaultKind::ReadError, region, 0),
+                ReadSite::LocLookupBusy => (FaultKind::Busy, region, 1),
+                ReadSite::LocFooterRecoveryRead => {
+                    (FaultKind::ReadError, loc.meta_start_block(0), 0)
+                }
+                ReadSite::RegionEvictTrim => (FaultKind::DiscardError, region, 0),
+            }
+        };
+        for repeats in [budget - 1, budget] {
+            let exhausted = repeats == budget;
+            let fault = FaultConfig {
+                scripted: vec![ScriptedFault { kind, lba, at_access, repeats }],
+                ..Default::default()
+            };
+            let (ctrl, mut cache, _) = faulted_stack_with(fault, config);
+            cache.set_promote_on_nvm_hit(false);
+            let case = format!("{site:?} with {repeats} failing attempts");
+            match site {
+                ReadSite::SocRmwRead => {
+                    // KEY's second trip to flash rewrites its written
+                    // bucket, whose read-modify-write read faults; a
+                    // fault-free run gives the counts to compare.
+                    let (_, mut clean, _) = faulted_stack_with(FaultConfig::default(), config);
+                    for cache in [&mut clean, &mut cache] {
+                        soc_key(cache);
+                        cache.put(KEY, Value::synthetic(91)).unwrap();
+                        cache.put(KEY + 2, Value::synthetic(950)).unwrap();
+                    }
+                    let (soc, base) = (cache.navy().soc().stats(), clean.navy().soc().stats());
+                    assert_eq!(soc.read_faults, 1, "{case}");
+                    assert_eq!(soc.rmw_reads, base.rmw_reads - exhausted as u64, "{case}");
+                    assert_eq!(soc.page_writes, base.page_writes, "{case}: the write goes on");
+                    let verified = cache.verify_flash_key(KEY).unwrap();
+                    assert_eq!(verified, FlashVerify::Verified, "{case}");
+                }
+                ReadSite::SocLookupBusy | ReadSite::SocLookupMedia => {
+                    soc_key(&mut cache);
+                    let (outcome, _) = cache.get(KEY).unwrap();
+                    let soc = cache.navy().soc().stats();
+                    let expect = if exhausted { GetOutcome::Miss } else { GetOutcome::SocHit };
+                    assert_eq!(outcome, expect, "{case}");
+                    assert_eq!(soc.read_faults, exhausted as u64, "{case}");
+                    assert_eq!(soc.repair_writes, exhausted as u64, "{case}");
+                    assert_eq!(cache.get(KEY).unwrap().0, GetOutcome::SocHit, "{case}: repaired");
+                }
+                ReadSite::LocLookupBusy | ReadSite::LocLookupMedia => {
+                    seal_region_0(&mut cache);
+                    let (outcome, _) = cache.get(0).unwrap();
+                    let loc = cache.navy().loc().stats();
+                    let expect = if exhausted { GetOutcome::Miss } else { GetOutcome::LocHit };
+                    assert_eq!(outcome, expect, "{case}");
+                    assert_eq!(loc.read_faults, exhausted as u64, "{case}");
+                    assert_eq!(loc.repair_writes, exhausted as u64, "{case}");
+                    assert_eq!(cache.get(0).unwrap().0, GetOutcome::LocHit, "{case}: repaired");
+                }
+                ReadSite::SocRecoveryRead | ReadSite::LocFooterRecoveryRead => {
+                    // Crash with KEY in its bucket and region 0 sealed,
+                    // then recover: the recovery read of the bucket
+                    // page or of the footer's block 0 faults.
+                    soc_key(&mut cache);
+                    seal_region_0(&mut cache);
+                    drop(cache);
+                    let policy = Box::new(RoundRobinPolicy::new());
+                    cache = recover_cache(&ctrl, 1, config, policy).unwrap();
+                    let (soc, loc) = (cache.navy().soc().stats(), cache.navy().loc().stats());
+                    let (read_faults, key) = match site {
+                        ReadSite::SocRecoveryRead => (soc.read_faults, KEY),
+                        _ => (loc.read_faults, 0),
+                    };
+                    assert_eq!(read_faults, 1, "{case}: the first fault is counted");
+                    let recovered = cache.persisted_keys().contains(&key);
+                    assert_eq!(recovered, !exhausted, "{case}: absent once exhausted");
+                }
+                ReadSite::RegionEvictTrim => {
+                    evict_region_0(&mut cache);
+                    let loc = cache.navy().loc().stats();
+                    assert_eq!(loc.discard_faults, exhausted as u64, "{case}");
+                }
+            }
+            assert_eq!(cache.navy().io().stats().faults, repeats, "{case}: attempts that faulted");
             ctrl.with_ftl(|f| f.check_invariants());
         }
     }
