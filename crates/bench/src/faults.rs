@@ -21,17 +21,21 @@
 //!
 //! Scenario runs keep their fault counters visible so the gate can also
 //! require that non-trivial scenarios really injected faults and really
-//! exercised recovery (no vacuous pass).
+//! exercised recovery (no vacuous pass). Besides the built-in scenarios
+//! the gate replays one of its own, `footer_write`, which faults a LOC
+//! footer write outside a seal ([`footer_fault_scenario`]) and must
+//! drive the footer-rewrite retry and its slot-discard fallback.
 
 use std::collections::BTreeMap;
 
 use fdpcache_cache::builder::{
     build_cache, build_device, build_device_faulted, create_namespace, StoreKind,
 };
+use fdpcache_cache::loc::LocStats;
 use fdpcache_cache::{CacheConfig, CacheError, CacheStats, NvmConfig};
 use fdpcache_core::{RoundRobinPolicy, SharedController};
 use fdpcache_ftl::FtlConfig;
-use fdpcache_nvme::FaultTotals;
+use fdpcache_nvme::{FaultConfig, FaultKind, FaultTotals, ScriptedFault};
 use fdpcache_workloads::oracle::{verify_by_bucket, FlashTally};
 use fdpcache_workloads::{FaultScenario, Oracle, TraceGen, WorkloadProfile};
 
@@ -80,6 +84,8 @@ struct FaultRunResult {
     now_ns: u64,
     /// Cache counters at the end of the replay (pre-verification).
     stats: CacheStats,
+    /// The LOC's counters at the same point.
+    loc: LocStats,
     /// Store-level injection totals (pre-verification).
     injected: FaultTotals,
     /// Injected-fault errors that surfaced to the driver (persistently
@@ -116,10 +122,11 @@ fn run_on(ctrl: &SharedController, scenario: &str) -> FaultRunResult {
     }
     cache.drain_io();
     let (now_ns, stats, injected) = (cache.now_ns(), cache.stats(), ctrl.fault_totals());
+    let loc = cache.navy().loc().stats();
     let mut buckets = BTreeMap::new();
     let flash = oracle.tally_flash(|key| verify_by_bucket(&mut cache, 0, key, &mut buckets));
     ctrl.with_ftl(|f| f.check_invariants());
-    FaultRunResult { scenario: scenario.to_string(), now_ns, stats, injected, surfaced, flash }
+    FaultRunResult { scenario: scenario.to_string(), now_ns, stats, injected, surfaced, flash, loc }
 }
 
 /// Replays the gate trace under one scenario.
@@ -128,6 +135,27 @@ fn run_fault_scenario(scenario: &FaultScenario) -> FaultRunResult {
         build_device_faulted(gate_ftl_config(), StoreKind::Mem, true, scenario.config.clone())
             .expect("faulted device");
     run_on(&ctrl, scenario.name)
+}
+
+/// The gate's own scenario: a scripted write fault on the footer slot
+/// of LOC region 0, the first region the gate trace seals and evicts.
+/// The slot's first write is region 0's seal, so the fault starts at
+/// its second, the first footer write outside a seal (a delete's
+/// rewrite or the eviction's retirement), and lasts four attempts —
+/// every attempt `Retry::Write` grants a footer — so the write retries
+/// and then falls back to discarding the slot.
+fn footer_fault_scenario() -> FaultScenario {
+    let ctrl = build_device(gate_ftl_config(), StoreKind::Mem, true).expect("plain device");
+    let nsid = create_namespace(&ctrl, 0.9, (0..8).collect()).expect("namespace");
+    let cache = build_cache(&ctrl, nsid, &gate_cache_config(), Box::new(RoundRobinPolicy::new()))
+        .expect("cache");
+    let start = ctrl.namespace(nsid).expect("namespace").start_lba;
+    let lba = start + cache.navy().loc().meta_start_block(0);
+    let fault = ScriptedFault { kind: FaultKind::WriteError, lba, at_access: 1, repeats: 4 };
+    FaultScenario {
+        name: "footer_write",
+        config: FaultConfig { seed: 0xFA07, scripted: vec![fault], ..Default::default() },
+    }
 }
 
 /// Replays the gate trace on a plain, undecorated device — the
@@ -142,16 +170,17 @@ mod tests {
     use super::*;
     use crate::harness::first_divergence;
 
-    /// Every built-in scenario at full length, twice: bit-identical
-    /// reruns, zero lost acknowledged writes, non-vacuous injection,
-    /// recovery and verification, and an empty plan that is
+    /// Every built-in scenario and the footer scenario at full length,
+    /// twice: bit-identical reruns, zero lost acknowledged writes,
+    /// non-vacuous injection, recovery and verification, a footer
+    /// fault that retries and falls back, and an empty plan that is
     /// bit-transparent.
     #[test]
     fn gate() {
-        let runs: Vec<(FaultRunResult, FaultRunResult)> = FaultScenario::all_builtin()
-            .iter()
-            .map(|s| (run_fault_scenario(s), run_fault_scenario(s)))
-            .collect();
+        let mut scenarios = FaultScenario::all_builtin();
+        scenarios.push(footer_fault_scenario());
+        let runs: Vec<(FaultRunResult, FaultRunResult)> =
+            scenarios.iter().map(|s| (run_fault_scenario(s), run_fault_scenario(s))).collect();
         let plain = run_plain_baseline();
         let mut fails: Vec<String> = Vec::new();
         for (r, rerun) in &runs {
@@ -185,6 +214,15 @@ mod tests {
                 if r.stats.retries + r.stats.repairs + r.stats.requeues == 0 {
                     fails.push(format!("scenario {} never engaged recovery (vacuous)", r.scenario));
                 }
+            }
+            if r.scenario == "footer_write"
+                && (r.loc.footer_retries == 0 || r.loc.footer_faults == 0)
+            {
+                fails.push(format!(
+                    "scenario footer_write never retried a footer write outside a seal and fell \
+                     back ({} footer retries, {} footer faults)",
+                    r.loc.footer_retries, r.loc.footer_faults
+                ));
             }
         }
         let none = &runs.iter().find(|(r, _)| r.scenario == "none").expect("none scenario").0;

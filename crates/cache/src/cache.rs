@@ -169,7 +169,12 @@ impl HybridCache {
         let soc = self.navy.soc().stats();
         let loc = self.navy.loc().stats();
         s.faults = self.navy.io().stats().faults;
-        s.retries = soc.write_retries + loc.seal_retries + loc.footer_retries;
+        s.retries = soc.write_retries
+            + soc.read_retries
+            + loc.seal_retries
+            + loc.footer_retries
+            + loc.read_retries
+            + loc.discard_retries;
         s.repairs = soc.repair_writes + loc.repair_writes;
         s.requeues = loc.requeued_objects;
         s

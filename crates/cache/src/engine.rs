@@ -433,19 +433,29 @@ mod tests {
     }
 
     fn engine_over(store: Box<dyn DataStore>) -> NavyEngine {
+        engine_with_regions(store, 16)
+    }
+
+    /// [`engine_over`] with `region_blocks`-block LOC regions.
+    fn engine_with_regions(store: Box<dyn DataStore>, region_blocks: u64) -> NavyEngine {
         let ctrl = Controller::new(FtlConfig::tiny_test(), store).unwrap();
         let blocks = ctrl.unallocated_lbas();
         let nsid = ctrl.create_namespace(blocks, vec![0, 1]).unwrap();
-        engine_on(Arc::new(ctrl), nsid)
+        engine_on_with(Arc::new(ctrl), nsid, region_blocks)
     }
 
     /// A fresh engine over namespace `nsid` of `ctrl`, as
     /// [`engine_over`] configures it.
     fn engine_on(ctrl: SharedController, nsid: NamespaceId) -> NavyEngine {
+        engine_on_with(ctrl, nsid, 16) // 16-block regions for the tiny device
+    }
+
+    /// [`engine_on`] with `region_blocks`-block LOC regions.
+    fn engine_on_with(ctrl: SharedController, nsid: NamespaceId, region_blocks: u64) -> NavyEngine {
         let io = IoManager::new(ctrl, nsid, 4).unwrap();
         let cfg = NvmConfig {
             soc_fraction: 0.1,
-            region_bytes: 16 * 4096, // 16-block regions for the tiny device
+            region_bytes: region_blocks * 4096,
             size_threshold: 2048,
             trim_on_region_evict: false,
             io_lanes: 4,
@@ -529,6 +539,8 @@ mod tests {
         made: AtomicU64,
         /// `write_block`/`write_blocks` calls.
         byte_writes: AtomicU64,
+        /// `write_source` calls.
+        source_writes: AtomicU64,
     }
 
     /// A [`MemStore`] that counts payload loads, the bytes its sources
@@ -575,6 +587,7 @@ mod tests {
             source: &FillSource,
             base: usize,
         ) {
+            self.counts.source_writes.fetch_add(1, Ordering::Relaxed);
             let (source, counts) = (source.clone(), self.counts.clone());
             let counted: FillSource = Arc::new(move |at, out: &mut [u8]| {
                 counts.made.fetch_add(out.len() as u64, Ordering::Relaxed);
@@ -694,6 +707,33 @@ mod tests {
         // Key 12 sits at byte 20 000 of region 0: blocks 4..=7.
         assert_eq!(e.verify_key(12).unwrap(), FlashVerify::Verified);
         assert_eq!(made(), 4 * 4096, "only the covering blocks");
+    }
+
+    /// A seal reaches the store as two calls, one per source — the
+    /// region's 64 KiB chunk commands, then the footer's — and an
+    /// eviction's footer retirement as one.
+    #[test]
+    fn a_seal_is_two_store_calls_and_a_retirement_one() {
+        let (store, counts) = CountingStore::new();
+        // 64-block regions: a seal is four region chunks and a footer.
+        let mut e = engine_with_regions(Box::new(store), 64);
+        let calls = || counts.source_writes.load(Ordering::Relaxed);
+        // Five 50 000-byte objects fill a region; the sixth seals it.
+        for k in 0..6u64 {
+            e.insert(k, Value::synthetic(50_000)).unwrap();
+        }
+        assert_eq!((e.loc().stats().seals, e.io().stats().writes), (1, 5));
+        assert_eq!(calls(), 2);
+        // LOC inserts alone, past the wrap: every seal is two calls and
+        // every eviction's retirement one.
+        for k in 6..200u64 {
+            e.insert(k, Value::synthetic(50_000)).unwrap();
+        }
+        let loc = e.loc().stats();
+        assert!(loc.region_evictions > 0, "{loc:?}");
+        assert_eq!(e.soc().stats().page_writes, 0);
+        assert_eq!(e.io().stats().writes, 5 * loc.seals + loc.region_evictions);
+        assert_eq!(calls(), 2 * loc.seals + loc.region_evictions);
     }
 
     /// The cache issues no byte write: SOC pages, sealed regions and

@@ -82,6 +82,10 @@ pub struct LocStats {
     /// Sealed-object reads that completed with an injected fault and
     /// were demoted to a miss.
     pub read_faults: u64,
+    /// Read re-issues after an injected fault: a lookup's re-read of a
+    /// sealed object after a busy rejection, and recovery's re-read of
+    /// a footer or a region.
+    pub read_retries: u64,
     /// Targeted repair-writes: objects re-inserted after a read fault
     /// so subsequent lookups hit again.
     pub repair_writes: u64,
@@ -91,6 +95,8 @@ pub struct LocStats {
     /// Region-evict TRIMs skipped after persistent discard faults
     /// (advisory command; data correctness is unaffected).
     pub discard_faults: u64,
+    /// TRIM re-issues after an injected discard fault.
+    pub discard_retries: u64,
     /// Region footers rewritten outside a seal (delete persistence and
     /// cross-region scrubs of superseded entries).
     pub footer_rewrites: u64,
@@ -359,14 +365,26 @@ impl Loc {
     ) -> Result<Option<Footer>, CacheError> {
         let bb = self.block_bytes as usize;
         let start = self.meta_start_block(region);
-        if !recovery_read(io, start, &mut buf[..bb], &mut self.stats.read_faults)? {
+        if !recovery_read(
+            io,
+            start,
+            &mut buf[..bb],
+            &mut self.stats.read_faults,
+            &mut self.stats.read_retries,
+        )? {
             return Ok(None);
         }
         let blocks = match self.footer.decode(region, &buf[..bb]) {
             Err(Malformed::Short { blocks }) => blocks,
             decoded => return Ok(decoded.ok()),
         };
-        if !recovery_read(io, start + 1, &mut buf[bb..blocks * bb], &mut self.stats.read_faults)? {
+        if !recovery_read(
+            io,
+            start + 1,
+            &mut buf[bb..blocks * bb],
+            &mut self.stats.read_faults,
+            &mut self.stats.read_retries,
+        )? {
             return Ok(None);
         }
         Ok(self.footer.decode(region, &buf[..blocks * bb]).ok())
@@ -533,7 +551,10 @@ impl Loc {
         // acknowledged-but-not-sealed — the documented volatile class).
         let seq = self.next_seal_seq;
         self.drop_superseded();
-        let image = Arc::new(std::mem::take(&mut self.buffer));
+        // The objects move into an image of exactly their number, which
+        // the store keeps as long as a block of the region; the buffer
+        // keeps its room for the next region instead of regrowing.
+        let image: Arc<[Buffered]> = self.buffer.drain(..).collect();
         let source: FillSource = {
             let image = image.clone();
             Arc::new(move |at, out| fill_region(&image, at, out))
@@ -604,20 +625,22 @@ impl Loc {
 
     /// Queues `blocks` blocks of `block_bytes` at `start` holding
     /// `source`'s bytes as commands of [`SEAL_CHUNK_BYTES`] each, the
-    /// last one shorter.
-    fn queue_chunks(
-        batch: &mut IoBatch,
+    /// last one shorter. Every command borrows the one source, at
+    /// consecutive offsets, so the payload store records the whole
+    /// stretch once.
+    fn queue_chunks<'a>(
+        batch: &mut IoBatch<'a>,
         block_bytes: u32,
         start: u64,
         blocks: u64,
-        source: &FillSource,
+        source: &'a FillSource,
         handle: PlacementHandle,
     ) {
         let chunk_blocks = (SEAL_CHUNK_BYTES as u64 / block_bytes as u64).max(1);
         for first in (0..blocks).step_by(chunk_blocks as usize) {
             let nlb = chunk_blocks.min(blocks - first);
             let base = (first * block_bytes as u64) as usize;
-            batch.write_with(start + first, nlb, source.clone(), base, handle);
+            batch.write_with(start + first, nlb, source, base, handle);
         }
     }
 
@@ -688,7 +711,7 @@ impl Loc {
         let footer_blocks = self.footer.blocks_for(entries.len()) as u64;
         let source = self.footer.source(io.retains_data(), region, seal_seq, entries);
         let (start, handle) = (self.meta_start_block(region), self.meta_handle);
-        let write = || io.write_with(start, footer_blocks, source.clone(), handle);
+        let write = || io.write_with(start, footer_blocks, &source, handle);
         if issue(Retry::Write, || self.stats.footer_retries += 1, write)?.is_ok() {
             self.stats.footer_rewrites += 1;
             self.stats.footer_blocks_written += footer_blocks;
@@ -712,7 +735,8 @@ impl Loc {
     /// [`Retry::Once`], then counted in [`LocStats::discard_faults`] and
     /// skipped. Only non-injected errors propagate.
     fn discard(&mut self, io: &mut IoManager, start: u64, blocks: u64) -> Result<(), CacheError> {
-        if issue(Retry::Once, || {}, || io.discard(start, blocks))?.is_err() {
+        let trim = || io.discard(start, blocks);
+        if issue(Retry::Once, || self.stats.discard_retries += 1, trim)?.is_err() {
             self.stats.discard_faults += 1;
         }
         Ok(())
@@ -922,7 +946,9 @@ impl Loc {
         // injected fault that outlasts `Retry::Busy` demotes the
         // lookup to a miss and triggers a targeted repair-write
         // (DESIGN.md §6).
-        if issue(Retry::Busy, || {}, || self.charge_covering_blocks(io, &entry))?.is_err() {
+        let (block, need, _) = self.covering_blocks(&entry);
+        let read = || io.read_charged(block, need);
+        if issue(Retry::Busy, || self.stats.read_retries += 1, read)?.is_err() {
             self.stats.read_faults += 1;
             // Demote to miss: drop the unreadable copy, then
             // repair-write the (authoritative) value into the current
@@ -1192,7 +1218,13 @@ impl Loc {
             // Footer valid but payload unreadable: the region's objects
             // are lost as if evicted; leave it free.
             let start = self.region_start_block(region);
-            if !recovery_read(io, start, &mut payload, &mut self.stats.read_faults)? {
+            if !recovery_read(
+                io,
+                start,
+                &mut payload,
+                &mut self.stats.read_faults,
+                &mut self.stats.read_retries,
+            )? {
                 continue;
             }
             self.free.retain(|&r| r != region);

@@ -57,8 +57,9 @@ pub(crate) fn issue<T>(
 }
 
 /// A recovery read of `buf.len()` bytes at `start` under
-/// [`Retry::Once`], counting its first fault in `read_faults`.
-/// `Ok(false)`: the blocks stay unreadable or were never written.
+/// [`Retry::Once`], counting its first fault in `read_faults` and the
+/// re-read it causes in `read_retries`. `Ok(false)`: the blocks stay
+/// unreadable or were never written.
 ///
 /// # Errors
 ///
@@ -68,8 +69,13 @@ pub(crate) fn recovery_read(
     start: u64,
     buf: &mut [u8],
     read_faults: &mut u64,
+    read_retries: &mut u64,
 ) -> Result<bool, CacheError> {
-    match issue(Retry::Once, || *read_faults += 1, || io.read(start, buf)) {
+    let retried = || {
+        *read_faults += 1;
+        *read_retries += 1;
+    };
+    match issue(Retry::Once, retried, || io.read(start, buf)) {
         Ok(res) => Ok(res.is_ok()),
         Err(CacheError::Io(NvmeError::Unwritten(_))) => Ok(false),
         Err(e) => Err(e),

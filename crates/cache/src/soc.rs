@@ -75,6 +75,10 @@ pub struct SocStats {
     pub write_faults: u64,
     /// Bucket-page reads that completed with an injected fault.
     pub read_faults: u64,
+    /// Bucket-page read re-issues after an injected fault: a lookup's
+    /// second attempt after a busy rejection, and the second attempt of
+    /// the read-modify-write read and of recovery's page read.
+    pub read_retries: u64,
     /// Targeted repair-writes: bucket pages rewritten from the
     /// authoritative list after a read fault.
     pub repair_writes: u64,
@@ -175,7 +179,13 @@ impl Soc {
         let mut page = vec![0u8; self.bucket_bytes as usize];
         for bucket in 0..self.num_buckets {
             let block = self.bucket_block(bucket);
-            if !recovery_read(io, block, &mut page, &mut self.stats.read_faults)? {
+            if !recovery_read(
+                io,
+                block,
+                &mut page,
+                &mut self.stats.read_faults,
+                &mut self.stats.read_retries,
+            )? {
                 continue;
             }
             // A readable page that is not a valid bucket (torn or
@@ -290,7 +300,12 @@ impl Soc {
         let block = self.bucket_block(bucket);
         let len = self.bucket_bytes as usize;
         let read = || io.read_charged(block, len);
-        if issue(Retry::Once, || self.stats.read_faults += 1, read)?.is_ok() {
+        let stats = &mut self.stats;
+        let retried = || {
+            stats.read_faults += 1;
+            stats.read_retries += 1;
+        };
+        if issue(Retry::Once, retried, read)?.is_ok() {
             self.stats.rmw_reads += 1;
         }
         Ok(())
@@ -310,7 +325,7 @@ impl Soc {
         source: FillSource,
     ) -> Result<(), CacheError> {
         let (block, handle) = (self.bucket_block(bucket), self.handle);
-        let write = || io.write_with(block, 1, source.clone(), handle);
+        let write = || io.write_with(block, 1, &source, handle);
         if let Err(fault) = issue(Retry::Write, || self.stats.write_retries += 1, write)? {
             self.stats.write_faults += 1;
             return Err(fault.into());
@@ -460,7 +475,8 @@ impl Soc {
         if self.written[bucket as usize] {
             let block = self.bucket_block(bucket);
             let len = self.bucket_bytes as usize;
-            if issue(Retry::Busy, || {}, || io.read_charged(block, len))?.is_err() {
+            let read = || io.read_charged(block, len);
+            if issue(Retry::Busy, || self.stats.read_retries += 1, read)?.is_err() {
                 // Demote to miss + targeted repair (DESIGN.md §6): the
                 // authoritative entry list is intact in memory, so
                 // rewrite the page from it; future lookups hit again. A

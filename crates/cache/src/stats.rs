@@ -41,8 +41,10 @@ pub struct CacheStats {
     /// Device commands that completed with an injected failure status
     /// (media error / busy) observed by this cache's I/O path.
     pub faults: u64,
-    /// Command retries the recovery paths performed (seal re-submits,
-    /// bucket and footer rewrite re-attempts).
+    /// Command re-issues after an injected fault in the flash engines,
+    /// every retry their one retry policy grants: seal re-submits,
+    /// bucket and footer rewrite re-attempts, re-reads (busy lookups,
+    /// the read-modify-write read, recovery reads) and TRIM re-issues.
     pub retries: u64,
     /// Targeted repair-writes after read faults (object re-written so
     /// future lookups hit again).

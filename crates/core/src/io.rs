@@ -135,16 +135,16 @@ impl IoStats {
 
 /// A builder of vectored write submissions: queue writes against one
 /// [`IoManager`], then flush them all with [`IoManager::submit_batch`].
-/// Batch assembly is copy-free: every write hands the payload store a
+/// Batch assembly is copy-free: every write lends the payload store a
 /// shared source of its bytes ([`IoBatch::write_with`]; the LOC seals
 /// regions and their footers this way, and the slab makes the bytes
 /// only when they are read).
 #[derive(Debug, Default)]
-pub struct IoBatch {
-    writes: Vec<BatchWrite<'static>>,
+pub struct IoBatch<'a> {
+    writes: Vec<BatchWrite<'a>>,
 }
 
-impl IoBatch {
+impl<'a> IoBatch<'a> {
     /// Creates an empty batch.
     pub fn new() -> Self {
         IoBatch { writes: Vec::new() }
@@ -158,13 +158,15 @@ impl IoBatch {
     /// Queues a write of `nlb` blocks at `block` holding `source`'s
     /// bytes from byte `base` on (`source(offset, out)` writes every
     /// byte of `out`, the payload's bytes from `offset` on). The
-    /// payload store keeps the source and makes the bytes when they
-    /// are read, so the commands of one region share one source.
+    /// payload store keeps a share of the source and makes the bytes
+    /// when they are read. The commands of one region borrow one
+    /// source at consecutive offsets, and the store records each such
+    /// stretch once ([`Controller::write_batch_ns`]).
     pub fn write_with(
         &mut self,
         block: u64,
         nlb: u64,
-        source: FillSource,
+        source: &'a FillSource,
         base: usize,
         handle: PlacementHandle,
     ) -> &mut Self {
@@ -491,7 +493,8 @@ impl IoManager {
     /// Writes `nlb` blocks at `block` holding `source`'s bytes from
     /// byte 0 on, returning observed command latency (ns): the
     /// one-command form of [`IoBatch::write_with`]. The payload store
-    /// keeps the source and makes the bytes when they are read.
+    /// keeps a share of the source and makes the bytes when they are
+    /// read.
     ///
     /// # Errors
     ///
@@ -500,7 +503,7 @@ impl IoManager {
         &mut self,
         block: u64,
         nlb: u64,
-        source: FillSource,
+        source: &FillSource,
         handle: PlacementHandle,
     ) -> Result<u64, NvmeError> {
         self.write_one(BatchWrite {
@@ -597,7 +600,7 @@ impl IoManager {
     /// bit-reproducible while the cache tier retries or requeues. The
     /// LOC region seal treats any batch error as "nothing of this
     /// region landed".
-    pub fn submit_batch(&mut self, batch: IoBatch) -> Result<Vec<u64>, NvmeError> {
+    pub fn submit_batch(&mut self, batch: IoBatch<'_>) -> Result<Vec<u64>, NvmeError> {
         let n = batch.writes.len();
         let mut latencies = vec![0; n];
         self.write_batch(&batch.writes, &mut vec![WriteCompletion::default(); n], &mut latencies)?;
@@ -664,7 +667,7 @@ mod tests {
             page(i)(0, &mut data);
             let handle = PlacementHandle::with_dspec((i % 2) as u16);
             let w_b = bytes.write(block, &data, handle);
-            let w_s = sourced.write_with(block, nlb, Arc::new(page(i)), handle);
+            let w_s = sourced.write_with(block, nlb, &(Arc::new(page(i)) as FillSource), handle);
             assert_eq!(w_b, w_s, "write {i}");
             assert_eq!(bytes.now_ns(), sourced.now_ns(), "queue clock after write {i}");
         }
@@ -813,13 +816,13 @@ mod tests {
         // Sequential reference.
         let mut seq_lat = Vec::new();
         for (i, s) in sources.iter().enumerate() {
-            seq_lat.push(sequential.write_with(i as u64 * 4, 4, s.clone(), handle).unwrap());
+            seq_lat.push(sequential.write_with(i as u64 * 4, 4, s, handle).unwrap());
         }
 
         // One batch, same commands in the same order.
         let mut batch = IoBatch::with_capacity(sources.len());
         for (i, s) in sources.iter().enumerate() {
-            batch.write_with(i as u64 * 4, 4, s.clone(), 0, handle);
+            batch.write_with(i as u64 * 4, 4, s, 0, handle);
         }
         let lat = batched.submit_batch(batch).unwrap();
 
@@ -899,7 +902,7 @@ mod tests {
                     GenOp::Batch(extents) => {
                         let mut batch = IoBatch::with_capacity(extents.len());
                         for &(block, nlb) in extents {
-                            batch.write_with(block, nlb, fill.clone(), 0, PlacementHandle::DEFAULT);
+                            batch.write_with(block, nlb, &fill, 0, PlacementHandle::DEFAULT);
                         }
                         io.submit_batch(batch).map(drop)
                     }
@@ -931,8 +934,8 @@ mod tests {
         let ones: FillSource = Arc::new(|_, out| out.fill(1));
         let t0 = io.now_ns();
         let mut batch = IoBatch::new();
-        batch.write_with(0, 1, ones.clone(), 0, PlacementHandle::DEFAULT);
-        batch.write_with(io.blocks(), 1, ones, 0, PlacementHandle::DEFAULT); // past the end
+        batch.write_with(0, 1, &ones, 0, PlacementHandle::DEFAULT);
+        batch.write_with(io.blocks(), 1, &ones, 0, PlacementHandle::DEFAULT); // past the end
         assert!(io.submit_batch(batch).is_err());
         assert_eq!(io.now_ns(), t0);
         assert_eq!(io.stats(), IoStats::default());

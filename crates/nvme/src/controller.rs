@@ -60,14 +60,16 @@ pub enum WritePayload<'a> {
     /// Borrowed bytes: a whole number of logical blocks.
     Bytes(&'a [u8]),
     /// `nlb` blocks holding `source`'s bytes from byte `base` on,
-    /// stored through [`DataStore::write_source`]: a LOC seal hands
+    /// stored through [`DataStore::write_source`]: a LOC seal lends
     /// every command of a region one shared source this way, and a
     /// [`crate::MemStore`] makes the bytes only when they are read.
+    /// The store takes its own share of the source for each run it
+    /// records, so a batch clones no source per command.
     Fill {
         /// Logical blocks the command covers.
         nlb: u64,
         /// Writes the payload's bytes from a byte offset on.
-        source: FillSource,
+        source: &'a FillSource,
         /// The command's first byte within `source`.
         base: usize,
     },
@@ -103,6 +105,31 @@ pub struct BatchWrite<'a> {
     pub data: WritePayload<'a>,
     /// Placement directive (`None` = namespace default handle).
     pub dspec: Option<u16>,
+}
+
+/// Consecutive source commands of one batch stored as one: `nlb`
+/// blocks from device LBA `lba` on, holding `source`'s bytes from byte
+/// `base` on.
+struct Stretch<'a> {
+    lba: u64,
+    nlb: u64,
+    source: &'a FillSource,
+    base: usize,
+}
+
+impl Stretch<'_> {
+    /// Whether `next` carries on where this stretch ends: the same
+    /// source, at the next LBA and the next byte.
+    fn continues_into(&self, next: &Stretch<'_>, block_bytes: usize) -> bool {
+        Arc::ptr_eq(self.source, next.source)
+            && next.lba == self.lba + self.nlb
+            && next.base == self.base + self.nlb as usize * block_bytes
+    }
+
+    /// Hands the stretch to `store` as one source write.
+    fn store(self, store: &dyn DataStore, block_bytes: usize) {
+        store.write_source(self.lba, self.nlb, block_bytes, self.source, self.base);
+    }
 }
 
 /// The FDP statistics log page (paper §3.3 / §6.1): the host-visible
@@ -568,11 +595,14 @@ impl Controller {
     /// 3. all payloads land in the (sharded) store outside the media
     ///    lock, in command order, so a later command's bytes win where
     ///    commands overlap. Borrowed bytes are copied
-    ///    ([`DataStore::write_blocks`]); a source is handed over
-    ///    ([`DataStore::write_source`]), which a [`crate::MemStore`]
-    ///    records as one run per segment the command overlaps and calls
-    ///    only when a block of it is read — the cache's writes are all
-    ///    sources, so they make no byte here;
+    ///    ([`DataStore::write_blocks`]); sources are handed over
+    ///    ([`DataStore::write_source`]) one **stretch** at a time — the
+    ///    consecutive commands that continue one source at contiguous
+    ///    LBAs and contiguous byte offsets, such as a sealed region's
+    ///    64 KiB chunks — which a [`crate::MemStore`] records as one run
+    ///    per segment the stretch overlaps and calls only when a block
+    ///    of it is read. The cache's writes are all sources, so they
+    ///    make no byte here;
     /// 4. one `Mutex<Ftl>` acquisition maps every command via
     ///    [`fdpcache_ftl::Ftl::write_placed_batch`], as one run of pages
     ///    per stretch that fits the handle's active reclaim unit.
@@ -636,9 +666,7 @@ impl Controller {
                 return Err(f.into());
             }
         }
-        for w in writes {
-            self.store_payload(ns, w)?;
-        }
+        self.store_payloads(ns, writes)?;
         {
             let mut ftl = self.ftl.lock();
             for (i, w) in writes.iter().enumerate() {
@@ -665,15 +693,37 @@ impl Controller {
         Ok(())
     }
 
-    /// Lands one validated command's payload in the store.
-    fn store_payload(&self, ns: &Namespace, w: &BatchWrite<'_>) -> Result<(), NvmeError> {
+    /// Lands a validated batch's payloads in the store, in command
+    /// order: each byte command as it comes, and each stretch of
+    /// source commands that continue one another ([`Stretch`]) as one
+    /// [`DataStore::write_source`] call.
+    fn store_payloads(&self, ns: &Namespace, writes: &[BatchWrite<'_>]) -> Result<(), NvmeError> {
         let lba_bytes = self.lba_bytes as usize;
-        let (dev_start, nlb) = self.validate_io(ns, w.slba, w.data.byte_len(lba_bytes))?;
-        match &w.data {
-            WritePayload::Bytes(data) => self.store.write_blocks(dev_start, data, lba_bytes),
-            WritePayload::Fill { source, base, .. } => {
-                self.store.write_source(dev_start, nlb, lba_bytes, source, *base)
+        let mut open: Option<Stretch<'_>> = None;
+        for w in writes {
+            let (lba, nlb) = self.validate_io(ns, w.slba, w.data.byte_len(lba_bytes))?;
+            match w.data {
+                WritePayload::Fill { source, base, .. } => {
+                    let next = Stretch { lba, nlb, source, base };
+                    match &mut open {
+                        Some(s) if s.continues_into(&next, lba_bytes) => s.nlb += nlb,
+                        _ => {
+                            if let Some(done) = open.replace(next) {
+                                done.store(&*self.store, lba_bytes);
+                            }
+                        }
+                    }
+                }
+                WritePayload::Bytes(data) => {
+                    if let Some(done) = open.take() {
+                        done.store(&*self.store, lba_bytes);
+                    }
+                    self.store.write_blocks(lba, data, lba_bytes);
+                }
             }
+        }
+        if let Some(done) = open {
+            done.store(&*self.store, lba_bytes);
         }
         Ok(())
     }
@@ -1208,59 +1258,134 @@ mod tests {
         assert!(out.iter().all(|&x| x == 3));
     }
 
-    /// A seal-shaped batch over one shared source and the same writes
-    /// submitted one command per batch leave identical devices, and the
-    /// store makes no byte of the source until a block is read.
+    /// A [`MemStore`] shared with the test, counting the
+    /// [`DataStore::write_source`] calls the controller makes.
+    struct SourceCalls {
+        inner: Arc<MemStore>,
+        calls: Arc<AtomicU64>,
+    }
+
+    impl DataStore for SourceCalls {
+        fn attach(&self, exported_lbas: u64, lba_bytes: u32) {
+            self.inner.attach(exported_lbas, lba_bytes);
+        }
+        fn write_block(&self, lba: u64, data: &[u8]) {
+            self.inner.write_block(lba, data);
+        }
+        fn read_block(&self, lba: u64, out: &mut [u8]) -> bool {
+            self.inner.read_block(lba, out)
+        }
+        fn discard(&self, lba: u64) {
+            self.inner.discard(lba);
+        }
+        fn retains_data(&self) -> bool {
+            true
+        }
+        fn write_blocks(&self, lba: u64, data: &[u8], block_bytes: usize) {
+            self.inner.write_blocks(lba, data, block_bytes);
+        }
+        fn write_source(
+            &self,
+            lba: u64,
+            nlb: u64,
+            block_bytes: usize,
+            source: &FillSource,
+            base: usize,
+        ) {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            self.inner.write_source(lba, nlb, block_bytes, source, base);
+        }
+        fn read_blocks(&self, lba: u64, out: &mut [u8], block_bytes: usize) {
+            self.inner.read_blocks(lba, out, block_bytes);
+        }
+        fn discard_blocks(&self, lba: u64, count: u64) {
+            self.inner.discard_blocks(lba, count);
+        }
+    }
+
+    /// A seal-shaped batch and the same writes submitted one command per
+    /// batch leave identical devices — every block read back, every
+    /// completion and the FTL's counters — while the batch stores each
+    /// stretch of commands that continue one source as one run per
+    /// segment, and the store makes no byte of a source until a block
+    /// is read.
     #[test]
-    fn deferred_seal_batch_matches_one_command_per_batch() {
+    fn seal_batch_stores_one_run_per_stretch_and_matches_one_command_per_batch() {
         use std::sync::atomic::AtomicUsize;
 
         const CHUNK_BLOCKS: u64 = 16;
         const COMMANDS: u64 = 64;
-        // Mid-segment start: command 15 covers blocks 248..264 and so
-        // straddles the slab's 256-block segment boundary.
+        // Mid-segment start: the stretch covers blocks 8..1032, so it
+        // crosses four of the slab's 256-block segment boundaries, and
+        // command 15 (blocks 248..264) straddles the first.
         const REGION_START: u64 = 8;
         let chunk_bytes = CHUNK_BLOCKS as usize * 4096;
         let region_byte = |p: usize| (p.wrapping_mul(2_654_435_761) >> 13) as u8;
+        let other_byte = |p: usize| (p % 253) as u8 ^ 0x5A;
         let made = Arc::new(AtomicUsize::new(0));
-        let source: FillSource = {
+        let counted = |byte: fn(usize) -> u8| -> FillSource {
             let made = made.clone();
             Arc::new(move |at: usize, out: &mut [u8]| {
                 made.fetch_add(out.len(), Ordering::Relaxed);
                 for (i, b) in out.iter_mut().enumerate() {
-                    *b = region_byte(at + i);
+                    *b = byte(at + i);
                 }
             })
         };
+        let (region, other) = (counted(region_byte), counted(other_byte));
         let footer = page(0xF0);
-        let mut writes: Vec<BatchWrite<'_>> = (0..COMMANDS as usize)
-            .map(|c| BatchWrite {
-                slba: REGION_START + c as u64 * CHUNK_BLOCKS,
-                data: WritePayload::Fill {
-                    nlb: CHUNK_BLOCKS,
-                    source: source.clone(),
-                    base: c * chunk_bytes,
-                },
-                dspec: Some(1),
+        let region_end = REGION_START + COMMANDS * CHUNK_BLOCKS;
+        let fill = |slba, nlb, source, base, dspec| BatchWrite {
+            slba,
+            data: WritePayload::Fill { nlb, source, base },
+            dspec: Some(dspec),
+        };
+        let mut writes: Vec<BatchWrite<'_>> = (0..COMMANDS)
+            .map(|c| {
+                let base = c as usize * chunk_bytes;
+                fill(REGION_START + c * CHUNK_BLOCKS, CHUNK_BLOCKS, &region, base, 1)
             })
             .collect();
-        let footer_lba = REGION_START + COMMANDS * CHUNK_BLOCKS;
+        // The region's next block and byte, but another source: a new
+        // stretch. Then the region's source again, from byte 0: not the
+        // first stretch's continuation either. Then bytes.
+        writes.push(fill(region_end, 1, &other, COMMANDS as usize * chunk_bytes, 1));
+        writes.push(fill(region_end + 1, 4, &region, 0, 1));
+        let footer_lba = region_end + 5;
         writes.push(BatchWrite {
             slba: footer_lba,
             data: WritePayload::Bytes(&footer),
             dspec: Some(2),
         });
+        let expected = |lba: u64| -> Option<Vec<u8>> {
+            let bytes = |byte: fn(usize) -> u8, base: usize| -> Vec<u8> {
+                (0..4096).map(|i| byte(base + i)).collect()
+            };
+            match lba {
+                l if (REGION_START..region_end).contains(&l) => {
+                    Some(bytes(region_byte, (l - REGION_START) as usize * 4096))
+                }
+                l if l == region_end => Some(bytes(other_byte, COMMANDS as usize * chunk_bytes)),
+                l if l > region_end && l < footer_lba => {
+                    Some(bytes(region_byte, (l - region_end - 1) as usize * 4096))
+                }
+                l if l == footer_lba => Some(footer.clone()),
+                _ => None,
+            }
+        };
 
         let device = || {
             let mut cfg = FtlConfig::tiny_test();
             cfg.latency = fdpcache_nand::LatencyModel::default();
-            let c = Controller::new(cfg, Box::new(MemStore::new())).unwrap();
+            let (slab, calls) = (Arc::new(MemStore::new()), Arc::new(AtomicU64::new(0)));
+            let store = SourceCalls { inner: slab.clone(), calls: calls.clone() };
+            let c = Controller::new(cfg, Box::new(store)).unwrap();
             let lbas = c.unallocated_lbas();
             let state = c.open_namespace(c.create_namespace(lbas, vec![0, 1, 2]).unwrap()).unwrap();
-            (c, state)
+            (c, state, slab, calls)
         };
-        let (batched_dev, batched_ns) = device();
-        let (serial, serial_ns) = device();
+        let (batched_dev, batched_ns, batched_slab, batched_calls) = device();
+        let (serial, serial_ns, serial_slab, serial_calls) = device();
 
         let mut batched = vec![WriteCompletion::default(); writes.len()];
         batched_dev.write_batch_ns(&batched_ns, &writes, &mut batched).unwrap();
@@ -1274,26 +1399,31 @@ mod tests {
             .collect();
         assert_eq!(batched, one_by_one);
         assert_eq!(made.load(Ordering::Relaxed), 0, "storing a source makes no byte");
+        // Three stretches: the region (five segments), the other
+        // source's block and the region's source again (one each); the
+        // footer's bytes are one more run. One command at a time, the
+        // region is 64 calls and 68 runs: each of the four commands that
+        // straddle a segment boundary is two.
+        assert_eq!(batched_calls.load(Ordering::Relaxed), 3);
+        assert_eq!(batched_slab.runs(), 5 + 1 + 1 + 1);
+        assert_eq!(serial_calls.load(Ordering::Relaxed), COMMANDS + 2);
+        assert_eq!(serial_slab.runs(), COMMANDS as usize + 4 + 1 + 1 + 1);
 
         let mut a = page(0);
         let mut b = page(0);
         for lba in 0..batched_ns.info().lba_count {
-            let written = (REGION_START..=footer_lba).contains(&lba);
+            let want = expected(lba);
+            let written = want.is_some();
             assert_eq!(batched_dev.read_ns(&batched_ns, lba, &mut a).is_ok(), written, "LBA {lba}");
             assert_eq!(serial.read_ns(&serial_ns, lba, &mut b).is_ok(), written, "LBA {lba}");
             assert_eq!(a, b, "LBA {lba}");
-            if lba == footer_lba {
-                assert_eq!(a, footer);
-            } else if written {
-                let base = (lba - REGION_START) as usize * 4096;
-                assert!(
-                    a.iter().enumerate().all(|(i, &x)| x == region_byte(base + i)),
-                    "LBA {lba}"
-                );
+            if let Some(want) = want {
+                assert!(a == want, "LBA {lba}");
             }
         }
         // Each device made every source block once, on its one read.
-        assert_eq!(made.load(Ordering::Relaxed), 2 * COMMANDS as usize * chunk_bytes);
+        let source_blocks = COMMANDS as usize * CHUNK_BLOCKS as usize + 1 + 4;
+        assert_eq!(made.load(Ordering::Relaxed), 2 * source_blocks * 4096);
         let device_view = |c: &Controller| {
             c.with_ftl(|f| {
                 let mapped: Vec<bool> = (0..c.exported_lbas).map(|l| f.is_mapped(l)).collect();
@@ -1302,7 +1432,7 @@ mod tests {
         };
         assert_eq!(device_view(&batched_dev), device_view(&serial));
         assert_eq!(batched_dev.fdp_stats_log(), serial.fdp_stats_log());
-        assert_eq!(batched_ns.stats().bytes_written, serial_ns.stats().bytes_written);
+        assert_eq!(batched_ns.stats(), serial_ns.stats());
     }
 
     /// Where the commands of one batch overlap, the later command's
@@ -1319,7 +1449,7 @@ mod tests {
         let source_nlb = (long.len() / 4096) as u64;
         for first in [
             WritePayload::Bytes(&long),
-            WritePayload::Fill { nlb: source_nlb, source: threes.clone(), base: 0 },
+            WritePayload::Fill { nlb: source_nlb, source: &threes, base: 0 },
         ] {
             let expect_rest = if matches!(first, WritePayload::Bytes(_)) { 1 } else { 3 };
             let writes = [

@@ -13,10 +13,12 @@
 //! The trait is **vectored**: [`DataStore::write_blocks`],
 //! [`DataStore::write_source`], [`DataStore::read_blocks`] and
 //! [`DataStore::discard_blocks`] move N contiguous blocks per call.
-//! A sealed 4 MiB cache region is a few dozen `write_source` commands
-//! over one [`FillSource`], which [`MemStore`] records as one run per
-//! command and segment and calls only when a block is read, rather
-//! than a thousand per-block operations. Per-block entry points remain
+//! A sealed 4 MiB cache region is 64 chunk commands over one
+//! [`FillSource`] at consecutive offsets, which the controller hands
+//! over as one `write_source` call and [`MemStore`] records as one run
+//! per segment (four for a segment-aligned region), calling the source
+//! only when a block is read, rather than a thousand per-block
+//! operations. Per-block entry points remain
 //! for direct use and as the building blocks of the default vectored
 //! implementations.
 //!
@@ -85,11 +87,13 @@ pub trait DataStore: Send + Sync {
     }
 
     /// Stores `nlb` contiguous blocks starting at `lba` holding
-    /// `source`'s bytes from byte `base` on. The default makes them at
+    /// `source`'s bytes from byte `base` on: one command, or a stretch
+    /// of consecutive commands that continue one source, which the
+    /// controller hands over as one call. The default makes them at
     /// once, into one temporary buffer, and calls
-    /// [`DataStore::write_blocks`]. [`MemStore`] records the command as
+    /// [`DataStore::write_blocks`]. [`MemStore`] records the write as
     /// one run per segment it overlaps instead and calls the source
-    /// only when a slot of the run is read, so a stored command costs
+    /// only when a slot of the run is read, so a stored write costs
     /// no byte pass until somebody reads it; the last slot of a run to
     /// be written over or discarded drops the run's share of the
     /// source.
@@ -151,9 +155,9 @@ pub trait DataStore: Send + Sync {
 
 /// Blocks per slab segment (= lock shard) in [`MemStore`]: 256 blocks
 /// = 1 MiB at 4 KiB LBAs. Segments are *contiguous* LBA ranges — the
-/// opposite of the seed's LBA-interleaved hash shards — so one 64 KiB
-/// seal command locks one segment (occasionally two at a boundary)
-/// instead of touching every shard, while distinct namespaces (carved
+/// opposite of the seed's LBA-interleaved hash shards — so a sealed
+/// region's stretch locks each segment it covers once, and a one-block
+/// page write one segment, instead of touching every shard, while distinct namespaces (carved
 /// sequentially from exported capacity) still land on distinct
 /// segments and never contend.
 const SEGMENT_BLOCKS: u64 = 256;
@@ -166,7 +170,7 @@ const DEFAULT_BLOCK_BYTES: usize = 4096;
 /// No run: the slot holds no payload.
 const NO_RUN: u16 = u16::MAX;
 
-/// One write command's stretch of a segment: slot `first + k` holds
+/// One write's stretch of a segment: slot `first + k` holds
 /// `source`'s bytes from byte `at + k * block_bytes` on, for every slot
 /// still naming the run. `live` counts those slots; the last to leave
 /// drops `source` and frees the run for reuse.
@@ -260,8 +264,8 @@ impl Segment {
             && u64::from(self.runs[id as usize].live) == span
             && self.run_of[slots.clone()].iter().all(|&r| r == id)
         {
-            // The command covers exactly the slots of one run — a bucket
-            // page rewritten, a region resealed in the same chunks — so
+            // The write covers exactly the slots of one run — a bucket
+            // page rewritten, a region resealed over the segment — so
             // it takes the run over. Leaving the run and recording a
             // fresh one costs a one-block write about a fifth more.
             let run = &mut self.runs[id as usize];
@@ -348,8 +352,10 @@ struct Slab {
 /// share of its source, the first slot and its byte offset, and a live
 /// count — and each of its slots names the run; a read calls the
 /// source for them and zero-fills slots that name none. A
-/// [`DataStore::write_source`] command hands over its source, so it
-/// costs no byte pass until somebody reads it. A byte write
+/// [`DataStore::write_source`] call hands over its source, so it
+/// costs no byte pass until somebody reads it; a sealed region's
+/// chunk commands arrive as one such call, so the region is one run
+/// per segment, not one per command and segment. A byte write
 /// ([`DataStore::write_blocks`], [`DataStore::write_block`]) becomes a
 /// source over an owned, zero-padded copy of its bytes, so a caller's
 /// buffer is free the moment the call returns. No hashing, no
@@ -402,6 +408,13 @@ impl MemStore {
     /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Runs that some slot names, over every segment.
+    #[cfg(test)]
+    pub(crate) fn runs(&self) -> usize {
+        let inner = self.inner.read();
+        inner.segments.iter().map(|s| s.lock().runs.iter().filter(|r| r.live > 0).count()).sum()
     }
 
     /// Takes the table read guard, growing the table first (write

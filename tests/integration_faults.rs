@@ -173,6 +173,7 @@ fn write_retry_budgets_hold_exactly() {
                     }
                 }
             }
+            assert_eq!(cache.stats().retries, budget - 1, "{case}: retries");
             ctrl.with_ftl(|f| f.check_invariants());
         }
     }
@@ -332,6 +333,9 @@ fn read_retry_budgets_hold_exactly() {
                 }
             }
             assert_eq!(cache.navy().io().stats().faults, repeats, "{case}: attempts that faulted");
+            // Every re-issue the site's budget grants is a counted retry,
+            // lookups' busy re-reads and TRIM re-issues included.
+            assert_eq!(cache.stats().retries, budget - 1, "{case}: retries");
             ctrl.with_ftl(|f| f.check_invariants());
         }
     }

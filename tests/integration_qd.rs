@@ -93,13 +93,15 @@ fn qd1_batched_seal_matches_legacy_synchronous_write_path() {
         let mut batch = IoBatch::new();
         for c in 0..chunks {
             let block = c as u64 * chunk_blocks;
-            batch.write_with(block, chunk_blocks, whole.clone(), c * chunk_bytes, handle);
+            batch.write_with(block, chunk_blocks, &whole, c * chunk_bytes, handle);
         }
         let batch_lat = batched.submit_batch(batch).unwrap();
         let seq_lat: Vec<u64> = (0..chunks)
             .map(|c| {
                 let block = c as u64 * chunk_blocks;
-                sequential.write_with(block, chunk_blocks, region(c * chunk_bytes), handle).unwrap()
+                sequential
+                    .write_with(block, chunk_blocks, &region(c * chunk_bytes), handle)
+                    .unwrap()
             })
             .collect();
         assert_eq!(batch_lat, seq_lat, "per-chunk latencies must match");
