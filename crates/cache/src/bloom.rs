@@ -66,11 +66,15 @@ impl BloomArray {
     }
 
     /// Whether `key` may be present in bucket `bucket`. False means
-    /// definitely absent.
+    /// definitely absent. The probes are hashed one at a time and the
+    /// answer is the first clear bit's, so a key an empty or sparse
+    /// filter rejects costs about one probe.
     pub fn may_contain(&self, bucket: usize, key: Key) -> bool {
-        let m = bits_for(key);
         let f = &self.filters[bucket];
-        f.iter().zip(m.iter()).all(|(fw, mw)| fw & mw == *mw)
+        (0..K).all(|r| {
+            let bit = mix(key, r) % BITS;
+            f[(bit / 64) as usize] & (1 << (bit % 64)) != 0
+        })
     }
 
     /// Bucket `bucket`'s filter bits, to compare a live filter with a
@@ -156,6 +160,20 @@ mod tests {
             let mut rebuilt = BloomArray::new(1);
             rebuilt.rebuild(0, (0..=n).map(|k| k * 7919));
             assert_eq!(grown.filter(0), rebuilt.filter(0), "after {} keys", n + 1);
+        }
+    }
+
+    #[test]
+    fn probing_bit_by_bit_answers_as_the_whole_mask() {
+        let mut b = BloomArray::new(1);
+        for n in 0..40u64 {
+            b.insert(0, n * 7919);
+            let f = b.filter(0);
+            for k in 0..2_000u64 {
+                let m = bits_for(k);
+                let whole = f.iter().zip(&m).all(|(fw, mw)| fw & mw == *mw);
+                assert_eq!(b.may_contain(0, k), whole, "key {k} after {} keys", n + 1);
+            }
         }
     }
 

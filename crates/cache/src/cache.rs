@@ -850,8 +850,8 @@ mod tests {
         assert!(s.nvm_hit_ratio() > 0.0);
     }
 
-    /// Two SOCs driven by one thread, each writing its pages as
-    /// snapshots of its own lists. Interleaved inserts, removes and
+    /// Two SOCs driven by one thread, each writing its pages through
+    /// one source over its own bucket table. Interleaved inserts, removes and
     /// lookups on the same bucket indexes, with bytes that differ per
     /// cache and per put: after every step every key of either cache
     /// must verify against its own device, and every written page

@@ -5,8 +5,10 @@
 //! read and write, their retries and their fault handling.
 //!
 //! Neither engine writes an encoded page. It hands the device a
-//! `page_source` over an owned snapshot of what the page lists, and
-//! the payload store runs the encoder only when a block is read.
+//! `page_source` over what the pages list — the SOC one source over
+//! its whole bucket table, the LOC an owned copy of each footer's
+//! entry table — and the payload store runs the encoder only when a
+//! block is read.
 //!
 //! A decoder judges every byte it is handed and names what it rejects
 //! ([`Malformed`]); nothing it returns is believed before the checksum
@@ -83,11 +85,12 @@ pub enum Malformed {
 static BLANK_PAGE: LazyLock<FillSource> = LazyLock::new(|| Arc::new(|_, out| out.fill(0)));
 
 /// The source of a run of `page_bytes` pages, page `i` of which
-/// `encode(i, page)` writes whole, whatever `page` held. A read that
+/// `encode(i, page)` writes whole, whatever `page` held; a write of
+/// page `i` alone passes `i × page_bytes` as its base. A read that
 /// covers a page whole has it encoded in place; one that covers it in
 /// part has it encoded into a scratch page and sliced. `encoder` builds
-/// `encode` — snapshotting what the pages list — only on a store that
-/// retains data; any other store gets one shared source of zeros.
+/// `encode` — taking hold of what the pages list — only on a store
+/// that retains data; any other store gets one shared source of zeros.
 pub(crate) fn page_source<E>(
     retains_data: bool,
     page_bytes: usize,

@@ -711,7 +711,7 @@ impl Loc {
         let footer_blocks = self.footer.blocks_for(entries.len()) as u64;
         let source = self.footer.source(io.retains_data(), region, seal_seq, entries);
         let (start, handle) = (self.meta_start_block(region), self.meta_handle);
-        let write = || io.write_with(start, footer_blocks, &source, handle);
+        let write = || io.write_with(start, footer_blocks, &source, 0, handle);
         if issue(Retry::Write, || self.stats.footer_retries += 1, write)?.is_ok() {
             self.stats.footer_rewrites += 1;
             self.stats.footer_blocks_written += footer_blocks;

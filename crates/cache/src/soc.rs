@@ -13,22 +13,34 @@
 //! * there is **no DRAM index** — that is the SOC's reason to exist.
 //!
 //! The authoritative entry list per bucket lives in memory (see the crate
-//! docs' simulator concession); the on-flash page format is
+//! docs' simulator concession), in one table of every bucket's list
+//! that the SOC edits in place; the on-flash page format is
 //! [`crate::layout`]'s, exact and tested for round-trip fidelity.
 //!
 //! A bucket write records its page; it does not make it (DESIGN.md
 //! §5.3). An insert or remove charges its read-modify-write read
 //! ([`IoManager::read_charged`]: the device cost, no bytes), edits the
-//! entry list, and writes the page as one [`FillSource`] over a
-//! snapshot of the edited list — clones of its keys and values, each a
-//! refcount bump or a length copy. The payload store keeps the source
-//! and calls it, which runs [`encode_bucket`], the one page builder,
-//! only when the block is read: by verification, scrub or
-//! recovery. Every page is therefore built whole from the list, and the
-//! trailer (§6.5) is folded from digests of the bytes the builder just
-//! wrote, so nothing read back from the device is carried forward. A
-//! store that retains no data is handed one shared source of zeros, so
-//! its writes allocate nothing.
+//! bucket's list in the table, and writes the page with the SOC's one
+//! [`FillSource`], made once over the whole table: page `b` of it is
+//! bucket `b`'s page, so a write passes `b × bucket_bytes` as its base.
+//! The payload store keeps the source and calls it, which runs
+//! [`encode_bucket`], the one page builder, over the bucket's list
+//! only when the block is read: by verification, scrub or recovery. A
+//! bucket write therefore clones, allocates and frees nothing. Every
+//! page is built whole from the list, and the trailer (§6.5) is folded
+//! from digests of the bytes the builder just wrote, so nothing read
+//! back from the device is carried forward. A store that retains no
+//! data is handed one shared source of zeros instead.
+//!
+//! Because the source reads the table whenever a block is read, the
+//! table keeps one invariant: **a bucket's page encodes the list of its
+//! last acknowledged write.** An insert whose write fails restores the
+//! list it edited. A remove whose write fails keeps the pre-remove list
+//! as the bucket's `acked` list, which the source encodes until the
+//! bucket's next acknowledged write. And no table guard is held across
+//! an [`IoManager`] call: a store that takes the eager default of
+//! [`fdpcache_nvme::DataStore::write_source`] calls the source inside
+//! the write.
 //!
 //! Concurrency note: the SOC is single-threaded state owned by its
 //! shard — lookups mutate bloom/bucket bookkeeping and charge device
@@ -36,8 +48,11 @@
 //! under the shard lock. Only the DRAM tier publishes into the
 //! lock-free read index (DESIGN.md §5.1a).
 
+use std::sync::Arc;
+
 use fdpcache_core::{IoManager, PlacementHandle};
 use fdpcache_nvme::FillSource;
+use parking_lot::Mutex;
 
 use crate::bloom::BloomArray;
 use crate::checksum::mix64;
@@ -118,27 +133,79 @@ fn walk(entries: &[Entry], key: Key) -> (Option<usize>, usize) {
     (hit, used)
 }
 
-/// The Small Object Cache engine.
+/// Blooms cannot delete: after entries left `bucket`, rebuild its
+/// filter from its list.
+fn rebuild_bloom(bloom: &mut BloomArray, bucket: u64, entries: &[Entry]) {
+    bloom.rebuild(bucket as usize, entries.iter().map(|e| e.key));
+}
+
+/// The bucket lists the SOC shares with its page source. One lock
+/// covers them all: the SOC is single-threaded under its shard lock,
+/// and a lock per bucket would more than double the table's memory.
 #[derive(Debug)]
+struct Table {
+    /// Per bucket, the authoritative entries, newest first.
+    lists: Vec<Vec<Entry>>,
+    /// `(bucket, list)` for every bucket whose list a remove changed
+    /// without an acknowledged write: the list of the bucket's last
+    /// acknowledged write, which its page still encodes. The bucket's
+    /// next acknowledged write drops it. Empty without faults.
+    acked: Vec<(u64, Vec<Entry>)>,
+}
+
+impl Table {
+    /// The list `bucket`'s page encodes.
+    fn on_flash(&self, bucket: u64) -> &[Entry] {
+        match self.acked.iter().find(|(b, _)| *b == bucket) {
+            Some((_, list)) => list,
+            None => &self.lists[bucket as usize],
+        }
+    }
+
+    /// Takes `bucket`'s `acked` list out, if it has one.
+    fn take_acked(&mut self, bucket: u64) -> Option<Vec<Entry>> {
+        let at = self.acked.iter().position(|(b, _)| *b == bucket)?;
+        Some(self.acked.swap_remove(at).1)
+    }
+}
+
+/// The Small Object Cache engine.
 pub struct Soc {
     base_block: u64,
     num_buckets: u64,
     bucket_bytes: u32,
-    /// Authoritative per-bucket entries, newest first.
-    buckets: Vec<Vec<Entry>>,
+    /// Every bucket's list: the SOC edits them in place, and its page
+    /// source reads them. Never locked across an [`IoManager`] call.
+    table: Arc<Mutex<Table>>,
+    /// The source every bucket write hands the store, made at the first
+    /// write ([`Soc::write_page`]).
+    source: Option<FillSource>,
     /// Whether the bucket page has ever been written (skips the RMW read
     /// for virgin buckets, as CacheLib does via its bloom "not present").
     written: Vec<bool>,
     /// Per-bucket filters; bucket `b`'s always equals a
-    /// [`BloomArray::rebuild`] over `buckets[b]`. Whoever changes an
-    /// entry list restores that before returning ([`Soc::insert_impl`],
-    /// [`Soc::remove`], [`Soc::recover`]); nothing else writes a filter.
+    /// [`BloomArray::rebuild`] over bucket `b`'s entries. Whoever
+    /// changes an entry list restores that before it releases the
+    /// table ([`Soc::insert_impl`], [`Soc::remove`], [`Soc::recover`]);
+    /// nothing else writes a filter.
     bloom: BloomArray,
     handle: PlacementHandle,
     stats: SocStats,
     /// Reusable rollback buffer: the entries the insert in flight
     /// evicted, oldest first. Empty between inserts.
     evicted: Vec<Entry>,
+}
+
+impl std::fmt::Debug for Soc {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Soc")
+            .field("base_block", &self.base_block)
+            .field("num_buckets", &self.num_buckets)
+            .field("bucket_bytes", &self.bucket_bytes)
+            .field("handle", &self.handle)
+            .field("stats", &self.stats)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Soc {
@@ -154,7 +221,11 @@ impl Soc {
             base_block,
             num_buckets,
             bucket_bytes,
-            buckets: vec![Vec::new(); num_buckets as usize],
+            table: Arc::new(Mutex::new(Table {
+                lists: vec![Vec::new(); num_buckets as usize],
+                acked: Vec::new(),
+            })),
+            source: None,
             written: vec![false; num_buckets as usize],
             bloom: BloomArray::new(num_buckets as usize),
             handle,
@@ -193,9 +264,11 @@ impl Soc {
             let Ok(entries) = decode_bucket(&page) else { continue };
             let entry =
                 |(key, bytes): (Key, &[u8])| Entry { key, value: Value::real(bytes.to_vec()) };
-            self.buckets[bucket as usize] = entries.into_iter().map(entry).collect();
+            let mut table = self.table.lock();
+            let list = &mut table.lists[bucket as usize];
+            *list = entries.into_iter().map(entry).collect();
+            rebuild_bloom(&mut self.bloom, bucket, list);
             self.written[bucket as usize] = true;
-            self.rebuild_bloom(bucket);
         }
         Ok(())
     }
@@ -257,7 +330,8 @@ impl Soc {
     /// the keys and payload lengths its on-flash page decodes to
     /// ([`decode_bucket`]).
     pub fn bucket_entries(&self, bucket: u64) -> Vec<(Key, u32)> {
-        self.buckets[bucket as usize].iter().map(|e| (e.key, e.value.len() as u32)).collect()
+        let table = self.table.lock();
+        table.lists[bucket as usize].iter().map(|e| (e.key, e.value.len() as u32)).collect()
     }
 
     /// The per-bucket bloom filters (read-only; for tests and audits).
@@ -265,22 +339,11 @@ impl Soc {
         &self.bloom
     }
 
-    /// The [`page_source`] of `bucket`'s current list: on a store that
-    /// retains data, a snapshot of the list — clones of its keys and
-    /// values — that [`encode_bucket`] builds the page from whenever the
-    /// store reads the block.
-    fn page_source(&self, io: &IoManager, bucket: u64) -> FillSource {
-        page_source(io.retains_data(), self.bucket_bytes as usize, || {
-            let entries = self.buckets[bucket as usize].clone();
-            move |_, page: &mut [u8]| encode_entries(&entries, page)
-        })
-    }
-
     /// The page of `bucket`'s current list, built into a fresh buffer.
     #[cfg(test)]
     pub(crate) fn reference_page(&self, bucket: u64) -> Vec<u8> {
         let mut page = vec![0u8; self.bucket_bytes as usize];
-        encode_entries(&self.buckets[bucket as usize], &mut page);
+        encode_entries(&self.table.lock().lists[bucket as usize], &mut page);
         page
     }
 
@@ -311,8 +374,17 @@ impl Soc {
         Ok(())
     }
 
-    /// Writes `bucket`'s page, one block holding `source`'s bytes,
-    /// through the placement handle.
+    /// Writes `bucket`'s page, one block holding its current list,
+    /// through the placement handle. `acked` is the bucket's `acked`
+    /// list, which the caller took out of the table with its edit so
+    /// that the write's page is the current list; a failed write puts
+    /// it back.
+    ///
+    /// Every write hands the store the same source, made here at the
+    /// first one ([`page_source`]): on a store that retains data, page
+    /// `b` of it is [`encode_bucket`] over [`Table::on_flash`] of
+    /// bucket `b`, built whenever the store reads the block; on any
+    /// other, shared zeros.
     ///
     /// Recovery (DESIGN.md §6): an injected fault is retried under
     /// [`Retry::Write`]; a persistent failure propagates so the caller
@@ -322,17 +394,35 @@ impl Soc {
         &mut self,
         io: &mut IoManager,
         bucket: u64,
-        source: FillSource,
+        acked: Option<Vec<Entry>>,
     ) -> Result<(), CacheError> {
         let (block, handle) = (self.bucket_block(bucket), self.handle);
-        let write = || io.write_with(block, 1, &source, handle);
-        if let Err(fault) = issue(Retry::Write, || self.stats.write_retries += 1, write)? {
-            self.stats.write_faults += 1;
-            return Err(fault.into());
+        let base = bucket as usize * self.bucket_bytes as usize;
+        let table = &self.table;
+        let source: &FillSource = self.source.get_or_insert_with(|| {
+            page_source(io.retains_data(), self.bucket_bytes as usize, || {
+                let table = Arc::clone(table);
+                move |b, page: &mut [u8]| encode_entries(table.lock().on_flash(b as u64), page)
+            })
+        });
+        let stats = &mut self.stats;
+        let write = || io.write_with(block, 1, source, base, handle);
+        let err = match issue(Retry::Write, || stats.write_retries += 1, write) {
+            Ok(Ok(_)) => {
+                self.written[bucket as usize] = true;
+                self.stats.page_writes += 1;
+                return Ok(());
+            }
+            Ok(Err(fault)) => {
+                self.stats.write_faults += 1;
+                fault.into()
+            }
+            Err(e) => e,
+        };
+        if let Some(list) = acked {
+            self.table.lock().acked.push((bucket, list));
         }
-        self.written[bucket as usize] = true;
-        self.stats.page_writes += 1;
-        Ok(())
+        Err(err)
     }
 
     /// Rewrites the bucket page from the authoritative list alone — the
@@ -342,14 +432,8 @@ impl Soc {
     /// list.
     fn rewrite_bucket(&mut self, io: &mut IoManager, bucket: u64) -> Result<(), CacheError> {
         self.rmw_read(io, bucket)?;
-        let source = self.page_source(io, bucket);
-        self.write_page(io, bucket, source)
-    }
-
-    /// Blooms cannot delete: after entries left `bucket`, rebuild its
-    /// filter from the authoritative list.
-    fn rebuild_bloom(&mut self, bucket: u64) {
-        self.bloom.rebuild(bucket as usize, self.buckets[bucket as usize].iter().map(|e| e.key));
+        let acked = self.table.lock().take_acked(bucket);
+        self.write_page(io, bucket, acked)
     }
 
     /// Inserts an object. Colliding oldest entries are evicted to make
@@ -391,8 +475,8 @@ impl Soc {
     }
 
     /// [`Soc::insert`] and [`Soc::reinsert`]: the charged RMW read, one
-    /// walk of the pre-insert list, the list edit, the page write, and
-    /// the rollback of the list if the write is abandoned.
+    /// walk of the pre-insert list, the list edit and its filter, the
+    /// page write, and the rollback of both if the write is abandoned.
     fn insert_impl(
         &mut self,
         io: &mut IoManager,
@@ -407,7 +491,8 @@ impl Soc {
         let bucket = self.bucket_of(key);
         self.rmw_read(io, bucket)?;
         let room = self.room();
-        let entries = &mut self.buckets[bucket as usize];
+        let mut table = self.table.lock();
+        let entries = &mut table.lists[bucket as usize];
         let (hit, used) = walk(entries, key);
         // Replace any existing entry for the key (kept for rollback).
         let replaced = hit.map(|pos| (pos, entries.remove(pos)));
@@ -421,28 +506,29 @@ impl Soc {
             self.evicted.push(old);
         }
         let evicted = self.evicted.len() as u64;
+        entries.insert(0, Entry { key, value });
         // The only keys to leave the list; with none, the filter just
         // gains the new key.
-        let pure_insert = replaced.is_none() && evicted == 0;
-        // The value moves into the bucket; the page source shares it.
-        entries.insert(0, Entry { key, value });
-        let source = self.page_source(io, bucket);
-        if let Err(e) = self.write_page(io, bucket, source) {
-            // Roll back to the exact pre-insert bucket.
-            let entries = &mut self.buckets[bucket as usize];
+        if replaced.is_none() && evicted == 0 {
+            self.bloom.insert(bucket as usize, key);
+        } else {
+            rebuild_bloom(&mut self.bloom, bucket, entries);
+        }
+        let acked = table.take_acked(bucket);
+        drop(table);
+        if let Err(e) = self.write_page(io, bucket, acked) {
+            // Roll back to the exact pre-insert bucket and its filter.
+            let mut table = self.table.lock();
+            let entries = &mut table.lists[bucket as usize];
             entries.remove(0);
             entries.extend(self.evicted.drain(..).rev());
             if let Some((pos, old)) = replaced {
                 entries.insert(pos, old);
             }
+            rebuild_bloom(&mut self.bloom, bucket, entries);
             return Err(e);
         }
         self.evicted.clear();
-        if pure_insert {
-            self.bloom.insert(bucket as usize, key);
-        } else {
-            self.rebuild_bloom(bucket);
-        }
         self.stats.collision_evictions += evicted;
         if count_app_bytes {
             self.stats.inserts += 1;
@@ -492,8 +578,10 @@ impl Soc {
                 return Ok(None);
             }
         }
-        let found =
-            self.buckets[bucket as usize].iter().find(|e| e.key == key).map(|e| e.value.clone());
+        let found = self.table.lock().lists[bucket as usize]
+            .iter()
+            .find(|e| e.key == key)
+            .map(|e| e.value.clone());
         if found.is_some() {
             self.stats.hits += 1;
         }
@@ -501,7 +589,8 @@ impl Soc {
     }
 
     /// Removes an object if present, rewriting its bucket. Returns
-    /// whether it was present.
+    /// whether it was present. A key the bucket's bloom filter rejects
+    /// is absent without a look at the list.
     ///
     /// Removal **always** takes effect: the authoritative in-memory
     /// list drops the entry even when the bucket rewrite fails
@@ -511,21 +600,41 @@ impl Soc {
     /// must never outlive the new LOC copy). On a persistent rewrite
     /// failure the bucket's on-flash page is marked unwritten instead,
     /// so lookups serve from the list without trusting the stale page
-    /// and the next insert rewrites it whole.
+    /// and the next insert rewrites it whole. Whatever failed the
+    /// write, the page still lists the removed entry, so the table
+    /// keeps the list that page encodes as the bucket's `acked` list.
     ///
     /// # Errors
     ///
     /// Propagates non-injected I/O failures only.
     pub fn remove(&mut self, io: &mut IoManager, key: Key) -> Result<bool, CacheError> {
         let bucket = self.bucket_of(key);
-        let Some(pos) = self.buckets[bucket as usize].iter().position(|e| e.key == key) else {
+        if !self.bloom.may_contain(bucket as usize, key) {
+            return Ok(false);
+        }
+        let Some(pos) = self.table.lock().lists[bucket as usize].iter().position(|e| e.key == key)
+        else {
             return Ok(false);
         };
         self.rmw_read(io, bucket)?;
-        self.buckets[bucket as usize].remove(pos);
-        self.rebuild_bloom(bucket);
-        let source = self.page_source(io, bucket);
-        match self.write_page(io, bucket, source) {
+        let mut table = self.table.lock();
+        let list = &mut table.lists[bucket as usize];
+        let removed = list.remove(pos);
+        rebuild_bloom(&mut self.bloom, bucket, list);
+        let acked = table.take_acked(bucket);
+        drop(table);
+        let written = self.write_page(io, bucket, acked);
+        if written.is_err() {
+            // An older failed remove's `acked` list, put back by the
+            // write, is already the list the page encodes.
+            let mut table = self.table.lock();
+            if table.acked.iter().all(|(b, _)| *b != bucket) {
+                let mut acked = table.lists[bucket as usize].clone();
+                acked.insert(pos, removed);
+                table.acked.push((bucket, acked));
+            }
+        }
+        match written {
             Ok(()) => {}
             Err(e) if e.is_injected_fault() => {
                 // The stale page must not be read again; invalidate it.
@@ -549,7 +658,8 @@ impl Soc {
         }
         let mut page = vec![0u8; self.bucket_bytes as usize];
         io.read(self.bucket_block(bucket), &mut page)?;
-        let listed = self.buckets[bucket as usize].iter().map(|e| (e.key, e.value.len()));
+        let table = self.table.lock();
+        let listed = table.lists[bucket as usize].iter().map(|e| (e.key, e.value.len()));
         Ok(decode_bucket(&page)
             .is_ok_and(|entries| entries.iter().map(|&(k, bytes)| (k, bytes.len())).eq(listed)))
     }
@@ -631,7 +741,7 @@ impl Soc {
     /// Whether the authoritative list currently holds `key` (no device
     /// I/O; used by flash verification).
     pub fn contains(&self, key: Key) -> bool {
-        self.buckets[self.bucket_of(key) as usize].iter().any(|e| e.key == key)
+        self.table.lock().lists[self.bucket_of(key) as usize].iter().any(|e| e.key == key)
     }
 
     /// Whether the bucket holding `key` has a live on-flash page to
@@ -646,9 +756,9 @@ impl Soc {
     /// back — the must-survive oracle for crash tests.
     pub fn persisted_keys(&self) -> Vec<Key> {
         let mut keys = Vec::new();
-        for (b, entries) in self.buckets.iter().enumerate() {
-            if self.written[b] {
-                keys.extend(entries.iter().map(|e| e.key));
+        for (list, &written) in self.table.lock().lists.iter().zip(&self.written) {
+            if written {
+                keys.extend(list.iter().map(|e| e.key));
             }
         }
         keys
@@ -660,19 +770,20 @@ mod tests {
     use super::*;
     use fdpcache_core::SharedController;
     use fdpcache_ftl::FtlConfig;
-    use fdpcache_nvme::{Controller, MemStore};
+    use fdpcache_nvme::{Controller, DataStore, FaultKind, FaultOp, InjectedFault, MemStore};
 
-    use std::sync::Arc;
+    use std::collections::VecDeque;
 
-    fn io(blocks: u64) -> IoManager {
-        let ctrl = Controller::new(FtlConfig::tiny_test(), Box::new(MemStore::new())).unwrap();
+    fn io_over(store: Box<dyn DataStore>, blocks: u64) -> IoManager {
+        let ctrl = Controller::new(FtlConfig::tiny_test(), store).unwrap();
         let nsid = ctrl.create_namespace(blocks, vec![0, 1]).unwrap();
         let shared: SharedController = Arc::new(ctrl);
         IoManager::new(shared, nsid, 4).unwrap()
     }
 
     fn soc(buckets: u64) -> (Soc, IoManager) {
-        (Soc::new(0, buckets, 4096, PlacementHandle::with_dspec(0)), io(buckets + 64))
+        let io = io_over(Box::new(MemStore::new()), buckets + 64);
+        (Soc::new(0, buckets, 4096, PlacementHandle::with_dspec(0)), io)
     }
 
     #[test]
@@ -708,7 +819,7 @@ mod tests {
         assert_eq!(s.lookup(&mut io, 9).unwrap().unwrap().len(), 70);
         // Still exactly one entry in the bucket.
         let b = s.bucket_index(9);
-        assert_eq!(s.buckets[b as usize].len(), 1);
+        assert_eq!(s.table.lock().lists[b as usize].len(), 1);
     }
 
     #[test]
@@ -884,14 +995,16 @@ mod tests {
         }
     }
 
-    /// A page write's source holds clones of its list's values. An
-    /// entry that leaves the list — replaced, evicted or removed — is
-    /// held by nobody once the next write of its bucket has replaced
-    /// the old source: its buffer's strong count is back at the test's
-    /// own 1.
+    /// A value is held by its bucket's list alone — the page source
+    /// reads the list — so an inserted value's buffer is held by the
+    /// test and the list. An entry that leaves the list — replaced,
+    /// evicted or removed — is released with it, unless the remove's
+    /// write failed: the page still lists the entry, so the bucket's
+    /// `acked` list holds it until the bucket's next acknowledged
+    /// write.
     #[test]
     fn a_value_leaving_its_bucket_dies_with_the_next_write() {
-        let (mut s, mut io) = soc(1);
+        let (mut s, mut io, script) = scripted_soc(false);
         let real = |fill: u8, len: usize| {
             let value = Value::real(vec![fill; len]);
             let arc = value.as_real().unwrap().clone();
@@ -900,7 +1013,7 @@ mod tests {
         // Replaced.
         let (value, replaced) = real(1, 300);
         s.insert(&mut io, 1, value).unwrap();
-        assert_eq!(Arc::strong_count(&replaced), 3, "test, list and page source");
+        assert_eq!(Arc::strong_count(&replaced), 2, "test and list");
         s.insert(&mut io, 1, real(2, 300).0).unwrap();
         assert_eq!(Arc::strong_count(&replaced), 1, "replaced");
         // Evicted: key 2 ages out behind 1000-byte inserts.
@@ -908,7 +1021,7 @@ mod tests {
         s.insert(&mut io, 2, value).unwrap();
         let mut key = 10;
         while s.contains(2) {
-            assert_eq!(Arc::strong_count(&evicted), 3);
+            assert_eq!(Arc::strong_count(&evicted), 2);
             s.insert(&mut io, key, Value::synthetic(1000)).unwrap();
             key += 1;
         }
@@ -920,6 +1033,267 @@ mod tests {
         assert!(s.remove(&mut io, 3).unwrap());
         assert_eq!(Arc::strong_count(&removed), 1, "removed");
         assert!(s.verify_bucket(&mut io, 0).unwrap());
+        // Removed by a write that failed: the page still lists it.
+        let (value, unwritten) = real(5, 500);
+        s.insert(&mut io, 4, value).unwrap();
+        script.lock().outcomes.extend([Outcome::WriteError; 4]);
+        assert!(s.remove(&mut io, 4).unwrap());
+        assert!(!s.contains(4));
+        assert_eq!(Arc::strong_count(&unwritten), 2, "test and the acked list");
+        s.insert(&mut io, key, Value::synthetic(100)).unwrap();
+        assert_eq!(Arc::strong_count(&unwritten), 1, "dropped by the next acknowledged write");
+        assert!(s.verify_bucket(&mut io, 0).unwrap());
+    }
+
+    /// One scripted answer to a bucket write.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Outcome {
+        Ok,
+        WriteError,
+        Killed,
+    }
+
+    /// What a [`Scripted`] store answers its write commands with (`Ok`
+    /// once it runs out), and the source of every write it stored.
+    #[derive(Default)]
+    struct Script {
+        outcomes: VecDeque<Outcome>,
+        sources: Vec<FillSource>,
+    }
+
+    /// A store over `inner` that answers write commands from a shared
+    /// [`Script`] and records each stored write's source.
+    struct Scripted {
+        inner: Box<dyn DataStore>,
+        script: Arc<Mutex<Script>>,
+    }
+
+    impl DataStore for Scripted {
+        fn attach(&self, exported_lbas: u64, lba_bytes: u32) {
+            self.inner.attach(exported_lbas, lba_bytes);
+        }
+        fn write_block(&self, lba: u64, data: &[u8]) {
+            self.inner.write_block(lba, data);
+        }
+        fn read_block(&self, lba: u64, out: &mut [u8]) -> bool {
+            self.inner.read_block(lba, out)
+        }
+        fn discard(&self, lba: u64) {
+            self.inner.discard(lba);
+        }
+        fn retains_data(&self) -> bool {
+            self.inner.retains_data()
+        }
+        fn write_blocks(&self, lba: u64, data: &[u8], block_bytes: usize) {
+            self.inner.write_blocks(lba, data, block_bytes);
+        }
+        fn write_source(
+            &self,
+            lba: u64,
+            nlb: u64,
+            block_bytes: usize,
+            source: &FillSource,
+            base: usize,
+        ) {
+            self.script.lock().sources.push(source.clone());
+            self.inner.write_source(lba, nlb, block_bytes, source, base);
+        }
+        fn read_blocks(&self, lba: u64, out: &mut [u8], block_bytes: usize) {
+            self.inner.read_blocks(lba, out, block_bytes);
+        }
+        fn discard_blocks(&self, lba: u64, count: u64) {
+            self.inner.discard_blocks(lba, count);
+        }
+        fn fault(&self, op: FaultOp, lba: u64, _nlb: u64) -> Option<InjectedFault> {
+            if op != FaultOp::Write {
+                return None;
+            }
+            let kind = match self.script.lock().outcomes.pop_front()? {
+                Outcome::Ok => return None,
+                Outcome::WriteError => FaultKind::WriteError,
+                Outcome::Killed => FaultKind::Kill,
+            };
+            Some(InjectedFault { kind, lba, penalty_ns: 0 })
+        }
+    }
+
+    /// A [`MemStore`] behind the trait's eager `write_source` default,
+    /// which calls the source inside the write.
+    struct Eager(MemStore);
+
+    impl DataStore for Eager {
+        fn attach(&self, exported_lbas: u64, lba_bytes: u32) {
+            self.0.attach(exported_lbas, lba_bytes);
+        }
+        fn write_block(&self, lba: u64, data: &[u8]) {
+            self.0.write_block(lba, data);
+        }
+        fn read_block(&self, lba: u64, out: &mut [u8]) -> bool {
+            self.0.read_block(lba, out)
+        }
+        fn discard(&self, lba: u64) {
+            self.0.discard(lba);
+        }
+        fn retains_data(&self) -> bool {
+            true
+        }
+        fn write_blocks(&self, lba: u64, data: &[u8], block_bytes: usize) {
+            self.0.write_blocks(lba, data, block_bytes);
+        }
+        fn read_blocks(&self, lba: u64, out: &mut [u8], block_bytes: usize) {
+            self.0.read_blocks(lba, out, block_bytes);
+        }
+        fn discard_blocks(&self, lba: u64, count: u64) {
+            self.0.discard_blocks(lba, count);
+        }
+    }
+
+    /// A one-bucket SOC over a [`Scripted`] slab, or over the eager
+    /// store when `eager`, with the script that drives it.
+    fn scripted_soc(eager: bool) -> (Soc, IoManager, Arc<Mutex<Script>>) {
+        let script = Arc::new(Mutex::new(Script::default()));
+        let inner: Box<dyn DataStore> =
+            if eager { Box::new(Eager(MemStore::new())) } else { Box::new(MemStore::new()) };
+        let io = io_over(Box::new(Scripted { inner, script: script.clone() }), 64);
+        (Soc::new(0, 1, 4096, PlacementHandle::with_dspec(0)), io, script)
+    }
+
+    /// Every script of length 0..=4 over the three outcomes.
+    fn scripts() -> Vec<Vec<Outcome>> {
+        let mut all = vec![Vec::new()];
+        let mut last = vec![Vec::new()];
+        for _ in 0..4 {
+            last = last
+                .iter()
+                .flat_map(|s: &Vec<Outcome>| {
+                    [Outcome::Ok, Outcome::WriteError, Outcome::Killed]
+                        .map(|o| s.iter().copied().chain([o]).collect())
+                })
+                .collect();
+            all.extend(last.iter().cloned());
+        }
+        all
+    }
+
+    /// Whether the next bucket write is acknowledged when the device
+    /// answers `outcomes`: an `Ok` within [`Retry::Write`]'s four
+    /// attempts, before any kill.
+    fn acknowledged(outcomes: &VecDeque<Outcome>) -> bool {
+        for attempt in 0..4 {
+            match outcomes.get(attempt).copied().unwrap_or(Outcome::Ok) {
+                Outcome::Ok => return true,
+                Outcome::Killed => return false,
+                Outcome::WriteError => {}
+            }
+        }
+        false
+    }
+
+    /// The bucket operations whose write can fail.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Insert,
+        Replace,
+        Remove,
+        Rewrite,
+    }
+
+    /// A bucket list as a test keeps it, newest first.
+    type Model = Vec<(Key, Value)>;
+
+    /// `list` after inserting `key`: its old entry and, oldest first,
+    /// as many entries as the new one needs room for leave.
+    fn model_insert(list: &mut Model, key: Key, value: Value) {
+        list.retain(|&(k, _)| k != key);
+        let bytes =
+            |list: &Model| list.iter().map(|(_, v)| bucket_entry_bytes(v.len())).sum::<usize>();
+        while bytes(list) + bucket_entry_bytes(value.len()) > bucket_room(4096) {
+            list.pop();
+        }
+        list.insert(0, (key, value));
+    }
+
+    /// The failed-write rule (a bucket's page always encodes the list
+    /// of its last acknowledged write) over every script of up to four
+    /// write outcomes, on the slab and on the eager store, which calls
+    /// the source inside the write: a one-bucket SOC of three entries
+    /// runs an insert of a new key, a replacement, a remove or the
+    /// scrub rewrite under the script, then one operation of each kind
+    /// under whatever the script has left. After every operation the
+    /// bucket's block decodes to the last acknowledged list, a fresh
+    /// SOC recovered from the store lists it, the SOC lists the
+    /// expected live entries, and every write has handed the store the
+    /// same source.
+    #[test]
+    fn a_bucket_page_always_encodes_its_last_acknowledged_list() {
+        let scripts = scripts();
+        assert_eq!(scripts.len(), 1 + 3 + 9 + 27 + 81);
+        for eager in [false, true] {
+            for script in &scripts {
+                for first in [Op::Insert, Op::Replace, Op::Remove, Op::Rewrite] {
+                    let (mut s, mut io, shared) = scripted_soc(eager);
+                    let mut live = Model::new();
+                    for key in 1..=3 {
+                        s.insert(&mut io, key, Value::synthetic(1000)).unwrap();
+                        model_insert(&mut live, key, Value::synthetic(1000));
+                    }
+                    let mut acked = live.clone();
+                    shared.lock().outcomes.extend(script);
+                    let mut next_key = 10;
+                    for op in [first, Op::Insert, Op::Replace, Op::Remove, Op::Rewrite] {
+                        let ack = acknowledged(&shared.lock().outcomes);
+                        let at = format!("eager {eager}, script {script:?}, {first:?} then {op:?}");
+                        match op {
+                            Op::Insert | Op::Replace => {
+                                let (key, value) = match op {
+                                    Op::Insert => (next_key, Value::synthetic(1000)),
+                                    _ => (live.last().unwrap().0, Value::synthetic(900)),
+                                };
+                                next_key += 1;
+                                let done = s.insert(&mut io, key, value.clone());
+                                assert_eq!(done.is_ok(), ack, "{at}");
+                                if ack {
+                                    model_insert(&mut live, key, value);
+                                }
+                            }
+                            Op::Remove => {
+                                let key = live[0].0;
+                                let done = s.remove(&mut io, key);
+                                let killed = done.as_ref().is_err_and(CacheError::is_kill);
+                                assert!(done.is_ok_and(|present| present) || killed, "{at}");
+                                live.remove(0);
+                            }
+                            Op::Rewrite => {
+                                assert_eq!(s.rewrite_bucket(&mut io, 0).is_ok(), ack, "{at}");
+                            }
+                        }
+                        if ack {
+                            acked = live.clone();
+                        }
+                        let sizes = |list: &Model| -> Vec<(Key, u32)> {
+                            list.iter().map(|(k, v)| (*k, v.len() as u32)).collect()
+                        };
+                        assert_eq!(s.bucket_entries(0), sizes(&live), "{at}: live list");
+                        let mut page = vec![0u8; 4096];
+                        io.read(0, &mut page).unwrap();
+                        let on_flash: Vec<(Key, Vec<u8>)> = decode_bucket(&page)
+                            .unwrap()
+                            .into_iter()
+                            .map(|(k, bytes)| (k, bytes.to_vec()))
+                            .collect();
+                        let expected: Vec<(Key, Vec<u8>)> =
+                            acked.iter().map(|(k, v)| (*k, v.to_bytes(*k))).collect();
+                        assert_eq!(on_flash, expected, "{at}: page");
+                        let mut recovered = Soc::new(0, 1, 4096, PlacementHandle::with_dspec(0));
+                        recovered.recover(&mut io).unwrap();
+                        assert_eq!(recovered.bucket_entries(0), sizes(&acked), "{at}: recovery");
+                        let script = shared.lock();
+                        let one = &script.sources[0];
+                        assert!(script.sources.iter().all(|s| Arc::ptr_eq(s, one)), "{at}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

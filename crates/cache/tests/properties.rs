@@ -254,8 +254,8 @@ mod page_bytes_props {
         /// model holds, and the bucket's bloom filter is what a
         /// from-scratch rebuild gives. That holds whether the op's
         /// read-modify-write read succeeded or faulted: the page the
-        /// store reads back is made from the snapshot of the list its
-        /// last write recorded; an insert whose write exhausted its
+        /// store reads back encodes the list of the bucket's last
+        /// acknowledged write; an insert whose write exhausted its
         /// retries leaves list and flash exactly as they were, and a
         /// remove whose write did drops the key and disowns the page.
         #[test]

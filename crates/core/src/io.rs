@@ -491,10 +491,12 @@ impl IoManager {
     }
 
     /// Writes `nlb` blocks at `block` holding `source`'s bytes from
-    /// byte 0 on, returning observed command latency (ns): the
+    /// byte `base` on, returning observed command latency (ns): the
     /// one-command form of [`IoBatch::write_with`]. The payload store
     /// keeps a share of the source and makes the bytes when they are
-    /// read.
+    /// read; a store that takes the eager default of
+    /// [`fdpcache_nvme::DataStore::write_source`] calls the source
+    /// inside this call.
     ///
     /// # Errors
     ///
@@ -504,11 +506,12 @@ impl IoManager {
         block: u64,
         nlb: u64,
         source: &FillSource,
+        base: usize,
         handle: PlacementHandle,
     ) -> Result<u64, NvmeError> {
         self.write_one(BatchWrite {
             slba: block,
-            data: WritePayload::Fill { nlb, source, base: 0 },
+            data: WritePayload::Fill { nlb, source, base },
             dspec: handle.dspec(),
         })
     }
@@ -667,7 +670,7 @@ mod tests {
             page(i)(0, &mut data);
             let handle = PlacementHandle::with_dspec((i % 2) as u16);
             let w_b = bytes.write(block, &data, handle);
-            let w_s = sourced.write_with(block, nlb, &(Arc::new(page(i)) as FillSource), handle);
+            let w_s = sourced.write_with(block, nlb, &(Arc::new(page(i)) as FillSource), 0, handle);
             assert_eq!(w_b, w_s, "write {i}");
             assert_eq!(bytes.now_ns(), sourced.now_ns(), "queue clock after write {i}");
         }
@@ -816,7 +819,7 @@ mod tests {
         // Sequential reference.
         let mut seq_lat = Vec::new();
         for (i, s) in sources.iter().enumerate() {
-            seq_lat.push(sequential.write_with(i as u64 * 4, 4, s, handle).unwrap());
+            seq_lat.push(sequential.write_with(i as u64 * 4, 4, s, 0, handle).unwrap());
         }
 
         // One batch, same commands in the same order.

@@ -43,9 +43,12 @@ use crate::fault::{FaultOp, FaultRates, FaultTotals, InjectedFault};
 
 /// An owned producer of a payload's bytes: `source(offset, out)` writes
 /// every byte of `out`, which holds the payload's bytes from byte
-/// `offset` on. A source is pure — the same call writes the same bytes
-/// whenever it is made — so a store may keep it and call it at read
-/// time ([`DataStore::write_source`]).
+/// `offset` on. A source's bytes change only between writes that hand
+/// it to the store, and a store keeps only the source of each block's
+/// last write, so a store may keep a source and call it at read time
+/// ([`DataStore::write_source`]): one source may stand for many blocks,
+/// each written at its own offset, and a block reads as what its
+/// source holds for it now.
 pub type FillSource = Arc<dyn Fn(usize, &mut [u8]) + Send + Sync>;
 
 /// Logical payload storage keyed by device LBA.

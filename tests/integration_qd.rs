@@ -100,7 +100,7 @@ fn qd1_batched_seal_matches_legacy_synchronous_write_path() {
             .map(|c| {
                 let block = c as u64 * chunk_blocks;
                 sequential
-                    .write_with(block, chunk_blocks, &region(c * chunk_bytes), handle)
+                    .write_with(block, chunk_blocks, &region(c * chunk_bytes), 0, handle)
                     .unwrap()
             })
             .collect();
