@@ -14,60 +14,61 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use crate::cache::HOST_OP_NS;
 
-/// Monotonic hybrid-cache counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// GET operations.
-    pub gets: u64,
-    /// GETs served from DRAM.
-    pub ram_hits: u64,
-    /// GETs that missed DRAM and were looked up in flash.
-    pub nvm_lookups: u64,
-    /// Flash hits served by the SOC.
-    pub soc_hits: u64,
-    /// Flash hits served by the LOC.
-    pub loc_hits: u64,
-    /// PUT (SET) operations.
-    pub puts: u64,
-    /// DELETE operations.
-    pub deletes: u64,
-    /// RAM evictions offered to flash.
-    pub nvm_insert_attempts: u64,
-    /// RAM evictions actually written to flash (a SOC insert rolled
-    /// back under persistent write faults is not).
-    pub nvm_inserts: u64,
-    /// Application bytes handed to the flash engines.
-    pub nvm_app_bytes: u64,
-    /// Device commands that completed with an injected failure status
-    /// (media error / busy) observed by this cache's I/O path.
-    pub faults: u64,
-    /// Command re-issues after an injected fault in the flash engines,
-    /// every retry their one retry policy grants: seal re-submits,
-    /// bucket and footer rewrite re-attempts, re-reads (busy lookups,
-    /// the read-modify-write read, recovery reads) and TRIM re-issues.
-    pub retries: u64,
-    /// Targeted repair-writes after read faults (object re-written so
-    /// future lookups hit again).
-    pub repairs: u64,
-    /// Objects re-queued out of a region whose seal persistently failed
-    /// (never silently dropped).
-    pub requeues: u64,
-    /// Flash circuit-breaker openings (device crossed `Failing`;
-    /// serving degraded to DRAM-only).
-    pub breaker_opens: u64,
-    /// Breaker re-closes after a fault-free half-open probe.
-    pub breaker_closes: u64,
-    /// Flash lookups answered as misses because the breaker was open.
-    pub degraded_misses: u64,
-    /// RAM evictions shed (not written to flash) while the breaker was
-    /// open. Evictions are a lossy-cache contract, never acknowledged
-    /// persistence, so shedding loses nothing the cache promised.
-    pub shed_evictions: u64,
-    /// Device pages patrol-read by the background scrubber.
-    pub scrubbed_pages: u64,
-    /// Corrupt/unreadable entries the scrubber repaired before any
-    /// client read observed them.
-    pub scrub_repairs: u64,
+fdpcache_metrics::counters! {
+    /// Monotonic hybrid-cache counters.
+    pub struct CacheStats {
+        /// GET operations.
+        pub gets: u64,
+        /// GETs served from DRAM.
+        pub ram_hits: u64,
+        /// GETs that missed DRAM and were looked up in flash.
+        pub nvm_lookups: u64,
+        /// Flash hits served by the SOC.
+        pub soc_hits: u64,
+        /// Flash hits served by the LOC.
+        pub loc_hits: u64,
+        /// PUT (SET) operations.
+        pub puts: u64,
+        /// DELETE operations.
+        pub deletes: u64,
+        /// RAM evictions offered to flash.
+        pub nvm_insert_attempts: u64,
+        /// RAM evictions actually written to flash (a SOC insert rolled
+        /// back under persistent write faults is not).
+        pub nvm_inserts: u64,
+        /// Application bytes handed to the flash engines.
+        pub nvm_app_bytes: u64,
+        /// Device commands that completed with an injected failure status
+        /// (media error / busy) observed by this cache's I/O path.
+        pub faults: u64,
+        /// Command re-issues after an injected fault in the flash engines,
+        /// every retry their one retry policy grants: seal re-submits,
+        /// bucket and footer rewrite re-attempts, re-reads (busy lookups,
+        /// the read-modify-write read, recovery reads) and TRIM re-issues.
+        pub retries: u64,
+        /// Targeted repair-writes after read faults (object re-written so
+        /// future lookups hit again).
+        pub repairs: u64,
+        /// Objects re-queued out of a region whose seal persistently failed
+        /// (never silently dropped).
+        pub requeues: u64,
+        /// Flash circuit-breaker openings (device crossed `Failing`;
+        /// serving degraded to DRAM-only).
+        pub breaker_opens: u64,
+        /// Breaker re-closes after a fault-free half-open probe.
+        pub breaker_closes: u64,
+        /// Flash lookups answered as misses because the breaker was open.
+        pub degraded_misses: u64,
+        /// RAM evictions shed (not written to flash) while the breaker was
+        /// open. Evictions are a lossy-cache contract, never acknowledged
+        /// persistence, so shedding loses nothing the cache promised.
+        pub shed_evictions: u64,
+        /// Device pages patrol-read by the background scrubber.
+        pub scrubbed_pages: u64,
+        /// Corrupt/unreadable entries the scrubber repaired before any
+        /// client read observed them.
+        pub scrub_repairs: u64,
+    }
 }
 
 impl CacheStats {
@@ -94,61 +95,6 @@ impl CacheStats {
             return 0.0;
         }
         (self.soc_hits + self.loc_hits) as f64 / self.nvm_lookups as f64
-    }
-
-    /// Field-wise sum with another snapshot (aggregating engine pools
-    /// and multi-tenant deployments).
-    pub fn merge(&self, other: &CacheStats) -> CacheStats {
-        CacheStats {
-            gets: self.gets + other.gets,
-            ram_hits: self.ram_hits + other.ram_hits,
-            nvm_lookups: self.nvm_lookups + other.nvm_lookups,
-            soc_hits: self.soc_hits + other.soc_hits,
-            loc_hits: self.loc_hits + other.loc_hits,
-            puts: self.puts + other.puts,
-            deletes: self.deletes + other.deletes,
-            nvm_insert_attempts: self.nvm_insert_attempts + other.nvm_insert_attempts,
-            nvm_inserts: self.nvm_inserts + other.nvm_inserts,
-            nvm_app_bytes: self.nvm_app_bytes + other.nvm_app_bytes,
-            faults: self.faults + other.faults,
-            retries: self.retries + other.retries,
-            repairs: self.repairs + other.repairs,
-            requeues: self.requeues + other.requeues,
-            breaker_opens: self.breaker_opens + other.breaker_opens,
-            breaker_closes: self.breaker_closes + other.breaker_closes,
-            degraded_misses: self.degraded_misses + other.degraded_misses,
-            shed_evictions: self.shed_evictions + other.shed_evictions,
-            scrubbed_pages: self.scrubbed_pages + other.scrubbed_pages,
-            scrub_repairs: self.scrub_repairs + other.scrub_repairs,
-        }
-    }
-
-    /// Per-field difference `self - earlier`, saturating at zero.
-    pub fn delta(&self, earlier: &CacheStats) -> CacheStats {
-        CacheStats {
-            gets: self.gets.saturating_sub(earlier.gets),
-            ram_hits: self.ram_hits.saturating_sub(earlier.ram_hits),
-            nvm_lookups: self.nvm_lookups.saturating_sub(earlier.nvm_lookups),
-            soc_hits: self.soc_hits.saturating_sub(earlier.soc_hits),
-            loc_hits: self.loc_hits.saturating_sub(earlier.loc_hits),
-            puts: self.puts.saturating_sub(earlier.puts),
-            deletes: self.deletes.saturating_sub(earlier.deletes),
-            nvm_insert_attempts: self
-                .nvm_insert_attempts
-                .saturating_sub(earlier.nvm_insert_attempts),
-            nvm_inserts: self.nvm_inserts.saturating_sub(earlier.nvm_inserts),
-            nvm_app_bytes: self.nvm_app_bytes.saturating_sub(earlier.nvm_app_bytes),
-            faults: self.faults.saturating_sub(earlier.faults),
-            retries: self.retries.saturating_sub(earlier.retries),
-            repairs: self.repairs.saturating_sub(earlier.repairs),
-            requeues: self.requeues.saturating_sub(earlier.requeues),
-            breaker_opens: self.breaker_opens.saturating_sub(earlier.breaker_opens),
-            breaker_closes: self.breaker_closes.saturating_sub(earlier.breaker_closes),
-            degraded_misses: self.degraded_misses.saturating_sub(earlier.degraded_misses),
-            shed_evictions: self.shed_evictions.saturating_sub(earlier.shed_evictions),
-            scrubbed_pages: self.scrubbed_pages.saturating_sub(earlier.scrubbed_pages),
-            scrub_repairs: self.scrub_repairs.saturating_sub(earlier.scrub_repairs),
-        }
     }
 }
 
@@ -256,59 +202,6 @@ mod tests {
         assert!((s.hit_ratio() - 0.8).abs() < 1e-12);
         assert!((s.nvm_hit_ratio() - 0.6).abs() < 1e-12);
         assert!((s.ram_hit_ratio() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn delta_is_fieldwise() {
-        let a = CacheStats { gets: 10, ..Default::default() };
-        let b = CacheStats { gets: 25, ..Default::default() };
-        assert_eq!(b.delta(&a).gets, 15);
-    }
-
-    #[test]
-    fn merge_is_fieldwise_sum() {
-        let a = CacheStats { gets: 10, soc_hits: 2, ..Default::default() };
-        let b = CacheStats { gets: 5, loc_hits: 3, ..Default::default() };
-        let m = a.merge(&b);
-        assert_eq!(m.gets, 15);
-        assert_eq!(m.soc_hits, 2);
-        assert_eq!(m.loc_hits, 3);
-    }
-
-    #[test]
-    fn fault_counters_merge_and_delta() {
-        let a = CacheStats { faults: 4, retries: 3, repairs: 2, requeues: 1, ..Default::default() };
-        let m = a.merge(&a);
-        assert_eq!((m.faults, m.retries, m.repairs, m.requeues), (8, 6, 4, 2));
-        let d = m.delta(&a);
-        assert_eq!((d.faults, d.retries, d.repairs, d.requeues), (4, 3, 2, 1));
-    }
-
-    #[test]
-    fn degraded_mode_counters_merge_and_delta() {
-        let a = CacheStats {
-            breaker_opens: 1,
-            breaker_closes: 2,
-            degraded_misses: 3,
-            shed_evictions: 4,
-            scrubbed_pages: 5,
-            scrub_repairs: 6,
-            ..Default::default()
-        };
-        let m = a.merge(&a);
-        assert_eq!(
-            (
-                m.breaker_opens,
-                m.breaker_closes,
-                m.degraded_misses,
-                m.shed_evictions,
-                m.scrubbed_pages,
-                m.scrub_repairs
-            ),
-            (2, 4, 6, 8, 10, 12)
-        );
-        let d = m.delta(&a);
-        assert_eq!(d, a);
     }
 
     #[test]

@@ -91,45 +91,29 @@ pub const DISCARD_PER_BLOCK_NS: u64 = 32;
 /// GC stall. Fixed, so fault replays stay bit-reproducible.
 pub const FAULT_SERVICE_NS: u64 = 150_000;
 
-/// Snapshot of an I/O manager's activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IoStats {
-    /// Write commands submitted.
-    pub writes: u64,
-    /// Read commands submitted.
-    pub reads: u64,
-    /// Discard (deallocate) commands submitted.
-    pub discards: u64,
-    /// Bytes written.
-    pub bytes_written: u64,
-    /// Bytes read.
-    pub bytes_read: u64,
-    /// Bytes deallocated by discard commands.
-    pub bytes_discarded: u64,
-    /// Commands that completed with an injected failure status
-    /// (media error / busy rejection). Not counted in
-    /// `writes`/`reads`/`discards`, which track successes only.
-    pub faults: u64,
-    /// Device-health view from this manager's windowed monitor
-    /// (virtual-time, so deterministic; merged snapshots take the
-    /// worst `state` across shards).
-    pub health: HealthIoStats,
-}
-
-impl IoStats {
-    /// Field-wise sum with another snapshot (aggregating the queue
-    /// pairs of a sharded pool or a multi-tenant deployment).
-    pub fn merge(&self, other: &IoStats) -> IoStats {
-        IoStats {
-            writes: self.writes + other.writes,
-            reads: self.reads + other.reads,
-            discards: self.discards + other.discards,
-            bytes_written: self.bytes_written + other.bytes_written,
-            bytes_read: self.bytes_read + other.bytes_read,
-            bytes_discarded: self.bytes_discarded + other.bytes_discarded,
-            faults: self.faults + other.faults,
-            health: self.health.merge(&other.health),
-        }
+fdpcache_metrics::counters! {
+    /// Snapshot of an I/O manager's activity.
+    pub struct IoStats {
+        /// Write commands submitted.
+        pub writes: u64,
+        /// Read commands submitted.
+        pub reads: u64,
+        /// Discard (deallocate) commands submitted.
+        pub discards: u64,
+        /// Bytes written.
+        pub bytes_written: u64,
+        /// Bytes read.
+        pub bytes_read: u64,
+        /// Bytes deallocated by discard commands.
+        pub bytes_discarded: u64,
+        /// Commands that completed with an injected failure status
+        /// (media error / busy rejection). Not counted in
+        /// `writes`/`reads`/`discards`, which track successes only.
+        pub faults: u64,
+        /// Device-health view from this manager's windowed monitor
+        /// (virtual-time, so deterministic; merged snapshots take the
+        /// worst `state` across shards).
+        pub health: HealthIoStats,
     }
 }
 
@@ -969,48 +953,6 @@ mod tests {
         );
         // Same device work either way.
         assert_eq!(qd1.stats().writes, qd4.stats().writes);
-    }
-
-    #[test]
-    fn iostats_merge_covers_every_field() {
-        let a = IoStats {
-            writes: 1,
-            reads: 2,
-            discards: 3,
-            bytes_written: 4,
-            bytes_read: 5,
-            bytes_discarded: 6,
-            faults: 7,
-            health: HealthIoStats {
-                state: HealthState::Degraded,
-                errors: 13,
-                busys: 14,
-                windows: 15,
-                degradations: 16,
-                recoveries: 17,
-            },
-        };
-        let b = a.merge(&a);
-        assert_eq!(
-            b,
-            IoStats {
-                writes: 2,
-                reads: 4,
-                discards: 6,
-                bytes_written: 8,
-                bytes_read: 10,
-                bytes_discarded: 12,
-                faults: 14,
-                health: HealthIoStats {
-                    state: HealthState::Degraded,
-                    errors: 26,
-                    busys: 28,
-                    windows: 30,
-                    degradations: 32,
-                    recoveries: 34,
-                },
-            }
-        );
     }
 
     #[test]

@@ -1,35 +1,36 @@
 //! FTL statistics: the numbers behind every figure in the paper.
 
-/// Monotonic FTL counters.
-///
-/// `host_pages_written` and `nand_pages_written` correspond to the FDP
-/// statistics log's *Host Bytes with Metadata Written* (HBMW) and *Media
-/// Bytes with Metadata Written* (MBMW) fields that the paper samples with
-/// `nvme get-log` every 10 minutes to compute interval DLWA.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FtlStats {
-    /// Pages written on behalf of host write commands.
-    pub host_pages_written: u64,
-    /// Pages written to NAND (host + GC relocation).
-    pub nand_pages_written: u64,
-    /// Pages relocated by garbage collection.
-    pub relocated_pages: u64,
-    /// GC victim reclaims performed (the paper's "GC events").
-    pub gc_runs: u64,
-    /// Reclaim units erased.
-    pub rus_erased: u64,
-    /// Host overwrite operations that invalidated an existing mapping.
-    pub overwrites: u64,
-    /// LBAs deallocated by trim.
-    pub trimmed_lbas: u64,
-    /// LBAs unmapped by batch rollback (a mid-batch failure undoing a
-    /// partially-applied mapping; distinct from host trims).
-    pub rolled_back_lbas: u64,
-    /// Host read operations.
-    pub host_reads: u64,
-    /// Reclaim units permanently retired after exceeding their rated
-    /// P/E cycles.
-    pub retired_rus: u64,
+fdpcache_metrics::counters! {
+    /// Monotonic FTL counters.
+    ///
+    /// `host_pages_written` and `nand_pages_written` correspond to the FDP
+    /// statistics log's *Host Bytes with Metadata Written* (HBMW) and *Media
+    /// Bytes with Metadata Written* (MBMW) fields that the paper samples with
+    /// `nvme get-log` every 10 minutes to compute interval DLWA.
+    pub struct FtlStats {
+        /// Pages written on behalf of host write commands.
+        pub host_pages_written: u64,
+        /// Pages written to NAND (host + GC relocation).
+        pub nand_pages_written: u64,
+        /// Pages relocated by garbage collection.
+        pub relocated_pages: u64,
+        /// GC victim reclaims performed (the paper's "GC events").
+        pub gc_runs: u64,
+        /// Reclaim units erased.
+        pub rus_erased: u64,
+        /// Host overwrite operations that invalidated an existing mapping.
+        pub overwrites: u64,
+        /// LBAs deallocated by trim.
+        pub trimmed_lbas: u64,
+        /// LBAs unmapped by batch rollback (a mid-batch failure undoing a
+        /// partially-applied mapping; distinct from host trims).
+        pub rolled_back_lbas: u64,
+        /// Host read operations.
+        pub host_reads: u64,
+        /// Reclaim units permanently retired after exceeding their rated
+        /// P/E cycles.
+        pub retired_rus: u64,
+    }
 }
 
 impl FtlStats {
@@ -40,23 +41,6 @@ impl FtlStats {
             1.0
         } else {
             self.nand_pages_written as f64 / self.host_pages_written as f64
-        }
-    }
-
-    /// Per-field difference `self - earlier`, saturating at zero. Used
-    /// for interval DLWA.
-    pub fn delta(&self, earlier: &FtlStats) -> FtlStats {
-        FtlStats {
-            host_pages_written: self.host_pages_written.saturating_sub(earlier.host_pages_written),
-            nand_pages_written: self.nand_pages_written.saturating_sub(earlier.nand_pages_written),
-            relocated_pages: self.relocated_pages.saturating_sub(earlier.relocated_pages),
-            gc_runs: self.gc_runs.saturating_sub(earlier.gc_runs),
-            rus_erased: self.rus_erased.saturating_sub(earlier.rus_erased),
-            overwrites: self.overwrites.saturating_sub(earlier.overwrites),
-            trimmed_lbas: self.trimmed_lbas.saturating_sub(earlier.trimmed_lbas),
-            rolled_back_lbas: self.rolled_back_lbas.saturating_sub(earlier.rolled_back_lbas),
-            host_reads: self.host_reads.saturating_sub(earlier.host_reads),
-            retired_rus: self.retired_rus.saturating_sub(earlier.retired_rus),
         }
     }
 }

@@ -30,7 +30,7 @@
 //! `Arc<Mutex<Controller>>` arrangement, which serialized entire
 //! commands — payload copies included — through one global lock.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use fdpcache_ftl::{FdpEvent, Ftl, FtlConfig, RuhId, DEFAULT_RUH};
@@ -132,22 +132,23 @@ impl Stretch<'_> {
     }
 }
 
-/// The FDP statistics log page (paper §3.3 / §6.1): the host-visible
-/// byte counters from which interval DLWA is computed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FdpStatsLog {
-    /// Host bytes with metadata written (HBMW).
-    pub host_bytes_written: u64,
-    /// Media bytes with metadata written (MBMW).
-    pub media_bytes_written: u64,
-    /// Media bytes erased.
-    pub media_bytes_erased: u64,
-    /// Media Relocated events since reset (GC operations).
-    pub media_relocated_events: u64,
-    /// Events lost to event-log ring overflow. GC-energy accounting that
-    /// counts drained *Media Relocated* events under-counts by (up to)
-    /// this much.
-    pub log_events_dropped: u64,
+fdpcache_metrics::counters! {
+    /// The FDP statistics log page (paper §3.3 / §6.1): the host-visible
+    /// byte counters from which interval DLWA is computed.
+    pub struct FdpStatsLog {
+        /// Host bytes with metadata written (HBMW).
+        pub host_bytes_written: u64,
+        /// Media bytes with metadata written (MBMW).
+        pub media_bytes_written: u64,
+        /// Media bytes erased.
+        pub media_bytes_erased: u64,
+        /// Media Relocated events since reset (GC operations).
+        pub media_relocated_events: u64,
+        /// Events lost to event-log ring overflow. GC-energy accounting that
+        /// counts drained *Media Relocated* events under-counts by (up to)
+        /// this much.
+        pub log_events_dropped: u64,
+    }
 }
 
 impl FdpStatsLog {
@@ -159,73 +160,26 @@ impl FdpStatsLog {
             self.media_bytes_written as f64 / self.host_bytes_written as f64
         }
     }
+}
 
-    /// Per-field difference `self - earlier` for interval DLWA.
-    pub fn delta(&self, earlier: &FdpStatsLog) -> FdpStatsLog {
-        FdpStatsLog {
-            host_bytes_written: self.host_bytes_written.saturating_sub(earlier.host_bytes_written),
-            media_bytes_written: self
-                .media_bytes_written
-                .saturating_sub(earlier.media_bytes_written),
-            media_bytes_erased: self.media_bytes_erased.saturating_sub(earlier.media_bytes_erased),
-            media_relocated_events: self
-                .media_relocated_events
-                .saturating_sub(earlier.media_relocated_events),
-            log_events_dropped: self.log_events_dropped.saturating_sub(earlier.log_events_dropped),
-        }
+fdpcache_metrics::counters! {
+    /// Snapshot of one namespace's I/O counters.
+    pub struct NamespaceStats {
+        /// Write commands completed.
+        pub writes: u64,
+        /// Read commands completed.
+        pub reads: u64,
+        /// Deallocate (DSM) commands completed.
+        pub discards: u64,
+        /// Payload bytes written.
+        pub bytes_written: u64,
+        /// Payload bytes read.
+        pub bytes_read: u64,
     }
-}
-
-/// Snapshot of one namespace's I/O counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NamespaceStats {
-    /// Write commands completed.
-    pub writes: u64,
-    /// Read commands completed.
-    pub reads: u64,
-    /// Deallocate (DSM) commands completed.
-    pub discards: u64,
-    /// Payload bytes written.
-    pub bytes_written: u64,
-    /// Payload bytes read.
-    pub bytes_read: u64,
-}
-
-impl NamespaceStats {
-    /// Element-wise sum, used when aggregating the device view.
-    pub fn merge(&self, other: &NamespaceStats) -> NamespaceStats {
-        NamespaceStats {
-            writes: self.writes + other.writes,
-            reads: self.reads + other.reads,
-            discards: self.discards + other.discards,
-            bytes_written: self.bytes_written + other.bytes_written,
-            bytes_read: self.bytes_read + other.bytes_read,
-        }
-    }
-}
-
-/// Per-namespace atomic counters — the sharded half of the device's
-/// statistics. Incremented lock-free on the data path, aggregated on
-/// read.
-#[derive(Debug, Default)]
-struct NsCounters {
-    writes: AtomicU64,
-    reads: AtomicU64,
-    discards: AtomicU64,
-    bytes_written: AtomicU64,
-    bytes_read: AtomicU64,
-}
-
-impl NsCounters {
-    fn snapshot(&self) -> NamespaceStats {
-        NamespaceStats {
-            writes: self.writes.load(Ordering::Relaxed),
-            reads: self.reads.load(Ordering::Relaxed),
-            discards: self.discards.load(Ordering::Relaxed),
-            bytes_written: self.bytes_written.load(Ordering::Relaxed),
-            bytes_read: self.bytes_read.load(Ordering::Relaxed),
-        }
-    }
+    /// Per-namespace atomic counters — the sharded half of the device's
+    /// statistics. Incremented lock-free on the data path, aggregated on
+    /// read.
+    atomic struct NsCounters;
 }
 
 /// A namespace plus its submission-side state: the per-namespace half
@@ -941,6 +895,8 @@ impl Controller {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::AtomicU64;
+
     use super::*;
     use crate::command::DeallocRange;
     use crate::datastore::{MemStore, NullStore};

@@ -41,7 +41,7 @@
 //! to the undecorated store (asserted by the property tests).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
 use parking_lot::Mutex;
 
@@ -146,12 +146,7 @@ pub struct FaultConfig {
 impl FaultConfig {
     /// Whether the plan can ever inject anything.
     pub fn is_empty(&self) -> bool {
-        self.read_err_ppm == 0
-            && self.write_err_ppm == 0
-            && self.discard_err_ppm == 0
-            && self.corruption_ppm == 0
-            && self.busy_ppm == 0
-            && self.scripted.is_empty()
+        !self.rates().any() && self.scripted.is_empty()
     }
 
     /// The effective busy penalty.
@@ -218,21 +213,24 @@ pub struct InjectedFault {
     pub penalty_ns: u64,
 }
 
-/// Monotonic injection counters, snapshotted for gate comparison.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultTotals {
-    /// Read media errors injected.
-    pub read_errors: u64,
-    /// Write media errors injected.
-    pub write_errors: u64,
-    /// Discard media errors injected.
-    pub discard_errors: u64,
-    /// Segment corruption errors injected.
-    pub corruption_errors: u64,
-    /// Busy rejections injected.
-    pub busy_events: u64,
-    /// Scripted kill points fired.
-    pub kill_events: u64,
+fdpcache_metrics::counters! {
+    /// Monotonic injection counters, snapshotted for gate comparison.
+    pub struct FaultTotals {
+        /// Read media errors injected.
+        pub read_errors: u64,
+        /// Write media errors injected.
+        pub write_errors: u64,
+        /// Discard media errors injected.
+        pub discard_errors: u64,
+        /// Segment corruption errors injected.
+        pub corruption_errors: u64,
+        /// Busy rejections injected.
+        pub busy_events: u64,
+        /// Scripted kill points fired.
+        pub kill_events: u64,
+    }
+    /// The plan's live totals, bumped by every injection.
+    atomic struct AtomicTotals;
 }
 
 impl FaultTotals {
@@ -247,16 +245,6 @@ impl FaultTotals {
     }
 }
 
-#[derive(Debug, Default)]
-struct AtomicTotals {
-    read_errors: AtomicU64,
-    write_errors: AtomicU64,
-    discard_errors: AtomicU64,
-    corruption_errors: AtomicU64,
-    busy_events: AtomicU64,
-    kill_events: AtomicU64,
-}
-
 impl AtomicTotals {
     fn count(&self, kind: FaultKind) {
         let c = match kind {
@@ -268,17 +256,6 @@ impl AtomicTotals {
             FaultKind::Kill => &self.kill_events,
         };
         c.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> FaultTotals {
-        FaultTotals {
-            read_errors: self.read_errors.load(Ordering::Relaxed),
-            write_errors: self.write_errors.load(Ordering::Relaxed),
-            discard_errors: self.discard_errors.load(Ordering::Relaxed),
-            corruption_errors: self.corruption_errors.load(Ordering::Relaxed),
-            busy_events: self.busy_events.load(Ordering::Relaxed),
-            kill_events: self.kill_events.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -328,27 +305,21 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// Builds a plan from a configuration.
     pub fn new(config: FaultConfig) -> Self {
-        let enabled = AtomicBool::new(!config.is_empty());
         let mut scripted_live = [false; 6];
         for s in &config.scripted {
             scripted_live[s.kind.idx() as usize] = true;
         }
-        let r = config.rates();
-        let rates = [
-            AtomicU32::new(r.read_err_ppm),
-            AtomicU32::new(r.write_err_ppm),
-            AtomicU32::new(r.discard_err_ppm),
-            AtomicU32::new(r.corruption_ppm),
-            AtomicU32::new(r.busy_ppm),
-        ];
-        FaultPlan {
+        let rates = config.rates();
+        let plan = FaultPlan {
             config,
-            enabled,
+            enabled: AtomicBool::new(false),
             scripted_live,
-            rates,
+            rates: Default::default(),
             counters: (0..COUNTER_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             totals: AtomicTotals::default(),
-        }
+        };
+        plan.set_rates(rates);
+        plan
     }
 
     /// The live ppm rate for `kind` (0 for Kill, which has no knob).
@@ -378,11 +349,11 @@ impl FaultPlan {
     /// Snapshot of the live probability rates.
     pub fn rates(&self) -> FaultRates {
         FaultRates {
-            read_err_ppm: self.rates[0].load(Ordering::Relaxed),
-            write_err_ppm: self.rates[1].load(Ordering::Relaxed),
-            discard_err_ppm: self.rates[2].load(Ordering::Relaxed),
-            corruption_ppm: self.rates[3].load(Ordering::Relaxed),
-            busy_ppm: self.rates[4].load(Ordering::Relaxed),
+            read_err_ppm: self.rate(FaultKind::ReadError),
+            write_err_ppm: self.rate(FaultKind::WriteError),
+            discard_err_ppm: self.rate(FaultKind::DiscardError),
+            corruption_ppm: self.rate(FaultKind::Corruption),
+            busy_ppm: self.rate(FaultKind::Busy),
         }
     }
 
@@ -391,11 +362,15 @@ impl FaultPlan {
     /// the same retune schedule applied at the same points in the op
     /// stream replays the same faults.
     pub fn set_rates(&self, rates: FaultRates) {
-        self.rates[0].store(rates.read_err_ppm, Ordering::Relaxed);
-        self.rates[1].store(rates.write_err_ppm, Ordering::Relaxed);
-        self.rates[2].store(rates.discard_err_ppm, Ordering::Relaxed);
-        self.rates[3].store(rates.corruption_ppm, Ordering::Relaxed);
-        self.rates[4].store(rates.busy_ppm, Ordering::Relaxed);
+        for (kind, ppm) in [
+            (FaultKind::ReadError, rates.read_err_ppm),
+            (FaultKind::WriteError, rates.write_err_ppm),
+            (FaultKind::DiscardError, rates.discard_err_ppm),
+            (FaultKind::Corruption, rates.corruption_ppm),
+            (FaultKind::Busy, rates.busy_ppm),
+        ] {
+            self.rates[kind.idx() as usize].store(ppm, Ordering::Relaxed);
+        }
         let enabled = rates.any() || !self.config.scripted.is_empty();
         self.enabled.store(enabled, Ordering::Relaxed);
     }

@@ -34,6 +34,8 @@
 //! dashboards, while the windowed per-shard monitors remain the
 //! authoritative degraded-mode signal.
 
+use fdpcache_metrics::Counter;
+
 use crate::fault::FaultTotals;
 
 /// Health classification of a device (or one observer's view of it).
@@ -76,6 +78,18 @@ impl HealthState {
             HealthState::Failing => HealthState::Degraded,
             _ => HealthState::Healthy,
         }
+    }
+}
+
+/// In a counter set, merged views take the worst state and an interval
+/// keeps the later state: a state is a level, not a count.
+impl Counter for HealthState {
+    fn merge(&self, other: &HealthState) -> HealthState {
+        (*self).max(*other)
+    }
+
+    fn delta(&self, _earlier: &HealthState) -> HealthState {
+        *self
     }
 }
 
@@ -158,9 +172,10 @@ impl HealthReport {
     /// successful-command count, against `config`'s thresholds. Fewer
     /// than [`HealthConfig::min_events`] completions classify
     /// `Healthy` — a young device is innocent until it has produced
-    /// enough evidence.
+    /// enough evidence. Scripted kill points are host crashes, not
+    /// device faults, and are not counted.
     pub fn from_totals(config: &HealthConfig, totals: &FaultTotals, commands: u64) -> Self {
-        let bad = totals.total();
+        let bad = totals.total() - totals.kill_events;
         let events = commands.saturating_add(bad);
         let state = if events < config.min_events {
             HealthState::Healthy
@@ -181,35 +196,22 @@ pub struct HealthTransition {
     pub state: HealthState,
 }
 
-/// Health counters folded into `IoStats` and merged field-wise across
-/// shards (`state` merges as the worst observed).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HealthIoStats {
-    /// Current classification (worst across merged shards).
-    pub state: HealthState,
-    /// Media/corruption errors observed.
-    pub errors: u64,
-    /// Busy rejections observed.
-    pub busys: u64,
-    /// Windows closed (classification votes cast).
-    pub windows: u64,
-    /// Upward (worsening) transitions taken.
-    pub degradations: u64,
-    /// Downward (recovery) transitions taken.
-    pub recoveries: u64,
-}
-
-impl HealthIoStats {
-    /// Field-wise sum; `state` takes the worst of the two views.
-    pub fn merge(&self, other: &HealthIoStats) -> HealthIoStats {
-        HealthIoStats {
-            state: self.state.max(other.state),
-            errors: self.errors + other.errors,
-            busys: self.busys + other.busys,
-            windows: self.windows + other.windows,
-            degradations: self.degradations + other.degradations,
-            recoveries: self.recoveries + other.recoveries,
-        }
+fdpcache_metrics::counters! {
+    /// Health counters folded into `IoStats` and merged field-wise across
+    /// shards (`state` merges as the worst observed).
+    pub struct HealthIoStats {
+        /// Current classification (worst across merged shards).
+        pub state: HealthState,
+        /// Media/corruption errors observed.
+        pub errors: u64,
+        /// Busy rejections observed.
+        pub busys: u64,
+        /// Windows closed (classification votes cast).
+        pub windows: u64,
+        /// Upward (worsening) transitions taken.
+        pub degradations: u64,
+        /// Downward (recovery) transitions taken.
+        pub recoveries: u64,
     }
 }
 
@@ -463,29 +465,12 @@ mod tests {
     }
 
     #[test]
-    fn io_stats_merge_takes_worst_state_and_sums() {
-        let a = HealthIoStats {
-            state: HealthState::Degraded,
-            errors: 1,
-            busys: 2,
-            windows: 3,
-            degradations: 4,
-            recoveries: 5,
-        };
-        let b = HealthIoStats {
-            state: HealthState::Failing,
-            errors: 10,
-            busys: 20,
-            windows: 30,
-            degradations: 40,
-            recoveries: 50,
-        };
-        let m = a.merge(&b);
-        assert_eq!(m.state, HealthState::Failing);
-        assert_eq!(
-            (m.errors, m.busys, m.windows, m.degradations, m.recoveries),
-            (11, 22, 33, 44, 55)
-        );
+    fn health_state_merges_as_the_worst_and_keeps_the_later_state() {
+        use HealthState::*;
+        for (a, b, worst) in [(Healthy, Degraded, Degraded), (Failing, Degraded, Failing)] {
+            assert_eq!((Counter::merge(&a, &b), Counter::merge(&b, &a)), (worst, worst));
+            assert_eq!((Counter::delta(&a, &b), Counter::delta(&b, &a)), (a, b));
+        }
     }
 
     #[test]
@@ -501,5 +486,12 @@ mod tests {
         assert_eq!(state(&noisy, 300), HealthState::Failing);
         // Below min_events everything is healthy (not enough signal).
         assert_eq!(state(&quiet, 3), HealthState::Healthy);
+    }
+
+    #[test]
+    fn kill_points_are_not_device_faults() {
+        let totals = FaultTotals { kill_events: 1_000, ..Default::default() };
+        let report = HealthReport::from_totals(&HealthConfig::default(), &totals, 0);
+        assert_eq!((report.state, report.faults, report.rate_ppm), (HealthState::Healthy, 0, 0));
     }
 }
